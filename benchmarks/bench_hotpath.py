@@ -12,12 +12,10 @@ Establishes the repo's perf baseline trajectory: each run emits a
   behaviour — so the speedup is recorded in the same file it is
   claimed against,
 * a full-network ``strength_vector`` sweep (candidates/sec),
-* an optional ``scales[]`` curve (``--scales``): columnar-core build
-  time and peak RSS at each requested network size — each scale runs in
-  a forked child so ``ru_maxrss`` is that build's own footprint, not the
-  process lifetime max — with the smallest scale also built on the
-  object core and every sampled route asserted identical across the two
-  cores before any number is reported,
+* an optional ``scales[]`` curve (``--scales``): build time and peak
+  RSS at each requested network size — each scale runs in a forked
+  child so ``ru_maxrss`` is that build's own footprint, not the process
+  lifetime max,
 * an optional ``workers[]`` curve (``--workers``): sharded build time
   per worker count at each ``--workers-scales`` size, every leg on the
   same shard count so results must be bit-identical — identifiers and
@@ -27,9 +25,7 @@ Establishes the repo's perf baseline trajectory: each run emits a
 
 The harness asserts that cached and legacy routing produce identical
 paths on every measured route before it reports any throughput — the
-cache must be a pure performance layer. The same holds for the
-columnar core: it is a storage/vectorization layer, not a behaviour
-change, and the ``scales[]`` parity assertion enforces that.
+cache must be a pure performance layer.
 
 Run::
 
@@ -58,6 +54,8 @@ from repro.social.strength import strength_vector
 from repro.telemetry.registry import MetricsRegistry, use_registry
 
 BENCH_SCHEMA = "select-repro/bench/v1"
+#: routed paths folded into the workers[] state digest at the smallest size.
+WORKER_PARITY_ROUTES = 2000
 
 
 class LegacyGreedyRouter(GreedyRouter):
@@ -224,62 +222,20 @@ def run_bench(num_nodes: int, routes: int, seed: int, dataset: str, max_rounds: 
     }
 
 
-def run_scale(
-    num_nodes: int,
-    seed: int,
-    dataset: str,
-    max_rounds: int,
-    parity_routes: int = 0,
-) -> dict:
-    """Build the overlay at one scale on the columnar core.
-
-    With ``parity_routes > 0`` the same graph is also built on the
-    object core and that many sampled routes are asserted identical
-    across the two — path-for-path — before the entry is returned.
-    """
+def run_scale(num_nodes: int, seed: int, dataset: str, max_rounds: int) -> dict:
+    """Build the overlay at one scale; one ``scales[]`` entry."""
     graph = load_dataset(dataset, num_nodes=num_nodes, seed=seed)
-    overlay = SelectOverlay(
-        graph, config=SelectConfig(max_rounds=max_rounds, columnar=True)
-    )
+    overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=max_rounds))
     start = time.perf_counter()
     overlay.build(seed=seed)
-    entry = {
+    return {
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,
         "build_seconds": time.perf_counter() - start,
         "gossip_rounds": overlay.iterations,
-        # Sampled right after the build: in the per-scale fork this is
-        # the columnar build's own peak, untouched by the parity leg.
+        # In the per-scale fork this is the build's own peak.
         "peak_rss_kb": _peak_rss_kb(),
     }
-    if parity_routes > 0:
-        obj = SelectOverlay(
-            graph, config=SelectConfig(max_rounds=max_rounds, columnar=False)
-        )
-        start = time.perf_counter()
-        obj.build(seed=seed)
-        entry["object_build_seconds"] = time.perf_counter() - start
-        if not np.array_equal(overlay.ids, obj.ids):
-            raise AssertionError(
-                f"{num_nodes} nodes: columnar identifiers diverged from the "
-                "object core — the columnar layer must not change behaviour"
-            )
-        pairs = _sample_pairs(graph.num_nodes, parity_routes, np.random.default_rng(seed + 1))
-        col_results = GreedyRouter(overlay, lookahead=True).route_many(pairs)
-        obj_results = GreedyRouter(obj, lookahead=True).route_many(pairs)
-        mismatched = sum(
-            1
-            for a, b in zip(col_results, obj_results)
-            if a.path != b.path or a.delivered != b.delivered
-        )
-        if mismatched:
-            raise AssertionError(
-                f"{num_nodes} nodes: columnar routing diverged from the object "
-                f"core on {mismatched}/{len(pairs)} routes"
-            )
-        entry["routing_parity_routes"] = len(pairs)
-        entry["routing_parity"] = True
-    return entry
 
 
 def run_workers_leg(
@@ -379,7 +335,6 @@ def _validate_scales(scales, problems: list[str]) -> None:
         problems.append("scales must be a non-empty array when present")
         return
     last = 0
-    parity_checked = False
     for idx, entry in enumerate(scales):
         if not isinstance(entry, dict):
             problems.append(f"scales[{idx}] is not an object")
@@ -393,18 +348,6 @@ def _validate_scales(scales, problems: list[str]) -> None:
             if nodes <= last:
                 problems.append("scales[] must be sorted by strictly increasing num_nodes")
             last = nodes
-        if entry.get("routing_parity"):
-            parity_checked = True
-            routes = entry.get("routing_parity_routes")
-            if not isinstance(routes, int) or routes <= 0:
-                problems.append(
-                    f"scales[{idx}].routing_parity_routes missing or not a positive int"
-                )
-    if not parity_checked:
-        problems.append(
-            "scales[] must include at least one entry with routing_parity: true "
-            "(columnar-vs-object routed-path assertion)"
-        )
 
 
 def _validate_workers(blocks, problems: list[str]) -> None:
@@ -511,14 +454,7 @@ def main(argv=None) -> int:
         "--scales",
         default="",
         help="comma-separated network sizes for the scales[] build curve "
-        "(e.g. 2000,20000,100000); the smallest also runs the "
-        "columnar-vs-object routed-path parity assertion",
-    )
-    parser.add_argument(
-        "--parity-routes",
-        type=int,
-        default=2000,
-        help="routes asserted identical across cores at the smallest scale",
+        "(e.g. 2000,20000,100000)",
     )
     parser.add_argument(
         "--workers",
@@ -557,22 +493,14 @@ def main(argv=None) -> int:
     if args.scales:
         sizes = sorted({int(s) for s in args.scales.split(",") if s.strip()})
         scales = []
-        for i, size in enumerate(sizes):
-            entry = _forked(
-                run_scale,
-                size,
-                args.seed,
-                args.dataset,
-                args.max_rounds,
-                args.parity_routes if i == 0 else 0,
-            )
+        for size in sizes:
+            entry = _forked(run_scale, size, args.seed, args.dataset, args.max_rounds)
             scales.append(entry)
-            parity = " [routing parity ok]" if entry.get("routing_parity") else ""
             print(
                 f"scale {entry['num_nodes']:>7} nodes : "
                 f"{entry['build_seconds']:.3f}s build "
                 f"({entry['gossip_rounds']} rounds, "
-                f"{entry['peak_rss_kb'] / 1024:.0f} MiB peak){parity}"
+                f"{entry['peak_rss_kb'] / 1024:.0f} MiB peak)"
             )
         report["scales"] = scales
     if args.workers:
@@ -583,7 +511,7 @@ def main(argv=None) -> int:
         ) or sizes or [args.num_nodes]
         blocks = []
         for i, size in enumerate(wsizes):
-            parity_routes = args.parity_routes if i == 0 else 0
+            parity_routes = WORKER_PARITY_ROUTES if i == 0 else 0
             curve = []
             for w in counts:
                 leg = _forked(

@@ -81,19 +81,11 @@ class SelectConfig:
     catchup_capacity:
         Store-and-forward: notifications a ring neighbor buffers for a
         down/partitioned subscriber before evicting the oldest.
-    columnar:
-        Execution strategy for the gossip rounds. State is always stored
-        in the shared column block; ``True`` (default) runs partner
-        selection, exchange quantities, and Algorithm 2 as whole-network
-        vectorized kernels in the round's batch phase, ``False`` computes
-        the same values per peer inside the vertex program. Both paths
-        produce identical overlays for the same seed (pinned by the
-        hot-path benchmark's parity check).
     num_workers:
         Worker processes for the construction supersteps. ``1`` (default)
         keeps today's single-process path, pinned bit-identical; ``N > 1``
         partitions the identifier ring into contiguous arcs
-        (:mod:`repro.shard`) and runs each arc's columnar round in a
+        (:mod:`repro.shard`) and runs each arc's share of the round in a
         forked worker, exchanging boundary-crossing state in typed frames
         at the superstep barrier. Sharded construction is deterministic
         and *worker-count independent*: the same seed yields the same
@@ -130,7 +122,6 @@ class SelectConfig:
     invite_spread: float = 1e-6
     successor_list_length: int = 3
     catchup_capacity: int = 64
-    columnar: bool = True
     num_workers: int = 1
     shards: int | None = None
 
@@ -219,11 +210,6 @@ class SelectConfig:
                     f"({self.num_workers}): every worker needs at least one arc"
                 )
         if self.num_workers > 1 or self.shards is not None:
-            if not self.columnar:
-                raise ConfigurationError(
-                    "sharded construction requires columnar=True (the arcs run "
-                    "the columnar round kernels)"
-                )
             if not self.use_lsh:
                 raise ConfigurationError(
                     "sharded construction requires use_lsh=True (random_links "

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.peer import PeerState
 from repro.core.picker import picker
 
-__all__ = ["create_links", "plan_links", "random_links", "closer_successor"]
+__all__ = ["create_links", "plan_links", "apply_plan", "random_links", "closer_successor"]
 
 
 def _bucket_groups(peer: PeerState) -> dict:
@@ -51,7 +51,6 @@ def create_links(
     disconnect: Callable[[int, int], None],
     upload_mbps: "np.ndarray | None" = None,
     hysteresis: int = 2,
-    incoming_sources: "list[set] | None" = None,
     incoming_count: "np.ndarray | None" = None,
 ) -> bool:
     """Run Algorithm 5 for one peer; True when the link set changed.
@@ -66,35 +65,30 @@ def create_links(
     bucket argmax flips whenever gossip refreshes a bitmap and the
     network never quiesces.
 
-    ``incoming_sources`` (optional) exposes the admission ledger behind
-    ``try_connect``. Without a bandwidth model an admission succeeds iff
-    the target has a free incoming slot (or already holds one for us), so
-    the whole reassignment can be *planned* against the ledger — compute
-    the target link set without touching any state, then apply only the
-    net difference. Most rounds net to zero (drop-then-readd churn), so
-    planning turns them into pure reads: no ledger traffic, no routing
-    table dirtying, no link-view rebuilds. ``incoming_count`` (required
-    alongside it for the planned path) is the ledger's per-target
-    occupancy as an array, letting the budget-fill pre-filter run as one
-    vectorized index over the whole candidate set. With a bandwidth
-    model admissions can evict third parties mid-pass, so the original
-    mutating pass runs instead.
+    ``incoming_count`` (optional) exposes the admission ledger behind
+    ``try_connect`` as its per-target occupancy array. Without a
+    bandwidth model an admission succeeds iff the target has a free
+    incoming slot (or already holds one for us), so the whole
+    reassignment can be *planned* against the ledger
+    (:func:`plan_links`) and only the net difference applied
+    (:func:`apply_plan`). Most rounds net to zero (drop-then-readd
+    churn), so planning turns them into pure reads: no ledger traffic,
+    no routing table dirtying, no link-view rebuilds. Every net add was
+    judged admissible against untouched ledger state and the net drops
+    only free slots, so the applied ``try_connect`` calls cannot be
+    refused and the final ledger/table state is bit-identical to what
+    the mutating pass would leave. With a bandwidth model admissions can
+    evict third parties mid-pass, so the mutating pass runs instead.
     """
+    if upload_mbps is None and incoming_count is not None:
+        plan = plan_links(peer, k_links, incoming_count, hysteresis)
+        if plan is None:
+            return False
+        return apply_plan(peer.table.long_links, peer.node, *plan, try_connect, disconnect)
+
     if not peer.known_bitmap:
         return False
     buckets = _bucket_groups(peer)
-
-    if upload_mbps is None and incoming_sources is not None and incoming_count is not None:
-        return _create_links_planned(
-            peer,
-            k_links,
-            try_connect,
-            disconnect,
-            buckets,
-            hysteresis,
-            incoming_count,
-        )
-
     changed = False
     table = peer.table
     coverage = peer.known_coverage
@@ -126,64 +120,53 @@ def plan_links(
     k_links: int,
     incoming_count: np.ndarray,
     hysteresis: int = 2,
-) -> "set[int] | None":
-    """Algorithm 5's target link set for one peer, computed without
+) -> "tuple[tuple, tuple] | None":
+    """Algorithm 5's net link diff for one peer, computed without
     touching any shared state.
 
-    Returns the planned long-link set, or ``None`` when the peer has no
-    gossip knowledge yet or the plan equals the current set. This is the
-    read-only half of the plan-then-apply split: the sharded engine calls
-    it inside worker processes against the round-start admission ledger
-    and applies the resulting net diffs in vertex order at the barrier
-    (:mod:`repro.shard`); the single-process planned path applies the
-    diff immediately via :func:`create_links`. Only valid without a
-    bandwidth model (admission must be a pure predicate over the ledger).
+    Returns ``(drops, adds)`` — sorted tuples taking the current long
+    links to the planned set — or ``None`` when the peer has no gossip
+    knowledge yet or the plan equals the current set. The pass simulates
+    the mutating loop against a scratch copy of the link set (a link we
+    virtually dropped stays admissible: our slot on it is still charged
+    in the real ledger). This is the read-only half of the
+    plan-then-apply split; :func:`apply_plan` is the other. The plain
+    build applies each diff at once (:func:`create_links`, live ledger),
+    the sharded one plans every vertex against the round-start ledger
+    and applies the merged diffs in vertex order at the barrier
+    (:mod:`repro.shard`). Only valid without a bandwidth model
+    (admission must be a pure predicate over the ledger).
     """
     if not peer.known_bitmap:
         return None
     buckets = _bucket_groups(peer)
-    virtual = _plan_virtual(peer, k_links, buckets, hysteresis, incoming_count)
-    if virtual == peer.table.long_links:
-        return None
-    return virtual
-
-
-def _create_links_planned(
-    peer: PeerState,
-    k_links: int,
-    try_connect,
-    disconnect,
-    buckets,
-    hysteresis: int,
-    incoming_count: np.ndarray,
-) -> bool:
-    """Algorithm 5 as plan-then-apply; exact replay of the mutating pass.
-
-    Valid only without a bandwidth model, where ``try_connect(p, u)``
-    succeeds iff ``u`` has a free incoming slot or ``p`` already holds
-    one — a pure predicate over the ledger. The pass simulates the
-    mutating loop against a scratch copy of the link set (a link we
-    virtually dropped stays admissible: our slot on it is still charged
-    in the real ledger), then applies only the net difference. Every
-    net add was judged admissible against untouched ledger state and the
-    net drops only free slots, so the applied ``try_connect`` calls
-    cannot be refused and the final ledger/table state is bit-identical
-    to what the mutating pass would leave.
-    """
-    table = peer.table
-    node = peer.node
-    current = table.long_links
+    current = peer.table.long_links
     virtual = _plan_virtual(peer, k_links, buckets, hysteresis, incoming_count)
     if virtual == current:
-        return False
-    # Net application: free slots first, then claim the planned ones.
-    for w in sorted(w for w in current if w not in virtual):
-        current.discard(w)
+        return None
+    return (
+        tuple(sorted(w for w in current if w not in virtual)),
+        tuple(sorted(w for w in virtual if w not in current)),
+    )
+
+
+def apply_plan(links: set, node: int, drops, adds, try_connect, disconnect) -> bool:
+    """Apply one vertex's net link diff; True when ``links`` changed.
+
+    Slots are freed first, then the planned ones claimed. Adds go
+    through ``try_connect`` so the K-incoming cap is re-enforced against
+    the live ledger: a plan made against round-start state can lose a
+    slot to an earlier vertex, and a vertex whose drops are empty and
+    whose adds are all refused did not change.
+    """
+    changed = bool(drops)
+    for w in drops:
+        links.discard(w)
         disconnect(node, w)
-    changed = True
-    for w in sorted(w for w in virtual if w not in current):
+    for w in adds:
         if try_connect(node, w):
-            current.add(w)
+            links.add(w)
+            changed = True
     return changed
 
 
@@ -286,13 +269,7 @@ def _drop_bucket_redundant(peer: PeerState, members, chosen: int, disconnect) ->
         disconnect(peer.node, other)
 
 
-def _fill_remaining_budget(
-    peer: PeerState,
-    k_links: int,
-    try_connect,
-    incoming_sources: "list[set] | None" = None,
-    incoming_count: "np.ndarray | None" = None,
-) -> bool:
+def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect) -> bool:
     """Spend leftover link budget on friends not yet covered in <= 2 hops.
 
     Early in construction most friendship bitmaps are near-empty and
@@ -325,28 +302,9 @@ def _fill_remaining_budget(
     # heap compares plain ints on the per-round hot path.
     heap = []
     append = heap.append
-    if incoming_sources is not None and incoming_count is not None:
-        # Vectorized admission pre-filter: keep only targets with a free
-        # incoming slot. A full target we already hold a slot on would
-        # also be admissible, but every successful admission is paired
-        # with a ``long_links.add`` (and every release with a discard),
-        # so such a target is already a long link and skipped below.
-        arr = peer.known_array()
-        candidates = arr[incoming_count[arr] < k_links].tolist() if arr.size else ()
-        incoming_sources = None  # ledger already consulted
-    else:
-        candidates = peer.known_bitmap
-    for f in candidates:
+    for f in peer.known_bitmap:
         if f == node or f in long_links:
             continue
-        if incoming_sources is not None:
-            # Without evictions, admission is exactly "slot free or
-            # already ours" — skip candidates a ``try_connect`` would
-            # refuse anyway (at steady state most targets sit at the cap,
-            # so this empties the heap instead of draining it).
-            sources = incoming_sources[f]
-            if len(sources) >= k_links and node not in sources:
-                continue
         i = pos_get(f)
         key = ((0x7FFFFFFF - cov_get(f, 0)) << 31) | f
         if i is not None and (cover >> i) & 1:

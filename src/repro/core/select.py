@@ -8,41 +8,34 @@ Construction pipeline:
 2. **Bootstrap links** — at join time a peer immediately connects to its
    inviter and a few already-joined friends (this is why SELECT needs far
    fewer iterations than Vitis/OMen, Figure 5's discussion).
-3. **Gossip rounds** — one superstep per round, in two phases. The batch
-   phase (``begin_round``) runs the whole network's gossip partner draws,
-   exchange quantities (Algs. 3–4), and identifier re-evaluation (Alg. 2);
-   with ``config.columnar`` these are vectorized kernels over the shared
-   column block (:mod:`repro.core.vectorized`), otherwise the same values
-   are computed per peer. The vertex phase (``compute``) then runs link
-   selection (Algs. 5–6) per peer — its cross-peer admission effects
-   (the K-incoming cap) are inherently sequential.
+3. **Gossip rounds** — a plain loop over the phases of
+   :mod:`repro.core.rounds`: the whole network's partner draws, exchange
+   quantities (Algs. 3–4) and identifier proposals (Alg. 2) as vectorized
+   kernels over the shared column block, then link selection (Algs. 5–6)
+   per peer in vertex order — its cross-peer admission effects (the
+   K-incoming cap) are inherently sequential, and here each peer's diff
+   lands on the live ledger before the next peer plans.
 4. **Round barrier** — pending identifiers are deduplicated and published,
    deferred bandwidth evictions applied, and the ring refreshed, all as
    array operations; convergence is judged on the round's movement/churn.
 
 Per-peer round state lives in a :class:`~repro.core.columns.PeerColumns`
 block shared with the kernels; :class:`~repro.core.peer.PeerState` objects
-are views over their slot, so both execution strategies mutate the same
-storage and produce identical overlays for the same seed.
+are views over their slot, so the kernels and the object API mutate the
+same storage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import rounds
 from repro.core.columns import PeerColumns
 from repro.core.config import SelectConfig
-from repro.core.gossip import exchange, select_gossip_partner
 from repro.core.links import create_links, random_links
 from repro.core.peer import PeerState
 from repro.core.projection import assign_initial_ids
-from repro.core.reassignment import evaluate_position
-from repro.core.vectorized import (
-    ExchangeKernel,
-    dedup_ids,
-    draw_partners,
-    evaluate_positions,
-)
+from repro.core.vectorized import ExchangeKernel
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
 from repro.lsh.bitsampling import BitSamplingLsh
@@ -50,71 +43,10 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.growth import GrowthModel, JoinEvent
 from repro.overlay.base import OverlayNetwork
 from repro.overlay.ring import RingIndex
-from repro.sim.engine import SuperstepEngine, VertexContext
 from repro.sim.trace import TraceRecorder
 from repro.util.rng import as_generator
 
 __all__ = ["SelectOverlay"]
-
-
-class _GossipProgram:
-    """Vertex program running one SELECT round.
-
-    ``begin_round`` is the whole-network batch phase (exchanges and
-    identifier proposals); ``compute`` keeps only the per-peer link
-    reassignment whose admission side effects must apply in vertex order.
-    """
-
-    def __init__(self, overlay: "SelectOverlay", rng: np.random.Generator):
-        self.overlay = overlay
-        self.rng = rng
-
-    def begin_round(self, engine: SuperstepEngine) -> None:
-        self.overlay._begin_round(self.rng)
-
-    def compute(self, ctx: VertexContext, vertex: int, messages: list) -> None:
-        ov = self.overlay
-        peer = ov.peers[vertex]
-        if not peer.joined:
-            ctx.vote_to_halt()
-            return
-        cfg = ov.config
-        # Algs. 5-6: link reassignment. A peer counts as changed only when
-        # its link set actually differs from the round's start (drop+re-add
-        # of the same link is a no-op, not churn). The planned/random paths
-        # report exactly that, so only the bandwidth path (whose mutating
-        # pass can drop and re-add) needs the before/after comparison.
-        changed = False
-        if peer.stable_rounds < cfg.stabilize_after and peer.link_change_budget > 0:
-            if not cfg.use_lsh:
-                changed = random_links(peer, ov.k_links, ov._try_connect, self.rng)
-            elif ov.upload_mbps is None:
-                changed = create_links(
-                    peer,
-                    ov.k_links,
-                    ov._try_connect,
-                    ov._disconnect,
-                    incoming_sources=ov._incoming_sources,
-                    incoming_count=ov.incoming_count,
-                )
-            else:
-                before = set(peer.table.long_links)
-                create_links(
-                    peer,
-                    ov.k_links,
-                    ov._try_connect,
-                    ov._disconnect,
-                    ov.upload_mbps,
-                    incoming_sources=ov._incoming_sources,
-                    incoming_count=ov.incoming_count,
-                )
-                changed = peer.table.long_links != before
-        if changed:
-            peer.stable_rounds = 0
-            peer.link_change_budget -= 1
-            ov.round_link_changes += 1
-        else:
-            peer.stable_rounds += 1
 
 
 class SelectOverlay(OverlayNetwork):
@@ -172,8 +104,8 @@ class SelectOverlay(OverlayNetwork):
         )
         self._xkernel = ExchangeKernel(self._nbr_indptr, self._nbr_indices)
         self._ring_index = RingIndex(self.ids)
-        # Bandwidth evictions found mid-superstep are applied at the round
-        # barrier while the engine runs (True), immediately otherwise.
+        # Bandwidth evictions found mid-round are applied at the round
+        # barrier while a build runs (True), immediately otherwise.
         self._defer_evictions = False
         self._eviction_events: list[tuple[int, int]] = []
         # Round counter driving the relocation rota (reassign_stride).
@@ -201,17 +133,58 @@ class SelectOverlay(OverlayNetwork):
         self._project(rng)
         self._bootstrap(rng)
         self._refresh_ring()
-        program = _GossipProgram(self, rng)
-        engine = SuperstepEngine(self.graph.num_nodes, program)
+        self.iterations = 0
         self._defer_evictions = True
         try:
-            engine.run(self.config.max_rounds, stop_when=self._end_of_round)
+            for _ in range(self.config.max_rounds):
+                rounds.exchange_phase(self, rng)
+                self.pending_ids[:] = rounds.propose_ids(self)
+                changed = self._reassign_links(rng)
+                rounds.settle_counters(self, changed)
+                self.round_link_changes += len(changed)
+                moves = rounds.publish_ids(self, *rounds.settle_ids(self, self.pending_ids))
+                if rounds.end_round(self, moves):
+                    break
         finally:
             self._defer_evictions = False
-        self.iterations = engine.supersteps_run
         self._materialize_successors()
         self._mark_built()
         return self
+
+    def _reassign_links(self, rng: np.random.Generator) -> "set[int]":
+        """Algs. 5-6 for every gated-in peer, each against the live ledger.
+
+        Returns the peers whose link set differs from the round's start.
+        The planned/random paths report exactly that, so only the
+        bandwidth path (whose mutating pass can drop and re-add) needs
+        the before/after comparison.
+        """
+        cfg = self.config
+        changed: set[int] = set()
+        for v, peer in enumerate(self.peers):
+            if not peer.joined:
+                continue
+            if peer.stable_rounds >= cfg.stabilize_after or peer.link_change_budget <= 0:
+                continue
+            if not cfg.use_lsh:
+                hit = random_links(peer, self.k_links, self._try_connect, rng)
+            elif self.upload_mbps is None:
+                hit = create_links(
+                    peer,
+                    self.k_links,
+                    self._try_connect,
+                    self._disconnect,
+                    incoming_count=self.incoming_count,
+                )
+            else:
+                before = set(peer.table.long_links)
+                create_links(
+                    peer, self.k_links, self._try_connect, self._disconnect, self.upload_mbps
+                )
+                hit = peer.table.long_links != before
+            if hit:
+                changed.add(v)
+        return changed
 
     def _build_sharded(self, seed) -> "SelectOverlay":
         """Dispatch construction to the ring-sharded engine (repro.shard)."""
@@ -307,148 +280,6 @@ class SelectOverlay(OverlayNetwork):
         lists = self._ring_index.successor_matrix(self.config.successor_list_length).tolist()
         for v, table in enumerate(self.tables):
             table.successors = lists[v]
-
-    # -- round phases -----------------------------------------------------------
-
-    def _begin_round(self, rng: np.random.Generator) -> None:
-        """Batch phase: gossip exchanges and Alg. 2 identifier proposals."""
-        if self.config.columnar:
-            self._begin_round_columnar(rng)
-        else:
-            self._begin_round_object(rng)
-        self._round_no += 1
-
-    def _on_rota(self, v: int) -> bool:
-        """Whether peer ``v`` may relocate this round (reassign_stride)."""
-        return (v + self._round_no) % self.config.reassign_stride == 0
-
-    def _begin_round_object(self, rng: np.random.Generator) -> None:
-        """Reference strategy: the same phase computed peer by peer."""
-        cfg = self.config
-        peers = self.peers
-        joined = self.joined
-        for peer in peers:
-            if not peer.joined:
-                continue
-            # Active thread (Alg. 3): gossip with random social friends.
-            for _ in range(cfg.exchanges_per_round):
-                partner = select_gossip_partner(peer, joined, rng)
-                if partner is not None:
-                    exchange(peer, peers[partner])
-        for v, peer in enumerate(peers):
-            if not peer.joined:
-                self.pending_ids[v] = self.ids[v]
-            elif (
-                cfg.reassign_ids
-                and peer.moves_done < cfg.max_moves
-                and self._on_rota(v)
-            ):
-                self.pending_ids[v] = evaluate_position(
-                    peer,
-                    self.ids,
-                    tolerance=cfg.movement_tolerance,
-                    merge_radius=cfg.merge_radius,
-                )
-            else:
-                self.pending_ids[v] = peer.identifier
-
-    def _begin_round_columnar(self, rng: np.random.Generator) -> None:
-        """Vectorized strategy: one kernel call per quantity, whole network."""
-        cfg = self.config
-        n = self.graph.num_nodes
-        actives, partners = draw_partners(
-            self._nbr_indptr,
-            self._nbr_indices,
-            self.joined,
-            rng,
-            cfg.exchanges_per_round,
-        )
-        if actives.size:
-            fp = np.repeat(actives, cfg.exchanges_per_round)
-            fq = partners.reshape(-1)
-            # Sorted key table of every peer's current links (ring + long),
-            # rebuilt per round from the cached frozenset views.
-            views = [t.link_view() for t in self.tables]
-            # link_view() above validated every cache; _arr is fresh.
-            arrs = [t._arr for t in self.tables]
-            counts = np.fromiter((len(a) for a in arrs), dtype=np.int64, count=n)
-            owners = np.repeat(np.arange(n, dtype=np.int64), counts)
-            flat = np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.int64)
-            link_keys = np.sort(owners * n + flat)
-            kern = self._xkernel
-            mutual = kern.mutual_counts(fp, fq)
-            bitmaps_p = kern.bitmap_ints(fp, fq, link_keys)
-            bitmaps_q = kern.bitmap_ints(fq, fp, link_keys)
-            peers = self.peers
-            fpl = fp.tolist()
-            fql = fq.tolist()
-            ml = mutual.tolist()
-            for i in range(len(fpl)):
-                p = peers[fpl[i]]
-                q = peers[fql[i]]
-                p.learn_exchange(q.node, ml[i], bitmaps_p[i], views[q.node])
-                q.learn_exchange(p.node, ml[i], bitmaps_q[i], views[p.node])
-        cols = self.columns
-        if cfg.reassign_ids:
-            eligible = self.joined & (cols.moves_done < cfg.max_moves)
-            if cfg.reassign_stride > 1:
-                rota = (np.arange(n) + self._round_no) % cfg.reassign_stride == 0
-                eligible = eligible & rota
-        else:
-            eligible = np.zeros(n, dtype=bool)
-        self.pending_ids[:] = evaluate_positions(
-            self.ids,
-            cols.top2,
-            cols.anchor_pair,
-            cols.anchor_target,
-            eligible,
-            self._degs,
-            tolerance=cfg.movement_tolerance,
-            merge_radius=cfg.merge_radius,
-        )
-
-    def _end_of_round(self, engine: SuperstepEngine) -> bool:
-        """Round barrier: publish pending ids, refresh ring, test convergence."""
-        # Bandwidth evictions queued during the superstep land here, so a
-        # peer's link set never mutates while its own vertex phase may
-        # still be pending. The eviction is link churn on the *evicted*
-        # peer: its before/after comparison cannot see the loss, so it is
-        # counted at the barrier or quiescence detection undercounts churn
-        # and can declare convergence a round early.
-        if self._eviction_events:
-            for victim, dst in self._eviction_events:
-                table = self.tables[victim]
-                if dst in table.long_links:
-                    table.long_links.discard(dst)
-                    self.peers[victim].stable_rounds = 0
-                    self.round_link_changes += 1
-            self._eviction_events.clear()
-        # Peers relocating to the midpoint of the same anchor pair would
-        # stack on one position; spread duplicates deterministically so
-        # identifiers stay distinct (ties would otherwise degrade greedy
-        # routing's distance comparisons).
-        final = dedup_ids(self.pending_ids)
-        diff = np.abs(self.ids - final)
-        diff = np.minimum(diff, 1.0 - diff)
-        moved = diff > self.config.movement_tolerance
-        moves = int(moved.sum())
-        self.columns.moves_done[moved] += 1
-        self.ids[:] = final
-        self._refresh_ring()
-        rnd = engine.supersteps_run
-        self.trace.record("id_moves", rnd, moves)
-        self.trace.record("link_changes", rnd, self.round_link_changes)
-        # Quiet round: identifier movement and link flux both down to a
-        # residual trickle (<= 2% of peers). Gossip keeps discovering the
-        # occasional unseen friend long after the overlay is organized;
-        # that long tail is maintenance, not construction.
-        noise_floor = max(1, self.graph.num_nodes // 50)
-        if moves <= noise_floor and self.round_link_changes <= noise_floor:
-            self._quiet_rounds += 1
-        else:
-            self._quiet_rounds = 0
-        self.round_link_changes = 0
-        return self._quiet_rounds >= self.config.convergence_rounds
 
     # -- persistence ------------------------------------------------------------
 

@@ -14,13 +14,13 @@ of the social graph:
 * :func:`evaluate_positions` — Alg. 2 for the whole network: top-2 anchor
   selection, cluster guard, once-per-anchor-pair gate, improvement gate.
 * :func:`dedup_ids` — deterministic duplicate-identifier spreading for
-  the end-of-round barrier (replaces the unbounded per-peer nudge loop).
+  the end-of-round barrier.
 
 Every kernel has a brute-force reference implementation in the property
 tests (``tests/test_vectorized_kernels.py``) pinning elementwise equality,
 including the float semantics: ring distances and midpoints reuse the
-exact expressions of :mod:`repro.idspace.space`, so vectorized and
-object-mode rounds produce bitwise-identical identifiers.
+exact expressions of :mod:`repro.idspace.space`, so the kernels and the
+per-peer references produce bitwise-identical identifiers.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def draw_partners(
     (joined, with at least one joined friend) in vertex order, and
     ``partners`` is ``(len(actives), exchanges_per_round)`` of drawn
     friend ids. The draws consume the generator in exactly the order the
-    per-peer loop would (vertex order, then exchange index), so object
-    and columnar cores see the same stream.
+    per-peer loop would (vertex order, then exchange index), so the
+    per-peer reference (``select_gossip_partner``) sees the same stream.
 
     ``neighbor_indptr``/``neighbor_indices`` are the CSR adjacency in the
     same order as each peer's ``neighborhood`` array (the candidate order
@@ -281,10 +281,10 @@ def evaluate_positions(
 def dedup_ids(pending: np.ndarray) -> np.ndarray:
     """Spread duplicate identifiers deterministically, preserving ring order.
 
-    The object-core used to nudge each later claimant upward by ``2^-40``
-    in a ``while new_id in taken`` loop — unbounded when the nudge lands
-    on yet another taken value, and O(n) dict probes per duplicate. This
-    kernel resolves all collisions in one sorted pass:
+    Nudging each later claimant upward by ``2^-40`` in a ``while new_id
+    in taken`` loop is unbounded when the nudge lands on yet another taken
+    value, and O(n) dict probes per duplicate. This kernel resolves all
+    collisions in one sorted pass:
 
     * group equal values (ties broken by node index, the ring order),
     * within each run, offset claimant ``k`` by ``k * step`` where
@@ -294,6 +294,14 @@ def dedup_ids(pending: np.ndarray) -> np.ndarray:
 
     Returns the adjusted copy; all values are distinct and the relative
     clockwise order of (id, node-index) pairs is unchanged.
+
+    Both promises assume each gap holds a representable double per
+    claimant. A run whose gap is only a few ULPs wide spills into the
+    next value's run and pushes it upward, first claimant included
+    (``[0.0, 0.0, 5e-324]`` becomes ``[0.0, 5e-324, 1e-323]``): ring
+    order survives, the exact value does not. Published identifiers do
+    sit one ULP apart — an earlier barrier's repair put them there — so
+    this is the behaviour real builds are pinned to.
     """
     n = len(pending)
     out = pending.copy()

@@ -266,7 +266,7 @@ class OverlayNetwork(ABC):
         # The paper settles on log2(N) direct connections per peer (§IV-C).
         self.k_links = int(k_links) if k_links is not None else max(2, int(np.ceil(np.log2(max(n, 2)))))
         self.ids = np.zeros(n, dtype=np.float64)
-        #: columnar ring state (-1 = unset); RoutingTables are views over
+        #: ring state as columns (-1 = unset); RoutingTables are views over
         #: their slot, and a ring refresh is two array stores + one bump
         #: of the shared epoch cell.
         self.ring_pred = np.full(n, -1, dtype=np.int64)

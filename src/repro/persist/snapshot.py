@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -377,6 +377,17 @@ def capture(
     return {"manifest": manifest, "state": state}
 
 
+def _config_from(data: dict) -> SelectConfig:
+    """The snapshotted ``SelectConfig``; rejects keys the class lacks."""
+    unknown = sorted(set(data) - {f.name for f in fields(SelectConfig)})
+    if unknown:
+        raise PersistError(
+            f"snapshot config has unknown keys {unknown}: written by a "
+            f"different version of SelectConfig"
+        )
+    return SelectConfig(**data)
+
+
 def _unpack(snapshot: dict) -> "tuple[dict, dict]":
     if not isinstance(snapshot, dict) or "manifest" not in snapshot or "state" not in snapshot:
         raise PersistError("not a snapshot: expected {'manifest': ..., 'state': ...}")
@@ -417,7 +428,7 @@ def restore_into(
         raise PersistError(
             f"k_links mismatch: overlay has {overlay.k_links}, snapshot has {data['k_links']}"
         )
-    overlay.config = SelectConfig(**data["config"])
+    overlay.config = _config_from(data["config"])
     overlay.iterations = int(data["iterations"])
     overlay.round_link_changes = int(data["round_link_changes"])
     overlay._quiet_rounds = int(data["quiet_rounds"])
@@ -499,7 +510,7 @@ def restore(snapshot: dict, graph: "SocialGraph | None" = None):
     overlay = SelectOverlay(
         graph,
         k_links=int(data["k_links"]),
-        config=SelectConfig(**data["config"]),
+        config=_config_from(data["config"]),
     )
     return restore_into(snapshot, overlay)
 

@@ -41,7 +41,7 @@ import time
 
 import numpy as np
 
-from repro.core.vectorized import dedup_ids, draw_partners
+from repro.core import rounds
 from repro.persist.snapshot import _capture_peer, _restore_peer, snapshot_id
 from repro.shard.frames import (
     ArcFrame,
@@ -52,7 +52,7 @@ from repro.shard.frames import (
     encode,
 )
 from repro.shard.plan import ShardPlan
-from repro.shard.rounds import ShardWorkerCore, apply_plan_log, publish_ids
+from repro.shard.rounds import ShardWorkerCore, apply_plan_log
 from repro.shard.snapshot import (
     capture_build_state,
     generation_dir,
@@ -88,30 +88,23 @@ def _worker_main(conn, overlay, plan, rng, worker, num_workers, restore_gen, fai
                 _, astate = load_arc(os.path.join(restore_gen, f"shard-{s:03d}"))
                 restore_arc(overlay, astate)
         core = ShardWorkerCore(overlay, plan.worker_mask(worker, num_workers), rng)
-        cfg = overlay.config
         while True:
-            plans, pending = core.run_round()
-            if fail_at is not None and (worker, core.round_no) == tuple(fail_at):
+            plans, pending, _ = core.run_round()
+            if fail_at is not None and (worker, overlay._round_no) == tuple(fail_at):
                 os._exit(42)
-            conn.send_bytes(encode(PlanFrame(core.round_no, worker, plans, pending)))
+            conn.send_bytes(encode(PlanFrame(overlay._round_no, worker, plans, pending)))
             barrier = decode(conn.recv_bytes())
             changed = apply_plan_log(overlay, barrier.plans)
-            core.update_counters(changed)
-            publish_ids(
-                overlay,
-                barrier.changed_idx,
-                barrier.changed_vals,
-                cfg.movement_tolerance,
-            )
-            core.advance_round()
+            rounds.settle_counters(overlay, changed, core.owned_mask)
+            rounds.publish_ids(overlay, barrier.changed_idx, barrier.changed_vals)
             if barrier.checkpoint is not None:
                 gen_dir, parent_id = barrier.checkpoint
                 arcs = {}
                 for s in plan.worker_shards(worker, num_workers):
                     arcs[s] = save_arc(
-                        gen_dir, s, worker, plan, overlay, core.round_no, parent_id
+                        gen_dir, s, worker, plan, overlay, overlay._round_no, parent_id
                     )
-                conn.send_bytes(encode(CheckpointAck(core.round_no, worker, arcs)))
+                conn.send_bytes(encode(CheckpointAck(overlay._round_no, worker, arcs)))
             if barrier.stop:
                 payload = [
                     (int(v), _capture_peer(overlay.peers[int(v)]))
@@ -157,7 +150,6 @@ class ShardedOverlayEngine:
         self._fail_at = _fail_at
         self.stats: dict = {}
         # run accounting (the registry mirrors these as shard.* metrics)
-        self.iterations = 0
         self.rounds = 0
         self.restarts = 0
         self.checkpoints = 0
@@ -212,19 +204,17 @@ class ShardedOverlayEngine:
                 # itself. This is also what guarantees a crash at *any*
                 # round has a generation to roll back to.
                 self._checkpoint_full(plan, rng)
-        self.iterations = int(ov.iterations)
         if self.num_workers == 1:
             self._run_inline(plan, rng, restore_gen)
         else:
             self._run_forked(plan, rng, restore_gen)
-        ov.iterations = self.iterations
         ov._materialize_successors()
         ov._mark_built()
         self.stats = {
             "workers": self.num_workers,
             "shards": plan.num_shards,
             "rounds": self.rounds,
-            "iterations": self.iterations,
+            "iterations": ov.iterations,
             "restarts": self.restarts,
             "checkpoints": self.checkpoints,
             "rebalances": self.rebalances,
@@ -242,23 +232,11 @@ class ShardedOverlayEngine:
     def _end_round(self, moves: int, link_changes: int) -> bool:
         """Trace + quiescence accounting; True when construction stops."""
         ov = self.overlay
-        cfg = ov.config
-        self.iterations += 1
-        ov.iterations = self.iterations
-        ov.trace.record("id_moves", self.iterations, moves)
-        ov.trace.record("link_changes", self.iterations, link_changes)
-        noise_floor = max(1, ov.graph.num_nodes // 50)
-        if moves <= noise_floor and link_changes <= noise_floor:
-            ov._quiet_rounds += 1
-        else:
-            ov._quiet_rounds = 0
-        ov.round_link_changes = 0
+        ov.round_link_changes += link_changes
+        quiet = rounds.end_round(ov, moves)
         self.rounds += 1
         self._m_rounds.inc()
-        return (
-            ov._quiet_rounds >= cfg.convergence_rounds
-            or self.iterations >= cfg.max_rounds
-        )
+        return quiet or ov.iterations >= ov.config.max_rounds
 
     def _count_cross(self, plan: ShardPlan, pairs) -> None:
         fp, fq = pairs
@@ -341,19 +319,14 @@ class ShardedOverlayEngine:
         core = ShardWorkerCore(
             ov, np.ones(ov.graph.num_nodes, dtype=bool), rng
         )
-        cfg = ov.config
         while True:
-            plans, pending_owned = core.run_round()
-            self._count_cross(plan, core.last_pairs)
-            pending = ov.ids.copy()
-            pending[core.owned] = pending_owned
-            final = dedup_ids(pending)
-            changed_idx = np.flatnonzero(ov.ids != final)
-            changed_vals = final[changed_idx]
+            # The sole worker owns every vertex: its owned slice of the
+            # proposals is the whole vector.
+            plans, pending, pairs = core.run_round()
+            self._count_cross(plan, pairs)
             changed = apply_plan_log(ov, plans)
-            core.update_counters(changed)
-            moves = publish_ids(ov, changed_idx, changed_vals, cfg.movement_tolerance)
-            core.advance_round()
+            rounds.settle_counters(ov, changed)
+            moves = rounds.publish_ids(ov, *rounds.settle_ids(ov, pending))
             stop = self._end_round(moves, len(changed))
             if self._should_checkpoint(stop):
                 self._checkpoint_full(plan, rng)
@@ -394,7 +367,6 @@ class ShardedOverlayEngine:
                 rng, plan = self._rollback(gen)
                 restore_gen = gen
                 fail_at = None  # the crash hook fires once, on attempt 0
-                self.iterations = int(self.overlay.iterations)
 
     def _fork(self, plan, rng, restore_gen, fail_at) -> None:
         ctx = multiprocessing.get_context("fork")
@@ -435,7 +407,6 @@ class ShardedOverlayEngine:
 
     def _forked_loop(self, plan, rng, restore_gen, fail_at) -> None:
         ov = self.overlay
-        cfg = ov.config
         self._fork(plan, rng, restore_gen, fail_at)
         conns = self._conns
         owned_idx = [
@@ -445,21 +416,7 @@ class ShardedOverlayEngine:
         while True:
             # Replicate the round's draws: advances the parent RNG in
             # lockstep with every worker and feeds cross-arc telemetry.
-            actives, partners = draw_partners(
-                ov._nbr_indptr,
-                ov._nbr_indices,
-                ov.joined,
-                rng,
-                cfg.exchanges_per_round,
-            )
-            if actives.size:
-                self._count_cross(
-                    plan,
-                    (
-                        np.repeat(actives, cfg.exchanges_per_round),
-                        partners.reshape(-1),
-                    ),
-                )
+            self._count_cross(plan, rounds.draw_pairs(ov, rng))
             frames = []
             t0 = time.perf_counter()
             for conn in conns:
@@ -475,14 +432,9 @@ class ShardedOverlayEngine:
                 pending[owned_idx[w]] = frame.pending
                 all_plans.extend(frame.plans)
             all_plans.sort(key=lambda t: t[0])
-            final = dedup_ids(pending)
-            changed_idx = np.flatnonzero(ov.ids != final)
-            changed_vals = final[changed_idx]
+            changed_idx, changed_vals = rounds.settle_ids(ov, pending)
             changed = apply_plan_log(ov, all_plans)
-            moves = publish_ids(
-                ov, changed_idx, changed_vals, cfg.movement_tolerance
-            )
-            ov._round_no += 1
+            moves = rounds.publish_ids(ov, changed_idx, changed_vals)
             stop = self._end_round(moves, len(changed))
             checkpoint = None
             state = None

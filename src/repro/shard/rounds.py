@@ -8,36 +8,26 @@ top-2 anchors, stability counters) is owner-private: only the worker
 owning a vertex mutates or reads it, which is what makes the arcs
 independent between barriers.
 
-A round on one worker (:meth:`ShardWorkerCore.run_round`):
-
-1. **Draw replication** — run :func:`~repro.core.vectorized.draw_partners`
-   over the *whole* network. During construction the partner draw is the
-   only RNG consumer and its inputs (join flags, degrees) are static, so
-   every replica advances an identical generator to identical draws —
-   partner selection crosses no process boundary and is trivially
-   worker-count independent.
-2. **Exchange** — compute the Alg. 3–4 quantities for the pairs that
-   involve an owned vertex (both sides are derivable from replicated
-   light state) and apply ``learn_exchange`` to owned targets only, in
-   the global pair order (the filtered sequence preserves each target's
-   single-process event order).
-3. **Evaluate** (Alg. 2) — the vectorized kernel over owned rows.
-4. **Plan** (Algs. 5–6) — :func:`~repro.core.links.plan_links` for each
-   gated-in owned vertex against the round-start admission ledger;
-   emitted as sorted net diffs.
-
-At the barrier every replica applies the merged plan log in vertex order
+The round itself is :mod:`repro.core.rounds`, the same phases the plain
+build runs. A worker passes its ownership mask to the exchange and
+proposal phases (:meth:`ShardWorkerCore.run_round`) — every replica
+replays the whole network's partner draw, so partner selection crosses
+no process boundary — and the one scheduling difference is Algs. 5–6:
+the worker only *plans* (:func:`~repro.core.links.plan_links` against
+the round-start admission ledger, emitted as sorted net diffs), and at
+the barrier every replica applies the merged plan log in vertex order
 (:func:`apply_plan_log` — adds re-checked against the live ledger, so
-refusals are resolved identically everywhere) and publishes the
-deduplicated identifiers (:func:`publish_ids`).
+refusals are resolved identically everywhere) before publishing the
+deduplicated identifiers (:func:`~repro.core.rounds.publish_ids`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.links import plan_links
-from repro.core.vectorized import draw_partners, evaluate_positions
+from repro.core import rounds
+from repro.core.links import apply_plan, plan_links
+from repro.core.rounds import publish_ids
 
 __all__ = ["ShardWorkerCore", "apply_plan_log", "publish_ids"]
 
@@ -46,176 +36,46 @@ def apply_plan_log(overlay, plans) -> "set[int]":
     """Apply a merged plan log to a replica; returns the changed vertices.
 
     ``plans`` must be sorted by vertex — the deterministic application
-    order every replica shares. Adds go through ``_try_connect`` so the
-    K-incoming cap is re-enforced against the live ledger (a plan made
-    against round-start state can lose a slot to an earlier vertex); a
-    vertex whose drops are empty and whose adds are all refused is not
-    counted as changed.
+    order every replica shares.
     """
     changed: set[int] = set()
-    tables = overlay.tables
     for v, drops, adds in plans:
-        links = tables[v].long_links
-        ch = False
-        for w in drops:
-            links.discard(w)
-            overlay._disconnect(v, w)
-            ch = True
-        for w in adds:
-            if overlay._try_connect(v, w):
-                links.add(w)
-                ch = True
-        if ch:
+        links = overlay.tables[v].long_links
+        if apply_plan(links, v, drops, adds, overlay._try_connect, overlay._disconnect):
             changed.add(v)
     return changed
-
-
-def publish_ids(overlay, changed_idx, changed_vals, tolerance: float) -> int:
-    """Apply the barrier's identifier delta; returns the move count.
-
-    ``changed_idx``/``changed_vals`` are the rows where the deduplicated
-    pending vector differs bitwise from the round-start identifiers.
-    Rows whose ring displacement exceeds ``tolerance`` count as moves
-    (and charge ``moves_done``), exactly as the single-process barrier
-    computes from its full-vector diff — unchanged rows diff to zero.
-    """
-    old = overlay.ids[changed_idx]
-    diff = np.mod(np.abs(old - changed_vals), 1.0)
-    diff = np.minimum(diff, 1.0 - diff)
-    moved = changed_idx[diff > tolerance]
-    overlay.columns.moves_done[moved] += 1
-    overlay.ids[changed_idx] = changed_vals
-    overlay._refresh_ring()
-    return len(moved)
 
 
 class ShardWorkerCore:
     """Executes one arc set's share of every construction round."""
 
-    __slots__ = ("ov", "owned_mask", "owned", "rng", "round_no", "last_pairs")
+    __slots__ = ("ov", "owned_mask", "owned", "rng")
 
     def __init__(self, overlay, owned_mask: np.ndarray, rng):
         self.ov = overlay
         self.owned_mask = np.asarray(owned_mask, dtype=bool)
         self.owned = np.flatnonzero(self.owned_mask)
         self.rng = rng
-        self.round_no = int(overlay._round_no)
-        #: the round's full (initiator, partner) draw — exposed so the
-        #: inline engine can count cross-arc pairs without re-drawing.
-        self.last_pairs = (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-        )
 
-    def run_round(self) -> "tuple[list, np.ndarray]":
+    def run_round(self) -> "tuple[list, np.ndarray, tuple]":
         """Draws, exchange, evaluation, and planning for one round.
 
-        Returns ``(plans, pending_owned)``: the sorted net link diffs for
-        owned vertices and the owned slice of the Alg. 2 proposals.
+        Returns ``(plans, pending_owned, pairs)``: the sorted net link
+        diffs for owned vertices, the owned slice of the Alg. 2
+        proposals, and the round's full (initiator, partner) draw (so the
+        inline engine can count cross-arc pairs without re-drawing).
         """
         ov = self.ov
-        cfg = ov.config
-        n = ov.graph.num_nodes
-        peers = ov.peers
-        actives, partners = draw_partners(
-            ov._nbr_indptr,
-            ov._nbr_indices,
-            ov.joined,
-            self.rng,
-            cfg.exchanges_per_round,
-        )
-        if actives.size:
-            fp_all = np.repeat(actives, cfg.exchanges_per_round)
-            fq_all = partners.reshape(-1)
-            self.last_pairs = (fp_all, fq_all)
-            mine = self.owned_mask[fp_all] | self.owned_mask[fq_all]
-            fp = fp_all[mine]
-            fq = fq_all[mine]
-            if fp.size:
-                # Sorted key table of every peer's current links — light
-                # state, identical on every replica at round start.
-                views = [t.link_view() for t in ov.tables]
-                arrs = [t._arr for t in ov.tables]
-                counts = np.fromiter((len(a) for a in arrs), dtype=np.int64, count=n)
-                owners = np.repeat(np.arange(n, dtype=np.int64), counts)
-                flat = np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.int64)
-                link_keys = np.sort(owners * n + flat)
-                kern = ov._xkernel
-                mutual = kern.mutual_counts(fp, fq)
-                # Bitmaps feed learn_exchange only, so each side is
-                # computed just for the pairs whose target we own.
-                need_p = self.owned_mask[fp]
-                need_q = self.owned_mask[fq]
-                bitmaps_p = kern.bitmap_ints(fp[need_p], fq[need_p], link_keys)
-                bitmaps_q = kern.bitmap_ints(fq[need_q], fp[need_q], link_keys)
-                fpl = fp.tolist()
-                fql = fq.tolist()
-                ml = mutual.tolist()
-                npl = need_p.tolist()
-                nql = need_q.tolist()
-                ip = iq = 0
-                for i in range(len(fpl)):
-                    p = fpl[i]
-                    q = fql[i]
-                    if npl[i]:
-                        peers[p].learn_exchange(q, ml[i], bitmaps_p[ip], views[q])
-                        ip += 1
-                    if nql[i]:
-                        peers[q].learn_exchange(p, ml[i], bitmaps_q[iq], views[p])
-                        iq += 1
-        cols = ov.columns
-        if cfg.reassign_ids:
-            eligible = ov.joined & (cols.moves_done < cfg.max_moves) & self.owned_mask
-            if cfg.reassign_stride > 1:
-                rota = (np.arange(n) + self.round_no) % cfg.reassign_stride == 0
-                eligible = eligible & rota
-        else:
-            eligible = np.zeros(n, dtype=bool)
-        pending = evaluate_positions(
-            ov.ids,
-            cols.top2,
-            cols.anchor_pair,
-            cols.anchor_target,
-            eligible,
-            ov._degs,
-            tolerance=cfg.movement_tolerance,
-            merge_radius=cfg.merge_radius,
-        )
+        pairs = rounds.exchange_phase(ov, self.rng, self.owned_mask)
+        pending = rounds.propose_ids(ov, self.owned_mask)
         plans = []
-        k_links = ov.k_links
-        incoming = ov.incoming_count
-        stabilize_after = cfg.stabilize_after
+        stabilize_after = ov.config.stabilize_after
         for v in self.owned.tolist():
-            peer = peers[v]
+            peer = ov.peers[v]
             if not peer.joined:
                 continue
             if peer.stable_rounds < stabilize_after and peer.link_change_budget > 0:
-                virtual = plan_links(peer, k_links, incoming)
-                if virtual is not None:
-                    current = peer.table.long_links
-                    drops = tuple(sorted(w for w in current if w not in virtual))
-                    adds = tuple(sorted(w for w in virtual if w not in current))
-                    plans.append((v, drops, adds))
-        return plans, pending[self.owned]
-
-    def update_counters(self, changed: "set[int]") -> None:
-        """Post-apply stability/budget bookkeeping for owned vertices.
-
-        Mirrors the vertex program: a changed link set resets the
-        stability streak and spends budget; any other owned joined vertex
-        extends its streak (including gated-out ones); non-joined
-        vertices halt without touching their counters.
-        """
-        cols = self.ov.columns
-        owned = self.owned[self.ov.joined[self.owned]]
-        ch = np.fromiter(
-            (v in changed for v in owned.tolist()), dtype=bool, count=len(owned)
-        )
-        hit = owned[ch]
-        cols.stable_rounds[hit] = 0
-        cols.link_change_budget[hit] -= 1
-        cols.stable_rounds[owned[~ch]] += 1
-
-    def advance_round(self) -> None:
-        self.round_no += 1
-        self.ov._round_no = self.round_no
+                plan = plan_links(peer, ov.k_links, ov.incoming_count)
+                if plan is not None:
+                    plans.append((v, *plan))
+        return plans, pending[self.owned], pairs

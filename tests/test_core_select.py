@@ -1,5 +1,8 @@
 """SELECT overlay end-to-end construction."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,42 @@ class TestBuild:
         overlay = SelectOverlay(small_graph, k_links=3, config=SelectConfig(max_rounds=6)).build(seed=1)
         assert overlay.k_links == 3
         assert all(len(t.long_links) <= 3 for t in overlay.tables)
+
+
+class TestBuildPins:
+    """Literal pins of whole builds, one per config branch of the round.
+
+    A refactor of the construction loop must reproduce every overlay bit
+    for bit; the digest is sha256 over the identifiers and every peer's
+    sorted long links (the benchmark suite's ``overlay_digest``), on
+    facebook graphs at seed 7 built with seed 7.
+    """
+
+    @pytest.mark.parametrize(
+        "num_nodes, kwargs, bandwidth, iterations, digest",
+        [
+            (2000, {}, False, 48, "c8e502ef80e1753e"),
+            (300, {}, False, 58, "6f6f6da66cced028"),
+            (300, {}, True, 75, "f3e96a7f657ef0a0"),
+            (300, {"use_lsh": False}, False, 21, "d84076a7a70e1c66"),
+            (300, {"reassign_ids": False}, False, 44, "43cf2f0f9c40030c"),
+            (300, {"exchanges_per_round": 2}, False, 35, "3ce8a263ca3bb97d"),
+            (300, {"reassign_stride": 1}, False, 47, "1100723970bc2f2b"),
+            (300, {"shards": 2}, False, 53, "21ace20de83e26a5"),
+        ],
+    )
+    def test_build_is_bit_identical(self, num_nodes, kwargs, bandwidth, iterations, digest):
+        graph = load_dataset("facebook", num_nodes=num_nodes, seed=7)
+        overlay = SelectOverlay(
+            graph,
+            config=SelectConfig(max_rounds=200, **kwargs),
+            bandwidth=BandwidthModel(num_nodes, seed=1) if bandwidth else None,
+        ).build(7)
+        h = hashlib.sha256(np.ascontiguousarray(overlay.ids).tobytes())
+        links = [sorted(t.long_links) for t in overlay.tables]
+        h.update(json.dumps(links, sort_keys=True).encode("utf-8"))
+        assert overlay.iterations == iterations
+        assert h.hexdigest()[:16] == digest
 
 
 class TestAblations:

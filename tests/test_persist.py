@@ -33,7 +33,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 #: pinned manifest id of the committed fixture: regenerating the same
 #: graph (facebook, n=100, seed 11) and build (seed 7) must reproduce
 #: this byte-for-byte, or the snapshot format silently drifted.
-GOLDEN_ID = "48bc8104e71d7e82"
+GOLDEN_ID = "ffa962ec076eae64"
 
 
 def fresh_overlay(graph, seed=9):
@@ -92,6 +92,18 @@ class TestOverlayRoundTrip:
         target = restore(snap)
         with pytest.raises(PersistError):
             restore_into(snap, target, faults=FaultPlan.none())
+
+    @pytest.mark.parametrize("key", ["columnar", "no_such_knob"])
+    def test_unknown_config_key_rejected(self, built_select, key):
+        # "columnar" is what every snapshot written before the object
+        # round was removed carries.
+        snap = built_select.snapshot()
+        snap["state"]["overlay"]["config"][key] = True
+        with pytest.raises(PersistError, match=key):
+            restore(snap)
+        target = restore(built_select.snapshot())
+        with pytest.raises(PersistError, match=key):
+            restore_into(snap, target)
 
     def test_fault_param_mismatch_rejected(self, small_graph):
         overlay = fresh_overlay(small_graph)

@@ -192,10 +192,6 @@ class TestShardConfigValidation:
         with pytest.raises(ConfigurationError, match="every worker needs at least one arc"):
             SelectConfig(num_workers=4, shards=2)
 
-    def test_sharding_requires_columnar(self):
-        with pytest.raises(ConfigurationError, match="columnar"):
-            SelectConfig(num_workers=2, columnar=False)
-
     def test_sharding_requires_lsh(self):
         with pytest.raises(ConfigurationError, match="use_lsh"):
             SelectConfig(num_workers=2, use_lsh=False)

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import rounds
 from repro.core.columns import PeerColumns
 from repro.core.config import SelectConfig
+from repro.core.gossip import exchange
 from repro.core.peer import PeerState
 from repro.core.reassignment import evaluate_position
 from repro.core.select import SelectOverlay
@@ -25,6 +27,7 @@ from repro.core.vectorized import (
     evaluate_positions,
 )
 from repro.graphs.datasets import load_dataset
+from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
 from repro.util.rng import as_generator
 
@@ -68,7 +71,8 @@ class TestDedupIds:
         When a duplicated value's clockwise gap to the next distinct value
         is only a few ULPs wide, there is literally no representable double
         to give each claimant inside the gap; ``dedup_ids`` then guarantees
-        distinctness only, not cyclic order.
+        distinctness only, not cyclic order or the first claimant's exact
+        value (the run spills into the next one and pushes it upward).
         """
         uniq, counts = np.unique(pending, return_counts=True)
         gaps = np.mod(np.roll(uniq, -1) - uniq, 1.0)
@@ -83,13 +87,13 @@ class TestDedupIds:
         # All distinct, all in the ring.
         assert len(set(out.tolist())) == n
         assert (out >= 0).all() and (out < 1).all()
-        # The lowest-index claimant of each duplicated value keeps it.
-        first = {}
-        for i, v in enumerate(pending.tolist()):
-            first.setdefault(v, i)
-        for v, i in first.items():
-            assert out[i] == v
         if self._order_preservable(pending):
+            # The lowest-index claimant of each duplicated value keeps it.
+            first = {}
+            for i, v in enumerate(pending.tolist()):
+                first.setdefault(v, i)
+            for v, i in first.items():
+                assert out[i] == v
             # Cyclic (value, index) order is preserved: sorting by the
             # original keys and by the adjusted values gives the same ring
             # sequence.
@@ -126,7 +130,17 @@ class TestDedupIds:
         sv = float(np.nextafter(1.0, 0.0))
         pending = np.array([sv, sv, 0.0, 0.0, sv])
         assert not self._order_preservable(pending)
-        self._check(pending)
+        out = self._check(pending)
+        # Run firsts claim their exact value before any wrapped spread.
+        assert out[0] == sv and out[2] == 0.0
+
+    def test_sub_ulp_gap_pushes_the_next_run_up(self):
+        # The gap after 0.0 holds no double for its second claimant: the
+        # spread takes 5e-324 and that value's own claimant moves up.
+        pending = np.array([0.0, 0.0, 5e-324])
+        assert not self._order_preservable(pending)
+        out = self._check(pending)
+        assert out.tolist() == [0.0, 5e-324, 1e-323]
 
     def test_tight_gap_never_leapfrogs(self):
         base = 0.5
@@ -297,7 +311,7 @@ class TestExchangeKernel:
         expected = [len(sets[p] & sets[q]) for p, q in zip(pairs_p, pairs_q)]
         assert counts.tolist() == expected
 
-        # Random link sets -> sorted global key table, as _begin_round does.
+        # Random link sets -> sorted global key table, as exchange_phase does.
         links = [set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist()) for _ in range(n)]
         flat = [(o, t) for o in range(n) for t in sorted(links[o])]
         link_keys = np.sort(np.array([o * n + t for o, t in flat], dtype=np.int64))
@@ -349,7 +363,7 @@ class TestColumnsBinding:
 
 
 class TestEvictionBarrier:
-    """Bandwidth evictions queue during the superstep, land at the barrier."""
+    """Bandwidth evictions queue during the round, land at the barrier."""
 
     def _overlay(self):
         graph = load_dataset("facebook", num_nodes=40, seed=5)
@@ -371,13 +385,12 @@ class TestEvictionBarrier:
         assert dst in ov.tables[slow].long_links
         assert ov._eviction_events == [(slow, dst)]
 
-        class _Engine:
-            supersteps_run = 1
-
-        ov.pending_ids[:] = ov.ids
-        ov._end_of_round(_Engine())
+        ov.peers[slow].stable_rounds = 2
+        baseline = ov.round_link_changes
+        assert rounds.publish_ids(ov, *rounds.settle_ids(ov, ov.ids.copy())) == 0
         assert dst not in ov.tables[slow].long_links
         assert ov.peers[slow].stable_rounds == 0
+        assert ov.round_link_changes == baseline + 1
         assert ov._eviction_events == []
 
     def test_immediate_eviction_outside_round(self):
@@ -399,17 +412,64 @@ class TestEvictionBarrier:
         assert ov._eviction_events == []
 
 
-class TestStrategyParity:
-    """columnar=True and columnar=False build identical overlays."""
+def _state(peer):
+    return (
+        peer.known_mutual,
+        peer.known_bitmap,
+        peer.known_coverage,
+        peer.known_bucket,
+        peer.lookahead,
+        peer._top2,
+        peer.stable_rounds,
+    )
+
+
+class TestExchangeOracle:
+    """The kernel + fold of ``rounds.exchange_phase`` against Algs. 3-4
+    applied pair by pair (``gossip.exchange``, the per-peer reference)."""
+
+    @staticmethod
+    def _overlay(graph, seed):
+        ov = SelectOverlay(graph, k_links=3, config=SelectConfig())
+        ov._project(as_generator(seed))
+        return ov
+
+    @staticmethod
+    def _randomize_links(ov, rng):
+        n = ov.graph.num_nodes
+        for v, table in enumerate(ov.tables):
+            size = int(rng.integers(0, 4))
+            picks = rng.choice(n, size=size, replace=False).tolist()
+            table.long_links = {w for w in picks if w != v}
+        ov._refresh_ring()
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_builds_bitwise_identical(self, seed):
-        graph = load_dataset("facebook", num_nodes=80, seed=17)
-        a = SelectOverlay(graph, config=SelectConfig(max_rounds=15, columnar=True)).build(seed=seed)
-        b = SelectOverlay(graph, config=SelectConfig(max_rounds=15, columnar=False)).build(seed=seed)
-        assert a.iterations == b.iterations
-        assert np.array_equal(a.ids, b.ids)
-        for v in range(graph.num_nodes):
-            assert a.tables[v].long_links == b.tables[v].long_links
-            assert a.tables[v].predecessor == b.tables[v].predecessor
-            assert a.tables[v].successor == b.tables[v].successor
+    def test_kernel_fold_matches_pairwise_exchange(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            n = int(rng.integers(4, 30))
+            _, _, rows = _random_csr(rng, n)
+            graph = SocialGraph(n, [(v, int(w)) for v in range(n) for w in rows[v] if v < w])
+            owned = rng.random(n) < 0.5
+            build_seed = int(rng.integers(2**31 - 1))
+            link_seed = int(rng.integers(2**31 - 1))
+            batch, paired, masked = (self._overlay(graph, build_seed) for _ in range(3))
+            streams = [as_generator(link_seed + 1) for _ in range(3)]
+            # Several rounds over changing link sets: first sightings,
+            # re-exchanges with changed bitmaps, and unchanged re-gossip.
+            for rnd in range(3):
+                for ov in (batch, paired, masked):
+                    self._randomize_links(ov, np.random.default_rng(link_seed + rnd // 2))
+                fp, fq = rounds.exchange_phase(batch, streams[0])
+                rp, rq = rounds.draw_pairs(paired, streams[1])
+                assert np.array_equal(fp, rp) and np.array_equal(fq, rq)
+                for p, q in zip(rp.tolist(), rq.tolist()):
+                    exchange(paired.peers[p], paired.peers[q])
+                mp, mq = rounds.exchange_phase(masked, streams[2], owned)
+                assert np.array_equal(fp, mp) and np.array_equal(fq, mq)
+                for v in range(n):
+                    assert _state(batch.peers[v]) == _state(paired.peers[v])
+                    if owned[v]:
+                        assert _state(masked.peers[v]) == _state(batch.peers[v])
+                    else:
+                        assert not masked.peers[v].known_mutual
