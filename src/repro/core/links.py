@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.peer import PeerState
-from repro.core.picker import picker
+from repro.core.picker import KEY_FIELD, picker
 
 __all__ = ["create_links", "plan_links", "apply_plan", "random_links", "closer_successor"]
 
@@ -179,15 +179,16 @@ def _plan_virtual(
 ) -> "set[int]":
     """Simulate the Algorithm 5 pass; returns the target link set."""
     table = peer.table
-    node = peer.node
-    coverage = peer.known_coverage
+    key_of = peer.known_key.__getitem__
     current = table.long_links
     virtual = set(current)
     for _, members in sorted(buckets.items()):
         if len(members) == 1:
             chosen = next(iter(members))
         else:
-            chosen = picker(members, coverage, None)
+            # Algorithm 6 without a bandwidth model (``picker``), read off
+            # the keys packed at learn time.
+            chosen = min(map(key_of, members)) & KEY_FIELD
             if chosen not in virtual:
                 chosen = _stability_bias(peer, members, chosen, hysteresis, virtual)
         if chosen not in virtual:
@@ -210,32 +211,14 @@ def _plan_virtual(
     if need > 0:
         # Budget fill, planned: every pre-filtered candidate is
         # admissible, so the pops of the mutating pass's heap reduce to
-        # the ``need`` smallest keys.
-        kb = peer.known_bitmap
-        cover = 0
-        for w in virtual:
-            bitmap = kb.get(w)
-            if bitmap is not None:
-                cover |= bitmap
-        pos_get = peer.codec.position.get
-        cov_get = coverage.get
+        # the ``need`` smallest keys (unique ints: a sorted slice).
         arr = peer.known_array()
         cands = arr[incoming_count[arr] < k_links].tolist() if arr.size else []
         # Links virtually dropped above stay admissible even when the
         # target reads full: the ledger still charges our slot there.
         cands += [w for w in current if w not in virtual and incoming_count[w] >= k_links]
-        keys = []
-        append = keys.append
-        for f in cands:
-            if f == node or f in virtual:
-                continue
-            i = pos_get(f)
-            key = ((0x7FFFFFFF - cov_get(f, 0)) << 31) | f
-            if i is not None and (cover >> i) & 1:
-                key |= 1 << 62
-            append(key)
-        for key in heapq.nsmallest(need, keys):
-            virtual.add(key & 0x7FFFFFFF)
+        for key in sorted(_fill_keys(peer, cands, virtual))[:need]:
+            virtual.add(key & KEY_FIELD)
     return virtual
 
 
@@ -282,42 +265,44 @@ def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect) -> bool:
     table = peer.table
     if len(table.long_links) >= k_links or not peer.known_bitmap:
         return False
-    # 2-hop cover as one int bitset: OR the long links' friendship bitmaps
-    # and test candidates by bit position instead of materializing the
-    # decoded friend sets (the old per-round decode dominated this pass).
-    long_links = table.long_links
-    cover = 0
-    for w in long_links:
-        bitmap = peer.known_bitmap.get(w)
-        if bitmap is not None:
-            cover |= bitmap
-    pos_get = peer.codec.position.get
-    cov_get = peer.known_coverage.get
-    node = peer.node
-
     # Heap instead of a full sort: the remaining budget is usually a
     # handful of slots, so only the best few candidates are ever popped.
-    # Keys pack (covered, -coverage, id) into one machine int — covered in
-    # the top bit, inverted coverage and the id in 31-bit fields — so the
-    # heap compares plain ints on the per-round hot path.
-    heap = []
-    append = heap.append
-    for f in peer.known_bitmap:
-        if f == node or f in long_links:
-            continue
-        i = pos_get(f)
-        key = ((0x7FFFFFFF - cov_get(f, 0)) << 31) | f
-        if i is not None and (cover >> i) & 1:
-            key |= 1 << 62
-        append(key)
+    node = peer.node
+    heap = _fill_keys(peer, peer.known_bitmap, table.long_links)
     heapq.heapify(heap)
     changed = False
     while heap and len(table.long_links) < k_links:
-        cand = heapq.heappop(heap) & 0x7FFFFFFF
+        cand = heapq.heappop(heap) & KEY_FIELD
         if try_connect(node, cand):
             table.long_links.add(cand)
             changed = True
     return changed
+
+
+def _fill_keys(peer: PeerState, candidates, links) -> "list[int]":
+    """Budget-fill sort keys of the ``candidates`` outside ``links``.
+
+    The 2-hop cover is one int bitset — the OR of the links' friendship
+    bitmaps — tested by bit position instead of decoding friend sets.
+    Keys are Algorithm 6's packed ``(coverage desc, id asc)`` ints with a
+    *covered* flag above both fields, so uncovered friends sort first and
+    richer bitmaps first among them.
+    """
+    known_bitmap = peer.known_bitmap
+    cover = 0
+    for w in links:
+        bitmap = known_bitmap.get(w)
+        if bitmap is not None:
+            cover |= bitmap
+    pos_get = peer.codec.position.get
+    key_of = peer.known_key.__getitem__
+    node = peer.node
+    # A candidate outside the neighbourhood (no position) is never covered.
+    return [
+        key_of(f) | (1 << 62 if (i := pos_get(f)) is not None and (cover >> i) & 1 else 0)
+        for f in candidates
+        if f != node and f not in links
+    ]
 
 
 def closer_successor(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.columns import PeerColumns
+from repro.core.picker import packed_key
 from repro.net.availability import OnlineBehavior
 from repro.overlay.base import RoutingTable
 from repro.social.bitmaps import BitmapCodec
@@ -49,7 +50,8 @@ class PeerState:
         "k_buckets",
         "_known_bucket",
         "bucket_members",
-        "known_coverage",
+        "_known_coverage",
+        "known_key",
         "_known_arr",
     )
 
@@ -62,6 +64,7 @@ class PeerState:
         cma_min_observations: int = 3,
         table: "RoutingTable | None" = None,
         columns: "tuple[PeerColumns, int] | None" = None,
+        neighborhood_set: "frozenset[int] | None" = None,
     ):
         self.node = node
         if columns is None:
@@ -71,7 +74,13 @@ class PeerState:
             self._cols, self._slot = columns
         #: ``C_p`` — identifiers of the peers hosting this user's friends.
         self.neighborhood = np.asarray(neighborhood, dtype=np.int64)
-        self.neighborhood_set = frozenset(int(v) for v in self.neighborhood)
+        #: the same friends as a set; an overlay hands in the graph's own
+        #: frozenset rather than keeping a second copy per peer.
+        self.neighborhood_set = (
+            neighborhood_set
+            if neighborhood_set is not None
+            else frozenset(int(v) for v in self.neighborhood)
+        )
         #: ``R_p`` — routing table (2 short-range + up to K long-range).
         self.table = table if table is not None else RoutingTable(node, k_links)
         #: bitmap codec anchored to ``C_p`` (bit i == neighborhood[i]).
@@ -101,8 +110,12 @@ class PeerState:
         #: dict (not a set) keeps iteration in learn order, which a
         #: snapshot restore reproduces exactly.
         self.bucket_members: dict[int, dict[int, None]] = {}
-        #: cached popcount (neighborhood coverage) per learned bitmap.
-        self.known_coverage: dict[int, int] = {}
+        #: cached popcount (neighborhood coverage) per learned bitmap, and
+        #: the same as Algorithm 6's packed ``(coverage desc, id asc)`` sort
+        #: key — written together wherever coverage changes, so the
+        #: per-round picker and budget fill only read.
+        self._known_coverage: dict[int, int] = {}
+        self.known_key: dict[int, int] = {}
         #: cached int64 array of ``known_bitmap``'s keys (None = rebuild);
         #: invalidated when the key set changes, not when bitmaps refresh.
         self._known_arr: "np.ndarray | None" = None
@@ -240,6 +253,15 @@ class PeerState:
 
         ``bitmap`` may be an int bitset (hot path) or a packed word array
         (tests, older callers) — arrays are normalized to ints on entry.
+
+        Contract: ``friend_links`` is the link set ``bitmap`` was computed
+        from (:func:`repro.core.gossip.exchange` and
+        :func:`repro.core.rounds.exchange_phase` both pass the partner's
+        ``link_view()``). The bitmap is a pure function of that set and the
+        static neighbourhood, and the mutual count is static, so
+        ``lookahead[friend] is view`` afterwards means "this view is
+        folded": folding the same view object again changes nothing, which
+        is what lets a round drop such exchanges unseen.
         """
         if not isinstance(bitmap, int):
             bitmap = int_from_words(bitmap)
@@ -257,7 +279,8 @@ class PeerState:
             if prev is None:
                 self._known_arr = None
             self.known_bitmap[friend] = bitmap
-            self.known_coverage[friend] = bitmap.bit_count()
+            self._known_coverage[friend] = coverage = bitmap.bit_count()
+            self.known_key[friend] = packed_key(friend, coverage)
             if self.lsh_family is not None:
                 self._set_bucket(friend, self.lsh_family.bucket(bitmap, self.k_buckets))
         if type(friend_links) is frozenset:
@@ -272,12 +295,16 @@ class PeerState:
 
         Valid because mutual-friend counts are static for a fixed social
         graph: a friend's rank never changes after it is first learned.
+        Only called for a friend not seen before, so never one of the two.
         """
-        ranked = sorted(
-            set(self._top2) | {friend},
-            key=lambda f: (-self.known_mutual[f], f),
-        )
-        self._top2 = ranked[:2]
+        row = self._cols.top2[self._slot]
+        mutual = self.known_mutual
+        key = packed_key(friend, mutual[friend])
+        first, second = row.tolist()
+        if first < 0 or key < packed_key(first, mutual[first]):
+            row[0], row[1] = friend, first
+        elif second < 0 or key < packed_key(second, mutual[second]):
+            row[1] = friend
 
     @property
     def known_bucket(self) -> dict:
@@ -293,6 +320,16 @@ class PeerState:
             if friend != self.node:
                 members.setdefault(bucket, {})[friend] = None
         self.bucket_members = members
+
+    @property
+    def known_coverage(self) -> dict:
+        return self._known_coverage
+
+    @known_coverage.setter
+    def known_coverage(self, mapping) -> None:
+        # Wholesale assignment (snapshot restore): re-derive the packed keys.
+        self._known_coverage = dict(mapping)
+        self.known_key = {f: packed_key(f, c) for f, c in self._known_coverage.items()}
 
     def _set_bucket(self, friend: int, bucket: int) -> None:
         """Record a bucket assignment, keeping the membership index in sync."""
@@ -347,7 +384,8 @@ class PeerState:
                 members.pop(peer, None)
                 if not members:
                     del self.bucket_members[bucket]
-        self.known_coverage.pop(peer, None)
+        self._known_coverage.pop(peer, None)
+        self.known_key.pop(peer, None)
         self.lookahead.pop(peer, None)
         self.behavior.forget(peer)
 

@@ -16,11 +16,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["sort_candidates", "picker"]
+__all__ = ["sort_candidates", "picker", "packed_key", "KEY_FIELD"]
 
 #: 31-bit field ceiling for packed comparison keys (node ids and coverage
 #: counts are both far below 2**31).
-_MAXC = (1 << 31) - 1
+KEY_FIELD = (1 << 31) - 1
+
+
+def packed_key(peer: int, coverage: int) -> int:
+    """``sortPeers``' order without bandwidth — coverage desc, id asc — as
+    one int: plain-int comparisons beat tuple keys on the per-round hot
+    path, and ``key & KEY_FIELD`` recovers the peer."""
+    return ((KEY_FIELD - coverage) << 31) | peer
 
 
 def sort_candidates(
@@ -47,23 +54,13 @@ def picker(
         raise ValueError("picker called on an empty bucket")
     if len(candidates) == 1:
         return next(iter(candidates))
+    if upload_mbps is None:
+        # No runner-up to weigh: the leader under sortPeers' key wins.
+        get = coverage.get
+        return min([packed_key(peer, get(peer, 0)) for peer in candidates]) & KEY_FIELD
     # Two-best scan under sortPeers' exact key: buckets are visited every
     # round, so the full sort is pure overhead beyond the leading pair.
     first = second = -1
-    if upload_mbps is None:
-        # Coverage desc, id asc, packed into one machine int (both fields
-        # fit 31 bits): plain-int comparisons beat tuple keys on the
-        # per-round hot path.
-        first_key = second_key = None
-        get = coverage.get
-        for peer in candidates:
-            key = ((_MAXC - get(peer, 0)) << 31) | peer
-            if first_key is None or key < first_key:
-                second, second_key = first, first_key
-                first, first_key = peer, key
-            elif second_key is None or key < second_key:
-                second, second_key = peer, key
-        return first
     first_key = second_key = None
     for peer in candidates:
         key = (-coverage.get(peer, 0), -float(upload_mbps[peer]), peer)

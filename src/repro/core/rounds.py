@@ -7,22 +7,29 @@ The only place a round is written; the plain build
 1. :func:`exchange_phase` — the whole network's gossip partner draws
    (Alg. 3 line 2), the passive-thread quantities of Algs. 3–4 as
    vectorized kernels (:mod:`repro.core.vectorized`), and the fold of
-   each result into the two peers' knowledge. An ``owned_mask`` restricts
-   the fold to the vertices a shard worker owns; no mask is the plain
-   build.
+   each result into the two peers' knowledge. It costs what changed:
+   link views are version tokens
+   (:meth:`~repro.overlay.base.RoutingTable.link_view`), so an exchange
+   whose target already folded the source's current view never reaches
+   the kernels. An ``owned_mask`` restricts the fold to the vertices a
+   shard worker owns; no mask is the plain build.
 2. :func:`propose_ids` — Alg. 2 for every peer allowed to relocate.
 3. Link reassignment (Algs. 5–6, :mod:`repro.core.links`) — the one step
    the two builds *schedule* differently: the plain build plans and
    applies each vertex's diff in turn against the live admission ledger,
    the sharded build plans every vertex against the round-start ledger
    and applies the merged diffs in vertex order at the barrier. Either
-   way :func:`settle_counters` then books the round's stability streaks
-   and change budgets.
+   way :func:`link_gate` names the vertices whose step runs and
+   :func:`settle_counters` then books the round's stability streaks and
+   change budgets.
 4. The barrier — :func:`settle_ids` deduplicates the proposals into an
    identifier delta and :func:`publish_ids` applies it (with the deferred
    bandwidth evictions and the ring refresh), identically on every
    replica.
 5. :func:`end_round` — the round's trace points and the quiescence test.
+
+Both builds wrap phases 1–4 in :func:`phase_timer` (``build.phase.*`` in
+the current metrics registry; no-ops by default).
 
 :mod:`repro.core.gossip` and :func:`repro.core.reassignment.evaluate_position`
 stay as the per-peer references these phases are tested against.
@@ -30,14 +37,19 @@ stay as the per-peer references these phases are tested against.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.core.vectorized import dedup_ids, draw_partners, evaluate_positions
+from repro.telemetry.registry import get_registry
 
 __all__ = [
     "draw_pairs",
     "exchange_phase",
     "propose_ids",
+    "link_gate",
+    "phase_timer",
     "settle_counters",
     "settle_ids",
     "publish_ids",
@@ -62,43 +74,56 @@ def draw_pairs(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
 def exchange_phase(ov, rng, owned_mask=None) -> "tuple[np.ndarray, np.ndarray]":
     """Draw, compute and fold the round's exchanges; returns the full draw.
 
-    With ``owned_mask`` only the pairs touching an owned vertex are
-    computed and only owned targets learn; the filtered sequence keeps
-    the global pair order, so each target sees its exchanges in the same
-    order at any worker count.
+    Each pair is two directed exchanges — *target* learns about *source* —
+    kept in global pair order (p's side, then q's), so each target sees
+    its exchanges in the same order at any worker count. With
+    ``owned_mask`` only owned targets learn.
+
+    An exchange whose target already holds the source's current link view
+    (``lookahead[source] is view``) is dropped before the kernels run: by
+    :meth:`~repro.core.peer.PeerState.learn_exchange`'s contract that view
+    is folded, and folding it again would change nothing. Of the rest,
+    only first contacts need a mutual count (it is static; ``known_mutual``
+    answers re-exchanges), and an unchanged bitmap only refreshes the
+    lookahead entry.
     """
     fp, fq = pairs = draw_pairs(ov, rng)
-    if owned_mask is None:
-        to_p = to_q = np.ones(len(fp), dtype=bool)
-    else:
-        mine = owned_mask[fp] | owned_mask[fq]
-        fp, fq = fp[mine], fq[mine]
-        to_p, to_q = owned_mask[fp], owned_mask[fq]
-    if fp.size == 0:
-        return pairs
-    # Sorted key table of every peer's current links (ring + long),
-    # rebuilt per round from the cached frozenset views.
-    n = ov.graph.num_nodes
-    views = [t.link_view() for t in ov.tables]
-    # link_view() above validated every cache; _arr is fresh.
-    arrs = [t._arr for t in ov.tables]
-    counts = np.fromiter((len(a) for a in arrs), dtype=np.int64, count=n)
-    owners = np.repeat(np.arange(n, dtype=np.int64), counts)
-    link_keys = np.sort(owners * n + np.concatenate(arrs))
-    kern = ov._xkernel
-    mutual = kern.mutual_counts(fp, fq).tolist()
-    # Bitmaps feed learn_exchange only, so each side is computed just
-    # for the pairs whose target learns.
-    bitmaps_p = iter(kern.bitmap_ints(fp[to_p], fq[to_p], link_keys))
-    bitmaps_q = iter(kern.bitmap_ints(fq[to_q], fp[to_q], link_keys))
+    targets = np.stack((fp, fq), axis=1).reshape(-1)
+    sources = np.stack((fq, fp), axis=1).reshape(-1)
+    if owned_mask is not None:
+        learns = owned_mask[targets]
+        targets, sources = targets[learns], sources[learns]
     peers = ov.peers
-    for p, q, m, learn_p, learn_q in zip(
-        fp.tolist(), fq.tolist(), mutual, to_p.tolist(), to_q.tolist()
-    ):
-        if learn_p:
-            peers[p].learn_exchange(q, m, next(bitmaps_p), views[q])
-        if learn_q:
-            peers[q].learn_exchange(p, m, next(bitmaps_q), views[p])
+    views = [t.link_view() for t in ov.tables]
+    lt, ls = targets.tolist(), sources.tolist()
+    fresh = np.fromiter(
+        (peers[t].lookahead.get(s) is not views[s] for t, s in zip(lt, ls)),
+        dtype=bool,
+        count=len(lt),
+    )
+    folded = int(fresh.sum())
+    registry = get_registry()
+    registry.counter("build.exchange.folded").inc(folded)
+    registry.counter("build.exchange.skipped").inc(len(lt) - folded)
+    targets, sources = targets[fresh], sources[fresh]
+    lt, ls = targets.tolist(), sources.tolist()
+    # The round's link table in CSR form, straight from the views.
+    link_indptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, views), dtype=np.int64))))
+    link_targets = np.fromiter(chain.from_iterable(views), dtype=np.int64, count=link_indptr[-1])
+    kern = ov._xkernel
+    bitmaps = kern.bitmap_ints(targets, sources, link_indptr, link_targets)
+    first = np.fromiter(
+        (s not in peers[t].known_mutual for t, s in zip(lt, ls)), dtype=bool, count=len(lt)
+    )
+    mutual = np.zeros(len(lt), dtype=np.int64)
+    mutual[first] = kern.mutual_counts(targets[first], sources[first])
+    for t, s, bitmap, m in zip(lt, ls, bitmaps, mutual.tolist()):
+        peer = peers[t]
+        if peer.known_bitmap.get(s) == bitmap:
+            peer.lookahead[s] = views[s]
+        else:
+            # A pair drawn twice in one round is a first contact only once.
+            peer.learn_exchange(s, peer.known_mutual.get(s, m), bitmap, views[s])
     return pairs
 
 
@@ -125,6 +150,29 @@ def propose_ids(ov, owned_mask=None) -> np.ndarray:
         tolerance=cfg.movement_tolerance,
         merge_radius=cfg.merge_radius,
     )
+
+
+def link_gate(ov, owned_mask=None) -> "list[int]":
+    """The (owned) peers whose link step runs this round, in vertex order.
+
+    Joined, still inside its stability window and with change budget
+    left. Read once from the columns: nothing writes them during the link
+    step of a build (bandwidth evictions wait for the barrier).
+    """
+    cols = ov.columns
+    gate = (
+        ov.joined
+        & (cols.stable_rounds < ov.config.stabilize_after)
+        & (cols.link_change_budget > 0)
+    )
+    if owned_mask is not None:
+        gate &= owned_mask
+    return np.flatnonzero(gate).tolist()
+
+
+def phase_timer(name: str):
+    """The ``build.phase.<name>`` timer of the current metrics registry."""
+    return get_registry().timer("build.phase." + name)
 
 
 def settle_counters(ov, changed, owned_mask=None) -> None:

@@ -79,6 +79,7 @@ class SelectOverlay(OverlayNetwork):
                 cma_min_observations=self.config.cma_min_observations,
                 table=self.tables[v],
                 columns=(self.columns, v),
+                neighborhood_set=graph.neighbor_set(v),
             )
             for v in range(n)
         ]
@@ -137,12 +138,16 @@ class SelectOverlay(OverlayNetwork):
         self._defer_evictions = True
         try:
             for _ in range(self.config.max_rounds):
-                rounds.exchange_phase(self, rng)
-                self.pending_ids[:] = rounds.propose_ids(self)
-                changed = self._reassign_links(rng)
-                rounds.settle_counters(self, changed)
+                with rounds.phase_timer("exchange"):
+                    rounds.exchange_phase(self, rng)
+                with rounds.phase_timer("propose"):
+                    self.pending_ids[:] = rounds.propose_ids(self)
+                with rounds.phase_timer("links"):
+                    changed = self._reassign_links(rng)
+                    rounds.settle_counters(self, changed)
                 self.round_link_changes += len(changed)
-                moves = rounds.publish_ids(self, *rounds.settle_ids(self, self.pending_ids))
+                with rounds.phase_timer("barrier"):
+                    moves = rounds.publish_ids(self, *rounds.settle_ids(self, self.pending_ids))
                 if rounds.end_round(self, moves):
                     break
         finally:
@@ -161,11 +166,8 @@ class SelectOverlay(OverlayNetwork):
         """
         cfg = self.config
         changed: set[int] = set()
-        for v, peer in enumerate(self.peers):
-            if not peer.joined:
-                continue
-            if peer.stable_rounds >= cfg.stabilize_after or peer.link_change_budget <= 0:
-                continue
+        for v in rounds.link_gate(self):
+            peer = self.peers[v]
             if not cfg.use_lsh:
                 hit = random_links(peer, self.k_links, self._try_connect, rng)
             elif self.upload_mbps is None:
@@ -267,7 +269,7 @@ class SelectOverlay(OverlayNetwork):
         pred, succ = self._ring_index.pred_succ()
         self.ring_pred[:] = pred
         self.ring_succ[:] = succ
-        # Lazily invalidates every table's cached link view.
+        # Every table re-checks its cached link view against its slot.
         self._ring_epoch[0] += 1
 
     def _materialize_successors(self) -> None:

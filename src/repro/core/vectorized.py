@@ -10,7 +10,9 @@ of the social graph:
 * :func:`draw_partners` — Alg. 3 line 2 for all peers at once, bit-exact
   with per-peer ``rng.integers`` draws in vertex order.
 * :class:`ExchangeKernel` — the passive-thread quantities of Algs. 3–4
-  (mutual counts, friendship bitmaps) for a batch of exchange pairs.
+  for a batch of exchanges: mutual counts from the lower-degree side's
+  friends, friendship bitmaps from the partner's links (a routing table
+  is far smaller than a hub's neighbourhood).
 * :func:`evaluate_positions` — Alg. 2 for the whole network: top-2 anchor
   selection, cluster guard, once-per-anchor-pair gate, improvement gate.
 * :func:`dedup_ids` — deterministic duplicate-identifier spreading for
@@ -98,6 +100,17 @@ def draw_partners(
     return actives, partners
 
 
+def _expand(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten variable-length segments of one flat array.
+
+    Returns ``(segment, index)``: for every element of every segment, the
+    segment it belongs to and its index in the flat array.
+    """
+    segment = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return segment, np.arange(len(segment), dtype=np.int64) + shift[segment]
+
+
 class ExchangeKernel:
     """Batch computation of the Alg. 3–4 passive-thread quantities.
 
@@ -106,6 +119,12 @@ class ExchangeKernel:
     whole batch of (q, c) pairs into one ``searchsorted``. Mutual-friend
     counts and friendship-bitmap ints are computed per exchange pair in a
     handful of array passes instead of per-pair Python set algebra.
+
+    Every friend list must be strictly ascending (a
+    :class:`~repro.graphs.graph.SocialGraph` row is): the key table is
+    then the CSR itself in key form, so a key's slot in the table minus
+    its owner's ``indptr`` is the friend's position in ``C_owner`` — the
+    bit :class:`~repro.social.bitmaps.BitmapCodec` assigns it.
     """
 
     __slots__ = ("n", "indptr", "indices", "_adj_keys")
@@ -115,89 +134,67 @@ class ExchangeKernel:
         self.indices = np.asarray(neighbor_indices, dtype=np.int64)
         self.n = len(self.indptr) - 1
         degs = self.indptr[1:] - self.indptr[:-1]
-        # Key table (owner * n + friend); rows are in owner order, so this
-        # is already sorted when each friend list is — the sort is a no-op
-        # then, and insurance when a caller passes unsorted rows.
         keys = np.repeat(np.arange(self.n, dtype=np.int64), degs) * self.n + self.indices
-        keys.sort()
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("ExchangeKernel needs strictly ascending friend lists")
         self._adj_keys = keys
 
-    def member_mask(self, owners: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """``items[i] in neighborhood(owners[i])`` for each i, via one search."""
+    def _slots(self, owners: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slot of each ``(owner, item)`` in the key table, and whether
+        ``items[i] in neighborhood(owners[i])`` — one search for the batch."""
+        table = self._adj_keys
         keys = owners * self.n + items
-        pos = np.searchsorted(self._adj_keys, keys)
-        pos = np.minimum(pos, len(self._adj_keys) - 1) if len(self._adj_keys) else pos
-        if len(self._adj_keys) == 0:
-            return np.zeros(len(keys), dtype=bool)
-        return self._adj_keys[pos] == keys
+        if len(table) == 0:
+            return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+        slots = np.searchsorted(table, keys)
+        return slots, table[np.minimum(slots, len(table) - 1)] == keys
 
     def mutual_counts(self, pairs_p: np.ndarray, pairs_q: np.ndarray) -> np.ndarray:
-        """``|C_p ∩ C_q|`` for each pair: count p's friends that are q's."""
-        npairs = len(pairs_p)
-        if npairs == 0:
-            return np.zeros(0, dtype=np.int64)
-        indptr, indices = self.indptr, self.indices
-        seg_len = indptr[pairs_p + 1] - indptr[pairs_p]
-        total = int(seg_len.sum())
-        if total == 0:
-            return np.zeros(npairs, dtype=np.int64)
-        rep = np.repeat(np.arange(npairs, dtype=np.int64), seg_len)
-        offsets = np.concatenate(([0], np.cumsum(seg_len)))
-        within = np.arange(total, dtype=np.int64) - offsets[rep]
-        cs = indices[indptr[pairs_p][rep] + within]
-        hits = self.member_mask(pairs_q[rep], cs)
-        return np.bincount(rep[hits], minlength=npairs)
+        """``|C_p ∩ C_q|`` for each pair: count the friends of the pair's
+        lower-degree side that are also the other side's."""
+        indptr = self.indptr
+        deg_p = indptr[pairs_p + 1] - indptr[pairs_p]
+        deg_q = indptr[pairs_q + 1] - indptr[pairs_q]
+        swap = deg_p > deg_q
+        few, many = np.where(swap, pairs_q, pairs_p), np.where(swap, pairs_p, pairs_q)
+        rep, at = _expand(indptr[few], np.minimum(deg_p, deg_q))
+        _, hits = self._slots(many[rep], self.indices[at])
+        return np.bincount(rep[hits], minlength=len(pairs_p))
 
     def bitmap_ints(
         self,
         pairs_p: np.ndarray,
         partners: np.ndarray,
-        link_keys: np.ndarray,
+        link_indptr: np.ndarray,
+        link_targets: np.ndarray,
     ) -> list[int]:
         """Friendship bitmap of each pair's partner over ``C_p``, as ints.
 
-        ``link_keys`` is the round's sorted key table of every peer's
-        outgoing links (``owner * n + target``). For pair i, bit j of the
-        result is set iff ``neighborhood(pairs_p[i])[j]`` appears among
-        ``partners[i]``'s links. The per-segment bits are packed with one
-        ``np.packbits`` over a byte-padded layout, then sliced into ints —
-        no per-pair numpy calls.
+        ``link_indptr`` / ``link_targets`` are the round's outgoing links
+        in CSR form (owner order; targets in any order). For pair i, bit j
+        of the result is set iff ``neighborhood(pairs_p[i])[j]`` appears
+        among ``partners[i]``'s links. The work is per *link*, not per
+        friend — a routing table holds at most K + 2 links, a hub's
+        neighbourhood hundreds of friends: each link is looked up in the
+        key table, and a hit's slot is its bit. The bits are packed with
+        one ``np.packbits`` over a byte-padded layout, then sliced into
+        ints — no per-pair numpy calls.
         """
-        npairs = len(pairs_p)
-        if npairs == 0:
+        if len(pairs_p) == 0:
             return []
-        indptr, indices = self.indptr, self.indices
-        seg_len = indptr[pairs_p + 1] - indptr[pairs_p]
-        total = int(seg_len.sum())
-        nbytes_seg = (seg_len + 7) // 8
-        byte_off = np.concatenate(([0], np.cumsum(nbytes_seg)))
-        if total == 0:
-            return [0] * npairs
-        rep = np.repeat(np.arange(npairs, dtype=np.int64), seg_len)
-        offsets = np.concatenate(([0], np.cumsum(seg_len)))
-        within = np.arange(total, dtype=np.int64) - offsets[rep]
-        cs = indices[indptr[pairs_p][rep] + within]
-        # Membership of each candidate friend in the partner's link set,
-        # via the caller-provided sorted key table (owner * n + target).
-        keys = partners[rep] * self.n + cs
-        table = link_keys
-        if len(table):
-            pos = np.searchsorted(table, keys)
-            pos = np.minimum(pos, len(table) - 1)
-            hits = table[pos] == keys
-        else:
-            hits = np.zeros(total, dtype=bool)
-        # Pack per-segment bits at byte-aligned offsets so one packbits
-        # call yields each segment's little-endian bytes contiguously.
+        indptr = self.indptr
+        nbytes = (indptr[pairs_p + 1] - indptr[pairs_p] + 7) // 8
+        byte_off = np.concatenate(([0], np.cumsum(nbytes)))
+        rep, at = _expand(link_indptr[partners], link_indptr[partners + 1] - link_indptr[partners])
+        owners = pairs_p[rep]
+        slots, hits = self._slots(owners, link_targets[at])
+        # Per-pair bits at byte-aligned offsets so one packbits call
+        # yields each pair's little-endian bytes contiguously.
         padded = np.zeros(int(byte_off[-1]) * 8, dtype=np.uint8)
-        padded[byte_off[rep] * 8 + within] = hits
+        padded[byte_off[rep[hits]] * 8 + slots[hits] - indptr[owners[hits]]] = 1
         packed = np.packbits(padded, bitorder="little").tobytes()
-        out = []
-        for i in range(npairs):
-            lo = int(byte_off[i])
-            hi = lo + int(nbytes_seg[i])
-            out.append(int.from_bytes(packed[lo:hi], "little"))
-        return out
+        cuts = byte_off.tolist()
+        return [int.from_bytes(packed[lo:hi], "little") for lo, hi in zip(cuts, cuts[1:])]
 
 
 def evaluate_positions(

@@ -108,9 +108,10 @@ class RoutingTable:
     ``columns=(pred_col, succ_col, epoch_cell)`` and this table becomes a
     view over its slot, so ring maintenance can rewrite the whole
     network's predecessors/successors as two array stores plus one epoch
-    bump (which lazily invalidates every table's cached view) instead of
-    2n property writes. A table constructed without columns owns a
-    private one-slot column block — same code path, no branching.
+    bump (after which each table lazily re-checks its cached view against
+    its own slot) instead of 2n property writes. A table constructed
+    without columns owns a private one-slot column block — same code
+    path, no branching.
     """
 
     __slots__ = (
@@ -125,7 +126,7 @@ class RoutingTable:
         "max_long",
         "_dirty",
         "_view",
-        "_arr",
+        "_ring",
     )
 
     def __init__(self, owner: int, max_long: int, columns=None):
@@ -150,7 +151,8 @@ class RoutingTable:
         self.max_long = max_long
         self._dirty = True
         self._view: frozenset[int] = frozenset()
-        self._arr: np.ndarray = np.zeros(0, dtype=np.int64)
+        #: the ``(pred, succ)`` pair ``_view`` was built from.
+        self._ring: tuple[int, int] = (-1, -1)
 
     # -- cached combined view ----------------------------------------------
 
@@ -188,35 +190,25 @@ class RoutingTable:
     def link_view(self) -> frozenset:
         """Cached frozenset of every outgoing link, excluding the owner.
 
-        Identical contents to :meth:`all_links`; rebuilt only when dirty
-        or when the shared ring epoch moved past the one this view saw.
-        Callers must treat it as immutable (it is shared between calls).
+        Identical contents to :meth:`all_links`. The object is a version
+        token: it is replaced only when the contents may have changed — a
+        long-link mutation, or a ring epoch bump after which this table's
+        own ``(pred, succ)`` differ from the pair the view was built from
+        — so ``view is earlier_view`` proves equal contents. Callers must
+        treat it as immutable (it is shared between calls).
         """
         epoch = self._epoch_cell[0]
         if self._dirty or self._seen_epoch != epoch:
-            out = set(self._long_links)
-            pred = int(self._pred_col[self._slot])
-            succ = int(self._succ_col[self._slot])
-            if pred >= 0:
-                out.add(pred)
-            if succ >= 0:
-                out.add(succ)
-            out.discard(self.owner)
-            self._view = frozenset(out)
-            self._arr = np.fromiter(out, dtype=np.int64, count=len(out))
-            self._dirty = False
+            ring = (int(self._pred_col[self._slot]), int(self._succ_col[self._slot]))
+            if self._dirty or ring != self._ring:
+                out = set(self._long_links)
+                out.update(w for w in ring if w >= 0)
+                out.discard(self.owner)
+                self._view = frozenset(out)
+                self._ring = ring
+                self._dirty = False
             self._seen_epoch = epoch
         return self._view
-
-    def link_array(self) -> np.ndarray:
-        """Cached int64 array of :meth:`link_view` (unspecified order).
-
-        Lets whole-network passes concatenate per-peer link tables without
-        re-materializing 10^5-element Python generators per round. Callers
-        must treat it as immutable (it is shared between calls).
-        """
-        self.link_view()
-        return self._arr
 
     def all_links(self) -> set:
         """Every outgoing link (short + long), excluding the owner.

@@ -324,9 +324,10 @@ class ShardedOverlayEngine:
             # proposals is the whole vector.
             plans, pending, pairs = core.run_round()
             self._count_cross(plan, pairs)
-            changed = apply_plan_log(ov, plans)
-            rounds.settle_counters(ov, changed)
-            moves = rounds.publish_ids(ov, *rounds.settle_ids(ov, pending))
+            with rounds.phase_timer("barrier"):
+                changed = apply_plan_log(ov, plans)
+                rounds.settle_counters(ov, changed)
+                moves = rounds.publish_ids(ov, *rounds.settle_ids(ov, pending))
             stop = self._end_round(moves, len(changed))
             if self._should_checkpoint(stop):
                 self._checkpoint_full(plan, rng)
@@ -432,9 +433,10 @@ class ShardedOverlayEngine:
                 pending[owned_idx[w]] = frame.pending
                 all_plans.extend(frame.plans)
             all_plans.sort(key=lambda t: t[0])
-            changed_idx, changed_vals = rounds.settle_ids(ov, pending)
-            changed = apply_plan_log(ov, all_plans)
-            moves = rounds.publish_ids(ov, changed_idx, changed_vals)
+            with rounds.phase_timer("barrier"):
+                changed_idx, changed_vals = rounds.settle_ids(ov, pending)
+                changed = apply_plan_log(ov, all_plans)
+                moves = rounds.publish_ids(ov, changed_idx, changed_vals)
             stop = self._end_round(moves, len(changed))
             checkpoint = None
             state = None

@@ -66,16 +66,14 @@ class ShardWorkerCore:
         inline engine can count cross-arc pairs without re-drawing).
         """
         ov = self.ov
-        pairs = rounds.exchange_phase(ov, self.rng, self.owned_mask)
-        pending = rounds.propose_ids(ov, self.owned_mask)
+        with rounds.phase_timer("exchange"):
+            pairs = rounds.exchange_phase(ov, self.rng, self.owned_mask)
+        with rounds.phase_timer("propose"):
+            pending = rounds.propose_ids(ov, self.owned_mask)
         plans = []
-        stabilize_after = ov.config.stabilize_after
-        for v in self.owned.tolist():
-            peer = ov.peers[v]
-            if not peer.joined:
-                continue
-            if peer.stable_rounds < stabilize_after and peer.link_change_budget > 0:
-                plan = plan_links(peer, ov.k_links, ov.incoming_count)
+        with rounds.phase_timer("links"):
+            for v in rounds.link_gate(ov, self.owned_mask):
+                plan = plan_links(ov.peers[v], ov.k_links, ov.incoming_count)
                 if plan is not None:
                     plans.append((v, *plan))
         return plans, pending[self.owned], pairs

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.gossip import exchange, select_gossip_partner
-from repro.core.links import create_links, random_links
+import heapq
+
+from repro.core.links import _fill_keys, create_links, random_links
 from repro.core.peer import PeerState
-from repro.core.picker import picker, sort_candidates
+from repro.core.picker import KEY_FIELD, packed_key, picker, sort_candidates
 from repro.lsh.bitsampling import BitSamplingLsh
 
 
@@ -101,6 +103,48 @@ class TestPicker:
     def test_empty_bucket_rejected(self):
         with pytest.raises(ValueError):
             picker([], {})
+
+
+class TestPackedKeys:
+    """The keys packed at learn time order candidates exactly as the
+    tuple keys they replaced, ties in coverage included."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_packed_min_is_sort_candidates_leader(self, seed):
+        rng = np.random.default_rng(seed)
+        members = rng.choice(500, size=int(rng.integers(2, 40)), replace=False).tolist()
+        # A handful of coverage values over many members: plenty of ties.
+        coverage = {m: int(rng.integers(0, 4)) for m in members}
+        leader = sort_candidates(members, coverage)[0]
+        assert min(packed_key(m, coverage[m]) for m in members) & KEY_FIELD == leader
+        assert picker(members, coverage) == leader
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fill_slice_is_nsmallest_on_tuple_order(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        # Friends 1..30 plus learned contacts 40..44 outside the
+        # neighbourhood (no bit position: never counted as covered).
+        peer = PeerState(0, np.arange(1, 31), k_links=6)
+        known = list(range(1, 31, 2)) + list(range(40, 45))
+        for f in known:
+            linked = rng.choice(np.arange(1, 31), size=int(rng.integers(0, 4)), replace=False)
+            peer.learn_exchange(f, 1, peer.codec.encode(linked), linked.tolist())
+        links = set(rng.choice(known, size=3, replace=False).tolist())
+        cover = 0
+        for w in links:
+            cover |= peer.known_bitmap[w]
+        position = peer.codec.position
+        reference = heapq.nsmallest(
+            5,
+            (
+                (f in position and bool(cover >> position[f] & 1), -peer.known_coverage[f], f)
+                for f in known
+                if f not in links
+            ),
+        )
+        keys = sorted(_fill_keys(peer, known, links))[:5]
+        assert [key & KEY_FIELD for key in keys] == [f for _, _, f in reference]
+        assert len(set(keys)) == len(keys)
 
 
 class TestCreateLinks:

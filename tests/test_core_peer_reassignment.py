@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.peer import PeerState
+from repro.core.picker import packed_key
 from repro.core.reassignment import apply_reassignment, evaluate_position
 from repro.idspace.space import ring_distance, ring_midpoint
 from repro.util.bitset import bitset_from_indices
@@ -51,6 +52,20 @@ class TestPeerState:
         assert peer.known_coverage[1] == 2
         assert 1 in peer.known_bitmap
         assert peer.lookahead[1] == frozenset({2, 3})
+        assert peer.known_key[1] == packed_key(1, 2)
+
+    def test_assigned_coverage_rederives_packed_keys(self):
+        # Snapshot and arc restore assign the dict wholesale.
+        peer = make_peer()
+        teach(peer, 1, mutual=2, linked=(2, 3))
+        peer.known_coverage = {1: 1, 2: 3}
+        assert peer.known_key == {1: packed_key(1, 1), 2: packed_key(2, 3)}
+
+    def test_neighborhood_set_handed_in_is_kept(self):
+        shared = frozenset({1, 2, 3})
+        peer = PeerState(0, np.array([1, 2, 3]), k_links=2, neighborhood_set=shared)
+        assert peer.neighborhood_set is shared
+        assert PeerState(0, np.array([1, 2, 3]), k_links=2).neighborhood_set == shared
 
     def test_new_friend_resets_stability(self):
         peer = make_peer()

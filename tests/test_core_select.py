@@ -11,6 +11,7 @@ from repro.core.select import SelectOverlay
 from repro.graphs.datasets import load_dataset
 from repro.idspace.space import ring_distance
 from repro.net.bandwidth import BandwidthModel
+from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.util.exceptions import ConfigurationError
 
 
@@ -149,6 +150,49 @@ class TestBuildPins:
         h.update(json.dumps(links, sort_keys=True).encode("utf-8"))
         assert overlay.iterations == iterations
         assert h.hexdigest()[:16] == digest
+
+
+    def test_full_knowledge_is_bit_identical(self):
+        """Everything a peer knows after a build, not only ids and links:
+        a round that skips or reorders a fold shows up here first."""
+        graph = load_dataset("facebook", num_nodes=300, seed=7)
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+        cols = overlay.columns
+        h = hashlib.sha256(np.ascontiguousarray(overlay.ids).tobytes())
+        for col in (cols.stable_rounds, cols.link_change_budget, cols.moves_done):
+            h.update(np.ascontiguousarray(col).tobytes())
+        for p in overlay.peers:
+            blob = [
+                sorted(p.table.long_links),
+                list(p.known_bitmap.items()),
+                sorted(p.known_coverage.items()),
+                sorted(p.known_bucket.items()),
+                [(b, list(m)) for b, m in p.bucket_members.items()],
+                sorted((f, sorted(v)) for f, v in p.lookahead.items()),
+                sorted(p.known_mutual.items()),
+            ]
+            h.update(json.dumps(blob).encode())
+        assert h.hexdigest()[:16] == "cb1f0dee82fc707e"
+
+
+class TestPhaseLedger:
+    """``build.phase.*`` timers and ``build.exchange.*`` counters."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"shards": 2}])
+    def test_every_round_is_booked(self, kwargs):
+        graph = load_dataset("facebook", num_nodes=300, seed=7)
+        registry = MetricsRegistry()
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200, **kwargs))
+        with use_registry(registry):
+            overlay.build(7)
+        timers = registry.histograms()
+        for phase in ("exchange", "propose", "links", "barrier"):
+            assert timers[f"build.phase.{phase}.seconds"].count == overlay.iterations
+        folded = registry.counter("build.exchange.folded").value
+        skipped = registry.counter("build.exchange.skipped").value
+        # One exchange per peer per round, each teaching both sides.
+        assert folded + skipped == 2 * graph.num_nodes * overlay.iterations
+        assert skipped > 0 and folded > 0
 
 
 class TestAblations:

@@ -46,9 +46,26 @@ def _fresh_links(table: RoutingTable) -> set:
 
 # -- link-view cache ----------------------------------------------------------
 
+#: every in-place mutator of ``_LinkSet`` (each must dirty the table).
+_SET_OPS = {
+    "raw_add": lambda links, arg: links.add(arg),
+    "raw_discard": lambda links, arg: links.discard(arg),
+    "remove": lambda links, arg: links.remove(arg) if arg in links else None,
+    "pop": lambda links, arg: links.pop() if links else None,
+    "clear": lambda links, arg: links.clear(),
+    "update": lambda links, arg: links.update({arg, (arg + 3) % 10}),
+    "difference_update": lambda links, arg: links.difference_update({arg, arg + 1}),
+    "intersection_update": lambda links, arg: links.intersection_update({arg, arg + 1, arg + 2}),
+    "symmetric_difference_update": lambda links, arg: links.symmetric_difference_update({arg, 9}),
+    "ior": lambda links, arg: links.__ior__({arg}),
+    "iand": lambda links, arg: links.__iand__({arg, arg + 1, arg + 2}),
+    "isub": lambda links, arg: links.__isub__({arg}),
+    "ixor": lambda links, arg: links.__ixor__({arg, 8}),
+}
+
 _OPS = st.lists(
-    st.tuples(st.sampled_from(["add_long", "drop_long", "raw_add", "raw_discard",
-                               "rebind", "update", "clear", "pred", "succ"]),
+    st.tuples(st.sampled_from(["add_long", "drop_long", "rebind", "pred", "succ",
+                               "bump", "col_pred", "col_succ", *_SET_OPS]),
               st.integers(min_value=0, max_value=9)),
     min_size=0,
     max_size=40,
@@ -57,30 +74,39 @@ _OPS = st.lists(
 
 class TestLinkViewCache:
     @given(ops=_OPS)
-    @settings(max_examples=100)
+    @settings(max_examples=150)
     def test_view_matches_fresh_after_arbitrary_ops(self, ops):
-        table = RoutingTable(0, max_long=4)
+        # A table over shared ring columns, as an overlay's tables are.
+        pred_col, succ_col, epoch = np.full(1, -1), np.full(1, -1), [0]
+        table = RoutingTable(0, max_long=4, columns=(pred_col, succ_col, epoch))
         for op, arg in ops:
+            before = table.link_view()
+            ring = (table.predecessor, table.successor)
             if op == "add_long":
                 table.add_long(arg)
             elif op == "drop_long":
                 table.drop_long(arg)
-            elif op == "raw_add" and len(table.long_links) < 8:
-                table.long_links.add(arg)
-            elif op == "raw_discard":
-                table.long_links.discard(arg)
             elif op == "rebind":
                 table.long_links = {arg, arg + 1}
-            elif op == "update":
-                table.long_links.update({arg, (arg + 3) % 10})
-            elif op == "clear":
-                table.long_links.clear()
             elif op == "pred":
                 table.predecessor = arg if arg else None
             elif op == "succ":
                 table.successor = arg if arg else None
+            elif op == "bump":
+                # What a ring refresh that leaves this slot alone looks like.
+                epoch[0] += 1
+            elif op in ("col_pred", "col_succ"):
+                # A ring refresh that rewrites the slot: column store + bump.
+                (pred_col if op == "col_pred" else succ_col)[0] = arg - 1
+                epoch[0] += 1
+            elif op != "raw_add" or len(table.long_links) < 8:
+                _SET_OPS[op](table.long_links, arg)
             assert table.link_view() == _fresh_links(table)
             assert table.all_links() == set(table.link_view())
+            if op == "bump" or (op.startswith("col_") and ring == (table.predecessor, table.successor)):
+                # The view object is a version token: an epoch bump over
+                # an unchanged (pred, succ) keeps it.
+                assert table.link_view() is before
 
     def test_all_links_returns_mutable_copy(self):
         table = RoutingTable(0, max_long=2)
@@ -102,8 +128,12 @@ class TestLinkViewCache:
         overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=6)).build(seed=3)
         for v in range(small_graph.num_nodes):
             assert overlay.tables[v].link_view() == _fresh_links(overlay.tables[v])
-        # Force a ring change and re-check: _refresh_ring goes through the
-        # predecessor/successor setters, so views must track it.
+        # A refresh over unchanged identifiers keeps every view object.
+        views = [table.link_view() for table in overlay.tables]
+        overlay._refresh_ring()
+        assert all(table.link_view() is view for table, view in zip(overlay.tables, views))
+        # Force a ring change and re-check: _refresh_ring rewrites the ring
+        # columns and bumps the epoch, so views must track it.
         overlay.ids[:] = np.roll(overlay.ids, 1)
         overlay._refresh_ring()
         for v in range(small_graph.num_nodes):

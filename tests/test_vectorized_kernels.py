@@ -29,6 +29,7 @@ from repro.core.vectorized import (
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
+from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.util.rng import as_generator
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -44,6 +45,21 @@ def _random_csr(rng, n, p=0.35):
     indptr = np.concatenate(([0], np.cumsum(degs)))
     indices = np.concatenate(rows) if degs.sum() else np.zeros(0, dtype=np.int64)
     return indptr, indices, rows
+
+
+def _link_csr(links):
+    """Per-peer link sets as the (indptr, targets) pair ``exchange_phase`` builds."""
+    counts = np.array([len(ls) for ls in links], dtype=np.int64)
+    targets = np.array([t for ls in links for t in ls], dtype=np.int64)
+    return np.concatenate(([0], np.cumsum(counts))), targets
+
+
+def _bitmap_reference(rows, links, pairs_p, partners):
+    """Brute force: bit j of pair i iff ``rows[p][j]`` is one of the partner's links."""
+    out = []
+    for p, q in zip(pairs_p.tolist(), partners.tolist()):
+        out.append(sum(1 << j for j, friend in enumerate(rows[p].tolist()) if friend in links[q]))
+    return out
 
 
 class TestRingDistances:
@@ -311,17 +327,15 @@ class TestExchangeKernel:
         expected = [len(sets[p] & sets[q]) for p, q in zip(pairs_p, pairs_q)]
         assert counts.tolist() == expected
 
-        # Random link sets -> sorted global key table, as exchange_phase does.
         links = [set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist()) for _ in range(n)]
-        flat = [(o, t) for o in range(n) for t in sorted(links[o])]
-        link_keys = np.sort(np.array([o * n + t for o, t in flat], dtype=np.int64))
-        bitmaps = kern.bitmap_ints(pairs_p, pairs_q, link_keys)
-        for i, (p, q) in enumerate(zip(pairs_p, pairs_q)):
-            ref = 0
-            for j, friend in enumerate(rows[p].tolist()):
-                if friend in links[q]:
-                    ref |= 1 << j
-            assert bitmaps[i] == ref
+        bitmaps = kern.bitmap_ints(pairs_p, pairs_q, *_link_csr(links))
+        assert bitmaps == _bitmap_reference(rows, links, pairs_p, pairs_q)
+        # An ownership subset (what a shard worker computes) is the same
+        # bitmaps, restricted.
+        owned = rng.random(n) < 0.5
+        mine = owned[pairs_p]
+        subset = kern.bitmap_ints(pairs_p[mine], pairs_q[mine], *_link_csr(links))
+        assert subset == [b for b, keep in zip(bitmaps, mine.tolist()) if keep]
 
     def test_empty_neighborhoods(self):
         indptr = np.array([0, 0, 0], dtype=np.int64)
@@ -329,7 +343,35 @@ class TestExchangeKernel:
         kern = ExchangeKernel(indptr, indices)
         pairs = np.array([0, 1], dtype=np.int64)
         assert kern.mutual_counts(pairs, pairs[::-1]).tolist() == [0, 0]
-        assert kern.bitmap_ints(pairs, pairs[::-1], np.zeros(0, dtype=np.int64)) == [0, 0]
+        assert kern.bitmap_ints(pairs, pairs[::-1], *_link_csr([set(), set()])) == [0, 0]
+        assert kern.bitmap_ints(pairs, pairs[::-1], *_link_csr([{1}, {0}])) == [0, 0]
+
+    def test_hub_isolated_peers_and_foreign_links(self):
+        # Peer 0 is a hub with 150 friends (a three-word bitmap), peers
+        # 151..153 have no friends at all, and the hub's friends link
+        # variously inside it, outside it, or nowhere.
+        n = 154
+        rows = [np.arange(1, 151)] + [np.array([0])] * 150 + [np.zeros(0, dtype=np.int64)] * 3
+        degs = np.array([len(r) for r in rows], dtype=np.int64)
+        kern = ExchangeKernel(np.concatenate(([0], np.cumsum(degs))), np.concatenate(rows))
+        links = [set() for _ in range(n)]
+        links[1] = {2, 64, 65, 129, 150}  # spans all three words of C_0
+        links[2] = {151, 152, 153}  # entirely outside C_0
+        links[3] = {0, 151}  # the hub itself and a stranger: not friends of 0
+        links[151] = {0, 5}
+        pairs_p = np.array([0, 0, 0, 0, 1, 151, 0, 152], dtype=np.int64)
+        pairs_q = np.array([1, 2, 3, 4, 0, 0, 151, 153], dtype=np.int64)
+        expected = _bitmap_reference(rows, links, pairs_p, pairs_q)
+        assert kern.bitmap_ints(pairs_p, pairs_q, *_link_csr(links)) == expected
+        assert expected[0].bit_length() == 150 and expected[1] == expected[2] == 0
+        assert expected[6] == 1 << 4  # friend 5 sits at position 4 of C_0
+        assert kern.mutual_counts(pairs_p, pairs_q).tolist() == [0] * len(pairs_p)
+        # No links anywhere: every bitmap is empty.
+        assert kern.bitmap_ints(pairs_p, pairs_q, *_link_csr([set()] * n)) == [0] * len(pairs_p)
+
+    def test_unsorted_friend_lists_rejected(self):
+        with pytest.raises(ValueError):
+            ExchangeKernel(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
 
 
 class TestColumnsBinding:
@@ -415,10 +457,12 @@ class TestEvictionBarrier:
 def _state(peer):
     return (
         peer.known_mutual,
-        peer.known_bitmap,
+        list(peer.known_bitmap.items()),
         peer.known_coverage,
+        peer.known_key,
         peer.known_bucket,
-        peer.lookahead,
+        [(bucket, list(members)) for bucket, members in peer.bucket_members.items()],
+        [(friend, sorted(links)) for friend, links in peer.lookahead.items()],
         peer._top2,
         peer.stable_rounds,
     )
@@ -428,6 +472,12 @@ class TestExchangeOracle:
     """The kernel + fold of ``rounds.exchange_phase`` against Algs. 3-4
     applied pair by pair (``gossip.exchange``, the per-peer reference)."""
 
+    #: what happens to the link tables before each round: every long-link
+    #: set rebound (no view object survives), nothing but a ring refresh
+    #: (every view survives), a few tables edited, or a few identifiers
+    #: moved so ``(pred, succ)`` change without any long-link write.
+    SCHEDULE = ("rebind", "ring", "few", "ring", "move", "ring", "rebind", "rebind", "ring")
+
     @staticmethod
     def _overlay(graph, seed):
         ov = SelectOverlay(graph, k_links=3, config=SelectConfig())
@@ -435,17 +485,33 @@ class TestExchangeOracle:
         return ov
 
     @staticmethod
-    def _randomize_links(ov, rng):
+    def _fresh_links(table):
+        links = set(table.long_links) | {table.predecessor, table.successor}
+        return links - {None, table.owner}
+
+    @staticmethod
+    def _mutate(ov, kind, rng):
         n = ov.graph.num_nodes
-        for v, table in enumerate(ov.tables):
-            size = int(rng.integers(0, 4))
-            picks = rng.choice(n, size=size, replace=False).tolist()
-            table.long_links = {w for w in picks if w != v}
+        if kind == "rebind":
+            for v, table in enumerate(ov.tables):
+                size = int(rng.integers(0, 4))
+                picks = rng.choice(n, size=size, replace=False).tolist()
+                table.long_links = {w for w in picks if w != v}
+        elif kind == "few":
+            for v in rng.choice(n, size=2, replace=False).tolist():
+                links, w = ov.tables[v].long_links, int(rng.integers(n))
+                if w in links:
+                    links.discard(w)
+                elif w != v:
+                    links.add(w)
+        elif kind == "move":
+            ov.ids[rng.choice(n, size=2, replace=False)] = rng.random(2)
         ov._refresh_ring()
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_kernel_fold_matches_pairwise_exchange(self, seed):
         rng = np.random.default_rng(seed)
+        registry = MetricsRegistry()
         for _ in range(6):
             n = int(rng.integers(4, 30))
             _, _, rows = _random_csr(rng, n)
@@ -455,21 +521,31 @@ class TestExchangeOracle:
             link_seed = int(rng.integers(2**31 - 1))
             batch, paired, masked = (self._overlay(graph, build_seed) for _ in range(3))
             streams = [as_generator(link_seed + 1) for _ in range(3)]
-            # Several rounds over changing link sets: first sightings,
-            # re-exchanges with changed bitmaps, and unchanged re-gossip.
-            for rnd in range(3):
+            # First sightings, re-exchanges with changed bitmaps, unchanged
+            # re-gossip over new view objects, and re-gossip of the very
+            # view the target already folded (the skipped exchanges).
+            for rnd, kind in enumerate(self.SCHEDULE):
                 for ov in (batch, paired, masked):
-                    self._randomize_links(ov, np.random.default_rng(link_seed + rnd // 2))
-                fp, fq = rounds.exchange_phase(batch, streams[0])
+                    self._mutate(ov, kind, np.random.default_rng(link_seed + rnd // 2))
+                with use_registry(registry):
+                    fp, fq = rounds.exchange_phase(batch, streams[0])
+                    mp, mq = rounds.exchange_phase(masked, streams[2], owned)
                 rp, rq = rounds.draw_pairs(paired, streams[1])
                 assert np.array_equal(fp, rp) and np.array_equal(fq, rq)
                 for p, q in zip(rp.tolist(), rq.tolist()):
                     exchange(paired.peers[p], paired.peers[q])
-                mp, mq = rounds.exchange_phase(masked, streams[2], owned)
                 assert np.array_equal(fp, mp) and np.array_equal(fq, mq)
+                # Whatever was skipped, every target of the round holds the
+                # source's links as read off the table fields themselves.
+                for t, s in zip(fp.tolist() + fq.tolist(), fq.tolist() + fp.tolist()):
+                    links = self._fresh_links(batch.tables[s])
+                    assert batch.peers[t].lookahead[s] == links
+                    assert batch.peers[t].known_bitmap[s] == batch.peers[t].codec.encode_int(links)
                 for v in range(n):
                     assert _state(batch.peers[v]) == _state(paired.peers[v])
                     if owned[v]:
                         assert _state(masked.peers[v]) == _state(batch.peers[v])
                     else:
                         assert not masked.peers[v].known_mutual
+        assert registry.counter("build.exchange.skipped").value > 0
+        assert registry.counter("build.exchange.folded").value > 0
