@@ -11,13 +11,15 @@ columns wholesale.
 
 A standalone ``PeerState`` (tests, scratch construction) owns a private
 one-slot block — identical code path, no branching on "bound or not".
+
+:class:`EdgeColumns` holds Algs. 5–6's per-friend inputs the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PeerColumns"]
+__all__ = ["PeerColumns", "EdgeColumns"]
 
 
 class PeerColumns:
@@ -68,3 +70,23 @@ class PeerColumns:
         self.top2 = np.full((n, 2), -1, dtype=np.int64)
         self.anchor_pair = np.full((n, 2), -1, dtype=np.int64)
         self.anchor_target = np.full(n, np.nan, dtype=np.float64)
+
+
+class EdgeColumns:
+    """Algs. 5–6's inputs per known friend, aligned with the social CSR.
+
+    Peer ``p``'s knowledge of ``neighborhood[i]`` sits at ``offset_p + i``
+    (in an overlay ``_nbr_indptr[p] + i``, the edge's slot in the
+    :class:`~repro.core.vectorized.ExchangeKernel` key table): ``key`` is
+    :func:`~repro.core.picker.packed_key` of the friend's bitmap coverage,
+    ``bucket`` the bitmap's LSH bucket, ``-1`` = not learned yet. Both
+    mirror ``PeerState.known_coverage`` / ``known_bucket``, are written
+    wherever those are and feed :func:`~repro.core.vectorized.plan_round`;
+    snapshots do not carry them.
+    """
+
+    __slots__ = ("key", "bucket")
+
+    def __init__(self, size: int):
+        self.key = np.full(size, -1, dtype=np.int64)
+        self.bucket = np.full(size, -1, dtype=np.int16)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.peer import PeerState
-from repro.core.picker import KEY_FIELD, picker
+from repro.core.picker import KEY_FIELD, packed_key, picker
 
 __all__ = ["create_links", "plan_links", "apply_plan", "random_links", "closer_successor"]
 
@@ -98,7 +98,9 @@ def create_links(
         if chosen not in table.long_links:
             # Make room: the bucket's redundant links go first.
             if len(table.long_links) >= table.max_long:
-                _drop_bucket_redundant(peer, members, chosen, disconnect)
+                for other in [w for w in table.long_links if w != chosen and w in members]:
+                    table.long_links.discard(other)
+                    disconnect(peer.node, other)
             if len(table.long_links) < table.max_long and try_connect(peer.node, chosen):
                 table.long_links.add(chosen)
                 changed = True
@@ -130,18 +132,46 @@ def plan_links(
     the mutating loop against a scratch copy of the link set (a link we
     virtually dropped stays admissible: our slot on it is still charged
     in the real ledger). This is the read-only half of the
-    plan-then-apply split; :func:`apply_plan` is the other. The plain
-    build applies each diff at once (:func:`create_links`, live ledger),
-    the sharded one plans every vertex against the round-start ledger
-    and applies the merged diffs in vertex order at the barrier
-    (:mod:`repro.shard`). Only valid without a bandwidth model
-    (admission must be a pure predicate over the ledger).
+    plan-then-apply split; :func:`apply_plan` is the other. A build plans
+    a whole round in one batch (:func:`repro.core.vectorized.plan_round`):
+    this is that kernel's per-peer reference, its scalar hand-off, and —
+    through :func:`create_links` — the plain build's re-plan for a peer
+    whose batch plan the live ledger outdated. Only valid without a
+    bandwidth model (admission must be a pure predicate over the ledger).
     """
     if not peer.known_bitmap:
         return None
-    buckets = _bucket_groups(peer)
-    current = peer.table.long_links
-    virtual = _plan_virtual(peer, k_links, buckets, hysteresis, incoming_count)
+    table = peer.table
+    coverage = peer.known_coverage
+    current = table.long_links
+    virtual = set(current)
+    for _, members in sorted(_bucket_groups(peer).items()):
+        chosen = picker(members, coverage)
+        if chosen not in virtual and len(members) > 1:
+            chosen = _stability_bias(peer, members, chosen, hysteresis, virtual)
+        if chosen not in virtual:
+            if len(virtual) >= table.max_long:
+                for w in [w for w in virtual if w != chosen and w in members]:
+                    virtual.discard(w)
+            if len(virtual) < table.max_long and (
+                incoming_count[chosen] < k_links or chosen in current
+            ):
+                virtual.add(chosen)
+        # The link set holds at most K + 1 entries; a bucket can hold many.
+        for w in [w for w in virtual if w != chosen and w in members]:
+            virtual.discard(w)
+    need = k_links - len(virtual)
+    if need > 0:
+        # Budget fill, planned: every pre-filtered candidate is
+        # admissible, so the pops of the mutating pass's heap reduce to
+        # the ``need`` smallest keys (unique ints: a sorted slice).
+        arr = peer.known_array()
+        cands = arr[incoming_count[arr] < k_links].tolist() if arr.size else []
+        # Links virtually dropped above stay admissible even when the
+        # target reads full: the ledger still charges our slot there.
+        cands += [w for w in current if w not in virtual and incoming_count[w] >= k_links]
+        for key in sorted(_fill_keys(peer, cands, virtual))[:need]:
+            virtual.add(key & KEY_FIELD)
     if virtual == current:
         return None
     return (
@@ -170,58 +200,6 @@ def apply_plan(links: set, node: int, drops, adds, try_connect, disconnect) -> b
     return changed
 
 
-def _plan_virtual(
-    peer: PeerState,
-    k_links: int,
-    buckets,
-    hysteresis: int,
-    incoming_count: np.ndarray,
-) -> "set[int]":
-    """Simulate the Algorithm 5 pass; returns the target link set."""
-    table = peer.table
-    key_of = peer.known_key.__getitem__
-    current = table.long_links
-    virtual = set(current)
-    for _, members in sorted(buckets.items()):
-        if len(members) == 1:
-            chosen = next(iter(members))
-        else:
-            # Algorithm 6 without a bandwidth model (``picker``), read off
-            # the keys packed at learn time.
-            chosen = min(map(key_of, members)) & KEY_FIELD
-            if chosen not in virtual:
-                chosen = _stability_bias(peer, members, chosen, hysteresis, virtual)
-        if chosen not in virtual:
-            if len(virtual) >= table.max_long:
-                for w in [w for w in virtual if w != chosen and w in members]:
-                    virtual.discard(w)
-            if len(virtual) < table.max_long and (
-                incoming_count[chosen] < k_links or chosen in current
-            ):
-                virtual.add(chosen)
-        # Iterate whichever of {bucket, link set} is smaller; membership
-        # tests on the other side are O(1) either way.
-        if len(members) <= len(virtual):
-            drops = [w for w in members if w != chosen and w in virtual]
-        else:
-            drops = [w for w in virtual if w != chosen and w in members]
-        for w in drops:
-            virtual.discard(w)
-    need = k_links - len(virtual)
-    if need > 0:
-        # Budget fill, planned: every pre-filtered candidate is
-        # admissible, so the pops of the mutating pass's heap reduce to
-        # the ``need`` smallest keys (unique ints: a sorted slice).
-        arr = peer.known_array()
-        cands = arr[incoming_count[arr] < k_links].tolist() if arr.size else []
-        # Links virtually dropped above stay admissible even when the
-        # target reads full: the ledger still charges our slot there.
-        cands += [w for w in current if w not in virtual and incoming_count[w] >= k_links]
-        for key in sorted(_fill_keys(peer, cands, virtual))[:need]:
-            virtual.add(key & KEY_FIELD)
-    return virtual
-
-
 def _stability_bias(
     peer: PeerState, members, chosen: int, hysteresis: int, long_links=None
 ) -> int:
@@ -242,14 +220,6 @@ def _stability_bias(
         return chosen
     gain = coverage.get(chosen, 0) - coverage.get(best_existing, 0)
     return chosen if gain >= hysteresis else best_existing
-
-
-def _drop_bucket_redundant(peer: PeerState, members, chosen: int, disconnect) -> None:
-    """Free budget by dropping same-bucket links before adding ``chosen``."""
-    drops = [w for w in peer.table.long_links if w != chosen and w in members]
-    for other in drops:
-        peer.table.long_links.discard(other)
-        disconnect(peer.node, other)
 
 
 def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect) -> bool:
@@ -295,11 +265,12 @@ def _fill_keys(peer: PeerState, candidates, links) -> "list[int]":
         if bitmap is not None:
             cover |= bitmap
     pos_get = peer.codec.position.get
-    key_of = peer.known_key.__getitem__
+    coverage = peer.known_coverage
     node = peer.node
     # A candidate outside the neighbourhood (no position) is never covered.
     return [
-        key_of(f) | (1 << 62 if (i := pos_get(f)) is not None and (cover >> i) & 1 else 0)
+        packed_key(f, coverage[f])
+        | (1 << 62 if (i := pos_get(f)) is not None and (cover >> i) & 1 else 0)
         for f in candidates
         if f != node and f not in links
     ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.columns import PeerColumns
+from repro.core.columns import EdgeColumns, PeerColumns
 from repro.core.picker import packed_key
 from repro.net.availability import OnlineBehavior
 from repro.overlay.base import RoutingTable
@@ -51,7 +51,8 @@ class PeerState:
         "_known_bucket",
         "bucket_members",
         "_known_coverage",
-        "known_key",
+        "_edges",
+        "_edge_at",
         "_known_arr",
     )
 
@@ -65,6 +66,7 @@ class PeerState:
         table: "RoutingTable | None" = None,
         columns: "tuple[PeerColumns, int] | None" = None,
         neighborhood_set: "frozenset[int] | None" = None,
+        edge_columns: "tuple[EdgeColumns, int] | None" = None,
     ):
         self.node = node
         if columns is None:
@@ -110,12 +112,11 @@ class PeerState:
         #: dict (not a set) keeps iteration in learn order, which a
         #: snapshot restore reproduces exactly.
         self.bucket_members: dict[int, dict[int, None]] = {}
-        #: cached popcount (neighborhood coverage) per learned bitmap, and
-        #: the same as Algorithm 6's packed ``(coverage desc, id asc)`` sort
-        #: key — written together wherever coverage changes, so the
-        #: per-round picker and budget fill only read.
+        #: cached popcount (neighborhood coverage) per learned bitmap.
         self._known_coverage: dict[int, int] = {}
-        self.known_key: dict[int, int] = {}
+        #: this peer's :class:`EdgeColumns` block: key and bucket of
+        #: ``neighborhood[i]`` at ``_edge_at + i``, written with the dicts above.
+        self._edges, self._edge_at = edge_columns or (EdgeColumns(len(self.neighborhood)), 0)
         #: cached int64 array of ``known_bitmap``'s keys (None = rebuild);
         #: invalidated when the key set changes, not when bitmaps refresh.
         self._known_arr: "np.ndarray | None" = None
@@ -280,7 +281,7 @@ class PeerState:
                 self._known_arr = None
             self.known_bitmap[friend] = bitmap
             self._known_coverage[friend] = coverage = bitmap.bit_count()
-            self.known_key[friend] = packed_key(friend, coverage)
+            self._write_edge(self._edges.key, friend, packed_key(friend, coverage))
             if self.lsh_family is not None:
                 self._set_bucket(friend, self.lsh_family.bucket(bitmap, self.k_buckets))
         if type(friend_links) is frozenset:
@@ -315,6 +316,7 @@ class PeerState:
         # Wholesale assignment (snapshot restore): rebuild the membership
         # index from the assigned buckets in their dict order.
         self._known_bucket = dict(mapping)
+        self._refill_edges(self._edges.bucket, self._known_bucket)
         members: dict[int, dict[int, None]] = {}
         for friend, bucket in self._known_bucket.items():
             if friend != self.node:
@@ -329,7 +331,22 @@ class PeerState:
     def known_coverage(self, mapping) -> None:
         # Wholesale assignment (snapshot restore): re-derive the packed keys.
         self._known_coverage = dict(mapping)
-        self.known_key = {f: packed_key(f, c) for f, c in self._known_coverage.items()}
+        keys = {f: packed_key(f, c) for f, c in self._known_coverage.items()}
+        self._refill_edges(self._edges.key, keys)
+
+    def _write_edge(self, column: np.ndarray, friend: int, value: int) -> None:
+        """Store ``value`` in ``friend``'s slot of an edge column (a contact
+        outside ``C_p`` has no slot; gossip only ever pairs friends)."""
+        at = self.codec.position.get(friend)
+        if at is not None:
+            column[self._edge_at + at] = value
+
+    def _refill_edges(self, column: np.ndarray, values: dict) -> None:
+        """Rewrite this peer's whole block of an edge column: cleared first,
+        so nothing the assigned dict no longer holds stays behind."""
+        column[self._edge_at : self._edge_at + len(self.neighborhood)] = -1
+        for friend, value in values.items():
+            self._write_edge(column, friend, value)
 
     def _set_bucket(self, friend: int, bucket: int) -> None:
         """Record a bucket assignment, keeping the membership index in sync."""
@@ -343,6 +360,7 @@ class PeerState:
                 if not members:
                     del self.bucket_members[old]
         self._known_bucket[friend] = bucket
+        self._write_edge(self._edges.bucket, friend, bucket)
         if friend != self.node:
             self.bucket_members.setdefault(bucket, {})[friend] = None
 
@@ -385,7 +403,8 @@ class PeerState:
                 if not members:
                     del self.bucket_members[bucket]
         self._known_coverage.pop(peer, None)
-        self.known_key.pop(peer, None)
+        self._write_edge(self._edges.key, peer, -1)
+        self._write_edge(self._edges.bucket, peer, -1)
         self.lookahead.pop(peer, None)
         self.behavior.forget(peer)
 

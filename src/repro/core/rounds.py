@@ -14,14 +14,15 @@ The only place a round is written; the plain build
    the kernels. An ``owned_mask`` restricts the fold to the vertices a
    shard worker owns; no mask is the plain build.
 2. :func:`propose_ids` — Alg. 2 for every peer allowed to relocate.
-3. Link reassignment (Algs. 5–6, :mod:`repro.core.links`) — the one step
-   the two builds *schedule* differently: the plain build plans and
-   applies each vertex's diff in turn against the live admission ledger,
-   the sharded build plans every vertex against the round-start ledger
-   and applies the merged diffs in vertex order at the barrier. Either
-   way :func:`link_gate` names the vertices whose step runs and
-   :func:`settle_counters` then books the round's stability streaks and
-   change budgets.
+3. Link reassignment (Algs. 5–6) — :func:`link_gate` names the vertices
+   whose step runs, one kernel plans them all against the round-start
+   ledger (:func:`repro.core.vectorized.plan_round`), and the two builds
+   *apply* differently: the sharded build merges the diffs and applies
+   them in vertex order at the barrier; the plain build applies them at
+   once, in vertex order, with live-ledger semantics — a peer whose plan
+   an earlier apply outdated re-plans through
+   :func:`repro.core.links.create_links` (``SelectOverlay._walk_plans``).
+   :func:`settle_counters` then books stability streaks and change budgets.
 4. The barrier — :func:`settle_ids` deduplicates the proposals into an
    identifier delta and :func:`publish_ids` applies it (with the deferred
    bandwidth evictions and the ring refresh), identically on every

@@ -12,9 +12,9 @@ Construction pipeline:
    :mod:`repro.core.rounds`: the whole network's partner draws, exchange
    quantities (Algs. 3–4) and identifier proposals (Alg. 2) as vectorized
    kernels over the shared column block, then link selection (Algs. 5–6)
-   per peer in vertex order — its cross-peer admission effects (the
-   K-incoming cap) are inherently sequential, and here each peer's diff
-   lands on the live ledger before the next peer plans.
+   planned for the whole round in one kernel and applied in vertex order:
+   the K-incoming cap makes admission sequential, so a peer whose plan an
+   earlier peer's diff outdated re-plans against the live ledger.
 4. **Round barrier** — pending identifiers are deduplicated and published,
    deferred bandwidth evictions applied, and the ring refreshed, all as
    array operations; convergence is judged on the round's movement/churn.
@@ -30,12 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import rounds
-from repro.core.columns import PeerColumns
+from repro.core.columns import EdgeColumns, PeerColumns
 from repro.core.config import SelectConfig
-from repro.core.links import create_links, random_links
+from repro.core.links import apply_plan, create_links, random_links
 from repro.core.peer import PeerState
 from repro.core.projection import assign_initial_ids
-from repro.core.vectorized import ExchangeKernel
+from repro.core.vectorized import ExchangeKernel, plan_round
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
 from repro.lsh.bitsampling import BitSamplingLsh
@@ -44,6 +44,7 @@ from repro.net.growth import GrowthModel, JoinEvent
 from repro.overlay.base import OverlayNetwork
 from repro.overlay.ring import RingIndex
 from repro.sim.trace import TraceRecorder
+from repro.telemetry.registry import get_registry
 from repro.util.rng import as_generator
 
 __all__ = ["SelectOverlay"]
@@ -70,6 +71,12 @@ class SelectOverlay(OverlayNetwork):
         #: shared per-peer scalar state; ``identifier`` aliases ``self.ids``
         #: so the kernels and the object API mutate the same storage.
         self.columns = PeerColumns(n, identifier=self.ids)
+        # CSR of the social neighborhoods in each peer's own candidate
+        # order (what the per-peer partner draw indexes into).
+        self._degs = graph.degrees
+        self._nbr_indptr = np.concatenate(([0], np.cumsum(self._degs)))
+        #: Algs. 5-6's per-friend inputs, one slot per CSR edge.
+        self.edge_columns = EdgeColumns(int(self._nbr_indptr[-1]))
         self.peers = [
             PeerState(
                 v,
@@ -80,6 +87,7 @@ class SelectOverlay(OverlayNetwork):
                 table=self.tables[v],
                 columns=(self.columns, v),
                 neighborhood_set=graph.neighbor_set(v),
+                edge_columns=(self.edge_columns, int(self._nbr_indptr[v])),
             )
             for v in range(n)
         ]
@@ -92,12 +100,6 @@ class SelectOverlay(OverlayNetwork):
         self._lsh_seed = 0
         self.trace = TraceRecorder()
         self.join_events: list[JoinEvent] = []
-        # CSR of the social neighborhoods in each peer's own candidate
-        # order (what the per-peer partner draw indexes into).
-        self._degs = np.fromiter(
-            (len(p.neighborhood) for p in self.peers), dtype=np.int64, count=n
-        )
-        self._nbr_indptr = np.concatenate(([0], np.cumsum(self._degs)))
         self._nbr_indices = (
             np.concatenate([p.neighborhood for p in self.peers])
             if n and self._nbr_indptr[-1]
@@ -157,35 +159,81 @@ class SelectOverlay(OverlayNetwork):
         return self
 
     def _reassign_links(self, rng: np.random.Generator) -> "set[int]":
-        """Algs. 5-6 for every gated-in peer, each against the live ledger.
-
-        Returns the peers whose link set differs from the round's start.
-        The planned/random paths report exactly that, so only the
-        bandwidth path (whose mutating pass can drop and re-add) needs
-        the before/after comparison.
-        """
+        """Algs. 5-6 for every gated-in peer, with live-ledger semantics;
+        returns the peers whose link set differs from the round's start."""
         cfg = self.config
+        gate = rounds.link_gate(self)
+        if cfg.use_lsh and self.upload_mbps is None:
+            return self._walk_plans(gate)
+        # Ablation and bandwidth paths: the mutating pass, peer by peer (it
+        # can drop and re-add, so the outcome is the before/after diff).
         changed: set[int] = set()
-        for v in rounds.link_gate(self):
+        for v in gate:
             peer = self.peers[v]
-            if not cfg.use_lsh:
-                hit = random_links(peer, self.k_links, self._try_connect, rng)
-            elif self.upload_mbps is None:
-                hit = create_links(
-                    peer,
-                    self.k_links,
-                    self._try_connect,
-                    self._disconnect,
-                    incoming_count=self.incoming_count,
-                )
-            else:
-                before = set(peer.table.long_links)
+            before = set(peer.table.long_links)
+            if cfg.use_lsh:
                 create_links(
                     peer, self.k_links, self._try_connect, self._disconnect, self.upload_mbps
                 )
-                hit = peer.table.long_links != before
+            else:
+                random_links(peer, self.k_links, self._try_connect, rng)
+            if peer.table.long_links != before:
+                changed.add(v)
+        return changed
+
+    def _walk_plans(self, gate: "list[int]") -> "set[int]":
+        """One batch plan for the gate, applied in vertex order.
+
+        :func:`~repro.core.vectorized.plan_round` plans against the
+        round-start ledger; the walk keeps the live-ledger outcome exact. A
+        plan reads the ledger only as ``incoming_count[f] < K`` for friends
+        the peer knows and does *not* link to (a current link's slot is
+        already ours), and nothing else it reads changes before the peer's
+        turn. So a target whose full/not-full bit an apply leaves different
+        from round start is noted on its social neighbours, and a peer whose
+        turn comes with such a target — known, not linked, bit still
+        different — runs :func:`create_links` on the live ledger instead. A
+        target that filled up matters only to a plan that adds it: a
+        candidate the plan passed over changes nothing by leaving.
+        """
+        k, incoming, sources = self.k_links, self.incoming_count, self._incoming_sources
+        plans = plan_round(self, gate)
+        was_full = (incoming >= k).tolist()
+        noted: "dict[int, list[int]]" = {}
+        changed: set[int] = set()
+        replanned = 0
+        for v in gate:
+            links = self.tables[v].long_links
+            plan = plans.get(v)
+            known, adds = self.peers[v].known_bitmap, plan[1] if plan else ()
+            if v in noted and any(
+                (len(sources[t]) >= k) != was_full[t]
+                and t in known
+                and t not in links
+                and (was_full[t] or t in adds)
+                for t in noted[v]
+            ):
+                replanned += 1
+                before = set(links)
+                hit = create_links(
+                    self.peers[v], k, self._try_connect, self._disconnect, incoming_count=incoming
+                )
+                touched = before ^ links
+            elif plan:
+                hit = apply_plan(links, v, *plan, self._try_connect, self._disconnect)
+                touched = plan[0] + plan[1]
+            else:
+                continue
             if hit:
                 changed.add(v)
+            for t in touched:
+                if (len(sources[t]) >= k) != was_full[t]:
+                    for u in self.graph.neighbors(t).tolist():
+                        noted.setdefault(u, []).append(t)
+        registry = get_registry()
+        registry.counter("build.links.planned").inc(len(gate))
+        registry.counter("build.links.replanned").inc(replanned)
+        registry.counter("build.links.changed").inc(len(changed))
         return changed
 
     def _build_sharded(self, seed) -> "SelectOverlay":

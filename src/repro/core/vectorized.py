@@ -17,6 +17,9 @@ of the social graph:
   selection, cluster guard, once-per-anchor-pair gate, improvement gate.
 * :func:`dedup_ids` — deterministic duplicate-identifier spreading for
   the end-of-round barrier.
+* :func:`plan_round` — Algs. 5–6 for every gated peer at once: the net
+  link diff :func:`repro.core.links.plan_links` would return for each,
+  read off the edge-aligned knowledge columns.
 
 Every kernel has a brute-force reference implementation in the property
 tests (``tests/test_vectorized_kernels.py``) pinning elementwise equality,
@@ -27,8 +30,12 @@ per-peer references produce bitwise-identical identifiers.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+
 import numpy as np
 
+from repro.core.links import plan_links
+from repro.core.picker import KEY_FIELD
 from repro.idspace.space import normalize, ring_midpoint
 
 __all__ = [
@@ -36,6 +43,7 @@ __all__ = [
     "ExchangeKernel",
     "evaluate_positions",
     "dedup_ids",
+    "plan_round",
 ]
 
 
@@ -348,3 +356,132 @@ def dedup_ids(pending: np.ndarray) -> np.ndarray:
             used.add(v)
             out[i] = v
     return out
+
+
+def plan_round(ov, gated, hysteresis: int = 2) -> "dict[int, tuple[tuple, tuple]]":
+    """Algs. 5–6 for every peer in ``gated`` against the ledger as it stands.
+
+    Returns ``{v: (drops, adds)}`` for the peers whose plan differs from
+    their links: per peer exactly :func:`~repro.core.links.plan_links`, the
+    reference the tests compare against (no bandwidth model). It reads the
+    overlay's :class:`~repro.core.columns.EdgeColumns` and the current long
+    links as a mask over the same CSR slots; scatter-maxima per ``(peer,
+    bucket)`` cell pick each bucket's link, and as only the running link
+    count couples a peer's buckets, Algorithm 5's pass is one vector step
+    per bucket id. A peer that links outside its neighbourhood (no slot to
+    mask) or knows a friend without a bucket (``plan_links`` hashes it on
+    demand) is handed to ``plan_links`` itself.
+    """
+    plans, gated = {}, np.asarray(gated, dtype=np.int64)
+    k, width = ov.k_links, len(gated)
+    indptr, nbrs, incoming = ov._nbr_indptr, ov._nbr_indices, ov.incoming_count
+
+    # Current links as a mask over edge slots. ``count`` is len(long_links):
+    # links to friends not learned about yet hold budget too.
+    link_sets = [ov.tables[v].long_links for v in gated.tolist()]
+    count = np.fromiter(map(len, link_sets), dtype=np.int64, count=width)
+    link_owner = np.repeat(np.arange(width), count)
+    link_to = np.fromiter(chain.from_iterable(link_sets), dtype=np.int64, count=len(link_owner))
+    slots, inside = ov._xkernel._slots(gated[link_owner], link_to)
+    linked = np.zeros(len(nbrs), dtype=bool)
+    linked[slots[inside]] = True
+    scalar = np.zeros(width, dtype=bool)
+    scalar[link_owner[~inside]] = True
+
+    lo, degree = indptr[gated], indptr[gated + 1] - indptr[gated]
+    owner, at = _expand(lo, degree)
+    known = ov.edge_columns.key[at] >= 0
+    owner, at = owner[known], at[known]
+    bucket = ov.edge_columns.bucket[at].astype(np.int64)
+    scalar[owner[bucket < 0]] = True
+    if scalar.any():
+        for v in gated[scalar].tolist():
+            plan = plan_links(ov.peers[v], k, incoming, hysteresis)
+            if plan is not None:
+                plans[v] = plan
+        keep = ~scalar[owner]
+        owner, at, bucket = owner[keep], at[keep], bucket[keep]
+    if len(at) == 0:
+        return plans
+    coverage = KEY_FIELD - (ov.edge_columns.key[at] >> 31)
+    friend, is_link = nbrs[at], linked[at]
+    position = at - lo[owner]
+
+    # Algorithm 6's order as one number per edge, larger = better: coverage,
+    # then the lower position — which is the lower id, friend lists ascend.
+    # A scatter-max per (peer, bucket) cell finds the bucket's leader and the
+    # best of the peer's existing links there (-1 = none).
+    reach, buckets = int(position.max()) + 1, int(bucket.max()) + 1
+    merit = coverage * reach + (reach - 1 - position)
+    cell = owner * buckets + bucket
+    leader = np.full(width * buckets, -1, dtype=np.int64)
+    np.maximum.at(leader, cell, merit)
+    best = np.full(width * buckets, -1, dtype=np.int64)
+    np.maximum.at(best, cell[is_link], merit[is_link])
+    existing = np.bincount(cell[is_link], minlength=width * buckets)
+    # The leader takes the bucket unless an existing link is within the
+    # hysteresis margin; a challenger is a chosen friend not linked yet.
+    challenger = (leader > best) & ((best < 0) | (leader // reach - best // reach >= hysteresis))
+    chosen = np.where(challenger, leader, best)
+    # (An empty cell reads -1, is no challenger, and points at any slot.)
+    slot = np.repeat(lo, buckets) + (reach - 1 - chosen % reach)
+    admissible = incoming[nbrs[np.minimum(slot, len(nbrs) - 1)]] < k
+
+    # Algorithm 5's pass, buckets in id order. A kept link costs the bucket
+    # its other links; a challenger costs it all of them — before its own
+    # admission when the peer is full, after it otherwise — and is added
+    # if that leaves room and its target has a free incoming slot.
+    lost = np.where(challenger, existing, np.maximum(existing - 1, 0)).reshape(width, buckets)
+    added = (challenger & admissible).reshape(width, buckets)
+    for b in range(buckets):
+        added[:, b] &= count - lost[:, b] < k
+        count += added[:, b] - lost[:, b]
+    settled = ~challenger | added.reshape(-1)
+    virtual = (merit == chosen[cell]) & settled[cell]
+
+    # Budget fill: known friends outside the planned set whose target has a
+    # free slot — or a link the pass just dropped, whose slot is still ours.
+    need = k - count
+    cand = (need[owner] > 0) & ~virtual & (is_link | (incoming[friend] < k))
+    tight = np.bincount(owner[cand], minlength=width) > need
+    take = cand & ~tight[owner]
+    ranked = np.flatnonzero(cand & tight[owner])
+    if len(ranked):
+        # Uncovered friends first. A tight peer's 2-hop cover is the OR of
+        # its planned links' bitmaps (Python ints); all of them become one
+        # bit array, the inverse of ``bitmap_ints``' packing.
+        tight_at = np.flatnonzero(tight)
+        sel = virtual & tight[owner]
+        sizes = np.bincount(owner[sel], minlength=width)[tight_at].tolist()
+        nbytes = (degree[tight_at] + 7) // 8
+        links_of = iter(friend[sel].tolist())
+        blob = []
+        for v, size, length in zip(gated[tight_at].tolist(), sizes, nbytes.tolist()):
+            cover, bitmap_of = 0, ov.peers[v].known_bitmap
+            for w in islice(links_of, size):
+                cover |= bitmap_of[w]
+            blob.append(cover.to_bytes(length, "little"))
+        bits = np.unpackbits(np.frombuffer(b"".join(blob), dtype=np.uint8), bitorder="little")
+        bit_at = np.zeros(width, dtype=np.int64)
+        bit_at[tight_at] = (np.cumsum(nbytes) - nbytes) * 8
+        r_owner = owner[ranked]
+        covered = bits[bit_at[r_owner] + position[ranked]]
+        # One stable pass over (peer, covered, merit descending); lexsort
+        # because ``dedup_ids`` already pages it in, where this would be
+        # the build's only argsort (0.4 MiB of first-use code pages).
+        top = int(merit.max()) + 1
+        fill = np.lexsort(((r_owner * 2 + covered) * top + (top - 1 - merit[ranked]),))
+        r_owner = r_owner[fill]
+        rank = np.arange(len(fill)) - np.searchsorted(r_owner, r_owner)
+        take[ranked[fill][rank < need[r_owner]]] = True
+
+    # Edges are in CSR order, so each peer's drops and adds come out sorted.
+    final = virtual | take
+    drop, add = is_link & ~final, final & ~is_link
+    n_drop = np.bincount(owner[drop], minlength=width)
+    n_add = np.bincount(owner[add], minlength=width)
+    drops, adds = iter(friend[drop].tolist()), iter(friend[add].tolist())
+    hit = np.flatnonzero(n_drop + n_add)
+    for v, d, a in zip(gated[hit].tolist(), n_drop[hit].tolist(), n_add[hit].tolist()):
+        plans[v] = (tuple(islice(drops, d)), tuple(islice(adds, a)))
+    return plans

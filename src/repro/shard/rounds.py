@@ -13,11 +13,11 @@ build runs. A worker passes its ownership mask to the exchange and
 proposal phases (:meth:`ShardWorkerCore.run_round`) — every replica
 replays the whole network's partner draw, so partner selection crosses
 no process boundary — and the one scheduling difference is Algs. 5–6:
-the worker only *plans* (:func:`~repro.core.links.plan_links` against
-the round-start admission ledger, emitted as sorted net diffs), and at
-the barrier every replica applies the merged plan log in vertex order
-(:func:`apply_plan_log` — adds re-checked against the live ledger, so
-refusals are resolved identically everywhere) before publishing the
+the worker only *plans* (:func:`~repro.core.vectorized.plan_round` over
+its gate, against the round-start admission ledger, emitted as sorted net
+diffs), and at the barrier every replica applies the merged plan log in
+vertex order (:func:`apply_plan_log` — adds re-checked against the live
+ledger, so refusals are resolved identically everywhere) before publishing the
 deduplicated identifiers (:func:`~repro.core.rounds.publish_ids`).
 """
 
@@ -26,8 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import rounds
-from repro.core.links import apply_plan, plan_links
+from repro.core.links import apply_plan
 from repro.core.rounds import publish_ids
+from repro.core.vectorized import plan_round
+from repro.telemetry.registry import get_registry
 
 __all__ = ["ShardWorkerCore", "apply_plan_log", "publish_ids"]
 
@@ -70,10 +72,10 @@ class ShardWorkerCore:
             pairs = rounds.exchange_phase(ov, self.rng, self.owned_mask)
         with rounds.phase_timer("propose"):
             pending = rounds.propose_ids(ov, self.owned_mask)
-        plans = []
         with rounds.phase_timer("links"):
-            for v in rounds.link_gate(ov, self.owned_mask):
-                plan = plan_links(ov.peers[v], ov.k_links, ov.incoming_count)
-                if plan is not None:
-                    plans.append((v, *plan))
+            gate = rounds.link_gate(ov, self.owned_mask)
+            plans = sorted((v, *plan) for v, plan in plan_round(ov, gate).items())
+        registry = get_registry()
+        registry.counter("build.links.planned").inc(len(gate))
+        registry.counter("build.links.changed").inc(len(plans))
         return plans, pending[self.owned], pairs

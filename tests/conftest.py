@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SelectConfig
+from repro.core.picker import packed_key
 from repro.core.select import SelectOverlay
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
@@ -48,3 +49,22 @@ def built_select(small_graph) -> SelectOverlay:
 def rng() -> np.random.Generator:
     """Fresh deterministic generator per test."""
     return np.random.default_rng(12345)
+
+
+def edge_block(peer) -> "tuple[list[int], list[int]]":
+    """A peer's block of the edge columns: (packed keys, buckets) per friend."""
+    block = slice(peer._edge_at, peer._edge_at + len(peer.neighborhood))
+    return peer._edges.key[block].tolist(), peer._edges.bucket[block].tolist()
+
+
+def assert_edge_columns_in_sync(overlay) -> None:
+    """Every peer's edge-column block equals what ``known_coverage`` /
+    ``known_bucket`` rebuild. The columns are derived state, and a stale
+    slot changes a build silently instead of raising."""
+    for peer in overlay.peers:
+        friends = peer.neighborhood.tolist()
+        coverage, bucket = peer.known_coverage, peer.known_bucket
+        assert edge_block(peer) == (
+            [packed_key(f, coverage[f]) if f in coverage else -1 for f in friends],
+            [bucket.get(f, -1) for f in friends],
+        ), peer.node

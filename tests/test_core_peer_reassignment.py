@@ -8,6 +8,7 @@ from repro.core.picker import packed_key
 from repro.core.reassignment import apply_reassignment, evaluate_position
 from repro.idspace.space import ring_distance, ring_midpoint
 from repro.util.bitset import bitset_from_indices
+from tests.conftest import edge_block
 
 
 def make_peer(node=0, neighborhood=(1, 2, 3), k=4):
@@ -52,14 +53,16 @@ class TestPeerState:
         assert peer.known_coverage[1] == 2
         assert 1 in peer.known_bitmap
         assert peer.lookahead[1] == frozenset({2, 3})
-        assert peer.known_key[1] == packed_key(1, 2)
+        assert edge_block(peer)[0] == [packed_key(1, 2), -1, -1]
 
     def test_assigned_coverage_rederives_packed_keys(self):
         # Snapshot and arc restore assign the dict wholesale.
         peer = make_peer()
         teach(peer, 1, mutual=2, linked=(2, 3))
+        teach(peer, 3, mutual=1)
         peer.known_coverage = {1: 1, 2: 3}
-        assert peer.known_key == {1: packed_key(1, 1), 2: packed_key(2, 3)}
+        # The block is cleared before the refill: friend 3's key is gone.
+        assert edge_block(peer)[0] == [packed_key(1, 1), packed_key(2, 3), -1]
 
     def test_neighborhood_set_handed_in_is_kept(self):
         shared = frozenset({1, 2, 3})
@@ -84,6 +87,7 @@ class TestPeerState:
         assert 1 not in peer.known_coverage
         assert 1 not in peer.known_bucket
         assert 1 not in peer.lookahead
+        assert edge_block(peer) == ([-1, -1, -1], [-1, -1, -1])
 
     def test_covered_friends_direct_and_lookahead(self):
         peer = make_peer(neighborhood=(1, 2, 3))

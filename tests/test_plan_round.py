@@ -1,0 +1,363 @@
+"""Algs. 5-6 as one batch a round: ``vectorized.plan_round`` against its
+per-peer reference ``links.plan_links``, the optimistic walk of the plain
+build against the live-ledger outcome, and the edge columns both read.
+"""
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import select as select_module
+from repro.core.config import SelectConfig
+from repro.core.links import create_links, plan_links
+from repro.core.recovery import RecoveryManager
+from repro.core.select import SelectOverlay
+from repro.core.vectorized import plan_round
+from repro.graphs.datasets import load_dataset
+from repro.graphs.graph import SocialGraph
+from repro.lsh.bitsampling import BitSamplingLsh
+from repro.persist import restore
+from repro.shard import rounds as shard_rounds
+from repro.shard.plan import ShardPlan
+from repro.shard.snapshot import (
+    latest_generation,
+    load_arc,
+    load_build,
+    restore_arc,
+    restore_build_state,
+)
+from tests.conftest import assert_edge_columns_in_sync
+
+
+def reference(ov, gate, hysteresis=2):
+    plans = {v: plan_links(ov.peers[v], ov.k_links, ov.incoming_count, hysteresis) for v in gate}
+    return {v: plan for v, plan in plans.items() if plan is not None}
+
+
+def overlay_of(n, edges, k, family=True):
+    ov = SelectOverlay(SocialGraph(n, edges), k_links=k, config=SelectConfig())
+    if family:
+        for peer in ov.peers:
+            peer.lsh_family = BitSamplingLsh(max(len(peer.neighborhood), 1), num_samples=2, seed=1)
+    return ov
+
+
+def teach(ov, p, friend, bits, bucket=None):
+    """``p`` learns ``friend`` with a bitmap of ``bits`` set bits, in ``bucket``
+    (None = whatever the peer's family hashes it to, or none without one)."""
+    peer = ov.peers[p]
+    peer.learn_exchange(friend, 0, (1 << bits) - 1, frozenset())
+    if bucket is not None:
+        peer._set_bucket(friend, bucket)
+
+
+def link(ov, p, *targets):
+    """Give ``p`` long links without touching the ledger (tests set it)."""
+    ov.tables[p].long_links.update(targets)
+
+
+# -- named cases: a hub (peer 0) whose friends are 1..8; 9 is no friend -------
+
+HUB = [(0, f) for f in range(1, 9)] + [(1, 9)]
+
+
+def hub(k=3, **kwargs):
+    return overlay_of(10, HUB, k, **kwargs)
+
+
+class TestNamedCases:
+    def check(self, ov, expected, gate=(0,)):
+        got = plan_round(ov, list(gate))
+        assert got == reference(ov, gate)
+        assert got == expected
+
+    def test_gain_below_hysteresis_keeps_the_link(self):
+        ov = hub(k=1)
+        teach(ov, 0, 1, bits=2, bucket=0)
+        teach(ov, 0, 2, bits=3, bucket=0)  # leader, gain 1 == hysteresis - 1
+        link(ov, 0, 1)
+        self.check(ov, {})
+
+    def test_gain_at_hysteresis_replaces_the_link(self):
+        ov = hub(k=1)
+        teach(ov, 0, 1, bits=2, bucket=0)
+        teach(ov, 0, 2, bits=4, bucket=0)
+        link(ov, 0, 1)
+        self.check(ov, {0: ((1,), (2,))})
+
+    def test_several_links_in_one_bucket_keep_the_leader(self):
+        ov = hub(k=2)
+        for f, bits in ((1, 3), (2, 5), (3, 1), (4, 2)):
+            teach(ov, 0, f, bits, bucket=1 if f < 4 else 2)
+        link(ov, 0, 1, 2)
+        # 2 leads bucket 1 and is linked; 1 goes, the freed slot goes to 4.
+        self.check(ov, {0: ((1,), (4,))})
+
+    def test_full_peer_makes_room_for_a_winning_challenger(self):
+        ov = hub(k=2)
+        teach(ov, 0, 1, bits=1, bucket=0)
+        teach(ov, 0, 2, bits=1, bucket=1)
+        teach(ov, 0, 3, bits=4, bucket=1)
+        link(ov, 0, 1, 2)
+        self.check(ov, {0: ((2,), (3,))})
+
+    def test_inadmissible_challenger_costs_the_bucket_its_link(self):
+        ov = hub(k=2)
+        teach(ov, 0, 1, bits=1, bucket=0)
+        teach(ov, 0, 2, bits=1, bucket=1)
+        teach(ov, 0, 3, bits=4, bucket=1)
+        teach(ov, 0, 4, bits=2, bucket=0)  # gain 1: bucket 0 keeps link 1
+        link(ov, 0, 1, 2)
+        ov.incoming_count[3] = 2
+        # 3 wins bucket 1 but is full: 2 is dropped, and the fill prefers the
+        # richer 4 to taking 2 back.
+        self.check(ov, {0: ((2,), (4,))})
+        ov.incoming_count[4] = 2
+        self.check(ov, {})  # ... or takes 2 back when nothing else is free
+
+    def test_full_leader_of_an_empty_bucket_and_every_friend_full(self):
+        ov = hub()
+        for f in (1, 2, 3):
+            teach(ov, 0, f, bits=f, bucket=f - 1)
+        ov.incoming_count[3] = 3
+        self.check(ov, {0: ((), (1, 2))})
+        ov.incoming_count[:] = 3
+        self.check(ov, {})
+
+    def test_fill_prefers_uncovered_then_richer_friends(self):
+        ov = hub(k=3)
+        peer = ov.peers[0]
+        # Bucket 0 holds everyone; 1 leads and covers friends 2 and 3 (bits
+        # 1, 2 of C_0 = 1..8), so the two fill slots go to the richest
+        # uncovered friends (4, then 5 before 6 by id), not to richer 2, 3.
+        bitmaps = (0b11000111, 0b00001111, 0b00000111, 0b00000011, 0b00000001, 0b00010000)
+        for f, bitmap in enumerate(bitmaps, start=1):
+            peer.learn_exchange(f, 0, bitmap, frozenset())
+        for f in range(1, 7):
+            peer._set_bucket(f, 0)
+        self.check(ov, {0: ((), (1, 4, 5))})
+        # Fewer candidates than slots: all of them, covered or not.
+        ov.incoming_count[[4, 5, 6]] = 3
+        self.check(ov, {0: ((), (1, 2, 3))})
+
+    def test_link_to_a_friend_not_learned_yet_counts_and_stays(self):
+        ov = hub(k=2)
+        teach(ov, 0, 1, bits=1, bucket=0)
+        teach(ov, 0, 2, bits=2, bucket=1)
+        link(ov, 0, 7)
+        self.check(ov, {0: ((), (1,))})
+
+    def test_scalar_hand_offs(self):
+        outside = hub(k=2)
+        teach(outside, 0, 1, bits=1, bucket=0)
+        link(outside, 0, 9)  # not a friend of 0: no edge slot to mask
+        self.check(outside, {0: ((), (1,))})
+        bucketless = hub(k=2, family=False)
+        teach(bucketless, 0, 1, bits=1)
+        teach(bucketless, 0, 2, bits=3)
+        assert bucketless.peers[0].known_bucket == {}
+        self.check(bucketless, {0: ((), (1, 2))})
+
+    def test_degree_zero_knowledge_less_and_ungated_peers(self):
+        ov = overlay_of(4, [(0, 1), (1, 2)], k=2)
+        teach(ov, 1, 0, bits=1)
+        teach(ov, 0, 1, bits=1)
+        link(ov, 2, 1)  # 2 knows nothing yet
+        self.check(ov, {0: ((), (1,)), 1: ((), (0,))}, gate=(0, 1, 2, 3))
+        self.check(ov, {1: ((), (0,))}, gate=(1, 3))
+        self.check(ov, {}, gate=())
+
+
+# -- the same comparison over generated states ----------------------------------
+
+
+@st.composite
+def planning_recipes(draw):
+    """Plain data for :func:`planning_state`, so one draw can be built twice."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    friends = {v: sorted({a ^ b ^ v for a, b in edges if v in (a, b)}) for v in range(n)}
+    learned, links = [], []
+    for v in range(n):
+        for f in friends[v]:
+            if draw(st.integers(0, 3)):
+                bitmap = draw(st.integers(0, (1 << len(friends[v])) - 1))
+                bucket = draw(st.integers(0, k - 1)) if draw(st.integers(0, 7)) else None
+                learned.append((v, f, bitmap, bucket))
+        pool = friends[v] * 2 + [w for w in range(n) if w != v]
+        links.append(draw(st.lists(st.sampled_from(pool), max_size=k)) if pool else [])
+    return {
+        "n": n,
+        "k": k,
+        "edges": edges,
+        "family": draw(st.booleans()),
+        "learned": learned,
+        "links": links,
+        "incoming": draw(st.lists(st.integers(0, k), min_size=n, max_size=n)),
+        "gate": [v for v in range(n) if draw(st.integers(0, 4))],
+    }
+
+
+def planning_state(recipe, ledger_from_links=False):
+    """The overlay a recipe describes. The ledger is the recipe's own (any
+    occupancy: a plan only reads it) or, for the walk, the links' own."""
+    ov = overlay_of(recipe["n"], recipe["edges"], recipe["k"], family=recipe["family"])
+    for v, f, bitmap, bucket in recipe["learned"]:
+        ov.peers[v].learn_exchange(f, 0, bitmap, frozenset())
+        if bucket is not None:
+            ov.peers[v]._set_bucket(f, bucket)
+    for v, wanted in enumerate(recipe["links"]):
+        if ledger_from_links:
+            wanted = [w for w in wanted if ov._try_connect(v, w)]
+        link(ov, v, *wanted)
+    if not ledger_from_links:
+        ov.incoming_count[:] = recipe["incoming"]
+    return ov
+
+
+class TestAgainstReference:
+    @given(planning_recipes(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_states(self, recipe, hysteresis):
+        ov, gate = planning_state(recipe), recipe["gate"]
+        assert plan_round(ov, gate, hysteresis) == reference(ov, gate, hysteresis)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"shards": 2}])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_every_round_of_a_build(self, seed, kwargs, monkeypatch):
+        calls = []
+
+        def checked(ov, gate):
+            plans = plan_round(ov, gate)
+            assert plans == reference(ov, gate)
+            calls.append(len(gate))
+            return plans
+
+        monkeypatch.setattr(select_module, "plan_round", checked)
+        monkeypatch.setattr(shard_rounds, "plan_round", checked)
+        graph = load_dataset("facebook", num_nodes=300, seed=seed)
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200, **kwargs)).build(seed)
+        assert len(calls) == overlay.iterations
+        assert sum(calls) > 0
+
+
+# -- the plain build's walk ------------------------------------------------------
+
+
+class TestOptimisticWalk:
+    def test_a_build_takes_both_routes(self, monkeypatch):
+        routes = {"batch": 0, "fallback": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                routes[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(select_module, "apply_plan", counted("batch", select_module.apply_plan))
+        monkeypatch.setattr(select_module, "create_links", counted("fallback", create_links))
+        graph = load_dataset("facebook", num_nodes=300, seed=7)
+        SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+        assert routes["batch"] > 0 and routes["fallback"] > 0
+
+    @staticmethod
+    def _slot_opens_mid_round():
+        """u = 0 is full and swaps its link to the full target t = 2 for a
+        better friend of the same bucket; v = 1 knows t and has budget."""
+        ov = overlay_of(6, [(0, 2), (0, 3), (0, 5), (1, 2), (2, 4)], k=2)
+        teach(ov, 0, 2, bits=0, bucket=0)
+        teach(ov, 0, 3, bits=2, bucket=0)
+        teach(ov, 0, 5, bits=0, bucket=1)
+        teach(ov, 1, 2, bits=0, bucket=0)
+        for src, dst in ((0, 2), (4, 2), (0, 5)):
+            assert ov._try_connect(src, dst)
+            link(ov, src, dst)
+        return ov
+
+    @staticmethod
+    def _live(ov, gate):
+        """Today's per-peer pass: each peer plans against the live ledger."""
+        return {
+            v
+            for v in gate
+            if create_links(
+                ov.peers[v], ov.k_links, ov._try_connect, ov._disconnect,
+                incoming_count=ov.incoming_count,
+            )
+        }
+
+    @given(planning_recipes())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_rounds_match_the_live_ledger(self, recipe):
+        walked, live = (planning_state(recipe, ledger_from_links=True) for _ in range(2))
+        assert walked._walk_plans(recipe["gate"]) == self._live(live, recipe["gate"])
+        assert [set(t.long_links) for t in walked.tables] == [set(t.long_links) for t in live.tables]
+        assert walked._incoming_sources == live._incoming_sources
+        assert walked.incoming_count.tolist() == live.incoming_count.tolist()
+
+    def test_a_slot_opened_by_an_earlier_vertex_is_seen(self):
+        ov = self._slot_opens_mid_round()
+        # Against the round-start ledger t is full, so v's batch plan is empty.
+        assert plan_round(ov, [0, 1]) == {0: ((2,), (3,))}
+        assert ov._walk_plans([0, 1]) == {0, 1}
+        live = self._slot_opens_mid_round()
+        assert self._live(live, [0, 1]) == {0, 1}
+        assert [set(t.long_links) for t in ov.tables] == [set(t.long_links) for t in live.tables]
+        assert ov.tables[1].long_links == {2}
+        assert ov.incoming_count.tolist() == live.incoming_count.tolist()
+
+
+# -- the columns are derived state: no silent staleness --------------------------
+
+
+class TestEdgeColumnsStayInSync:
+    @pytest.fixture(scope="class")
+    def built(self):
+        graph = load_dataset("facebook", num_nodes=100, seed=21)
+        cfg = SelectConfig(max_rounds=25, cma_min_observations=2)
+        return SelectOverlay(graph, config=cfg).build(seed=21)
+
+    def test_after_a_build(self, built):
+        assert (built.edge_columns.key >= 0).any()
+        assert_edge_columns_in_sync(built)
+
+    def test_after_a_persist_restore(self, built):
+        assert_edge_columns_in_sync(restore(built.snapshot()))
+
+    def test_after_an_arc_restore(self, small_graph, tmp_path):
+        config = SelectConfig(max_rounds=12, num_workers=1, shards=3)
+        overlay = SelectOverlay(small_graph, config=config)
+        overlay.shard_opts = {"checkpoint_dir": str(tmp_path), "checkpoint_every": 5}
+        overlay.build(seed=5)
+        gen = latest_generation(str(tmp_path))
+        _, state = load_build(gen)
+        restored = SelectOverlay(small_graph, config=config)
+        # Knowledge the arcs do not carry must not survive the restore.
+        for peer in restored.peers:
+            for f in peer.neighborhood.tolist():
+                teach(restored, peer.node, f, bits=1, bucket=0)
+        restore_build_state(restored, state)
+        for s in range(ShardPlan.from_dict(state["plan"]).num_shards):
+            restore_arc(restored, load_arc(os.path.join(gen, f"shard-{s:03d}"))[1])
+        assert_edge_columns_in_sync(restored)
+
+    def test_after_forgetting_and_recovery(self, built):
+        overlay = restore(built.snapshot())
+        peer = overlay.peers[0]
+        gone = next(iter(peer.known_bitmap))
+        peer.forget_peer(gone)
+        assert gone not in peer.known_coverage
+        assert_edge_columns_in_sync(overlay)
+        online = np.ones(overlay.graph.num_nodes, dtype=bool)
+        online[np.arange(0, overlay.graph.num_nodes, 3)] = False
+        manager = RecoveryManager(overlay)
+        for _ in range(4):
+            manager.tick(online)
+        assert manager.replacements > 0
+        assert_edge_columns_in_sync(overlay)

@@ -31,6 +31,7 @@ from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.util.rng import as_generator
+from tests.conftest import edge_block
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -459,7 +460,7 @@ def _state(peer):
         peer.known_mutual,
         list(peer.known_bitmap.items()),
         peer.known_coverage,
-        peer.known_key,
+        edge_block(peer),
         peer.known_bucket,
         [(bucket, list(members)) for bucket, members in peer.bucket_members.items()],
         [(friend, sorted(links)) for friend, links in peer.lookahead.items()],
