@@ -15,13 +15,7 @@ Establishes the repo's perf baseline trajectory: each run emits a
 * an optional ``scales[]`` curve (``--scales``): build time and peak
   RSS at each requested network size — each scale runs in a forked
   child so ``ru_maxrss`` is that build's own footprint, not the process
-  lifetime max,
-* an optional ``workers[]`` curve (``--workers``): sharded build time
-  per worker count at each ``--workers-scales`` size, every leg on the
-  same shard count so results must be bit-identical — identifiers and
-  link sets are digest-compared across legs at every size, and routed
-  paths are folded into the digest at the smallest size. Boundary
-  bytes, frame counts, barrier wait, and peak RSS ride along.
+  lifetime max.
 
 The harness asserts that cached and legacy routing produce identical
 paths on every measured route before it reports any throughput — the
@@ -37,7 +31,6 @@ Run::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import multiprocessing
 import resource
@@ -54,8 +47,6 @@ from repro.social.strength import strength_vector
 from repro.telemetry.registry import MetricsRegistry, use_registry
 
 BENCH_SCHEMA = "select-repro/bench/v1"
-#: routed paths folded into the workers[] state digest at the smallest size.
-WORKER_PARITY_ROUTES = 2000
 
 
 class LegacyGreedyRouter(GreedyRouter):
@@ -238,58 +229,6 @@ def run_scale(num_nodes: int, seed: int, dataset: str, max_rounds: int) -> dict:
     }
 
 
-def run_workers_leg(
-    num_nodes: int,
-    seed: int,
-    dataset: str,
-    max_rounds: int,
-    workers: int,
-    shards: int,
-    parity_routes: int,
-) -> dict:
-    """One point on the ``workers[]`` curve: a sharded build at ``workers``.
-
-    Every leg of a curve uses the same ``shards``, so the sharded
-    determinism contract requires bit-identical results regardless of
-    ``workers``. The returned ``state_digest`` hashes the identifiers
-    and every vertex's sorted long-link set (plus ``parity_routes``
-    routed paths when requested); the caller asserts it is equal across
-    legs before reporting any timing.
-    """
-    graph = load_dataset(dataset, num_nodes=num_nodes, seed=seed)
-    overlay = SelectOverlay(
-        graph,
-        config=SelectConfig(max_rounds=max_rounds, num_workers=workers, shards=shards),
-    )
-    start = time.perf_counter()
-    overlay.build(seed=seed)
-    elapsed = time.perf_counter() - start
-    stats = overlay.shard_stats
-
-    digest = hashlib.sha256()
-    digest.update(np.asarray(overlay.ids, dtype=np.float64).tobytes())
-    links = [sorted(int(w) for w in t.long_links) for t in overlay.tables]
-    digest.update(json.dumps(links, separators=(",", ":")).encode())
-    if parity_routes > 0:
-        pairs = _sample_pairs(graph.num_nodes, parity_routes, np.random.default_rng(seed + 1))
-        results = GreedyRouter(overlay, lookahead=True).route_many(pairs)
-        paths = [[list(r.path), bool(r.delivered)] for r in results]
-        digest.update(json.dumps(paths, separators=(",", ":")).encode())
-
-    worker_rss = stats.get("worker_peak_rss_kb") or []
-    return {
-        "workers": workers,
-        "build_seconds": elapsed,
-        "gossip_rounds": overlay.iterations,
-        "boundary_bytes": int(stats["boundary_bytes"]),
-        "frames": dict(stats["frames"]),
-        "barrier_wait_seconds": float(stats["barrier_wait_s"]),
-        "cross_arc_pairs": int(stats["cross_arc_pairs"]),
-        "peak_rss_kb": max([_peak_rss_kb(), *worker_rss]),
-        "state_digest": digest.hexdigest(),
-    }
-
-
 # -- schema validation --------------------------------------------------------
 
 REQUIRED_METRICS = (
@@ -318,17 +257,6 @@ REQUIRED_SCALE_FIELDS = (
     "peak_rss_kb",
 )
 
-REQUIRED_WORKER_FIELDS = (
-    "workers",
-    "build_seconds",
-    "gossip_rounds",
-    "boundary_bytes",
-    "barrier_wait_seconds",
-    "cross_arc_pairs",
-    "peak_rss_kb",
-)
-
-
 def _validate_scales(scales, problems: list[str]) -> None:
     """Check the optional ``scales[]`` block (multi-size build curve)."""
     if not isinstance(scales, list) or not scales:
@@ -348,61 +276,6 @@ def _validate_scales(scales, problems: list[str]) -> None:
             if nodes <= last:
                 problems.append("scales[] must be sorted by strictly increasing num_nodes")
             last = nodes
-
-
-def _validate_workers(blocks, problems: list[str]) -> None:
-    """Check the optional ``workers[]`` block (sharded scaling curve)."""
-    if not isinstance(blocks, list) or not blocks:
-        problems.append("workers must be a non-empty array when present")
-        return
-    parity_checked = False
-    for idx, block in enumerate(blocks):
-        if not isinstance(block, dict):
-            problems.append(f"workers[{idx}] is not an object")
-            continue
-        for key in ("num_nodes", "shards"):
-            if not isinstance(block.get(key), int) or block[key] <= 0:
-                problems.append(f"workers[{idx}].{key} missing or not a positive int")
-        curve = block.get("curve")
-        if not isinstance(curve, list) or not curve:
-            problems.append(f"workers[{idx}].curve must be a non-empty array")
-            continue
-        digests = set()
-        last = 0
-        for j, leg in enumerate(curve):
-            where = f"workers[{idx}].curve[{j}]"
-            if not isinstance(leg, dict):
-                problems.append(f"{where} is not an object")
-                continue
-            for key in REQUIRED_WORKER_FIELDS:
-                value = leg.get(key)
-                if not isinstance(value, (int, float)) or value < 0:
-                    problems.append(f"{where}.{key} missing or not a non-negative number")
-            count = leg.get("workers")
-            if isinstance(count, int):
-                if count <= last:
-                    problems.append(
-                        f"workers[{idx}].curve must be sorted by strictly increasing workers"
-                    )
-                last = count
-            if not isinstance(leg.get("frames"), dict):
-                problems.append(f"{where}.frames missing or not an object")
-            if not isinstance(leg.get("state_digest"), str):
-                problems.append(f"{where}.state_digest missing or not a string")
-            else:
-                digests.add(leg["state_digest"])
-            if leg.get("parity"):
-                parity_checked = True
-        if len(digests) > 1:
-            problems.append(
-                f"workers[{idx}]: legs disagree on state_digest — the sharded "
-                "build is not bit-identical across worker counts"
-            )
-    if not parity_checked:
-        problems.append(
-            "workers[] must include at least one leg with parity: true "
-            "(1-vs-N identifiers/links/routed-paths assertion)"
-        )
 
 
 def validate_report(report: dict) -> list[str]:
@@ -438,8 +311,6 @@ def validate_report(report: dict) -> list[str]:
                 problems.append(f"timers[{name!r}] must have sum_seconds and count")
     if "scales" in report:
         _validate_scales(report["scales"], problems)
-    if "workers" in report:
-        _validate_workers(report["workers"], problems)
     return problems
 
 
@@ -455,19 +326,6 @@ def main(argv=None) -> int:
         default="",
         help="comma-separated network sizes for the scales[] build curve "
         "(e.g. 2000,20000,100000)",
-    )
-    parser.add_argument(
-        "--workers",
-        default="",
-        help="comma-separated worker counts for the sharded workers[] curve "
-        "(e.g. 1,2,4); every leg runs the same shard count and is asserted "
-        "bit-identical before any timing is reported",
-    )
-    parser.add_argument(
-        "--workers-scales",
-        default="",
-        help="network sizes for the workers[] curve (defaults to --scales, "
-        "falling back to --num-nodes)",
     )
     parser.add_argument("--out", default="BENCH_hotpath.json")
     parser.add_argument(
@@ -489,7 +347,6 @@ def main(argv=None) -> int:
         return 0
 
     report = run_bench(args.num_nodes, args.routes, args.seed, args.dataset, args.max_rounds)
-    sizes: list[int] = []
     if args.scales:
         sizes = sorted({int(s) for s in args.scales.split(",") if s.strip()})
         scales = []
@@ -503,45 +360,6 @@ def main(argv=None) -> int:
                 f"{entry['peak_rss_kb'] / 1024:.0f} MiB peak)"
             )
         report["scales"] = scales
-    if args.workers:
-        counts = sorted({int(w) for w in args.workers.split(",") if w.strip()})
-        shards = max(max(counts), 1)
-        wsizes = sorted(
-            {int(s) for s in args.workers_scales.split(",") if s.strip()}
-        ) or sizes or [args.num_nodes]
-        blocks = []
-        for i, size in enumerate(wsizes):
-            parity_routes = WORKER_PARITY_ROUTES if i == 0 else 0
-            curve = []
-            for w in counts:
-                leg = _forked(
-                    run_workers_leg,
-                    size,
-                    args.seed,
-                    args.dataset,
-                    args.max_rounds,
-                    w,
-                    shards,
-                    parity_routes,
-                )
-                if curve and leg["state_digest"] != curve[0]["state_digest"]:
-                    raise AssertionError(
-                        f"{size} nodes: {w}-worker build diverged from "
-                        f"{curve[0]['workers']}-worker build — sharded results "
-                        "must be bit-identical at any worker count"
-                    )
-                if curve:
-                    leg["parity"] = True
-                curve.append(leg)
-                speedup = curve[0]["build_seconds"] / leg["build_seconds"]
-                print(
-                    f"workers {size:>7} nodes x{w} : "
-                    f"{leg['build_seconds']:.3f}s build ({speedup:.2f}x vs x{counts[0]}, "
-                    f"{leg['boundary_bytes']} boundary bytes, "
-                    f"{leg['peak_rss_kb'] / 1024:.0f} MiB peak)"
-                )
-            blocks.append({"num_nodes": size, "shards": shards, "curve": curve})
-        report["workers"] = blocks
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -71,8 +71,6 @@ class SelectConfig:
         Recovery: CMA below which an unresponsive contact is replaced.
     cma_min_observations:
         Recovery: observations required before a replace verdict.
-    invite_spread:
-        Maximum ring offset of an invited peer's id from its inviter's.
     successor_list_length:
         ``r`` — successors each peer remembers (immediate successor plus
         ``r - 1`` backups). The stabilization layer survives up to
@@ -81,26 +79,6 @@ class SelectConfig:
     catchup_capacity:
         Store-and-forward: notifications a ring neighbor buffers for a
         down/partitioned subscriber before evicting the oldest.
-    num_workers:
-        Worker processes for the construction supersteps. ``1`` (default)
-        keeps today's single-process path, pinned bit-identical; ``N > 1``
-        partitions the identifier ring into contiguous arcs
-        (:mod:`repro.shard`) and runs each arc's share of the round in a
-        forked worker, exchanging boundary-crossing state in typed frames
-        at the superstep barrier. Sharded construction is deterministic
-        and *worker-count independent*: the same seed yields the same
-        overlay for every ``num_workers >= 1`` under sharded semantics
-        (see DESIGN.md, "Sharded construction determinism contract").
-    shards:
-        Number of ring arcs. ``None`` (default) derives it from
-        ``num_workers`` (sharding off at 1 worker, one arc per worker
-        otherwise). Setting it explicitly decouples arcs from workers —
-        arcs are distributed round-robin over workers, which is what lets
-        a checkpoint taken at one worker count resume at another
-        (rebalancing: snapshot arc -> restore elsewhere). ``shards >= 1``
-        with ``num_workers == 1`` forces sharded *semantics* in-process:
-        the lever the parity tests use to compare one-process and
-        N-process builds bit for bit.
     """
 
     k_links: int | None = None
@@ -119,18 +97,8 @@ class SelectConfig:
     bootstrap_links: int | None = None
     cma_threshold: float = 0.5
     cma_min_observations: int = 3
-    invite_spread: float = 1e-6
     successor_list_length: int = 3
     catchup_capacity: int = 64
-    num_workers: int = 1
-    shards: int | None = None
-
-    @property
-    def effective_shards(self) -> int:
-        """Ring arcs the build will use; ``0`` = sharding disabled."""
-        if self.shards is not None:
-            return self.shards
-        return self.num_workers if self.num_workers > 1 else 0
 
     def __post_init__(self):
         if self.k_links is not None and self.k_links < 1:
@@ -173,10 +141,6 @@ class SelectConfig:
             raise ConfigurationError(
                 f"cma_threshold must be in [0, 1], got {self.cma_threshold}"
             )
-        if self.invite_spread <= 0:
-            raise ConfigurationError(
-                f"invite_spread must be positive, got {self.invite_spread}"
-            )
         if self.successor_list_length < 1:
             raise ConfigurationError(
                 f"successor_list_length must be >= 1, got {self.successor_list_length}"
@@ -185,33 +149,3 @@ class SelectConfig:
             raise ConfigurationError(
                 f"catchup_capacity must be >= 1, got {self.catchup_capacity}"
             )
-        # bool is an int subclass; num_workers=True would silently mean 1.
-        if isinstance(self.num_workers, bool) or not isinstance(self.num_workers, int):
-            raise ConfigurationError(
-                f"num_workers must be an integer, got {self.num_workers!r} "
-                f"({type(self.num_workers).__name__})"
-            )
-        if self.num_workers < 1:
-            raise ConfigurationError(
-                f"num_workers must be >= 1 (1 = single-process build), "
-                f"got {self.num_workers}"
-            )
-        if self.shards is not None:
-            if isinstance(self.shards, bool) or not isinstance(self.shards, int):
-                raise ConfigurationError(
-                    f"shards must be an integer or None, got {self.shards!r} "
-                    f"({type(self.shards).__name__})"
-                )
-            if self.shards < 1:
-                raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-            if self.shards < self.num_workers:
-                raise ConfigurationError(
-                    f"shards ({self.shards}) must be >= num_workers "
-                    f"({self.num_workers}): every worker needs at least one arc"
-                )
-        if self.num_workers > 1 or self.shards is not None:
-            if not self.use_lsh:
-                raise ConfigurationError(
-                    "sharded construction requires use_lsh=True (random_links "
-                    "consumes per-peer RNG that sharding cannot replicate)"
-                )

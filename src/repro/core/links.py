@@ -135,7 +135,7 @@ def plan_links(
     plan-then-apply split; :func:`apply_plan` is the other. A build plans
     a whole round in one batch (:func:`repro.core.vectorized.plan_round`):
     this is that kernel's per-peer reference, its scalar hand-off, and —
-    through :func:`create_links` — the plain build's re-plan for a peer
+    through :func:`create_links` — the build's re-plan for a peer
     whose batch plan the live ledger outdated. Only valid without a
     bandwidth model (admission must be a pure predicate over the ledger).
     """

@@ -92,14 +92,11 @@ def assign_initial_ids(
     join_events: "list[JoinEvent]",
     seed=None,
     salt: int = 0,
-    spread: float | None = None,
 ) -> np.ndarray:
     """Project a whole join sequence into the ID space.
 
     Events must cover every node exactly once and an inviter must have
-    joined before the users it invites. ``spread`` is accepted for
-    backward compatibility and ignored (gap-midpoint insertion adapts to
-    the local density automatically).
+    joined before the users it invites.
     """
     if len(join_events) != num_nodes:
         raise ConfigurationError(

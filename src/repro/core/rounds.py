@@ -1,8 +1,8 @@
 """One SELECT construction round (paper Algs. 2–6 as one superstep).
 
-The only place a round is written; the plain build
-(:meth:`repro.core.select.SelectOverlay.build`) and the sharded one
-(:mod:`repro.shard`) both run these phases in this order:
+The only place a round is written;
+:meth:`repro.core.select.SelectOverlay.build` runs these phases in this
+order:
 
 1. :func:`exchange_phase` — the whole network's gossip partner draws
    (Alg. 3 line 2), the passive-thread quantities of Algs. 3–4 as
@@ -11,25 +11,22 @@ The only place a round is written; the plain build
    link views are version tokens
    (:meth:`~repro.overlay.base.RoutingTable.link_view`), so an exchange
    whose target already folded the source's current view never reaches
-   the kernels. An ``owned_mask`` restricts the fold to the vertices a
-   shard worker owns; no mask is the plain build.
+   the kernels.
 2. :func:`propose_ids` — Alg. 2 for every peer allowed to relocate.
 3. Link reassignment (Algs. 5–6) — :func:`link_gate` names the vertices
    whose step runs, one kernel plans them all against the round-start
-   ledger (:func:`repro.core.vectorized.plan_round`), and the two builds
-   *apply* differently: the sharded build merges the diffs and applies
-   them in vertex order at the barrier; the plain build applies them at
-   once, in vertex order, with live-ledger semantics — a peer whose plan
-   an earlier apply outdated re-plans through
-   :func:`repro.core.links.create_links` (``SelectOverlay._walk_plans``).
-   :func:`settle_counters` then books stability streaks and change budgets.
+   ledger (:func:`repro.core.vectorized.plan_round`), and the build
+   applies the plans at once, in vertex order, with live-ledger
+   semantics — a peer whose plan an earlier apply outdated re-plans
+   through :func:`repro.core.links.create_links`
+   (``SelectOverlay._walk_plans``). :func:`settle_counters` then books
+   stability streaks and change budgets.
 4. The barrier — :func:`settle_ids` deduplicates the proposals into an
    identifier delta and :func:`publish_ids` applies it (with the deferred
-   bandwidth evictions and the ring refresh), identically on every
-   replica.
+   bandwidth evictions and the ring refresh).
 5. :func:`end_round` — the round's trace points and the quiescence test.
 
-Both builds wrap phases 1–4 in :func:`phase_timer` (``build.phase.*`` in
+The build wraps phases 1–4 in :func:`phase_timer` (``build.phase.*`` in
 the current metrics registry; no-ops by default).
 
 :mod:`repro.core.gossip` and :func:`repro.core.reassignment.evaluate_position`
@@ -61,9 +58,7 @@ __all__ = [
 def draw_pairs(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     """The round's ``(initiator, partner)`` exchange pairs, in draw order.
 
-    During construction this is the only RNG consumer and its inputs
-    (join flags, degrees) are static, so every replica of a sharded build
-    advances an identical generator to identical pairs.
+    During construction this is the only RNG consumer.
     """
     per_round = ov.config.exchanges_per_round
     actives, partners = draw_partners(
@@ -72,13 +67,11 @@ def draw_pairs(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     return np.repeat(actives, per_round), partners.reshape(-1)
 
 
-def exchange_phase(ov, rng, owned_mask=None) -> "tuple[np.ndarray, np.ndarray]":
+def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     """Draw, compute and fold the round's exchanges; returns the full draw.
 
     Each pair is two directed exchanges — *target* learns about *source* —
-    kept in global pair order (p's side, then q's), so each target sees
-    its exchanges in the same order at any worker count. With
-    ``owned_mask`` only owned targets learn.
+    kept in pair order (p's side, then q's).
 
     An exchange whose target already holds the source's current link view
     (``lookahead[source] is view``) is dropped before the kernels run: by
@@ -91,9 +84,6 @@ def exchange_phase(ov, rng, owned_mask=None) -> "tuple[np.ndarray, np.ndarray]":
     fp, fq = pairs = draw_pairs(ov, rng)
     targets = np.stack((fp, fq), axis=1).reshape(-1)
     sources = np.stack((fq, fp), axis=1).reshape(-1)
-    if owned_mask is not None:
-        learns = owned_mask[targets]
-        targets, sources = targets[learns], sources[learns]
     peers = ov.peers
     views = [t.link_view() for t in ov.tables]
     lt, ls = targets.tolist(), sources.tolist()
@@ -128,15 +118,13 @@ def exchange_phase(ov, rng, owned_mask=None) -> "tuple[np.ndarray, np.ndarray]":
     return pairs
 
 
-def propose_ids(ov, owned_mask=None) -> np.ndarray:
+def propose_ids(ov) -> np.ndarray:
     """Alg. 2 proposals for the whole network (current id when staying)."""
     cfg = ov.config
     cols = ov.columns
     n = ov.graph.num_nodes
     if cfg.reassign_ids:
         eligible = ov.joined & (cols.moves_done < cfg.max_moves)
-        if owned_mask is not None:
-            eligible &= owned_mask
         if cfg.reassign_stride > 1:
             eligible &= (np.arange(n) + ov._round_no) % cfg.reassign_stride == 0
     else:
@@ -153,8 +141,8 @@ def propose_ids(ov, owned_mask=None) -> np.ndarray:
     )
 
 
-def link_gate(ov, owned_mask=None) -> "list[int]":
-    """The (owned) peers whose link step runs this round, in vertex order.
+def link_gate(ov) -> "list[int]":
+    """The peers whose link step runs this round, in vertex order.
 
     Joined, still inside its stability window and with change budget
     left. Read once from the columns: nothing writes them during the link
@@ -166,8 +154,6 @@ def link_gate(ov, owned_mask=None) -> "list[int]":
         & (cols.stable_rounds < ov.config.stabilize_after)
         & (cols.link_change_budget > 0)
     )
-    if owned_mask is not None:
-        gate &= owned_mask
     return np.flatnonzero(gate).tolist()
 
 
@@ -176,8 +162,8 @@ def phase_timer(name: str):
     return get_registry().timer("build.phase." + name)
 
 
-def settle_counters(ov, changed, owned_mask=None) -> None:
-    """Book the round's link outcome on the (owned) joined peers.
+def settle_counters(ov, changed) -> None:
+    """Book the round's link outcome on the joined peers.
 
     A peer counts as changed only when its link set actually differs from
     the round's start (drop+re-add of the same link is a no-op, not
@@ -187,11 +173,10 @@ def settle_counters(ov, changed, owned_mask=None) -> None:
     cols = ov.columns
     hit = np.zeros(ov.graph.num_nodes, dtype=bool)
     hit[list(changed)] = True
-    live = ov.joined if owned_mask is None else ov.joined & owned_mask
-    hit &= live
+    hit &= ov.joined
     cols.stable_rounds[hit] = 0
     cols.link_change_budget[hit] -= 1
-    cols.stable_rounds[live & ~hit] += 1
+    cols.stable_rounds[ov.joined & ~hit] += 1
 
 
 def settle_ids(ov, pending: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -209,7 +194,7 @@ def settle_ids(ov, pending: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 
 
 def publish_ids(ov, changed_idx: np.ndarray, changed_vals: np.ndarray) -> int:
-    """Apply the barrier outcome to one replica; returns the move count.
+    """Apply the barrier outcome; returns the move count.
 
     Rows whose ring displacement exceeds the movement tolerance count as
     moves and charge ``moves_done``.

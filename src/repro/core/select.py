@@ -113,24 +113,11 @@ class SelectOverlay(OverlayNetwork):
         self._eviction_events: list[tuple[int, int]] = []
         # Round counter driving the relocation rota (reassign_stride).
         self._round_no = 0
-        #: options forwarded to the sharded engine when the config asks
-        #: for sharded construction (checkpoint_dir, checkpoint_every,
-        #: registry, resume_from, max_restarts); see repro.shard.engine.
-        self.shard_opts: dict = {}
-        #: the sharded engine's run accounting after a sharded build.
-        self.shard_stats: "dict | None" = None
 
     # -- construction ----------------------------------------------------------
 
     def build(self, seed=None) -> "SelectOverlay":
-        """Run the full construction pipeline (projection -> gossip rounds).
-
-        With ``config.num_workers > 1`` (or ``config.shards`` set) the
-        gossip rounds run on the sharded engine instead — same result,
-        bit-identical at any worker count (see DESIGN.md).
-        """
-        if self.config.effective_shards:
-            return self._build_sharded(seed)
+        """Run the full construction pipeline (projection -> gossip rounds)."""
         rng = as_generator(seed)
         self._lsh_seed = int(rng.integers(2**31 - 1))
         self._project(rng)
@@ -236,35 +223,6 @@ class SelectOverlay(OverlayNetwork):
         registry.counter("build.links.changed").inc(len(changed))
         return changed
 
-    def _build_sharded(self, seed) -> "SelectOverlay":
-        """Dispatch construction to the ring-sharded engine (repro.shard)."""
-        from repro.shard.engine import ShardedOverlayEngine
-        from repro.util.exceptions import ConfigurationError
-
-        cfg = self.config
-        n = self.graph.num_nodes
-        if cfg.num_workers > n:
-            raise ConfigurationError(
-                f"num_workers={cfg.num_workers} exceeds the {n}-node network: "
-                f"every worker needs at least one ring arc to own"
-            )
-        if cfg.effective_shards > n:
-            raise ConfigurationError(
-                f"shards={cfg.effective_shards} exceeds the {n}-node network: "
-                f"every arc needs at least one vertex"
-            )
-        if self.bandwidth is not None:
-            raise ConfigurationError(
-                "sharded construction requires bandwidth=None: "
-                "heterogeneous-bandwidth admission evicts third parties "
-                "mid-round, which the plan/apply barrier cannot replay "
-                "deterministically"
-            )
-        engine = ShardedOverlayEngine(self, **self.shard_opts)
-        engine.build(seed)
-        self.shard_stats = engine.stats
-        return self
-
     def _project(self, rng: np.random.Generator) -> None:
         """Growth model -> join order -> Algorithm 1 identifiers."""
         n = self.graph.num_nodes
@@ -277,12 +235,7 @@ class SelectOverlay(OverlayNetwork):
         self.join_events = growth.join_order()
         # In place: self.ids is the columns' identifier storage, shared
         # with every PeerState view.
-        self.ids[:] = assign_initial_ids(
-            n,
-            self.join_events,
-            spread=self.config.invite_spread,
-            seed=rng,
-        )
+        self.ids[:] = assign_initial_ids(n, self.join_events, seed=rng)
         self.columns.joined[:] = True
         self.columns.link_change_budget[:] = self.config.max_link_changes
         for peer in self.peers:

@@ -10,6 +10,9 @@ process-wide metrics registry and route tracer for the run and writes
 saves it as a ``select-repro/snapshot/v1`` directory; ``--resume DIR``
 hands the saved snapshot to experiments that can warm-start from it
 (``warmstart``) and stamps its id into the telemetry provenance block.
+``select-repro build [DIR]`` runs one construction on its own (its phase
+ledger goes to ``--telemetry``); both verbs exit 1 when the build stopped
+at the ``max_rounds`` cap without converging.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.experiments import (
     warmstart,
 )
 from repro.experiments.common import ExperimentConfig
-from repro.telemetry.registry import MetricsRegistry, set_registry
+from repro.telemetry.registry import MetricsRegistry, set_registry, use_registry
 from repro.telemetry.tracer import RouteTracer, set_tracer
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos scenario to an SLO verdict, 'live' to run a scripted "
         "asyncio cluster with SWIM membership, 'trace' to render the "
         "causal trees of a traced live run, or 'build' to run one overlay "
-        "construction (optionally ring-sharded across worker processes)",
+        "construction",
     )
     parser.add_argument(
         "dir",
@@ -161,39 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         default=None,
         metavar="PATH",
-        help="warm-start from a snapshot directory saved by 'select-repro snapshot'; "
-        "with 'build', resume a sharded build from a checkpoint directory",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="with 'build': worker processes for sharded construction (default 1)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="with 'build': ring arcs (default: one per worker); "
-        "--shards with --workers 1 runs the sharded semantics in-process",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help="with 'build': write shard checkpoint generations into DIR",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=10,
-        help="with 'build': rounds between checkpoints (default 10)",
-    )
-    parser.add_argument(
-        "--parity",
-        action="store_true",
-        help="with 'build': also run the 1-worker in-process sharded build "
-        "and assert the results are bit-identical",
+        help="warm-start from a snapshot directory saved by 'select-repro snapshot'",
     )
     return parser
 
@@ -226,6 +197,19 @@ def _run_report(args) -> int:
     return 0
 
 
+def _build_outcome(overlay) -> "tuple[bool, str]":
+    """Whether a finished build converged, and the sentence that says so.
+
+    Decided by the build's own quiescence test, not by
+    ``iterations < max_rounds``: a build can go quiet for the last
+    required time on the very round the cap allows.
+    """
+    config = overlay.config
+    if overlay._quiet_rounds >= config.convergence_rounds:
+        return True, f"converged in {overlay.iterations} rounds"
+    return False, f"stopped at the max_rounds={config.max_rounds} cap without converging"
+
+
 def _run_snapshot(args, config: ExperimentConfig) -> int:
     """Build one converged SELECT overlay and save it as a snapshot dir."""
     from repro.experiments.common import build_system, dataset_graph
@@ -239,81 +223,41 @@ def _run_snapshot(args, config: ExperimentConfig) -> int:
     overlay = build_system(config, "select", graph, 0)
     snapshot = overlay.snapshot()
     save(snapshot, args.dir)
-    manifest = snapshot["manifest"]
+    converged, outcome = _build_outcome(overlay)
     print(
-        f"snapshot {manifest['snapshot_id']} written to {args.dir}: "
-        f"{dataset} n={graph.num_nodes}, converged at round {manifest['round']}"
+        f"snapshot {snapshot['manifest']['snapshot_id']} written to {args.dir}: "
+        f"{dataset} n={graph.num_nodes}, {outcome}"
     )
-    return 0
+    return 0 if converged else 1
 
 
 def _run_build(args, config: ExperimentConfig) -> int:
-    """Run one (optionally sharded) overlay construction end to end."""
+    """Run one overlay construction end to end."""
     import time
 
-    import numpy as np
-
-    from repro.core.config import SelectConfig
     from repro.core.select import SelectOverlay
     from repro.experiments.common import dataset_graph
 
+    if args.resume:
+        print(
+            "usage: select-repro build [SNAPSHOT_DIR] [--telemetry DIR] "
+            "(a build cannot be resumed; --resume warm-starts experiments)",
+            file=sys.stderr,
+        )
+        return 2
     dataset = config.datasets[0]
     graph = dataset_graph(config, dataset, 0)
     seed = config.seed
-    select_cfg = SelectConfig(num_workers=args.workers, shards=args.shards)
-    registry = MetricsRegistry() if args.telemetry else None
-    overlay = SelectOverlay(graph, config=select_cfg)
-    opts = {}
-    if args.checkpoint:
-        opts["checkpoint_dir"] = args.checkpoint
-        opts["checkpoint_every"] = args.checkpoint_every
-    if args.resume:
-        opts["resume_from"] = args.resume
-    if registry is not None:
-        opts["registry"] = registry
-    overlay.shard_opts = opts
+    # Installed process-wide for the build: the round books its
+    # build.phase.* / build.exchange.* / build.links.* through get_registry().
+    registry = MetricsRegistry()
+    overlay = SelectOverlay(graph)
     t0 = time.perf_counter()
-    overlay.build(seed=seed)
+    with use_registry(registry):
+        overlay.build(seed=seed)
     elapsed = time.perf_counter() - t0
-    shards = select_cfg.effective_shards or 1
-    print(
-        f"build: {dataset} n={graph.num_nodes} seed={seed} "
-        f"workers={args.workers} shards={shards} -> converged in "
-        f"{overlay.iterations} rounds, {elapsed:.2f}s"
-    )
-    stats = overlay.shard_stats
-    if stats:
-        print(
-            f"  shard engine: {stats['rounds']} rounds, "
-            f"{sum(stats['frames'].values())} frames, "
-            f"{stats['boundary_bytes']} boundary bytes, "
-            f"barrier wait {stats['barrier_wait_s']:.2f}s, "
-            f"{stats['cross_arc_pairs']} cross-arc pairs, "
-            f"{stats['checkpoints']} checkpoints, "
-            f"{stats['restarts']} restarts, {stats['rebalances']} rebalances"
-        )
-        if stats["worker_peak_rss_kb"]:
-            print(
-                f"  worker peak RSS: "
-                f"{', '.join(str(r) + ' KiB' for r in stats['worker_peak_rss_kb'])}"
-            )
-    rc = 0
-    if args.parity:
-        ref_cfg = SelectConfig(num_workers=1, shards=shards)
-        ref = SelectOverlay(graph, config=ref_cfg)
-        ref.build(seed=seed)
-        ids_ok = bool(np.array_equal(overlay.ids, ref.ids))
-        links_ok = [sorted(t.long_links) for t in overlay.tables] == [
-            sorted(t.long_links) for t in ref.tables
-        ]
-        status = "ok" if ids_ok and links_ok else "FAILED"
-        print(
-            f"  parity vs 1-worker in-process build: {status} "
-            f"(identifiers {'==' if ids_ok else '!='}, "
-            f"links {'==' if links_ok else '!='})"
-        )
-        if not (ids_ok and links_ok):
-            rc = 1
+    converged, outcome = _build_outcome(overlay)
+    print(f"build: {dataset} n={graph.num_nodes} seed={seed} -> {outcome}, {elapsed:.2f}s")
     if args.dir:
         from repro.persist import save
 
@@ -323,13 +267,7 @@ def _run_build(args, config: ExperimentConfig) -> int:
     if args.telemetry:
         from repro.telemetry.export import write_telemetry
 
-        meta = {
-            "build_dataset": dataset,
-            "seed": seed,
-            "num_nodes": graph.num_nodes,
-            "workers": args.workers,
-            "shards": shards,
-        }
+        meta = {"build_dataset": dataset, "seed": seed, "num_nodes": graph.num_nodes}
         paths = write_telemetry(
             args.telemetry, registry, meta=meta, provenance={"root_seed": seed}
         )
@@ -337,7 +275,7 @@ def _run_build(args, config: ExperimentConfig) -> int:
             f"[telemetry written to {args.telemetry}: {', '.join(sorted(paths))}]",
             file=sys.stderr,
         )
-    return rc
+    return 0 if converged else 1
 
 
 def _run_scenario(args) -> int:

@@ -8,17 +8,6 @@ component inventory consistent with ``state.json``; the state payload's
 overlay section must be structurally sound (per-peer records aligned
 with the graph size). No external schema library — the container
 deliberately stays on the standard toolchain — so checks are explicit.
-
-The validator also accepts the sharded builder's artifacts
-(:mod:`repro.shard.snapshot`), dispatching on what it finds in ``DIR``:
-
-* an **arc sub-snapshot** (``manifest.json`` tagged
-  ``select-repro/shard/v1``) — worker id, arc bounds, parent snapshot
-  id, and the per-peer payload are checked against the manifest;
-* a **checkpoint generation** (``build.json`` present) — the parent
-  build record is digest-checked and every arc is validated against it,
-  including that the arc set tiles the ring (overlapping or gapped arc
-  sets are rejected via :meth:`repro.shard.plan.ShardPlan.validate`).
 """
 
 from __future__ import annotations
@@ -143,184 +132,12 @@ def _check_state(manifest, state, errors: list[str]) -> None:
             errors.append(f"{STATE_FILE}: peers[{i}].table malformed")
 
 
-_ARC_MANIFEST_KEYS = (
-    "schema",
-    "shard",
-    "worker",
-    "arc",
-    "round",
-    "parent_snapshot_id",
-    "num_vertices",
-    "state_id",
-)
-
-
-def _check_arc_dir(arc_dir: str, errors: list[str]) -> "dict | None":
-    """Validate one shard sub-snapshot directory; returns its manifest."""
-    from repro.shard.snapshot import ARC_SCHEMA
-
-    label = os.path.basename(arc_dir.rstrip(os.sep)) or arc_dir
-    manifest = _load_json(os.path.join(arc_dir, "manifest.json"), f"{label}/manifest.json", errors)
-    state = _load_json(os.path.join(arc_dir, "state.json"), f"{label}/state.json", errors)
-    if not isinstance(manifest, dict):
-        if manifest is not None:
-            errors.append(f"{label}/manifest.json: expected an object")
-        return None
-    for key in _ARC_MANIFEST_KEYS:
-        if key not in manifest:
-            errors.append(f"{label}/manifest.json: missing key {key!r}")
-    if manifest.get("schema") != ARC_SCHEMA:
-        errors.append(
-            f"{label}/manifest.json: missing/unknown schema tag {manifest.get('schema')!r}"
-        )
-    for key in ("shard", "worker", "round", "num_vertices"):
-        value = manifest.get(key)
-        if not isinstance(value, int) or value < 0:
-            errors.append(f"{label}/manifest.json: {key!r} must be a non-negative integer")
-    arc = manifest.get("arc")
-    if (
-        not isinstance(arc, list)
-        or len(arc) != 2
-        or not all(isinstance(b, (int, float)) for b in arc)
-        or not all(0.0 <= float(b) < 1.0 for b in arc)
-    ):
-        errors.append(f"{label}/manifest.json: 'arc' must be two ring positions in [0, 1)")
-    if not isinstance(manifest.get("parent_snapshot_id"), str):
-        errors.append(f"{label}/manifest.json: 'parent_snapshot_id' must be a string")
-    if not isinstance(state, dict):
-        if state is not None:
-            errors.append(f"{label}/state.json: expected an object")
-        return manifest
-    digest = snapshot_id(state)
-    if digest != manifest.get("state_id"):
-        errors.append(
-            f"{label}/state.json: content digest {digest} != manifest "
-            f"state_id {manifest.get('state_id')}"
-        )
-    vertices = state.get("vertices")
-    peers = state.get("peers")
-    if not isinstance(vertices, list) or not isinstance(peers, list):
-        errors.append(f"{label}/state.json: 'vertices' and 'peers' must be lists")
-        return manifest
-    if len(vertices) != len(peers):
-        errors.append(
-            f"{label}/state.json: {len(vertices)} vertices but {len(peers)} peer records"
-        )
-    if isinstance(manifest.get("num_vertices"), int) and manifest["num_vertices"] != len(vertices):
-        errors.append(
-            f"{label}/state.json: {len(vertices)} vertices, manifest says "
-            f"{manifest['num_vertices']}"
-        )
-    for i, (v, peer) in enumerate(zip(vertices, peers)):
-        if not isinstance(peer, dict):
-            errors.append(f"{label}/state.json: peers[{i}] is not an object")
-            continue
-        missing = [k for k in _PEER_KEYS if k not in peer]
-        if missing:
-            errors.append(f"{label}/state.json: peers[{i}] missing keys {missing}")
-            continue
-        if peer.get("node") != v:
-            errors.append(
-                f"{label}/state.json: peers[{i}] has node={peer.get('node')}, "
-                f"vertices[{i}]={v}"
-            )
-    return manifest
-
-
-def _check_generation(gen_dir: str, errors: list[str]) -> None:
-    """Validate a checkpoint generation: build record + coherent arc set."""
-    from repro.shard.plan import ShardPlan
-    from repro.shard.snapshot import BUILD_FILE, BUILD_SCHEMA
-    from repro.util.exceptions import ShardError
-
-    record = _load_json(os.path.join(gen_dir, BUILD_FILE), BUILD_FILE, errors)
-    if not isinstance(record, dict):
-        return
-    build_id = record.get("build_id")
-    state = record.get("state")
-    if not isinstance(state, dict):
-        errors.append(f"{BUILD_FILE}: missing 'state' object")
-        return
-    if state.get("schema") != BUILD_SCHEMA:
-        errors.append(
-            f"{BUILD_FILE}: missing/unknown schema tag {state.get('schema')!r}"
-        )
-    digest = snapshot_id(state)
-    if digest != build_id:
-        errors.append(
-            f"{BUILD_FILE}: state digest {digest} != build_id {build_id}"
-        )
-    plan_data = state.get("plan")
-    plan = None
-    if not isinstance(plan_data, dict):
-        errors.append(f"{BUILD_FILE}: missing 'plan' object")
-    else:
-        try:
-            # from_dict -> validate: rejects overlapping or gapped arc
-            # sets (order must be a permutation, boundaries clockwise).
-            plan = ShardPlan.from_dict(plan_data)
-        except (ShardError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"{BUILD_FILE}: invalid shard plan ({exc})")
-    shard_dirs = sorted(
-        name
-        for name in os.listdir(gen_dir)
-        if name.startswith("shard-") and os.path.isdir(os.path.join(gen_dir, name))
-    )
-    if plan is not None:
-        want = [f"shard-{s:03d}" for s in range(plan.num_shards)]
-        if shard_dirs != want:
-            errors.append(
-                f"generation arc set mismatch: found {shard_dirs}, "
-                f"plan has {plan.num_shards} shards"
-            )
-    total_vertices = 0
-    for name in shard_dirs:
-        manifest = _check_arc_dir(os.path.join(gen_dir, name), errors)
-        if not isinstance(manifest, dict):
-            continue
-        if manifest.get("parent_snapshot_id") != build_id:
-            errors.append(
-                f"{name}: parent_snapshot_id {manifest.get('parent_snapshot_id')} "
-                f"!= build_id {build_id}"
-            )
-        shard = manifest.get("shard")
-        if isinstance(shard, int) and name != f"shard-{shard:03d}":
-            errors.append(f"{name}: manifest says shard {shard}")
-        if isinstance(manifest.get("num_vertices"), int):
-            total_vertices += manifest["num_vertices"]
-        if plan is not None and isinstance(shard, int) and 0 <= shard < plan.num_shards:
-            lo, hi = plan.arc_bounds(shard)
-            if manifest.get("arc") != [lo, hi]:
-                errors.append(
-                    f"{name}: arc bounds {manifest.get('arc')} != plan's [{lo}, {hi}]"
-                )
-    if plan is not None and shard_dirs and total_vertices != plan.num_nodes:
-        errors.append(
-            f"generation arcs cover {total_vertices} vertices, plan has "
-            f"{plan.num_nodes} (overlap or gap)"
-        )
-
-
 def validate_dir(snapshot_dir: str) -> list[str]:
-    """All schema violations found in ``snapshot_dir`` (empty = valid).
-
-    Accepts a full snapshot directory, a shard arc sub-snapshot, or a
-    checkpoint generation directory (see module docstring).
-    """
+    """All schema violations found in ``snapshot_dir`` (empty = valid)."""
     if not os.path.isdir(snapshot_dir):
         return [f"{snapshot_dir!r} is not a directory"]
-    from repro.shard.snapshot import ARC_SCHEMA, BUILD_FILE
-
     errors: list[str] = []
-    if os.path.isfile(os.path.join(snapshot_dir, BUILD_FILE)):
-        _check_generation(snapshot_dir, errors)
-        return errors
     manifest_path = os.path.join(snapshot_dir, MANIFEST_FILE)
-    if os.path.isfile(manifest_path):
-        probe = _load_json(manifest_path, MANIFEST_FILE, [])
-        if isinstance(probe, dict) and probe.get("schema") == ARC_SCHEMA:
-            _check_arc_dir(snapshot_dir, errors)
-            return errors
     state_path = os.path.join(snapshot_dir, STATE_FILE)
     manifest = state = None
     if not os.path.isfile(manifest_path):
@@ -341,11 +158,7 @@ def validate_dir(snapshot_dir: str) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if len(argv) != 1:
-        print(
-            "usage: python -m repro.persist.validate DIR "
-            "(snapshot, shard arc, or checkpoint generation)",
-            file=sys.stderr,
-        )
+        print("usage: python -m repro.persist.validate DIR", file=sys.stderr)
         return 2
     errors = validate_dir(argv[0])
     if errors:

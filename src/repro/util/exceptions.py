@@ -68,14 +68,6 @@ class PersistError(ReproError):
     """A snapshot could not be captured, validated, loaded, or restored."""
 
 
-class ShardError(ReproError):
-    """Sharded construction failed (bad plan, worker crash, bad checkpoint).
-
-    Fatal at the engine level: the engine already spent its restart
-    budget (or had no checkpoint to roll back to) before raising.
-    """
-
-
 class SnapshotIOError(PersistError, TransientError):
     """A snapshot file could not be read or written (OS-level failure).
 

@@ -34,7 +34,6 @@ class TestConfig:
             {"stabilize_after": 0},
             {"max_link_changes": 0},
             {"cma_threshold": 2.0},
-            {"invite_spread": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -136,7 +135,6 @@ class TestBuildPins:
             (300, {"reassign_ids": False}, False, 44, "43cf2f0f9c40030c"),
             (300, {"exchanges_per_round": 2}, False, 35, "3ce8a263ca3bb97d"),
             (300, {"reassign_stride": 1}, False, 47, "1100723970bc2f2b"),
-            (300, {"shards": 2}, False, 53, "21ace20de83e26a5"),
         ],
     )
     def test_build_is_bit_identical(self, num_nodes, kwargs, bandwidth, iterations, digest):
@@ -179,8 +177,7 @@ class TestBuildPins:
 class TestPhaseLedger:
     """``build.phase.*`` timers and ``build.exchange.*`` counters."""
 
-    @pytest.mark.parametrize("kwargs", [{}, {"shards": 2}])
-    def test_every_round_is_booked(self, kwargs, monkeypatch):
+    def test_every_round_is_booked(self, monkeypatch):
         gated = []
         link_gate = rounds.link_gate
 
@@ -191,7 +188,7 @@ class TestPhaseLedger:
         monkeypatch.setattr(rounds, "link_gate", counted_gate)
         graph = load_dataset("facebook", num_nodes=300, seed=7)
         registry = MetricsRegistry()
-        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200, **kwargs))
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200))
         with use_registry(registry):
             overlay.build(7)
         timers = registry.histograms()
@@ -202,14 +199,14 @@ class TestPhaseLedger:
         # One exchange per peer per round, each teaching both sides.
         assert folded + skipped == 2 * graph.num_nodes * overlay.iterations
         assert skipped > 0 and folded > 0
-        # The link step: the whole gate planned in one batch a round; only
-        # the plain build's walk re-plans (the peers a ledger flip reached).
+        # The link step: the whole gate planned in one batch a round; the
+        # walk re-plans only the peers a ledger flip reached.
         planned, replanned, changed = (
             registry.counter(f"build.links.{name}").value
             for name in ("planned", "replanned", "changed")
         )
         assert planned == sum(gated) and 0 < changed < planned
-        assert replanned == 0 if kwargs else 0 < replanned < planned
+        assert 0 < replanned < planned
 
 
 class TestAblations:

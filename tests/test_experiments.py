@@ -251,6 +251,55 @@ class TestCli:
         assert MICRO.with_(seed=1).digest() != a
 
 
+class TestBuildVerb:
+    """``select-repro build``: one construction, its ledger and its verdict."""
+
+    ARGS = ["--num-nodes", "300", "--datasets", "facebook"]
+
+    def test_telemetry_carries_the_phase_ledger(self, tmp_path, capsys):
+        import json
+        import re
+
+        out = str(tmp_path / "telemetry")
+        assert main(["build", *self.ARGS, "--seed", "7", "--telemetry", out]) == 0
+        rounds = int(re.search(r"converged in (\d+) rounds", capsys.readouterr().out).group(1))
+        with open(tmp_path / "telemetry" / "report.json", encoding="utf-8") as fh:
+            metrics = json.load(fh)["metrics"]
+        for phase in ("exchange", "propose", "links", "barrier"):
+            assert metrics["histograms"][f"build.phase.{phase}.seconds"]["count"] == rounds
+        assert metrics["counters"]["build.links.planned"] > 0
+
+    def test_exit_code_is_the_convergence_verdict(self, capsys):
+        # 300/7 goes quiet for the second time on round 60 of 60: converged.
+        assert main(["build", *self.ARGS, "--seed", "7"]) == 0
+        assert "converged in 60 rounds" in capsys.readouterr().out
+        assert main(["build", *self.ARGS, "--seed", "3"]) == 1
+        said = capsys.readouterr().out
+        assert "converged in" not in said
+        assert "stopped at the max_rounds=60 cap without converging" in said
+
+    def test_resume_is_refused(self, capsys):
+        assert main(["build", *self.ARGS, "--resume", "somewhere"]) == 2
+        assert "usage" in capsys.readouterr().err
+
+    def test_snapshot_dir_validates(self, tmp_path):
+        from repro.persist.validate import validate_dir
+
+        out = str(tmp_path / "snap")
+        assert main(["build", out, "--num-nodes", "120", "--datasets", "facebook"]) == 0
+        assert validate_dir(out) == []
+
+    def test_stale_checkpoint_dir_is_reported_not_crashed_on(self, tmp_path):
+        from repro.persist.validate import validate_dir
+
+        # What a pre-removal sharded build left behind.
+        (tmp_path / "shard-000").mkdir()
+        (tmp_path / "build.json").write_text("{}", encoding="utf-8")
+        errors = validate_dir(str(tmp_path))
+        assert any("manifest.json" in e for e in errors)
+        assert any("state.json" in e for e in errors)
+
+
 class TestWarmstart:
     def test_warm_restore_resumes_round_counter(self):
         from repro.experiments import warmstart

@@ -33,7 +33,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 #: pinned manifest id of the committed fixture: regenerating the same
 #: graph (facebook, n=100, seed 11) and build (seed 7) must reproduce
 #: this byte-for-byte, or the snapshot format silently drifted.
-GOLDEN_ID = "ffa962ec076eae64"
+GOLDEN_ID = "fface5de2c7c5b13"
 
 
 def fresh_overlay(graph, seed=9):
@@ -93,10 +93,11 @@ class TestOverlayRoundTrip:
         with pytest.raises(PersistError):
             restore_into(snap, target, faults=FaultPlan.none())
 
-    @pytest.mark.parametrize("key", ["columnar", "no_such_knob"])
+    @pytest.mark.parametrize("key", ["columnar", "num_workers", "invite_spread", "no_such_knob"])
     def test_unknown_config_key_rejected(self, built_select, key):
-        # "columnar" is what every snapshot written before the object
-        # round was removed carries.
+        # Fields that snapshots written before their removal still carry:
+        # "columnar" (the object round), "num_workers" / "shards" (the
+        # sharded build), "invite_spread" (never read).
         snap = built_select.snapshot()
         snap["state"]["overlay"]["config"][key] = True
         with pytest.raises(PersistError, match=key):

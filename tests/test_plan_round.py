@@ -3,8 +3,6 @@ per-peer reference ``links.plan_links``, the optimistic walk of the plain
 build against the live-ledger outcome, and the edge columns both read.
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,15 +18,6 @@ from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.lsh.bitsampling import BitSamplingLsh
 from repro.persist import restore
-from repro.shard import rounds as shard_rounds
-from repro.shard.plan import ShardPlan
-from repro.shard.snapshot import (
-    latest_generation,
-    load_arc,
-    load_build,
-    restore_arc,
-    restore_build_state,
-)
 from tests.conftest import assert_edge_columns_in_sync
 
 
@@ -227,9 +216,8 @@ class TestAgainstReference:
         ov, gate = planning_state(recipe), recipe["gate"]
         assert plan_round(ov, gate, hysteresis) == reference(ov, gate, hysteresis)
 
-    @pytest.mark.parametrize("kwargs", [{}, {"shards": 2}])
     @pytest.mark.parametrize("seed", [3, 7, 11])
-    def test_every_round_of_a_build(self, seed, kwargs, monkeypatch):
+    def test_every_round_of_a_build(self, seed, monkeypatch):
         calls = []
 
         def checked(ov, gate):
@@ -239,9 +227,8 @@ class TestAgainstReference:
             return plans
 
         monkeypatch.setattr(select_module, "plan_round", checked)
-        monkeypatch.setattr(shard_rounds, "plan_round", checked)
         graph = load_dataset("facebook", num_nodes=300, seed=seed)
-        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200, **kwargs)).build(seed)
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(seed)
         assert len(calls) == overlay.iterations
         assert sum(calls) > 0
 
@@ -329,23 +316,6 @@ class TestEdgeColumnsStayInSync:
 
     def test_after_a_persist_restore(self, built):
         assert_edge_columns_in_sync(restore(built.snapshot()))
-
-    def test_after_an_arc_restore(self, small_graph, tmp_path):
-        config = SelectConfig(max_rounds=12, num_workers=1, shards=3)
-        overlay = SelectOverlay(small_graph, config=config)
-        overlay.shard_opts = {"checkpoint_dir": str(tmp_path), "checkpoint_every": 5}
-        overlay.build(seed=5)
-        gen = latest_generation(str(tmp_path))
-        _, state = load_build(gen)
-        restored = SelectOverlay(small_graph, config=config)
-        # Knowledge the arcs do not carry must not survive the restore.
-        for peer in restored.peers:
-            for f in peer.neighborhood.tolist():
-                teach(restored, peer.node, f, bits=1, bucket=0)
-        restore_build_state(restored, state)
-        for s in range(ShardPlan.from_dict(state["plan"]).num_shards):
-            restore_arc(restored, load_arc(os.path.join(gen, f"shard-{s:03d}"))[1])
-        assert_edge_columns_in_sync(restored)
 
     def test_after_forgetting_and_recovery(self, built):
         overlay = restore(built.snapshot())

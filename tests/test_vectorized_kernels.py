@@ -331,8 +331,7 @@ class TestExchangeKernel:
         links = [set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist()) for _ in range(n)]
         bitmaps = kern.bitmap_ints(pairs_p, pairs_q, *_link_csr(links))
         assert bitmaps == _bitmap_reference(rows, links, pairs_p, pairs_q)
-        # An ownership subset (what a shard worker computes) is the same
-        # bitmaps, restricted.
+        # A subset of the pairs is the same bitmaps, restricted.
         owned = rng.random(n) < 0.5
         mine = owned[pairs_p]
         subset = kern.bitmap_ints(pairs_p[mine], pairs_q[mine], *_link_csr(links))
@@ -517,25 +516,22 @@ class TestExchangeOracle:
             n = int(rng.integers(4, 30))
             _, _, rows = _random_csr(rng, n)
             graph = SocialGraph(n, [(v, int(w)) for v in range(n) for w in rows[v] if v < w])
-            owned = rng.random(n) < 0.5
             build_seed = int(rng.integers(2**31 - 1))
             link_seed = int(rng.integers(2**31 - 1))
-            batch, paired, masked = (self._overlay(graph, build_seed) for _ in range(3))
-            streams = [as_generator(link_seed + 1) for _ in range(3)]
+            batch, paired = (self._overlay(graph, build_seed) for _ in range(2))
+            streams = [as_generator(link_seed + 1) for _ in range(2)]
             # First sightings, re-exchanges with changed bitmaps, unchanged
             # re-gossip over new view objects, and re-gossip of the very
             # view the target already folded (the skipped exchanges).
             for rnd, kind in enumerate(self.SCHEDULE):
-                for ov in (batch, paired, masked):
+                for ov in (batch, paired):
                     self._mutate(ov, kind, np.random.default_rng(link_seed + rnd // 2))
                 with use_registry(registry):
                     fp, fq = rounds.exchange_phase(batch, streams[0])
-                    mp, mq = rounds.exchange_phase(masked, streams[2], owned)
                 rp, rq = rounds.draw_pairs(paired, streams[1])
                 assert np.array_equal(fp, rp) and np.array_equal(fq, rq)
                 for p, q in zip(rp.tolist(), rq.tolist()):
                     exchange(paired.peers[p], paired.peers[q])
-                assert np.array_equal(fp, mp) and np.array_equal(fq, mq)
                 # Whatever was skipped, every target of the round holds the
                 # source's links as read off the table fields themselves.
                 for t, s in zip(fp.tolist() + fq.tolist(), fq.tolist() + fp.tolist()):
@@ -544,9 +540,5 @@ class TestExchangeOracle:
                     assert batch.peers[t].known_bitmap[s] == batch.peers[t].codec.encode_int(links)
                 for v in range(n):
                     assert _state(batch.peers[v]) == _state(paired.peers[v])
-                    if owned[v]:
-                        assert _state(masked.peers[v]) == _state(batch.peers[v])
-                    else:
-                        assert not masked.peers[v].known_mutual
         assert registry.counter("build.exchange.skipped").value > 0
         assert registry.counter("build.exchange.folded").value > 0
