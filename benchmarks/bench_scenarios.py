@@ -22,8 +22,8 @@ import sys
 import time
 
 from repro.scenarios import run_scenario
-from repro.scenarios.validate import validate_verdict
 from repro.telemetry.registry import MetricsRegistry
+from repro.validate import validate_verdict
 
 BENCH_SCHEMA = "select-repro/bench/v1"
 SCENARIO = "flash_crowd"

@@ -11,8 +11,10 @@ saves it as a ``select-repro/snapshot/v1`` directory; ``--resume DIR``
 hands the saved snapshot to experiments that can warm-start from it
 (``warmstart``) and stamps its id into the telemetry provenance block.
 ``select-repro build [DIR]`` runs one construction on its own (its phase
-ledger goes to ``--telemetry``); both verbs exit 1 when the build stopped
-at the ``max_rounds`` cap without converging.
+ledger and per-round series go to ``--telemetry``); both verbs exit 1 when
+the build stopped at the ``max_rounds`` cap without converging.
+``select-repro validate PATH`` schema-checks whatever of these a verb
+wrote there: snapshot, telemetry, verdict (:mod:`repro.validate`).
 """
 
 from __future__ import annotations
@@ -75,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS)
-        + ["all", "report", "snapshot", "scenario", "live", "trace", "build"],
+        + ["all", "report", "snapshot", "scenario", "live", "trace", "build", "validate"],
         help="which artifact to regenerate, 'report' to render a telemetry dir, "
         "'snapshot' to save a converged overlay, 'scenario' to run a named "
         "chaos scenario to an SLO verdict, 'live' to run a scripted "
         "asyncio cluster with SWIM membership, 'trace' to render the "
-        "causal trees of a traced live run, or 'build' to run one overlay "
-        "construction",
+        "causal trees of a traced live run, 'build' to run one overlay "
+        "construction, or 'validate' to schema-check what any of them wrote",
     )
     parser.add_argument(
         "dir",
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="telemetry directory ('report'/'trace'), snapshot directory "
-        "('snapshot'), or scenario name ('scenario'/'live')",
+        "('snapshot'), scenario name ('scenario'/'live'), or what to check ('validate')",
     )
     parser.add_argument(
         "--list",
@@ -197,6 +199,12 @@ def _run_report(args) -> int:
     return 0
 
 
+def _run_validate(args) -> int:
+    from repro.validate import main as validate_main
+
+    return validate_main([args.dir] if args.dir else [])
+
+
 def _build_outcome(overlay) -> "tuple[bool, str]":
     """Whether a finished build converged, and the sentence that says so.
 
@@ -269,7 +277,11 @@ def _run_build(args, config: ExperimentConfig) -> int:
 
         meta = {"build_dataset": dataset, "seed": seed, "num_nodes": graph.num_nodes}
         paths = write_telemetry(
-            args.telemetry, registry, meta=meta, provenance={"root_seed": seed}
+            args.telemetry,
+            registry,
+            recorder=overlay.trace,
+            meta=meta,
+            provenance={"root_seed": seed},
         )
         print(
             f"[telemetry written to {args.telemetry}: {', '.join(sorted(paths))}]",
@@ -506,6 +518,8 @@ def main(argv=None) -> int:
         return _run_live(args)
     if args.experiment == "trace":
         return _run_trace(args)
+    if args.experiment == "validate":
+        return _run_validate(args)
     config = config_from_args(args)
     if args.experiment == "snapshot":
         return _run_snapshot(args, config)

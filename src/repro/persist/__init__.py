@@ -9,8 +9,8 @@ overlay: a simulation snapshotted at round *t* and resumed produces the
 same :class:`~repro.sim.runner.SimulationReport` as the uninterrupted
 run (pinned by test, mirroring the ``FaultPlan.none()`` convention).
 
-``python -m repro.persist.validate DIR`` schema-checks a snapshot
-directory, mirroring :mod:`repro.telemetry.validate`.
+``select-repro validate DIR`` schema-checks a snapshot directory
+(:mod:`repro.validate`).
 """
 
 from repro.persist.snapshot import (

@@ -15,7 +15,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.util.atomicio import atomic_write_lines
+from repro.util.atomicio import atomic_write_lines, read_jsonl
 
 __all__ = ["TraceRecorder"]
 
@@ -79,13 +79,8 @@ class TraceRecorder:
     def load(cls, path: str) -> "TraceRecorder":
         """Rebuild a recorder from an :meth:`export`-ed JSONL file."""
         recorder = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                recorder.record(row["series"], row["round"], row["value"])
+        for _, row in read_jsonl(path):
+            recorder.record(row["series"], row["round"], row["value"])
         return recorder
 
     def merge(self, other: "TraceRecorder") -> "TraceRecorder":

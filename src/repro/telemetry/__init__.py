@@ -11,7 +11,8 @@ The default registry is the zero-overhead :class:`NullRegistry` —
 pinned bit-identical to seed behaviour the same way
 ``FaultPlan.none()`` is — so nothing changes unless a caller installs
 real telemetry (``select-repro <exp> --telemetry DIR`` or
-:func:`set_registry`/:func:`set_tracer`).
+:func:`set_registry`/:func:`set_tracer`). ``select-repro validate DIR``
+schema-checks a written directory (:mod:`repro.validate`).
 """
 
 from repro.telemetry.export import (
@@ -34,11 +35,6 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.report import load_report, render_report
 from repro.telemetry.tracer import RouteTracer, get_tracer, set_tracer, use_tracer
-
-# NOTE: repro.telemetry.validate is deliberately not imported here so that
-# ``python -m repro.telemetry.validate`` runs without a double-import
-# warning; import it directly (``from repro.telemetry.validate import
-# validate_dir``) when needed.
 
 __all__ = [
     "Counter",

@@ -9,8 +9,8 @@ A telemetry directory written by :func:`write_telemetry` contains:
 * ``series.jsonl``  — per-round scalar series (when a recorder ran).
 
 ``select-repro report DIR`` renders these files back into text
-(:mod:`repro.telemetry.report`) and ``python -m repro.telemetry.validate
-DIR`` schema-checks them in CI.
+(:mod:`repro.telemetry.report`) and ``select-repro validate DIR``
+schema-checks them in CI (:mod:`repro.validate`).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
-from repro.util.atomicio import atomic_write_lines
+from repro.util.atomicio import atomic_write_lines, read_jsonl
 
 __all__ = ["RouteTracer", "get_tracer", "set_tracer", "use_tracer"]
 
@@ -91,13 +91,7 @@ class RouteTracer:
     @staticmethod
     def load(path: str) -> list[dict]:
         """Parse a JSONL trace file back into span dicts."""
-        spans = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    spans.append(json.loads(line))
-        return spans
+        return [span for _, span in read_jsonl(path)]
 
     def clear(self) -> None:
         self._spans.clear()

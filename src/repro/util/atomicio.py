@@ -35,7 +35,13 @@ import tempfile
 
 from repro.util.exceptions import SnapshotIOError
 
-__all__ = ["atomic_write_text", "atomic_write_lines", "atomic_write_json", "fsync_dir"]
+__all__ = [
+    "atomic_write_text",
+    "atomic_write_lines",
+    "atomic_write_json",
+    "read_jsonl",
+    "fsync_dir",
+]
 
 
 def fsync_dir(directory: str) -> None:
@@ -90,6 +96,41 @@ def atomic_write_lines(path: str, lines, encoding: str = "utf-8") -> str:
     return atomic_write_text(
         path, "".join(f"{line}\n" for line in lines), encoding=encoding
     )
+
+
+def read_jsonl(path: str, errors: "list[str] | None" = None) -> "list[tuple[int, dict]]":
+    """Read a JSON-lines file back as ``(line number, object)`` pairs.
+
+    The inverse of :func:`atomic_write_lines` over ``json.dumps``-ed
+    objects; blank lines are skipped. With an ``errors`` list (the
+    validator's way) an unreadable file and every line that is not a
+    JSON object are appended to it as ``name:line: ...`` and skipped;
+    without one the first of them raises (``OSError`` / ``ValueError``).
+    """
+    name = os.path.basename(path)
+    rows: "list[tuple[int, dict]]" = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        if errors is None:
+            raise
+        errors.append(f"{name}: unreadable ({exc})")
+        return rows
+    for i, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected an object, got {type(obj).__name__}")
+        except ValueError as exc:  # JSONDecodeError is one
+            if errors is None:
+                raise ValueError(f"{name}:{i}: {exc}") from exc
+            errors.append(f"{name}:{i}: invalid JSON line ({exc})")
+            continue
+        rows.append((i, obj))
+    return rows
 
 
 def atomic_write_json(path: str, obj, **json_kwargs) -> str:

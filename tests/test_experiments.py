@@ -260,14 +260,22 @@ class TestBuildVerb:
         import json
         import re
 
+        from repro.validate import validate_path
+
         out = str(tmp_path / "telemetry")
         assert main(["build", *self.ARGS, "--seed", "7", "--telemetry", out]) == 0
         rounds = int(re.search(r"converged in (\d+) rounds", capsys.readouterr().out).group(1))
         with open(tmp_path / "telemetry" / "report.json", encoding="utf-8") as fh:
-            metrics = json.load(fh)["metrics"]
+            report = json.load(fh)
+        metrics = report["metrics"]
         for phase in ("exchange", "propose", "links", "barrier"):
             assert metrics["histograms"][f"build.phase.{phase}.seconds"]["count"] == rounds
         assert metrics["counters"]["build.links.planned"] > 0
+        # The per-round series: one id_moves and one link_changes point a round.
+        assert report["series"]["names"] == ["id_moves", "link_changes"]
+        with open(tmp_path / "telemetry" / "series.jsonl", encoding="utf-8") as fh:
+            assert len(fh.read().splitlines()) == 2 * rounds
+        assert validate_path(out) == []
 
     def test_exit_code_is_the_convergence_verdict(self, capsys):
         # 300/7 goes quiet for the second time on round 60 of 60: converged.
@@ -283,14 +291,14 @@ class TestBuildVerb:
         assert "usage" in capsys.readouterr().err
 
     def test_snapshot_dir_validates(self, tmp_path):
-        from repro.persist.validate import validate_dir
+        from repro.validate import validate_snapshot as validate_dir
 
         out = str(tmp_path / "snap")
         assert main(["build", out, "--num-nodes", "120", "--datasets", "facebook"]) == 0
         assert validate_dir(out) == []
 
     def test_stale_checkpoint_dir_is_reported_not_crashed_on(self, tmp_path):
-        from repro.persist.validate import validate_dir
+        from repro.validate import validate_snapshot as validate_dir
 
         # What a pre-removal sharded build left behind.
         (tmp_path / "shard-000").mkdir()
@@ -327,7 +335,7 @@ class TestWarmstart:
         assert rc == 0
         assert "snapshot" in capsys.readouterr().out
 
-        from repro.persist.validate import validate_dir
+        from repro.validate import validate_snapshot as validate_dir
 
         assert validate_dir(snap_dir) == []
         rc = main(["warmstart", "--preset", "quick", "--num-nodes", "90",

@@ -25,8 +25,8 @@ from repro.telemetry.livetrace import (
     LIVE_TRACE_SCHEMA,
     TERMINAL_NAMES,
 )
-from repro.telemetry.validate import validate_dir
-from repro.telemetry.validate import main as validate_main
+from repro.validate import validate_telemetry as validate_dir
+from repro.validate import main as validate_main
 
 
 class FakeClock:

@@ -24,8 +24,8 @@ from repro.persist import (
     restore_into,
     save,
 )
-from repro.persist.validate import main as validate_main
-from repro.persist.validate import validate_dir
+from repro.validate import main as validate_main
+from repro.validate import validate_snapshot as validate_dir
 from repro.sim.runner import NotificationSimulator
 from repro.util.exceptions import ConfigurationError, PersistError
 

@@ -31,7 +31,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.slo import VERDICT_SCHEMA
-from repro.scenarios.validate import validate_verdict
+from repro.validate import validate_verdict
 from repro.telemetry.registry import MetricsRegistry
 from repro.util.exceptions import ConfigurationError, PersistError
 
@@ -488,8 +488,13 @@ class TestVerdictValidation:
         broken["passed"] = not broken["passed"]
         assert any("passed" in e for e in validate_verdict(broken))
 
+        # Parseable but mistyped: reported, not raised on by the margin rule.
+        broken = json.loads(json.dumps(verdict))
+        broken["objectives"][0]["threshold"] = "0.9"
+        assert any("threshold" in e for e in validate_verdict(broken))
+
     def test_cli_validator(self, verdict, tmp_path, capsys):
-        from repro.scenarios.validate import main as validate_main
+        from repro.validate import main as validate_main
         from repro.scenarios.slo import write_verdict
 
         path = tmp_path / "verdict.json"

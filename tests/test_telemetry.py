@@ -25,7 +25,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.registry import Histogram
 from repro.telemetry.report import render_report
-from repro.telemetry.validate import validate_dir
+from repro.validate import validate_telemetry as validate_dir
 from repro.util.exceptions import ConfigurationError
 
 
@@ -304,6 +304,17 @@ class TestExportAndReport:
             fh.write('{"type": "mystery"}\n')
         errors = validate_dir(out)
         assert any("unknown span type" in e for e in errors)
+        # Parseable but mistyped documents are reported, not raised on.
+        with open(paths["report"], encoding="utf-8") as fh:
+            report = json.load(fh)
+        name = next(iter(report["metrics"]["histograms"]))
+        report["metrics"]["histograms"][name]["counts"] = "ab"
+        with open(paths["report"], "w", encoding="utf-8") as fh:
+            json.dump(report, fh)
+        assert any(f"histogram {name!r}" in e for e in validate_dir(out))
+        with open(paths["report"], "w", encoding="utf-8") as fh:
+            json.dump([1, 2], fh)
+        assert any("report must be an object" in e for e in validate_dir(out))
 
     def test_report_renders_phases_traces_counters(self, built_select, tmp_path):
         out, _ = self._populated(built_select, tmp_path)

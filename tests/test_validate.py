@@ -1,0 +1,274 @@
+"""``select-repro validate PATH``: one verb over everything a verb writes.
+
+Two tables. The first drives the verb over the real output of every
+writing verb (exit 0, the kinds named in the OK line) and over one
+corruption of each (exit 1, ``SCHEMA ERROR:`` on stderr). The second
+breaks one rule of a contract at a time and asserts the validator names
+it — the pin that no rule of the three validators this module replaced
+was lost on the way.
+"""
+
+import json
+import os
+import shutil
+
+import pytest
+
+from repro.experiments.cli import main
+from repro.sim.trace import TraceRecorder
+from repro.telemetry import MetricsRegistry, RouteTracer, write_telemetry
+from repro.validate import validate_path, validate_verdict
+
+SMALL = ["--num-nodes", "100", "--datasets", "facebook", "--seed", "7"]
+
+
+def _write(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _edit(path, fn):
+    """Let ``fn`` mutate the JSON document at ``path`` in place."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    fn(doc)
+    _write(path, doc)
+
+
+def _append(path, line):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+
+
+# -- the verb over what the verbs write -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """One run of each writing verb; ``{case: (path to validate, kinds)}``."""
+    root = tmp_path_factory.mktemp("written")
+    snap, tel, scen = str(root / "snap"), str(root / "tel"), str(root / "scen")
+    assert main(["build", snap, *SMALL, "--telemetry", tel]) == 0
+    assert main(["snapshot", str(root / "snap2"), *SMALL, "--trials", "1"]) == 0
+    # The scenario's own verdict (0 / 1) is not under test; its files are.
+    main(["scenario", "flash_crowd", "--num-nodes", "64", "--seed", "11", "--telemetry", scen])
+    return {
+        "build-snapshot": (snap, "snapshot"),
+        "build-telemetry": (tel, "telemetry"),
+        "snapshot": (str(root / "snap2"), "snapshot"),
+        "scenario": (scen, "telemetry + verdict"),
+        "verdict-file": (os.path.join(scen, "verdict.json"), "verdict"),
+    }
+
+
+def _drop_state(path):
+    os.remove(os.path.join(path, "state.json"))
+
+
+CORRUPTIONS = {
+    "build-snapshot": lambda p: _edit(f"{p}/manifest.json", lambda m: m.update(round="7")),
+    "build-telemetry": lambda p: _append(f"{p}/series.jsonl", '{"series": "id_moves"}'),
+    "snapshot": _drop_state,
+    "scenario": lambda p: _append(f"{p}/metrics.prom", "!! not prometheus"),
+    "verdict-file": lambda p: _edit(p, lambda v: v.update(passed=not v["passed"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_verb_over_everything_a_verb_writes(case, written, tmp_path, capsys):
+    source, kinds = written[case]
+    if os.path.isdir(source):
+        path = shutil.copytree(source, str(tmp_path / "copy"))
+    else:
+        path = shutil.copy(source, str(tmp_path / "verdict.json"))
+    capsys.readouterr()
+    assert main(["validate", path]) == 0
+    assert f"{path}: {kinds} schema OK" in capsys.readouterr().out
+    CORRUPTIONS[case](path)
+    assert main(["validate", path]) == 1
+    assert "SCHEMA ERROR: " in capsys.readouterr().err
+
+
+def test_verb_usage_and_unknown_directories(tmp_path, capsys):
+    assert main(["validate"]) == 2
+    assert "usage" in capsys.readouterr().err
+    # What a pre-removal sharded build left behind: nothing known.
+    (tmp_path / "shard-000").mkdir()
+    (tmp_path / "build.json").write_text("{}", encoding="utf-8")
+    assert main(["validate", str(tmp_path)]) == 1
+    said = capsys.readouterr().err
+    assert "manifest.json" in said and "state.json" in said
+    assert main(["validate", str(tmp_path / "nowhere")]) == 1
+
+
+# -- one mutation per rule ---------------------------------------------------------
+
+
+def _live(trace_id, span, parent, name, **extra):
+    return {"type": "live", "trace_id": trace_id, "span": span, "parent": parent,
+            "name": name, "node": 0, "t0": 0.0, "t1": 0.1, **extra}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory, written):
+    """A directory holding all three artifacts, every optional file included."""
+    root = str(tmp_path_factory.mktemp("artifacts") / "all")
+    shutil.copytree(written["build-snapshot"][0], root)
+    registry = MetricsRegistry()
+    registry.histogram("demo.hops", buckets=(1, 2, 4)).observe(3)
+    tracer = RouteTracer()
+    tracer.record({"type": "publish", "msg": 0, "publisher": 0, "subscribers": [], "routes": []})
+    tracer.record({"type": "lookup", "msg": 1, "src": 0, "dst": 1, "delivered": True, "path": [0, 1]})
+    tracer.record(_live("5:1", 0, None, "publish"))
+    tracer.record(_live("5:1", 1, 0, "delivered", terminal=True))
+    recorder = TraceRecorder()
+    recorder.record("id_moves", 1, 3.0)
+    write_telemetry(root, registry, tracer=tracer, recorder=recorder)
+    shutil.copy(written["verdict-file"][0], root)
+    assert validate_path(root) == []
+    return root
+
+
+def _state(fn):
+    return lambda d: _edit(f"{d}/state.json", fn)
+
+
+def _manifest(fn):
+    return lambda d: _edit(f"{d}/manifest.json", fn)
+
+
+def _report(fn):
+    return lambda d: _edit(f"{d}/report.json", fn)
+
+
+def _verdict(fn):
+    return lambda d: _edit(f"{d}/verdict.json", fn)
+
+
+def _peer(i, fn):
+    return _state(lambda s: fn(s["overlay"]["peers"][i]))
+
+
+def _hist(fn):
+    return _report(lambda r: fn(r["metrics"]["histograms"]["demo.hops"]))
+
+
+def _objective(fn):
+    return _verdict(lambda v: fn(v["objectives"][0]))
+
+
+RULES = {
+    # snapshot
+    "snapshot schema tag": (_manifest(lambda m: m.update(schema="other/v0")), "manifest.schema"),
+    "snapshot_id is the state digest": (
+        _state(lambda s: s["overlay"].update(iterations=s["overlay"]["iterations"] + 1)),
+        "content digest",
+    ),
+    "components are the state sections": (
+        _manifest(lambda m: m["components"].append("faults")),
+        "!= state sections",
+    ),
+    "overlay key set": (_state(lambda s: s["overlay"].pop("pending_ids")), "['pending_ids']"),
+    "one peer record per id": (_state(lambda s: s["overlay"]["peers"].pop()), "peer records for"),
+    "ids match the manifest graph": (
+        _manifest(lambda m: m["graph"].update(num_nodes=m["graph"]["num_nodes"] + 1)),
+        "manifest graph says",
+    ),
+    "peers are in node order": (_peer(3, lambda p: p.update(node=4)), "peers[3] has node=4"),
+    "per-peer key set": (_peer(2, lambda p: p.pop("lookahead")), "peers[2] missing keys"),
+    "per-table key set": (
+        _peer(2, lambda p: p["table"].pop("successors")),
+        "peers[2].table missing keys",
+    ),
+    "manifest values are typed": (_manifest(lambda m: m.update(round="7")), "manifest.round must be int"),
+    "a flag is not a number": (_manifest(lambda m: m.update(round=True)), "manifest.round must be int"),
+    "manifest without state": (_drop_state, "missing state.json"),
+    "unparseable manifest": (
+        lambda d: _append(f"{d}/manifest.json", "}"),
+        "manifest.json: unreadable",
+    ),
+    # telemetry
+    "telemetry schema tag": (_report(lambda r: r.update(schema="x")), "report.schema"),
+    "provenance keys": (
+        _report(lambda r: r["provenance"].pop("config_hash")),
+        "provenance missing keys ['config_hash']",
+    ),
+    "metrics maps": (_report(lambda r: r["metrics"].update(gauges=[])), "metrics.gauges must be dict"),
+    "histogram has len(buckets)+1 counts": (_hist(lambda h: h["counts"].append(0)), "len(buckets)+1"),
+    "histogram counts sum to count": (
+        _hist(lambda h: h.update(count=h["count"] + 1)),
+        "bucket counts != count",
+    ),
+    "histogram counts are typed": (_hist(lambda h: h.update(counts="ab")), "counts must be a list"),
+    "report is an object": (lambda d: _write(f"{d}/report.json", [1, 2]), "report must be an object"),
+    "report without metrics.prom": (lambda d: os.remove(f"{d}/metrics.prom"), "missing metrics.prom"),
+    "prometheus text format": (
+        lambda d: _append(f"{d}/metrics.prom", "!! not prometheus"),
+        "metrics.prom:",
+    ),
+    "publish span keys": (
+        lambda d: _append(f"{d}/traces.jsonl", '{"type": "publish", "msg": 1}'),
+        "publish span missing keys",
+    ),
+    "lookup span keys": (
+        lambda d: _append(f"{d}/traces.jsonl", '{"type": "lookup", "msg": 1}'),
+        "lookup span missing keys",
+    ),
+    "span lines are JSON objects": (
+        lambda d: _append(f"{d}/traces.jsonl", "[1, 2]"),
+        "traces.jsonl:5: invalid JSON line",
+    ),
+    "every live chain is checked": (
+        lambda d: _append(f"{d}/traces.jsonl", json.dumps(_live("88:8", 9, None, "publish"))),
+        "trace '88:8': no terminal span",
+    ),
+    "series rows": (
+        lambda d: _append(f"{d}/series.jsonl", '{"series": "id_moves", "round": 2}'),
+        "series.jsonl:2: row missing keys ['value']",
+    ),
+    # verdict
+    "verdict schema tag": (_verdict(lambda v: v.update(schema="other/v9")), "verdict.schema"),
+    "verdict top-level keys": (_verdict(lambda v: v.pop("seed")), "verdict missing keys ['seed']"),
+    "objective keys": (_objective(lambda o: o.pop("name")), "objectives[0] missing keys ['name']"),
+    "objective kind": (_objective(lambda o: o.update(kind="sideways")), "floor/ceiling"),
+    "margin arithmetic": (
+        _objective(lambda o: o.update(margin=o["margin"] + 1e-6)),
+        "objectives[0] margin",
+    ),
+    "objective passed iff margin >= 0": (
+        _objective(lambda o: o.update(passed=not o["passed"])),
+        "passed flag inconsistent with margin",
+    ),
+    "verdict passed iff every row": (
+        _verdict(lambda v: v.update(passed=not v["passed"])),
+        "'passed' inconsistent with objective rows",
+    ),
+    "objective values are typed": (
+        _objective(lambda o: o.update(threshold="0.9")),
+        "objectives[0].threshold must be int/float",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_each_rule_is_enforced(rule, artifacts, tmp_path):
+    mutate, needle = RULES[rule]
+    path = shutil.copytree(artifacts, str(tmp_path / "copy"))
+    mutate(path)
+    errors = validate_path(path)
+    assert any(needle in e for e in errors), errors
+
+
+def test_span_failing_its_own_check_is_left_out_of_chain_assembly(artifacts, tmp_path):
+    path = shutil.copytree(artifacts, str(tmp_path / "copy"))
+    _append(f"{path}/traces.jsonl", '{"type": "live", "trace_id": "77:7", "span": [1]}')
+    errors = validate_path(path)
+    assert any("live span missing keys" in e for e in errors)
+    assert any("span.span must be int" in e for e in errors)
+    # Assembled, its unhashable id would crash the chain check and its
+    # trace would be reported rootless.
+    assert not any("trace '77:7'" in e for e in errors)
+
+
+def test_verdict_need_not_be_an_object():
+    assert validate_verdict([1, 2]) == ["verdict must be an object, got list"]
