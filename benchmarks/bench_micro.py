@@ -76,6 +76,32 @@ def test_bench_social_lookup(benchmark, overlay, graph):
     assert benchmark(lookups) >= 64
 
 
+@pytest.fixture(scope="module")
+def routed_2k():
+    """The suite's 2k fixture and its seeded friend-pair sample."""
+    graph = load_dataset("facebook", num_nodes=2000, seed=7)
+    overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+    edges = list(graph.edges())
+    picks = np.random.default_rng(7).choice(len(edges), size=4000, replace=False)
+    return overlay, [edges[i] for i in picks]
+
+
+@pytest.mark.parametrize("index", ["cold", "warm"])
+def test_bench_route_many(benchmark, routed_2k, index):
+    overlay, pairs = routed_2k
+    if index == "cold":
+        # A new router a round: every visited peer's columns are built
+        # inside the timed call.
+        routes = benchmark.pedantic(
+            lambda: overlay.make_router().route_many(pairs), rounds=5, iterations=1
+        )
+    else:
+        router = overlay.make_router()
+        router.route_many(pairs)
+        routes = benchmark(router.route_many, pairs)
+    assert all(r.delivered for r in routes)
+
+
 def test_bench_publish(benchmark, overlay):
     pubsub = PubSubSystem(overlay)
     result = benchmark(pubsub.publish, 7)

@@ -271,7 +271,7 @@ class SelectOverlay(OverlayNetwork):
         self.ring_pred[:] = pred
         self.ring_succ[:] = succ
         # Every table re-checks its cached link view against its slot.
-        self._ring_epoch[0] += 1
+        self._epochs[0] += 1
 
     def _materialize_successors(self) -> None:
         """Populate the per-table successor backup lists from the final ring.

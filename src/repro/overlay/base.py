@@ -35,55 +35,55 @@ class _LinkSet(set):
         self._table = table
 
     def add(self, value):
-        self._table._dirty = True
+        self._table._touch()
         set.add(self, value)
 
     def discard(self, value):
-        self._table._dirty = True
+        self._table._touch()
         set.discard(self, value)
 
     def remove(self, value):
-        self._table._dirty = True
+        self._table._touch()
         set.remove(self, value)
 
     def pop(self):
-        self._table._dirty = True
+        self._table._touch()
         return set.pop(self)
 
     def clear(self):
-        self._table._dirty = True
+        self._table._touch()
         set.clear(self)
 
     def update(self, *others):
-        self._table._dirty = True
+        self._table._touch()
         set.update(self, *others)
 
     def difference_update(self, *others):
-        self._table._dirty = True
+        self._table._touch()
         set.difference_update(self, *others)
 
     def intersection_update(self, *others):
-        self._table._dirty = True
+        self._table._touch()
         set.intersection_update(self, *others)
 
     def symmetric_difference_update(self, other):
-        self._table._dirty = True
+        self._table._touch()
         set.symmetric_difference_update(self, other)
 
     def __ior__(self, other):
-        self._table._dirty = True
+        self._table._touch()
         return set.__ior__(self, other)
 
     def __iand__(self, other):
-        self._table._dirty = True
+        self._table._touch()
         return set.__iand__(self, other)
 
     def __isub__(self, other):
-        self._table._dirty = True
+        self._table._touch()
         return set.__isub__(self, other)
 
     def __ixor__(self, other):
-        self._table._dirty = True
+        self._table._touch()
         return set.__ixor__(self, other)
 
     def __reduce__(self):  # pragma: no cover - pickling support
@@ -105,13 +105,15 @@ class RoutingTable:
     instead of re-materializing a set per call.
 
     Short-range links live in shared *columns*: the owning overlay passes
-    ``columns=(pred_col, succ_col, epoch_cell)`` and this table becomes a
+    ``columns=(pred_col, succ_col, epochs)`` and this table becomes a
     view over its slot, so ring maintenance can rewrite the whole
-    network's predecessors/successors as two array stores plus one epoch
-    bump (after which each table lazily re-checks its cached view against
-    its own slot) instead of 2n property writes. A table constructed
-    without columns owns a private one-slot column block — same code
-    path, no branching.
+    network's predecessors/successors as two array stores plus one bump
+    of ``epochs[0]`` (after which each table lazily re-checks its cached
+    view against its own slot) instead of 2n property writes. Every write
+    to a table bumps ``epochs[1]``, so the pair is a version token for
+    "any link of any table": the router's index is keyed on it. A table
+    constructed without columns owns a private one-slot column block —
+    same code path, no branching.
     """
 
     __slots__ = (
@@ -119,7 +121,7 @@ class RoutingTable:
         "_slot",
         "_pred_col",
         "_succ_col",
-        "_epoch_cell",
+        "_epochs",
         "_seen_epoch",
         "successors",
         "_long_links",
@@ -136,12 +138,12 @@ class RoutingTable:
         if columns is None:
             self._pred_col = np.full(1, -1, dtype=np.int64)
             self._succ_col = np.full(1, -1, dtype=np.int64)
-            self._epoch_cell = [0]
+            self._epochs = [0, 0]
             self._slot = 0
         else:
-            self._pred_col, self._succ_col, self._epoch_cell = columns
+            self._pred_col, self._succ_col, self._epochs = columns
             self._slot = owner
-        self._seen_epoch = self._epoch_cell[0]
+        self._seen_epoch = self._epochs[0]
         #: ordered successor list (immediate successor first, then backups).
         #: Maintenance/repair state only: the backups are *not* routing
         #: links, so they are excluded from :meth:`all_links` and change
@@ -156,6 +158,11 @@ class RoutingTable:
 
     # -- cached combined view ----------------------------------------------
 
+    def _touch(self) -> None:
+        """A link of this table was written: its view and the epoch go stale."""
+        self._dirty = True
+        self._epochs[1] += 1
+
     @property
     def predecessor(self) -> "int | None":
         value = self._pred_col[self._slot]
@@ -164,7 +171,7 @@ class RoutingTable:
     @predecessor.setter
     def predecessor(self, value: "int | None") -> None:
         self._pred_col[self._slot] = -1 if value is None else int(value)
-        self._dirty = True
+        self._touch()
 
     @property
     def successor(self) -> "int | None":
@@ -174,7 +181,7 @@ class RoutingTable:
     @successor.setter
     def successor(self, value: "int | None") -> None:
         self._succ_col[self._slot] = -1 if value is None else int(value)
-        self._dirty = True
+        self._touch()
 
     @property
     def long_links(self) -> set:
@@ -185,7 +192,7 @@ class RoutingTable:
         # Wholesale rebinding (``table.long_links = {...}``) re-wraps the
         # new contents so later in-place mutations keep invalidating.
         self._long_links = _LinkSet(self, value)
-        self._dirty = True
+        self._touch()
 
     def link_view(self) -> frozenset:
         """Cached frozenset of every outgoing link, excluding the owner.
@@ -197,7 +204,7 @@ class RoutingTable:
         — so ``view is earlier_view`` proves equal contents. Callers must
         treat it as immutable (it is shared between calls).
         """
-        epoch = self._epoch_cell[0]
+        epoch = self._epochs[0]
         if self._dirty or self._seen_epoch != epoch:
             ring = (int(self._pred_col[self._slot]), int(self._succ_col[self._slot]))
             if self._dirty or ring != self._ring:
@@ -260,11 +267,12 @@ class OverlayNetwork(ABC):
         self.ids = np.zeros(n, dtype=np.float64)
         #: ring state as columns (-1 = unset); RoutingTables are views over
         #: their slot, and a ring refresh is two array stores + one bump
-        #: of the shared epoch cell.
+        #: of the shared ``[ring refreshes, table writes]`` epochs. Whoever
+        #: writes ``ids`` in place follows with one of the two.
         self.ring_pred = np.full(n, -1, dtype=np.int64)
         self.ring_succ = np.full(n, -1, dtype=np.int64)
-        self._ring_epoch = [0]
-        ring_columns = (self.ring_pred, self.ring_succ, self._ring_epoch)
+        self._epochs = [0, 0]
+        ring_columns = (self.ring_pred, self.ring_succ, self._epochs)
         self.tables: list[RoutingTable] = [
             RoutingTable(v, self.k_links, columns=ring_columns) for v in range(n)
         ]

@@ -1,11 +1,14 @@
-"""Greedy ring routing with optional Symphony-style lookahead.
+"""Greedy ring routing over ``R_p`` and, with lookahead, ``L_p``.
 
 A message at peer ``u`` headed for peer ``t``:
 
-1. goes straight to ``t`` if ``t`` is one of ``u``'s links;
-2. with lookahead, goes to a link ``w`` of ``u`` that itself links to ``t``
-   (delivery within 2 hops — the property SELECT's §III-E relies on);
-3. otherwise greedily to the link minimizing ring distance to ``t``'s id.
+1. goes straight to ``t`` if ``t`` is one of ``u``'s links (``direct``);
+2. otherwise to the link ``w`` that owns the identifier closest to ``t``'s
+   on the ring among everything ``u`` can see: each unvisited link's own
+   identifier (``greedy``) and, with lookahead, the identifiers of that
+   link's links (``lookahead``) — Symphony's 1-lookahead, greedy over the
+   neighbours' neighbours. ``t`` in ``links(w)`` is the distance-0 case,
+   which is the 2-hop delivery SELECT's §III-E relies on.
 
 Because short-range ring links always exist, greedy progress is guaranteed
 on a fully online network; with churn, routing detours around offline
@@ -14,11 +17,14 @@ peers and reports failure when no live progress is possible.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.idspace.space import ring_distance
+from repro.overlay.ring import RingIndex
 from repro.util.exceptions import RoutingError
 
 __all__ = ["HopDecision", "RouteResult", "GreedyRouter"]
@@ -70,7 +76,17 @@ class RouteResult:
 
 
 class GreedyRouter:
-    """Routes over an :class:`~repro.overlay.base.OverlayNetwork`."""
+    """Routes over an :class:`~repro.overlay.base.OverlayNetwork`.
+
+    The candidates of a peer — ``(x, w)``: identifier owner ``x`` seen
+    through link ``w``, ``x == w`` for the link itself — are kept as two
+    ``int32`` columns sorted by the *ring rank* of ``x``, built the first
+    time a route visits the peer. Rank order is identifier order, so the
+    closest candidate to a target sits next to the target's rank and
+    :meth:`_next_hop` finds it by bisection. The columns are a pure
+    function of the identifiers and link views; they are dropped when the
+    overlay's epochs say either may have changed, never by age or size.
+    """
 
     def __init__(self, overlay, lookahead: bool = True, max_hops: int | None = None):
         self.overlay = overlay
@@ -83,6 +99,12 @@ class GreedyRouter:
         #: distance) is recorded on the RouteResult for the route tracer.
         #: Off by default: the fast path pays only this flag check.
         self.record_decisions = False
+        #: the overlay epochs the index below was built under.
+        self._epochs: "list[int] | None" = None
+        self._rank: list[int] = []  # node -> position in identifier order
+        self._order: list[int] = []  # position -> node
+        self._sorted_ids: list[float] = []  # position -> identifier
+        self._columns: "list[tuple[array, array] | None]" = []
 
     def route(
         self,
@@ -94,82 +116,58 @@ class GreedyRouter:
         """Route from ``src`` to ``dst``; ``online`` masks live peers.
 
         ``detect_failures`` models *liveness knowledge*: when True, peers
-        know which of their links are up (they ping them — what a repair
-        mechanism buys) and route around dead ones; when False, peers
-        forward blindly on stale tables and the message is lost the moment
-        it is handed to an offline peer.
+        know which peers are up (they ping their links and hear of the
+        rest through them — what a repair mechanism buys) and route around
+        dead ones; when False, peers forward blindly on stale tables and
+        the message is lost the moment it is handed to an offline peer.
         """
-        return self._route(src, dst, online, detect_failures, None)
+        return self._route(src, dst, online, detect_failures)
 
-    def _route(
-        self,
-        src: int,
-        dst: int,
-        online: "np.ndarray | None",
-        detect_failures: bool,
-        live_cache: "dict[int, list[int]] | None",
-    ) -> RouteResult:
-        """Single-route implementation; ``live_cache`` is batch scratch.
-
-        ``live_cache`` memoizes per-node live-link filtering across the
-        routes of one :meth:`route_many` batch (the online mask is fixed
-        for the whole batch, so the filtered lists are reusable).
-        """
+    def _route(self, src: int, dst: int, online, detect_failures: bool) -> RouteResult:
+        """:meth:`route`, unwrapped: :meth:`route_many` calls this, so a tracer
+        that rebinds ``route`` counts a batch's routes once, on the batch."""
         if src == dst:
             return RouteResult(path=[src], delivered=True)
         if online is not None and not (online[src] and online[dst]):
             return RouteResult(path=[src], delivered=False)
-        ids = self.overlay.ids
-        target_id = ids[dst]
+        if self.overlay._epochs != self._epochs:
+            self._reset_index()
+        tables = self.overlay.tables
+        known_live = online if detect_failures else None
+        blind = online is not None and not detect_failures
         path = [src]
         visited = {src}
         current = src
-        filter_links = online is not None and detect_failures
-        filter_mask = online if filter_links else None
+        delivered = False
         decisions: "list[HopDecision] | None" = [] if self.record_decisions else None
         for _ in range(self.max_hops):
-            if live_cache is not None:
-                links = live_cache.get(current)
-                if links is None:
-                    links = live_cache[current] = self._live_links(current, filter_mask)
+            if dst in tables[current].link_view():
+                nxt, rule = dst, "direct"
             else:
-                links = self._live_links(current, filter_mask)
-            if dst in links:
-                path.append(dst)
-                if decisions is not None:
-                    decisions.append(self._decision(current, dst, "direct", target_id, ids))
-                    return RouteResult(path=path, delivered=True, decisions=tuple(decisions))
-                return RouteResult(path=path, delivered=True)
-            nxt = None
-            rule = "greedy"
-            if self.lookahead:
-                nxt = self._lookahead_hop(links, dst, filter_mask, visited)
-                if nxt is not None:
-                    rule = "lookahead"
-            if nxt is None:
-                nxt = self._greedy_hop(links, target_id, visited, ids)
-            if nxt is None:
-                if decisions is not None:
-                    return RouteResult(path=path, delivered=False, decisions=tuple(decisions))
-                return RouteResult(path=path, delivered=False)
+                hop = self._next_hop(current, dst, visited, known_live)
+                if hop is None:
+                    break
+                nxt, seen = hop
+                rule = "greedy" if seen == nxt else "lookahead"
             if decisions is not None:
-                decisions.append(self._decision(current, nxt, rule, target_id, ids))
-            if online is not None and not detect_failures and not online[nxt]:
-                # Blind forward onto an offline peer: message lost.
-                path.append(nxt)
-                if decisions is not None:
-                    return RouteResult(path=path, delivered=False, decisions=tuple(decisions))
-                return RouteResult(path=path, delivered=False)
+                decisions.append(self._decision(current, nxt, rule, dst))
             path.append(nxt)
+            if nxt == dst:
+                delivered = True
+                break
+            if blind and not online[nxt]:
+                break  # blind forward onto an offline peer: message lost
             visited.add(nxt)
             current = nxt
-        if decisions is not None:
-            return RouteResult(path=path, delivered=False, decisions=tuple(decisions))
-        return RouteResult(path=path, delivered=False)
+        return RouteResult(
+            path=path,
+            delivered=delivered,
+            decisions=None if decisions is None else tuple(decisions),
+        )
 
     # -- telemetry -----------------------------------------------------------
 
-    def _decision(self, u: int, w: int, rule: str, target_id, ids) -> HopDecision:
+    def _decision(self, u: int, w: int, rule: str, dst: int) -> HopDecision:
         """Classify the chosen ``u -> w`` hop for the route tracer."""
         table = self.overlay.tables[u]
         if w == table.successor or w == table.predecessor:
@@ -180,57 +178,98 @@ class GreedyRouter:
             link = "successor"
         else:
             link = "other"
+        ids = self.overlay.ids
         return HopDecision(
             src=u,
             dst=w,
             link=link,
             rule=rule,
-            ring_distance=float(ring_distance(float(ids[w]), float(target_id))),
+            ring_distance=float(ring_distance(float(ids[w]), float(ids[dst]))),
         )
 
     # -- hop selection -------------------------------------------------------
 
-    def _live_links(self, u: int, online: "np.ndarray | None"):
-        """Links of ``u`` that are live under ``online``.
+    def _next_hop(self, u: int, dst: int, visited, online) -> "tuple[int, int] | None":
+        """``(w, x)``: forward to link ``w`` for the identifier of ``x``.
 
-        On the default path this is the table's cached frozenset view —
-        zero allocation per hop. All downstream consumers only iterate and
-        membership-test, and every hop choice is resolved by a total order
-        (smallest distance, then smallest id), so the view's iteration
-        order cannot affect routing results.
+        The minimum of ``(ring_distance(id[x], id[dst]), x != w, w)`` over
+        the candidates of ``u`` whose ``w`` and ``x`` are both unvisited
+        and, when ``online`` is given, live. A visited ``x`` is behind the
+        path and an offline one cannot take the message on, so steering
+        toward either dead-ends under churn. None when no candidate is left.
+
+        Two cursors walk outward from the target's rank, always taking the
+        nearer entry, so distances come in non-decreasing order and the
+        walk stops at the first one past the best.
         """
-        links = self.overlay.tables[u].link_view()
-        if online is None:
-            return links
-        return [w for w in links if online[w]]
-
-    def _lookahead_hop(self, links, dst, online, visited) -> "int | None":
-        """A link whose own links contain ``dst`` (2-hop delivery)."""
-        best = None
-        tables = self.overlay.tables
-        for w in links:
-            if w in visited:
+        columns = self._columns[u]
+        if columns is None:
+            columns = self._columns[u] = self._build_columns(u)
+        ranks, hops = columns
+        order = self._order
+        sorted_ids = self._sorted_ids
+        target_rank = self._rank[dst]
+        target_id = sorted_ids[target_rank]
+        # Both cursors index ``ranks`` directly: ``up`` starts at the first
+        # entry at or past the target (as a negative index, so that running
+        # off the top wraps to entry 0), ``down`` just below it.
+        down = bisect_left(ranks, target_rank) - 1
+        up = down + 1 - len(ranks)
+        d_up = d_down = -1.0
+        best_d, best_far, best_w, best_x = 1.0, True, -1, -1
+        while up <= down:
+            if d_up < 0.0:
+                d_up = abs(sorted_ids[ranks[up]] - target_id)
+                if d_up > 0.5:
+                    d_up = 1.0 - d_up
+            if d_down < 0.0:
+                d_down = abs(sorted_ids[ranks[down]] - target_id)
+                if d_down > 0.5:
+                    d_down = 1.0 - d_down
+            if d_up <= d_down:
+                k, d, up, d_up = up, d_up, up + 1, -1.0
+            else:
+                k, d, down, d_down = down, d_down, down - 1, -1.0
+            if d > best_d:
+                break
+            w = hops[k]
+            x = order[ranks[k]]
+            if w in visited or x in visited:
                 continue
-            if dst in tables[w].link_view():
-                if online is not None and not online[w]:
-                    continue
-                # Prefer the lexicographically smallest for determinism.
-                if best is None or w < best:
-                    best = w
-        return best
-
-    def _greedy_hop(self, links, target_id, visited, ids) -> "int | None":
-        """Unvisited link closest (on the ring) to the target id."""
-        best = None
-        best_dist = np.inf
-        for w in links:
-            if w in visited:
+            if online is not None and not (online[w] and online[x]):
                 continue
-            d = ring_distance(float(ids[w]), float(target_id))
-            if d < best_dist or (d == best_dist and (best is None or w < best)):
-                best = w
-                best_dist = d
-        return best
+            far = x != w
+            if d < best_d or (far, w) < (best_far, best_w):
+                best_d, best_far, best_w, best_x = d, far, w, x
+        return None if best_w < 0 else (best_w, best_x)
+
+    def _build_columns(self, u: int) -> "tuple[array, array]":
+        """Candidates of ``u`` as ``(rank of x, first hop w)``, rank-sorted.
+
+        A link of ``u`` seen again through another link is left out: it
+        ties with its own entry on distance and loses on ``x != w``.
+        """
+        rank = self._rank
+        n = len(rank)
+        seen = self.overlay.lookahead_set(u)  # {w: links(w)}: R_p keys L_p
+        keys = [rank[w] * n + w for w in seen]
+        if self.lookahead:
+            for w, theirs in seen.items():
+                keys += [rank[x] * n + w for x in theirs if x != u and x not in seen]
+        keys.sort()
+        return array("i", [key // n for key in keys]), array("i", [key % n for key in keys])
+
+    def _reset_index(self) -> None:
+        """Re-rank the identifiers and drop every peer's columns."""
+        self._epochs = list(self.overlay._epochs)
+        ring = RingIndex(self.overlay.ids)  # the ring's own order: ties by node
+        order = ring.order
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        self._rank = rank.tolist()
+        self._order = order.tolist()
+        self._sorted_ids = ring.sorted_ids.tolist()
+        self._columns = [None] * len(order)
 
     # -- batch helper ----------------------------------------------------------
 
@@ -245,15 +284,10 @@ class GreedyRouter:
         Full parameter parity with :meth:`route` — ``detect_failures``
         selects blind-forward mode exactly as it does for single routes,
         and ``record_decisions`` tracing applies to every route of the
-        batch. When liveness filtering is active the per-node live-link
-        lists are computed once and shared across the whole batch (the
-        online mask is constant for its duration).
+        batch.
         """
-        live_cache: "dict[int, list[int]] | None" = (
-            {} if online is not None and detect_failures else None
-        )
         route = self._route
-        return [route(int(s), int(d), online, detect_failures, live_cache) for s, d in pairs]
+        return [route(int(s), int(d), online, detect_failures) for s, d in pairs]
 
 
 def require_delivery(result: RouteResult, src: int, dst: int) -> RouteResult:

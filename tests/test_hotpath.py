@@ -8,7 +8,7 @@ Covers the PR 4 invariants:
 * ``route_many`` has full parameter parity with ``route`` (blind
   forwarding, tracing),
 * bandwidth eviction counts as churn on the evicted peer,
-* the cached router is path-identical to the legacy (pre-cache) router,
+* the cached, indexed router is path-identical to a scan over uncached links,
 * the scale harness emits schema-valid rows that say whether the build
   converged, and the committed ``BENCH_hotpath.json`` holds only
   converged ones.
@@ -32,6 +32,7 @@ from repro.net.bandwidth import BandwidthModel
 from repro.overlay.base import OverlayNetwork, RoutingTable
 from repro.overlay.ring import ring_links
 from repro.overlay.routing import GreedyRouter
+from tests.test_routing_index import BruteForceRouter
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -80,7 +81,7 @@ class TestLinkViewCache:
     @settings(max_examples=150)
     def test_view_matches_fresh_after_arbitrary_ops(self, ops):
         # A table over shared ring columns, as an overlay's tables are.
-        pred_col, succ_col, epoch = np.full(1, -1), np.full(1, -1), [0]
+        pred_col, succ_col, epoch = np.full(1, -1), np.full(1, -1), [0, 0]
         table = RoutingTable(0, max_long=4, columns=(pred_col, succ_col, epoch))
         for op, arg in ops:
             before = table.link_view()
@@ -274,33 +275,17 @@ class TestEvictionChurn:
 # -- cached vs legacy routing ---------------------------------------------------
 
 
-class LegacyGreedyRouter(GreedyRouter):
+class LegacyGreedyRouter(BruteForceRouter):
     """Pre-cache reference: rebuilds each peer's link set on every read.
 
-    Reproduces the behaviour before the :meth:`RoutingTable.link_view`
-    cache landed — ``_live_links`` materializes a fresh set per hop and
-    the lookahead clause rebuilds one per neighbor per hop — so the
-    cached router is compared against the actual pre-change code path.
+    The scan of ``tests/test_routing_index.py`` over link sets recomputed
+    from the tables' raw state, the way every read worked before the
+    :meth:`RoutingTable.link_view` cache landed — so neither that cache
+    nor the router's index can be more than a performance layer.
     """
 
-    def _live_links(self, u, online):
-        links = _fresh_links(self.overlay.tables[u])
-        if online is None:
-            return list(links)
-        return [w for w in links if online[w]]
-
-    def _lookahead_hop(self, links, dst, online, visited):
-        best = None
-        tables = self.overlay.tables
-        for w in links:
-            if w in visited:
-                continue
-            if dst in _fresh_links(tables[w]):
-                if online is not None and not online[w]:
-                    continue
-                if best is None or w < best:
-                    best = w
-        return best
+    def _links(self, v):
+        return _fresh_links(self.overlay.tables[v])
 
 
 class TestLegacyRouterParity:

@@ -1,0 +1,350 @@
+"""The router's next-hop rule and the index that serves it.
+
+* :class:`BruteForceRouter` is the rule as DESIGN §4 states it, scanned
+  over every ``(x, w)`` a peer can see; the shipped router's rank-sorted
+  index must choose the same hop on every route, calm, masked and blind.
+* :class:`OneHopGreedyRouter` is the rule the router had before it steered
+  by ``L_p``: ``lookahead=False`` still is that rule, ``lookahead=True``
+  must beat it.
+* The index is derived state: a router that outlives a change to the
+  links or identifiers routes as a freshly made one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.symphony import SymphonyOverlay
+from repro.core.config import SelectConfig
+from repro.core.recovery import RecoveryManager
+from repro.core.select import SelectOverlay
+from repro.graphs.datasets import load_dataset
+from repro.graphs.graph import SocialGraph
+from repro.idspace.space import ring_distance
+from repro.metrics.hops import route_stretch
+from repro.overlay.base import OverlayNetwork
+from repro.overlay.ring import ring_links
+from repro.overlay.routing import GreedyRouter
+
+
+class BruteForceRouter(GreedyRouter):
+    """The next-hop rule by exhaustive scan: K links, K² with lookahead."""
+
+    def _links(self, v: int):
+        return self.overlay.links(v)
+
+    def _next_hop(self, u, dst, visited, online):
+        ids = self.overlay.ids
+        target = float(ids[dst])
+
+        def usable(p):
+            return p not in visited and (online is None or online[p])
+
+        best = None
+        for w in self._links(u):
+            if not usable(w):
+                continue
+            seen = [w]
+            if self.lookahead:
+                seen += [x for x in self._links(w) if x != u]
+            for x in seen:
+                if usable(x):
+                    key = (ring_distance(float(ids[x]), target), x != w, w)
+                    if best is None or key < best[0]:
+                        best = (key, x)
+        return None if best is None else (best[0][2], best[1])
+
+
+class OneHopGreedyRouter(GreedyRouter):
+    """The parent's rule: ``dst in links(w)`` if any link has it, else the
+    link whose own identifier is closest."""
+
+    def _next_hop(self, u, dst, visited, online):
+        overlay = self.overlay
+        ids = overlay.ids
+        target = float(ids[dst])
+        links = [
+            w for w in overlay.links(u) if w not in visited and (online is None or online[w])
+        ]
+        if self.lookahead:
+            holders = [w for w in links if dst in overlay.links(w)]
+            if holders:
+                return min(holders), dst
+        if not links:
+            return None
+        w = min(links, key=lambda w: (ring_distance(float(ids[w]), target), w))
+        return w, w
+
+
+class ManualOverlay(OverlayNetwork):
+    """Fixed identifiers and explicit long links; ring links on request."""
+
+    name = "manual"
+
+    def __init__(self, ids, long_links, ring=True):
+        n = len(ids)
+        super().__init__(SocialGraph(n, [(i, (i + 1) % n) for i in range(n)]), k_links=n)
+        self._fixed = np.asarray(ids, dtype=np.float64)
+        self._long = long_links
+        self._ring = ring
+
+    def build(self, seed=None):
+        self.ids = self._fixed.copy()
+        for v, links in enumerate(self._long):
+            self.tables[v].long_links = links
+        if self._ring:
+            for v, (pred, succ) in enumerate(ring_links(self.ids)):
+                self.tables[v].predecessor = pred
+                self.tables[v].successor = succ
+        self._mark_built()
+        return self
+
+
+def friend_pairs(graph, count=4000, seed=7):
+    """The suite's seeded friend-pair sample (see TestAblations)."""
+    edges = list(graph.edges())
+    picks = np.random.default_rng(seed).choice(len(edges), size=min(count, len(edges)), replace=False)
+    return [edges[i] for i in picks]
+
+
+def assert_same_routes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.path == b.path
+        assert a.delivered == b.delivered
+        assert a.decisions == b.decisions
+
+
+def build_select(num_nodes, seed):
+    graph = load_dataset("facebook", num_nodes=num_nodes, seed=seed)
+    return SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(seed)
+
+
+@pytest.fixture(scope="module")
+def select_2k():
+    """The benchmark fixture, facebook 2k/7 (do not mutate)."""
+    return build_select(2000, 7)
+
+
+@pytest.fixture(scope="module")
+def select_400():
+    return build_select(400, 7)
+
+
+# -- the exclusion -------------------------------------------------------------
+
+
+class TestVisitedIdentifiersDoNotSteer:
+    #            s     t     a     w     v     y     z
+    IDS = [0.50, 0.52, 0.10, 0.30, 0.80, 0.60, 0.51]
+    LINKS = [{2, 6}, set(), {3, 4}, {0, 2}, {5}, {1}, {1}]
+
+    def test_route_leaves_the_identifier_behind_it(self):
+        """``z`` is down, so ``s`` hands to ``a``. From ``a`` the closest
+        identifier in sight is ``s`` itself, through ``w`` — whose only
+        links are ``s`` and ``a``, both on the path. Steering toward it
+        dead-ends at ``w``; excluding it takes ``v -> y -> t``."""
+        overlay = ManualOverlay(self.IDS, self.LINKS, ring=False).build()
+        online = np.ones(7, dtype=bool)
+        online[6] = False
+        route = overlay.make_router(lookahead=True).route(0, 1, online=online)
+        assert route.delivered
+        assert route.path == [0, 2, 4, 5, 1]
+
+    def test_live_neighbour_of_the_target_is_used(self):
+        overlay = ManualOverlay(self.IDS, self.LINKS, ring=False).build()
+        assert overlay.make_router(lookahead=True).route(0, 1).path == [0, 6, 1]
+
+
+# -- (i) indexed == brute force ------------------------------------------------
+
+
+class TestIndexEqualsScan:
+    @pytest.mark.parametrize("fixture", ["select_400", "select_2k"])
+    def test_route_for_route(self, fixture, request):
+        overlay = request.getfixturevalue(fixture)
+        n = overlay.graph.num_nodes
+        pairs = friend_pairs(overlay.graph)
+        for lookahead in (True, False):
+            shipped = GreedyRouter(overlay, lookahead=lookahead)
+            scan = BruteForceRouter(overlay, lookahead=lookahead)
+            shipped.record_decisions = scan.record_decisions = True
+            calm = shipped.route_many(pairs)
+            assert all(r.delivered for r in calm)
+            assert_same_routes(calm, scan.route_many(pairs))
+            for mask_seed in (1, 2, 3):
+                online = np.random.default_rng(mask_seed).random(n) > 0.2
+                assert_same_routes(
+                    shipped.route_many(pairs, online=online),
+                    scan.route_many(pairs, online=online),
+                )
+            assert_same_routes(
+                shipped.route_many(pairs, online=online, detect_failures=False),
+                scan.route_many(pairs, online=online, detect_failures=False),
+            )
+
+
+# -- (ii) against the one-hop rule ---------------------------------------------
+
+
+class TestAgainstOneHopRule:
+    def test_without_lookahead_is_the_one_hop_rule(self, select_400):
+        pairs = friend_pairs(select_400.graph)
+        online = np.random.default_rng(5).random(400) > 0.2
+        shipped = GreedyRouter(select_400, lookahead=False)
+        one_hop = OneHopGreedyRouter(select_400, lookahead=False)
+        shipped.record_decisions = one_hop.record_decisions = True
+        for kwargs in ({}, {"online": online}, {"online": online, "detect_failures": False}):
+            assert_same_routes(
+                shipped.route_many(pairs, **kwargs), one_hop.route_many(pairs, **kwargs)
+            )
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_lookahead_beats_it_on_both_fixtures(self, seed, request):
+        select = request.getfixturevalue("select_2k") if seed == 7 else build_select(2000, seed)
+        symphony = SymphonyOverlay(select.graph).build(seed=seed)
+        pairs = friend_pairs(select.graph)
+        for overlay in (select, symphony):
+            new = GreedyRouter(overlay, lookahead=True).route_many(pairs)
+            old = OneHopGreedyRouter(overlay, lookahead=True).route_many(pairs)
+            assert all(r.delivered for r in new) and all(r.delivered for r in old)
+            assert sum(r.hops for r in new) < sum(r.hops for r in old)
+
+
+class TestStretchOracle:
+    def test_routes_stay_near_the_overlays_own_shortest_paths(self, select_2k):
+        """ROADMAP 2: 4.77 routed hops over links holding 2.21-hop paths
+        was a stretch of 2.2 and a 38-hop tail under the one-hop rule."""
+        pairs = friend_pairs(select_2k.graph)
+        stretch = route_stretch(select_2k, pairs)
+        assert len(stretch) == len(pairs)
+        assert stretch.min() >= 1.0
+        assert stretch.mean() <= 1.5
+        routes = select_2k.make_router().route_many(pairs)
+        floor = np.array([r.hops for r in routes]) / stretch
+        assert sum(r.hops for r in routes) / floor.sum() <= 1.5
+        assert max(r.hops for r in routes) <= 20
+
+
+# -- (iii) generated overlays ---------------------------------------------------
+
+
+@st.composite
+def small_overlays(draw):
+    n = draw(st.integers(min_value=3, max_value=24))
+    # A coarse grid: equal identifiers and equidistant pairs are common.
+    ids = draw(st.lists(st.integers(0, 31), min_size=n, max_size=n))
+    peers = st.integers(0, n - 1)
+    long_links = [draw(st.sets(peers, max_size=4)) - {v} for v in range(n)]
+    online = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(peers, peers), min_size=1, max_size=8))
+    return np.array(ids) / 32.0, long_links, online, pairs
+
+
+class TestGeneratedOverlays:
+    @given(case=small_overlays(), lookahead=st.booleans(), detect=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_index_equals_scan_and_paths_are_walks(self, case, lookahead, detect):
+        ids, long_links, online, pairs = case
+        overlay = ManualOverlay(ids, long_links).build()
+        mask = None if online is None else np.array(online)
+        shipped = GreedyRouter(overlay, lookahead=lookahead)
+        scan = BruteForceRouter(overlay, lookahead=lookahead)
+        shipped.record_decisions = scan.record_decisions = True
+        got = shipped.route_many(pairs, online=mask, detect_failures=detect)
+        assert_same_routes(got, scan.route_many(pairs, online=mask, detect_failures=detect))
+        for route in got:
+            assert len(set(route.path)) == len(route.path)
+            for u, w in zip(route.path, route.path[1:]):
+                assert w in overlay.links(u)
+
+
+# -- (iv) staleness ---------------------------------------------------------------
+
+
+@pytest.fixture()
+def mutable_select(small_graph):
+    return SelectOverlay(small_graph, config=SelectConfig(max_rounds=40)).build(seed=7)
+
+
+def warmed_router(overlay, pairs):
+    router = overlay.make_router()
+    return router, [r.path for r in router.route_many(pairs)]
+
+
+def assert_routes_as_fresh(router, overlay, pairs, before):
+    """The outliving ``router`` agrees with a new one — and the change
+    was one that routes can see."""
+    now = router.route_many(pairs)
+    assert_same_routes(now, overlay.make_router().route_many(pairs))
+    assert [r.path for r in now] != before
+
+
+class TestRouterOutlivesChanges:
+    def two_hops_out(self, overlay, pairs):
+        """``(p, src, dst)``: ``p`` links to ``src``, and both are more than
+        two hops from ``dst`` along routes that do not use that link."""
+        router = overlay.make_router()
+        for src, dst in pairs:
+            for p in sorted(overlay.links(src)):
+                if src not in overlay.links(p):
+                    continue
+                from_p = router.route(p, dst)
+                if router.route(src, dst).hops > 2 and from_p.hops > 2 and from_p.path[1] != src:
+                    return p, src, dst
+        raise AssertionError("no such triple in the sample")
+
+    @pytest.mark.parametrize("write", ["long_links.add", "successor"])
+    def test_link_writes_reach_the_writer_and_its_neighbours_lookahead(
+        self, mutable_select, write
+    ):
+        pairs = friend_pairs(mutable_select.graph)
+        p, src, dst = self.two_hops_out(mutable_select, pairs)
+        pairs += [(src, dst), (p, dst)]
+        router, before = warmed_router(mutable_select, pairs)
+        if write == "successor":
+            mutable_select.tables[src].successor = dst
+        else:
+            mutable_select.tables[src].long_links.add(dst)
+        assert router.route(src, dst).path == [src, dst]
+        assert router.route(p, dst).path == [p, src, dst]
+        assert_routes_as_fresh(router, mutable_select, pairs, before)
+        if write == "long_links.add":
+            mutable_select.tables[src].long_links.discard(dst)
+            assert [r.path for r in router.route_many(pairs)] == before
+
+    def test_ring_refresh_after_identifiers_move(self, mutable_select):
+        pairs = friend_pairs(mutable_select.graph)
+        router, before = warmed_router(mutable_select, pairs)
+        mutable_select.ids[:] = np.random.default_rng(3).permutation(mutable_select.ids)
+        mutable_select._refresh_ring()
+        assert_routes_as_fresh(router, mutable_select, pairs, before)
+
+    def test_recovery_replacement(self, mutable_select):
+        pairs = friend_pairs(mutable_select.graph)
+        router, before = warmed_router(mutable_select, pairs)
+        manager = RecoveryManager(mutable_select)
+        online = np.ones(mutable_select.graph.num_nodes, dtype=bool)
+        online[sorted(mutable_select.tables[0].long_links)[:2]] = False
+        for _ in range(4):
+            manager.tick(online)
+        assert manager.replacements > 0
+        assert_routes_as_fresh(router, mutable_select, pairs, before)
+        assert_same_routes(
+            router.route_many(pairs, online=online),
+            mutable_select.make_router().route_many(pairs, online=online),
+        )
+
+    def test_restore_snapshot_rewrites_ids_in_place(self, mutable_select):
+        pairs = friend_pairs(mutable_select.graph)
+        snapshot = mutable_select.snapshot()
+        original = [r.path for r in mutable_select.make_router().route_many(pairs)]
+        mutable_select.ids[:] = np.random.default_rng(3).permutation(mutable_select.ids)
+        mutable_select._refresh_ring()
+        router, scrambled = warmed_router(mutable_select, pairs)
+        assert scrambled != original
+        ids_object = mutable_select.ids
+        mutable_select.restore_snapshot(snapshot)
+        assert mutable_select.ids is ids_object
+        assert [r.path for r in router.route_many(pairs)] == original
