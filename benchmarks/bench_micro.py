@@ -2,7 +2,7 @@
 
 Classic pytest-benchmark targets (many rounds) so that performance
 regressions in the primitives that dominate overlay construction and
-routing are visible: social strength, friendship bitmaps, LSH bucketing,
+routing are visible: friendship bitmaps, LSH bucketing,
 greedy routing, and a full small SELECT build.
 """
 
@@ -15,7 +15,6 @@ from repro.graphs.datasets import load_dataset
 from repro.lsh.bitsampling import BitSamplingLsh
 from repro.pubsub.api import PubSubSystem
 from repro.social.bitmaps import BitmapCodec
-from repro.social.strength import strength_vector
 from repro.util.bitset import bitset_from_indices, hamming_distance, popcount
 
 
@@ -27,12 +26,6 @@ def graph():
 @pytest.fixture(scope="module")
 def overlay(graph):
     return SelectOverlay(graph, config=SelectConfig(max_rounds=30)).build(seed=55)
-
-
-def test_bench_strength_vector(benchmark, graph):
-    hub = int(np.argmax(graph.degrees))
-    result = benchmark(strength_vector, graph, hub)
-    assert result.size == graph.degree(hub)
 
 
 def test_bench_bitmap_encode(benchmark, graph):

@@ -79,10 +79,12 @@ class EdgeColumns:
     (in an overlay ``_nbr_indptr[p] + i``, the edge's slot in the
     :class:`~repro.core.vectorized.ExchangeKernel` key table): ``key`` is
     :func:`~repro.core.picker.packed_key` of the friend's bitmap coverage,
-    ``bucket`` the bitmap's LSH bucket, ``-1`` = not learned yet. Both
-    mirror ``PeerState.known_coverage`` / ``known_bucket``, are written
-    wherever those are and feed :func:`~repro.core.vectorized.plan_round`;
-    snapshots do not carry them.
+    ``bucket`` the bitmap's LSH bucket, ``-1`` = not learned yet. Both are
+    pure functions of ``PeerState.known_bitmap[friend]`` and this is the
+    only place they are cached: :meth:`PeerState._cache_edge` writes a slot
+    when the bitmap is learned, forgotten or restored, the per-peer planner
+    reads it through ``bucket_of`` and :func:`~repro.core.vectorized.plan_round`
+    reads the columns whole.
     """
 
     __slots__ = ("key", "bucket")

@@ -12,6 +12,10 @@ peers' states — in the simulator both "threads" of one exchange complete
 within the same vertex-centric superstep, exactly as the paper's
 Flink/Gelly implementation resolves request/response pairs inside one
 iteration.
+
+A build does not call this module: :func:`repro.core.rounds.exchange_phase`
+runs a round's exchanges as batch kernels. This is the per-peer reference
+those kernels are tested against (``tests/test_vectorized_kernels.py``).
 """
 
 from __future__ import annotations

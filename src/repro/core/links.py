@@ -7,9 +7,11 @@ drops already-established links that landed in the same bucket as the
 chosen peer — they cover the same zone of the neighborhood and are
 therefore redundant.
 
-Bucket assignments and bitmap popcounts are cached by
-:class:`~repro.core.peer.PeerState` when a bitmap is learned, so one round
-of ``createLinks`` is a pure grouping pass with no hashing.
+A bucket is hashed once, when :class:`~repro.core.peer.PeerState` learns
+the bitmap, and cached in the peer's edge-column slot, so one round of
+``createLinks`` is a grouping pass with no hashing. These per-peer passes
+are the reference :func:`repro.core.vectorized.plan_round` is tested
+against and a build's re-plan for the few peers the live ledger outdated.
 """
 
 from __future__ import annotations
@@ -27,21 +29,13 @@ __all__ = ["create_links", "plan_links", "apply_plan", "random_links", "closer_s
 
 
 def _bucket_groups(peer: PeerState) -> dict:
-    """The LSH grouping Algorithm 5 iterates (maintained at learn time)."""
-    if peer.lsh_family is None:
-        # No family: everything hashes to bucket 0; group locally.
-        buckets: dict = defaultdict(list)
-        for friend in peer.known_bitmap:
-            if friend != peer.node:
-                buckets[peer.bucket_of(friend)].append(friend)
-        return buckets
-    # The membership index is maintained at learn time; only friends
-    # seen before the LSH family was set still need a bucket.
-    if len(peer.known_bucket) < len(peer.known_bitmap):
-        for friend in peer.known_bitmap:
-            if friend not in peer.known_bucket:
-                peer.bucket_of(friend)
-    return peer.bucket_members
+    """The LSH grouping Algorithm 5 iterates: known friends by bucket."""
+    buckets: dict = defaultdict(list)
+    bucket_of = peer.bucket_of
+    for friend in peer.known_bitmap:
+        if friend != peer.node:
+            buckets[bucket_of(friend)].append(friend)
+    return buckets
 
 
 def create_links(
@@ -94,7 +88,7 @@ def create_links(
     coverage = peer.known_coverage
     for _, members in sorted(buckets.items()):
         chosen = picker(members, coverage, upload_mbps)
-        chosen = _stability_bias(peer, members, chosen, hysteresis)
+        chosen = _stability_bias(table.long_links, members, chosen, hysteresis, coverage)
         if chosen not in table.long_links:
             # Make room: the bucket's redundant links go first.
             if len(table.long_links) >= table.max_long:
@@ -105,14 +99,12 @@ def create_links(
                 table.long_links.add(chosen)
                 changed = True
         # Lines 12-16: drop established links that share the bucket.
-        # Scanning the <= K established links against the bucket's O(1)
-        # membership dict beats walking the whole bucket.
         drops = [w for w in table.long_links if w != chosen and w in members]
         for other in drops:
             table.long_links.discard(other)
             disconnect(peer.node, other)
             changed = True
-    if _fill_remaining_budget(peer, k_links, try_connect):
+    if _fill_remaining_budget(peer, k_links, try_connect, coverage):
         changed = True
     return changed
 
@@ -148,7 +140,7 @@ def plan_links(
     for _, members in sorted(_bucket_groups(peer).items()):
         chosen = picker(members, coverage)
         if chosen not in virtual and len(members) > 1:
-            chosen = _stability_bias(peer, members, chosen, hysteresis, virtual)
+            chosen = _stability_bias(virtual, members, chosen, hysteresis, coverage)
         if chosen not in virtual:
             if len(virtual) >= table.max_long:
                 for w in [w for w in virtual if w != chosen and w in members]:
@@ -165,12 +157,12 @@ def plan_links(
         # Budget fill, planned: every pre-filtered candidate is
         # admissible, so the pops of the mutating pass's heap reduce to
         # the ``need`` smallest keys (unique ints: a sorted slice).
-        arr = peer.known_array()
-        cands = arr[incoming_count[arr] < k_links].tolist() if arr.size else []
+        known = np.fromiter(peer.known_bitmap, dtype=np.int64, count=len(peer.known_bitmap))
+        cands = known[incoming_count[known] < k_links].tolist()
         # Links virtually dropped above stay admissible even when the
         # target reads full: the ledger still charges our slot there.
         cands += [w for w in current if w not in virtual and incoming_count[w] >= k_links]
-        for key in sorted(_fill_keys(peer, cands, virtual))[:need]:
+        for key in sorted(_fill_keys(peer, cands, virtual, coverage))[:need]:
             virtual.add(key & KEY_FIELD)
     if virtual == current:
         return None
@@ -200,15 +192,10 @@ def apply_plan(links: set, node: int, drops, adds, try_connect, disconnect) -> b
     return changed
 
 
-def _stability_bias(
-    peer: PeerState, members, chosen: int, hysteresis: int, long_links=None
-) -> int:
+def _stability_bias(long_links, members, chosen: int, hysteresis: int, coverage) -> int:
     """Prefer an established same-bucket link unless clearly beaten."""
-    if long_links is None:
-        long_links = peer.table.long_links
     if chosen in long_links or hysteresis <= 0:
         return chosen
-    coverage = peer.known_coverage
     best_existing = -1
     best_key = None
     for m in long_links:
@@ -222,7 +209,7 @@ def _stability_bias(
     return chosen if gain >= hysteresis else best_existing
 
 
-def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect) -> bool:
+def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect, coverage) -> bool:
     """Spend leftover link budget on friends not yet covered in <= 2 hops.
 
     Early in construction most friendship bitmaps are near-empty and
@@ -238,7 +225,7 @@ def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect) -> bool:
     # Heap instead of a full sort: the remaining budget is usually a
     # handful of slots, so only the best few candidates are ever popped.
     node = peer.node
-    heap = _fill_keys(peer, peer.known_bitmap, table.long_links)
+    heap = _fill_keys(peer, peer.known_bitmap, table.long_links, coverage)
     heapq.heapify(heap)
     changed = False
     while heap and len(table.long_links) < k_links:
@@ -249,7 +236,7 @@ def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect) -> bool:
     return changed
 
 
-def _fill_keys(peer: PeerState, candidates, links) -> "list[int]":
+def _fill_keys(peer: PeerState, candidates, links, coverage) -> "list[int]":
     """Budget-fill sort keys of the ``candidates`` outside ``links``.
 
     The 2-hop cover is one int bitset — the OR of the links' friendship
@@ -265,7 +252,6 @@ def _fill_keys(peer: PeerState, candidates, links) -> "list[int]":
         if bitmap is not None:
             cover |= bitmap
     pos_get = peer.codec.position.get
-    coverage = peer.known_coverage
     node = peer.node
     # A candidate outside the neighbourhood (no position) is never covered.
     return [

@@ -5,7 +5,11 @@ Table I lists four variables: the identifier ``D_p``, the routing table
 On top of those, the gossip protocol (Algorithms 3–4) accumulates what the
 peer has *learned* about each friend — mutual-friend counts (for Eq. 2
 strength) and friendship bitmaps (for LSH link selection) — and the
-recovery mechanism tracks each contact's online behaviour.
+recovery mechanism tracks each contact's online behaviour. ``known_mutual``,
+``known_bitmap`` and ``lookahead`` are the only per-friend dicts, each in
+learn order (recovery probes candidates in it). What a bitmap implies —
+Algorithm 6's sort key and Algorithm 5's LSH bucket — is cached once, in the
+peer's block of :class:`~repro.core.columns.EdgeColumns`.
 
 Scalar round state (identifier, join flag, convergence counters, top-2
 anchors) lives in a shared :class:`~repro.core.columns.PeerColumns` block;
@@ -48,12 +52,8 @@ class PeerState:
         "behavior",
         "lsh_family",
         "k_buckets",
-        "_known_bucket",
-        "bucket_members",
-        "_known_coverage",
         "_edges",
         "_edge_at",
-        "_known_arr",
     )
 
     def __init__(
@@ -102,24 +102,10 @@ class PeerState:
         self.lsh_family = None
         #: bucket count used for cached bucket assignments.
         self.k_buckets = k_links
-        #: cached LSH bucket per learned friend bitmap (refreshed at learn
-        #: time — bitmaps only change when re-learned, so hashing them
-        #: every round would be pure waste).
-        self._known_bucket: dict[int, int] = {}
-        #: bucket -> {friend: None} membership, maintained incrementally as
-        #: buckets are (re)assigned so Algorithm 5 reads its grouping
-        #: instead of rebuilding it from ``known_bitmap`` every round. A
-        #: dict (not a set) keeps iteration in learn order, which a
-        #: snapshot restore reproduces exactly.
-        self.bucket_members: dict[int, dict[int, None]] = {}
-        #: cached popcount (neighborhood coverage) per learned bitmap.
-        self._known_coverage: dict[int, int] = {}
-        #: this peer's :class:`EdgeColumns` block: key and bucket of
-        #: ``neighborhood[i]`` at ``_edge_at + i``, written with the dicts above.
+        #: this peer's :class:`EdgeColumns` block, the only cache of what
+        #: ``known_bitmap`` implies: Alg. 6's key and the LSH bucket of
+        #: ``neighborhood[i]`` at ``_edge_at + i`` (:meth:`_cache_edge`).
         self._edges, self._edge_at = edge_columns or (EdgeColumns(len(self.neighborhood)), 0)
-        #: cached int64 array of ``known_bitmap``'s keys (None = rebuild);
-        #: invalidated when the key set changes, not when bitmaps refresh.
-        self._known_arr: "np.ndarray | None" = None
         if columns is None:
             # A private column block starts with the overlay defaults the
             # shared block is initialised with; nothing to write.
@@ -272,18 +258,12 @@ class PeerState:
             # New information about an unseen friend re-opens link selection.
             self.stable_rounds = 0
             self._insert_top2(friend)
-        prev = self.known_bitmap.get(friend)
-        if prev != bitmap:
-            # Bitmap actually changed (or first sighting): refresh the
-            # derived caches. Re-gossiped unchanged bitmaps — the common
-            # case once the network settles — skip the LSH re-hash.
-            if prev is None:
-                self._known_arr = None
+        if self.known_bitmap.get(friend) != bitmap:
+            # Bitmap actually changed (or first sighting): refresh what the
+            # edge columns cache of it. Re-gossiped unchanged bitmaps — the
+            # common case once the network settles — skip the LSH re-hash.
             self.known_bitmap[friend] = bitmap
-            self._known_coverage[friend] = coverage = bitmap.bit_count()
-            self._write_edge(self._edges.key, friend, packed_key(friend, coverage))
-            if self.lsh_family is not None:
-                self._set_bucket(friend, self.lsh_family.bucket(bitmap, self.k_buckets))
+            self._cache_edge(friend, bitmap)
         if type(friend_links) is frozenset:
             # Cached link views are immutable snapshots; store the
             # reference instead of copying element-by-element.
@@ -307,104 +287,59 @@ class PeerState:
         elif second < 0 or key < packed_key(second, mutual[second]):
             row[1] = friend
 
-    @property
-    def known_bucket(self) -> dict:
-        return self._known_bucket
-
-    @known_bucket.setter
-    def known_bucket(self, mapping) -> None:
-        # Wholesale assignment (snapshot restore): rebuild the membership
-        # index from the assigned buckets in their dict order.
-        self._known_bucket = dict(mapping)
-        self._refill_edges(self._edges.bucket, self._known_bucket)
-        members: dict[int, dict[int, None]] = {}
-        for friend, bucket in self._known_bucket.items():
-            if friend != self.node:
-                members.setdefault(bucket, {})[friend] = None
-        self.bucket_members = members
+    def _cache_edge(self, friend: int, bitmap: "int | None", bucket: int = -1) -> None:
+        """Write ``friend``'s slot of both edge columns — the one place a
+        peer writes them. The key is Algorithm 6's :func:`packed_key` of the
+        bitmap's popcount; the bucket is ``bucket`` when given (a restored
+        one), else the family's hash, else ``-1`` until :meth:`bucket_of`
+        fills it. ``bitmap=None`` clears the slot. A contact outside ``C_p``
+        has no slot; gossip only ever pairs friends."""
+        at = self.codec.position.get(friend)
+        if at is None:
+            return
+        at += self._edge_at
+        if bitmap is None:
+            self._edges.key[at] = self._edges.bucket[at] = -1
+            return
+        if bucket < 0 and self.lsh_family is not None:
+            bucket = self.lsh_family.bucket(bitmap, self.k_buckets)
+        self._edges.key[at] = packed_key(friend, bitmap.bit_count())
+        self._edges.bucket[at] = bucket
 
     @property
     def known_coverage(self) -> dict:
-        return self._known_coverage
+        """Popcount (neighborhood coverage) per learned bitmap, derived."""
+        return {friend: bitmap.bit_count() for friend, bitmap in self.known_bitmap.items()}
 
-    @known_coverage.setter
-    def known_coverage(self, mapping) -> None:
-        # Wholesale assignment (snapshot restore): re-derive the packed keys.
-        self._known_coverage = dict(mapping)
-        keys = {f: packed_key(f, c) for f, c in self._known_coverage.items()}
-        self._refill_edges(self._edges.key, keys)
-
-    def _write_edge(self, column: np.ndarray, friend: int, value: int) -> None:
-        """Store ``value`` in ``friend``'s slot of an edge column (a contact
-        outside ``C_p`` has no slot; gossip only ever pairs friends)."""
-        at = self.codec.position.get(friend)
-        if at is not None:
-            column[self._edge_at + at] = value
-
-    def _refill_edges(self, column: np.ndarray, values: dict) -> None:
-        """Rewrite this peer's whole block of an edge column: cleared first,
-        so nothing the assigned dict no longer holds stays behind."""
-        column[self._edge_at : self._edge_at + len(self.neighborhood)] = -1
-        for friend, value in values.items():
-            self._write_edge(column, friend, value)
-
-    def _set_bucket(self, friend: int, bucket: int) -> None:
-        """Record a bucket assignment, keeping the membership index in sync."""
-        old = self._known_bucket.get(friend)
-        if old == bucket:
-            return
-        if old is not None:
-            members = self.bucket_members.get(old)
-            if members is not None:
-                members.pop(friend, None)
-                if not members:
-                    del self.bucket_members[old]
-        self._known_bucket[friend] = bucket
-        self._write_edge(self._edges.bucket, friend, bucket)
-        if friend != self.node:
-            self.bucket_members.setdefault(bucket, {})[friend] = None
+    @property
+    def known_bucket(self) -> dict:
+        """The cached LSH bucket per learned friend, read off the columns."""
+        block = self._edges.bucket[self._edge_at : self._edge_at + len(self.neighborhood)].tolist()
+        position = self.codec.position
+        return {
+            friend: block[at]
+            for friend in self.known_bitmap
+            if (at := position.get(friend)) is not None and block[at] >= 0
+        }
 
     def bucket_of(self, friend: int) -> int:
-        """Cached LSH bucket of a learned friend (0 when no family set)."""
-        bucket = self._known_bucket.get(friend)
-        if bucket is not None:
+        """LSH bucket of a learned friend (0 when no family set): its
+        column slot, hashed into it on first use. A contact outside ``C_p``
+        has no slot and is hashed on every call."""
+        at = self.codec.position.get(friend)
+        if at is not None and (bucket := int(self._edges.bucket[self._edge_at + at])) >= 0:
             return bucket
         if self.lsh_family is None:
             return 0
-        bucket = self.lsh_family.bucket(self.known_bitmap[friend], self.k_buckets)
-        self._set_bucket(friend, bucket)
+        bitmap = self.known_bitmap[friend]
+        bucket = self.lsh_family.bucket(bitmap, self.k_buckets)
+        self._cache_edge(friend, bitmap, bucket)
         return bucket
-
-    def known_array(self) -> np.ndarray:
-        """Cached int64 array of ``known_bitmap``'s keys (insertion order).
-
-        Lets Algorithm 5's budget fill test the whole candidate set
-        against the admission ledger in one vectorized index instead of a
-        Python-level scan per peer per round. Callers must treat the
-        array as immutable (it is shared between calls).
-        """
-        arr = self._known_arr
-        if arr is None:
-            kb = self.known_bitmap
-            arr = np.fromiter(kb, dtype=np.int64, count=len(kb))
-            self._known_arr = arr
-        return arr
 
     def forget_peer(self, peer: int) -> None:
         """Drop all knowledge about a departed/replaced contact."""
-        if peer in self.known_bitmap:
-            self._known_arr = None
         self.known_bitmap.pop(peer, None)
-        bucket = self._known_bucket.pop(peer, None)
-        if bucket is not None:
-            members = self.bucket_members.get(bucket)
-            if members is not None:
-                members.pop(peer, None)
-                if not members:
-                    del self.bucket_members[bucket]
-        self._known_coverage.pop(peer, None)
-        self._write_edge(self._edges.key, peer, -1)
-        self._write_edge(self._edges.bucket, peer, -1)
+        self._cache_edge(peer, None)
         self.lookahead.pop(peer, None)
         self.behavior.forget(peer)
 
@@ -427,10 +362,6 @@ class PeerState:
         return out
 
     # -- convenience -------------------------------------------------------------
-
-    def friendship_bitmap_of(self, friend_links) -> np.ndarray:
-        """Bitmap over ``C_p`` of which of our friends ``friend`` links to."""
-        return self.codec.encode(friend_links)
 
     def covered_friends(self) -> set[int]:
         """Friends reachable in <= 2 hops via ``R_p`` and ``L_p``."""

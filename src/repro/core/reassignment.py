@@ -6,6 +6,11 @@ The paper motivates the two-friend centroid over the all-friends centroid:
 for high-degree users, friends with very different strength may sit in
 totally different ID regions, and averaging them all would park the peer
 in no-man's-land.
+
+A build does not call this module: it proposes every peer's position in one
+:func:`repro.core.vectorized.evaluate_positions` call a round. This is the
+per-peer reference that kernel is tested against
+(``tests/test_vectorized_kernels.py``).
 """
 
 from __future__ import annotations

@@ -28,17 +28,6 @@ class GraphStats:
     median_degree: float
     clustering: float
 
-    def as_row(self) -> tuple:
-        """Row for the Table II report."""
-        return (
-            self.name,
-            self.users,
-            self.connections,
-            self.average_degree,
-            self.max_degree,
-            self.clustering,
-        )
-
 
 def graph_stats(graph: SocialGraph, clustering_sample: int = 400, seed: int = 0) -> GraphStats:
     """Compute :class:`GraphStats`.

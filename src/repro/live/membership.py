@@ -29,8 +29,6 @@ ALIVE = 0
 SUSPECT = 1
 DEAD = 2
 
-_STATUS_NAMES = {ALIVE: "alive", SUSPECT: "suspect", DEAD: "dead"}
-
 
 class MembershipView:
     """One node's view of every cluster member."""
@@ -152,9 +150,6 @@ class MembershipView:
 
     def dead_members(self) -> "list[int]":
         return sorted(m for m in self.status if self.status[m] == DEAD)
-
-    def status_name(self, m: int) -> str:
-        return _STATUS_NAMES[self.status.get(m, DEAD)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         alive = sum(1 for s in self.status.values() if s == ALIVE)

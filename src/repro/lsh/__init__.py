@@ -9,7 +9,5 @@ spanning distinct zones of the overlay.
 
 from repro.lsh.family import LshFamily
 from repro.lsh.bitsampling import BitSamplingLsh
-from repro.lsh.minhash import MinHashLsh
-from repro.lsh.index import LshIndex
 
-__all__ = ["LshFamily", "BitSamplingLsh", "MinHashLsh", "LshIndex"]
+__all__ = ["LshFamily", "BitSamplingLsh"]

@@ -9,8 +9,6 @@ model and extend it along dissemination paths and trees.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.util.exceptions import ConfigurationError
@@ -125,7 +123,3 @@ def arrival_times(
             )
             stack.append(v)
     return out
-
-
-def _as_array(x) -> np.ndarray:  # pragma: no cover - small helper
-    return np.asarray(x, dtype=np.float64)

@@ -295,14 +295,13 @@ class OverlayNetwork(ABC):
 
     # -- incoming-link admission (the paper's K-incoming cap) ---------------
 
-    def try_accept_incoming(self, target: int, upload_rank: "np.ndarray | None" = None) -> bool:
+    def try_accept_incoming(self, target: int) -> bool:
         """Charge one incoming-link slot on ``target``; True if accepted.
 
-        When the cap is hit the paper admits a new connection only if it has
-        better bandwidth than an existing one; callers that model bandwidth
-        pass ``upload_rank`` and we accept with the same semantics by
-        allowing the target to exceed the cap by at most one while shedding
-        load elsewhere (the shed is handled by the caller dropping a link).
+        What Symphony, Bayeux and the random overlay get of the paper's
+        K-incoming cap: a plain count against ``k_links``, refused once it
+        is reached. (SELECT keeps its own ledger of who holds each slot and
+        is the only overlay where better bandwidth can evict a holder.)
         """
         if self.incoming_count[target] < self.k_links:
             self.incoming_count[target] += 1

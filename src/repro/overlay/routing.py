@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.idspace.space import ring_distance
 from repro.overlay.ring import RingIndex
-from repro.util.exceptions import RoutingError
 
 __all__ = ["HopDecision", "RouteResult", "GreedyRouter"]
 
@@ -288,10 +287,3 @@ class GreedyRouter:
         """
         route = self._route
         return [route(int(s), int(d), online, detect_failures) for s, d in pairs]
-
-
-def require_delivery(result: RouteResult, src: int, dst: int) -> RouteResult:
-    """Raise :class:`RoutingError` unless ``result`` delivered."""
-    if not result.delivered:
-        raise RoutingError(f"route {src} -> {dst} failed after {result.hops} hops")
-    return result

@@ -14,7 +14,7 @@ live iteration order (dicts preserve insertion order and are stored as
 pair lists), and everything consumed through a total order (link sets,
 lookahead members, admission sets) is stored sorted. LSH families are
 *not* serialized: they are pure functions of ``lsh_seed + vertex`` and
-are rebuilt lazily after restore. The snapshot id is a SHA-256 over the
+are rebuilt at restore. The snapshot id is a SHA-256 over the
 canonical state encoding — no timestamps — so re-capturing identical
 state yields an identical snapshot (what keeps the committed golden
 fixture stable).
@@ -102,6 +102,7 @@ def _capture_peer(peer) -> dict:
             [int(f), [int(w) for w in words_from_int(bm, peer.codec.nbits)]]
             for f, bm in peer.known_bitmap.items()
         ],
+        # Both derived from the bitmaps (the format predates that).
         "known_bucket": [[int(f), int(b)] for f, b in peer.known_bucket.items()],
         "known_coverage": [[int(f), int(c)] for f, c in peer.known_coverage.items()],
         "lookahead": [
@@ -141,13 +142,17 @@ def _restore_peer(peer, data: dict) -> None:
     peer.last_anchor_target = float("nan") if target is None else float(target)
     peer._top2 = [int(f) for f in data["top2"]]
     peer.known_mutual = {int(f): int(m) for f, m in data["known_mutual"]}
+    # The edge columns are refilled from the bitmaps and the stored buckets
+    # (a missing one is hashed); the stored coverage is a popcount, not read.
+    for friend in peer.known_bitmap:
+        peer._cache_edge(friend, None)
     peer.known_bitmap = {
         int(f): int_from_words(np.asarray(words, dtype=np.uint64))
         for f, words in data["known_bitmap"]
     }
-    peer._known_arr = None  # key set replaced wholesale: drop the cached array
-    peer.known_bucket = {int(f): int(b) for f, b in data["known_bucket"]}
-    peer.known_coverage = {int(f): int(c) for f, c in data["known_coverage"]}
+    buckets = {int(f): int(b) for f, b in data["known_bucket"]}
+    for friend, bitmap in peer.known_bitmap.items():
+        peer._cache_edge(friend, bitmap, buckets.get(friend, -1))
     peer.lookahead = {
         int(f): frozenset(int(w) for w in links) for f, links in data["lookahead"]
     }
@@ -461,9 +466,9 @@ def restore_into(
     # peer to the family its (restored) lsh_seed defines.
     overlay._lsh_families = {}
     for peer, pdata in zip(overlay.peers, data["peers"]):
-        _restore_peer(peer, pdata)
         peer.lsh_family = overlay.lsh_family_for(peer.node)
         peer.k_buckets = overlay.k_links
+        _restore_peer(peer, pdata)
     overlay._built = bool(data["built"])
 
     for name, target, apply in (

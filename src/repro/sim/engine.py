@@ -8,6 +8,12 @@ flight, or when ``max_supersteps`` is reached.
 
 This mirrors the execution model the paper used (Flink/Gelly vertex-centric
 iterations), so iteration counts measured here are comparable to Figure 5.
+
+Nothing in ``src/`` runs it since SELECT's build became the loop over
+:mod:`repro.core.rounds`. It stays because ``SuperstepEngine.run`` is a
+public name and a trace point of the benchmark suite
+(``benchmarks/suite/tracing.POINTS``); ROADMAP 5(b) removes it with the
+PR that may edit that suite.
 """
 
 from __future__ import annotations

@@ -1,20 +1,11 @@
-"""Social-tie primitives: strength (Eq. 2) and friendship bitmaps.
+"""Social-tie primitives: friendship bitmaps.
 
-Social strength drives SELECT's identifier reassignment; friendship bitmaps
-(which of my friends does peer ``u`` already link to) are the vectors that
-the LSH link-selection step buckets.
+A friendship bitmap (which of my friends does peer ``u`` already link to)
+is the vector the LSH link-selection step buckets. Eq. 2's social strength
+is computed where it is used, from gossip-learned mutual counts
+(:meth:`repro.core.peer.PeerState.strength`).
 """
 
-from repro.social.strength import (
-    social_strength,
-    strength_vector,
-    strongest_friends,
-)
 from repro.social.bitmaps import BitmapCodec
 
-__all__ = [
-    "social_strength",
-    "strength_vector",
-    "strongest_friends",
-    "BitmapCodec",
-]
+__all__ = ["BitmapCodec"]

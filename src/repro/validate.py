@@ -47,9 +47,14 @@ _MANIFEST = {
     "graph": {"name": str, "num_nodes": int, "num_edges": int, "fingerprint": str},
     "components": [str],
 }
+# ``node`` plus every key ``snapshot._restore_peer`` reads unconditionally
+# (the stored ``known_coverage`` is a popcount of the bitmaps and is not).
 _PEER = {
     "node": int, "identifier": NUM, "joined": bool,
-    "known_mutual": list, "known_bitmap": list, "lookahead": list, "behavior": list,
+    "moves_done": int, "stable_rounds": int, "link_change_budget": int,
+    "last_anchor_pair": (list, NONE), "top2": [int],
+    "known_mutual": list, "known_bitmap": list, "known_bucket": list,
+    "lookahead": list, "behavior": list,
     "table": {
         "predecessor": (int, NONE), "successor": (int, NONE),
         "successors": [int], "long_links": [int],

@@ -57,14 +57,16 @@ def edge_block(peer) -> "tuple[list[int], list[int]]":
     return peer._edges.key[block].tolist(), peer._edges.bucket[block].tolist()
 
 
-def assert_edge_columns_in_sync(overlay) -> None:
-    """Every peer's edge-column block equals what ``known_coverage`` /
-    ``known_bucket`` rebuild. The columns are derived state, and a stale
-    slot changes a build silently instead of raising."""
-    for peer in overlay.peers:
+def assert_edge_columns_recompute(peers) -> None:
+    """Every slot of every peer's edge-column block equals what the peer's
+    own bitmap recomputes — ``packed_key(f, bitmap.bit_count())`` and
+    ``family.bucket(bitmap, K)`` for a known friend, ``-1`` otherwise. The
+    columns are the only cache of either, and a stale slot changes a build
+    silently instead of raising."""
+    for peer in peers:
+        known, family, k = peer.known_bitmap, peer.lsh_family, peer.k_buckets
         friends = peer.neighborhood.tolist()
-        coverage, bucket = peer.known_coverage, peer.known_bucket
         assert edge_block(peer) == (
-            [packed_key(f, coverage[f]) if f in coverage else -1 for f in friends],
-            [bucket.get(f, -1) for f in friends],
+            [packed_key(f, known[f].bit_count()) if f in known else -1 for f in friends],
+            [family.bucket(known[f], k) if f in known else -1 for f in friends],
         ), peer.node

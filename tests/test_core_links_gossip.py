@@ -133,16 +133,16 @@ class TestPackedKeys:
         cover = 0
         for w in links:
             cover |= peer.known_bitmap[w]
-        position = peer.codec.position
+        position, coverage = peer.codec.position, peer.known_coverage
         reference = heapq.nsmallest(
             5,
             (
-                (f in position and bool(cover >> position[f] & 1), -peer.known_coverage[f], f)
+                (f in position and bool(cover >> position[f] & 1), -coverage[f], f)
                 for f in known
                 if f not in links
             ),
         )
-        keys = sorted(_fill_keys(peer, known, links))[:5]
+        keys = sorted(_fill_keys(peer, known, links, coverage))[:5]
         assert [key & KEY_FIELD for key in keys] == [f for _, _, f in reference]
         assert len(set(keys)) == len(keys)
 

@@ -55,15 +55,6 @@ class TestPeerState:
         assert peer.lookahead[1] == frozenset({2, 3})
         assert edge_block(peer)[0] == [packed_key(1, 2), -1, -1]
 
-    def test_assigned_coverage_rederives_packed_keys(self):
-        # Snapshot and arc restore assign the dict wholesale.
-        peer = make_peer()
-        teach(peer, 1, mutual=2, linked=(2, 3))
-        teach(peer, 3, mutual=1)
-        peer.known_coverage = {1: 1, 2: 3}
-        # The block is cleared before the refill: friend 3's key is gone.
-        assert edge_block(peer)[0] == [packed_key(1, 1), packed_key(2, 3), -1]
-
     def test_neighborhood_set_handed_in_is_kept(self):
         shared = frozenset({1, 2, 3})
         peer = PeerState(0, np.array([1, 2, 3]), k_links=2, neighborhood_set=shared)

@@ -1,11 +1,9 @@
-"""Locality sensitive hashing: families and the bucketed index."""
+"""Locality sensitive hashing: the bit-sampling family."""
 
 import numpy as np
 import pytest
 
 from repro.lsh.bitsampling import BitSamplingLsh
-from repro.lsh.index import LshIndex
-from repro.lsh.minhash import MinHashLsh
 from repro.util.bitset import bitset_from_indices
 
 
@@ -58,77 +56,3 @@ class TestBitSampling:
             BitSamplingLsh(nbits=-1)
         with pytest.raises(ValueError):
             BitSamplingLsh(nbits=8, num_samples=0)
-
-
-class TestMinHash:
-    def test_identical_sets_collide(self):
-        family = MinHashLsh(num_hashes=4, seed=1)
-        assert family.signature([1, 2, 3]) == family.signature([3, 2, 1])
-
-    def test_disjoint_sets_differ(self):
-        family = MinHashLsh(num_hashes=4, seed=1)
-        assert family.signature([1, 2, 3]) != family.signature([100, 200, 300])
-
-    def test_empty_set_stable(self):
-        family = MinHashLsh(num_hashes=4, seed=1)
-        assert family.signature([]) == family.signature([])
-
-    def test_collision_probability(self):
-        family = MinHashLsh(num_hashes=2, seed=2)
-        assert family.collision_probability(0.5) == pytest.approx(0.25)
-
-    def test_invalid_num_hashes(self):
-        with pytest.raises(ValueError):
-            MinHashLsh(num_hashes=0)
-
-
-class TestLshIndex:
-    def make(self, k=5):
-        return LshIndex(k, BitSamplingLsh(nbits=32, num_samples=4, seed=7))
-
-    def test_insert_and_bucket_of(self):
-        index = self.make()
-        b = index.insert("a", bitset_from_indices([1, 2], 32))
-        assert index.bucket_of("a") == b
-        assert "a" in index
-        assert len(index) == 1
-
-    def test_same_item_same_bucket(self):
-        index = self.make()
-        item = bitset_from_indices([3, 4], 32)
-        b1 = index.insert("x", item)
-        b2 = index.insert("y", item.copy())
-        assert b1 == b2
-        assert set(index.members(b1)) == {"x", "y"}
-
-    def test_peers_like_excludes_self(self):
-        index = self.make()
-        item = bitset_from_indices([3, 4], 32)
-        index.insert("x", item)
-        index.insert("y", item.copy())
-        assert index.peers_like("x") == ["y"]
-
-    def test_duplicate_key_rejected(self):
-        index = self.make()
-        index.insert("a", bitset_from_indices([1], 32))
-        with pytest.raises(KeyError):
-            index.insert("a", bitset_from_indices([2], 32))
-
-    def test_remove(self):
-        index = self.make()
-        index.insert("a", bitset_from_indices([1], 32))
-        index.remove("a")
-        assert "a" not in index
-        assert len(index) == 0
-
-    def test_non_empty_buckets(self):
-        index = self.make(k=3)
-        for i in range(6):
-            index.insert(f"k{i}", bitset_from_indices([i, i + 5, (i * 7) % 30], 32))
-        non_empty = index.non_empty_buckets()
-        assert non_empty
-        assert all(index.members(b) for b in non_empty)
-
-    def test_invalid_bucket_count(self):
-        with pytest.raises(ValueError):
-            LshIndex(0, BitSamplingLsh(nbits=8, seed=1))

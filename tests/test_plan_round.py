@@ -3,6 +3,8 @@ per-peer reference ``links.plan_links``, the optimistic walk of the plain
 build against the live-ledger outcome, and the edge columns both read.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core import select as select_module
 from repro.core.config import SelectConfig
 from repro.core.links import create_links, plan_links
+from repro.core.peer import PeerState
 from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
 from repro.core.vectorized import plan_round
@@ -18,7 +21,8 @@ from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.lsh.bitsampling import BitSamplingLsh
 from repro.persist import restore
-from tests.conftest import assert_edge_columns_in_sync
+from repro.persist.snapshot import _capture_peer, _restore_peer
+from tests.conftest import assert_edge_columns_recompute
 
 
 def reference(ov, gate, hysteresis=2):
@@ -40,7 +44,7 @@ def teach(ov, p, friend, bits, bucket=None):
     peer = ov.peers[p]
     peer.learn_exchange(friend, 0, (1 << bits) - 1, frozenset())
     if bucket is not None:
-        peer._set_bucket(friend, bucket)
+        peer._cache_edge(friend, peer.known_bitmap[friend], bucket)
 
 
 def link(ov, p, *targets):
@@ -125,8 +129,7 @@ class TestNamedCases:
         bitmaps = (0b11000111, 0b00001111, 0b00000111, 0b00000011, 0b00000001, 0b00010000)
         for f, bitmap in enumerate(bitmaps, start=1):
             peer.learn_exchange(f, 0, bitmap, frozenset())
-        for f in range(1, 7):
-            peer._set_bucket(f, 0)
+            peer._cache_edge(f, bitmap, 0)
         self.check(ov, {0: ((), (1, 4, 5))})
         # Fewer candidates than slots: all of them, covered or not.
         ov.incoming_count[[4, 5, 6]] = 3
@@ -199,7 +202,7 @@ def planning_state(recipe, ledger_from_links=False):
     for v, f, bitmap, bucket in recipe["learned"]:
         ov.peers[v].learn_exchange(f, 0, bitmap, frozenset())
         if bucket is not None:
-            ov.peers[v]._set_bucket(f, bucket)
+            ov.peers[v]._cache_edge(f, bitmap, bucket)
     for v, wanted in enumerate(recipe["links"]):
         if ledger_from_links:
             wanted = [w for w in wanted if ov._try_connect(v, w)]
@@ -300,10 +303,63 @@ class TestOptimisticWalk:
         assert ov.incoming_count.tolist() == live.incoming_count.tolist()
 
 
-# -- the columns are derived state: no silent staleness --------------------------
+# -- the columns are the only cache of what the bitmaps imply: no stale slot -----
+
+FRIENDS, STRANGER = (1, 2, 3, 5, 8, 13), 21  # C_p, and a contact outside it
+
+
+def lone_peer():
+    peer = PeerState(0, np.array(FRIENDS), k_links=3)
+    peer.lsh_family = BitSamplingLsh(len(FRIENDS), num_samples=2, seed=1)
+    return peer
+
+
+contacts = st.sampled_from(FRIENDS + (STRANGER,))
+peer_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("learn"), contacts, st.integers(0, 2 ** len(FRIENDS) - 1)),
+        st.tuples(st.just("forget"), contacts),
+        st.tuples(st.just("capture")),
+        st.tuples(st.just("restore")),
+    ),
+    max_size=30,
+)
 
 
 class TestEdgeColumnsStayInSync:
+    @given(peer_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_after_any_sequence_of_writes_to_one_peer(self, steps):
+        """Learn, re-learn with another bitmap, forget, capture and roll back
+        to the capture: ``known_bitmap`` follows a plain dict in learn order
+        and every slot is what that dict recomputes."""
+        peer, model, saved = lone_peer(), {}, None
+        family, k = peer.lsh_family, peer.k_buckets
+        for step in steps:
+            if step[0] == "learn":
+                peer.learn_exchange(step[1], 1, step[2], frozenset())
+                model[step[1]] = step[2]
+            elif step[0] == "forget":
+                peer.forget_peer(step[1])
+                model.pop(step[1], None)
+            elif step[0] == "capture":
+                saved, saved_model = json.loads(json.dumps(_capture_peer(peer))), dict(model)
+                fresh = lone_peer()
+                _restore_peer(fresh, saved)
+                assert _capture_peer(fresh) == saved
+                assert_edge_columns_recompute([fresh])
+            elif saved is not None:
+                _restore_peer(peer, saved)
+                model = dict(saved_model)
+            assert list(peer.known_bitmap.items()) == list(model.items())
+            assert_edge_columns_recompute([peer])
+            assert peer.known_coverage == {f: b.bit_count() for f, b in model.items()}
+            buckets = {f: family.bucket(b, k) for f, b in model.items()}
+            assert {f: peer.bucket_of(f) for f in model} == buckets
+            # The stranger has no slot, so no cached bucket to list.
+            buckets.pop(STRANGER, None)
+            assert peer.known_bucket == buckets
+
     @pytest.fixture(scope="class")
     def built(self):
         graph = load_dataset("facebook", num_nodes=100, seed=21)
@@ -312,10 +368,10 @@ class TestEdgeColumnsStayInSync:
 
     def test_after_a_build(self, built):
         assert (built.edge_columns.key >= 0).any()
-        assert_edge_columns_in_sync(built)
+        assert_edge_columns_recompute(built.peers)
 
     def test_after_a_persist_restore(self, built):
-        assert_edge_columns_in_sync(restore(built.snapshot()))
+        assert_edge_columns_recompute(restore(built.snapshot()).peers)
 
     def test_after_forgetting_and_recovery(self, built):
         overlay = restore(built.snapshot())
@@ -323,11 +379,11 @@ class TestEdgeColumnsStayInSync:
         gone = next(iter(peer.known_bitmap))
         peer.forget_peer(gone)
         assert gone not in peer.known_coverage
-        assert_edge_columns_in_sync(overlay)
+        assert_edge_columns_recompute(overlay.peers)
         online = np.ones(overlay.graph.num_nodes, dtype=bool)
         online[np.arange(0, overlay.graph.num_nodes, 3)] = False
         manager = RecoveryManager(overlay)
         for _ in range(4):
             manager.tick(online)
         assert manager.replacements > 0
-        assert_edge_columns_in_sync(overlay)
+        assert_edge_columns_recompute(overlay.peers)

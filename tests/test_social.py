@@ -1,4 +1,4 @@
-"""Social strength (Eq. 2) and friendship bitmaps."""
+"""Friendship bitmaps."""
 
 import numpy as np
 import pytest
@@ -6,99 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.social.bitmaps import BitmapCodec
-from repro.social.strength import social_strength, strength_vector, strongest_friends
 from repro.util.bitset import popcount
-
-
-class TestSocialStrength:
-    def test_equation2_on_tiny(self, tiny_graph):
-        # C_0 = {1, 2}; C_1 = {0, 2}; overlap = {2} -> 1/2.
-        assert social_strength(tiny_graph, 0, 1) == pytest.approx(0.5)
-
-    def test_asymmetry(self, tiny_graph):
-        # C_2 = {0,1,3} (|C_2|=3), C_3 = {2,4,5}; overlap 0 -> 0.
-        # C_4 = {3,5}, C_3 = {2,4,5}: overlap {5} -> 1/2 for 4->3.
-        # C_3 -> 4: overlap {5} of |C_3|=3 -> 1/3. Asymmetric by design.
-        assert social_strength(tiny_graph, 4, 3) == pytest.approx(0.5)
-        assert social_strength(tiny_graph, 3, 4) == pytest.approx(1 / 3)
-
-    def test_no_common_friends(self, tiny_graph):
-        assert social_strength(tiny_graph, 0, 4) == 0.0
-
-    def test_bounded_zero_one(self, small_graph):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = int(rng.integers(small_graph.num_nodes))
-            u = int(rng.integers(small_graph.num_nodes))
-            s = social_strength(small_graph, p, u)
-            assert 0.0 <= s <= 1.0
-
-
-class TestStrengthVector:
-    def test_matches_scalar(self, tiny_graph):
-        candidates = tiny_graph.neighbors(2)
-        vec = strength_vector(tiny_graph, 2, candidates)
-        for value, u in zip(vec, candidates):
-            assert value == pytest.approx(social_strength(tiny_graph, 2, int(u)))
-
-    def test_defaults_to_neighborhood(self, tiny_graph):
-        vec = strength_vector(tiny_graph, 3)
-        assert len(vec) == tiny_graph.degree(3)
-
-    def test_non_neighbor_candidates(self, tiny_graph):
-        # Candidates need not be friends of p; Eq. 2 is defined for any u.
-        vec = strength_vector(tiny_graph, 0, [4, 5, 3])
-        for value, u in zip(vec, [4, 5, 3]):
-            assert value == pytest.approx(social_strength(tiny_graph, 0, u))
-
-    def test_empty_candidates(self, tiny_graph):
-        vec = strength_vector(tiny_graph, 0, [])
-        assert vec.size == 0 and vec.dtype == np.float64
-
-    def test_isolated_peer_all_zero(self):
-        from repro.graphs.graph import SocialGraph
-
-        graph = SocialGraph(3, [(0, 1)])  # node 2 has no friends
-        assert strength_vector(graph, 2, [0, 1]).tolist() == [0.0, 0.0]
-        assert strength_vector(graph, 0, [2]).tolist() == [0.0]
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_vectorized_matches_scalar_on_random_graphs(self, seed):
-        from repro.graphs.graph import SocialGraph
-
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 30))
-        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        count = int(rng.integers(0, len(possible) + 1))
-        chosen = rng.choice(len(possible), size=count, replace=False)
-        graph = SocialGraph(n, [possible[i] for i in chosen])
-        p = int(rng.integers(n))
-        candidates = rng.integers(0, n, size=int(rng.integers(0, 12)))
-        vec = strength_vector(graph, p, candidates)
-        for value, u in zip(vec, candidates):
-            assert value == pytest.approx(social_strength(graph, p, int(u)))
-
-
-class TestStrongestFriends:
-    def test_top_two_deterministic(self, tiny_graph):
-        top = strongest_friends(tiny_graph, 3, k=2)
-        assert len(top) == 2
-        # 4 and 5 both share friend {the other of 4,5} with 3 -> strength 1/3;
-        # 2 shares none. Tie broken toward smaller id.
-        assert list(top) == [4, 5]
-
-    def test_among_restriction(self, tiny_graph):
-        top = strongest_friends(tiny_graph, 3, k=2, among=[2, 5])
-        assert set(top) == {2, 5}
-
-    def test_k_larger_than_neighborhood(self, tiny_graph):
-        top = strongest_friends(tiny_graph, 0, k=10)
-        assert len(top) == 2
-
-    def test_invalid_k_rejected(self, tiny_graph):
-        with pytest.raises(ValueError):
-            strongest_friends(tiny_graph, 0, k=0)
 
 
 class TestBitmapCodec:

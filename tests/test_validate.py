@@ -15,6 +15,7 @@ import shutil
 import pytest
 
 from repro.experiments.cli import main
+from repro.persist import load, restore, snapshot_id
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import MetricsRegistry, RouteTracer, write_telemetry
 from repro.validate import validate_path, validate_verdict
@@ -257,6 +258,44 @@ def test_each_rule_is_enforced(rule, artifacts, tmp_path):
     mutate(path)
     errors = validate_path(path)
     assert any(needle in e for e in errors), errors
+
+
+# -- a snapshot that validates is one restore can read ---------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
+
+#: every per-peer key ``snapshot._restore_peer`` reads unconditionally.
+RESTORED_PEER_KEYS = (
+    "identifier", "joined", "moves_done", "stable_rounds", "link_change_budget",
+    "last_anchor_pair", "top2", "known_mutual", "known_bitmap", "known_bucket",
+    "lookahead", "behavior", "table",
+)
+
+
+def _golden_without(key, tmp_path):
+    """A copy of the golden snapshot whose peers lack ``key``, re-signed so
+    only the schema check stands between it and ``restore``."""
+    path = shutil.copytree(GOLDEN, str(tmp_path / "snap"))
+    _edit(f"{path}/state.json", lambda s: [p.pop(key) for p in s["overlay"]["peers"]])
+    with open(f"{path}/state.json", encoding="utf-8") as fh:
+        digest = snapshot_id(json.load(fh))
+    _edit(f"{path}/manifest.json", lambda m: m.update(snapshot_id=digest))
+    return path
+
+
+@pytest.mark.parametrize("key", RESTORED_PEER_KEYS)
+def test_a_peer_key_restore_reads_is_a_schema_error_when_missing(key, tmp_path, capsys):
+    path = _golden_without(key, tmp_path)
+    with pytest.raises(KeyError, match=key):  # what the file does to restore
+        restore(load(path))
+    assert main(["validate", path]) == 1
+    assert f"peers[0] missing keys ['{key}']" in capsys.readouterr().err
+
+
+def test_stored_coverage_is_derived_and_not_required(tmp_path):
+    path = _golden_without("known_coverage", tmp_path)
+    assert validate_path(path) == []
+    assert restore(load(path)).snapshot()["manifest"]["snapshot_id"] == "fface5de2c7c5b13"
 
 
 def test_span_failing_its_own_check_is_left_out_of_chain_assembly(artifacts, tmp_path):

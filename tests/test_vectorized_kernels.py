@@ -461,7 +461,6 @@ def _state(peer):
         peer.known_coverage,
         edge_block(peer),
         peer.known_bucket,
-        [(bucket, list(members)) for bucket, members in peer.bucket_members.items()],
         [(friend, sorted(links)) for friend, links in peer.lookahead.items()],
         peer._top2,
         peer.stable_rounds,
