@@ -21,19 +21,42 @@ is the standard DHT stabilization every ring overlay performs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.select import SelectOverlay
 from repro.net.faults import PingService
 from repro.overlay.ring import ring_links
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.bitset import hamming_distance
 
-__all__ = ["RecoveryManager"]
+__all__ = ["RecoveryStats", "RecoveryManager"]
+
+
+@dataclass
+class RecoveryStats(Stats):
+    """Counters accumulated by one :class:`RecoveryManager` across a run."""
+
+    replacements: int = stat("dead long links swapped for live candidates")
+    kept_unresponsive: int = stat("unresponsive contacts kept (high CMA / suspicion)")
+    false_evictions: int = stat("evicted contacts that were actually online")
+    failed_replacements: int = stat("replacement attempts without a usable candidate")
+    reprieves: int = stat("evictions cancelled by the last-chance probe")
 
 
 class RecoveryManager:
-    """Drives SELECT's §III-F maintenance for one churn tick."""
+    """Drives SELECT's §III-F maintenance for one churn tick.
+
+    The counters live in :attr:`stats` (exported as ``recovery.*``) and
+    read as attributes of the manager: ``manager.replacements``.
+    """
+
+    replacements = property(lambda self: self.stats.replacements)
+    kept_unresponsive = property(lambda self: self.stats.kept_unresponsive)
+    false_evictions = property(lambda self: self.stats.false_evictions)
+    failed_replacements = property(lambda self: self.stats.failed_replacements)
+    reprieves = property(lambda self: self.stats.reprieves)
 
     def __init__(
         self,
@@ -52,34 +75,10 @@ class RecoveryManager:
         self.stabilizer = stabilizer
         #: simulation clock of the current tick (drives partition windows).
         self.now = 0.0
-        self.replacements = 0
-        self.kept_unresponsive = 0
-        #: replacements that evicted a contact which was actually online
-        #: (only possible under ping false negatives).
-        self.false_evictions = 0
-        #: replacement attempts abandoned for lack of a live candidate or an
-        #: admission slot; the dead link is kept and retried next tick.
-        self.failed_replacements = 0
-        #: evictions cancelled by the last-chance confirmation probe (the
-        #: contact answered just before being replaced).
-        self.reprieves = 0
+        self.stats = RecoveryStats()
         registry = registry if registry is not None else get_registry()
         self._tick_timer = registry.timer("recovery.tick")
-        self._m_replacements = registry.counter(
-            "recovery.replacements", "dead long links swapped for live candidates"
-        )
-        self._m_kept = registry.counter(
-            "recovery.kept_unresponsive", "unresponsive contacts kept (high CMA / suspicion)"
-        )
-        self._m_false_evictions = registry.counter(
-            "recovery.false_evictions", "evicted contacts that were actually online"
-        )
-        self._m_failed = registry.counter(
-            "recovery.failed_replacements", "replacement attempts without a usable candidate"
-        )
-        self._m_reprieves = registry.counter(
-            "recovery.reprieves", "evictions cancelled by the last-chance probe"
-        )
+        registry.attach("recovery", self.stats)
 
     def tick(self, online: np.ndarray, time: "float | None" = None) -> None:
         """One maintenance period: probe contacts, repair links and ring."""
@@ -107,16 +106,14 @@ class RecoveryManager:
                 if not result.confirmed_down:
                     # Under suspicion but not yet confirmed: never act on a
                     # single noisy sample.
-                    self.kept_unresponsive += 1
-                    self._m_kept.inc()
+                    self.stats.kept_unresponsive += 1
                     continue
                 if peer.behavior.should_replace(contact):
                     self._replace(v, contact)
                 else:
                     # Temporary failure: keep the link (avoids reassignment
                     # chains at the peers connected to us).
-                    self.kept_unresponsive += 1
-                    self._m_kept.inc()
+                    self.stats.kept_unresponsive += 1
         if self.stabilizer is not None and not self.pings.faults.is_null:
             self.stabilizer.round(online, time=self.now)
         else:
@@ -138,10 +135,8 @@ class RecoveryManager:
             # Last-chance confirmation probe before an eviction fires: a
             # flapping contact that answers anything is live after all —
             # keep it (the response also cleared its suspicion counter).
-            self.reprieves += 1
-            self.kept_unresponsive += 1
-            self._m_reprieves.inc()
-            self._m_kept.inc()
+            self.stats.reprieves += 1
+            self.stats.kept_unresponsive += 1
             return
         struck: set[int] = set()
         while True:
@@ -149,8 +144,7 @@ class RecoveryManager:
             if candidate is None:
                 candidate = self._most_similar_candidate(peer, v, dead, struck)
             if candidate is None:
-                self.failed_replacements += 1
-                self._m_failed.inc()
+                self.stats.failed_replacements += 1
                 return
             if ov._try_connect_recovery(v, candidate):
                 break
@@ -161,15 +155,13 @@ class RecoveryManager:
             # case, not the exception.
             struck.add(candidate)
         if self.pings.truth(dead):
-            self.false_evictions += 1
-            self._m_false_evictions.inc()
+            self.stats.false_evictions += 1
         peer.table.long_links.discard(dead)
         ov._disconnect(v, dead)
         peer.forget_peer(dead)
         self.pings.forget(v, dead)
         peer.table.long_links.add(candidate)
-        self.replacements += 1
-        self._m_replacements.inc()
+        self.stats.replacements += 1
 
     def _same_bucket_candidate(
         self, peer, v: int, dead: int, struck: "set[int] | None" = None

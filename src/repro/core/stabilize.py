@@ -39,7 +39,7 @@ stay bit-identical to the seed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.core.links import closer_successor
 from repro.net.faults import FaultPlan, PingService
 from repro.overlay.base import OverlayNetwork
 from repro.overlay.ring import successor_lists
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.exceptions import ConfigurationError
 
 __all__ = ["StabilizeStats", "Stabilizer", "CatchUpStats", "CatchUpStore"]
@@ -69,28 +69,14 @@ def _between(ids: np.ndarray, a: int, x: int, b: int) -> bool:
 
 
 @dataclass
-class StabilizeStats:
+class StabilizeStats(Stats):
     """Counters accumulated by one :class:`Stabilizer` across a run."""
 
-    #: stabilization rounds executed.
-    rounds: int = 0
-    #: successor pointers replaced because the old one was unreachable.
-    promotions: int = 0
-    #: successor pointers tightened to a closer live candidate.
-    rectifications: int = 0
-    #: predecessor pointers fixed on a successor (the notify step).
-    notifies: int = 0
-    #: peers that could not find any live successor in a round.
-    isolated: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "promotions": self.promotions,
-            "rectifications": self.rectifications,
-            "notifies": self.notifies,
-            "isolated": self.isolated,
-        }
+    rounds: int = stat("stabilization rounds run")
+    promotions: int = stat("successor pointers promoted from the backup list")
+    rectifications: int = stat("successor pointers tightened to a closer peer")
+    notifies: int = stat("predecessor pointers fixed via notify")
+    isolated: int = stat("peers that found no live successor in a round")
 
 
 class Stabilizer:
@@ -121,19 +107,7 @@ class Stabilizer:
         self.stats = StabilizeStats()
         registry = registry if registry is not None else get_registry()
         self._round_timer = registry.timer("stabilize.round")
-        self._m_rounds = registry.counter("stabilize.rounds", "stabilization rounds run")
-        self._m_promotions = registry.counter(
-            "stabilize.promotions", "successor pointers promoted from the backup list"
-        )
-        self._m_rectifications = registry.counter(
-            "stabilize.rectifications", "successor pointers tightened to a closer peer"
-        )
-        self._m_notifies = registry.counter(
-            "stabilize.notifies", "predecessor pointers fixed via notify"
-        )
-        self._m_isolated = registry.counter(
-            "stabilize.isolated", "peers that found no live successor in a round"
-        )
+        registry.attach("stabilize", self.stats)
         self.seed_lists()
 
     def seed_lists(self) -> None:
@@ -183,7 +157,6 @@ class Stabilizer:
     def _run_round(self, live, ids, pings, faults, check_partition, time) -> None:
         ov = self.overlay
         self.stats.rounds += 1
-        self._m_rounds.inc()
         perceived: dict[int, bool] = {}
 
         def reachable(observer: int, contact: int) -> bool:
@@ -204,11 +177,9 @@ class Stabilizer:
             succ = self._first_live_successor(v, table, reachable)
             if succ is None:
                 self.stats.isolated += 1
-                self._m_isolated.inc()
                 continue
             if succ != table.successor:
                 self.stats.promotions += 1
-                self._m_promotions.inc()
                 table.successor = succ
             succ = self._rectify(v, succ, table, peers, reachable)
             self._notify(v, succ, reachable)
@@ -264,7 +235,6 @@ class Stabilizer:
         if better is None:
             return succ
         self.stats.rectifications += 1
-        self._m_rectifications.inc()
         table.successor = better
         return better
 
@@ -283,7 +253,6 @@ class Stabilizer:
         ):
             succ_table.predecessor = v
             self.stats.notifies += 1
-            self._m_notifies.inc()
 
     def _refresh_list(self, v: int, succ: int, table) -> None:
         """Wholesale list copy through the successor (textbook Chord)."""
@@ -295,29 +264,14 @@ class Stabilizer:
 
 
 @dataclass
-class CatchUpStats:
+class CatchUpStats(Stats):
     """Counters accumulated by one :class:`CatchUpStore` across a run."""
 
-    #: missed (notification, subscriber) pairs handed to the store.
-    deposited: int = 0
-    #: buffer entries discarded because a holder's buffer overflowed.
-    evictions: int = 0
-    #: buffer entries handed over during anti-entropy digests.
-    delivered: int = 0
-    #: distinct missed notifications that reached their subscriber and
-    #: count toward availability (subscriber was online at publish time).
-    recovered: int = 0
-    #: digest deliveries suppressed because another holder got there first.
-    duplicates: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "deposited": self.deposited,
-            "evictions": self.evictions,
-            "delivered": self.delivered,
-            "recovered": self.recovered,
-            "duplicates": self.duplicates,
-        }
+    deposited: int = stat("missed notifications handed to the store")
+    evictions: int = stat("buffer entries lost to overflow")
+    delivered: int = stat("buffer entries handed over in digests")
+    recovered: int = stat("counted notifications recovered by catch-up")
+    duplicates: int = stat("digest deliveries suppressed as duplicates")
 
 
 class CatchUpStore:
@@ -361,24 +315,10 @@ class CatchUpStore:
         self.stats = CatchUpStats()
         registry = registry if registry is not None else get_registry()
         self._deliver_timer = registry.timer("catchup.deliver")
-        self._m_deposited = registry.counter(
-            "catchup.deposited", "missed notifications handed to the store"
-        )
-        self._m_evictions = registry.counter(
-            "catchup.evictions", "buffer entries lost to overflow"
-        )
-        self._m_delivered = registry.counter(
-            "catchup.delivered", "buffer entries handed over in digests"
-        )
-        self._m_recovered = registry.counter(
-            "catchup.recovered", "counted notifications recovered by catch-up"
-        )
-        self._m_duplicates = registry.counter(
-            "catchup.duplicates", "digest deliveries suppressed as duplicates"
-        )
-        self._g_pending = registry.gauge(
+        registry.attach("catchup", self.stats)
+        registry.gauge(
             "catchup.pending", "entries currently buffered across all holders"
-        )
+        ).set_function(self.pending)
 
     def new_notification(self) -> int:
         """Sequence number identifying one publish event's notification."""
@@ -440,10 +380,7 @@ class CatchUpStore:
             if len(buf) > self.capacity:
                 buf.popleft()
                 self.stats.evictions += 1
-                self._m_evictions.inc()
         self.stats.deposited += 1
-        self._m_deposited.inc()
-        self._g_pending.set(self.pending())
 
     def deliver(self, online: "np.ndarray | None" = None, time: float = 0.0) -> int:
         """One anti-entropy pass: hand buffered entries to reachable subscribers.
@@ -469,17 +406,13 @@ class CatchUpStore:
                         keep.append((seq, subscriber, counted))
                         continue
                     self.stats.delivered += 1
-                    self._m_delivered.inc()
                     seen = self._seen.setdefault(subscriber, set())
                     if seq in seen:
                         self.stats.duplicates += 1
-                        self._m_duplicates.inc()
                         continue
                     seen.add(seq)
                     if counted:
                         self.stats.recovered += 1
-                        self._m_recovered.inc()
                         recovered_now += 1
                 self.buffers[holder] = keep
-            self._g_pending.set(self.pending())
         return recovered_now

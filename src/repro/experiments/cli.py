@@ -20,6 +20,7 @@ wrote there: snapshot, telemetry, verdict (:mod:`repro.validate`).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.experiments import (
@@ -332,8 +333,6 @@ def _run_scenario(args) -> int:
     )
 
     if args.telemetry:
-        import os
-
         from repro.telemetry.export import write_telemetry
 
         meta = {
@@ -378,8 +377,6 @@ def _run_live(args) -> int:
     registry = MetricsRegistry()
     cluster = None
     if args.trace:
-        import os
-
         from repro.live import LiveCluster
 
         flight_path = (
@@ -453,8 +450,6 @@ def _run_live(args) -> int:
             )
 
     if args.telemetry:
-        import os
-
         from repro.telemetry.export import write_telemetry
         from repro.util.atomicio import atomic_write_json
 
@@ -537,11 +532,12 @@ def main(argv=None) -> int:
         for name in names:
             module = EXPERIMENTS[name]
             with registry.timer(f"experiment.{name}") as timing:
-                print(module.report(config))
+                rows = module.run(config)
+                print(module.report(config, rows=rows))
             if args.export:
-                from repro.experiments.export import export_experiment
+                from repro.experiments.export import rows_to_csv
 
-                path = export_experiment(name, module, config, args.export)
+                path = rows_to_csv(rows, os.path.join(args.export, f"{name}.csv"))
                 print(f"[rows exported to {path}]", file=sys.stderr)
             print(f"[{name}: {timing.elapsed:.1f}s]\n", file=sys.stderr)
         if args.telemetry:

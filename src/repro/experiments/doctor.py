@@ -47,9 +47,9 @@ def run(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig) -> str:
+def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
     """Render the audit table."""
-    rows = run(config)
+    rows = run(config) if rows is None else rows
     table = format_table(
         headers=[
             "Dataset",

@@ -108,9 +108,11 @@ def report(
     loss_rates: "tuple[float, ...]" = LOSS_RATES,
     ticks: int = 8,
     horizon: float = 2400.0,
+    rows: "list[dict] | None" = None,
 ) -> str:
     """Render the degradation sweep table."""
-    rows = run(config, loss_rates=loss_rates, ticks=ticks, horizon=horizon)
+    if rows is None:
+        rows = run(config, loss_rates=loss_rates, ticks=ticks, horizon=horizon)
     return format_table(
         headers=[
             "Dataset",

@@ -72,9 +72,9 @@ def run(config: ExperimentConfig, num_regions: int = 3) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, num_regions: int = 3) -> str:
+def report(config: ExperimentConfig, num_regions: int = 3, rows: "list[dict] | None" = None) -> str:
     """Render the geographic study."""
-    rows = run(config, num_regions=num_regions)
+    rows = run(config, num_regions=num_regions) if rows is None else rows
     out = format_table(
         headers=["Dataset", "System", "Intra-region links", "Dissemination (ms)"],
         rows=[

@@ -201,9 +201,10 @@ def run(
 def report(
     config: ExperimentConfig,
     r_values: "tuple[int, ...]" = R_VALUES,
+    rows: "list[dict] | None" = None,
 ) -> str:
     """Render the self-healing sweep table."""
-    rows = run(config, r_values=r_values)
+    rows = run(config, r_values=r_values) if rows is None else rows
     return format_table(
         headers=[
             "Dataset",

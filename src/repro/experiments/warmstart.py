@@ -70,9 +70,9 @@ def run(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig) -> str:
+def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
     """Render the cold-vs-warm table."""
-    rows = run(config)
+    rows = run(config) if rows is None else rows
     table = format_table(
         headers=[
             "Trial",

@@ -27,11 +27,11 @@ default (fault-free) code paths bit-identical to a run without a plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.exceptions import ConfigurationError, FaultInjectionError, PartitionError
 from repro.util.rng import as_generator
 
@@ -87,45 +87,22 @@ class RingPartition:
 
 
 @dataclass
-class FaultStats:
-    """Counters accumulated by one :class:`FaultPlan` across a run."""
+class FaultStats(Stats):
+    """Counters accumulated by one :class:`FaultPlan` across a run (``faults.*``)."""
 
-    #: end-to-end deliveries attempted through :meth:`FaultPlan.transmit_path`.
-    messages: int = 0
-    #: deliveries abandoned (retry budget exhausted or partition block).
-    drops: int = 0
-    #: individual hop transmissions that were lost and retried.
-    retransmissions: int = 0
-    #: transmissions refused because a partition separated the endpoints.
-    partition_blocks: int = 0
-    #: liveness probe attempts issued (including retries).
-    pings: int = 0
-    #: probe attempts beyond the first within one probe (backoff retries).
-    ping_retries: int = 0
-    #: probes of a *live* contact that timed out (injected false negative).
-    ping_false_negatives: int = 0
-    #: probes of a *dead* contact that got a response (injected false positive).
-    ping_false_positives: int = 0
-    #: virtual milliseconds spent waiting on probe timeouts.
-    ping_wait_ms: float = 0.0
+    messages: int = stat("end-to-end deliveries attempted")
+    drops: int = stat("deliveries abandoned")
+    retransmissions: int = stat("hop transmissions lost and retried")
+    partition_blocks: int = stat("transmissions refused across a partition")
+    pings: int = stat("liveness probe attempts")
+    ping_retries: int = stat("probe backoff retries")
+    ping_false_negatives: int = stat("live contacts that looked down")
+    ping_false_positives: int = stat("dead contacts that looked up")
+    ping_wait_ms: float = stat("virtual milliseconds spent on probe timeouts", 0.0)
 
     def mean_retries(self) -> float:
         """Retransmissions per attempted end-to-end delivery."""
         return self.retransmissions / self.messages if self.messages else 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict snapshot for reports/export."""
-        return {
-            "messages": self.messages,
-            "drops": self.drops,
-            "retransmissions": self.retransmissions,
-            "partition_blocks": self.partition_blocks,
-            "pings": self.pings,
-            "ping_retries": self.ping_retries,
-            "ping_false_negatives": self.ping_false_negatives,
-            "ping_false_positives": self.ping_false_positives,
-            "ping_wait_ms": self.ping_wait_ms,
-        }
 
 
 @dataclass(frozen=True)
@@ -225,28 +202,7 @@ class FaultPlan:
         self.stats = FaultStats()
         self._rng = as_generator(seed)
         self._graceful: dict[int, bool] = {}
-        # Registry mirrors of the FaultStats counters (no-ops under the
-        # default NullRegistry; live counters when telemetry is installed).
-        registry = registry if registry is not None else get_registry()
-        self._m_messages = registry.counter("faults.messages", "end-to-end deliveries attempted")
-        self._m_drops = registry.counter("faults.drops", "deliveries abandoned")
-        self._m_retransmissions = registry.counter(
-            "faults.retransmissions", "hop transmissions lost and retried"
-        )
-        self._m_partition_blocks = registry.counter(
-            "faults.partition_blocks", "transmissions refused across a partition"
-        )
-        self._m_pings = registry.counter("faults.pings", "liveness probe attempts")
-        self._m_ping_retries = registry.counter("faults.ping_retries", "probe backoff retries")
-        self._m_ping_false_negatives = registry.counter(
-            "faults.ping_false_negatives", "live contacts that looked down"
-        )
-        self._m_ping_false_positives = registry.counter(
-            "faults.ping_false_positives", "dead contacts that looked up"
-        )
-        self._m_ping_wait_ms = registry.counter(
-            "faults.ping_wait_ms", "virtual milliseconds spent on probe timeouts"
-        )
+        (registry if registry is not None else get_registry()).attach("faults", self.stats)
 
     @classmethod
     def none(cls) -> "FaultPlan":
@@ -300,7 +256,6 @@ class FaultPlan:
             if attempt < self.retry_budget:
                 retries += 1
                 self.stats.retransmissions += 1
-                self._m_retransmissions.inc()
         return False, retries
 
     def transmit(
@@ -309,7 +264,6 @@ class FaultPlan:
         """One hop ``u -> v`` with retransmissions; ``(delivered, retries)``."""
         if self.partition_blocks_link(id_u, id_v, time):
             self.stats.partition_blocks += 1
-            self._m_partition_blocks.inc()
             return False, 0
         return self._transmit_hop(u, v)
 
@@ -329,7 +283,6 @@ class FaultPlan:
         every path of one publish event.
         """
         self.stats.messages += 1
-        self._m_messages.inc()
         if self.partitions and ids is None:
             raise FaultInjectionError("transmit_path needs peer ids when partitions are set")
         retries = 0
@@ -344,7 +297,6 @@ class FaultPlan:
                 blocked = self.partition_blocks_link(id_u, id_v, time)
                 if blocked:
                     self.stats.partition_blocks += 1
-                    self._m_partition_blocks.inc()
                     ok, r = False, 0
                 else:
                     ok, r = self._transmit_hop(u, v)
@@ -353,7 +305,6 @@ class FaultPlan:
             retries += r
             if not ok:
                 self.stats.drops += 1
-                self._m_drops.inc()
                 return PathOutcome(False, retries, lost_at=i + 1, partition_blocked=blocked)
         return PathOutcome(True, retries)
 
@@ -428,7 +379,9 @@ class PingService:
         self.base_timeout_ms = float(base_timeout_ms)
         self.backoff = float(backoff)
         self._online: "np.ndarray | None" = None
-        self._suspicion: dict[tuple[int, int], int] = {}
+        #: ``{contact: {observer: consecutive unresponsive probes}}`` — keyed
+        #: by contact because an answer touches every observer of it.
+        self._suspicion: dict[int, dict[int, int]] = {}
         # Service-level registry counters (no-ops under NullRegistry):
         # unlike the FaultPlan's ``faults.*`` counters, these describe the
         # *prober's* experience — attempts spent, probes that timed out,
@@ -486,7 +439,6 @@ class PingService:
         stats = faults.stats
         if faults.is_null:
             stats.pings += 1
-            faults._m_pings.inc()
             self._m_probe_attempts.inc()
             waited = 0.0 if truth else self.base_timeout_ms
             if not truth:
@@ -497,7 +449,6 @@ class PingService:
             # Graceful departure: the contact said goodbye; no probing noise
             # and no timeout — the "no" is an answer, not silence.
             stats.pings += 1
-            faults._m_pings.inc()
             self._m_probe_attempts.inc()
             self._h_probe_wait_ms.observe(0.0)
             return False, 1, 0.0
@@ -505,27 +456,22 @@ class PingService:
         waited = 0.0
         for attempt in range(1, self.max_attempts + 1):
             stats.pings += 1
-            faults._m_pings.inc()
             self._m_probe_attempts.inc()
             if attempt > 1:
                 stats.ping_retries += 1
-                faults._m_ping_retries.inc()
             if truth:
                 if not faults.ping_drops_response():
                     self._h_probe_wait_ms.observe(waited)
                     return True, attempt, waited
                 stats.ping_false_negatives += 1
-                faults._m_ping_false_negatives.inc()
             else:
                 if faults.ping_fakes_response():
                     stats.ping_false_positives += 1
-                    faults._m_ping_false_positives.inc()
                     self._h_probe_wait_ms.observe(waited)
                     return True, attempt, waited
             # Timed out: wait, back off, retry.
             waited += timeout
             stats.ping_wait_ms += timeout
-            faults._m_ping_wait_ms.inc(timeout)
             timeout *= self.backoff
         self._m_probe_timeouts.inc()
         self._h_probe_wait_ms.observe(waited)
@@ -543,8 +489,7 @@ class PingService:
         """
         responded, _, _ = self._exchange(contact)
         if responded:
-            self._suspicion.pop((observer, contact), None)
-            self._decay_contact(contact, exclude=observer)
+            self._answered(observer, contact)
         return responded
 
     def probe(self, observer: int, contact: int) -> PingResult:
@@ -556,44 +501,41 @@ class PingService:
         failed — so one noisy sample can never trigger an eviction.
         """
         responded, attempts, waited = self._exchange(contact)
-        key = (observer, contact)
         if responded:
-            self._suspicion.pop(key, None)
-            self._decay_contact(contact, exclude=observer)
+            self._answered(observer, contact)
             return PingResult(True, attempts, waited, False)
-        count = self._suspicion.get(key, 0) + 1
+        count = self.suspicion(observer, contact) + 1
         if not self.truth(contact) and self.faults.departs_gracefully(contact):
             # An announced departure is trusted immediately.
             count = self.suspicion_threshold
-        self._suspicion[key] = count
+        self._suspicion.setdefault(contact, {})[observer] = count
         confirmed = count >= self.suspicion_threshold
         if confirmed:
             self._m_confirmed_down.inc()
         return PingResult(False, attempts, waited, confirmed)
 
-    def _decay_contact(self, contact: int, exclude: int) -> None:
-        """Bounded decay of *everyone's* suspicion of a contact that answered.
+    def _answered(self, observer: int, contact: int) -> None:
+        """``contact`` answered ``observer``: clear the pair, decay the rest.
 
         A peer that recovers while unobserved used to stay suspect
         forever in the eyes of observers that stopped probing it — after
         an outage heals, stale counters would put recovered peers one
         noisy sample away from eviction. Any confirmed response is
         evidence the contact is back, so every other observer's counter
-        steps down by one (never below zero; the responding pair's own
-        counter is cleared outright by the caller).
+        steps down by one (never below zero), in no particular order.
         """
-        stale = [k for k in self._suspicion if k[1] == contact and k[0] != exclude]
-        for key in stale:
-            remaining = self._suspicion[key] - 1
-            if remaining <= 0:
-                del self._suspicion[key]
-            else:
-                self._suspicion[key] = remaining
+        observers = self._suspicion.pop(contact, None)
+        if not observers:
+            return
+        observers.pop(observer, None)
+        remaining = {o: n - 1 for o, n in observers.items() if n > 1}
+        if remaining:
+            self._suspicion[contact] = remaining
 
     def forget(self, observer: int, contact: int) -> None:
         """Clear suspicion state after the observer dropped the contact."""
-        self._suspicion.pop((observer, contact), None)
+        self._suspicion.get(contact, {}).pop(observer, None)
 
     def suspicion(self, observer: int, contact: int) -> int:
         """Current consecutive-failure count for the pair."""
-        return self._suspicion.get((observer, contact), 0)
+        return self._suspicion.get(contact, {}).get(observer, 0)

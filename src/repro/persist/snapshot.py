@@ -249,18 +249,21 @@ def _capture_pings(pings) -> dict:
     return {
         "base_timeout_ms": float(pings.base_timeout_ms),
         "backoff": float(pings.backoff),
-        "suspicion": [
-            [int(o), int(c), int(n)] for (o, c), n in pings._suspicion.items()
-        ],
+        # Sorted by (observer, contact): the table's own order is history.
+        "suspicion": sorted(
+            [int(o), int(c), int(n)]
+            for c, observers in pings._suspicion.items()
+            for o, n in observers.items()
+        ),
     }
 
 
 def _restore_pings(pings, data: dict) -> None:
     # _online is transient (reinstalled every maintenance tick), so only
     # the suspicion counters carry across a snapshot boundary.
-    pings._suspicion = {
-        (int(o), int(c)): int(n) for o, c, n in data["suspicion"]
-    }
+    pings._suspicion = {}
+    for o, c, n in data["suspicion"]:
+        pings._suspicion.setdefault(int(c), {})[int(o)] = int(n)
 
 
 def _capture_stabilizer(stab) -> dict:
@@ -279,25 +282,14 @@ def _restore_stabilizer(stab, data: dict) -> None:
 def _capture_recovery(recovery) -> dict:
     return {
         "now": float(recovery.now),
-        "replacements": int(recovery.replacements),
-        "kept_unresponsive": int(recovery.kept_unresponsive),
-        "false_evictions": int(recovery.false_evictions),
-        "failed_replacements": int(recovery.failed_replacements),
-        "reprieves": int(recovery.reprieves),
+        **recovery.stats.as_dict(),
         "pings": _capture_pings(recovery.pings),
     }
 
 
 def _restore_recovery(recovery, data: dict) -> None:
     recovery.now = float(data["now"])
-    for key in (
-        "replacements",
-        "kept_unresponsive",
-        "false_evictions",
-        "failed_replacements",
-        "reprieves",
-    ):
-        setattr(recovery, key, int(data[key]))
+    _apply_stats(recovery.stats, {key: int(data[key]) for key in recovery.stats.as_dict()})
     _restore_pings(recovery.pings, data["pings"])
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.overlay.routing import RouteResult
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.exceptions import ConfigurationError, PersistError
 
 __all__ = ["OverloadConfig", "OverloadStats", "OverloadGuard"]
@@ -84,34 +84,16 @@ class OverloadConfig:
 
 
 @dataclass
-class OverloadStats:
+class OverloadStats(Stats):
     """Counters accumulated by one :class:`OverloadGuard` across a run."""
 
-    #: publish events the guard admitted (fully or partially).
-    publishes: int = 0
-    #: tree edges charged against sender queues.
-    charged: int = 0
-    #: routes lost to silent queue overflow (unprotected mode).
-    overflow_drops: int = 0
-    #: routes shed to the catch-up path after exhausting retries (protected).
-    shed: int = 0
-    #: retry attempts spent on saturated relays (protected).
-    retries: int = 0
-    #: virtual seconds spent backing off before retries (protected).
-    waited_s: float = 0.0
-    #: direct-hop admissions that needed the reserved queue share.
-    priority_grants: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "publishes": self.publishes,
-            "charged": self.charged,
-            "overflow_drops": self.overflow_drops,
-            "shed": self.shed,
-            "retries": self.retries,
-            "waited_s": self.waited_s,
-            "priority_grants": self.priority_grants,
-        }
+    publishes: int = stat("publish events the guard admitted (fully or partially)")
+    charged: int = stat("tree edges charged to queues")
+    overflow_drops: int = stat("routes lost to silent queue overflow")
+    shed: int = stat("routes shed to catch-up after retry budget")
+    retries: int = stat("retries spent on saturated relays")
+    waited_s: float = stat("virtual seconds spent in retry backoff", 0.0)
+    priority_grants: int = stat("direct-hop admissions that needed the reserved queue share")
 
 
 class OverloadGuard:
@@ -135,22 +117,14 @@ class OverloadGuard:
         self.last_refill = np.zeros(num_nodes)
         self.stats = OverloadStats()
         registry = registry if registry is not None else get_registry()
-        self._m_charged = registry.counter("overload.charged", "tree edges charged to queues")
-        self._m_overflow = registry.counter(
-            "overload.overflow_drops", "routes lost to silent queue overflow"
-        )
-        self._m_shed = registry.counter(
-            "overload.shed", "routes shed to catch-up after retry budget"
-        )
-        self._m_retries = registry.counter(
-            "overload.retries", "retries spent on saturated relays"
-        )
-        self._m_waited = registry.counter(
-            "overload.waited_s", "virtual seconds spent in retry backoff"
-        )
-        self._g_saturation = registry.gauge(
+        registry.attach("overload", self.stats)
+        registry.gauge(
             "overload.max_saturation", "highest queue fill fraction seen at a publish"
-        )
+        ).set_function(self._saturation)
+
+    def _saturation(self) -> float:
+        """Fill fraction of the fullest queue as the last publish left it."""
+        return 1.0 - float(self.tokens.min()) / self.config.capacity
 
     # -- token bucket --------------------------------------------------------
 
@@ -222,20 +196,15 @@ class OverloadGuard:
             if cfg.protected:
                 shed += 1
                 self.stats.shed += 1
-                self._m_shed.inc()
             else:
                 overflowed += 1
                 self.stats.overflow_drops += 1
-                self._m_overflow.inc()
             decisions = result.decisions
             if decisions is not None:
                 decisions = decisions[: max(0, failed_at - 1)]
             out[s] = RouteResult(
                 path=result.path[:failed_at], delivered=False, decisions=decisions
             )
-        if self.num_nodes:
-            fill = 1.0 - float(self.tokens.min()) / cfg.capacity
-            self._g_saturation.set(fill)
         return out, overflowed, shed
 
     def _charge(self, node: int, now: float, direct: bool) -> bool:
@@ -245,14 +214,12 @@ class OverloadGuard:
         if self._available(node, direct=False) >= 1.0:
             self.tokens[node] -= 1.0
             self.stats.charged += 1
-            self._m_charged.inc()
             return True
         if direct and self._available(node, direct=True) >= 1.0:
             # The reserved share exists exactly for this hop.
             self.tokens[node] -= 1.0
             self.stats.charged += 1
             self.stats.priority_grants += 1
-            self._m_charged.inc()
             return True
         if not cfg.protected:
             return False
@@ -261,16 +228,13 @@ class OverloadGuard:
         waited = now
         for _ in range(cfg.retry_budget):
             self.stats.retries += 1
-            self._m_retries.inc()
             self.stats.waited_s += backoff
-            self._m_waited.inc(backoff)
             waited += backoff
             backoff *= 2.0
             self._refill(node, waited)
             if self._available(node, direct) >= 1.0:
                 self.tokens[node] -= 1.0
                 self.stats.charged += 1
-                self._m_charged.inc()
                 if direct and self._available(node, direct=False) < 0.0:
                     self.stats.priority_grants += 1
                 return True
@@ -297,4 +261,5 @@ class OverloadGuard:
             )
         self.tokens = tokens
         self.last_refill = last
-        self.stats = OverloadStats(**state["stats"])
+        # In place: the registry reads this object, not a copy of it.
+        self.stats.__init__(**state["stats"])

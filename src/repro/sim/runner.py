@@ -28,7 +28,6 @@ from repro.net.workload import PublishEvent, PublishWorkload
 from repro.overlay.base import OverlayNetwork
 from repro.pubsub.api import PubSubSystem
 from repro.sim.events import EventQueue
-from repro.sim.trace import TraceRecorder
 from repro.telemetry.registry import get_registry
 from repro.util.exceptions import ConfigurationError, PersistError
 
@@ -157,10 +156,8 @@ class NotificationSimulator:
         maintenance_period: float = 60.0,
         payload_mb: float = DEFAULT_PAYLOAD_MB,
         faults: "FaultPlan | None" = None,
-        stabilizer=None,
         catchup=None,
         overload=None,
-        recorder: "TraceRecorder | None" = None,
         registry=None,
         snapshot_every: "int | None" = None,
         snapshot_dir: "str | None" = None,
@@ -176,11 +173,6 @@ class NotificationSimulator:
             raise ConfigurationError(f"snapshot_every must be >= 1, got {snapshot_every}")
         self.overlay = overlay
         self.faults = faults
-        #: optional :class:`~repro.core.stabilize.Stabilizer`, run at every
-        #: maintenance tick. Pass it here only when ``repair`` does not
-        #: already drive one (a RecoveryManager with a stabilizer runs it
-        #: inside its own tick).
-        self.stabilizer = stabilizer
         #: optional :class:`~repro.core.stabilize.CatchUpStore`; wired into
         #: the pub/sub layer for deposits and drained at maintenance ticks.
         self.catchup = catchup
@@ -204,13 +196,13 @@ class NotificationSimulator:
         # A RecoveryManager bound method carries degradation counters the
         # report surfaces; plain callables simply report zero.
         self._repair_owner = getattr(repair, "__self__", None)
+        #: that owner when it is a RecoveryManager: checkpoints carry its state.
+        self._recovery = (
+            self._repair_owner if hasattr(self._repair_owner, "false_evictions") else None
+        )
         self.maintenance_period = maintenance_period
         self.payload_mb = payload_mb
         self._schedules: "list[ChurnSchedule] | None" = None
-        #: optional per-round series sink; when set, every maintenance tick
-        #: records live-peer count and catch-up occupancy, and every
-        #: notification its delivery outcome, exportable as JSONL.
-        self.recorder = recorder
         #: every this many maintenance ticks, capture a full checkpoint of
         #: the run (overlay + components + pending events). Checkpoints
         #: accumulate in :attr:`snapshots`; with ``snapshot_dir`` each is
@@ -279,9 +271,9 @@ class NotificationSimulator:
         return report
 
     def _stabilizer_in_play(self):
-        # Whichever stabilizer runs — ours or one embedded in the repair
-        # hook — its round counter feeds the report by delta.
-        return self.stabilizer or getattr(self._repair_owner, "stabilizer", None)
+        # The stabilizer embedded in the repair hook, if any: its round
+        # counter feeds the report by delta.
+        return getattr(self._repair_owner, "stabilizer", None)
 
     def _prepare_fresh(self, horizon: float) -> "tuple[EventQueue, SimulationReport]":
         if self.churn is not None:
@@ -323,17 +315,12 @@ class NotificationSimulator:
                 f"cannot resume: snapshot belongs to a horizon={sim['horizon']} run, "
                 f"resume asked for horizon={horizon}"
             )
-        recovery = (
-            self._repair_owner
-            if hasattr(self._repair_owner, "false_evictions")
-            else None
-        )
         restore_into(
             snapshot,
             self.overlay,
             faults=self.faults,
             stabilizer=self._stabilizer_in_play(),
-            recovery=recovery,
+            recovery=self._recovery,
             catchup=self.catchup,
         )
         start_time = float(sim["time"])
@@ -371,9 +358,6 @@ class NotificationSimulator:
             dict(base["catchup"]) if base["catchup"] is not None else None,
         )
         self._tick_index = int(sim["tick_index"])
-        if self.recorder is not None and sim.get("recorder"):
-            for row in sim["recorder"]:
-                self.recorder.record(row["series"], row["round"], row["value"])
         if self.overload is not None and sim.get("overload") is not None:
             self.overload.restore_state(sim["overload"])
         return queue, report
@@ -412,19 +396,13 @@ class NotificationSimulator:
                 "stabilize_rounds": int(stab_rounds_before),
                 "catchup": catchup_before,
             },
-            "recorder": None if self.recorder is None else self.recorder.to_rows(),
             "overload": None if self.overload is None else self.overload.state_dict(),
         }
-        recovery = (
-            self._repair_owner
-            if hasattr(self._repair_owner, "false_evictions")
-            else None
-        )
         snap = capture(
             self.overlay,
             faults=self.faults,
             stabilizer=self._stabilizer_in_play(),
-            recovery=recovery,
+            recovery=self._recovery,
             catchup=self.catchup,
             sim=sim,
         )
@@ -464,20 +442,11 @@ class NotificationSimulator:
                     # stabilizer sees the right partition windows.
                     self._repair_owner.now = event.time
                 self.repair(online)
-            if self.stabilizer is not None and online is not None:
-                self.stabilizer.round(online, time=event.time)
             if self.catchup is not None:
                 report.catchup_recovered += self.catchup.deliver(online, time=event.time)
             report.maintenance_ticks += 1
             self._m_ticks.inc()
             self._tick_index += 1
-            if self.recorder is not None:
-                tick = self._tick_index
-                if online is not None:
-                    self.recorder.record("sim.online_peers", tick, int(online.sum()))
-                if self.catchup is not None:
-                    self.recorder.record("sim.catchup_pending", tick, self.catchup.pending())
-                self.recorder.record("sim.notifications", tick, len(report.records))
             if (
                 self.snapshot_every is not None
                 and self._tick_index % self.snapshot_every == 0
@@ -514,13 +483,3 @@ class NotificationSimulator:
             )
         )
         self._m_publishes.inc()
-        if self.recorder is not None:
-            index = len(report.records) - 1
-            self.recorder.record("notify.delivered", index, len(result.delivered))
-            self.recorder.record("notify.online_subscribers", index, len(result.subscribers))
-            if result.dropped:
-                self.recorder.record("notify.dropped", index, result.dropped)
-            if result.shed:
-                self.recorder.record("notify.shed", index, result.shed)
-            if result.retries:
-                self.recorder.record("notify.retries", index, result.retries)

@@ -5,6 +5,10 @@ code asks its registry for a named instrument once and then updates it on
 the hot path; the experiment harness snapshots the registry at the end of
 a run and hands it to :mod:`repro.telemetry.export`.
 
+A component that keeps a stats dataclass (``FaultStats``, ...) does not
+push: it hands the object to :meth:`MetricsRegistry.attach` once, counts
+an event there and nowhere else, and the read side reads the fields.
+
 Two registries exist:
 
 * :class:`MetricsRegistry` — the real thing. Histograms use *fixed*
@@ -12,9 +16,10 @@ Two registries exist:
   runs over the same seed produce byte-identical snapshots.
 * :class:`NullRegistry` — the contractual default, the telemetry
   analogue of :func:`repro.net.faults.FaultPlan.none`. Every instrument
-  it hands out is a shared no-op singleton; instrumented code pays one
-  attribute lookup and an empty call, and behaviour stays bit-identical
-  to a build without telemetry (pinned by a regression test).
+  it hands out is a shared no-op singleton and ``attach`` keeps nothing;
+  code that pushes pays one attribute lookup and an empty call, and
+  behaviour stays bit-identical to a build without telemetry (pinned by
+  a regression test).
 
 Injection follows the same pattern as the fault layer: components take
 an optional ``registry`` argument, and when it is omitted they fall back
@@ -28,12 +33,16 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.util.exceptions import ConfigurationError
 
 __all__ = [
+    "stat",
+    "Stats",
     "Counter",
     "Gauge",
+    "ReadCounter",
     "Histogram",
     "Timer",
     "MetricsRegistry",
@@ -106,6 +115,10 @@ class Gauge:
     def set(self, value: float) -> None:
         self._value = float(value)
 
+    def set_function(self, read) -> None:
+        """Have the owner compute the level, ``read()``, whenever it is read."""
+        self._value = read
+
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
@@ -114,7 +127,36 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        return self._value
+        return float(self._value()) if callable(self._value) else self._value
+
+
+def stat(help: str, default=0):
+    """A :class:`Stats` field that carries its own ``# HELP`` text."""
+    return field(default=default, metadata={"help": help})
+
+
+@dataclass
+class Stats:
+    """Base of a component's counters: what :meth:`MetricsRegistry.attach` reads."""
+
+    def as_dict(self) -> dict:
+        """Plain-dict snapshot for reports, verdicts and checkpoints."""
+        return asdict(self)
+
+
+class ReadCounter(Counter):
+    """A counter nobody pushes: one stats field, summed over the attached objects."""
+
+    __slots__ = ("sources",)
+
+    def __init__(self, name: str, help: str):
+        super().__init__(name, help)
+        self.sources: list = []
+
+    @property
+    def value(self) -> float:
+        field = self.name.rpartition(".")[2]
+        return float(sum(getattr(stats, field) for stats in self.sources))
 
 
 class Histogram:
@@ -233,7 +275,8 @@ class MetricsRegistry:
 
     Instruments are created on first use and shared on later lookups, so
     several components can update the same counter. Asking for an
-    existing name with a different kind raises.
+    existing name with a different kind raises — a name is pushed or
+    read from attached stats, never both.
     """
 
     is_null = False
@@ -246,7 +289,7 @@ class MetricsRegistry:
         if inst is None:
             inst = self._instruments[name] = factory()
             return inst
-        if not isinstance(inst, kind):
+        if type(inst) is not kind:  # exact: a read instrument is never handed out to push
             raise ConfigurationError(
                 f"metric {name!r} already registered as {type(inst).__name__}"
             )
@@ -269,6 +312,17 @@ class MetricsRegistry:
     def timer(self, name: str) -> Timer:
         hist = self.histogram(f"{name}.seconds", buckets=TIME_BUCKETS_S)
         return Timer(name, hist)
+
+    def attach(self, prefix: str, stats: Stats) -> None:
+        """Export ``stats``' fields as ``prefix.field`` counters, read on demand.
+
+        Objects attached under one prefix are summed (trials of one
+        experiment accumulate).
+        """
+        for f in fields(stats):
+            name = f"{prefix}.{f.name}"
+            help = f.metadata.get("help", "")
+            self._get(name, ReadCounter, lambda: ReadCounter(name, help)).sources.append(stats)
 
     # -- read side ---------------------------------------------------------
 
@@ -310,6 +364,9 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
+    def set_function(self, read) -> None:
+        pass
+
     def observe(self, value: float) -> None:
         pass
 
@@ -343,9 +400,6 @@ class NullRegistry(MetricsRegistry):
 
     is_null = True
 
-    def __init__(self):
-        super().__init__()
-
     def counter(self, name: str, help: str = "", labels: "dict | None" = None):
         return _NULL_INSTRUMENT
 
@@ -359,6 +413,9 @@ class NullRegistry(MetricsRegistry):
 
     def timer(self, name: str):
         return _NULL_INSTRUMENT
+
+    def attach(self, prefix: str, stats: Stats) -> None:
+        pass
 
 
 #: the process-wide default registry; never mutated, safe to share.

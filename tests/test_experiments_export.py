@@ -80,3 +80,22 @@ class TestExportExperiment:
         )
         assert rc == 0
         assert (tmp_path / "table2.csv").exists()
+
+    def test_cli_export_runs_the_experiment_once(self, tmp_path, monkeypatch):
+        from repro.experiments import fig2_hops
+
+        entered = []
+        run = fig2_hops.run
+        monkeypatch.setattr(fig2_hops, "run", lambda *a, **k: entered.append(1) or run(*a, **k))
+        base = ["fig2", "--preset", "quick", "--num-nodes", "80", "--datasets", "facebook",
+                "--systems", "select", "--trials", "1"]  # fmt: skip
+        lookups = []
+        for extra in ([], ["--export", str(tmp_path / "rows")]):
+            out = tmp_path / f"telemetry{len(extra)}"
+            assert main(base + ["--telemetry", str(out)] + extra) == 0
+            with open(out / "report.json") as fh:
+                lookups.append(json.load(fh)["metrics"]["counters"]["lookup.events"])
+        assert entered == [1, 1]  # one run per invocation, exported or not
+        assert lookups[0] == lookups[1] > 0
+        with open(tmp_path / "rows" / "fig2.csv") as fh:
+            assert list(csv.DictReader(fh))

@@ -1,5 +1,6 @@
 """Checkpoint/restore + deterministic replay (:mod:`repro.persist`)."""
 
+import copy
 import json
 import os
 from dataclasses import asdict
@@ -259,6 +260,19 @@ class TestDeterministicReplay:
 
         resumed_sim = _stack(small_graph, faulty, resume_from=snap_path)
         resumed = resumed_sim.run(600.0)
+        assert _report_fields(resumed) == _report_fields(uninterrupted)
+
+    def test_ping_state_has_a_total_order_and_restores_from_any(self, small_graph):
+        full = _stack(small_graph, faulty=True, snapshot_every=10)
+        uninterrupted = full.run(600.0)
+        snap = copy.deepcopy(full.snapshots[0])
+        for component in ("recovery", "stabilizer"):
+            triples = snap["state"][component]["pings"]["suspicion"]
+            assert triples and triples == sorted(triples)
+            triples.reverse()
+        # A checkpoint written before the simulator lost its recorder option.
+        snap["state"]["sim"]["recorder"] = None
+        resumed = _stack(small_graph, faulty=True, resume_from=snap).run(600.0)
         assert _report_fields(resumed) == _report_fields(uninterrupted)
 
     def test_snapshots_accumulate_in_memory(self, small_graph):

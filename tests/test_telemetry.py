@@ -18,6 +18,7 @@ from repro.telemetry import (
     NullRegistry,
     RouteTracer,
     get_registry,
+    prometheus_text,
     registry_snapshot,
     use_registry,
     use_tracer,
@@ -329,42 +330,118 @@ class TestExportAndReport:
         assert validate_dir(str(tmp_path / "nope"))
 
 
-class TestCatchupAndStabilizerCounters:
-    def test_stabilizer_counters_mirror_stats(self, small_graph):
-        import numpy as np
+@pytest.fixture(scope="module")
+def churned(small_graph):
+    """One seeded lossy churn run through all five stats-keeping components."""
+    from repro.core.recovery import RecoveryManager
+    from repro.core.stabilize import CatchUpStore, Stabilizer
+    from repro.net.churn import ChurnModel
+    from repro.net.faults import FaultPlan, PingService
+    from repro.net.workload import PublishWorkload
+    from repro.scenarios.overload import OverloadConfig, OverloadGuard
+    from repro.sim.runner import NotificationSimulator
 
-        from repro.core.stabilize import Stabilizer
-        from repro.net.faults import FaultPlan, PingService
+    n = small_graph.num_nodes
+    reg = MetricsRegistry()
+    overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=25)).build(seed=3)
+    plan = FaultPlan(loss_rate=0.3, ping_false_negative=0.2, seed=11, registry=reg)
+    pings = PingService(plan, registry=reg)
+    stabilizer = Stabilizer(overlay, pings, registry=reg)
+    recovery = RecoveryManager(overlay, pings, stabilizer=stabilizer, registry=reg)
+    catchup = CatchUpStore(overlay, capacity=4, faults=plan, registry=reg)
+    guard = OverloadGuard(OverloadConfig(capacity=6.0), n, registry=reg)
+    NotificationSimulator(
+        overlay,
+        PublishWorkload(n, mean_rate=0.05, seed=5),
+        churn=ChurnModel(n, seed=3),
+        faults=plan,
+        repair=recovery.tick,
+        catchup=catchup,
+        overload=guard,
+        maintenance_period=60.0,
+        registry=reg,
+    ).run(600.0)
+    owners = {
+        "faults": plan,
+        "recovery": recovery,
+        "stabilize": stabilizer,
+        "catchup": catchup,
+        "overload": guard,
+    }
+    return reg, owners
 
-        reg = MetricsRegistry()
-        overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=25)).build(seed=3)
-        plan = FaultPlan(seed=11)
-        stab = Stabilizer(overlay, ping_service=PingService(plan), registry=reg)
-        online = np.ones(small_graph.num_nodes, dtype=bool)
-        online[::5] = False
-        for _ in range(3):
-            stab.round(online)
-        counters = {n: c.value for n, c in reg.counters().items()}
-        assert counters["stabilize.rounds"] == stab.stats.rounds == 3
-        assert counters["stabilize.promotions"] == stab.stats.promotions
-        assert counters["stabilize.rectifications"] == stab.stats.rectifications
-        assert counters["stabilize.notifies"] == stab.stats.notifies
-        assert reg.histograms()["stabilize.round.seconds"].count == 3
 
-    def test_catchup_counters_and_gauge(self, small_graph):
-        from repro.core.stabilize import CatchUpStore
+class TestAttachedStats:
+    @pytest.mark.parametrize("prefix", ["faults", "recovery", "stabilize", "catchup", "overload"])
+    def test_exported_counters_are_the_stats_fields(self, churned, prefix):
+        from dataclasses import asdict
 
-        reg = MetricsRegistry()
-        overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=25)).build(seed=3)
-        store = CatchUpStore(overlay, capacity=4, registry=reg)
-        seq = store.new_notification()
-        store.deposit(seq, publisher=0, subscriber=1, counted=True)
+        reg, owners = churned
+        stats = asdict(owners[prefix].stats)
+        exported = {
+            name.partition(".")[2]: value
+            for name, value in registry_snapshot(reg)["counters"].items()
+            if name.startswith(prefix + ".")
+        }
+        assert exported == stats
+        assert all(isinstance(v, float) for v in exported.values())
+        assert sum(stats.values()) > 0  # the run reached this component
+
+    def test_gauges_are_read_when_asked(self, churned):
+        reg, owners = churned
+        store, guard = owners["catchup"], owners["overload"]
         assert reg.gauges()["catchup.pending"].value == store.pending() > 0
-        store.deliver()
-        counters = {n: c.value for n, c in reg.counters().items()}
-        assert counters["catchup.deposited"] == store.stats.deposited == 1
-        assert counters["catchup.recovered"] == store.stats.recovered == 1
-        assert reg.gauges()["catchup.pending"].value == 0
+        fill = reg.gauges()["overload.max_saturation"].value
+        assert fill == 1.0 - guard.tokens.min() / guard.config.capacity > 0
+        drained = store.buffers.copy()
+        store.buffers.clear()
+        try:
+            assert reg.gauges()["catchup.pending"].value == 0
+        finally:
+            store.buffers.update(drained)
+
+    def test_objects_under_one_prefix_sum_and_latest_gauge_wins(self):
+        from repro.core.stabilize import CatchUpStats
+
+        reg = MetricsRegistry()
+        first, second = CatchUpStats(deposited=2), CatchUpStats(deposited=3, evictions=1)
+        for stats, level in ((first, 7), (second, 9)):
+            reg.attach("catchup", stats)
+            reg.gauge("catchup.pending", "buffered").set_function(lambda level=level: level)
+        first.deposited += 1
+        assert reg.counters()["catchup.deposited"].value == 6.0
+        assert reg.counters()["catchup.evictions"].value == 1.0
+        assert reg.gauges()["catchup.pending"].value == 9.0
+        text = prometheus_text(reg)
+        assert "# HELP select_repro_catchup_deposited missed notifications handed to the store" in text
+        assert "select_repro_catchup_deposited 6\n" in text
+
+    def test_a_name_is_pushed_or_read_never_both(self):
+        from repro.net.faults import FaultStats
+        from repro.scenarios.overload import OverloadStats
+
+        reg = MetricsRegistry()
+        reg.attach("faults", FaultStats())
+        with pytest.raises(ConfigurationError):
+            reg.counter("faults.pings")
+        reg.counter("overload.shed")
+        with pytest.raises(ConfigurationError):
+            reg.attach("overload", OverloadStats())
+
+    def test_null_registry_keeps_no_reference(self):
+        import gc
+        import weakref
+
+        from repro.net.faults import FaultPlan
+
+        plan = FaultPlan(seed=1)  # attaches to the process default: the null registry
+        ref = weakref.ref(plan.stats)
+        null = NullRegistry()
+        null.attach("faults", plan.stats)
+        null.gauge("faults.level").set_function(plan.departs_gracefully)
+        del plan
+        gc.collect()
+        assert ref() is None
 
 
 class TestCli:
