@@ -417,6 +417,7 @@ def _run_live(args) -> int:
     print(
         f"  degraded           {result['shed_pairs']} shed to catch-up, "
         f"{result['pending_catchup']} still pending, "
+        f"{result['evicted_catchup']} evicted, "
         f"{result['subscriber_dead']} dead subscribers, "
         f"{result['unaccounted']} unaccounted"
     )

@@ -15,7 +15,7 @@ import os
 
 from repro.util.exceptions import ConfigurationError
 
-__all__ = ["rows_to_csv", "rows_to_json", "export_experiment"]
+__all__ = ["rows_to_csv", "rows_to_json"]
 
 
 def _flatten(value):
@@ -52,17 +52,3 @@ def rows_to_json(rows: list[dict], path: str) -> str:
         fh.write("\n")
     return path
 
-
-def export_experiment(name: str, module, config, out_dir: str, fmt: str = "csv") -> str:
-    """Run one experiment module and export its rows.
-
-    ``module`` must expose ``run(config) -> list[dict]`` (every module in
-    :mod:`repro.experiments` does).
-    """
-    if fmt not in ("csv", "json"):
-        raise ConfigurationError(f"unknown export format {fmt!r}")
-    rows = module.run(config)
-    path = os.path.join(out_dir, f"{name}.{fmt}")
-    if fmt == "csv":
-        return rows_to_csv(rows, path)
-    return rows_to_json(rows, path)

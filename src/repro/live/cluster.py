@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -436,21 +437,29 @@ class LiveCluster:
                 if node.running:
                     node.delivered |= seen
             if self.tracer is not None:
-                self._trace_recoveries()
+                self._trace_recoveries(truth)
                 if self._flight_dirty:
                     self._flight_dirty = False
                     self.dump_flight("crash")
 
-    def _trace_recoveries(self) -> None:
+    def _pair_state(self, seq: int, sub: int, truth: np.ndarray) -> str:
+        """Where an intended pair stands, as a ``livetrace.TERMINAL_NAMES`` word."""
+        if (seq, sub) in self.acked:
+            return "delivered"
+        if seq in self.catchup._seen.get(sub, ()) or seq in self.nodes[sub].delivered:
+            # Handed over by catch-up, or accepted at the subscriber with
+            # the ack lost on its way back to the publisher.
+            return "recovered"
+        return "pending" if truth[sub] else "dead_subscriber"
+
+    def _trace_recoveries(self, truth: np.ndarray) -> None:
         """Close chains the anti-entropy pass just recovered."""
-        resolved: "list[tuple[int, int]]" = []
-        for pair in self._trace_open:
+        for pair in list(self._trace_open):
             seq, sub = pair
             trace_id = f"{seq}:{sub}"
-            if self.tracer.has_terminal(trace_id):
-                resolved.append(pair)
-                continue
-            if seq in self.catchup._seen.get(sub, set()):
+            if not self.tracer.has_terminal(trace_id):
+                if self._pair_state(seq, sub, truth) != "recovered":
+                    continue
                 self.tracer.event(
                     trace_id,
                     "recovered",
@@ -458,8 +467,6 @@ class LiveCluster:
                     parent=self._trace_anchor.get(pair),
                     terminal=True,
                 )
-                resolved.append(pair)
-        for pair in resolved:
             self._trace_open.discard(pair)
 
     async def _settle(self, budget: float) -> None:
@@ -480,14 +487,11 @@ class LiveCluster:
 
     def _eventual_pairs_settled(self) -> bool:
         """No intended pair with a live subscriber is still undelivered-and-pending."""
-        for seq, _publisher, sub in self.intended:
-            if (seq, sub) in self.acked:
-                continue
-            if not self.truth_alive(sub):
-                continue
-            if seq not in self.catchup._seen.get(sub, set()):
-                return False
-        return True
+        truth = self.truth_online()
+        return all(
+            self._pair_state(seq, sub, truth) != "pending"
+            for seq, _publisher, sub in self.intended
+        )
 
     # -- accounting -----------------------------------------------------------------
 
@@ -504,17 +508,14 @@ class LiveCluster:
         self.tracer.flush_open()
         for seq, _publisher, sub in self.intended:
             trace_id = f"{seq}:{sub}"
-            if self.tracer.has_terminal(trace_id):
-                continue
-            anchor = self._trace_anchor.get((seq, sub))
-            if seq in self.catchup._seen.get(sub, set()) or seq in self.nodes[sub].delivered:
-                self.tracer.event(trace_id, "recovered", sub, parent=anchor, terminal=True)
-            elif not truth[sub]:
+            if not self.tracer.has_terminal(trace_id):
                 self.tracer.event(
-                    trace_id, "dead_subscriber", sub, parent=anchor, terminal=True
+                    trace_id,
+                    self._pair_state(seq, sub, truth),
+                    sub,
+                    parent=self._trace_anchor.get((seq, sub)),
+                    terminal=True,
                 )
-            else:
-                self.tracer.event(trace_id, "pending", sub, parent=anchor, terminal=True)
         self._trace_open.clear()
 
     def _trace_report(self) -> dict:
@@ -578,34 +579,24 @@ class LiveCluster:
         truth = self.truth_online()
         if self.tracer is not None:
             self._finalize_traces(truth)
-        pending: "set[tuple[int, int]]" = set()
-        for holder, buf in self.catchup.buffers.items():
-            for seq, sub, _counted in buf:
-                pending.add((seq, sub))
-        delivered_live = 0
-        recovered = 0
-        still_pending = 0
-        subscriber_dead = 0
-        unaccounted = 0
+        buffered = {(seq, sub) for buf in self.catchup.buffers.values() for seq, sub, _ in buf}
+        rows: "Counter[str]" = Counter()
         for seq, _publisher, sub in self.intended:
-            if (seq, sub) in self.acked:
-                delivered_live += 1
-            elif seq in self.catchup._seen.get(sub, set()) or seq in self.nodes[sub].delivered:
-                recovered += 1
-            elif not truth[sub]:
-                subscriber_dead += 1
-            elif (seq, sub) in pending:
-                still_pending += 1
-            elif self.catchup.stats.evictions > 0:
-                # Accounted as a buffer eviction (bounded-memory tradeoff,
-                # visible in catchup.evictions) rather than silent loss.
-                still_pending += 1
-            else:
-                unaccounted += 1
-        live_pairs = delivered_live + recovered + still_pending + unaccounted
-        eventual = (
-            (delivered_live + recovered) / live_pairs if live_pairs else 1.0
-        )
+            state = self._pair_state(seq, sub, truth)
+            if state == "pending":
+                # Parked in a holder's buffer; or deposited and since lost
+                # to a full one (the bounded-memory tradeoff, visible in
+                # catchup.evictions); or never parked at all: silent loss.
+                if (seq, sub) in buffered:
+                    state = "pending_catchup"
+                elif (seq, sub) in self.shed_pairs:
+                    state = "evicted_catchup"
+                else:
+                    state = "unaccounted"
+            rows[state] += 1
+        settled = rows["delivered"] + rows["recovered"]
+        live_pairs = len(self.intended) - rows["dead_subscriber"]
+        eventual = settled / live_pairs if live_pairs else 1.0
         self._g_eventual.set(eventual)
         doctor = check_overlay(self.overlay, online=self.truth_online())
         result = {
@@ -613,11 +604,12 @@ class LiveCluster:
             "num_nodes": self.n,
             "seed": self.seed,
             "intended_pairs": len(self.intended),
-            "delivered_live": delivered_live,
-            "recovered_catchup": recovered,
-            "pending_catchup": still_pending,
-            "subscriber_dead": subscriber_dead,
-            "unaccounted": unaccounted,
+            "delivered_live": rows["delivered"],
+            "recovered_catchup": rows["recovered"],
+            "pending_catchup": rows["pending_catchup"],
+            "evicted_catchup": rows["evicted_catchup"],
+            "subscriber_dead": rows["dead_subscriber"],
+            "unaccounted": rows["unaccounted"],
             "eventual_delivery_ratio": eventual,
             "shed_pairs": len(self.shed_pairs),
             "membership_converged": self.membership_converged(),

@@ -19,7 +19,7 @@ from repro.net.transfer import (
     path_transfer_time,
     tree_dissemination_time,
 )
-from repro.net.churn import ChurnModel, ChurnSchedule
+from repro.net.churn import ChurnModel, ChurnTimeline
 from repro.net.growth import GrowthModel, JoinEvent
 from repro.net.workload import PublishEvent, PublishWorkload
 from repro.net.availability import CumulativeMovingAverage, OnlineBehavior
@@ -41,7 +41,7 @@ __all__ = [
     "path_transfer_time",
     "tree_dissemination_time",
     "ChurnModel",
-    "ChurnSchedule",
+    "ChurnTimeline",
     "GrowthModel",
     "JoinEvent",
     "PublishEvent",

@@ -20,37 +20,41 @@ import numpy as np
 from repro.util.exceptions import ConfigurationError
 from repro.util.rng import as_generator
 
-__all__ = ["ChurnModel", "ChurnSchedule"]
+__all__ = ["ChurnModel", "ChurnTimeline"]
 
 
 @dataclass(frozen=True)
-class ChurnSchedule:
-    """Alternating online/offline intervals for one peer.
+class ChurnTimeline:
+    """Alternating online/offline intervals for a whole population.
 
-    ``boundaries`` are the instants at which the peer flips state;
-    ``initially_online`` gives the state before the first boundary.
+    Peer ``p`` flips state at ``boundaries[offsets[p]:offsets[p + 1]]``
+    (ascending, at least one instant); ``initially_online[p]`` is its
+    state before the first of them.
     """
 
     boundaries: np.ndarray
-    initially_online: bool
+    offsets: np.ndarray
+    initially_online: np.ndarray
 
-    def is_online(self, t: float) -> bool:
-        """Peer state at time ``t``."""
-        flips = int(np.searchsorted(self.boundaries, t, side="right"))
-        return self.initially_online ^ (flips % 2 == 1)
+    @classmethod
+    def from_peers(cls, peers) -> "ChurnTimeline":
+        """Timeline of ``(boundaries, initially_online)`` pairs, one a peer."""
+        bounds = [np.asarray(b, dtype=np.float64) for b, _ in peers]
+        if not bounds or any(b.size == 0 for b in bounds):
+            raise ConfigurationError("every peer of a churn timeline needs a boundary")
+        offsets = np.zeros(len(bounds) + 1, dtype=np.int64)
+        np.cumsum([b.size for b in bounds], out=offsets[1:])
+        initially = np.array([bool(init) for _, init in peers], dtype=bool)
+        return cls(np.concatenate(bounds), offsets, initially)
 
-    def online_fraction(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` the peer spends online."""
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {horizon}")
-        edges = [0.0] + [float(b) for b in self.boundaries if b < horizon] + [horizon]
-        online = self.initially_online
-        total = 0.0
-        for i in range(len(edges) - 1):
-            if online:
-                total += edges[i + 1] - edges[i]
-            online = not online
-        return total / horizon
+    def peers(self):
+        """``(boundaries, initially_online)`` per peer, in peer order."""
+        return zip(np.split(self.boundaries, self.offsets[1:-1]), self.initially_online.tolist())
+
+    def online_at(self, t: float) -> np.ndarray:
+        """Who is online at time ``t``: a peer has flipped once per boundary <= t."""
+        odd_flips = np.logical_xor.reduceat(self.boundaries <= t, self.offsets[:-1])
+        return self.initially_online ^ odd_flips
 
 
 class ChurnModel:
@@ -96,31 +100,28 @@ class ChurnModel:
         self._sigma_offline = sigma_offline
         self.offline_biased = self._rng.random(num_peers) < offline_bias_fraction
 
-    def schedule(self, peer: int, horizon: float) -> ChurnSchedule:
-        """Materialize the alternating schedule for ``peer`` up to ``horizon``."""
-        if not (0 <= peer < self.num_peers):
-            raise ConfigurationError(f"peer {peer} out of range")
+    def schedules(self, horizon: float) -> ChurnTimeline:
+        """Materialize every peer's alternating schedule up to ``horizon``."""
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
         rng = self._rng
-        stretch = 4.0 if self.offline_biased[peer] else 1.0
-        initially_online = bool(rng.random() < (0.35 if self.offline_biased[peer] else 0.8))
-        boundaries = []
-        t = 0.0
-        online = initially_online
-        while t < horizon:
-            if online:
-                dur = float(rng.lognormal(self._mu_session, self._sigma_session))
-            else:
-                dur = float(rng.lognormal(self._mu_offline, self._sigma_offline)) * stretch
-            t += max(dur, 1e-6)
-            boundaries.append(t)
-            online = not online
-        return ChurnSchedule(np.asarray(boundaries, dtype=np.float64), initially_online)
-
-    def schedules(self, horizon: float) -> list[ChurnSchedule]:
-        """Schedules for the whole population."""
-        return [self.schedule(p, horizon) for p in range(self.num_peers)]
+        peers = []
+        for biased in self.offline_biased:
+            stretch = 4.0 if biased else 1.0
+            initially_online = bool(rng.random() < (0.35 if biased else 0.8))
+            boundaries = []
+            t = 0.0
+            online = initially_online
+            while t < horizon:
+                if online:
+                    dur = float(rng.lognormal(self._mu_session, self._sigma_session))
+                else:
+                    dur = float(rng.lognormal(self._mu_offline, self._sigma_offline)) * stretch
+                t += max(dur, 1e-6)
+                boundaries.append(t)
+                online = not online
+            peers.append((boundaries, initially_online))
+        return ChurnTimeline.from_peers(peers)
 
     def online_matrix(self, horizon: float, ticks: int) -> np.ndarray:
         """Boolean (ticks, num_peers) matrix of liveness at sampled instants.
@@ -131,12 +132,10 @@ class ChurnModel:
         """
         if ticks <= 0:
             raise ConfigurationError(f"ticks must be positive, got {ticks}")
-        times = np.linspace(0.0, horizon, ticks, endpoint=False)
-        scheds = self.schedules(horizon)
-        out = np.zeros((ticks, self.num_peers), dtype=bool)
-        for j, s in enumerate(scheds):
-            for i, t in enumerate(times):
-                out[i, j] = s.is_online(float(t))
+        timeline = self.schedules(horizon)
+        out = np.array(
+            [timeline.online_at(t) for t in np.linspace(0.0, horizon, ticks, endpoint=False)]
+        )
         floor = self.num_peers // 2
         for i in range(ticks):
             deficit = floor - int(out[i].sum())

@@ -384,12 +384,9 @@ class PingService:
         self._suspicion: dict[int, dict[int, int]] = {}
         # Service-level registry counters (no-ops under NullRegistry):
         # unlike the FaultPlan's ``faults.*`` counters, these describe the
-        # *prober's* experience — attempts spent, probes that timed out,
-        # failures confirmed past the suspicion threshold.
+        # *prober's* experience — probes that timed out, failures confirmed
+        # past the suspicion threshold (attempts spent are ``faults.pings``).
         registry = registry if registry is not None else get_registry()
-        self._m_probe_attempts = registry.counter(
-            "ping.probe_attempts", "probe attempts issued (incl. backoff retries)"
-        )
         self._m_probe_timeouts = registry.counter(
             "ping.probe_timeouts", "probes that exhausted every attempt unanswered"
         )
@@ -439,7 +436,6 @@ class PingService:
         stats = faults.stats
         if faults.is_null:
             stats.pings += 1
-            self._m_probe_attempts.inc()
             waited = 0.0 if truth else self.base_timeout_ms
             if not truth:
                 self._m_probe_timeouts.inc()
@@ -449,14 +445,12 @@ class PingService:
             # Graceful departure: the contact said goodbye; no probing noise
             # and no timeout — the "no" is an answer, not silence.
             stats.pings += 1
-            self._m_probe_attempts.inc()
             self._h_probe_wait_ms.observe(0.0)
             return False, 1, 0.0
         timeout = self.base_timeout_ms
         waited = 0.0
         for attempt in range(1, self.max_attempts + 1):
             stats.pings += 1
-            self._m_probe_attempts.inc()
             if attempt > 1:
                 stats.ping_retries += 1
             if truth:

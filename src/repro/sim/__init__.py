@@ -1,15 +1,16 @@
 """Simulation substrate.
 
-The paper runs its algorithms on Apache Flink/Gelly's vertex-centric
-iterative model over a 20-node cluster. :class:`SuperstepEngine` reproduces
-those semantics in-process: synchronized supersteps, per-vertex compute
-functions, message exchange between supersteps, and vote-to-halt
-termination. A :class:`EventQueue` provides the discrete-event layer used
-by the churn/latency experiments.
+:class:`NotificationSimulator` replays a publish workload against an
+overlay on one clock — the publish events merged with the periodic
+maintenance instants — and asks
+:meth:`repro.net.churn.ChurnTimeline.online_at` who is up at each of
+them; a run checkpoints and resumes bit-identically.
+:class:`SuperstepEngine` is the paper's Apache Flink/Gelly vertex-centric
+model (synchronized supersteps, messages between them, vote-to-halt), kept
+as a public name; construction itself runs in :mod:`repro.core.rounds`.
 """
 
 from repro.sim.engine import SuperstepEngine, VertexContext, VertexProgram
-from repro.sim.events import Event, EventQueue
 from repro.sim.runner import NotificationRecord, NotificationSimulator, SimulationReport
 from repro.sim.trace import TraceRecorder
 
@@ -17,8 +18,6 @@ __all__ = [
     "SuperstepEngine",
     "VertexContext",
     "VertexProgram",
-    "Event",
-    "EventQueue",
     "NotificationRecord",
     "NotificationSimulator",
     "SimulationReport",

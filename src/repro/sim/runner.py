@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from repro.net.bandwidth import BandwidthModel
-from repro.net.churn import ChurnModel, ChurnSchedule
+from repro.net.churn import ChurnModel, ChurnTimeline
 from repro.net.faults import FaultPlan
 from repro.net.transfer import DEFAULT_PAYLOAD_MB, tree_dissemination_time
 from repro.net.workload import PublishEvent, PublishWorkload
 from repro.overlay.base import OverlayNetwork
 from repro.pubsub.api import PubSubSystem
-from repro.sim.events import EventQueue
 from repro.telemetry.registry import get_registry
 from repro.util.exceptions import ConfigurationError, PersistError
 
@@ -66,21 +66,12 @@ class SimulationReport:
 
     records: list[NotificationRecord] = field(default_factory=list)
     maintenance_ticks: int = 0
-    #: contacts evicted by recovery although they were actually online
-    #: (only under ping false negatives; 0 without a fault plan).
-    false_evictions: int = 0
     #: per injected partition: time from the cut healing until the first
     #: fully delivered notification (graceful-degradation metric).
     partition_heal_times: list[float] = field(default_factory=list)
-    #: stabilization rounds executed at maintenance ticks (0 without one).
-    stabilize_rounds: int = 0
     #: missed notifications recovered by catch-up that count toward
     #: availability (subscriber was online at publish time).
     catchup_recovered: int = 0
-    #: catch-up digest handovers, including offline-at-publish bonuses.
-    catchup_delivered: int = 0
-    #: catch-up buffer entries lost to overflow eviction.
-    catchup_evictions: int = 0
 
     @property
     def notifications(self) -> int:
@@ -202,7 +193,7 @@ class NotificationSimulator:
         )
         self.maintenance_period = maintenance_period
         self.payload_mb = payload_mb
-        self._schedules: "list[ChurnSchedule] | None" = None
+        self._timeline: "ChurnTimeline | None" = None
         #: every this many maintenance ticks, capture a full checkpoint of
         #: the run (overlay + components + pending events). Checkpoints
         #: accumulate in :attr:`snapshots`; with ``snapshot_dir`` each is
@@ -227,14 +218,6 @@ class NotificationSimulator:
         self._tick_index = 0
         self._horizon = 0.0
         self._events: list[PublishEvent] = []
-        self._baselines: tuple = (0, 0, None)
-
-    # -- liveness ----------------------------------------------------------
-
-    def _online_at(self, t: float) -> "np.ndarray | None":
-        if self._schedules is None:
-            return None
-        return np.array([s.is_online(t) for s in self._schedules])
 
     # -- main loop -----------------------------------------------------------
 
@@ -250,54 +233,44 @@ class NotificationSimulator:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
         self._horizon = float(horizon)
         if self.resume_from is not None:
-            queue, report = self._prepare_resume(horizon)
+            report, start = self._resume(horizon)
         else:
-            queue, report = self._prepare_fresh(horizon)
-        evictions_before, stab_rounds_before, catchup_stats_before = self._baselines
-        stab = self._stabilizer_in_play()
+            if self.churn is not None:
+                self._timeline = self.churn.schedules(horizon)
+            self._events = self.workload.events_until(horizon)
+            self._tick_index = 0
+            report, start = SimulationReport(), 0.0
+        # One clock: the publishes (a stable sort keeps simultaneous ones in
+        # input order) merged with the maintenance instants, a publish before
+        # a tick at the same instant. The ticks accumulate ``period`` as a
+        # float sum whatever ``start`` is: ``k * period`` can land a late tick
+        # one ulp away from where the uninterrupted run fired it.
+        publishes = sorted(self._events, key=attrgetter("time"))
         with self._run_timer:
-            queue.run_until(horizon, lambda e: self._handle(e, report))
-        report.false_evictions = (
-            getattr(self._repair_owner, "false_evictions", 0) - evictions_before
-        )
-        if stab is not None:
-            report.stabilize_rounds = stab.stats.rounds - stab_rounds_before
-        if self.catchup is not None:
-            after = self.catchup.stats.as_dict()
-            report.catchup_delivered = after["delivered"] - catchup_stats_before["delivered"]
-            report.catchup_evictions = after["evictions"] - catchup_stats_before["evictions"]
+            done = 0
+            tick = self.maintenance_period
+            while tick < horizon:
+                if tick > start:
+                    while done < len(publishes) and publishes[done].time <= tick:
+                        self._publish(publishes[done], report)
+                        done += 1
+                    self._maintain(tick, report)
+                tick += self.maintenance_period
+            for publish in publishes[done:]:
+                self._publish(publish, report)
         if self.faults is not None:
             report.partition_heal_times = self._partition_heal_times(report, horizon)
         return report
 
     def _stabilizer_in_play(self):
-        # The stabilizer embedded in the repair hook, if any: its round
-        # counter feeds the report by delta.
+        # The stabilizer embedded in the repair hook, if any: checkpoints
+        # carry its state.
         return getattr(self._repair_owner, "stabilizer", None)
-
-    def _prepare_fresh(self, horizon: float) -> "tuple[EventQueue, SimulationReport]":
-        if self.churn is not None:
-            self._schedules = self.churn.schedules(horizon)
-        self._events = self.workload.events_until(horizon)
-        queue = EventQueue()
-        for event in self._events:
-            queue.schedule_at(event.time, "publish", event)
-        t = self.maintenance_period
-        while t < horizon:
-            queue.schedule_at(t, "maintain", None)
-            t += self.maintenance_period
-        stab = self._stabilizer_in_play()
-        self._baselines = (
-            getattr(self._repair_owner, "false_evictions", 0),
-            stab.stats.rounds if stab is not None else 0,
-            self.catchup.stats.as_dict() if self.catchup is not None else None,
-        )
-        self._tick_index = 0
-        return queue, SimulationReport()
 
     # -- checkpoint / resume ----------------------------------------------------
 
-    def _prepare_resume(self, horizon: float) -> "tuple[EventQueue, SimulationReport]":
+    def _resume(self, horizon: float) -> "tuple[SimulationReport, float]":
+        """Restore a checkpointed run; the report so far and its instant."""
         from repro.persist.snapshot import load, restore_into
 
         snapshot = self.resume_from
@@ -323,49 +296,25 @@ class NotificationSimulator:
             recovery=self._recovery,
             catchup=self.catchup,
         )
-        start_time = float(sim["time"])
-        if sim["schedules"] is None:
-            self._schedules = None
-        else:
-            self._schedules = [
-                ChurnSchedule(np.asarray(bounds, dtype=np.float64), bool(init))
-                for bounds, init in sim["schedules"]
-            ]
+        self._timeline = (
+            None if sim["schedules"] is None else ChurnTimeline.from_peers(sim["schedules"])
+        )
         self._events = [
             PublishEvent(time=float(t), publisher=int(p), message_id=int(m))
             for t, p, m in sim["events"]
         ]
-        queue = EventQueue()
-        for event in self._events:
-            queue.schedule_at(event.time, "publish", event)
-        # Regenerate the maintain ticks with the same float accumulation
-        # the original run used: computing k * period instead can land a
-        # late tick one ulp away from the accumulated sum, firing it at a
-        # different instant than the uninterrupted run.
-        t = self.maintenance_period
-        while t < horizon:
-            if t > start_time:
-                queue.schedule_at(t, "maintain", None)
-            t += self.maintenance_period
         report = SimulationReport()
         report.records = [NotificationRecord(**r) for r in sim["records"]]
         report.maintenance_ticks = int(sim["maintenance_ticks"])
         report.catchup_recovered = int(sim["catchup_recovered"])
-        base = sim["baselines"]
-        self._baselines = (
-            int(base["false_evictions"]),
-            int(base["stabilize_rounds"]),
-            dict(base["catchup"]) if base["catchup"] is not None else None,
-        )
         self._tick_index = int(sim["tick_index"])
         if self.overload is not None and sim.get("overload") is not None:
             self.overload.restore_state(sim["overload"])
-        return queue, report
+        return report, float(sim["time"])
 
     def _capture_checkpoint(self, now: float, report: SimulationReport) -> dict:
         from repro.persist.snapshot import capture, save
 
-        evictions_before, stab_rounds_before, catchup_before = self._baselines
         sim = {
             "time": float(now),
             "tick_index": int(self._tick_index),
@@ -373,8 +322,7 @@ class NotificationSimulator:
             "maintenance_period": float(self.maintenance_period),
             "payload_mb": float(self.payload_mb),
             # Events strictly after `now` are exactly the unprocessed set:
-            # the queue pops equal-time publishes before the maintain tick
-            # doing this capture (publishes are scheduled first).
+            # an equal-time publish runs before the tick doing this capture.
             "events": [
                 [float(e.time), int(e.publisher), int(e.message_id)]
                 for e in self._events
@@ -382,20 +330,12 @@ class NotificationSimulator:
             ],
             "schedules": (
                 None
-                if self._schedules is None
-                else [
-                    [[float(b) for b in s.boundaries], bool(s.initially_online)]
-                    for s in self._schedules
-                ]
+                if self._timeline is None
+                else [[bounds.tolist(), init] for bounds, init in self._timeline.peers()]
             ),
             "records": [asdict(r) for r in report.records],
             "maintenance_ticks": int(report.maintenance_ticks),
             "catchup_recovered": int(report.catchup_recovered),
-            "baselines": {
-                "false_evictions": int(evictions_before),
-                "stabilize_rounds": int(stab_rounds_before),
-                "catchup": catchup_before,
-            },
             "overload": None if self.overload is None else self.overload.state_dict(),
         }
         snap = capture(
@@ -433,33 +373,27 @@ class NotificationSimulator:
             heal_times.append(healed_at - partition.end)
         return heal_times
 
-    def _handle(self, event, report: SimulationReport) -> None:
-        if event.kind == "maintain":
-            online = self._online_at(event.time)
-            if self.repair is not None and online is not None:
-                if self._repair_owner is not None and hasattr(self._repair_owner, "now"):
-                    # Hand the clock to the RecoveryManager so an embedded
-                    # stabilizer sees the right partition windows.
-                    self._repair_owner.now = event.time
-                self.repair(online)
-            if self.catchup is not None:
-                report.catchup_recovered += self.catchup.deliver(online, time=event.time)
-            report.maintenance_ticks += 1
-            self._m_ticks.inc()
-            self._tick_index += 1
-            if (
-                self.snapshot_every is not None
-                and self._tick_index % self.snapshot_every == 0
-            ):
-                self._capture_checkpoint(event.time, report)
-            return
-        if event.kind != "publish":  # pragma: no cover - future event kinds
-            return
-        publish = event.payload
-        online = self._online_at(event.time)
+    def _maintain(self, now: float, report: SimulationReport) -> None:
+        online = None if self._timeline is None else self._timeline.online_at(now)
+        if self.repair is not None and online is not None:
+            if self._repair_owner is not None and hasattr(self._repair_owner, "now"):
+                # Hand the clock to the RecoveryManager so an embedded
+                # stabilizer sees the right partition windows.
+                self._repair_owner.now = now
+            self.repair(online)
+        if self.catchup is not None:
+            report.catchup_recovered += self.catchup.deliver(online, time=now)
+        report.maintenance_ticks += 1
+        self._m_ticks.inc()
+        self._tick_index += 1
+        if self.snapshot_every is not None and self._tick_index % self.snapshot_every == 0:
+            self._capture_checkpoint(now, report)
+
+    def _publish(self, publish: PublishEvent, report: SimulationReport) -> None:
+        online = None if self._timeline is None else self._timeline.online_at(publish.time)
         if online is not None and not online[publish.publisher]:
             return  # offline users do not post
-        result = self.pubsub.publish(publish.publisher, online=online, time=event.time)
+        result = self.pubsub.publish(publish.publisher, online=online, time=publish.time)
         latency_ms = 0.0
         if self.bandwidth is not None and self.latency is not None and result.delivered:
             latency_ms = tree_dissemination_time(
@@ -471,7 +405,7 @@ class NotificationSimulator:
             )
         report.records.append(
             NotificationRecord(
-                time=event.time,
+                time=publish.time,
                 publisher=publish.publisher,
                 subscribers_online=len(result.subscribers),
                 delivered=len(result.delivered),

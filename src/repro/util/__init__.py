@@ -20,7 +20,6 @@ from repro.util.exceptions import (
     PersistError,
     ReproError,
     RetryBudgetExhausted,
-    RoutingError,
     SimulationError,
     SnapshotIntegrityError,
     SnapshotIOError,
@@ -52,7 +51,6 @@ __all__ = [
     "PersistError",
     "ReproError",
     "RetryBudgetExhausted",
-    "RoutingError",
     "SimulationError",
     "SnapshotIntegrityError",
     "SnapshotIOError",

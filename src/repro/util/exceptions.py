@@ -60,10 +60,6 @@ class PartitionError(FaultInjectionError):
     """A network partition was specified with an invalid cut or window."""
 
 
-class RoutingError(ReproError):
-    """A routing operation could not complete (e.g. unreachable target)."""
-
-
 class PersistError(ReproError):
     """A snapshot could not be captured, validated, loaded, or restored."""
 

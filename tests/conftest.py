@@ -70,3 +70,16 @@ def assert_edge_columns_recompute(peers) -> None:
             [packed_key(f, known[f].bit_count()) if f in known else -1 for f in friends],
             [family.bucket(known[f], k) if f in known else -1 for f in friends],
         ), peer.node
+
+
+def online_reference(timeline, t: float) -> np.ndarray:
+    """Who is online at ``t``, one peer at a time: the rule every
+    ``ChurnSchedule.is_online`` call applied before the population shared
+    one timeline, kept as the reference ``ChurnTimeline.online_at`` is
+    checked against."""
+    return np.array(
+        [
+            initially_online ^ (int(np.searchsorted(boundaries, t, side="right")) % 2 == 1)
+            for boundaries, initially_online in timeline.peers()
+        ]
+    )

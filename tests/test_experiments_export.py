@@ -5,20 +5,9 @@ import json
 
 import pytest
 
-from repro.experiments import table2
 from repro.experiments.cli import main
-from repro.experiments.common import ExperimentConfig
-from repro.experiments.export import export_experiment, rows_to_csv, rows_to_json
+from repro.experiments.export import rows_to_csv, rows_to_json
 from repro.util.exceptions import ConfigurationError
-
-MICRO = ExperimentConfig(
-    datasets=("facebook",),
-    systems=("select",),
-    num_nodes=80,
-    trials=1,
-    lookups=10,
-    publishers=2,
-)
 
 
 class TestCsv:
@@ -56,17 +45,6 @@ class TestJson:
 
 
 class TestExportExperiment:
-    def test_table2_csv(self, tmp_path):
-        path = export_experiment("table2", table2, MICRO, str(tmp_path))
-        with open(path) as fh:
-            back = list(csv.DictReader(fh))
-        assert back[0]["dataset"] == "facebook"
-        assert int(back[0]["paper_users"]) == 63_731
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            export_experiment("table2", table2, MICRO, str(tmp_path), fmt="xml")
-
     def test_cli_export_flag(self, tmp_path, capsys):
         rc = main(
             [

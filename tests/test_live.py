@@ -10,6 +10,7 @@ from repro.live import (
     DEAD,
     SUSPECT,
     Envelope,
+    LiveCluster,
     LiveConfig,
     LiveScenario,
     LoopbackTransport,
@@ -464,12 +465,61 @@ class TestDegradedDelivery:
             result["delivered_live"]
             + result["recovered_catchup"]
             + result["pending_catchup"]
+            + result["evicted_catchup"]
             + result["subscriber_dead"]
         )
         assert classified == result["intended_pairs"]
         assert result["membership_converged"]
         assert result["doctor_ok"]
         assert result["gave_up_nodes"] == []
+
+    @staticmethod
+    def _idle_cluster():
+        """A booted-but-never-run cluster with every node up and room for
+        one catch-up entry a holder; returns it with a friend pair."""
+        cluster = LiveCluster(num_nodes=16, scenario="calm", seed=3, registry=MetricsRegistry())
+        for v in range(cluster.n):
+            cluster.transport.register(v)
+        cluster.catchup.capacity = 1
+        publisher = 0
+        subscriber = int(cluster.graph.neighbors(publisher)[0])
+        return cluster, publisher, subscriber
+
+    def _shed(self, cluster, publisher, subscriber):
+        """What ``_publish_once`` does with a pair whose retry budget ran out."""
+        seq = cluster.catchup.new_notification()
+        cluster.intended.append((seq, publisher, subscriber))
+        cluster.shed_pairs.add((seq, subscriber))
+        cluster.catchup.deposit(seq, publisher, subscriber, True, cluster.truth_online(), 0.0)
+        return seq
+
+    def test_an_eviction_elsewhere_does_not_excuse_a_lost_pair(self):
+        cluster, publisher, subscriber = self._idle_cluster()
+        # A pair that was neither acked nor parked: its deliver() died of
+        # something other than a TransientError.
+        cluster.intended.append((cluster.catchup.new_notification(), publisher, subscriber))
+        # Two bonus deposits for an unrelated subscriber overflow a buffer.
+        other = next(v for v in range(cluster.n) if v not in (publisher, subscriber))
+        for _ in range(2):
+            seq = cluster.catchup.new_notification()
+            cluster.catchup.deposit(seq, publisher, other, False, cluster.truth_online(), 0.0)
+        assert cluster.catchup.stats.evictions > 0
+        result = cluster._account()
+        assert result["unaccounted"] == 1
+        assert result["pending_catchup"] == result["evicted_catchup"] == 0
+        assert result["eventual_delivery_ratio"] == 0.0
+
+    def test_a_shed_pair_evicted_from_a_full_buffer_is_counted_as_evicted(self):
+        cluster, publisher, subscriber = self._idle_cluster()
+        first = self._shed(cluster, publisher, subscriber)
+        second = self._shed(cluster, publisher, subscriber)  # same holders: evicts the first
+        buffered = {(seq, sub) for buf in cluster.catchup.buffers.values() for seq, sub, _ in buf}
+        assert buffered == {(second, subscriber)} and first != second
+        result = cluster._account()
+        assert result["evicted_catchup"] == 1
+        assert result["pending_catchup"] == 1
+        assert result["unaccounted"] == 0
+        assert result["shed_pairs"] == result["intended_pairs"] == 2
 
 
 class TestAcceptance:

@@ -1,43 +1,74 @@
 """Dynamic models: churn, growth, workload, CMA availability."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.datasets import load_dataset
 from repro.net.availability import CumulativeMovingAverage, OnlineBehavior
-from repro.net.churn import ChurnModel
+from repro.net.churn import ChurnModel, ChurnTimeline
 from repro.net.growth import GrowthModel
 from repro.net.workload import PublishWorkload
 from repro.util.exceptions import ConfigurationError
+from tests.conftest import online_reference
+
+
+#: sha256 of ``ChurnModel(60, mean_session=100, mean_offline=400, seed=4)
+#: .online_matrix(5000, 12)``, recorded while liveness was one
+#: ``ChurnSchedule`` a peer and the matrix a ticks x peers Python loop.
+ONLINE_MATRIX_PIN = "8865fde42dda829bdfeb102a16193ccba1b15f0a1b74e8a5efb3542d17a5e595"
+
+_flip_gaps = st.lists(st.floats(1e-6, 500.0), min_size=1, max_size=8)
 
 
 class TestChurnSchedule:
     def test_alternating_states(self):
-        model = ChurnModel(5, seed=1)
-        sched = model.schedule(0, horizon=10_000.0)
-        # State flips at each boundary.
-        s0 = sched.is_online(0.0)
-        first = float(sched.boundaries[0])
-        assert sched.is_online(first + 1e-6) == (not s0)
+        timeline = ChurnModel(5, seed=1).schedules(horizon=10_000.0)
+        # Every peer's state flips at each of its boundaries.
+        for peer, (boundaries, initially_online) in enumerate(timeline.peers()):
+            assert timeline.online_at(0.0)[peer] == initially_online
+            for flips, instant in enumerate(boundaries.tolist(), start=1):
+                assert timeline.online_at(instant)[peer] == initially_online ^ (flips % 2 == 1)
 
-    def test_online_fraction_bounds(self):
-        model = ChurnModel(5, seed=2)
-        for p in range(5):
-            frac = model.schedule(p, 5_000.0).online_fraction(5_000.0)
-            assert 0.0 <= frac <= 1.0
+    @given(
+        peers=st.lists(st.tuples(_flip_gaps, st.booleans()), min_size=1, max_size=6),
+        probe=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lookup_equals_the_per_peer_rule(self, peers, probe, data):
+        timeline = ChurnTimeline.from_peers(
+            [(np.cumsum(gaps), initially_online) for gaps, initially_online in peers]
+        )
+        horizon = float(timeline.boundaries.max())
+        instants = [0.0, horizon, probe * horizon]
+        instants.append(data.draw(st.sampled_from(timeline.boundaries.tolist())))
+        for t in instants:
+            assert timeline.online_at(t).tolist() == online_reference(timeline, t).tolist()
+
+    def test_a_peer_without_a_boundary_is_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ChurnTimeline.from_peers([([1.0], True), ([], False)])
 
     def test_biased_peers_less_online(self):
         model = ChurnModel(400, offline_bias_fraction=0.5, seed=3)
         horizon = 20_000.0
-        fracs = np.array([model.schedule(p, horizon).online_fraction(horizon) for p in range(400)])
+        timeline = model.schedules(horizon)
+        grid = np.linspace(0.0, horizon, 200, endpoint=False)
+        fracs = np.mean([timeline.online_at(t) for t in grid], axis=0)
+        assert ((0.0 <= fracs) & (fracs <= 1.0)).all()
         assert fracs[model.offline_biased].mean() < fracs[~model.offline_biased].mean()
 
     def test_matrix_shape_and_floor(self):
         model = ChurnModel(60, mean_session=100.0, mean_offline=400.0, seed=4)
         m = model.online_matrix(horizon=5_000.0, ticks=12)
-        assert m.shape == (12, 60)
+        assert m.shape == (12, 60) and m.dtype == bool
         # Paper constraint: never below half the network online.
         assert (m.sum(axis=1) >= 30).all()
+        assert hashlib.sha256(m.tobytes()).hexdigest() == ONLINE_MATRIX_PIN
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
@@ -46,9 +77,9 @@ class TestChurnSchedule:
             ChurnModel(5, mean_session=-1.0)
         model = ChurnModel(5, seed=5)
         with pytest.raises(ConfigurationError):
-            model.schedule(9, 100.0)
+            model.schedules(-5.0)
         with pytest.raises(ConfigurationError):
-            model.schedule(0, -5.0)
+            model.online_matrix(100.0, ticks=0)
 
 
 class TestGrowth:

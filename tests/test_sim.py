@@ -1,9 +1,8 @@
-"""Simulation substrate: superstep engine, event queue, trace recorder."""
+"""Simulation substrate: superstep engine, trace recorder."""
 
 import pytest
 
 from repro.sim.engine import SuperstepEngine
-from repro.sim.events import EventQueue
 from repro.sim.trace import TraceRecorder
 from repro.util.exceptions import SimulationError
 
@@ -78,69 +77,6 @@ class TestSuperstepEngine:
         engine = SuperstepEngine(3, EchoProgram())
         engine.run(max_supersteps=10)
         assert engine.active_count == 0
-
-
-class TestEventQueue:
-    def test_time_ordering(self):
-        q = EventQueue()
-        q.schedule(5.0, "b")
-        q.schedule(1.0, "a")
-        assert q.pop().kind == "a"
-        assert q.pop().kind == "b"
-        assert q.now == 5.0
-
-    def test_fifo_for_simultaneous(self):
-        q = EventQueue()
-        q.schedule(1.0, "first")
-        q.schedule(1.0, "second")
-        assert [q.pop().kind, q.pop().kind] == ["first", "second"]
-
-    def test_schedule_at_absolute(self):
-        q = EventQueue()
-        q.schedule_at(3.0, "x", payload=42)
-        e = q.pop()
-        assert e.time == 3.0 and e.payload == 42
-
-    def test_past_scheduling_rejected(self):
-        q = EventQueue()
-        q.schedule(1.0, "a")
-        q.pop()
-        with pytest.raises(SimulationError):
-            q.schedule(-0.5, "late")
-        with pytest.raises(SimulationError):
-            q.schedule_at(0.5, "late")
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_run_until(self):
-        q = EventQueue()
-        for t in (0.5, 1.5, 2.5):
-            q.schedule_at(t, "tick")
-        seen = []
-        count = q.run_until(2.0, lambda e: seen.append(e.time))
-        assert count == 2
-        assert seen == [0.5, 1.5]
-        assert q.now == 2.0
-        assert len(q) == 1
-
-    def test_handler_can_reschedule(self):
-        q = EventQueue()
-        q.schedule(1.0, "tick")
-
-        def handler(event):
-            if q.now < 5.0:
-                q.schedule(1.0, "tick")
-
-        dispatched = q.run_until(10.0, handler)
-        assert dispatched == 5
-
-    def test_bool_and_len(self):
-        q = EventQueue()
-        assert not q
-        q.schedule(1.0, "a")
-        assert q and len(q) == 1
 
 
 class TestTraceRecorder:

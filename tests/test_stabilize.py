@@ -134,7 +134,7 @@ class TestStabilizerNullBehaviour:
         a, b = reports
         assert [r.delivered for r in a.records] == [r.delivered for r in b.records]
         assert a.availability == b.availability == b.total_availability
-        assert b.catchup_recovered == 0 and b.catchup_delivered == 0
+        assert b.catchup_recovered == 0 and catchup.stats.delivered == 0
 
 
 class TestCrashRecovery:
