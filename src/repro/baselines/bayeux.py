@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.graphs.graph import SocialGraph
 from repro.idspace.hashing import uniform_hash, uniform_hashes
 from repro.overlay.base import OverlayNetwork
-from repro.overlay.ring import ring_links, successor_of
 from repro.overlay.routing import RouteResult
 from repro.util.rng import as_generator
 
@@ -44,10 +43,8 @@ class BayeuxOverlay(OverlayNetwork):
         n = self.graph.num_nodes
         salt = int(rng.integers(2**31 - 1))
         self._topic_salt = int(rng.integers(2**31 - 1))
-        self.ids = uniform_hashes(range(n), salt=salt)
-        for v, (pred, succ) in enumerate(ring_links(self.ids)):
-            self.tables[v].predecessor = pred
-            self.tables[v].successor = succ
+        self.ids[:] = uniform_hashes(range(n), salt=salt)
+        self._refresh_ring()
         self._build_fingers()
         self.iterations = 0
         self._mark_built()
@@ -60,7 +57,7 @@ class BayeuxOverlay(OverlayNetwork):
             table = self.tables[v]
             for i in range(1, self.k_links + 1):
                 point = (self.ids[v] + 2.0**-i) % 1.0
-                manager = successor_of(self.ids, point)
+                manager = self._ring_index.successor_of(point)
                 if manager != v:
                     # Tapestry neighbor tables are not degree-capped per
                     # incoming side; charge the slot best-effort only.
@@ -72,7 +69,7 @@ class BayeuxOverlay(OverlayNetwork):
     def rendezvous_root(self, topic: int) -> int:
         """Node managing the topic hash (the tree root for ``topic``)."""
         self._check_built()
-        return successor_of(self.ids, uniform_hash(int(topic), salt=self._topic_salt))
+        return self._ring_index.successor_of(uniform_hash(int(topic), salt=self._topic_salt))
 
     def disseminate(self, publisher, subscribers, router, online=None) -> dict:
         """Publisher → rendezvous root → down the subscriber join paths.

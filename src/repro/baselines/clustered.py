@@ -22,7 +22,6 @@ import numpy as np
 from repro.graphs.graph import SocialGraph
 from repro.idspace.hashing import uniform_hashes
 from repro.overlay.base import OverlayNetwork
-from repro.overlay.ring import ring_links
 from repro.util.rng import as_generator
 
 __all__ = ["RankedGossipOverlay"]
@@ -61,10 +60,8 @@ class RankedGossipOverlay(OverlayNetwork):
         rng = as_generator(seed)
         n = self.graph.num_nodes
         salt = int(rng.integers(2**31 - 1))
-        self.ids = uniform_hashes(range(n), salt=salt)
-        for v, (pred, succ) in enumerate(ring_links(self.ids)):
-            self.tables[v].predecessor = pred
-            self.tables[v].successor = succ
+        self.ids[:] = uniform_hashes(range(n), salt=salt)
+        self._refresh_ring()
         self.prepare(rng)
         quiet = 0
         rounds = 0

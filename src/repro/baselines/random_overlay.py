@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.graphs.graph import SocialGraph
 from repro.idspace.hashing import uniform_hashes
 from repro.overlay.base import OverlayNetwork
-from repro.overlay.ring import ring_links
 from repro.util.rng import as_generator
 
 __all__ = ["RandomOverlay"]
@@ -32,10 +31,8 @@ class RandomOverlay(OverlayNetwork):
         rng = as_generator(seed)
         n = self.graph.num_nodes
         salt = int(rng.integers(2**31 - 1))
-        self.ids = uniform_hashes(range(n), salt=salt)
-        for v, (pred, succ) in enumerate(ring_links(self.ids)):
-            self.tables[v].predecessor = pred
-            self.tables[v].successor = succ
+        self.ids[:] = uniform_hashes(range(n), salt=salt)
+        self._refresh_ring()
         for v in range(n):
             table = self.tables[v]
             attempts = 0

@@ -24,7 +24,6 @@ import numpy as np
 from repro.graphs.graph import SocialGraph
 from repro.idspace.hashing import uniform_hashes
 from repro.overlay.base import OverlayNetwork
-from repro.overlay.ring import ring_links, successor_of
 from repro.util.rng import as_generator
 
 __all__ = ["SymphonyOverlay"]
@@ -45,10 +44,8 @@ class SymphonyOverlay(OverlayNetwork):
         rng = as_generator(seed)
         n = self.graph.num_nodes
         salt = int(rng.integers(2**31 - 1))
-        self.ids = uniform_hashes(range(n), salt=salt)
-        for v, (pred, succ) in enumerate(ring_links(self.ids)):
-            self.tables[v].predecessor = pred
-            self.tables[v].successor = succ
+        self.ids[:] = uniform_hashes(range(n), salt=salt)
+        self._refresh_ring()
         self._draw_long_links(rng)
         self.iterations = 0
         self._mark_built()
@@ -67,7 +64,7 @@ class SymphonyOverlay(OverlayNetwork):
                 # d = exp(ln N * (u - 1)) = N^(u-1), u ~ U[0, 1].
                 distance = float(np.exp(ln_n * (rng.random() - 1.0)))
                 target_point = (self.ids[v] + distance) % 1.0
-                manager = successor_of(self.ids, target_point)
+                manager = self._ring_index.successor_of(target_point)
                 if manager == v or manager in table.long_links:
                     continue
                 if self.try_accept_incoming(manager):

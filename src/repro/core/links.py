@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.peer import PeerState
 from repro.core.picker import KEY_FIELD, packed_key, picker
 
-__all__ = ["create_links", "plan_links", "apply_plan", "random_links", "closer_successor"]
+__all__ = ["create_links", "plan_links", "apply_plan", "random_links"]
 
 
 def _bucket_groups(peer: PeerState) -> dict:
@@ -260,50 +260,6 @@ def _fill_keys(peer: PeerState, candidates, links, coverage) -> "list[int]":
         for f in candidates
         if f != node and f not in links
     ]
-
-
-def closer_successor(
-    node: int,
-    successor: int,
-    candidates,
-    ids: np.ndarray,
-    reachable: Callable[[int], bool],
-) -> int | None:
-    """Chord-style rectify: best reachable candidate between us and successor.
-
-    Returns the candidate strictly inside the clockwise arc
-    ``(node, successor)`` that is closest to ``node`` and answers
-    ``reachable``, or ``None`` when no candidate improves on the current
-    successor. Ties in identifier are broken by node index (the same total
-    order as :func:`repro.overlay.ring.ring_links`), so stabilization
-    converges to exactly the ring the oracle would compute.
-
-    ``reachable`` is only consulted for candidates that actually lie in
-    the arc, closest first, so probing stops at the first live improvement.
-    """
-    kn = (float(ids[node]), node)
-    ks = (float(ids[successor]), successor)
-    in_arc = []
-    for cand in set(candidates):
-        cand = int(cand)
-        if cand == node or cand == successor:
-            continue
-        kc = (float(ids[cand]), cand)
-        # Strictly between node and successor in the clockwise (id, index)
-        # order, handling the wrap where the arc crosses the origin.
-        if kn < ks:
-            inside = kn < kc < ks
-        else:
-            inside = kc > kn or kc < ks
-        if inside:
-            in_arc.append(kc)
-    # Closest to node first: candidates after us in clockwise order sort
-    # ahead of the ones that wrapped past the origin.
-    in_arc.sort(key=lambda kc: (0 if kc > kn else 1, kc))
-    for _, cand in in_arc:
-        if reachable(cand):
-            return cand
-    return None
 
 
 def random_links(

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.select import SelectOverlay
 from repro.net.faults import PingService
-from repro.overlay.ring import ring_links
 from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.bitset import hamming_distance
 
@@ -117,7 +116,8 @@ class RecoveryManager:
         if self.stabilizer is not None and not self.pings.faults.is_null:
             self.stabilizer.round(online, time=self.now)
         else:
-            self._repair_ring()
+            # The oracle re-stitch: the overlay's ring over the live peers.
+            ov._refresh_ring(online)
 
     # -- link replacement -----------------------------------------------------------
 
@@ -203,18 +203,3 @@ class RecoveryManager:
                 best = friend
                 best_dist = dist
         return best
-
-    # -- ring stabilization ------------------------------------------------------------
-
-    def _repair_ring(self) -> None:
-        """Re-stitch successor/predecessor links over the live peers."""
-        ov = self.overlay
-        live = np.flatnonzero(self.pings.ground_truth())
-        if live.size < 2:
-            return
-        live_ids = ov.ids[live]
-        pairs = ring_links(live_ids)
-        for pos, node in enumerate(live):
-            pred_local, succ_local = pairs[pos]
-            ov.tables[int(node)].predecessor = int(live[pred_local])
-            ov.tables[int(node)].successor = int(live[succ_local])

@@ -42,7 +42,6 @@ from repro.lsh.bitsampling import BitSamplingLsh
 from repro.net.bandwidth import BandwidthModel
 from repro.net.growth import GrowthModel, JoinEvent
 from repro.overlay.base import OverlayNetwork
-from repro.overlay.ring import RingIndex
 from repro.sim.trace import TraceRecorder
 from repro.telemetry.registry import get_registry
 from repro.util.rng import as_generator
@@ -106,7 +105,6 @@ class SelectOverlay(OverlayNetwork):
             else np.zeros(0, dtype=np.int64)
         )
         self._xkernel = ExchangeKernel(self._nbr_indptr, self._nbr_indices)
-        self._ring_index = RingIndex(self.ids)
         # Bandwidth evictions found mid-round are applied at the round
         # barrier while a build runs (True), immediately otherwise.
         self._defer_evictions = False
@@ -263,15 +261,6 @@ class SelectOverlay(OverlayNetwork):
                 if self._try_connect(event.user, cand):
                     peer.table.long_links.add(cand)
             joined_so_far[event.user] = True
-
-    def _refresh_ring(self) -> None:
-        """Recompute short-range links from ids: two column stores + epoch bump."""
-        self._ring_index.invalidate()
-        pred, succ = self._ring_index.pred_succ()
-        self.ring_pred[:] = pred
-        self.ring_succ[:] = succ
-        # Every table re-checks its cached link view against its slot.
-        self._epochs[0] += 1
 
     def _materialize_successors(self) -> None:
         """Populate the per-table successor backup lists from the final ring.

@@ -1,7 +1,7 @@
 """Self-healing ring maintenance: successor lists, stabilization, catch-up.
 
-The seed reproduction repaired the ring with an oracle (recompute
-``ring_links`` over the live population), which is fine when liveness is
+The seed reproduction repaired the ring with an oracle (re-sort the live
+population's identifiers), which is fine when liveness is
 perfectly observable but silently wrong under the fault layer: a healed
 :class:`~repro.net.faults.RingPartition` leaves two internally consistent
 rings that the oracle never sees, and correlated crashes can cut a peer
@@ -43,29 +43,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.links import closer_successor
 from repro.net.faults import FaultPlan, PingService
 from repro.overlay.base import OverlayNetwork
-from repro.overlay.ring import successor_lists
 from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.exceptions import ConfigurationError
 
 __all__ = ["StabilizeStats", "Stabilizer", "CatchUpStats", "CatchUpStore"]
 
 
-def _between(ids: np.ndarray, a: int, x: int, b: int) -> bool:
-    """Whether ``x`` lies strictly inside the clockwise arc ``(a, b)``.
+def _between(ids: np.ndarray, a: int, x, b: int):
+    """Whether ``x`` — a node, or an array of nodes — lies strictly inside
+    the clockwise arc ``(a, b)``.
 
     Uses the same ``(id, index)`` total order as
-    :func:`repro.overlay.ring.ring_links` so stabilization converges to
+    :class:`~repro.overlay.ring.RingIndex` so stabilization converges to
     exactly the ring the oracle would compute.
     """
-    ka = (float(ids[a]), a)
-    kx = (float(ids[x]), x)
-    kb = (float(ids[b]), b)
-    if ka < kb:
-        return ka < kx < kb
-    return kx > ka or kx < kb
+    ia, ix, ib = ids[a], ids[x], ids[b]
+    after_a = (ix > ia) | ((ix == ia) & (x > a))
+    before_b = (ix < ib) | ((ix == ib) & (x < b))
+    return after_a & before_b if (ia, a) < (ib, b) else after_a | before_b
+
+
+def _closer_successor(node: int, successor: int, candidates, ids, reachable) -> "int | None":
+    """Chord-style rectify: the best reachable candidate between us and successor.
+
+    Returns the candidate strictly inside the clockwise arc
+    ``(node, successor)`` that is closest to ``node`` and answers
+    ``reachable``, or ``None`` when no candidate improves on the current
+    successor. ``reachable`` is only consulted for candidates that lie in
+    the arc, closest first, so probing stops at the first live improvement.
+    """
+    cands = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
+    kn = (ids[node], node)
+    # Closest to node first: candidates after us in clockwise order sort
+    # ahead of the ones that wrapped past the origin.
+    in_arc = sorted(
+        ((ids[c], c) for c in cands[_between(ids, node, cands, successor)].tolist()),
+        key=lambda kc: (kc < kn, kc),
+    )
+    for _, cand in in_arc:
+        if reachable(cand):
+            return cand
+    return None
 
 
 @dataclass
@@ -126,7 +146,7 @@ class Stabilizer:
             if len(ov.tables[v].successors) >= depth:
                 continue
             if lists is None:
-                lists = successor_lists(ov.ids, self.list_length)
+                lists = ov._ring_index.successor_matrix(self.list_length).tolist()
             ov.tables[v].successors = lists[v]
 
     # -- one stabilization round ------------------------------------------------
@@ -229,9 +249,7 @@ class Stabilizer:
             candidates.add(succ_pred)
         if peers is not None:
             candidates |= peers[v].merge_candidates()
-        better = closer_successor(
-            v, succ, candidates, ov.ids, lambda w: reachable(v, w)
-        )
+        better = _closer_successor(v, succ, candidates, ov.ids, lambda w: reachable(v, w))
         if better is None:
             return succ
         self.stats.rectifications += 1

@@ -7,22 +7,16 @@ reassignment algorithms move socially close peers into the same ID region.
 """
 
 from repro.idspace.space import (
-    IdSpace,
     normalize,
     ring_distance,
-    ring_distances,
-    ring_interval_contains,
     ring_midpoint,
     signed_ring_delta,
 )
 from repro.idspace.hashing import stable_digest, uniform_hash, uniform_hashes
 
 __all__ = [
-    "IdSpace",
     "normalize",
     "ring_distance",
-    "ring_distances",
-    "ring_interval_contains",
     "ring_midpoint",
     "signed_ring_delta",
     "stable_digest",

@@ -6,18 +6,13 @@ All functions accept scalars or numpy arrays and broadcast; hot callers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "normalize",
     "ring_distance",
-    "ring_distances",
     "signed_ring_delta",
     "ring_midpoint",
-    "ring_interval_contains",
-    "IdSpace",
 ]
 
 
@@ -49,12 +44,6 @@ def ring_distance(a, b):
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
 
 
-def ring_distances(ids: np.ndarray, target: float) -> np.ndarray:
-    """Vectorized ring distance from every entry of ``ids`` to ``target``."""
-    diff = np.abs(ids - target)
-    return np.minimum(diff, 1.0 - diff)
-
-
 def signed_ring_delta(a, b):
     """Signed shortest displacement from ``a`` to ``b`` in ``(-0.5, 0.5]``.
 
@@ -72,56 +61,3 @@ def ring_midpoint(a, b):
     (Algorithm 2): a peer relocates between its two strongest friends.
     """
     return normalize(np.asarray(a, dtype=np.float64) + 0.5 * signed_ring_delta(a, b))
-
-
-def ring_interval_contains(start: float, end: float, x: float) -> bool:
-    """True when ``x`` lies on the clockwise arc from ``start`` to ``end``.
-
-    The arc is half-open: ``start`` excluded, ``end`` included, matching the
-    successor-responsibility convention of ring DHTs.
-    """
-    start = float(normalize(start))
-    end = float(normalize(end))
-    x = float(normalize(x))
-    if start == end:
-        # Degenerate interval covers the whole ring.
-        return True
-    if start < end:
-        return start < x <= end
-    return x > start or x <= end
-
-
-@dataclass(frozen=True)
-class IdSpace:
-    """The shared identifier space, with a seeded assignment helper.
-
-    ``resolution`` bounds how close two distinct peers may sit; the default
-    (2**-53) is effectively continuous while keeping midpoint computations
-    exact in float64.
-    """
-
-    resolution: float = 2.0**-53
-
-    def distance(self, a, b):
-        """Ring distance (see :func:`ring_distance`)."""
-        return ring_distance(a, b)
-
-    def midpoint(self, a, b):
-        """Shorter-arc midpoint (see :func:`ring_midpoint`)."""
-        return ring_midpoint(a, b)
-
-    def adjacent_id(self, anchor: float, rng: np.random.Generator, spread: float = 1e-6) -> float:
-        """An identifier immediately next to ``anchor``.
-
-        Used by the projection step (Algorithm 1) to place an invited user's
-        peer at minimal distance from the inviter without colliding.
-        """
-        if spread <= 0:
-            raise ValueError(f"spread must be positive, got {spread}")
-        offset = float(rng.uniform(self.resolution, spread))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return float(normalize(anchor + sign * offset))
-
-    def sort_ring(self, ids: np.ndarray) -> np.ndarray:
-        """Indices that order peers clockwise around the ring."""
-        return np.argsort(ids, kind="stable")

@@ -50,7 +50,7 @@ from repro.live.scenarios import LiveScenario, get_live_scenario
 from repro.live.supervisor import NodeSupervisor
 from repro.live.tracing import LiveTracer, TraceContext
 from repro.live.transport import LoopbackTransport
-from repro.net.faults import FaultPlan, PingService, RingPartition
+from repro.net.faults import FaultPlan, PingService
 from repro.overlay.doctor import check_overlay
 from repro.scenarios.slo import LIVE_TRACE_SLO, evaluate_live_trace
 from repro.telemetry import livetrace
@@ -100,18 +100,9 @@ class LiveCluster:
         )
         self.n = self.graph.num_nodes
 
-        partitions = ()
-        if scenario.partition_cut is not None:
-            partitions = (
-                RingPartition(
-                    cut=scenario.partition_cut,
-                    start=scenario.partition_start,
-                    end=scenario.partition_end,
-                ),
-            )
         self.faults = FaultPlan(
             loss_rate=scenario.loss_rate,
-            partitions=partitions,
+            partitions=() if scenario.partition is None else (scenario.partition,),
             seed=child_seed("faults"),
             registry=self.registry,
         )
@@ -473,7 +464,7 @@ class LiveCluster:
         """Wait (bounded) for membership convergence + catch-up drain."""
         fault_clear = max(
             self.scenario.crash_at if self.scenario.crash_fraction > 0 else 0.0,
-            self.scenario.partition_end if self.scenario.partition_cut else 0.0,
+            self.scenario.partition.end if self.scenario.partition is not None else 0.0,
         )
         deadline = self.transport.now() + budget
         while self.transport.now() < deadline:

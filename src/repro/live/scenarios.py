@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.net.faults import RingPartition
 from repro.util.exceptions import ConfigurationError
 
 __all__ = ["LiveScenario", "get_live_scenario", "live_scenario_names", "LIVE_SCENARIOS"]
@@ -34,11 +35,8 @@ class LiveScenario:
     crash_fraction: float = 0.0
     #: crash instant, elapsed seconds.
     crash_at: float = 1.0
-    #: ring-partition cut points, or ``None`` for no partition.
-    partition_cut: "tuple[float, float] | None" = None
-    #: partition window, elapsed seconds.
-    partition_start: float = 1.5
-    partition_end: float = 3.0
+    #: the ring partition (window in elapsed seconds), or ``None``.
+    partition: "RingPartition | None" = None
     #: baseline per-hop transport loss probability.
     loss_rate: float = 0.0
 
@@ -57,11 +55,6 @@ class LiveScenario:
             )
         if not (0.0 <= self.loss_rate <= 1.0):
             raise ConfigurationError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
-        if self.partition_cut is not None and self.partition_end <= self.partition_start:
-            raise ConfigurationError(
-                f"partition window must be non-empty, got "
-                f"[{self.partition_start}, {self.partition_end})"
-            )
 
 
 LIVE_SCENARIOS: "dict[str, LiveScenario]" = {
@@ -82,9 +75,7 @@ LIVE_SCENARIOS: "dict[str, LiveScenario]" = {
         LiveScenario(
             name="regional_outage",
             description="a 2-arc ring partition opens mid-run and heals",
-            partition_cut=(0.15, 0.65),
-            partition_start=1.0,
-            partition_end=2.5,
+            partition=RingPartition(cut=(0.15, 0.65), start=1.0, end=2.5),
             loss_rate=0.02,
         ),
         LiveScenario(
@@ -92,9 +83,7 @@ LIVE_SCENARIOS: "dict[str, LiveScenario]" = {
             description="25% crash plus a 2-arc partition — the acceptance gauntlet",
             crash_fraction=0.25,
             crash_at=1.0,
-            partition_cut=(0.15, 0.65),
-            partition_start=1.5,
-            partition_end=3.0,
+            partition=RingPartition(cut=(0.15, 0.65), start=1.5, end=3.0),
             duration=3.5,
             settle=16.0,
         ),

@@ -65,9 +65,10 @@ class RingPartition:
             raise PartitionError(f"cut points must lie on the unit ring [0, 1), got {self.cut}")
         if a == b:
             raise PartitionError(f"cut points must be distinct, got {self.cut}")
-        if self.end <= self.start:
+        if not (self.end > self.start >= 0.0):
             raise PartitionError(
-                f"partition window must be non-empty, got [{self.start}, {self.end})"
+                f"partition window must be non-empty and non-negative, "
+                f"got [{self.start}, {self.end})"
             )
 
     def active(self, t: float) -> bool:
@@ -434,13 +435,8 @@ class PingService:
         truth = self.truth(contact)
         faults = self.faults
         stats = faults.stats
-        if faults.is_null:
-            stats.pings += 1
-            waited = 0.0 if truth else self.base_timeout_ms
-            if not truth:
-                self._m_probe_timeouts.inc()
-            self._h_probe_wait_ms.observe(waited)
-            return truth, 1, waited
+        # A null plan runs this same path: one attempt, and no draw (every
+        # probability and the graceful fraction are 0).
         if not truth and faults.departs_gracefully(contact):
             # Graceful departure: the contact said goodbye; no probing noise
             # and no timeout — the "no" is an answer, not silence.

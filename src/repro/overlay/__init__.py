@@ -8,16 +8,12 @@ SELECT and the baselines are compared on identical footing.
 """
 
 from repro.overlay.base import OverlayNetwork, RoutingTable
-from repro.overlay.ring import ring_links, successor_lists, successor_of
 from repro.overlay.routing import GreedyRouter, RouteResult
 from repro.overlay.doctor import DoctorReport, check_overlay
 
 __all__ = [
     "OverlayNetwork",
     "RoutingTable",
-    "ring_links",
-    "successor_lists",
-    "successor_of",
     "GreedyRouter",
     "RouteResult",
     "DoctorReport",

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
+from repro.overlay.ring import RingIndex
 from repro.util.exceptions import ConfigurationError
 
 __all__ = ["RoutingTable", "OverlayNetwork"]
@@ -246,7 +247,8 @@ class RoutingTable:
 class OverlayNetwork(ABC):
     """A fully built P2P overlay over a social graph.
 
-    Subclasses populate :attr:`ids` (peer positions on the unit ring) and
+    Subclasses write :attr:`ids` (peer positions on the unit ring) in
+    place and follow with :meth:`_refresh_ring`, fill the long links of
     :attr:`tables` (per-peer routing tables) in :meth:`build`, and record
     how many superstep iterations construction took in :attr:`iterations`
     (Figure 5's metric; 0 for non-iterative overlays).
@@ -264,11 +266,13 @@ class OverlayNetwork(ABC):
         n = graph.num_nodes
         # The paper settles on log2(N) direct connections per peer (§IV-C).
         self.k_links = int(k_links) if k_links is not None else max(2, int(np.ceil(np.log2(max(n, 2)))))
+        #: written in place only, then :meth:`_refresh_ring`: the ring
+        #: index (and SELECT's peer columns) hold this array.
         self.ids = np.zeros(n, dtype=np.float64)
+        self._ring_index = RingIndex(self.ids)
         #: ring state as columns (-1 = unset); RoutingTables are views over
         #: their slot, and a ring refresh is two array stores + one bump
-        #: of the shared ``[ring refreshes, table writes]`` epochs. Whoever
-        #: writes ``ids`` in place follows with one of the two.
+        #: of the shared ``[ring refreshes, table writes]`` epochs.
         self.ring_pred = np.full(n, -1, dtype=np.int64)
         self.ring_succ = np.full(n, -1, dtype=np.int64)
         self._epochs = [0, 0]
@@ -285,6 +289,31 @@ class OverlayNetwork(ABC):
     @abstractmethod
     def build(self, seed=None) -> "OverlayNetwork":
         """Construct identifiers and links; returns ``self``."""
+
+    def _refresh_ring(self, live: "np.ndarray | None" = None) -> None:
+        """Short-range links from ids: two column stores + one epoch bump.
+
+        The one writer of the whole ring: besides it, only single-pointer
+        moves (the stabilizer, restoring saved tables) go through the
+        table setters. ``live`` (a boolean mask) restricts the
+        ring to those peers — the oracle re-stitch under churn — and
+        leaves every other slot as it is; fewer than two live peers
+        change nothing.
+        """
+        if live is None:
+            self._ring_index.invalidate()
+            pred, succ = self._ring_index.pred_succ()
+            self.ring_pred[:] = pred
+            self.ring_succ[:] = succ
+        else:
+            nodes = np.flatnonzero(live)
+            if nodes.size < 2:
+                return
+            pred, succ = RingIndex(self.ids[nodes]).pred_succ()
+            self.ring_pred[nodes] = nodes[pred]
+            self.ring_succ[nodes] = nodes[succ]
+        # Every table re-checks its cached link view against its slot.
+        self._epochs[0] += 1
 
     def _mark_built(self) -> None:
         self._built = True

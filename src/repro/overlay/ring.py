@@ -1,4 +1,4 @@
-"""Ring (short-range) link computation.
+"""The identifier ring's clockwise order.
 
 Every overlay keeps two short-range links per peer — its successor and
 predecessor in identifier order — which is what guarantees that greedy
@@ -6,14 +6,10 @@ routing always terminates and that the whole network stays reachable (the
 paper's correctness argument in §V: the ring lets messages reach all
 peers even when long links are socially skewed).
 
-All helpers route through :class:`RingIndex`, a cached sorted view of the
-identifier array. Lookups used to re-run a full ``np.lexsort`` per call —
-O(n log n) for every topic-hash or rendezvous query — so repeated queries
-against unchanged ids (the common case between gossip barriers) now reuse
-one sort. Callers that mutate ids can hold a ``RingIndex`` and
-:meth:`~RingIndex.invalidate` it explicitly; the module-level functions
-fall back to an automatic cache that revalidates by content comparison
-(O(n) memcmp instead of O(n log n) sort).
+:class:`RingIndex` is that order: one sort of the identifier array,
+reused until :meth:`~RingIndex.invalidate`. Each overlay owns one over its
+``ids`` and re-sorts it in its one ring writer,
+:meth:`~repro.overlay.base.OverlayNetwork._refresh_ring`.
 """
 
 from __future__ import annotations
@@ -22,54 +18,34 @@ import numpy as np
 
 from repro.util.exceptions import ConfigurationError
 
-__all__ = [
-    "RingIndex",
-    "ring_links",
-    "successor_lists",
-    "successor_of",
-    "predecessor_of",
-]
+__all__ = ["RingIndex"]
 
 
 class RingIndex:
     """Sorted view of an identifier ring, built lazily and reused.
 
-    Ties in identifier value are broken by node index, matching the
-    clockwise tour the per-call helpers always produced, so the ring is
+    Ties in identifier value are broken by node index, so the ring is
     always a single cycle.
     """
 
-    __slots__ = ("_ids", "_snapshot", "_order", "_sorted_ids", "_pred", "_succ")
+    __slots__ = ("_ids", "_order", "_sorted_ids", "_pred", "_succ")
 
     def __init__(self, ids):
         self._ids = ids
-        self._snapshot = None
-        self._order = None
-        self._sorted_ids = None
-        self._pred = None
-        self._succ = None
+        self.invalidate()
 
     def invalidate(self) -> None:
         """Drop the cached sort; the next query re-sorts."""
-        self._snapshot = None
         self._order = None
         self._sorted_ids = None
         self._pred = None
         self._succ = None
-
-    def matches(self, ids: np.ndarray) -> bool:
-        """Whether the cached sort is still valid for ``ids``."""
-        return self._snapshot is not None and np.array_equal(self._snapshot, ids)
 
     def _ensure(self):
         if self._order is None:
             ids = np.asarray(self._ids, dtype=np.float64)
-            n = len(ids)
-            self._snapshot = ids.copy()
-            self._order = np.lexsort((np.arange(n), ids))
+            self._order = np.lexsort((np.arange(len(ids)), ids))
             self._sorted_ids = ids[self._order]
-            self._pred = None
-            self._succ = None
         return self._order, self._sorted_ids
 
     @property
@@ -97,7 +73,13 @@ class RingIndex:
         return self._pred, self._succ
 
     def successor_matrix(self, length: int) -> np.ndarray:
-        """``(n, depth)`` array: column ``j`` is each node's ``j+1``-th successor."""
+        """``(n, depth)`` array: column ``j`` is each node's ``j+1``-th successor.
+
+        Row ``v`` is ``v``'s successor list — the backups a peer falls to
+        when its successor dies (the Chord/Symphony mechanism the
+        stabilization layer relies on to survive up to ``length - 1``
+        simultaneous failures); ``depth`` is ``length`` capped at ``n - 1``.
+        """
         if length < 1:
             raise ConfigurationError(f"successor list length must be >= 1, got {length}")
         order, _ = self._ensure()
@@ -111,7 +93,12 @@ class RingIndex:
         return mat
 
     def successor_of(self, point) -> int | np.ndarray:
-        """First node clockwise from ``point`` (scalar or array of points)."""
+        """First node clockwise from ``point`` (scalar or array of points).
+
+        The DHT "manager" lookup: the node responsible for a ring position
+        a long link targets (Symphony) or a topic hash's rendezvous node
+        (Bayeux).
+        """
         order, sorted_ids = self._ensure()
         n = len(order)
         pos = np.searchsorted(sorted_ids, point, side="left")
@@ -127,68 +114,3 @@ class RingIndex:
         if np.ndim(point) == 0:
             return int(order[int(pos) % n])
         return order[pos % n]
-
-
-#: Automatic per-array cache for the module-level helpers. Keyed by array
-#: identity; a hit is only trusted after a content comparison, so mutated
-#: or recycled arrays re-sort instead of serving stale views.
-_INDEX_CACHE: dict[int, RingIndex] = {}
-_INDEX_CACHE_MAX = 8
-
-
-def _index_for(ids) -> RingIndex:
-    arr = np.asarray(ids, dtype=np.float64)
-    key = id(ids)
-    entry = _INDEX_CACHE.get(key)
-    if entry is not None:
-        if entry.matches(arr):
-            return entry
-        entry.invalidate()
-        entry._ids = arr
-        return entry
-    if len(_INDEX_CACHE) >= _INDEX_CACHE_MAX:
-        _INDEX_CACHE.pop(next(iter(_INDEX_CACHE)))
-    entry = RingIndex(arr)
-    _INDEX_CACHE[key] = entry
-    return entry
-
-
-def ring_links(ids: np.ndarray, index: RingIndex | None = None) -> list[tuple[int, int]]:
-    """Per-peer ``(predecessor, successor)`` node indices by id order.
-
-    Ties in identifier value are broken by node index so the ring is
-    always a single cycle.
-    """
-    idx = index if index is not None else _index_for(ids)
-    pred, succ = idx.pred_succ()
-    return list(zip(pred.tolist(), succ.tolist()))
-
-
-def successor_lists(ids: np.ndarray, length: int, index: RingIndex | None = None) -> list[list[int]]:
-    """Per-peer list of the next ``length`` peers clockwise (self excluded).
-
-    The first entry of each list is the peer's immediate successor (same
-    tie-break as :func:`ring_links`); the rest are the backups a peer
-    falls to when its successor dies — the Chord/Symphony successor-list
-    mechanism the stabilization layer relies on to survive up to
-    ``length - 1`` simultaneous failures.
-    """
-    idx = index if index is not None else _index_for(ids)
-    return idx.successor_matrix(length).tolist()
-
-
-def successor_of(ids: np.ndarray, point: float, index: RingIndex | None = None) -> int:
-    """Node responsible for ``point``: the first id clockwise from it.
-
-    This is the DHT "manager" lookup used when a long link targets a ring
-    position rather than a concrete peer (Symphony) or when a topic hash
-    needs a rendezvous node (Bayeux, Vitis).
-    """
-    idx = index if index is not None else _index_for(ids)
-    return idx.successor_of(point)
-
-
-def predecessor_of(ids: np.ndarray, point: float, index: RingIndex | None = None) -> int:
-    """Last node counter-clockwise from ``point``."""
-    idx = index if index is not None else _index_for(ids)
-    return idx.predecessor_of(point)

@@ -26,7 +26,6 @@ from repro.scenarios.overload import OverloadConfig, OverloadGuard, OverloadStat
 from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.scripts import (
     FaultScript,
-    FaultWindow,
     cascading_churn,
     partition_storm,
     regional_outage,
@@ -52,7 +51,6 @@ __all__ = [
     "OverloadGuard",
     "OverloadStats",
     "FaultScript",
-    "FaultWindow",
     "regional_outage",
     "cascading_churn",
     "partition_storm",

@@ -3,11 +3,11 @@
 A scenario describes *what happens to the network* as a small script of
 time-windowed events — "this region goes dark for ten minutes", "churn
 cascades around the ring in waves" — and compiles it onto the existing
-fault machinery: each :class:`FaultWindow` becomes a
-:class:`~repro.net.faults.RingPartition` (a contiguous identifier-ring
-arc cut off from the rest; SELECT ids are socially clustered, so an arc
-is the overlay analogue of a regional outage), and the script's ambient
-noise becomes the plan's loss/ping parameters.
+fault machinery: each window is a :class:`~repro.net.faults.RingPartition`
+(a contiguous identifier-ring arc cut off from the rest; SELECT ids are
+socially clustered, so an arc is the overlay analogue of a regional
+outage), and the script's ambient noise becomes the plan's loss/ping
+parameters.
 
 ``FaultPlan`` refuses overlapping partition windows (side-of-cut would be
 ambiguous), so :meth:`FaultScript.compile` serializes overlapping script
@@ -26,7 +26,6 @@ from repro.net.faults import FaultPlan, RingPartition
 from repro.util.exceptions import ConfigurationError
 
 __all__ = [
-    "FaultWindow",
     "FaultScript",
     "regional_outage",
     "cascading_churn",
@@ -35,44 +34,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FaultWindow:
-    """One time-windowed cut: the arc ``[lo, hi)`` is isolated in ``[start, end)``."""
-
-    lo: float
-    hi: float
-    start: float
-    end: float
-
-    def __post_init__(self):
-        for name, v in (("lo", self.lo), ("hi", self.hi)):
-            if not (0.0 <= v < 1.0):
-                raise ConfigurationError(f"{name} must lie on the unit ring [0, 1), got {v}")
-        if self.lo == self.hi:
-            raise ConfigurationError(f"arc must be non-empty, got [{self.lo}, {self.hi})")
-        if not (self.end > self.start >= 0.0):
-            raise ConfigurationError(
-                f"window must be non-empty and non-negative, got [{self.start}, {self.end})"
-            )
-
-    def as_partition(self) -> RingPartition:
-        return RingPartition(cut=(self.lo, self.hi), start=self.start, end=self.end)
-
-
-@dataclass(frozen=True)
 class FaultScript:
     """A declarative failure storyline, compilable to one :class:`FaultPlan`."""
 
-    windows: "tuple[FaultWindow, ...]" = ()
+    windows: "tuple[RingPartition, ...]" = ()
     loss_rate: float = 0.0
     retry_budget: int = 2
     ping_false_negative: float = 0.0
     ping_false_positive: float = 0.0
     graceful_fraction: float = 0.0
 
-    def resolved_windows(self) -> "tuple[FaultWindow, ...]":
+    def resolved_windows(self) -> "tuple[RingPartition, ...]":
         """Windows with time overlaps serialized (clip-to-predecessor)."""
-        out: list[FaultWindow] = []
-        for w in sorted(self.windows, key=lambda w: (w.start, w.end, w.lo, w.hi)):
+        out: list[RingPartition] = []
+        for w in sorted(self.windows, key=lambda w: (w.start, w.end, *w.cut)):
             if out and w.start < out[-1].end:
                 if w.end <= out[-1].end:
                     continue  # fully shadowed by the previous window
@@ -88,7 +63,7 @@ class FaultScript:
             ping_false_negative=self.ping_false_negative,
             ping_false_positive=self.ping_false_positive,
             graceful_fraction=self.graceful_fraction,
-            partitions=tuple(w.as_partition() for w in self.resolved_windows()),
+            partitions=self.resolved_windows(),
             seed=seed,
             registry=registry,
         )
@@ -125,9 +100,8 @@ def regional_outage(
     **noise,
 ) -> FaultScript:
     """One contiguous ring arc offline for a window (a region going dark)."""
-    lo, hi = _arc(center, width)
     return FaultScript(
-        windows=(FaultWindow(lo=lo, hi=hi, start=start, end=start + duration),),
+        windows=(RingPartition(cut=_arc(center, width), start=start, end=start + duration),),
         **noise,
     )
 
@@ -151,8 +125,8 @@ def cascading_churn(
     windows = []
     t = start
     for i in range(waves):
-        lo, hi = _arc((first_center + i * spread) % 1.0, width)
-        windows.append(FaultWindow(lo=lo, hi=hi, start=t, end=t + wave_duration))
+        cut = _arc((first_center + i * spread) % 1.0, width)
+        windows.append(RingPartition(cut=cut, start=t, end=t + wave_duration))
         t += wave_duration * (1.0 - overlap)
     return FaultScript(windows=tuple(windows), **noise)
 
@@ -171,7 +145,7 @@ def partition_storm(
     windows = []
     t = start
     for i in range(cuts):
-        lo, hi = _arc((i + 0.5) / cuts, width)
-        windows.append(FaultWindow(lo=lo, hi=hi, start=t, end=t + cut_duration))
+        cut = _arc((i + 0.5) / cuts, width)
+        windows.append(RingPartition(cut=cut, start=t, end=t + cut_duration))
         t += cut_duration + gap
     return FaultScript(windows=tuple(windows), **noise)

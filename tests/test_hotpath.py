@@ -30,7 +30,6 @@ from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
 from repro.net.bandwidth import BandwidthModel
 from repro.overlay.base import OverlayNetwork, RoutingTable
-from repro.overlay.ring import ring_links
 from repro.overlay.routing import GreedyRouter
 from tests.test_routing_index import BruteForceRouter
 
@@ -157,10 +156,8 @@ class _FixedIdOverlay(OverlayNetwork):
         self._fixed_ids = np.asarray(ids, dtype=np.float64)
 
     def build(self, seed=None):
-        self.ids = self._fixed_ids
-        for v, (pred, succ) in enumerate(ring_links(self.ids)):
-            self.tables[v].predecessor = pred
-            self.tables[v].successor = succ
+        self.ids[:] = self._fixed_ids
+        self._refresh_ring()
         self._mark_built()
         return self
 

@@ -1,4 +1,4 @@
-"""Ring identifier space: distance, midpoints, intervals, hashing."""
+"""Ring identifier space: distance, midpoints, hashing."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.hashing import stable_digest, uniform_hash, uniform_hashes
-from repro.idspace.space import (
-    IdSpace,
-    normalize,
-    ring_distance,
-    ring_distances,
-    ring_interval_contains,
-    ring_midpoint,
-    signed_ring_delta,
-)
+from repro.idspace.space import normalize, ring_distance, ring_midpoint, signed_ring_delta
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -43,7 +35,7 @@ class TestRingDistance:
 
     def test_vectorized_matches_scalar(self):
         ids = np.array([0.1, 0.5, 0.95])
-        out = ring_distances(ids, 0.0)
+        out = ring_distance(ids, 0.0)
         expected = [ring_distance(float(x), 0.0) for x in ids]
         assert np.allclose(out, expected)
 
@@ -79,43 +71,6 @@ class TestMidpoint:
     def test_on_shorter_arc(self, a, b):
         m = float(ring_midpoint(a, b))
         assert ring_distance(m, a) <= 0.25 + 1e-9
-
-
-class TestInterval:
-    def test_plain_interval(self):
-        assert ring_interval_contains(0.2, 0.4, 0.3)
-        assert not ring_interval_contains(0.2, 0.4, 0.5)
-
-    def test_half_open_semantics(self):
-        assert not ring_interval_contains(0.2, 0.4, 0.2)
-        assert ring_interval_contains(0.2, 0.4, 0.4)
-
-    def test_wrapping_interval(self):
-        assert ring_interval_contains(0.9, 0.1, 0.95)
-        assert ring_interval_contains(0.9, 0.1, 0.05)
-        assert not ring_interval_contains(0.9, 0.1, 0.5)
-
-    def test_degenerate_full_ring(self):
-        assert ring_interval_contains(0.3, 0.3, 0.99)
-
-
-class TestIdSpace:
-    def test_adjacent_id_is_close(self, rng):
-        space = IdSpace()
-        anchor = 0.5
-        for _ in range(20):
-            x = space.adjacent_id(anchor, rng, spread=1e-4)
-            assert ring_distance(x, anchor) <= 1e-4
-            assert x != anchor
-
-    def test_adjacent_id_invalid_spread(self, rng):
-        with pytest.raises(ValueError):
-            IdSpace().adjacent_id(0.5, rng, spread=0.0)
-
-    def test_sort_ring(self):
-        ids = np.array([0.5, 0.1, 0.9])
-        order = IdSpace().sort_ring(ids)
-        assert list(order) == [1, 0, 2]
 
 
 class TestHashing:

@@ -24,6 +24,10 @@ class TestRingPartition:
         with pytest.raises(PartitionError):
             RingPartition(cut=(0.1, 0.6), start=10.0, end=10.0)
 
+    def test_negative_start_rejected(self):
+        with pytest.raises(PartitionError):
+            RingPartition(cut=(0.1, 0.6), start=-1.0, end=10.0)
+
     def test_partition_error_is_fault_and_repro_error(self):
         assert issubclass(PartitionError, FaultInjectionError)
         assert issubclass(FaultInjectionError, ReproError)
@@ -221,6 +225,18 @@ class TestPingService:
         down = service.probe(0, 2)
         # Oracle pings are trustworthy: confirmed on the first failure.
         assert not down.responded and down.confirmed_down
+
+    def test_null_plan_books_timeout_waits(self):
+        from repro.telemetry.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        plan = FaultPlan.none()
+        service = PingService(plan, registry=registry)
+        service.set_ground_truth(self._online(down=[2]))
+        for _ in range(3):
+            assert not service.probe(0, 2).responded
+        hist = registry.histograms()["ping.probe_wait_ms"]
+        assert plan.stats.ping_wait_ms == hist.sum == 600.0
 
     def test_invalid_timeouts_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,68 +1,79 @@
 """Overlay substrate: ring links, routing tables, greedy routing."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.registry import SYSTEMS
+from repro.core.config import SelectConfig
+from repro.core.recovery import RecoveryManager
+from repro.core.select import SelectOverlay
+from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
+from repro.metrics.availability import churn_availability
+from repro.net.churn import ChurnModel
 from repro.overlay.base import OverlayNetwork, RoutingTable
-from repro.overlay.ring import predecessor_of, ring_links, successor_of
+from repro.overlay.doctor import check_overlay
+from repro.overlay.ring import RingIndex
 from repro.overlay.routing import GreedyRouter
 from repro.util.exceptions import ConfigurationError
+from tests.test_routing_index import friend_pairs
 
 
 class TestRingLinks:
+    """The clockwise order every overlay's short-range links follow."""
+
     def test_forms_single_cycle(self):
         ids = np.array([0.1, 0.7, 0.3, 0.9, 0.5])
-        pairs = ring_links(ids)
+        _, succ = RingIndex(ids).pred_succ()
         # Follow successors: must visit all nodes exactly once.
         seen = []
         node = 0
         for _ in range(len(ids)):
             seen.append(node)
-            node = pairs[node][1]
+            node = int(succ[node])
         assert sorted(seen) == list(range(len(ids)))
         assert node == 0
 
     def test_pred_succ_inverse(self):
-        ids = np.array([0.4, 0.2, 0.8])
-        pairs = ring_links(ids)
-        for v, (pred, succ) in enumerate(pairs):
-            assert pairs[succ][0] == v
-            assert pairs[pred][1] == v
+        pred, succ = RingIndex(np.array([0.4, 0.2, 0.8])).pred_succ()
+        assert pred[succ].tolist() == [0, 1, 2]
+        assert succ[pred].tolist() == [0, 1, 2]
 
     def test_duplicate_ids_still_cycle(self):
-        ids = np.array([0.5, 0.5, 0.5])
-        pairs = ring_links(ids)
-        node = 0
-        for _ in range(3):
-            node = pairs[node][1]
-        assert node == 0
+        # Equal identifiers are ordered by node index: still one cycle.
+        pred, succ = RingIndex(np.array([0.5, 0.5, 0.5])).pred_succ()
+        assert succ.tolist() == [1, 2, 0]
+        assert pred.tolist() == [2, 0, 1]
 
     def test_two_peers(self):
-        pairs = ring_links(np.array([0.1, 0.9]))
-        assert pairs[0] == (1, 1)
-        assert pairs[1] == (0, 0)
+        pred, succ = RingIndex(np.array([0.1, 0.9])).pred_succ()
+        assert pred.tolist() == [1, 0]
+        assert succ.tolist() == [1, 0]
 
     def test_single_peer_rejected(self):
         with pytest.raises(ConfigurationError):
-            ring_links(np.array([0.5]))
+            RingIndex(np.array([0.5])).pred_succ()
 
     @given(st.lists(st.floats(min_value=0, max_value=1, exclude_max=True), min_size=2, max_size=30, unique=True))
     @settings(max_examples=40)
     def test_successor_is_clockwise_nearest(self, raw_ids):
         ids = np.array(raw_ids)
         point = 0.42
-        succ = successor_of(ids, point)
+        succ = RingIndex(ids).successor_of(point)
         # successor must be the smallest id >= point, or the global min.
         geq = ids[ids >= point]
         expected = geq.min() if geq.size else ids.min()
         assert ids[succ] == expected
 
     def test_predecessor_wraps(self):
-        ids = np.array([0.2, 0.6])
-        assert predecessor_of(ids, 0.1) == 1  # wraps to the largest id
+        ring = RingIndex(np.array([0.2, 0.6]))
+        assert ring.predecessor_of(0.1) == 1  # wraps to the largest id
+        assert ring.successor_of(0.7) == 0  # wraps to the smallest id
 
 
 class TestRoutingTable:
@@ -107,10 +118,8 @@ class _LineOverlay(OverlayNetwork):
 
     def build(self, seed=None):
         n = self.graph.num_nodes
-        self.ids = np.arange(n) / n
-        for v, (pred, succ) in enumerate(ring_links(self.ids)):
-            self.tables[v].predecessor = pred
-            self.tables[v].successor = succ
+        self.ids[:] = np.arange(n) / n
+        self._refresh_ring()
         self._mark_built()
         return self
 
@@ -217,3 +226,73 @@ class TestOverlayBase:
         assert set(la) == line_overlay.links(0)
         for w, links in la.items():
             assert links == line_overlay.links(w)
+
+
+def _ring_from_index(overlay) -> bool:
+    pred, succ = RingIndex(overlay.ids).pred_succ()
+    return np.array_equal(overlay.ring_pred, pred) and np.array_equal(overlay.ring_succ, succ)
+
+
+class TestRingWriter:
+    """Every overlay stores its ring through ``OverlayNetwork._refresh_ring``.
+
+    The route digests are sha256 over the paths of 2 000 friend pairs on
+    facebook 400/7, built with seed 7; they were recorded when each
+    baseline still wrote its ring through per-table setters.
+    """
+
+    @pytest.mark.parametrize(
+        "system, digest",
+        [
+            ("select", "8a1cc1f99e195b5f"),
+            ("symphony", "b2287447091eb02e"),
+            ("bayeux", "4337331a0d6fe8d7"),
+            ("vitis", "611aa3c9f035060a"),
+            ("omen", "2c2f96ea18cc2e03"),
+            ("random", "c2631967f665c5d7"),
+        ],
+    )
+    def test_built_ring_is_the_index_and_routes_are_pinned(self, system, digest):
+        graph = load_dataset("facebook", num_nodes=400, seed=7)
+        overlay = SYSTEMS[system](graph, k_links=None).build(seed=7)
+        assert _ring_from_index(overlay)
+        assert check_overlay(overlay).consistent_ring
+        routes = overlay.make_router().route_many(friend_pairs(graph, count=2000, seed=7))
+        paths = json.dumps([r.path for r in routes]).encode("utf-8")
+        assert hashlib.sha256(paths).hexdigest()[:16] == digest
+
+    @pytest.fixture()
+    def churned(self, small_graph):
+        return SelectOverlay(small_graph, config=SelectConfig(max_rounds=25)).build(seed=3)
+
+    def test_oracle_restitches_exactly_the_live_ring(self, churned):
+        overlay = churned
+        online = np.random.default_rng(4).random(overlay.graph.num_nodes) < 0.7
+        pred_before, succ_before = overlay.ring_pred.copy(), overlay.ring_succ.copy()
+        RecoveryManager(overlay).tick(online)
+        live, offline = np.flatnonzero(online), np.flatnonzero(~online)
+        pred, succ = RingIndex(overlay.ids[live]).pred_succ()
+        assert np.array_equal(overlay.ring_pred[live], live[pred])
+        assert np.array_equal(overlay.ring_succ[live], live[succ])
+        assert np.array_equal(overlay.ring_pred[offline], pred_before[offline])
+        assert np.array_equal(overlay.ring_succ[offline], succ_before[offline])
+        assert check_overlay(overlay, online=online).consistent_ring
+        # Back to everyone online: the full ring again.
+        RecoveryManager(overlay).tick(np.ones(overlay.graph.num_nodes, dtype=bool))
+        assert _ring_from_index(overlay)
+
+    def test_churn_availability_is_pinned(self, churned, small_graph):
+        # Blind forwarding, so every point depends on the re-stitched ring.
+        matrix = ChurnModel(small_graph.num_nodes, seed=3).online_matrix(horizon=1200.0, ticks=4)
+        points = churn_availability(
+            churned, matrix, lookups_per_tick=25, repair=RecoveryManager(churned).tick,
+            detect_failures=False, seed=5,
+        )
+        assert [(p.online_fraction, p.availability) for p in points] == [
+            (0.7416666666666667, 0.84),
+            (0.7166666666666667, 0.76),
+            (0.675, 1.0),
+            (0.6583333333333333, 0.8),
+        ]
+        ring = churned.ring_pred.tobytes() + churned.ring_succ.tobytes()
+        assert hashlib.sha256(ring).hexdigest()[:16] == "fe3f422b16c81db6"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.projection import IdAllocator
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import normalize, ring_distance
-from repro.overlay.ring import ring_links
+from repro.overlay.ring import RingIndex
 from repro.pubsub.tree import RoutingTree
 from repro.util.rng import as_generator
 
@@ -48,17 +48,15 @@ class TestRingInvariants:
     @settings(max_examples=50)
     def test_ring_is_permutation_cycle(self, raw_ids):
         ids = np.asarray(raw_ids)
-        pairs = ring_links(ids)
-        succs = [s for _, s in pairs]
-        preds = [p for p, _ in pairs]
+        preds, succs = RingIndex(ids).pred_succ()
         # Successor/predecessor maps are permutations of all nodes.
-        assert sorted(succs) == list(range(len(ids)))
-        assert sorted(preds) == list(range(len(ids)))
+        assert sorted(succs.tolist()) == list(range(len(ids)))
+        assert sorted(preds.tolist()) == list(range(len(ids)))
         # And they form one cycle, not several.
         node, seen = 0, set()
         while node not in seen:
             seen.add(node)
-            node = pairs[node][1]
+            node = int(succs[node])
         assert len(seen) == len(ids)
 
 

@@ -24,7 +24,6 @@ from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
 from repro.metrics.hops import route_stretch
 from repro.overlay.base import OverlayNetwork
-from repro.overlay.ring import ring_links
 from repro.overlay.routing import GreedyRouter
 
 
@@ -90,13 +89,11 @@ class ManualOverlay(OverlayNetwork):
         self._ring = ring
 
     def build(self, seed=None):
-        self.ids = self._fixed.copy()
+        self.ids[:] = self._fixed
         for v, links in enumerate(self._long):
             self.tables[v].long_links = links
         if self._ring:
-            for v, (pred, succ) in enumerate(ring_links(self.ids)):
-                self.tables[v].predecessor = pred
-                self.tables[v].successor = succ
+            self._refresh_ring()
         self._mark_built()
         return self
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.cli import main as cli_main
-from repro.net.faults import FaultPlan
+from repro.net.faults import FaultPlan, RingPartition
 from repro.net.workload import PublishWorkload
 from repro.overlay.routing import RouteResult
 from repro.scenarios import (
@@ -15,7 +15,6 @@ from repro.scenarios import (
     CelebrityShaper,
     DiurnalShaper,
     FaultScript,
-    FaultWindow,
     FlashCrowdShaper,
     OverloadConfig,
     OverloadGuard,
@@ -123,21 +122,12 @@ class TestShapers:
 
 
 class TestFaultScripts:
-    def test_window_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultWindow(lo=0.2, hi=1.2, start=0.0, end=10.0)
-        with pytest.raises(ConfigurationError):
-            FaultWindow(lo=0.2, hi=0.2, start=0.0, end=10.0)
-        with pytest.raises(ConfigurationError):
-            FaultWindow(lo=0.1, hi=0.2, start=10.0, end=10.0)
-
     def test_seam_wrapping_outage_compiles(self):
         # A region centered on the 0/1 seam yields a wrapping arc that the
         # partition machinery must treat as one connected region.
         script = regional_outage(center=0.0, width=0.2, start=0.0, duration=100.0)
         (window,) = script.windows
-        assert window.lo == pytest.approx(0.9)
-        assert window.hi == pytest.approx(0.1)
+        assert window.cut == pytest.approx((0.9, 0.1))
         plan = script.compile(seed=1)
         (partition,) = plan.partitions
         assert not partition.separates(0.95, 0.05, 50.0)  # same cut-off region
@@ -153,7 +143,7 @@ class TestFaultScripts:
         starts = [w.start for w in script.windows]
         assert starts == [0.0, 50.0, 100.0]  # raw script overlaps
         with pytest.raises(Exception):
-            FaultPlan(partitions=tuple(w.as_partition() for w in script.windows))
+            FaultPlan(partitions=script.windows)
         plan = script.compile(seed=2)
         assert len(plan.partitions) == 3
         spans = sorted((p.start, p.end) for p in plan.partitions)
@@ -163,8 +153,8 @@ class TestFaultScripts:
     def test_fully_shadowed_window_dropped(self):
         script = FaultScript(
             windows=(
-                FaultWindow(lo=0.0, hi=0.3, start=0.0, end=100.0),
-                FaultWindow(lo=0.4, hi=0.6, start=10.0, end=90.0),
+                RingPartition(cut=(0.0, 0.3), start=0.0, end=100.0),
+                RingPartition(cut=(0.4, 0.6), start=10.0, end=90.0),
             )
         )
         assert len(script.resolved_windows()) == 1

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from repro.core.config import SelectConfig
 from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
-from repro.core.stabilize import CatchUpStore, Stabilizer
+from repro.core.stabilize import CatchUpStore, Stabilizer, _between, _closer_successor
 from repro.metrics.availability import churn_availability
 from repro.metrics.healing import stabilize_until_healed
 from repro.net.churn import ChurnModel
 from repro.net.faults import FaultPlan, PingService, RingPartition
 from repro.overlay.doctor import check_overlay
-from repro.overlay.ring import ring_links, successor_lists
+from repro.overlay.ring import RingIndex
 from repro.pubsub.api import PubSubSystem
 from repro.sim.runner import NotificationSimulator
 from repro.net.workload import PublishWorkload
@@ -42,27 +42,26 @@ def healing_overlay(small_graph):
 class TestSuccessorLists:
     def test_matches_ring_order(self):
         ids = np.array([0.9, 0.1, 0.5, 0.3])
-        lists = successor_lists(ids, 2)
+        lists = RingIndex(ids).successor_matrix(2).tolist()
         # Clockwise tour: 1 (0.1) -> 3 (0.3) -> 2 (0.5) -> 0 (0.9) -> wrap.
         assert lists[1] == [3, 2]
         assert lists[3] == [2, 0]
         assert lists[0] == [1, 3]
 
     def test_first_entry_is_ring_successor(self, built_select):
-        pairs = ring_links(built_select.ids)
-        lists = successor_lists(built_select.ids, 3)
-        for v, (_, succ) in enumerate(pairs):
-            assert lists[v][0] == succ
+        ring = RingIndex(built_select.ids)
+        _, succ = ring.pred_succ()
+        assert ring.successor_matrix(3)[:, 0].tolist() == succ.tolist()
 
     def test_depth_capped_by_population(self):
         ids = np.array([0.1, 0.6])
-        assert successor_lists(ids, 5) == [[1], [0]]
+        assert RingIndex(ids).successor_matrix(5).tolist() == [[1], [0]]
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
-            successor_lists(np.array([0.5]), 2)
+            RingIndex(np.array([0.5])).successor_matrix(2)
         with pytest.raises(ConfigurationError):
-            successor_lists(np.array([0.1, 0.2]), 0)
+            RingIndex(np.array([0.1, 0.2])).successor_matrix(0)
 
     def test_select_build_populates_lists(self, built_select):
         r = built_select.config.successor_list_length
@@ -84,6 +83,40 @@ class TestSuccessorLists:
             SelectConfig(successor_list_length=0)
         with pytest.raises(ConfigurationError):
             SelectConfig(catchup_capacity=0)
+
+
+def _closer_successor_reference(node, successor, candidates, ids, reachable):
+    """Rectify one candidate at a time on ``(id, index)`` keys: the loop the
+    array arc test replaced."""
+    kn, ks = (float(ids[node]), node), (float(ids[successor]), successor)
+    in_arc = []
+    for cand in set(candidates):
+        kc = (float(ids[cand]), cand)
+        if cand not in (node, successor) and (kn < kc < ks if kn < ks else kc > kn or kc < ks):
+            in_arc.append(kc)
+    in_arc.sort(key=lambda kc: (0 if kc > kn else 1, kc))
+    return next((c for _, c in in_arc if reachable(c)), None)
+
+
+class TestArcOrder:
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0, 1, exclude_max=True),
+                 min_size=2, max_size=24),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_rectify_matches_the_per_candidate_loop(self, raw_ids, data):
+        # Repeated identifiers included: ties fall to the node index.
+        ids = np.array(raw_ids)
+        nodes = st.integers(0, len(ids) - 1)
+        node, successor = data.draw(nodes), data.draw(nodes)
+        candidates = data.draw(st.sets(nodes))
+        live = data.draw(st.sets(nodes))
+        assert _closer_successor(
+            node, successor, candidates, ids, live.__contains__
+        ) == _closer_successor_reference(node, successor, candidates, ids, live.__contains__)
+        mask = _between(ids, node, np.arange(len(ids)), successor)
+        assert mask.tolist() == [bool(_between(ids, node, x, successor)) for x in range(len(ids))]
 
 
 class TestStabilizerNullBehaviour:
