@@ -60,8 +60,9 @@ class BayeuxOverlay(OverlayNetwork):
                 manager = self._ring_index.successor_of(point)
                 if manager != v:
                     # Tapestry neighbor tables are not degree-capped per
-                    # incoming side; charge the slot best-effort only.
-                    self.try_accept_incoming(manager)
+                    # incoming side: the finger stays either way, and only
+                    # an admitted one is also routable back.
+                    self.try_accept_incoming(v, manager)
                     table.long_links.add(manager)
 
     # -- rendezvous machinery -------------------------------------------------

@@ -41,7 +41,7 @@ class RandomOverlay(OverlayNetwork):
                 u = int(rng.integers(n))
                 if u == v or u in table.long_links:
                     continue
-                if self.try_accept_incoming(u):
+                if self.try_accept_incoming(v, u):
                     table.long_links.add(u)
         self.iterations = 0
         self._mark_built()

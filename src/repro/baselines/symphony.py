@@ -67,7 +67,7 @@ class SymphonyOverlay(OverlayNetwork):
                 manager = self._ring_index.successor_of(target_point)
                 if manager == v or manager in table.long_links:
                     continue
-                if self.try_accept_incoming(manager):
+                if self.try_accept_incoming(v, manager):
                     table.long_links.add(manager)
 
     def disseminate(self, publisher, subscribers, router, online=None) -> dict:

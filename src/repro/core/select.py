@@ -94,7 +94,6 @@ class SelectOverlay(OverlayNetwork):
         self.pending_ids = np.zeros(n, dtype=np.float64)
         self.round_link_changes = 0
         self._quiet_rounds = 0
-        self._incoming_sources: list[set[int]] = [set() for _ in range(n)]
         self._lsh_families: dict[int, BitSamplingLsh] = {}
         self._lsh_seed = 0
         self.trace = TraceRecorder()
@@ -305,16 +304,12 @@ class SelectOverlay(OverlayNetwork):
         """Charge an incoming slot on ``dst``; evict a slower source if full."""
         if src == dst:
             return False
-        sources = self._incoming_sources[dst]
-        if src in sources:
-            return True
-        if len(sources) < self.k_links:
-            sources.add(src)
-            self.incoming_count[dst] = len(sources)
+        if self.try_accept_incoming(src, dst):
             return True
         if self.upload_mbps is not None:
             # Paper: accept when the newcomer has better bandwidth than an
             # existing connection; the slowest existing source is evicted.
+            sources = self._incoming_sources[dst]
             slowest = min(sources, key=lambda s: (float(self.upload_mbps[s]), -s))
             if float(self.upload_mbps[src]) > float(self.upload_mbps[slowest]):
                 sources.discard(slowest)
@@ -327,7 +322,6 @@ class SelectOverlay(OverlayNetwork):
                     self.peers[slowest].stable_rounds = 0
                     self.round_link_changes += 1
                 sources.add(src)
-                self.incoming_count[dst] = len(sources)
                 return True
         return False
 
@@ -344,16 +338,7 @@ class SelectOverlay(OverlayNetwork):
         cap would make §III-F replacements impossible exactly when they
         are needed; churn repair is allowed to oversubscribe slightly.
         """
-        if src == dst:
-            return False
-        sources = self._incoming_sources[dst]
-        if src in sources:
-            return True
-        if len(sources) < self.k_links + slack:
-            sources.add(src)
-            self.incoming_count[dst] = len(sources)
-            return True
-        return False
+        return src != dst and self.try_accept_incoming(src, dst, slack)
 
     # -- LSH plumbing ---------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 Builds every configured system on every configured dataset and runs the
 :mod:`repro.overlay.doctor` sweep over the result: ring connectivity,
-successor/predecessor symmetry, and the ``K`` incoming-link cap. A
-healthy build reports OK on every row; anything else names the invariant
-that broke, which is the first thing to check when an experiment
-misbehaves after an overlay-construction change.
+successor/predecessor symmetry, no leaked admission slot, and the ``K``
+incoming-link cap. A healthy build reports OK on every row; anything else
+names the invariant that broke, which is the first thing to check when an
+experiment misbehaves after an overlay-construction change.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ def run(config: ExperimentConfig) -> list[dict]:
                     "largest_cycle": doc.largest_cycle,
                     "broken_successors": len(doc.broken_successors),
                     "asymmetric_pairs": len(doc.asymmetric_pairs),
+                    "leaked_slots": len(doc.leaked_slots),
                     "max_in_degree": doc.max_in_degree,
                     "in_degree_cap": doc.in_degree_cap,
                     "ok": doc.ok,
@@ -59,6 +60,7 @@ def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
             "Largest",
             "Broken",
             "Asymmetric",
+            "Leaked",
             "In-deg (cap)",
             "Verdict",
         ],
@@ -71,12 +73,13 @@ def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
                 r["largest_cycle"],
                 r["broken_successors"],
                 r["asymmetric_pairs"],
+                r["leaked_slots"],
                 f"{r['max_in_degree']} ({r['in_degree_cap']})",
                 "OK" if r["ok"] else "VIOLATION",
             )
             for r in rows
         ],
-        title="Overlay doctor: ring, symmetry, and in-degree invariants",
+        title="Overlay doctor: ring, symmetry, ledger and in-degree invariants",
     )
     bad = sum(1 for r in rows if not r["ok"])
     verdict = "all overlays healthy" if bad == 0 else f"{bad} overlay(s) violate invariants"

@@ -56,12 +56,13 @@ def social_lookup_hops(
 def route_stretch(overlay, pairs) -> np.ndarray:
     """Routed hops over shortest-path hops, per delivered route of ``pairs``.
 
-    The shortest path is a breadth-first search over the same directed
-    link views the router forwards on, so 1.0 means the router found the
-    best path the overlay holds and the excess is the routing rule's own.
+    The shortest path is a breadth-first search over the same connections
+    the router forwards on (outgoing links plus admitted incoming ones), so
+    1.0 means the router found the best path the overlay holds and the
+    excess is the routing rule's own.
     """
     n = overlay.graph.num_nodes
-    views = [overlay.links(v) for v in range(n)]
+    views = [overlay.connections(v) for v in range(n)]
     indptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, views), dtype=np.int64))))
     indices = np.fromiter(chain.from_iterable(views), dtype=np.int64, count=indptr[-1])
     links = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))

@@ -97,7 +97,8 @@ class RoutingTable:
     Mirrors the paper's Table I variable ``R_p``. Long links are outgoing;
     the symmetric *incoming* budget (the paper's ``K`` incoming cap) is
     enforced by the overlay that builds the tables, via
-    :meth:`OverlayNetwork.try_accept_incoming`.
+    :meth:`OverlayNetwork.try_accept_incoming`, whose ledger makes an
+    admitted link a connection that routes carry both ways.
 
     The combined link set is cached: :meth:`link_view` returns a frozenset
     that is rebuilt lazily only after a mutation (long-link add/drop or a
@@ -280,6 +281,11 @@ class OverlayNetwork(ABC):
         self.tables: list[RoutingTable] = [
             RoutingTable(v, self.k_links, columns=ring_columns) for v in range(n)
         ]
+        #: the one admission ledger (the K-incoming cap, §III-D): the
+        #: sources whose long link each peer admitted. Every write to it
+        #: comes with a write to the source's table, so ``_epochs`` also
+        #: versions it. ``incoming_count`` is its numpy mirror.
+        self._incoming_sources: list[set[int]] = [set() for _ in range(n)]
         self.incoming_count = np.zeros(n, dtype=np.int64)
         self.iterations = 0
         self._built = False
@@ -324,23 +330,24 @@ class OverlayNetwork(ABC):
 
     # -- incoming-link admission (the paper's K-incoming cap) ---------------
 
-    def try_accept_incoming(self, target: int) -> bool:
-        """Charge one incoming-link slot on ``target``; True if accepted.
+    def try_accept_incoming(self, src: int, target: int, slack: int = 0) -> bool:
+        """Admit ``src``'s long link on ``target``; True if it holds a slot.
 
-        What Symphony, Bayeux and the random overlay get of the paper's
-        K-incoming cap: a plain count against ``k_links``, refused once it
-        is reached. (SELECT keeps its own ledger of who holds each slot and
-        is the only overlay where better bandwidth can evict a holder.)
+        Refused once ``target`` holds ``k_links + slack`` sources. An
+        admitted link is a connection ``target`` holds, so routes use it
+        both ways (:class:`~repro.overlay.routing.GreedyRouter`). Symphony,
+        Bayeux and the random overlay admit through this alone; SELECT
+        adds bandwidth eviction on the same ledger. Vitis and OMen never
+        admit, so their links stay one-way.
         """
-        if self.incoming_count[target] < self.k_links:
-            self.incoming_count[target] += 1
+        sources = self._incoming_sources[target]
+        if src in sources:
             return True
-        return False
-
-    def release_incoming(self, target: int) -> None:
-        """Return an incoming-link slot to ``target``."""
-        if self.incoming_count[target] > 0:
-            self.incoming_count[target] -= 1
+        if len(sources) >= self.k_links + slack:
+            return False
+        sources.add(src)
+        self.incoming_count[target] = len(sources)
+        return True
 
     # -- routing / dissemination --------------------------------------------
 
@@ -384,11 +391,13 @@ class OverlayNetwork(ABC):
         self._check_built()
         return self.tables[u].link_view()
 
-    def lookahead_set(self, u: int) -> dict[int, set[int]]:
-        """Symphony-style ``L_p``: each neighbor's own link set (views)."""
+    def connections(self, u: int) -> frozenset:
+        """Every peer ``u`` can hand a message to: its outgoing links plus
+        the sources whose links it admitted. Treat it as immutable: with
+        nothing admitted it is the cached link view itself."""
         self._check_built()
-        tables = self.tables
-        return {w: tables[w].link_view() for w in tables[u].link_view()}
+        view, admitted = self.tables[u].link_view(), self._incoming_sources[u]
+        return view | admitted if admitted else view
 
     def degree_vector(self) -> np.ndarray:
         """Outgoing link counts per peer."""

@@ -8,7 +8,11 @@ supposed to uphold, over the full population or any live subset:
   dangling pointers);
 * **successor/predecessor symmetry** — ``succ(v).predecessor == v``;
 * **bounded in-degree** — no peer holds more incoming long links than
-  the paper's ``K`` cap (plus the recovery path's small slack).
+  the paper's ``K`` cap (plus the recovery path's small slack);
+* **no leaked slot** — every source the admission ledger charges on a
+  peer still holds a long link to it. The router carries an admitted
+  link both ways on the ledger's word, so a leak is a route over a
+  connection nobody holds.
 
 The checker only *reports*; callers (tests, the CLI, the healing metric)
 decide what to do with a violation. That makes it usable both as a hard
@@ -47,6 +51,9 @@ class DoctorReport:
     max_in_degree: int = 0
     #: peers holding more incoming long links than the cap.
     in_degree_violations: list = field(default_factory=list)
+    #: (source, target) slots the ledger charges on ``target`` although
+    #: ``source`` no longer links to it.
+    leaked_slots: list = field(default_factory=list)
 
     @property
     def ring_ok(self) -> bool:
@@ -65,7 +72,7 @@ class DoctorReport:
     @property
     def ok(self) -> bool:
         """All invariants hold."""
-        return self.consistent_ring and not self.in_degree_violations
+        return self.consistent_ring and not self.in_degree_violations and not self.leaked_slots
 
     def summary(self) -> str:
         """One human-readable line per invariant."""
@@ -79,6 +86,7 @@ class DoctorReport:
             f"max in-degree       : {self.max_in_degree} "
             f"(cap {self.in_degree_cap}, "
             f"{len(self.in_degree_violations)} over)",
+            f"leaked slots        : {len(self.leaked_slots)}",
             f"verdict             : {'OK' if self.ok else 'VIOLATIONS FOUND'}",
         ]
         return "\n".join(lines)
@@ -139,6 +147,12 @@ def check_overlay(
             in_degree[w] += 1
     cap = overlay.k_links + max(0, in_degree_slack)
     violations = [int(v) for v in np.flatnonzero(in_degree > cap)]
+    leaked = [
+        (s, v)
+        for v, sources in enumerate(overlay._incoming_sources)
+        for s in sorted(sources)
+        if v not in overlay.tables[s].long_links
+    ]
 
     return DoctorReport(
         live_peers=len(live),
@@ -149,4 +163,5 @@ def check_overlay(
         in_degree_cap=int(cap),
         max_in_degree=int(in_degree.max()) if n else 0,
         in_degree_violations=violations,
+        leaked_slots=leaked,
     )

@@ -1,14 +1,21 @@
 """Greedy ring routing over ``R_p`` and, with lookahead, ``L_p``.
 
+A peer's *connections* are its outgoing links plus the incoming ones it
+admitted under the K-incoming cap: an admitted link is a connection the
+target holds, so it carries traffic both ways. A link its target never
+admitted (Vitis and OMen admit none) stays one-way.
+
 A message at peer ``u`` headed for peer ``t``:
 
-1. goes straight to ``t`` if ``t`` is one of ``u``'s links (``direct``);
-2. otherwise to the link ``w`` that owns the identifier closest to ``t``'s
-   on the ring among everything ``u`` can see: each unvisited link's own
-   identifier (``greedy``) and, with lookahead, the identifiers of that
-   link's links (``lookahead``) — Symphony's 1-lookahead, greedy over the
-   neighbours' neighbours. ``t`` in ``links(w)`` is the distance-0 case,
-   which is the 2-hop delivery SELECT's §III-E relies on.
+1. goes straight to ``t`` if ``t`` is one of ``u``'s connections
+   (``direct``);
+2. otherwise to the connection ``w`` that owns the identifier closest to
+   ``t``'s on the ring among everything ``u`` can see: each unvisited
+   connection's own identifier (``greedy``) and, with lookahead, the
+   identifiers of that connection's connections (``lookahead``) —
+   Symphony's 1-lookahead, greedy over the neighbours' neighbours. ``t``
+   among ``w``'s connections is the distance-0 case, which is the 2-hop
+   delivery SELECT's §III-E relies on.
 
 Because short-range ring links always exist, greedy progress is guaranteed
 on a fully online network; with churn, routing detours around offline
@@ -35,8 +42,9 @@ class HopDecision:
 
     ``link`` classifies the chosen edge on the sender's table: ``short``
     (successor/predecessor ring link), ``long`` (LSH-selected long
-    link), ``successor`` (successor-list backup — only routable after a
-    stabilizer promotion), or ``other``. ``rule`` is which clause of the
+    link), ``incoming`` (a long link of the next hop's that the sender
+    admitted), ``successor`` (successor-list backup — only routable after
+    a stabilizer promotion), or ``other``. ``rule`` is which clause of the
     greedy router fired: ``direct``, ``lookahead``, or ``greedy``.
     ``ring_distance`` is the remaining distance from the chosen next hop
     to the target identifier.
@@ -78,13 +86,15 @@ class GreedyRouter:
     """Routes over an :class:`~repro.overlay.base.OverlayNetwork`.
 
     The candidates of a peer — ``(x, w)``: identifier owner ``x`` seen
-    through link ``w``, ``x == w`` for the link itself — are kept as two
-    ``int32`` columns sorted by the *ring rank* of ``x``, built the first
-    time a route visits the peer. Rank order is identifier order, so the
-    closest candidate to a target sits next to the target's rank and
-    :meth:`_next_hop` finds it by bisection. The columns are a pure
-    function of the identifiers and link views; they are dropped when the
-    overlay's epochs say either may have changed, never by age or size.
+    through connection ``w``, ``x == w`` for the connection itself — are
+    kept as two ``int32`` columns sorted by the *ring rank* of ``x``, built
+    the first time a route visits the peer. Rank order is identifier
+    order, so the closest candidate to a target sits next to the target's
+    rank and :meth:`_next_hop` finds it by bisection. The columns are a
+    pure function of the identifiers, link views and admission ledger,
+    which the router reads live; they are dropped when the overlay's
+    epochs say any may have changed (every ledger write comes with a
+    table write), never by age or size.
     """
 
     def __init__(self, overlay, lookahead: bool = True, max_hops: int | None = None):
@@ -131,7 +141,7 @@ class GreedyRouter:
             return RouteResult(path=[src], delivered=False)
         if self.overlay._epochs != self._epochs:
             self._reset_index()
-        tables = self.overlay.tables
+        tables, incoming = self.overlay.tables, self.overlay._incoming_sources
         known_live = online if detect_failures else None
         blind = online is not None and not detect_failures
         path = [src]
@@ -140,7 +150,7 @@ class GreedyRouter:
         delivered = False
         decisions: "list[HopDecision] | None" = [] if self.record_decisions else None
         for _ in range(self.max_hops):
-            if dst in tables[current].link_view():
+            if dst in tables[current].link_view() or dst in incoming[current]:
                 nxt, rule = dst, "direct"
             else:
                 hop = self._next_hop(current, dst, visited, known_live)
@@ -173,6 +183,8 @@ class GreedyRouter:
             link = "short"
         elif w in table.long_links:
             link = "long"
+        elif w in self.overlay._incoming_sources[u]:
+            link = "incoming"
         elif w in table.successors:
             link = "successor"
         else:
@@ -189,7 +201,7 @@ class GreedyRouter:
     # -- hop selection -------------------------------------------------------
 
     def _next_hop(self, u: int, dst: int, visited, online) -> "tuple[int, int] | None":
-        """``(w, x)``: forward to link ``w`` for the identifier of ``x``.
+        """``(w, x)``: forward to connection ``w`` for the identifier of ``x``.
 
         The minimum of ``(ring_distance(id[x], id[dst]), x != w, w)`` over
         the candidates of ``u`` whose ``w`` and ``x`` are both unvisited
@@ -245,18 +257,23 @@ class GreedyRouter:
     def _build_columns(self, u: int) -> "tuple[array, array]":
         """Candidates of ``u`` as ``(rank of x, first hop w)``, rank-sorted.
 
-        A link of ``u`` seen again through another link is left out: it
-        ties with its own entry on distance and loses on ``x != w``.
+        ``w`` ranges over ``u``'s connections and, with lookahead, ``x``
+        over ``w``'s (``L_p``). A connection of ``u`` seen again through
+        another is left out: it ties with its own entry on distance and
+        loses on ``x != w``.
         """
         rank = self._rank
         n = len(rank)
-        seen = self.overlay.lookahead_set(u)  # {w: links(w)}: R_p keys L_p
-        keys = [rank[w] * n + w for w in seen]
+        connections = self.overlay.connections
+        mine = connections(u)
+        keys = [rank[w] * n + w for w in mine]
         if self.lookahead:
-            for w, theirs in seen.items():
-                keys += [rank[x] * n + w for x in theirs if x != u and x not in seen]
-        keys.sort()
-        return array("i", [key // n for key in keys]), array("i", [key % n for key in keys])
+            for w in mine:
+                keys += [rank[x] * n + w for x in connections(w) if x != u and x not in mine]
+        packed = np.array(keys, dtype=np.int64)
+        packed.sort()
+        # (ranks, hops): the split and the int32 copy in numpy, not per key.
+        return tuple(array("i", col.astype(np.int32).tobytes()) for col in np.divmod(packed, n))
 
     def _reset_index(self) -> None:
         """Re-rank the identifiers and drop every peer's columns."""

@@ -219,9 +219,10 @@ class TestAblations:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP 1(c): Alg. 2 costs rounds and does not buy hops on the no-community "
-        "stand-in (3.00 hops with it, 2.97 without, on this sample, since the router steers by "
-        "L_p; 4.77 / 4.68 before); the community graph must flip this",
+        reason="ROADMAP 2(c): Alg. 2 costs rounds and does not buy hops on the no-community "
+        "stand-in (2.08 hops with it, 2.05 without, on this sample, since admitted links carry "
+        "routes both ways; 3.00 / 2.97 over outgoing links, 4.77 / 4.68 before L_p steered); "
+        "the community graph must flip this",
     )
     def test_reassignment_buys_friend_hops_at_2k(self):
         """The benchmark fixture (facebook 2k, seeds 7 / 7) over a seeded

@@ -275,14 +275,15 @@ class TestEvictionChurn:
 class LegacyGreedyRouter(BruteForceRouter):
     """Pre-cache reference: rebuilds each peer's link set on every read.
 
-    The scan of ``tests/test_routing_index.py`` over link sets recomputed
-    from the tables' raw state, the way every read worked before the
-    :meth:`RoutingTable.link_view` cache landed — so neither that cache
-    nor the router's index can be more than a performance layer.
+    The scan of ``tests/test_routing_index.py`` over connections whose link
+    sets are recomputed from the tables' raw state, the way every read
+    worked before the :meth:`RoutingTable.link_view` cache landed — so
+    neither that cache nor the router's index can be more than a
+    performance layer.
     """
 
-    def _links(self, v):
-        return _fresh_links(self.overlay.tables[v])
+    def _connections(self, v):
+        return _fresh_links(self.overlay.tables[v]) | self.overlay._incoming_sources[v]
 
 
 class TestLegacyRouterParity:

@@ -5,8 +5,15 @@ import pytest
 
 from repro.baselines.symphony import SymphonyOverlay
 from repro.core.config import SelectConfig
+from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
+from repro.core.stabilize import CatchUpStore, Stabilizer
+from repro.graphs.datasets import load_dataset
+from repro.net.churn import ChurnModel
+from repro.net.faults import FaultPlan, PingService
+from repro.net.workload import PublishWorkload
 from repro.overlay.doctor import check_overlay
+from repro.sim.runner import NotificationSimulator
 from repro.util.exceptions import ConfigurationError
 
 
@@ -36,8 +43,6 @@ class TestHealthyOverlays:
 
 class TestLiveSubset:
     def test_offline_peers_are_ignored_by_oracle_repair(self, small_graph):
-        from repro.core.recovery import RecoveryManager
-
         overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=25)).build(seed=3)
         online = np.ones(small_graph.num_nodes, dtype=bool)
         online[::5] = False
@@ -87,3 +92,45 @@ class TestViolationsDetected:
             overlay.tables[v].long_links.add(0)
         doc = check_overlay(overlay, in_degree_slack=0)
         assert 0 in doc.in_degree_violations or doc.max_in_degree > doc.in_degree_cap
+
+    def test_leaked_slot_detected(self, tiny_graph):
+        overlay = self._built(tiny_graph)
+        src, dst = next(
+            (s, v) for v, sources in enumerate(overlay._incoming_sources) for s in sorted(sources)
+        )
+        overlay.tables[src].long_links.discard(dst)  # the link goes, the slot stays charged
+        doc = check_overlay(overlay)
+        assert doc.leaked_slots == [(src, dst)]
+        assert doc.consistent_ring and not doc.ok
+        assert "leaked slots        : 1" in doc.summary()
+
+
+class TestLedgerAfterRecovery:
+    def test_churn_repair_keeps_ledger_equal_to_reverse_links(self):
+        """The suite's churn workload at 1k: recovery swaps hundreds of
+        links under loss, and every admitted source still holds its link
+        — the invariant that lets the router carry admitted links both
+        ways."""
+        n = 1000
+        overlay = SelectOverlay(
+            load_dataset("facebook", num_nodes=n, seed=7), config=SelectConfig(max_rounds=200)
+        ).build(7)
+        plan = FaultPlan(loss_rate=0.02, seed=1)
+        pings = PingService(plan)
+        recovery = RecoveryManager(overlay, pings, stabilizer=Stabilizer(overlay, pings))
+        NotificationSimulator(
+            overlay,
+            PublishWorkload(n, mean_rate=0.01, seed=7),
+            churn=ChurnModel(n, seed=7),
+            faults=plan,
+            repair=recovery.tick,
+            catchup=CatchUpStore(overlay, faults=plan),
+            maintenance_period=24.0,
+        ).run(120.0)
+        assert recovery.replacements > 0
+        assert check_overlay(overlay).leaked_slots == []
+        reverse = [set() for _ in range(n)]
+        for v, table in enumerate(overlay.tables):
+            for w in table.long_links:
+                reverse[w].add(v)
+        assert overlay._incoming_sources == reverse

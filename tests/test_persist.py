@@ -37,7 +37,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 #: this byte-for-byte, or the snapshot format silently drifted.
 GOLDEN_ID = "fface5de2c7c5b13"
 #: sha256 of the records of ``_stack(small_graph, faulty=True).run(600.0)``.
-REPLAY_DIGEST = "87a135c7d3ea13e413f467d04c5a1567d28cce7c19b5cd6a9fdc4e4359eb2787"
+REPLAY_DIGEST = "eeba6f1e5c67fdf5e535abf609ffde62c5ac0b969d66c2e65f42f0d306355cf2"
 
 
 def fresh_overlay(graph, seed=9):
@@ -273,8 +273,8 @@ class TestDeterministicReplay:
         resumed = resumed_sim.run(600.0)
         assert _run_fields(resumed_sim, resumed) == _run_fields(full, uninterrupted)
         if faulty:
-            # Recorded on the parent of the PR that replaced the event queue
-            # and the per-peer schedules: the lossy churn run, either way.
+            # The lossy churn run, either way; re-recorded when admitted
+            # links began to carry routes both ways.
             assert _records_digest(resumed) == _records_digest(uninterrupted) == REPLAY_DIGEST
 
     def test_ping_state_has_a_total_order_and_restores_from_any(self, small_graph):

@@ -1,8 +1,10 @@
 """The router's next-hop rule and the index that serves it.
 
 * :class:`BruteForceRouter` is the rule as DESIGN §4 states it, scanned
-  over every ``(x, w)`` a peer can see; the shipped router's rank-sorted
-  index must choose the same hop on every route, calm, masked and blind.
+  over every ``(x, w)`` a peer can see through its connections (outgoing
+  links plus the incoming ones it admitted); the shipped router's
+  rank-sorted index must choose the same hop on every route, calm, masked
+  and blind.
 * :class:`OneHopGreedyRouter` is the rule the router had before it steered
   by ``L_p``: ``lookahead=False`` still is that rule, ``lookahead=True``
   must beat it.
@@ -28,10 +30,10 @@ from repro.overlay.routing import GreedyRouter
 
 
 class BruteForceRouter(GreedyRouter):
-    """The next-hop rule by exhaustive scan: K links, K² with lookahead."""
+    """The next-hop rule by exhaustive scan: K connections, K² with lookahead."""
 
-    def _links(self, v: int):
-        return self.overlay.links(v)
+    def _connections(self, v: int):
+        return self.overlay.connections(v)
 
     def _next_hop(self, u, dst, visited, online):
         ids = self.overlay.ids
@@ -41,12 +43,13 @@ class BruteForceRouter(GreedyRouter):
             return p not in visited and (online is None or online[p])
 
         best = None
-        for w in self._links(u):
+        connections = self._connections
+        for w in connections(u):
             if not usable(w):
                 continue
             seen = [w]
             if self.lookahead:
-                seen += [x for x in self._links(w) if x != u]
+                seen += [x for x in connections(w) if x != u]
             for x in seen:
                 if usable(x):
                     key = (ring_distance(float(ids[x]), target), x != w, w)
@@ -56,18 +59,19 @@ class BruteForceRouter(GreedyRouter):
 
 
 class OneHopGreedyRouter(GreedyRouter):
-    """The parent's rule: ``dst in links(w)`` if any link has it, else the
-    link whose own identifier is closest."""
+    """The rule before ``L_p`` steered: ``dst`` among ``w``'s connections
+    if any connection has it, else the connection whose own identifier is
+    closest."""
 
     def _next_hop(self, u, dst, visited, online):
         overlay = self.overlay
         ids = overlay.ids
         target = float(ids[dst])
         links = [
-            w for w in overlay.links(u) if w not in visited and (online is None or online[w])
+            w for w in overlay.connections(u) if w not in visited and (online is None or online[w])
         ]
         if self.lookahead:
-            holders = [w for w in links if dst in overlay.links(w)]
+            holders = [w for w in links if dst in overlay.connections(w)]
             if holders:
                 return min(holders), dst
         if not links:
@@ -77,21 +81,28 @@ class OneHopGreedyRouter(GreedyRouter):
 
 
 class ManualOverlay(OverlayNetwork):
-    """Fixed identifiers and explicit long links; ring links on request."""
+    """Fixed identifiers and explicit long links; ring links on request.
+
+    ``admitted[v]`` names the long links of ``v`` whose targets admitted
+    them; by default every one is (the cap is ``n`` and never binds).
+    """
 
     name = "manual"
 
-    def __init__(self, ids, long_links, ring=True):
+    def __init__(self, ids, long_links, ring=True, admitted=None):
         n = len(ids)
         super().__init__(SocialGraph(n, [(i, (i + 1) % n) for i in range(n)]), k_links=n)
         self._fixed = np.asarray(ids, dtype=np.float64)
         self._long = long_links
+        self._admitted = long_links if admitted is None else admitted
         self._ring = ring
 
     def build(self, seed=None):
         self.ids[:] = self._fixed
         for v, links in enumerate(self._long):
             self.tables[v].long_links = links
+            for w in sorted(self._admitted[v]):
+                assert self.try_accept_incoming(v, w)
         if self._ring:
             self._refresh_ring()
         self._mark_built()
@@ -133,25 +144,53 @@ def select_400():
 
 
 class TestVisitedIdentifiersDoNotSteer:
-    #            s     t     a     w     v     y     z
-    IDS = [0.50, 0.52, 0.10, 0.30, 0.80, 0.60, 0.51]
-    LINKS = [{2, 6}, set(), {3, 4}, {0, 2}, {5}, {1}, {1}]
+    # Every link is admitted, so each is a connection both ways.
+    #      s     t     a     w     v     y     z     u
+    IDS = [0.50, 0.52, 0.30, 0.95, 0.80, 0.60, 0.51, 0.10]
+    LINKS = [{2, 3, 6}, set(), {7}, set(), {5}, {1}, {1}, {3, 4}]
 
     def test_route_leaves_the_identifier_behind_it(self):
-        """``z`` is down, so ``s`` hands to ``a``. From ``a`` the closest
-        identifier in sight is ``s`` itself, through ``w`` — whose only
-        links are ``s`` and ``a``, both on the path. Steering toward it
-        dead-ends at ``w``; excluding it takes ``v -> y -> t``."""
+        """``z`` is down, so ``s`` hands to ``a`` and ``a`` to ``u``. From
+        ``u`` the closest identifier in sight is ``s``, two hops back,
+        through ``w`` — whose only connections are ``s`` and ``u``, both
+        on the path. Steering toward it dead-ends at ``w``; excluding it
+        takes ``v -> y -> t``."""
         overlay = ManualOverlay(self.IDS, self.LINKS, ring=False).build()
-        online = np.ones(7, dtype=bool)
+        online = np.ones(8, dtype=bool)
         online[6] = False
         route = overlay.make_router(lookahead=True).route(0, 1, online=online)
         assert route.delivered
-        assert route.path == [0, 2, 4, 5, 1]
+        assert route.path == [0, 2, 7, 4, 5, 1]
 
     def test_live_neighbour_of_the_target_is_used(self):
         overlay = ManualOverlay(self.IDS, self.LINKS, ring=False).build()
         assert overlay.make_router(lookahead=True).route(0, 1).path == [0, 6, 1]
+
+
+class TestAdmittedLinksCarryBothWays:
+    #            s     t     m
+    IDS = [0.10, 0.60, 0.40]
+    LINKS = [set(), set(), {0, 1}]
+
+    def route(self, admitted):
+        overlay = ManualOverlay(self.IDS, self.LINKS, ring=False, admitted=admitted).build()
+        router = overlay.make_router()
+        router.record_decisions = True
+        return router.route(0, 1)
+
+    def test_the_only_way_out_is_a_reverse_hop(self):
+        """``s`` holds no link of its own; ``m``'s link to it is admitted,
+        so ``s`` reaches ``t`` through ``m``."""
+        route = self.route(admitted=None)
+        assert route.delivered and route.path == [0, 2, 1]
+        assert [(d.link, d.rule) for d in route.decisions] == [
+            ("incoming", "lookahead"),
+            ("long", "direct"),
+        ]
+
+    def test_a_link_never_admitted_stays_one_way(self):
+        route = self.route(admitted=[set(), set(), {1}])
+        assert not route.delivered and route.path == [0]
 
 
 # -- (i) indexed == brute force ------------------------------------------------
@@ -211,16 +250,17 @@ class TestAgainstOneHopRule:
 
 class TestStretchOracle:
     def test_routes_stay_near_the_overlays_own_shortest_paths(self, select_2k):
-        """ROADMAP 2: 4.77 routed hops over links holding 2.21-hop paths
-        was a stretch of 2.2 and a 38-hop tail under the one-hop rule."""
+        """ROADMAP 4: 4.77 routed hops over links holding 2.21-hop paths
+        was a stretch of 2.2 and a 38-hop tail under the one-hop rule; over
+        the connections the router uses the floor is 1.76 hops."""
         pairs = friend_pairs(select_2k.graph)
         stretch = route_stretch(select_2k, pairs)
         assert len(stretch) == len(pairs)
         assert stretch.min() >= 1.0
-        assert stretch.mean() <= 1.5
+        assert stretch.mean() <= 1.3
         routes = select_2k.make_router().route_many(pairs)
         floor = np.array([r.hops for r in routes]) / stretch
-        assert sum(r.hops for r in routes) / floor.sum() <= 1.5
+        assert sum(r.hops for r in routes) / floor.sum() <= 1.3
         assert max(r.hops for r in routes) <= 20
 
 
@@ -234,17 +274,20 @@ def small_overlays(draw):
     ids = draw(st.lists(st.integers(0, 31), min_size=n, max_size=n))
     peers = st.integers(0, n - 1)
     long_links = [draw(st.sets(peers, max_size=4)) - {v} for v in range(n)]
+    admitted = [
+        draw(st.sets(st.sampled_from(sorted(links)))) if links else set() for links in long_links
+    ]
     online = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
     pairs = draw(st.lists(st.tuples(peers, peers), min_size=1, max_size=8))
-    return np.array(ids) / 32.0, long_links, online, pairs
+    return np.array(ids) / 32.0, long_links, admitted, online, pairs
 
 
 class TestGeneratedOverlays:
     @given(case=small_overlays(), lookahead=st.booleans(), detect=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_index_equals_scan_and_paths_are_walks(self, case, lookahead, detect):
-        ids, long_links, online, pairs = case
-        overlay = ManualOverlay(ids, long_links).build()
+        ids, long_links, admitted, online, pairs = case
+        overlay = ManualOverlay(ids, long_links, admitted=admitted).build()
         mask = None if online is None else np.array(online)
         shipped = GreedyRouter(overlay, lookahead=lookahead)
         scan = BruteForceRouter(overlay, lookahead=lookahead)
@@ -253,8 +296,10 @@ class TestGeneratedOverlays:
         assert_same_routes(got, scan.route_many(pairs, online=mask, detect_failures=detect))
         for route in got:
             assert len(set(route.path)) == len(route.path)
+            # Each hop is an outgoing link, or a link of the next hop's
+            # that the sender admitted.
             for u, w in zip(route.path, route.path[1:]):
-                assert w in overlay.links(u)
+                assert w in overlay.links(u) or u in admitted[w]
 
 
 # -- (iv) staleness ---------------------------------------------------------------

@@ -214,7 +214,7 @@ class TestRouteTracer:
             assert [d["from"] for d in detail] == route["path"][:-1]
             assert [d["to"] for d in detail] == route["path"][1:]
             for d in detail:
-                assert d["link"] in ("short", "long", "successor", "other")
+                assert d["link"] in ("short", "long", "incoming", "successor", "other")
                 assert d["rule"] in ("direct", "lookahead", "greedy")
                 assert d["ring_distance"] >= 0.0
             # The delivering hop is always the direct rule.
