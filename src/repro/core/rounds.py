@@ -27,7 +27,8 @@ order:
 5. :func:`end_round` — the round's trace points and the quiescence test.
 
 The build wraps phases 1–4 in :func:`phase_timer` (``build.phase.*`` in
-the current metrics registry; no-ops by default).
+the current metrics registry; no-ops by default) and counts into the
+overlay's :class:`ExchangeStats` and :class:`LinkStats`.
 
 :mod:`repro.core.gossip` and :func:`repro.core.reassignment.evaluate_position`
 stay as the per-peer references these phases are tested against.
@@ -35,14 +36,17 @@ stay as the per-peer references these phases are tested against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from repro.core.vectorized import dedup_ids, draw_partners, evaluate_positions
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 
 __all__ = [
+    "ExchangeStats",
+    "LinkStats",
     "draw_pairs",
     "exchange_phase",
     "propose_ids",
@@ -53,6 +57,23 @@ __all__ = [
     "publish_ids",
     "end_round",
 ]
+
+
+@dataclass
+class ExchangeStats(Stats):
+    """Directed exchanges of one build's exchange phase (``build.exchange.*``)."""
+
+    folded: int = stat("directed exchanges folded into the target's knowledge")
+    skipped: int = stat("directed exchanges whose target already folded the source's view")
+
+
+@dataclass
+class LinkStats(Stats):
+    """Link steps of one build's batch-planned walk (``build.links.*``)."""
+
+    planned: int = stat("link steps planned by the round kernel")
+    replanned: int = stat("planned link steps re-run against the live ledger")
+    changed: int = stat("link steps that changed the peer's link set")
 
 
 def draw_pairs(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
@@ -93,9 +114,8 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
         count=len(lt),
     )
     folded = int(fresh.sum())
-    registry = get_registry()
-    registry.counter("build.exchange.folded").inc(folded)
-    registry.counter("build.exchange.skipped").inc(len(lt) - folded)
+    ov.exchange_stats.folded += folded
+    ov.exchange_stats.skipped += len(lt) - folded
     targets, sources = targets[fresh], sources[fresh]
     lt, ls = targets.tolist(), sources.tolist()
     # The round's link table in CSR form, straight from the views.

@@ -110,12 +110,21 @@ class SelectOverlay(OverlayNetwork):
         self._eviction_events: list[tuple[int, int]] = []
         # Round counter driving the relocation rota (reassign_stride).
         self._round_no = 0
+        #: what the round phases count; :meth:`build` attaches fresh ones.
+        self.exchange_stats, self.link_stats = rounds.ExchangeStats(), rounds.LinkStats()
 
     # -- construction ----------------------------------------------------------
 
     def build(self, seed=None) -> "SelectOverlay":
         """Run the full construction pipeline (projection -> gossip rounds)."""
         rng = as_generator(seed)
+        # Attached here, not at construction: `select-repro build` installs
+        # its registry after making the overlay. Fresh objects per build, so
+        # a second build never attaches (and counts) one object twice.
+        self.exchange_stats, self.link_stats = rounds.ExchangeStats(), rounds.LinkStats()
+        registry = get_registry()
+        registry.attach("build.exchange", self.exchange_stats)
+        registry.attach("build.links", self.link_stats)
         self._lsh_seed = int(rng.integers(2**31 - 1))
         self._project(rng)
         self._bootstrap(rng)
@@ -214,10 +223,10 @@ class SelectOverlay(OverlayNetwork):
                 if (len(sources[t]) >= k) != was_full[t]:
                     for u in self.graph.neighbors(t).tolist():
                         noted.setdefault(u, []).append(t)
-        registry = get_registry()
-        registry.counter("build.links.planned").inc(len(gate))
-        registry.counter("build.links.replanned").inc(replanned)
-        registry.counter("build.links.changed").inc(len(changed))
+        stats = self.link_stats
+        stats.planned += len(gate)
+        stats.replanned += replanned
+        stats.changed += len(changed)
         return changed
 
     def _project(self, rng: np.random.Generator) -> None:

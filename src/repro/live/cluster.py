@@ -34,7 +34,6 @@ dropped.
 from __future__ import annotations
 
 import asyncio
-import math
 from collections import Counter
 
 import numpy as np
@@ -52,7 +51,7 @@ from repro.live.tracing import LiveTracer, TraceContext
 from repro.live.transport import LoopbackTransport
 from repro.net.faults import FaultPlan, PingService
 from repro.overlay.doctor import check_overlay
-from repro.scenarios.slo import LIVE_TRACE_SLO, evaluate_live_trace
+from repro.scenarios.slo import LIVE_TRACE_SLO, _nearest_rank, evaluate_live_trace
 from repro.telemetry import livetrace
 from repro.telemetry.registry import HOP_BUCKETS, get_registry
 from repro.telemetry.tracer import RouteTracer
@@ -60,6 +59,17 @@ from repro.util.exceptions import TransientError
 from repro.util.rng import RngStream
 
 __all__ = ["LiveCluster", "run_live_scenario"]
+
+
+def _distribution(values) -> dict:
+    """Count, nearest-rank p50 / p99 and maximum of ``values`` (zeros when empty)."""
+    values = [float(v) for v in values]
+    return {
+        "count": len(values),
+        "p50": _nearest_rank(values, 0.5),
+        "p99": _nearest_rank(values, 0.99),
+        "max": max(values, default=0.0),
+    }
 
 
 class LiveCluster:
@@ -543,23 +553,11 @@ class LiveCluster:
                 labels=labels,
             ).set(recorder.dropped)
         slo = evaluate_live_trace(summary, self.slo)
-        lat = sorted(summary.pop("latency_ms"))
-        hops = sorted(summary.pop("hops"))
-
-        def dist(values: "list[float]") -> dict:
-            if not values:
-                return {"count": 0, "p50": 0.0, "p99": 0.0, "max": 0.0}
-            return {
-                "count": len(values),
-                "p50": float(values[max(0, math.ceil(0.5 * len(values)) - 1)]),
-                "p99": float(values[max(0, math.ceil(0.99 * len(values)) - 1)]),
-                "max": float(values[-1]),
-            }
-
+        lat, hops = summary.pop("latency_ms"), summary.pop("hops")
         return {
             **summary,
-            "latency_ms": dist([float(v) for v in lat]),
-            "hops": dist([float(v) for v in hops]),
+            "latency_ms": _distribution(lat),
+            "hops": _distribution(hops),
             "dropped_spans": self.route_tracer.dropped_spans,
             "incidents": len(self.incidents),
             "slo": slo,

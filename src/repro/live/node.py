@@ -36,6 +36,7 @@ the catch-up path.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import dataclass
 
 from repro.live.config import LiveConfig
 from repro.live.envelope import (
@@ -50,7 +51,7 @@ from repro.live.envelope import (
 )
 from repro.live.membership import MembershipView
 from repro.live.transport import LoopbackTransport
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.exceptions import (
     DeadlineExceeded,
     PeerUnreachable,
@@ -59,7 +60,25 @@ from repro.util.exceptions import (
 )
 from repro.util.rng import as_generator
 
-__all__ = ["PeerNode"]
+__all__ = ["NodeStats", "PeerNode"]
+
+
+@dataclass
+class NodeStats(Stats):
+    """Request, failure-detector and delivery events of one :class:`PeerNode` (``live.*``)."""
+
+    requests: int = stat("request/reply exchanges started")
+    request_retries: int = stat("request attempts beyond the first")
+    deadline_exceeded: int = stat("requests that blew their end-to-end deadline")
+    retry_exhausted: int = stat("requests whose every attempt timed out")
+    peer_unreachable: int = stat("requests refused: membership says peer is dead")
+    suspicions: int = stat("probe rounds that raised suspicion on a member")
+    false_suspicions: int = stat("suspicions raised against a truth-alive member")
+    confirmed_dead: int = stat("members confirmed DEAD past the suspicion threshold")
+    false_confirms: int = stat("members confirmed DEAD while truth-alive")
+    notify_delivered: int = stat("notifications accepted at their subscriber")
+    notify_duplicates: int = stat("redundant notification deliveries deduplicated")
+    gossip_rounds: int = stat("gossip rounds run")
 
 
 class PeerNode:
@@ -104,19 +123,8 @@ class PeerNode:
         self._probing: set[int] = set()
 
         registry = registry if registry is not None else get_registry()
-        self._m_requests = registry.counter("live.requests", "request/reply exchanges started")
-        self._m_retries = registry.counter(
-            "live.request_retries", "request attempts beyond the first"
-        )
-        self._m_deadline = registry.counter(
-            "live.deadline_exceeded", "requests that blew their end-to-end deadline"
-        )
-        self._m_exhausted = registry.counter(
-            "live.retry_exhausted", "requests whose every attempt timed out"
-        )
-        self._m_unreachable = registry.counter(
-            "live.peer_unreachable", "requests refused: membership says peer is dead"
-        )
+        self.stats = NodeStats()
+        registry.attach("live", self.stats)
         self._h_request_ms = registry.histogram(
             "live.request_ms",
             (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0),
@@ -127,25 +135,6 @@ class PeerNode:
             (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0),
             "successful failure-detector probe latency (ms)",
         )
-        self._m_suspicions = registry.counter(
-            "live.suspicions", "probe rounds that raised suspicion on a member"
-        )
-        self._m_false_suspicions = registry.counter(
-            "live.false_suspicions", "suspicions raised against a truth-alive member"
-        )
-        self._m_confirms = registry.counter(
-            "live.confirmed_dead", "members confirmed DEAD past the suspicion threshold"
-        )
-        self._m_false_confirms = registry.counter(
-            "live.false_confirms", "members confirmed DEAD while truth-alive"
-        )
-        self._m_notify_delivered = registry.counter(
-            "live.notify_delivered", "notifications accepted at their subscriber"
-        )
-        self._m_notify_dupes = registry.counter(
-            "live.notify_duplicates", "redundant notification deliveries deduplicated"
-        )
-        self._m_gossip_rounds = registry.counter("live.gossip_rounds", "gossip rounds run")
         #: cluster-provided oracle of actual liveness, used only to label
         #: false suspicions in telemetry — never for protocol decisions.
         self.truth_alive = None
@@ -271,23 +260,23 @@ class PeerNode:
         retries = cfg.request_retries if retries is None else int(retries)
         deadline = cfg.request_deadline if deadline is None else deadline
         if check_membership and not self.view.is_alive(dst):
-            self._m_unreachable.inc()
+            self.stats.peer_unreachable += 1
             raise PeerUnreachable(
                 f"node {self.node_id}: peer {dst} is confirmed dead by membership"
             )
-        self._m_requests.inc()
+        self.stats.requests += 1
         loop = asyncio.get_running_loop()
         started = loop.time()
         backoff = timeout
         for attempt in range(1 + retries):
             if deadline is not None and loop.time() - started >= deadline:
-                self._m_deadline.inc()
+                self.stats.deadline_exceeded += 1
                 raise DeadlineExceeded(
                     f"node {self.node_id}: request {kind}->{dst} blew its "
                     f"{deadline:.3f}s deadline after {attempt} attempts"
                 )
             if attempt > 0:
-                self._m_retries.inc()
+                self.stats.request_retries += 1
                 if self.recorder is not None:
                     self.recorder.record(
                         "retry", verb=kind, dst=int(dst), attempt=attempt
@@ -349,12 +338,12 @@ class PeerNode:
                         )
                     await asyncio.sleep(sleep)
         if deadline is not None and loop.time() - started >= deadline:
-            self._m_deadline.inc()
+            self.stats.deadline_exceeded += 1
             raise DeadlineExceeded(
                 f"node {self.node_id}: request {kind}->{dst} blew its "
                 f"{deadline:.3f}s deadline"
             )
-        self._m_exhausted.inc()
+        self.stats.retry_exhausted += 1
         raise RetryBudgetExhausted(
             f"node {self.node_id}: request {kind}->{dst} spent "
             f"{1 + retries} attempts without a reply"
@@ -441,7 +430,7 @@ class PeerNode:
             # Final hop: accept (at-least-once, dedup by seq) and ack the
             # publisher directly.
             if seq in self.delivered:
-                self._m_notify_dupes.inc()
+                self.stats.notify_duplicates += 1
                 if traced:
                     self.tracer.event(
                         ctx["id"],
@@ -452,7 +441,7 @@ class PeerNode:
                     )
             else:
                 self.delivered.add(seq)
-                self._m_notify_delivered.inc()
+                self.stats.notify_delivered += 1
                 if traced:
                     self.tracer.event(
                         ctx["id"],
@@ -483,7 +472,7 @@ class PeerNode:
         while self.running:
             await asyncio.sleep(cfg.gossip_interval * (0.5 + self._rng.random()))
             self.view.self_beat()
-            self._m_gossip_rounds.inc()
+            self.stats.gossip_rounds += 1
             digest = {"digest": self.view.digest()}
             targets = [m for m in self.view.alive_members() if m != self.node_id]
             fanout = min(cfg.gossip_fanout, len(targets))
@@ -570,9 +559,9 @@ class PeerNode:
             return
         truth = self.truth_alive
         actually_alive = bool(truth(target)) if truth is not None else False
-        self._m_suspicions.inc()
+        self.stats.suspicions += 1
         if actually_alive:
-            self._m_false_suspicions.inc()
+            self.stats.false_suspicions += 1
         confirmed = self.view.probe_failed(target)
         if self.recorder is not None:
             self.recorder.record(
@@ -581,9 +570,9 @@ class PeerNode:
                 outcome="confirmed_dead" if confirmed else "suspected",
             )
         if confirmed:
-            self._m_confirms.inc()
+            self.stats.confirmed_dead += 1
             if actually_alive:
-                self._m_false_confirms.inc()
+                self.stats.false_confirms += 1
 
     async def _indirect_probe(self, target: int) -> bool:
         """Ask up to ``indirect_probes`` helpers to ping ``target``."""

@@ -18,12 +18,22 @@ deliberately does *not* restart it — SWIM has to notice the silence.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import dataclass
 
 from repro.live.node import PeerNode
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.rng import as_generator
 
-__all__ = ["NodeSupervisor"]
+__all__ = ["SupervisorStats", "NodeSupervisor"]
+
+
+@dataclass
+class SupervisorStats(Stats):
+    """Crash handling of one :class:`NodeSupervisor` (``live.node_*``)."""
+
+    node_crashes: int = stat("node task crashes observed")
+    node_restarts: int = stat("nodes restarted after a crash")
+    node_gave_up: int = stat("nodes abandoned after max_restarts crashes")
 
 
 class NodeSupervisor:
@@ -46,12 +56,8 @@ class NodeSupervisor:
         #: restart / gave_up / kill — the traced cluster's incident tap
         #: (flight-recorder entries + crash dumps). ``None`` = untraced.
         self.on_incident = None
-        registry = registry if registry is not None else get_registry()
-        self._m_crashes = registry.counter("live.node_crashes", "node task crashes observed")
-        self._m_restarts = registry.counter("live.node_restarts", "nodes restarted after a crash")
-        self._m_gave_up = registry.counter(
-            "live.node_gave_up", "nodes abandoned after max_restarts crashes"
-        )
+        self.stats = SupervisorStats()
+        (registry if registry is not None else get_registry()).attach("live", self.stats)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -74,7 +80,7 @@ class NodeSupervisor:
         )
         if node.node_id in self._killed or not crashed:
             return
-        self._m_crashes.inc()
+        self.stats.node_crashes += 1
         count = self._crashes.get(node.node_id, 0) + 1
         self._crashes[node.node_id] = count
         self._incident(node.node_id, "crash", {"count": count})
@@ -82,7 +88,7 @@ class NodeSupervisor:
         await node.stop()
         if count > self.config.max_restarts:
             self._given_up.add(node.node_id)
-            self._m_gave_up.inc()
+            self.stats.node_gave_up += 1
             self._incident(node.node_id, "gave_up", {"count": count})
             return
         backoff = min(
@@ -94,7 +100,7 @@ class NodeSupervisor:
         await asyncio.sleep(backoff * (0.5 + self._rng.random()))
         if node.node_id in self._killed:
             return
-        self._m_restarts.inc()
+        self.stats.node_restarts += 1
         self._incident(node.node_id, "restart", {"count": count})
         new_tasks = node.start()
         self._watch(node, new_tasks)

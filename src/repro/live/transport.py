@@ -22,15 +22,27 @@ counted by cause in the telemetry registry.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.live.envelope import Envelope
 from repro.net.faults import FaultPlan
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.rng import as_generator
 
-__all__ = ["LoopbackTransport"]
+__all__ = ["TransportStats", "LoopbackTransport"]
+
+
+@dataclass
+class TransportStats(Stats):
+    """Envelopes one :class:`LoopbackTransport` handled, by fate (``transport.*``)."""
+
+    sent: int = stat("envelopes handed to the fabric")
+    delivered: int = stat("envelopes enqueued at a destination inbox")
+    dropped_loss: int = stat("envelopes dropped by link loss")
+    dropped_partition: int = stat("envelopes blocked by an active partition")
+    dropped_unregistered: int = stat("envelopes to crashed/absent nodes")
 
 
 class LoopbackTransport:
@@ -59,20 +71,8 @@ class LoopbackTransport:
         #: optional :class:`~repro.live.tracing.LiveTracer`; when set,
         #: every dropped *traced* envelope is annotated with its cause.
         self.tracer = None
-        registry = registry if registry is not None else get_registry()
-        self._m_sent = registry.counter("transport.sent", "envelopes handed to the fabric")
-        self._m_delivered = registry.counter(
-            "transport.delivered", "envelopes enqueued at a destination inbox"
-        )
-        self._m_lost = registry.counter(
-            "transport.dropped_loss", "envelopes dropped by link loss"
-        )
-        self._m_partitioned = registry.counter(
-            "transport.dropped_partition", "envelopes blocked by an active partition"
-        )
-        self._m_unregistered = registry.counter(
-            "transport.dropped_unregistered", "envelopes to crashed/absent nodes"
-        )
+        self.stats = TransportStats()
+        (registry if registry is not None else get_registry()).attach("transport", self.stats)
 
     # -- clock ---------------------------------------------------------------
 
@@ -129,19 +129,20 @@ class LoopbackTransport:
         anything but tests — the protocol's acks are the only evidence a
         node is allowed to act on.
         """
-        self._m_sent.inc()
+        stats = self.stats
+        stats.sent += 1
         inbox = self._inboxes.get(env.dst)
         if inbox is None:
-            self._m_unregistered.inc()
+            stats.dropped_unregistered += 1
             self._trace_drop(env, "crashed_dst")
             return False
         if not self.link_open(env.src, env.dst):
-            self._m_partitioned.inc()
+            stats.dropped_partition += 1
             self._trace_drop(env, "partition")
             return False
         p = self.faults.hop_loss(env.src, env.dst)
         if p > 0.0 and self._rng.random() < p:
-            self._m_lost.inc()
+            stats.dropped_loss += 1
             self._trace_drop(env, "loss")
             return False
         delay = self._sample_delay()
@@ -156,11 +157,11 @@ class LoopbackTransport:
         # Re-check registration at delivery time: the destination may have
         # crashed while the envelope was in flight.
         if self._inboxes.get(dst) is not inbox:
-            self._m_unregistered.inc()
+            self.stats.dropped_unregistered += 1
             self._trace_drop(env, "inflight_crash")
             return
         inbox.put_nowait(env)
-        self._m_delivered.inc()
+        self.stats.delivered += 1
 
     def _trace_drop(self, env: Envelope, cause: str) -> None:
         """Annotate a traced envelope's chain with the drop cause."""

@@ -41,6 +41,7 @@ __all__ = [
     "FaultPlan",
     "PathOutcome",
     "PingResult",
+    "PingStats",
     "PingService",
 ]
 
@@ -104,6 +105,17 @@ class FaultStats(Stats):
     def mean_retries(self) -> float:
         """Retransmissions per attempted end-to-end delivery."""
         return self.retransmissions / self.messages if self.messages else 0.0
+
+
+@dataclass
+class PingStats(Stats):
+    """The prober's experience, kept by one :class:`PingService` (``ping.*``).
+
+    Attempts spent are the plan's ``faults.pings``.
+    """
+
+    probe_timeouts: int = stat("probes that exhausted every attempt unanswered")
+    confirmed_down: int = stat("probe failures confirmed past the suspicion threshold")
 
 
 @dataclass(frozen=True)
@@ -383,17 +395,9 @@ class PingService:
         #: ``{contact: {observer: consecutive unresponsive probes}}`` — keyed
         #: by contact because an answer touches every observer of it.
         self._suspicion: dict[int, dict[int, int]] = {}
-        # Service-level registry counters (no-ops under NullRegistry):
-        # unlike the FaultPlan's ``faults.*`` counters, these describe the
-        # *prober's* experience — probes that timed out, failures confirmed
-        # past the suspicion threshold (attempts spent are ``faults.pings``).
+        self.stats = PingStats()
         registry = registry if registry is not None else get_registry()
-        self._m_probe_timeouts = registry.counter(
-            "ping.probe_timeouts", "probes that exhausted every attempt unanswered"
-        )
-        self._m_confirmed_down = registry.counter(
-            "ping.confirmed_down", "probe failures confirmed past the suspicion threshold"
-        )
+        registry.attach("ping", self.stats)
         self._h_probe_wait_ms = registry.histogram(
             "ping.probe_wait_ms",
             (0.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0),
@@ -463,7 +467,7 @@ class PingService:
             waited += timeout
             stats.ping_wait_ms += timeout
             timeout *= self.backoff
-        self._m_probe_timeouts.inc()
+        self.stats.probe_timeouts += 1
         self._h_probe_wait_ms.observe(waited)
         return False, self.max_attempts, waited
 
@@ -501,7 +505,7 @@ class PingService:
         self._suspicion.setdefault(contact, {})[observer] = count
         confirmed = count >= self.suspicion_threshold
         if confirmed:
-            self._m_confirmed_down.inc()
+            self.stats.confirmed_down += 1
         return PingResult(False, attempts, waited, confirmed)
 
     def _answered(self, observer: int, contact: int) -> None:

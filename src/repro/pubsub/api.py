@@ -18,11 +18,11 @@ from repro.net.faults import FaultPlan
 from repro.overlay.base import OverlayNetwork
 from repro.overlay.routing import RouteResult
 from repro.pubsub.tree import RoutingTree
-from repro.telemetry.registry import HOP_BUCKETS, get_registry
+from repro.telemetry.registry import HOP_BUCKETS, Stats, get_registry, stat
 from repro.telemetry.tracer import get_tracer
 from repro.util.exceptions import ConfigurationError
 
-__all__ = ["DisseminationResult", "PubSubSystem"]
+__all__ = ["DisseminationResult", "PublishStats", "LookupStats", "PubSubSystem"]
 
 InterestFn = Callable[[int, int], bool]
 
@@ -85,6 +85,25 @@ class DisseminationResult:
         return out
 
 
+@dataclass
+class PublishStats(Stats):
+    """Publish outcomes folded by one :class:`PubSubSystem` (``publish.*``)."""
+
+    events: int = stat("publish events disseminated")
+    delivered: int = stat("subscriber deliveries that succeeded")
+    dropped: int = stat("subscriber deliveries lost to link faults")
+    buffered: int = stat("missed notifications parked for catch-up")
+    shed: int = stat("subscriber deliveries shed by overload protection")
+    retries: int = stat("retransmissions spent on lossy links")
+
+
+@dataclass
+class LookupStats(Stats):
+    """Point-to-point lookups served by one :class:`PubSubSystem` (``lookup.*``)."""
+
+    events: int = stat("point-to-point social lookups")
+
+
 class PubSubSystem:
     """Social pub/sub service over a built overlay."""
 
@@ -120,24 +139,10 @@ class PubSubSystem:
         self.tracer = tracer if tracer is not None else get_tracer()
         if self.tracer is not None and hasattr(self.router, "record_decisions"):
             self.router.record_decisions = True
-        self._publishes = self.registry.counter(
-            "publish.events", "publish events disseminated"
-        )
-        self._delivered = self.registry.counter(
-            "publish.delivered", "subscriber deliveries that succeeded"
-        )
-        self._dropped = self.registry.counter(
-            "publish.dropped", "subscriber deliveries lost to link faults"
-        )
-        self._buffered = self.registry.counter(
-            "publish.buffered", "missed notifications parked for catch-up"
-        )
-        self._shed = self.registry.counter(
-            "publish.shed", "subscriber deliveries shed by overload protection"
-        )
-        self._retries = self.registry.counter(
-            "publish.retries", "retransmissions spent on lossy links"
-        )
+        self.stats = PublishStats()
+        self.lookup_stats = LookupStats()
+        self.registry.attach("publish", self.stats)
+        self.registry.attach("lookup", self.lookup_stats)
         self._hops = self.registry.histogram(
             "publish.hops", HOP_BUCKETS, "per-path hop counts of delivered routes"
         )
@@ -220,15 +225,16 @@ class PubSubSystem:
 
     def _observe_publish(self, result: DisseminationResult) -> None:
         """Fold one publish outcome into the metrics registry (no-op by default)."""
-        self._publishes.inc()
+        stats = self.stats
+        stats.events += 1
         self._fanout.observe(len(result.subscribers))
-        self._retries.inc(result.retries)
-        self._dropped.inc(result.dropped)
-        self._buffered.inc(result.buffered)
-        self._shed.inc(result.shed)
+        stats.retries += result.retries
+        stats.dropped += result.dropped
+        stats.buffered += result.buffered
+        stats.shed += result.shed
         for r in result.routes.values():
             if r.delivered:
-                self._delivered.inc()
+                stats.delivered += 1
                 self._hops.observe(r.hops)
 
     def _trace_publish(
@@ -341,7 +347,7 @@ class PubSubSystem:
     def lookup(self, src: int, dst: int, online: "np.ndarray | None" = None) -> RouteResult:
         """Point-to-point social lookup (Fig. 2's metric)."""
         result = self.router.route(src, dst, online=online)
-        self.registry.counter("lookup.events", "point-to-point social lookups").inc()
+        self.lookup_stats.events += 1
         if result.delivered:
             self.registry.histogram(
                 "lookup.hops", HOP_BUCKETS, "hop counts of delivered lookups"

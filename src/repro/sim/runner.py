@@ -28,10 +28,10 @@ from repro.net.transfer import DEFAULT_PAYLOAD_MB, tree_dissemination_time
 from repro.net.workload import PublishEvent, PublishWorkload
 from repro.overlay.base import OverlayNetwork
 from repro.pubsub.api import PubSubSystem
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.exceptions import ConfigurationError, PersistError
 
-__all__ = ["NotificationRecord", "SimulationReport", "NotificationSimulator"]
+__all__ = ["NotificationRecord", "SimulationReport", "SimStats", "NotificationSimulator"]
 
 RepairFn = Callable[[np.ndarray], None]
 
@@ -133,6 +133,14 @@ class SimulationReport:
         return float(np.mean(self.partition_heal_times))
 
 
+@dataclass
+class SimStats(Stats):
+    """Events one :class:`NotificationSimulator` processed (``sim.*``)."""
+
+    publishes: int = stat("publish events disseminated by the simulator")
+    maintenance_ticks: int = stat("maintenance ticks executed")
+
+
 class NotificationSimulator:
     """Drives an overlay through a time window of posts and churn."""
 
@@ -209,12 +217,8 @@ class NotificationSimulator:
         #: snapshots captured by this simulator, in tick order.
         self.snapshots: list[dict] = []
         self._run_timer = self.registry.timer("sim.run")
-        self._m_publishes = self.registry.counter(
-            "sim.publishes", "publish events disseminated by the simulator"
-        )
-        self._m_ticks = self.registry.counter(
-            "sim.maintenance_ticks", "maintenance ticks executed"
-        )
+        self.stats = SimStats()
+        self.registry.attach("sim", self.stats)
         self._tick_index = 0
         self._horizon = 0.0
         self._events: list[PublishEvent] = []
@@ -384,7 +388,7 @@ class NotificationSimulator:
         if self.catchup is not None:
             report.catchup_recovered += self.catchup.deliver(online, time=now)
         report.maintenance_ticks += 1
-        self._m_ticks.inc()
+        self.stats.maintenance_ticks += 1
         self._tick_index += 1
         if self.snapshot_every is not None and self._tick_index % self.snapshot_every == 0:
             self._capture_checkpoint(now, report)
@@ -416,4 +420,4 @@ class NotificationSimulator:
                 shed=result.shed,
             )
         )
-        self._m_publishes.inc()
+        self.stats.publishes += 1

@@ -98,7 +98,7 @@ def prometheus_text(registry: MetricsRegistry, prefix: str = "select_repro") -> 
     for counter in registry.counters().values():
         metric = f"{prefix}_{_prom_name(counter.name)}"
         header(metric, counter.help, "counter")
-        lines.append(f"{metric}{_prom_labels(counter.labels)} {_fmt(counter.value)}")
+        lines.append(f"{metric} {_fmt(counter.value)}")
     for gauge in registry.gauges().values():
         metric = f"{prefix}_{_prom_name(gauge.name)}"
         header(metric, gauge.help, "gauge")
@@ -120,7 +120,7 @@ def _trace_summary(tracer) -> dict:
     """Aggregate view of the spans for the JSON report."""
     from repro.telemetry import livetrace
 
-    spans = tracer.to_rows()
+    spans = tracer.spans()
     publishes = [s for s in spans if s.get("type") == "publish"]
     lookups = [s for s in spans if s.get("type") == "lookup"]
     hops = []

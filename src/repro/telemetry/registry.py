@@ -1,13 +1,13 @@
 """Metrics registry: counters, gauges, deterministic histograms, timers.
 
 The registry is the write side of the telemetry subsystem. Instrumented
-code asks its registry for a named instrument once and then updates it on
-the hot path; the experiment harness snapshots the registry at the end of
-a run and hands it to :mod:`repro.telemetry.export`.
+code asks its registry for a named gauge or histogram once and then
+updates it on the hot path; the experiment harness snapshots the registry
+at the end of a run and hands it to :mod:`repro.telemetry.export`.
 
-A component that keeps a stats dataclass (``FaultStats``, ...) does not
-push: it hands the object to :meth:`MetricsRegistry.attach` once, counts
-an event there and nowhere else, and the read side reads the fields.
+Every counter is a field of a stats dataclass (``FaultStats``, ...): its
+owner hands the object to :meth:`MetricsRegistry.attach` once, counts an
+event there and nowhere else, and the read side reads the fields.
 
 Two registries exist:
 
@@ -17,7 +17,7 @@ Two registries exist:
 * :class:`NullRegistry` — the contractual default, the telemetry
   analogue of :func:`repro.net.faults.FaultPlan.none`. Every instrument
   it hands out is a shared no-op singleton and ``attach`` keeps nothing;
-  code that pushes pays one attribute lookup and an empty call, and
+  code that observes pays one attribute lookup and an empty call, and
   behaviour stays bit-identical to a build without telemetry (pinned by
   a regression test).
 
@@ -42,7 +42,6 @@ __all__ = [
     "Stats",
     "Counter",
     "Gauge",
-    "ReadCounter",
     "Histogram",
     "Timer",
     "MetricsRegistry",
@@ -79,8 +78,8 @@ def _label_key(name: str, labels: "dict | None") -> str:
     return f"{name}{{{inner}}}"
 
 
-class Counter:
-    """Monotonically increasing scalar."""
+class Gauge:
+    """Scalar that can go up and down (buffer occupancy, live peers)."""
 
     __slots__ = ("name", "help", "labels", "_value")
 
@@ -91,39 +90,12 @@ class Counter:
         self.labels = dict(labels) if labels else {}
         self._value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ConfigurationError(f"counter {self.name}: negative increment {amount}")
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
-    """Scalar that can go up and down (buffer occupancy, live peers)."""
-
-    __slots__ = ("name", "help", "labels", "_value")
-
-    def __init__(self, name: str, help: str = "", labels: "dict | None" = None):
-        self.name = name
-        self.help = help
-        self.labels = dict(labels) if labels else {}
-        self._value = 0.0
-
     def set(self, value: float) -> None:
         self._value = float(value)
 
     def set_function(self, read) -> None:
         """Have the owner compute the level, ``read()``, whenever it is read."""
         self._value = read
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     @property
     def value(self) -> float:
@@ -144,13 +116,14 @@ class Stats:
         return asdict(self)
 
 
-class ReadCounter(Counter):
-    """A counter nobody pushes: one stats field, summed over the attached objects."""
+class Counter:
+    """One stats field, summed over the objects attached under its prefix."""
 
-    __slots__ = ("sources",)
+    __slots__ = ("name", "help", "sources")
 
     def __init__(self, name: str, help: str):
-        super().__init__(name, help)
+        self.name = name
+        self.help = help
         self.sources: list = []
 
     @property
@@ -274,9 +247,8 @@ class MetricsRegistry:
     """Named instrument store; one instance per telemetry-enabled run.
 
     Instruments are created on first use and shared on later lookups, so
-    several components can update the same counter. Asking for an
-    existing name with a different kind raises — a name is pushed or
-    read from attached stats, never both.
+    several components can update the same gauge or histogram. Asking
+    for an existing name with a different kind raises.
     """
 
     is_null = False
@@ -288,16 +260,11 @@ class MetricsRegistry:
         inst = self._instruments.get(name)
         if inst is None:
             inst = self._instruments[name] = factory()
-            return inst
-        if type(inst) is not kind:  # exact: a read instrument is never handed out to push
+        elif not isinstance(inst, kind):
             raise ConfigurationError(
                 f"metric {name!r} already registered as {type(inst).__name__}"
             )
         return inst
-
-    def counter(self, name: str, help: str = "", labels: "dict | None" = None) -> Counter:
-        key = _label_key(name, labels)
-        return self._get(key, Counter, lambda: Counter(name, help, labels))
 
     def gauge(self, name: str, help: str = "", labels: "dict | None" = None) -> Gauge:
         key = _label_key(name, labels)
@@ -317,12 +284,12 @@ class MetricsRegistry:
         """Export ``stats``' fields as ``prefix.field`` counters, read on demand.
 
         Objects attached under one prefix are summed (trials of one
-        experiment accumulate).
+        experiment accumulate); an object attached twice counts twice.
         """
         for f in fields(stats):
             name = f"{prefix}.{f.name}"
             help = f.metadata.get("help", "")
-            self._get(name, ReadCounter, lambda: ReadCounter(name, help)).sources.append(stats)
+            self._get(name, Counter, lambda: Counter(name, help)).sources.append(stats)
 
     # -- read side ---------------------------------------------------------
 
@@ -343,7 +310,7 @@ class MetricsRegistry:
 
 
 class _NullInstrument:
-    """Shared no-op counter/gauge/histogram; also a no-op context manager."""
+    """Shared no-op gauge/histogram/timer; also a no-op context manager."""
 
     __slots__ = ()
     name = "null"
@@ -354,12 +321,6 @@ class _NullInstrument:
     count = 0
     mean = 0.0
     buckets = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
 
     def set(self, value: float) -> None:
         pass
@@ -399,9 +360,6 @@ class NullRegistry(MetricsRegistry):
     """
 
     is_null = True
-
-    def counter(self, name: str, help: str = "", labels: "dict | None" = None):
-        return _NULL_INSTRUMENT
 
     def gauge(self, name: str, help: str = "", labels: "dict | None" = None):
         return _NULL_INSTRUMENT

@@ -70,10 +70,6 @@ class RouteTracer:
             return list(self._spans)
         return [s for s in self._spans if s.get("type") == kind]
 
-    def to_rows(self) -> list[dict]:
-        """All spans as plain dicts (alias kept symmetric with TraceRecorder)."""
-        return list(self._spans)
-
     def export(self, path: str) -> str:
         """Write every span as one JSON object per line; returns ``path``.
 

@@ -107,8 +107,7 @@ class TestBuild:
         assert not np.array_equal(a.ids, b.ids)
 
     def test_trace_recorded(self, built_select):
-        assert "id_moves" in built_select.trace
-        assert "link_changes" in built_select.trace
+        assert built_select.trace.names() == ["id_moves", "link_changes"]
 
     def test_k_links_override(self, small_graph):
         overlay = SelectOverlay(small_graph, k_links=3, config=SelectConfig(max_rounds=6)).build(seed=1)
@@ -193,15 +192,16 @@ class TestPhaseLedger:
         timers = registry.histograms()
         for phase in ("exchange", "propose", "links", "barrier"):
             assert timers[f"build.phase.{phase}.seconds"].count == overlay.iterations
-        folded = registry.counter("build.exchange.folded").value
-        skipped = registry.counter("build.exchange.skipped").value
+        counters = registry.counters()
+        folded = counters["build.exchange.folded"].value
+        skipped = counters["build.exchange.skipped"].value
         # One exchange per peer per round, each teaching both sides.
         assert folded + skipped == 2 * graph.num_nodes * overlay.iterations
         assert skipped > 0 and folded > 0
         # The link step: the whole gate planned in one batch a round; the
         # walk re-plans only the peers a ledger flip reached.
         planned, replanned, changed = (
-            registry.counter(f"build.links.{name}").value
+            counters[f"build.links.{name}"].value
             for name in ("planned", "replanned", "changed")
         )
         assert planned == sum(gated) and 0 < changed < planned

@@ -236,6 +236,27 @@ def _run_traced(tmp_path, num_nodes=20, scenario=SMALL, seed=7):
     return cluster, registry, result
 
 
+class TestTraceReportDistribution:
+    """``live.json``'s ``latency_ms`` / ``hops`` blocks: nearest-rank, floats."""
+
+    @pytest.mark.parametrize(
+        "values, block",
+        [
+            ([], {"count": 0, "p50": 0.0, "p99": 0.0, "max": 0.0}),
+            ([7], {"count": 1, "p50": 7.0, "p99": 7.0, "max": 7.0}),
+            ([2, 1, 3, 1], {"count": 4, "p50": 1.0, "p99": 3.0, "max": 3.0}),
+            ([4.5, 0.25, 3.0, 9.75, 1.5], {"count": 5, "p50": 3.0, "p99": 9.75, "max": 9.75}),
+            (list(range(101, 0, -1)), {"count": 101, "p50": 51.0, "p99": 100.0, "max": 101.0}),
+        ],
+    )
+    def test_blocks_are_unchanged(self, values, block):
+        from repro.live.cluster import _distribution
+
+        out = _distribution(values)
+        assert out == block
+        assert all(isinstance(out[k], float) for k in ("p50", "p99", "max"))
+
+
 class TestTracedRun:
     def test_small_traced_run_chains_and_report(self, tmp_path):
         cluster, registry, result = _run_traced(tmp_path)

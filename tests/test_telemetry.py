@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -32,23 +34,29 @@ from repro.util.exceptions import ConfigurationError
 
 class TestRegistry:
     def test_counter_gauge_basics(self):
+        from repro.net.faults import PingStats
+
         reg = MetricsRegistry()
-        c = reg.counter("a.count")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ConfigurationError):
-            c.inc(-1)
+        stats = PingStats()
+        reg.attach("ping", stats)
+        stats.probe_timeouts += 3
+        counter = reg.counters()["ping.probe_timeouts"]
+        assert counter.value == 3.0
+        assert counter.help == "probes that exhausted every attempt unanswered"
         g = reg.gauge("a.level")
         g.set(7)
-        g.dec(3)
-        assert g.value == 4.0
+        assert g.value == 7.0
+        level = [4]
+        g.set_function(lambda: level[0])
+        level[0] = 5
+        assert g.value == 5.0
 
     def test_same_name_shares_instrument(self):
         reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
+        assert reg.gauge("x") is reg.gauge("x")
+        assert reg.histogram("h") is reg.histogram("h")
         with pytest.raises(ConfigurationError):
-            reg.gauge("x")
+            reg.histogram("x")
 
     def test_timer_uses_perf_counter(self):
         reg = MetricsRegistry()
@@ -69,11 +77,11 @@ class TestRegistry:
 class TestLabeledInstruments:
     def test_labels_make_distinct_instruments(self):
         reg = MetricsRegistry()
-        a = reg.counter("live.node_delivered", labels={"node": "0"})
-        b = reg.counter("live.node_delivered", labels={"node": "1"})
-        plain = reg.counter("live.node_delivered")
+        a = reg.gauge("live.node_delivered", labels={"node": "0"})
+        b = reg.gauge("live.node_delivered", labels={"node": "1"})
+        plain = reg.gauge("live.node_delivered")
         assert a is not b and a is not plain
-        a.inc(3)
+        a.set(3)
         assert b.value == 0 and plain.value == 0
         assert a.name == "live.node_delivered" and a.labels == {"node": "0"}
 
@@ -89,7 +97,7 @@ class TestLabeledInstruments:
         reg.histogram("h", buckets=(1.0, 2.0), labels={"node": "3"})
         # Same composite key with a different type is still rejected.
         with pytest.raises(ConfigurationError):
-            reg.counter("h", labels={"node": "3"})
+            reg.gauge("h", labels={"node": "3"})
 
 
 class TestHistogramDeterminism:
@@ -118,7 +126,7 @@ class TestHistogramDeterminism:
             h = reg.histogram("hops", HOP_BUCKETS)
             for v in (1, 2, 2, 5, 9, 40):
                 h.observe(v)
-            reg.counter("n").inc(6)
+            reg.gauge("n").set(6)
             return registry_snapshot(reg)
 
         assert run() == run()
@@ -126,13 +134,16 @@ class TestHistogramDeterminism:
 
 class TestNullRegistry:
     def test_no_ops_and_shared_instrument(self):
+        from repro.net.faults import PingStats
+
         null = NullRegistry()
-        c = null.counter("anything")
-        assert c is null.gauge("other") is null.histogram("third")
-        c.inc()
-        c.set(5)
-        c.observe(1.0)
-        assert c.value == 0.0
+        g = null.gauge("anything")
+        assert g is null.gauge("other") is null.histogram("third")
+        g.set(5)
+        g.observe(1.0)
+        assert g.value == 0.0
+        null.attach("ping", PingStats(probe_timeouts=2))
+        assert len(null) == 0 and null.counters() == {}
         with null.timer("phase") as t:
             pass
         assert t.elapsed == 0.0
@@ -233,7 +244,7 @@ class TestRouteTracer:
         tracer, _, _ = traced_publish
         path = tracer.export(str(tmp_path / "traces.jsonl"))
         loaded = RouteTracer.load(path)
-        assert loaded == tracer.to_rows()
+        assert loaded == tracer.spans()
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 assert isinstance(json.loads(line), dict)
@@ -350,7 +361,7 @@ def churned(small_graph):
     recovery = RecoveryManager(overlay, pings, stabilizer=stabilizer, registry=reg)
     catchup = CatchUpStore(overlay, capacity=4, faults=plan, registry=reg)
     guard = OverloadGuard(OverloadConfig(capacity=6.0), n, registry=reg)
-    NotificationSimulator(
+    sim = NotificationSimulator(
         overlay,
         PublishWorkload(n, mean_rate=0.05, seed=5),
         churn=ChurnModel(n, seed=3),
@@ -360,32 +371,88 @@ def churned(small_graph):
         overload=guard,
         maintenance_period=60.0,
         registry=reg,
-    ).run(600.0)
+    )
+    sim.run(600.0)
     owners = {
         "faults": plan,
         "recovery": recovery,
         "stabilize": stabilizer,
         "catchup": catchup,
         "overload": guard,
+        "publish": sim.pubsub,
+        "sim": sim,
+        "ping": pings,
     }
     return reg, owners
 
 
-class TestAttachedStats:
-    @pytest.mark.parametrize("prefix", ["faults", "recovery", "stabilize", "catchup", "overload"])
-    def test_exported_counters_are_the_stats_fields(self, churned, prefix):
-        from dataclasses import asdict
+def exported(reg, prefix: str) -> dict:
+    """The registry's ``prefix.*`` counters, keyed by field name."""
+    return {
+        name[len(prefix) + 1 :]: value
+        for name, value in registry_snapshot(reg)["counters"].items()
+        if name.startswith(prefix + ".")
+    }
 
+
+class TestAttachedStats:
+    @pytest.mark.parametrize(
+        "prefix",
+        ["faults", "recovery", "stabilize", "catchup", "overload", "publish", "sim", "ping"],
+    )
+    def test_exported_counters_are_the_stats_fields(self, churned, prefix):
         reg, owners = churned
         stats = asdict(owners[prefix].stats)
-        exported = {
-            name.partition(".")[2]: value
-            for name, value in registry_snapshot(reg)["counters"].items()
-            if name.startswith(prefix + ".")
-        }
-        assert exported == stats
-        assert all(isinstance(v, float) for v in exported.values())
+        counts = exported(reg, prefix)
+        assert counts == stats
+        assert all(isinstance(v, float) for v in counts.values())
         assert sum(stats.values()) > 0  # the run reached this component
+
+    def test_live_cluster_counters_are_its_nodes_and_transport(self):
+        from repro.live import LiveScenario
+        from repro.live.cluster import LiveCluster
+
+        reg = MetricsRegistry()
+        scenario = LiveScenario(
+            name="stats_crash",
+            description="small crash run",
+            duration=1.0,
+            settle=2.0,
+            crash_fraction=0.2,
+            crash_at=0.5,
+        )
+        cluster = LiveCluster(num_nodes=10, scenario=scenario, seed=3, registry=reg)
+        asyncio.run(cluster.run())
+        live = asdict(cluster.supervisor.stats)
+        for node in cluster.nodes.values():
+            for name, value in asdict(node.stats).items():
+                live[name] = live.get(name, 0) + value
+        assert exported(reg, "live") == live
+        assert live["requests"] > 0 and live["gossip_rounds"] > 0
+        transport = asdict(cluster.transport.stats)
+        assert exported(reg, "transport") == transport
+        assert transport["sent"] > 0 and transport["dropped_unregistered"] > 0
+
+    def test_build_counters_are_its_stats(self, small_graph):
+        reg = MetricsRegistry()
+        overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=25))
+        with use_registry(reg):
+            overlay.build(seed=3)
+        assert exported(reg, "build.exchange") == asdict(overlay.exchange_stats)
+        assert exported(reg, "build.links") == asdict(overlay.link_stats)
+        assert overlay.link_stats.planned > 0
+
+    def test_a_second_build_adds_its_own_counts_once(self, small_graph):
+        # Totals of two builds of one overlay under one registry, as the
+        # pushed counters of the previous release read them; one object
+        # attached by both builds would count both builds twice.
+        reg = MetricsRegistry()
+        overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=25))
+        with use_registry(reg):
+            overlay.build(seed=3)
+            overlay.build(seed=3)
+        assert exported(reg, "build.exchange") == {"folded": 5579, "skipped": 1861}
+        assert exported(reg, "build.links") == {"planned": 2134, "replanned": 195, "changed": 486}
 
     def test_gauges_are_read_when_asked(self, churned):
         reg, owners = churned
@@ -423,8 +490,8 @@ class TestAttachedStats:
         reg = MetricsRegistry()
         reg.attach("faults", FaultStats())
         with pytest.raises(ConfigurationError):
-            reg.counter("faults.pings")
-        reg.counter("overload.shed")
+            reg.gauge("faults.pings")
+        reg.gauge("overload.shed")
         with pytest.raises(ConfigurationError):
             reg.attach("overload", OverloadStats())
 

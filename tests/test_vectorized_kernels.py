@@ -29,7 +29,7 @@ from repro.core.vectorized import (
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
-from repro.telemetry.registry import MetricsRegistry, use_registry
+from repro.telemetry.registry import MetricsRegistry
 from repro.util.rng import as_generator
 from tests.conftest import edge_block
 
@@ -518,6 +518,7 @@ class TestExchangeOracle:
             build_seed = int(rng.integers(2**31 - 1))
             link_seed = int(rng.integers(2**31 - 1))
             batch, paired = (self._overlay(graph, build_seed) for _ in range(2))
+            registry.attach("build.exchange", batch.exchange_stats)
             streams = [as_generator(link_seed + 1) for _ in range(2)]
             # First sightings, re-exchanges with changed bitmaps, unchanged
             # re-gossip over new view objects, and re-gossip of the very
@@ -525,8 +526,7 @@ class TestExchangeOracle:
             for rnd, kind in enumerate(self.SCHEDULE):
                 for ov in (batch, paired):
                     self._mutate(ov, kind, np.random.default_rng(link_seed + rnd // 2))
-                with use_registry(registry):
-                    fp, fq = rounds.exchange_phase(batch, streams[0])
+                fp, fq = rounds.exchange_phase(batch, streams[0])
                 rp, rq = rounds.draw_pairs(paired, streams[1])
                 assert np.array_equal(fp, rp) and np.array_equal(fq, rq)
                 for p, q in zip(rp.tolist(), rq.tolist()):
@@ -539,5 +539,6 @@ class TestExchangeOracle:
                     assert batch.peers[t].known_bitmap[s] == batch.peers[t].codec.encode_int(links)
                 for v in range(n):
                     assert _state(batch.peers[v]) == _state(paired.peers[v])
-        assert registry.counter("build.exchange.skipped").value > 0
-        assert registry.counter("build.exchange.folded").value > 0
+        counters = registry.counters()
+        assert counters["build.exchange.skipped"].value > 0
+        assert counters["build.exchange.folded"].value > 0
