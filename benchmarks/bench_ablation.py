@@ -16,4 +16,4 @@ def test_bench_ablation(benchmark, quick_config, save_report):
     # CMA recovery is what keeps availability at ~100% under churn.
     assert by["no-recovery"]["availability"] < full["availability"]
     assert full["availability"] > 0.97
-    save_report("ablation", ablation.report(config))
+    save_report("ablation", ablation.report(config, rows))

@@ -12,4 +12,4 @@ def test_bench_conn_sweep(benchmark, quick_config, save_report):
     # ...and no real improvement past log2(N): the last two sweep points
     # (log2 N + 4 and 2 log2 N) stay within noise of each other.
     assert by_k[ks[-1]] > 0.6 * by_k[ks[-2]]
-    save_report("conn_sweep", conn_sweep.report(quick_config))
+    save_report("conn_sweep", conn_sweep.report(quick_config, rows))

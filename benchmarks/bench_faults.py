@@ -29,7 +29,4 @@ def test_bench_faults(benchmark, quick_config, save_report):
         retries = [by[(dataset, "select", loss)]["mean_retries"] for loss in BENCH_LOSS_RATES]
         assert retries[0] == 0.0
         assert retries[-1] > 0.0
-    save_report(
-        "faults",
-        faults.report(quick_config, loss_rates=BENCH_LOSS_RATES, ticks=5, horizon=1500.0),
-    )
+    save_report("faults", faults.report(quick_config, rows))

@@ -13,4 +13,4 @@ def test_bench_fig2_hops(benchmark, quick_config, save_report):
         at = {r["system"]: r["hops"] for r in rows if r["dataset"] == dataset and r["size"] == largest}
         assert at["select"] == min(at.values())
         assert at["select"] < at["symphony"]
-    save_report("fig2_hops", fig2_hops.report(quick_config, points=2))
+    save_report("fig2_hops", fig2_hops.report(quick_config, rows))

@@ -10,4 +10,4 @@ def test_bench_fig3_relays(benchmark, quick_config, save_report):
         # Paper shape: SELECT far below the social-oblivious DHTs; Bayeux worst.
         assert at["select"] < 0.5 * at["symphony"]
         assert at["bayeux"] == max(at.values())
-    save_report("fig3_relays", fig3_relays.report(quick_config))
+    save_report("fig3_relays", fig3_relays.report(quick_config, rows))

@@ -14,4 +14,4 @@ def test_bench_fig4_load(benchmark, quick_config, save_report):
         assert totals["select"] == min(totals.values())
         # And avoids Vitis's hub concentration.
         assert at["select"]["top_bin_share"] <= at["vitis"]["top_bin_share"] * 1.25
-    save_report("fig4_load", fig4_load.report(quick_config, num_bins=5))
+    save_report("fig4_load", fig4_load.report(quick_config, rows))

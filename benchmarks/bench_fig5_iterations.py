@@ -11,4 +11,4 @@ def test_bench_fig5_iterations(benchmark, quick_config, save_report):
         # Paper headline: SELECT converges in far fewer iterations.
         assert at["select"] == min(at.values())
         assert at["select"] < 0.6 * max(at.values())
-    save_report("fig5_iterations", fig5_iterations.report(config))
+    save_report("fig5_iterations", fig5_iterations.report(config, rows))

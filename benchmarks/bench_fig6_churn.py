@@ -19,4 +19,4 @@ def test_bench_fig6_churn(benchmark, quick_config, save_report):
         assert rec["mean_availability"] > 0.97
         assert rec["churn_level"] > 0.1
         assert rec["mean_availability"] >= no_rec["mean_availability"]
-    save_report("fig6_churn", fig6_churn.report(quick_config, ticks=6, horizon=2000.0))
+    save_report("fig6_churn", fig6_churn.report(quick_config, rows))

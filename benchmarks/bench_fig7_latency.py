@@ -12,7 +12,7 @@ def test_bench_fig7_latency(benchmark, quick_config, save_report):
         # Paper shape: the unstructured random overlay disseminates slowest
         # of the ring-structured systems; SELECT is faster than random.
         assert at["select"] < at["random"]
-    save_report("fig7_latency", fig7_latency.report(quick_config))
+    save_report("fig7_latency", fig7_latency.report(quick_config, rows))
 
 
 def test_bench_simultaneous_transfer_probe(benchmark):

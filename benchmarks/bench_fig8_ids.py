@@ -12,4 +12,4 @@ def test_bench_fig8_ids(benchmark, quick_config, save_report):
         assert r["mean_friend_distance"] < r["mean_random_distance"]
         # ...while some ring segments remain populated.
         assert r["ring_coverage"] > 0.0
-    save_report("fig8_ids", fig8_ids.report(quick_config, bins=10))
+    save_report("fig8_ids", fig8_ids.report(quick_config, rows))

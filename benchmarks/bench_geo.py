@@ -10,4 +10,4 @@ def test_bench_geo(benchmark, quick_config, save_report):
         at = {r["system"]: r for r in rows if r["dataset"] == dataset}
         # Friends co-locate, so SELECT's social links are also geo-local.
         assert at["select"]["intra_region_links"] > at["symphony"]["intra_region_links"]
-    save_report("geo", geo.report(config))
+    save_report("geo", geo.report(config, rows))

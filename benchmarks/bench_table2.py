@@ -8,4 +8,4 @@ def test_bench_table2(benchmark, quick_config, save_report):
     assert {r["dataset"] for r in rows} == set(quick_config.datasets)
     for r in rows:
         assert r["users"] > 0 and r["connections"] > 0
-    save_report("table2", table2.report(quick_config))
+    save_report("table2", table2.report(quick_config, rows))

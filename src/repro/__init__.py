@@ -79,7 +79,6 @@ from repro.live import (
     LiveScenario,
     get_live_scenario,
     live_scenario_names,
-    run_live_scenario,
 )
 from repro.util.exceptions import (
     DeadlineExceeded,
@@ -123,7 +122,6 @@ __all__ = [
     "LiveScenario",
     "get_live_scenario",
     "live_scenario_names",
-    "run_live_scenario",
     "capture_snapshot",
     "load_snapshot",
     "restore_snapshot",

@@ -22,6 +22,7 @@ import numpy as np
 from repro.graphs.graph import SocialGraph
 from repro.idspace.hashing import uniform_hashes
 from repro.overlay.base import OverlayNetwork
+from repro.overlay.routing import RouteResult
 from repro.util.rng import as_generator
 
 __all__ = ["RankedGossipOverlay"]
@@ -116,14 +117,48 @@ class RankedGossipOverlay(OverlayNetwork):
         top = sorted(known, key=lambda u: (-known[u], u))[: self.k_links]
         self.tables[v].long_links = set(top)
 
-    # -- shared dissemination helper ----------------------------------------------
+    # -- dissemination ------------------------------------------------------------
+
+    def disseminate(self, publisher, subscribers, router, online=None) -> dict:
+        """Member flood first, rendezvous routing for the rest.
+
+        The publisher floods the co-subscribers its ranked links reach
+        (Vitis's interest cluster, OMen's topic-connected component); any
+        subscriber the flood misses is served through plain greedy ring
+        routing, where relays appear.
+        """
+        members = {publisher}
+        members.update(subscribers)
+        if online is not None:
+            members = {m for m in members if online[m]}
+        paths = self._members_subgraph_bfs(publisher, members)
+        results: dict[int, RouteResult] = {}
+        for s in subscribers:
+            if s in paths:
+                results[s] = RouteResult(path=list(paths[s]), delivered=True)
+            else:
+                results[s] = router.route(publisher, s, online=online)
+        return results
+
+    def topic_connectivity(self, topic: int) -> float:
+        """Fraction of a topic's subscribers the member flood reaches.
+
+        The overlay is "organized" once most topics are connected this
+        way: Vitis's clusters, OMen's topic-connected overlay.
+        """
+        self._check_built()
+        subs = [int(f) for f in self.graph.neighbors(topic)]
+        if not subs:
+            return 1.0
+        members = set(subs) | {topic}
+        paths = self._members_subgraph_bfs(topic, members)
+        return sum(1 for s in subs if s in paths) / len(subs)
 
     def _members_subgraph_bfs(self, root: int, members: set) -> dict:
         """BFS paths from ``root`` over overlay links restricted to members.
 
-        Returns ``{node: path_from_root}`` for every member reached.
-        Used by cluster/TCO dissemination: hops between co-subscribers
-        never touch a relay.
+        Returns ``{node: path_from_root}`` for every member reached: hops
+        between co-subscribers never touch a relay.
         """
         paths = {root: [root]}
         frontier = [root]

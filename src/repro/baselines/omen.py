@@ -23,7 +23,6 @@ import numpy as np
 from repro.baselines.clustered import RankedGossipOverlay
 from repro.baselines.tco import build_tco
 from repro.graphs.graph import SocialGraph
-from repro.overlay.routing import RouteResult
 
 __all__ = ["OmenOverlay"]
 
@@ -68,24 +67,18 @@ class OmenOverlay(RankedGossipOverlay):
             self._shadow[v] = set(candidates[: self.shadow_size * self.shadow_size])
 
     def score(self, v: int, u: int) -> float:
-        """TCO partners first, shadow candidates as weak attractors."""
+        """TCO partners first, shadow candidates as weak attractors.
+
+        Links are the ``k`` best of these, the same bounded budget every
+        system gets: TCO partners beyond it cannot be materialized, which
+        leaves some topics partially disconnected and is why OMen still
+        shows relay nodes and hotspot load in the paper's figures.
+        """
         if u in self._target[v]:
             return 2.0
         if u in self._shadow[v]:
             return 1.0
         return 0.0
-
-    def _rerank(self, v: int) -> None:
-        """Links = discovered TCO partners, then shadows, up to budget.
-
-        The budget is the same bounded ``k`` every system gets: TCO
-        partners beyond it cannot be materialized, which leaves some
-        topics partially disconnected and is why OMen still shows relay
-        nodes and hotspot load in the paper's figures.
-        """
-        known = self._scores[v]
-        ranked = sorted(known, key=lambda u: (-known[u], u))
-        self.tables[v].long_links = set(ranked[: self.k_links])
 
     # -- churn mending ---------------------------------------------------------------
 
@@ -93,8 +86,8 @@ class OmenOverlay(RankedGossipOverlay):
         """Replace offline TCO partners with live shadow candidates.
 
         Returns the number of replacements (the shadow-set repair the
-        OMen paper contributes). Called by the churn experiment once per
-        maintenance tick.
+        OMen paper contributes). No experiment calls it: the churn
+        experiments (Fig. 6, the fault sweep) do not run OMen.
         """
         self._check_built()
         repairs = 0
@@ -113,30 +106,3 @@ class OmenOverlay(RankedGossipOverlay):
                     table.long_links.add(replacement)
                     repairs += 1
         return repairs
-
-    # -- dissemination -----------------------------------------------------------------
-
-    def disseminate(self, publisher, subscribers, router, online=None) -> dict:
-        """Flood the topic's TCO component; DHT fallback for the rest."""
-        members = {publisher}
-        members.update(subscribers)
-        if online is not None:
-            members = {m for m in members if online[m]}
-        paths = self._members_subgraph_bfs(publisher, members)
-        results: dict[int, RouteResult] = {}
-        for s in subscribers:
-            if s in paths:
-                results[s] = RouteResult(path=list(paths[s]), delivered=True)
-            else:
-                results[s] = router.route(publisher, s, online=online)
-        return results
-
-    def tco_connectivity(self, topic: int) -> float:
-        """Fraction of a topic's subscribers inside the flooded component."""
-        self._check_built()
-        subs = [int(f) for f in self.graph.neighbors(topic)]
-        if not subs:
-            return 1.0
-        members = set(subs) | {topic}
-        paths = self._members_subgraph_bfs(topic, members)
-        return sum(1 for s in subs if s in paths) / len(subs)

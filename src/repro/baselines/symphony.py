@@ -69,7 +69,3 @@ class SymphonyOverlay(OverlayNetwork):
                     continue
                 if self.try_accept_incoming(v, manager):
                     table.long_links.add(manager)
-
-    def disseminate(self, publisher, subscribers, router, online=None) -> dict:
-        """Pub/sub over Symphony: independent DHT unicast to each subscriber."""
-        return super().disseminate(publisher, subscribers, router, online=online)

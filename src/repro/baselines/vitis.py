@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.baselines.clustered import RankedGossipOverlay
 from repro.graphs.graph import SocialGraph
-from repro.overlay.routing import RouteResult
 
 __all__ = ["VitisOverlay"]
 
@@ -42,37 +41,3 @@ class VitisOverlay(RankedGossipOverlay):
     def score(self, v: int, u: int) -> float:
         """Interest similarity: shared subscriptions between ``v`` and ``u``."""
         return float(len(self._subs[v] & self._subs[u]))
-
-    def disseminate(self, publisher, subscribers, router, online=None) -> dict:
-        """Cluster-first dissemination with rendezvous fallback.
-
-        The publisher floods its cluster neighbors subscribed to the topic;
-        any subscriber not reached through the cluster is served through
-        plain greedy ring routing (relays appear there).
-        """
-        members = {publisher}
-        members.update(subscribers)
-        if online is not None:
-            members = {m for m in members if online[m]}
-        paths = self._members_subgraph_bfs(publisher, members)
-        results: dict[int, RouteResult] = {}
-        for s in subscribers:
-            if s in paths:
-                results[s] = RouteResult(path=list(paths[s]), delivered=True)
-            else:
-                results[s] = router.route(publisher, s, online=online)
-        return results
-
-    def cluster_connectivity(self, topic: int) -> float:
-        """Fraction of the topic's subscribers reachable inside the cluster.
-
-        Analysis helper used by the iteration experiments: Vitis is
-        "organized" once most topics are cluster-connected.
-        """
-        self._check_built()
-        subs = [int(f) for f in self.graph.neighbors(topic)]
-        if not subs:
-            return 1.0
-        members = set(subs) | {topic}
-        paths = self._members_subgraph_bfs(topic, members)
-        return sum(1 for s in subs if s in paths) / len(subs)

@@ -83,11 +83,8 @@ def run(config: ExperimentConfig, dataset: "str | None" = None, churn_ticks: int
     return rows
 
 
-def report(
-    config: ExperimentConfig, dataset: "str | None" = None, rows: "list[dict] | None" = None
-) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the ablation table."""
-    rows = run(config, dataset=dataset) if rows is None else rows
     return format_table(
         headers=["Variant", "Hops", "Relays/path", "Iterations", "Availability"],
         rows=[

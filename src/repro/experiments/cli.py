@@ -6,13 +6,14 @@ process-wide metrics registry and route tracer for the run and writes
 ``metrics.prom`` / ``report.json`` / ``traces.jsonl`` into ``DIR``;
 ``select-repro report DIR`` renders that directory back as text.
 
-``select-repro snapshot DIR`` builds one converged SELECT overlay and
-saves it as a ``select-repro/snapshot/v1`` directory; ``--resume DIR``
-hands the saved snapshot to experiments that can warm-start from it
-(``warmstart``) and stamps its id into the telemetry provenance block.
-``select-repro build [DIR]`` runs one construction on its own (its phase
-ledger and per-round series go to ``--telemetry``); both verbs exit 1 when
-the build stopped at the ``max_rounds`` cap without converging.
+``select-repro build [DIR]`` runs one SELECT construction on its own (its
+phase ledger and per-round series go to ``--telemetry``), saves the
+overlay as a ``select-repro/snapshot/v1`` directory when given ``DIR``,
+and exits 1 when the build stopped at the ``max_rounds`` cap without
+converging. ``--resume DIR`` hands the saved snapshot to experiments that
+can warm-start from it (``warmstart``) and stamps its id into the
+telemetry provenance block. ``select-repro live NAME`` runs one scripted
+:class:`~repro.live.LiveCluster` (``--trace`` arms its causal tracing).
 ``select-repro validate PATH`` schema-checks whatever of these a verb
 wrote there: snapshot, telemetry, verdict (:mod:`repro.validate`).
 """
@@ -78,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS)
-        + ["all", "report", "snapshot", "scenario", "live", "trace", "build", "validate"],
+        + ["all", "report", "scenario", "live", "trace", "build", "validate"],
         help="which artifact to regenerate, 'report' to render a telemetry dir, "
-        "'snapshot' to save a converged overlay, 'scenario' to run a named "
-        "chaos scenario to an SLO verdict, 'live' to run a scripted "
-        "asyncio cluster with SWIM membership, 'trace' to render the "
-        "causal trees of a traced live run, 'build' to run one overlay "
-        "construction, or 'validate' to schema-check what any of them wrote",
+        "'scenario' to run a named chaos scenario to an SLO verdict, 'live' to "
+        "run a scripted asyncio cluster with SWIM membership, 'trace' to render "
+        "the causal trees of a traced live run, 'build' to run one overlay "
+        "construction (and save it as a snapshot), or 'validate' to "
+        "schema-check what any of them wrote",
     )
     parser.add_argument(
         "dir",
@@ -92,25 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="telemetry directory ('report'/'trace'), snapshot directory "
-        "('snapshot'), scenario name ('scenario'/'live'), or what to check ('validate')",
+        "('build'), scenario name ('scenario'/'live'), or what to check ('validate')",
     )
     parser.add_argument(
         "--list",
         action="store_true",
         help="with 'scenario'/'live': list the catalog and exit",
-    )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help="with 'live': which scripted scenario to run "
-        "(alternative to the positional name)",
-    )
-    parser.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        help="with 'live': cluster size (alias for --num-nodes)",
     )
     parser.add_argument(
         "--unprotected",
@@ -167,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         default=None,
         metavar="PATH",
-        help="warm-start from a snapshot directory saved by 'select-repro snapshot'",
+        help="warm-start from a snapshot directory saved by 'select-repro build DIR'",
     )
     return parser
 
@@ -217,27 +205,6 @@ def _build_outcome(overlay) -> "tuple[bool, str]":
     if overlay._quiet_rounds >= config.convergence_rounds:
         return True, f"converged in {overlay.iterations} rounds"
     return False, f"stopped at the max_rounds={config.max_rounds} cap without converging"
-
-
-def _run_snapshot(args, config: ExperimentConfig) -> int:
-    """Build one converged SELECT overlay and save it as a snapshot dir."""
-    from repro.experiments.common import build_system, dataset_graph
-    from repro.persist import save
-
-    if not args.dir:
-        print("usage: select-repro snapshot SNAPSHOT_DIR", file=sys.stderr)
-        return 2
-    dataset = config.datasets[0]
-    graph = dataset_graph(config, dataset, 0)
-    overlay = build_system(config, "select", graph, 0)
-    snapshot = overlay.snapshot()
-    save(snapshot, args.dir)
-    converged, outcome = _build_outcome(overlay)
-    print(
-        f"snapshot {snapshot['manifest']['snapshot_id']} written to {args.dir}: "
-        f"{dataset} n={graph.num_nodes}, {outcome}"
-    )
-    return 0 if converged else 1
 
 
 def _run_build(args, config: ExperimentConfig) -> int:
@@ -291,6 +258,17 @@ def _run_build(args, config: ExperimentConfig) -> int:
     return 0 if converged else 1
 
 
+def _print_objectives(objectives, label: str = "") -> None:
+    """One line per SLO objective: observed, bound, margin and verdict."""
+    for obj in objectives:
+        sign = ">=" if obj["kind"] == "floor" else "<="
+        status = "ok" if obj["passed"] else "VIOLATED"
+        print(
+            f"  {label}{obj['name']:{22 - len(label)}s} {obj['observed']:10.4f} {sign} "
+            f"{obj['threshold']:10.4f}  margin {obj['margin']:+.4f}  {status}"
+        )
+
+
 def _run_scenario(args) -> int:
     """Run one catalog scenario and report (and optionally write) its verdict."""
     from repro.scenarios import get_scenario, run_scenario, scenario_names
@@ -319,13 +297,7 @@ def _run_scenario(args) -> int:
     verdict = result.verdict
 
     print(f"scenario {verdict['scenario']}: {'PASS' if verdict['passed'] else 'FAIL'}")
-    for obj in verdict["objectives"]:
-        sign = ">=" if obj["kind"] == "floor" else "<="
-        status = "ok" if obj["passed"] else "VIOLATED"
-        print(
-            f"  {obj['name']:22s} {obj['observed']:10.4f} {sign} "
-            f"{obj['threshold']:10.4f}  margin {obj['margin']:+.4f}  {status}"
-        )
+    _print_objectives(verdict["objectives"])
     obs = verdict["observed"]
     print(
         f"  [{obs['notifications']} notifications, shed {obs['shed']}, "
@@ -358,43 +330,32 @@ def _run_live(args) -> int:
     """Run one scripted live-cluster scenario and report its verdict."""
     import asyncio
 
-    from repro.live import get_live_scenario, live_scenario_names, run_live_scenario
+    from repro.live import LiveCluster, get_live_scenario, live_scenario_names
 
     if args.list:
         for name in live_scenario_names():
             print(f"{name:20s} {get_live_scenario(name).description}")
         return 0
-    name = args.scenario or args.dir
+    name = args.dir
     if not name:
         print(
-            "usage: select-repro live --scenario NAME [--nodes N] "
-            "[--seed S] [--telemetry DIR] (or --list)",
+            "usage: select-repro live NAME [--num-nodes N] [--seed S] [--trace] "
+            "[--telemetry DIR] (or --list)",
             file=sys.stderr,
         )
         return 2
-    nodes = args.nodes if args.nodes is not None else (args.num_nodes or 100)
+    nodes = args.num_nodes or 100
     seed = args.seed if args.seed is not None else 2018
     registry = MetricsRegistry()
-    cluster = None
-    if args.trace:
-        from repro.live import LiveCluster
-
-        flight_path = (
-            os.path.join(args.telemetry, "flight.json") if args.telemetry else None
-        )
-        cluster = LiveCluster(
-            num_nodes=nodes,
-            scenario=name,
-            seed=seed,
-            registry=registry,
-            trace=True,
-            flight_path=flight_path,
-        )
-        result = asyncio.run(cluster.run())
-    else:
-        result = asyncio.run(
-            run_live_scenario(name, num_nodes=nodes, seed=seed, registry=registry)
-        )
+    cluster = LiveCluster(
+        num_nodes=nodes,
+        scenario=name,
+        seed=seed,
+        registry=registry,
+        trace=args.trace,
+        flight_path=os.path.join(args.telemetry, "flight.json") if args.telemetry else None,
+    )
+    result = asyncio.run(cluster.run())
 
     ok = (
         result["membership_converged"]
@@ -442,13 +403,7 @@ def _run_live(args) -> int:
             f"  chain latency      p50 {t['latency_ms']['p50']:.1f} ms, "
             f"p99 {t['latency_ms']['p99']:.1f} ms; hops p99 {t['hops']['p99']:g}"
         )
-        for obj in t["slo"]["objectives"]:
-            sign = ">=" if obj["kind"] == "floor" else "<="
-            status = "ok" if obj["passed"] else "VIOLATED"
-            print(
-                f"  slo {obj['name']:18s} {obj['observed']:10.4f} {sign} "
-                f"{obj['threshold']:10.4f}  margin {obj['margin']:+.4f}  {status}"
-            )
+        _print_objectives(t["slo"]["objectives"], label="slo ")
 
     if args.telemetry:
         from repro.telemetry.export import write_telemetry
@@ -456,17 +411,17 @@ def _run_live(args) -> int:
 
         meta = {"live_scenario": name, "seed": seed, "num_nodes": nodes}
         extra_files = ["live.json"]
-        if cluster is not None and not ok:
-            # Acceptance failure: persist the flight recorders so CI can
-            # upload per-node evidence alongside the traces.
+        if not ok:
+            # Acceptance failure: persist the flight recorders (a traced
+            # run's) so CI can upload per-node evidence beside the traces.
             if cluster.dump_flight("acceptance_failure"):
                 extra_files.append("flight.json")
-        elif cluster is not None and cluster.incidents:
+        elif cluster.incidents:
             extra_files.append("flight.json")
         paths = write_telemetry(
             args.telemetry,
             registry,
-            tracer=cluster.route_tracer if cluster is not None else None,
+            tracer=cluster.route_tracer,
             meta=meta,
             provenance={"root_seed": seed},
         )
@@ -517,8 +472,6 @@ def main(argv=None) -> int:
     if args.experiment == "validate":
         return _run_validate(args)
     config = config_from_args(args)
-    if args.experiment == "snapshot":
-        return _run_snapshot(args, config)
     if args.experiment == "build":
         return _run_build(args, config)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -53,11 +53,8 @@ def run(config: ExperimentConfig, dataset: "str | None" = None) -> list[dict]:
     return rows
 
 
-def report(
-    config: ExperimentConfig, dataset: "str | None" = None, rows: "list[dict] | None" = None
-) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the sweep with the log2(N) plateau marked."""
-    rows = run(config, dataset=dataset) if rows is None else rows
     log_n = int(np.ceil(np.log2(config.num_nodes)))
     table_rows = [
         (

@@ -48,9 +48,8 @@ def run(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the audit table."""
-    rows = run(config) if rows is None else rows
     table = format_table(
         headers=[
             "Dataset",

@@ -103,16 +103,8 @@ def run(
     return rows
 
 
-def report(
-    config: ExperimentConfig,
-    loss_rates: "tuple[float, ...]" = LOSS_RATES,
-    ticks: int = 8,
-    horizon: float = 2400.0,
-    rows: "list[dict] | None" = None,
-) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the degradation sweep table."""
-    if rows is None:
-        rows = run(config, loss_rates=loss_rates, ticks=ticks, horizon=horizon)
     return format_table(
         headers=[
             "Dataset",

@@ -67,9 +67,8 @@ def run(config: ExperimentConfig, points: int = 3) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, points: int = 3, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the Figure 2 series plus SELECT's reduction percentages."""
-    rows = run(config, points) if rows is None else rows
     table_rows = []
     for r in rows:
         table_rows.append(

@@ -52,9 +52,8 @@ def run(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render Figure 3's numbers plus SELECT's reduction percentages."""
-    rows = run(config) if rows is None else rows
     out = format_table(
         headers=["Dataset", "System", "Relays/path", "±95%", "Relays/tree"],
         rows=[

@@ -75,9 +75,8 @@ def run(config: ExperimentConfig, num_bins: int = 6) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, num_bins: int = 6, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render Figure 4: per-bin shares and the balance summary."""
-    rows = run(config, num_bins=num_bins) if rows is None else rows
     table_rows = []
     for r in rows:
         series = " ".join(

@@ -45,9 +45,8 @@ def run(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render Figure 5 plus SELECT's convergence advantage."""
-    rows = run(config) if rows is None else rows
     out = format_table(
         headers=["Dataset", "System", "Iterations", "±95%"],
         rows=[(r["dataset"], pretty(r["system"]), r["iterations"], r["ci95"]) for r in rows],

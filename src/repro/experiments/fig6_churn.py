@@ -76,14 +76,8 @@ def run(config: ExperimentConfig, ticks: int = 12, horizon: float = 3600.0) -> l
     return rows
 
 
-def report(
-    config: ExperimentConfig,
-    ticks: int = 12,
-    horizon: float = 3600.0,
-    rows: "list[dict] | None" = None,
-) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the Figure 6 series summary."""
-    rows = run(config, ticks=ticks, horizon=horizon) if rows is None else rows
     return format_table(
         headers=["Dataset", "Variant", "Availability", "Worst tick", "Node churn"],
         rows=[

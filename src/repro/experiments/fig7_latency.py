@@ -84,9 +84,8 @@ def run(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render Figure 7 plus the simultaneous-transfer probe."""
-    rows = run(config) if rows is None else rows
     out = format_table(
         headers=["Dataset", "System", "Dissemination latency (ms)", "±95%"],
         rows=[(r["dataset"], pretty(r["system"]), r["latency_ms"], r["ci95"]) for r in rows],

@@ -61,9 +61,8 @@ def run(config: ExperimentConfig, bins: int = 10) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, bins: int = 10, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the Figure 8 summary."""
-    rows = run(config, bins=bins) if rows is None else rows
     table_rows = []
     for r in rows:
         hist = " ".join(f"{100 * h:.0f}" for h in r["histogram"])

@@ -65,6 +65,7 @@ def run(config: ExperimentConfig, num_regions: int = 3) -> list[dict]:
                 {
                     "dataset": dataset,
                     "system": system,
+                    "regions": num_regions,
                     "intra_region_links": summarize(locality).mean,
                     "latency_ms": summarize(latency_ms).mean,
                 }
@@ -72,9 +73,8 @@ def run(config: ExperimentConfig, num_regions: int = 3) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, num_regions: int = 3, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the geographic study."""
-    rows = run(config, num_regions=num_regions) if rows is None else rows
     out = format_table(
         headers=["Dataset", "System", "Intra-region links", "Dissemination (ms)"],
         rows=[
@@ -82,7 +82,7 @@ def report(config: ExperimentConfig, num_regions: int = 3, rows: "list[dict] | N
             for r in rows
         ],
         title=(
-            f"§V geographic study ({num_regions} regions, friends co-locate): "
+            f"§V geographic study ({rows[0]['regions']} regions, friends co-locate): "
             "social link selection doubles as geographic locality"
         ),
         float_fmt="{:.2f}",

@@ -198,13 +198,8 @@ def run(
     return rows
 
 
-def report(
-    config: ExperimentConfig,
-    r_values: "tuple[int, ...]" = R_VALUES,
-    rows: "list[dict] | None" = None,
-) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the self-healing sweep table."""
-    rows = run(config, r_values=r_values) if rows is None else rows
     return format_table(
         headers=[
             "Dataset",

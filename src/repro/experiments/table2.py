@@ -38,9 +38,8 @@ def run(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render Table II (synthetic vs paper)."""
-    rows = run(config) if rows is None else rows
     return format_table(
         headers=[
             "Data Set",

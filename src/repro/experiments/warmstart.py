@@ -11,7 +11,7 @@ restored overlay is as healthy as the built one and that the round
 counter continues from the manifest instead of restarting at zero.
 
 With ``--resume PATH`` (``ExperimentConfig.resume_from``) the snapshot is
-loaded from disk — the workflow ``select-repro snapshot DIR`` +
+loaded from disk — the workflow ``select-repro build DIR`` +
 ``select-repro warmstart --resume DIR`` skips every re-convergence.
 Without it, the snapshot is captured in memory from trial 0's build.
 """
@@ -70,9 +70,8 @@ def run(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def report(config: ExperimentConfig, rows: "list[dict] | None" = None) -> str:
+def report(config: ExperimentConfig, rows: list[dict]) -> str:
     """Render the cold-vs-warm table."""
-    rows = run(config) if rows is None else rows
     table = format_table(
         headers=[
             "Trial",

@@ -8,11 +8,13 @@ in-process :class:`~repro.live.node.PeerNode` tasks exchanging typed
 model is the familiar :class:`~repro.net.faults.FaultPlan`, with
 SWIM-style membership, a retry/timeout/backoff request layer, a
 restarting :class:`~repro.live.supervisor.NodeSupervisor`, and graceful
-degradation into the catch-up store. :class:`~repro.live.cluster.LiveCluster`
-is the harness; ``select-repro live`` the CLI entry point.
+degradation into the catch-up store. One run is one
+:class:`~repro.live.cluster.LiveCluster`: construct it, then
+``await cluster.run()`` for the accounting dict; ``select-repro live NAME``
+does the same from the command line.
 """
 
-from repro.live.cluster import LiveCluster, run_live_scenario
+from repro.live.cluster import LiveCluster
 from repro.live.config import LiveConfig
 from repro.live.envelope import Envelope
 from repro.live.membership import ALIVE, DEAD, SUSPECT, MembershipView
@@ -42,5 +44,4 @@ __all__ = [
     "dump_flight_recorders",
     "get_live_scenario",
     "live_scenario_names",
-    "run_live_scenario",
 ]

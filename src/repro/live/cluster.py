@@ -58,7 +58,7 @@ from repro.telemetry.tracer import RouteTracer
 from repro.util.exceptions import TransientError
 from repro.util.rng import RngStream
 
-__all__ = ["LiveCluster", "run_live_scenario"]
+__all__ = ["LiveCluster"]
 
 
 def _distribution(values) -> dict:
@@ -86,8 +86,6 @@ class LiveCluster:
         trace: bool = False,
         trace_limit: "int | None" = None,
         flight_path: "str | None" = None,
-        time_source=None,
-        slo=None,
     ):
         if isinstance(scenario, str):
             scenario = get_live_scenario(scenario)
@@ -121,7 +119,6 @@ class LiveCluster:
             faults=self.faults,
             seed=child_seed("transport"),
             registry=self.registry,
-            time_source=time_source,
         )
         self.transport.configure_delay(self.config.delay_mean, self.config.delay_jitter)
         self.supervisor = NodeSupervisor(
@@ -130,7 +127,6 @@ class LiveCluster:
 
         # -- observability plane (opt-in; None/{} = the PR 7 zero-overhead
         # path: no spans, no recorders, no extra instruments registered).
-        self.slo = slo if slo is not None else LIVE_TRACE_SLO
         self.flight_path = flight_path
         self.route_tracer: "RouteTracer | None" = None
         self.tracer: "LiveTracer | None" = None
@@ -363,29 +359,15 @@ class LiveCluster:
             if not node.view.is_alive(s):
                 # Membership already evicted the subscriber (it may be a
                 # false eviction): degrade straight to catch-up.
-                self.shed_pairs.add((seq, s))
-                self.catchup.deposit(seq, publisher, s, True, truth, now)
-                if tracer is not None:
-                    self._trace_anchor[(seq, s)] = tracer.event(
-                        f"{seq}:{s}",
-                        "shed",
-                        publisher,
-                        parent=root,
-                        status="peer_unreachable",
-                    )
-                if publisher in self.recorders:
-                    self.recorders[publisher].record(
-                        "shed", seq=int(seq), sub=int(s), reason="peer_unreachable"
-                    )
+                self._shed(seq, publisher, s, root, "peer_unreachable", truth, now)
                 continue
             route = self.router.route(publisher, s, online=believed)
             path = route.path if route.delivered else [publisher, s]
             sends.append((s, path, root))
 
         async def deliver(sub: int, path: "list[int]", root: "int | None") -> None:
-            trace_id = f"{seq}:{sub}"
             ctx = (
-                TraceContext(trace_id, parent=root, hop=0)
+                TraceContext(f"{seq}:{sub}", parent=root, hop=0)
                 if tracer is not None
                 else None
             )
@@ -395,27 +377,42 @@ class LiveCluster:
             except TransientError as exc:
                 # Retry budget spent (relay crash, partition, loss storm):
                 # degrade, don't drop — park it for anti-entropy.
-                self.shed_pairs.add((seq, sub))
-                self.catchup.deposit(
-                    seq, publisher, sub, True, self.truth_online(), self.transport.now()
+                self._shed(
+                    seq,
+                    publisher,
+                    sub,
+                    root,
+                    type(exc).__name__,
+                    self.truth_online(),
+                    self.transport.now(),
                 )
-                if tracer is not None:
-                    # The recovery terminal will parent to this shed span,
-                    # keeping the degradation visible inside the chain.
-                    self._trace_anchor[(seq, sub)] = tracer.event(
-                        trace_id,
-                        "shed",
-                        publisher,
-                        parent=root,
-                        status=type(exc).__name__,
-                    )
-                if publisher in self.recorders:
-                    self.recorders[publisher].record(
-                        "shed", seq=int(seq), sub=int(sub), reason=type(exc).__name__
-                    )
 
         if sends:
             await asyncio.gather(*(deliver(s, path, root) for s, path, root in sends))
+
+    def _shed(
+        self,
+        seq: int,
+        publisher: int,
+        sub: int,
+        root: "int | None",
+        reason: str,
+        truth: np.ndarray,
+        now: float,
+    ) -> None:
+        """Degrade one intended pair to catch-up, and say so in its chain."""
+        self.shed_pairs.add((seq, sub))
+        self.catchup.deposit(seq, publisher, sub, True, truth, now)
+        if self.tracer is not None:
+            # The recovery terminal will parent to this shed span, keeping
+            # the degradation visible inside the chain.
+            self._trace_anchor[(seq, sub)] = self.tracer.event(
+                f"{seq}:{sub}", "shed", publisher, parent=root, status=reason
+            )
+        if publisher in self.recorders:
+            self.recorders[publisher].record(
+                "shed", seq=int(seq), sub=int(sub), reason=reason
+            )
 
     async def _maintenance_loop(self) -> None:
         """Repair + anti-entropy on a steady cadence, SWIM-gated."""
@@ -552,7 +549,7 @@ class LiveCluster:
                 "flight-recorder events evicted from this node's ring",
                 labels=labels,
             ).set(recorder.dropped)
-        slo = evaluate_live_trace(summary, self.slo)
+        slo = evaluate_live_trace(summary, LIVE_TRACE_SLO)
         lat, hops = summary.pop("latency_ms"), summary.pop("hops")
         return {
             **summary,
@@ -612,29 +609,3 @@ class LiveCluster:
             result["trace"] = self._trace_report()
         return result
 
-
-async def run_live_scenario(
-    scenario: "LiveScenario | str",
-    *,
-    num_nodes: int = 100,
-    seed: int = 2018,
-    dataset: str = "facebook",
-    config: "LiveConfig | None" = None,
-    registry=None,
-    trace: bool = False,
-    trace_limit: "int | None" = None,
-    flight_path: "str | None" = None,
-) -> dict:
-    """Build one :class:`LiveCluster` and run it to its accounting dict."""
-    cluster = LiveCluster(
-        num_nodes=num_nodes,
-        scenario=scenario,
-        seed=seed,
-        dataset=dataset,
-        config=config,
-        registry=registry,
-        trace=trace,
-        trace_limit=trace_limit,
-        flight_path=flight_path,
-    )
-    return await cluster.run()

@@ -158,22 +158,11 @@ class PeerNode:
 
     async def stop(self) -> None:
         """Graceful shutdown: detach from the fabric, cancel every task."""
-        self.running = False
-        self.transport.unregister(self.node_id)
-        tasks = self._tasks + list(self._handler_tasks)
-        self._tasks = []
-        self._handler_tasks.clear()
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
+        for task in self._halt():
             try:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        for future in self._pending.values():
-            if not future.done():
-                future.cancel()
-        self._pending.clear()
 
     def crash(self) -> None:
         """Abrupt kill: drop off the fabric without any goodbye.
@@ -181,16 +170,22 @@ class PeerNode:
         Tasks are cancelled synchronously; in-flight envelopes to this
         node are dropped by the transport once the inbox is gone.
         """
+        self._halt()
+
+    def _halt(self) -> "list[asyncio.Task]":
+        """Leave the fabric, cancel every task and pending request; returns the tasks."""
         self.running = False
         self.transport.unregister(self.node_id)
-        for task in self._tasks + list(self._handler_tasks):
-            task.cancel()
+        tasks = self._tasks + list(self._handler_tasks)
         self._tasks = []
         self._handler_tasks.clear()
+        for task in tasks:
+            task.cancel()
         for future in self._pending.values():
             if not future.done():
                 future.cancel()
         self._pending.clear()
+        return tasks
 
     # -- envelope plumbing ------------------------------------------------------
 

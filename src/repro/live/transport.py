@@ -54,7 +54,6 @@ class LoopbackTransport:
         faults: "FaultPlan | None" = None,
         seed=None,
         registry=None,
-        time_source=None,
     ):
         #: ring identifiers indexed by node id (partition side lookups);
         #: ``None`` disables partition checks even if the plan has windows.
@@ -63,11 +62,8 @@ class LoopbackTransport:
         self._rng = as_generator(seed)
         self._inboxes: dict[int, asyncio.Queue] = {}
         self._t0: "float | None" = None
-        #: injectable monotonic clock; ``None`` = the event loop's clock.
-        #: Span timestamps and partition windows share this axis, so a
-        #: test can inject a deterministic counter and diff traces byte
-        #: for byte across reruns.
-        self._time_source = time_source
+        #: ``(lo, hi)`` bounds of the uniform per-send delay; ``None`` = none.
+        self._delay: "tuple[float, float] | None" = None
         #: optional :class:`~repro.live.tracing.LiveTracer`; when set,
         #: every dropped *traced* envelope is annotated with its cause.
         self.tracer = None
@@ -76,17 +72,12 @@ class LoopbackTransport:
 
     # -- clock ---------------------------------------------------------------
 
-    def _clock(self) -> float:
-        if self._time_source is not None:
-            return float(self._time_source())
-        return asyncio.get_running_loop().time()
-
     def start_clock(self) -> None:
         """Pin elapsed-time zero; partition windows are relative to this."""
-        self._t0 = self._clock()
+        self._t0 = asyncio.get_running_loop().time()
 
     def now(self) -> float:
-        """Elapsed seconds since :meth:`start_clock` (0 before).
+        """Elapsed event-loop seconds since :meth:`start_clock` (0 before).
 
         This is the cluster's one shared time axis: partition windows,
         span timestamps, and flight-recorder events all read it, so a
@@ -94,7 +85,7 @@ class LoopbackTransport:
         """
         if self._t0 is None:
             return 0.0
-        return self._clock() - self._t0
+        return asyncio.get_running_loop().time() - self._t0
 
     # -- membership of the fabric ---------------------------------------------
 
@@ -169,18 +160,15 @@ class LoopbackTransport:
             self.tracer.drop(env, cause)
 
     def _sample_delay(self) -> float:
-        return 0.0  # overridden per-cluster via configure_delay
+        """Seconds until delivery: one seeded draw per send once a delay is set."""
+        if self._delay is None:
+            return 0.0
+        lo, hi = self._delay
+        return float(lo + (hi - lo) * self._rng.random())
 
     def configure_delay(self, mean: float, jitter: float) -> None:
         """Install a seeded uniform delay model ``mean ± jitter`` seconds."""
         if mean <= 0.0 and jitter <= 0.0:
-            self._sample_delay = lambda: 0.0  # type: ignore[method-assign]
-            return
-        rng = self._rng
-
-        def sample() -> float:
-            lo = max(0.0, mean - jitter)
-            hi = mean + jitter
-            return float(lo + (hi - lo) * rng.random())
-
-        self._sample_delay = sample  # type: ignore[method-assign]
+            self._delay = None
+        else:
+            self._delay = (max(0.0, mean - jitter), mean + jitter)

@@ -14,7 +14,7 @@ import os
 
 from repro.telemetry import livetrace
 from repro.telemetry.export import REPORT_FILE, TRACES_FILE
-from repro.telemetry.tracer import RouteTracer
+from repro.util.atomicio import read_jsonl
 from repro.util.exceptions import ConfigurationError
 from repro.util.tables import format_table
 
@@ -64,7 +64,7 @@ def _render_traces(telemetry_dir: str, lines: list[str]) -> None:
     path = os.path.join(telemetry_dir, TRACES_FILE)
     if not os.path.isfile(path):
         return
-    spans = RouteTracer.load(path)
+    spans = [span for _, span in read_jsonl(path)]
     publishes = [s for s in spans if s.get("type") == "publish"]
     lines.append("")
     lines.append(f"Per-message route traces ({len(publishes)} publish spans recorded):")
@@ -169,7 +169,7 @@ def render_trace_tree(
         raise ConfigurationError(
             f"no {TRACES_FILE} in {telemetry_dir!r}; run with --telemetry and --trace first"
         )
-    spans = livetrace.live_spans(RouteTracer.load(path))
+    spans = livetrace.live_spans([span for _, span in read_jsonl(path)])
     traces = livetrace.assemble(spans)
     if not traces:
         return f"{TRACES_FILE} has no live spans (type={livetrace.LIVE_SPAN_TYPE!r})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
-from repro.util.atomicio import atomic_write_lines, read_jsonl
+from repro.util.atomicio import atomic_write_lines
 
 __all__ = ["RouteTracer", "get_tracer", "set_tracer", "use_tracer"]
 
@@ -83,11 +83,6 @@ class RouteTracer:
                 for span in self._spans
             ),
         )
-
-    @staticmethod
-    def load(path: str) -> list[dict]:
-        """Parse a JSONL trace file back into span dicts."""
-        return [span for _, span in read_jsonl(path)]
 
     def clear(self) -> None:
         self._spans.clear()

@@ -39,7 +39,7 @@ class TestVitis:
             assert len(table.long_links) <= vitis.k_links
 
     def test_cluster_connectivity_nontrivial(self, vitis):
-        values = [vitis.cluster_connectivity(t) for t in range(0, 60, 7)]
+        values = [vitis.topic_connectivity(t) for t in range(0, 60, 7)]
         assert np.mean(values) > 0.3
 
     def test_dissemination_delivers(self, vitis):
@@ -81,7 +81,7 @@ class TestOmen:
         assert pubsub.publish(7).delivery_ratio == 1.0
 
     def test_tco_connectivity_high(self, omen):
-        values = [omen.tco_connectivity(t) for t in range(0, 60, 7)]
+        values = [omen.topic_connectivity(t) for t in range(0, 60, 7)]
         assert np.mean(values) > 0.5
 
     def test_mend_replaces_dead_links(self, small_graph):

@@ -4,6 +4,8 @@ Uses a micro config so the whole module stays fast; the experiments'
 numbers are validated for *shape* (who wins), not absolute values.
 """
 
+import inspect
+
 import pytest
 
 from repro.experiments import (
@@ -23,6 +25,11 @@ from repro.experiments import (
 from repro.experiments.cli import EXPERIMENTS, build_parser, config_from_args, main
 from repro.experiments.common import ExperimentConfig
 from repro.util.exceptions import ConfigurationError
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("report() re-ran the experiment")
+
 
 MICRO = ExperimentConfig(
     datasets=("facebook",),
@@ -63,8 +70,10 @@ class TestTable2:
         assert rows[0]["paper_users"] == 63_731
         assert rows[0]["users"] > 0
 
-    def test_report_renders(self):
-        out = table2.report(MICRO)
+    def test_report_renders(self, monkeypatch):
+        rows = table2.run(MICRO)
+        monkeypatch.setattr(table2, "run", _must_not_run)
+        out = table2.report(MICRO, rows)
         assert "Table II" in out and "facebook" in out
 
 
@@ -80,7 +89,7 @@ class TestFig2:
         assert at_large["select"] < at_large["symphony"]
 
     def test_report_mentions_reduction(self):
-        out = fig2_hops.report(MICRO, points=2)
+        out = fig2_hops.report(MICRO, fig2_hops.run(MICRO, points=2))
         assert "hop reduction" in out
 
 
@@ -91,7 +100,7 @@ class TestFig3:
         assert at["select"] < at["symphony"]
 
     def test_report_renders(self):
-        assert "relay" in fig3_relays.report(MICRO).lower()
+        assert "relay" in fig3_relays.report(MICRO, fig3_relays.run(MICRO)).lower()
 
 
 class TestFig4:
@@ -102,7 +111,7 @@ class TestFig4:
             assert 0 <= r["gini"] <= 1
 
     def test_report_renders(self):
-        out = fig4_load.report(MICRO, num_bins=4)
+        out = fig4_load.report(MICRO, fig4_load.run(MICRO, num_bins=4))
         assert "Figure 4" in out and "Total forwards" in out
 
 
@@ -167,7 +176,7 @@ class TestAblation:
         assert by["no-recovery"]["availability"] <= by["full"]["availability"]
 
     def test_report_renders(self):
-        assert "Ablation" in ablation.report(MICRO)
+        assert "Ablation" in ablation.report(MICRO, ablation.run(MICRO))
 
 
 class TestConnSweep:
@@ -200,7 +209,7 @@ class TestStabilize:
         assert by["select"] <= by["symphony"]
 
     def test_report_renders(self):
-        out = stabilize.report(MICRO, r_values=(1, 3))
+        out = stabilize.report(MICRO, stabilize.run(MICRO, r_values=(1, 3)))
         assert "Self-healing sweep" in out and "SELECT" in out
 
 
@@ -213,13 +222,23 @@ class TestDoctor:
             assert r["ring_cycles"] == 1
             assert r["largest_cycle"] == r["peers"]
 
-    def test_report_renders(self):
-        out = doctor.report(MICRO)
+    def test_report_renders(self, monkeypatch):
+        rows = doctor.run(MICRO)
+        monkeypatch.setattr(doctor, "run", _must_not_run)
+        out = doctor.report(MICRO, rows)
         assert "doctor" in out.lower()
         assert "all overlays healthy" in out
 
 
 class TestCli:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_report_renders_only_what_it_is_given(self, name):
+        # One entry point per experiment: `run` computes, `report(config,
+        # rows)` renders those rows and has no knob of `run`'s to re-run with.
+        params = inspect.signature(EXPERIMENTS[name].report).parameters
+        assert list(params) == ["config", "rows"]
+        assert all(p.default is inspect.Parameter.empty for p in params.values())
+
     def test_all_experiments_registered(self):
         assert set(EXPERIMENTS) == {
             "table2", "ablation", "conn-sweep", "doctor", "faults", "geo",
@@ -325,15 +344,16 @@ class TestWarmstart:
     def test_report_names_the_resume_round(self):
         from repro.experiments import warmstart
 
-        out = warmstart.report(MICRO.with_(trials=1))
+        config = MICRO.with_(trials=1)
+        out = warmstart.report(config, warmstart.run(config))
         assert "round counter resumes at" in out
 
     def test_cli_snapshot_then_resume(self, tmp_path, capsys):
         snap_dir = str(tmp_path / "snap")
-        rc = main(["snapshot", snap_dir, "--preset", "quick", "--num-nodes", "90",
+        rc = main(["build", snap_dir, "--preset", "quick", "--num-nodes", "90",
                    "--datasets", "facebook", "--trials", "1"])
         assert rc == 0
-        assert "snapshot" in capsys.readouterr().out
+        assert f"written to {snap_dir}" in capsys.readouterr().out
 
         from repro.validate import validate_snapshot as validate_dir
 
@@ -344,8 +364,13 @@ class TestWarmstart:
         assert rc == 0
         assert "Warm start" in capsys.readouterr().out
 
-    def test_cli_snapshot_requires_dir(self, capsys):
-        assert main(["snapshot"]) == 2
+    def test_snapshot_verb_is_gone(self, tmp_path, capsys):
+        # `build DIR` is the one way to save a converged overlay.
+        with pytest.raises(SystemExit) as exc:
+            main(["snapshot", str(tmp_path / "snap")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'snapshot'" in capsys.readouterr().err
+        assert not (tmp_path / "snap").exists()
 
     def test_resume_stamps_snapshot_id_into_provenance(self, tmp_path):
         import json
@@ -355,7 +380,7 @@ class TestWarmstart:
         telemetry_dir = str(tmp_path / "telemetry")
         args = ["--preset", "quick", "--num-nodes", "90",
                 "--datasets", "facebook", "--trials", "1"]
-        assert main(["snapshot", snap_dir] + args) == 0
+        assert main(["build", snap_dir] + args) == 0
         assert main(["warmstart", "--resume", snap_dir,
                      "--telemetry", telemetry_dir] + args) == 0
         with open(os.path.join(telemetry_dir, "report.json"), encoding="utf-8") as fh:

@@ -19,7 +19,6 @@ from repro.live import (
     PeerNode,
     get_live_scenario,
     live_scenario_names,
-    run_live_scenario,
 )
 from repro.live import LiveTracer, TraceContext
 from repro.live.envelope import ACK, PING
@@ -156,6 +155,29 @@ class TestMembershipView:
 class TestLoopbackTransport:
     def _env(self, src: int, dst: int) -> Envelope:
         return Envelope(kind=PING, src=src, dst=dst, seq=1)
+
+    @pytest.mark.parametrize(
+        "mean, jitter, digest",
+        [(0.002, 0.002, "1e11e96e52829422"), (0.003, 0.001, "77fc13eca8f87171")],
+    )
+    def test_seeded_delays_are_pinned(self, mean, jitter, digest):
+        # sha256 of 200 float64 delays as the closure-based model drew them.
+        import hashlib
+
+        t = LoopbackTransport(seed=11, registry=MetricsRegistry())
+        t.configure_delay(mean, jitter)
+        delays = np.array([t._sample_delay() for _ in range(200)])
+        assert hashlib.sha256(delays.tobytes()).hexdigest()[:16] == digest
+        assert delays.min() >= max(0.0, mean - jitter) and delays.max() <= mean + jitter
+
+    def test_no_delay_draws_nothing(self):
+        reference = np.random.default_rng(11).random()
+        for configure in (None, (0.0, 0.0)):
+            t = LoopbackTransport(seed=11, registry=MetricsRegistry())
+            if configure is not None:
+                t.configure_delay(*configure)
+            assert [t._sample_delay() for _ in range(3)] == [0.0, 0.0, 0.0]
+            assert t._rng.random() == reference
 
     def test_delivers_between_registered_inboxes(self):
         async def main():
@@ -452,9 +474,9 @@ class TestDegradedDelivery:
             crash_at=0.6,
         )
         result = asyncio.run(
-            run_live_scenario(
-                scenario, num_nodes=40, seed=5, registry=MetricsRegistry()
-            )
+            LiveCluster(
+                num_nodes=40, scenario=scenario, seed=5, registry=MetricsRegistry()
+            ).run()
         )
         assert result["unaccounted"] == 0
         assert result["eventual_delivery_ratio"] >= 0.99
@@ -529,12 +551,12 @@ class TestAcceptance:
         # reconverges, the overlay doctor stays clean, and eventual
         # notification delivery (live + catch-up) reaches >= 99%.
         result = asyncio.run(
-            run_live_scenario(
-                "crash_and_partition",
+            LiveCluster(
                 num_nodes=200,
+                scenario="crash_and_partition",
                 seed=2018,
                 registry=MetricsRegistry(),
-            )
+            ).run()
         )
         assert result["membership_converged"]
         assert result["convergence_s"] is not None

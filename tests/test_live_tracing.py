@@ -16,7 +16,6 @@ from repro.live import (
     LiveTracer,
     TraceContext,
     dump_flight_recorders,
-    run_live_scenario,
 )
 from repro.live.cluster import LiveCluster
 from repro.telemetry import MetricsRegistry, RouteTracer, livetrace, write_telemetry
@@ -399,9 +398,8 @@ class TestTraceCli:
         rc = main(
             [
                 "live",
-                "--scenario",
                 "calm",
-                "--nodes",
+                "--num-nodes",
                 "12",
                 "--seed",
                 "5",
@@ -424,6 +422,16 @@ class TestTraceCli:
         assert main(["trace", out, "--trace-id", tid]) == 0
         assert f"trace {tid}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("alias", [["--nodes", "12"], ["--scenario", "calm"]])
+    def test_live_has_one_name_per_option(self, alias, capsys):
+        # The cluster size is --num-nodes and the scenario the positional NAME.
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["live", "calm", *alias])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(alias)}" in capsys.readouterr().err
+
     def test_trace_verb_without_traces_errors(self, tmp_path):
         from repro.experiments.cli import main
         from repro.util.exceptions import ConfigurationError
@@ -440,13 +448,13 @@ class TestTracedAcceptance:
         # resolving terminal), zero orphan spans — and passes the live
         # trace SLO.
         result = asyncio.run(
-            run_live_scenario(
-                "crash_and_partition",
+            LiveCluster(
                 num_nodes=100,
+                scenario="crash_and_partition",
                 seed=2018,
                 registry=MetricsRegistry(),
                 trace=True,
-            )
+            ).run()
         )
         trace = result["trace"]
         assert trace["traces"] == result["intended_pairs"] > 0

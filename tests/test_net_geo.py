@@ -106,4 +106,5 @@ class TestGeoExperiment:
         rows = geo_exp.run(cfg)
         at = {r["system"]: r for r in rows}
         assert at["select"]["intra_region_links"] > at["symphony"]["intra_region_links"]
-        assert "geographic" in geo_exp.report(cfg)
+        out = geo_exp.report(cfg, rows)
+        assert "geographic" in out and "(3 regions" in out

@@ -50,7 +50,7 @@ def written(tmp_path_factory):
     root = tmp_path_factory.mktemp("written")
     snap, tel, scen = str(root / "snap"), str(root / "tel"), str(root / "scen")
     assert main(["build", snap, *SMALL, "--telemetry", tel]) == 0
-    assert main(["snapshot", str(root / "snap2"), *SMALL, "--trials", "1"]) == 0
+    assert main(["build", str(root / "snap2"), *SMALL]) == 0
     # The scenario's own verdict (0 / 1) is not under test; its files are.
     main(["scenario", "flash_crowd", "--num-nodes", "64", "--seed", "11", "--telemetry", scen])
     return {
