@@ -50,8 +50,8 @@ def exchange(p: PeerState, q: PeerState) -> None:
     p_links = p.table.link_view()
     # Passive side (Alg. 4): bitmap of q's links over p's neighborhood (M),
     # and symmetric bitmap of p's links over q's neighborhood (M').
-    bitmap_for_p = p.codec.encode_int(q_links)
-    bitmap_for_q = q.codec.encode_int(p_links)
+    bitmap_for_p = p.codec.encode(q_links)
+    bitmap_for_q = q.codec.encode(p_links)
     p.learn_exchange(q.node, mutual, bitmap_for_p, q_links)
     q.learn_exchange(p.node, mutual, bitmap_for_q, p_links)
 

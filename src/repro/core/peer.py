@@ -15,10 +15,8 @@ Scalar round state (identifier, join flag, convergence counters, top-2
 anchors) lives in a shared :class:`~repro.core.columns.PeerColumns` block;
 the attributes here are property views over the peer's slot, so the
 vectorized kernels and the object API always see the same values.
-Friendship bitmaps are arbitrary-precision Python ints (one bit per
-neighborhood position, see :mod:`repro.util.bitset`): at a few words per
-bitmap, ``int.bit_count`` and ``|`` beat numpy's per-call overhead by an
-order of magnitude on the gossip hot path.
+Friendship bitmaps are Python ints, one bit per neighborhood position (see
+:class:`~repro.social.bitmaps.BitmapCodec`).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.core.picker import packed_key
 from repro.net.availability import OnlineBehavior
 from repro.overlay.base import RoutingTable
 from repro.social.bitmaps import BitmapCodec
-from repro.util.bitset import int_from_words
 
 __all__ = ["PeerState"]
 
@@ -235,11 +232,8 @@ class PeerState:
 
     # -- knowledge updates -----------------------------------------------------
 
-    def learn_exchange(self, friend: int, mutual: int, bitmap, friend_links) -> None:
+    def learn_exchange(self, friend: int, mutual: int, bitmap: int, friend_links) -> None:
         """Fold in the result of one gossip exchange with ``friend``.
-
-        ``bitmap`` may be an int bitset (hot path) or a packed word array
-        (tests, older callers) — arrays are normalized to ints on entry.
 
         Contract: ``friend_links`` is the link set ``bitmap`` was computed
         from (:func:`repro.core.gossip.exchange` and
@@ -250,8 +244,6 @@ class PeerState:
         folded": folding the same view object again changes nothing, which
         is what lets a round drop such exchanges unseen.
         """
-        if not isinstance(bitmap, int):
-            bitmap = int_from_words(bitmap)
         is_new = friend not in self.known_mutual
         self.known_mutual[friend] = int(mutual)
         if is_new:

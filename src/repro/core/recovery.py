@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.select import SelectOverlay
 from repro.net.faults import PingService
 from repro.telemetry.registry import Stats, get_registry, stat
-from repro.util.bitset import hamming_distance
 
 __all__ = ["RecoveryStats", "RecoveryManager"]
 
@@ -198,7 +197,7 @@ class RecoveryManager:
             if dead_bitmap is None:
                 dist = 0
             else:
-                dist = hamming_distance(dead_bitmap, bitmap)
+                dist = (dead_bitmap ^ bitmap).bit_count()
             if best_dist is None or dist < best_dist or (dist == best_dist and friend < best):
                 best = friend
                 best_dist = dist

@@ -166,15 +166,14 @@ class Stabilizer:
         pings = self.pings
         pings.set_ground_truth(online)
         faults = pings.faults
-        check_partition = bool(faults.partitions)
         order = np.lexsort((np.arange(n), ids))
         live = [int(v) for v in order if online[v]]
         if len(live) < 2:
             return
         with self._round_timer:
-            self._run_round(live, ids, pings, faults, check_partition, time)
+            self._run_round(live, ids, pings, faults, time)
 
-    def _run_round(self, live, ids, pings, faults, check_partition, time) -> None:
+    def _run_round(self, live, ids, pings, faults, time) -> None:
         ov = self.overlay
         self.stats.rounds += 1
         perceived: dict[int, bool] = {}
@@ -182,9 +181,7 @@ class Stabilizer:
         def reachable(observer: int, contact: int) -> bool:
             if contact == observer:
                 return False
-            if check_partition and faults.partition_blocks_link(
-                float(ids[observer]), float(ids[contact]), time
-            ):
+            if faults.cuts(observer, contact, ids, time):
                 return False
             alive = perceived.get(contact)
             if alive is None:
@@ -348,14 +345,6 @@ class CatchUpStore:
         """Entries currently buffered across all holders."""
         return sum(len(buf) for buf in self.buffers.values())
 
-    def _link_open(self, u: int, v: int, time: float) -> bool:
-        if self.faults is None or not self.faults.partitions:
-            return True
-        ids = self.overlay.ids
-        return not self.faults.partition_blocks_link(
-            float(ids[u]), float(ids[v]), time
-        )
-
     def deposit(
         self,
         seq: int,
@@ -385,7 +374,7 @@ class CatchUpStore:
                 break
             if online is not None and not online[w]:
                 continue
-            if not self._link_open(publisher, w, time):
+            if self.faults is not None and self.faults.cuts(publisher, w, self.overlay.ids, time):
                 continue
             holders.append(w)
         if not holders:
@@ -410,6 +399,7 @@ class CatchUpStore:
         loss only delays a handover, it cannot lose the buffered copy.
         """
         recovered_now = 0
+        faults, ids = self.faults, self.overlay.ids
         with self._deliver_timer:
             for holder in sorted(self.buffers):
                 if online is not None and not online[holder]:
@@ -420,7 +410,9 @@ class CatchUpStore:
                 keep: deque = deque()
                 for seq, subscriber, counted in buf:
                     sub_alive = online is None or bool(online[subscriber])
-                    if not sub_alive or not self._link_open(holder, subscriber, time):
+                    if not sub_alive or (
+                        faults is not None and faults.cuts(holder, subscriber, ids, time)
+                    ):
                         keep.append((seq, subscriber, counted))
                         continue
                     self.stats.delivered += 1

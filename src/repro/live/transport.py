@@ -104,14 +104,6 @@ class LoopbackTransport:
 
     # -- sending ----------------------------------------------------------------
 
-    def link_open(self, u: int, v: int) -> bool:
-        """Whether an active partition currently separates ``u`` and ``v``."""
-        if self.ids is None or not self.faults.partitions:
-            return True
-        return not self.faults.partition_blocks_link(
-            float(self.ids[u]), float(self.ids[v]), self.now()
-        )
-
     def send(self, env: Envelope) -> bool:
         """Fire one envelope into the fabric; True if it will be delivered.
 
@@ -127,7 +119,7 @@ class LoopbackTransport:
             stats.dropped_unregistered += 1
             self._trace_drop(env, "crashed_dst")
             return False
-        if not self.link_open(env.src, env.dst):
+        if self.ids is not None and self.faults.cuts(env.src, env.dst, self.ids, self.now()):
             stats.dropped_partition += 1
             self._trace_drop(env, "partition")
             return False

@@ -3,22 +3,25 @@
 The classic family for binary vectors: sample ``num_samples`` fixed bit
 positions; the signature is the concatenation of those bits. Two bitmaps at
 normalized Hamming similarity ``s`` share a signature with probability
-``s ** num_samples``.
+``s ** num_samples``. Buckets are derived from signatures with a fixed
+multiplicative hash, so equal signatures always share a bucket.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.lsh.family import LshFamily
-from repro.util.bitset import get_bit
 from repro.util.rng import as_generator
 
 __all__ = ["BitSamplingLsh"]
 
+# Knuth's multiplicative constant; spreads signatures over buckets.
+_MIX = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
 
-class BitSamplingLsh(LshFamily):
-    """Bit-sampling family over packed bitsets of ``nbits`` logical bits.
+
+class BitSamplingLsh:
+    """Bit-sampling family over int bitmaps of ``nbits`` logical bits.
 
     Parameters
     ----------
@@ -54,23 +57,16 @@ class BitSamplingLsh(LshFamily):
         """The sampled bit positions (read-only)."""
         return self._positions
 
-    def signature(self, item) -> int:
-        """Concatenate the sampled bits into an integer signature.
-
-        ``item`` may be a packed word array or an int bitset; both read the
-        same logical bit positions.
-        """
+    def signature(self, item: int) -> int:
+        """Concatenate the sampled bits of ``item`` into an integer signature."""
         sig = 0
-        if isinstance(item, int):
-            for pos in self._poslist:
-                sig = (sig << 1) | ((item >> pos) & 1)
-            return sig
         for pos in self._poslist:
-            sig = (sig << 1) | int(get_bit(item, pos))
+            sig = (sig << 1) | ((item >> pos) & 1)
         return sig
 
-    def collision_probability(self, similarity: float) -> float:
-        """``similarity ** num_samples`` (independent sampled bits)."""
-        if not (0.0 <= similarity <= 1.0):
-            raise ValueError(f"similarity must be in [0, 1], got {similarity}")
-        return float(similarity) ** self.num_samples
+    def bucket(self, item: int, num_buckets: int) -> int:
+        """Deterministic bucket in ``[0, num_buckets)`` for ``item``."""
+        if num_buckets <= 0:
+            raise ValueError(f"num_buckets must be positive, got {num_buckets}")
+        sig = self.signature(item) & _MASK
+        return ((sig * _MIX) & _MASK) % num_buckets

@@ -253,8 +253,12 @@ class FaultPlan:
         """Loss probability of the ``u <-> v`` link."""
         return self.link_loss.get((min(u, v), max(u, v)), self.loss_rate)
 
-    def partition_blocks_link(self, id_u: float, id_v: float, time: float) -> bool:
-        """Whether any active partition separates the two identifiers."""
+    def cuts(self, u: int, v: int, ids, time: float) -> bool:
+        """Whether an active partition separates peers ``u`` and ``v``
+        (placed on the ring by ``ids``) at ``time``."""
+        if not self.partitions:
+            return False
+        id_u, id_v = float(ids[u]), float(ids[v])
         return any(p.separates(id_u, id_v, time) for p in self.partitions)
 
     def _transmit_hop(self, u: int, v: int) -> "tuple[bool, int]":
@@ -270,15 +274,6 @@ class FaultPlan:
                 retries += 1
                 self.stats.retransmissions += 1
         return False, retries
-
-    def transmit(
-        self, u: int, v: int, id_u: float = 0.0, id_v: float = 0.0, time: float = 0.0
-    ) -> "tuple[bool, int]":
-        """One hop ``u -> v`` with retransmissions; ``(delivered, retries)``."""
-        if self.partition_blocks_link(id_u, id_v, time):
-            self.stats.partition_blocks += 1
-            return False, 0
-        return self._transmit_hop(u, v)
 
     def transmit_path(
         self,
@@ -305,9 +300,7 @@ class FaultPlan:
             if edge_cache is not None and key in edge_cache:
                 ok, r, blocked = edge_cache[key]
             else:
-                id_u = float(ids[u]) if ids is not None else 0.0
-                id_v = float(ids[v]) if ids is not None else 0.0
-                blocked = self.partition_blocks_link(id_u, id_v, time)
+                blocked = self.cuts(u, v, ids, time)
                 if blocked:
                     self.stats.partition_blocks += 1
                     ok, r = False, 0

@@ -95,31 +95,3 @@ def tree_dissemination_time(
             stack.append(v)
     return worst
 
-
-def arrival_times(
-    tree_children: dict,
-    root: int,
-    bandwidth: BandwidthModel,
-    latency: LatencyModel,
-    size_mb: float = DEFAULT_PAYLOAD_MB,
-) -> dict:
-    """Per-node arrival times for a dissemination tree (analysis helper)."""
-    out = {root: 0.0}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        children = tree_children.get(u, [])
-        fanout = max(len(children), 1)
-        for v in children:
-            out[v] = (
-                out[u]
-                + latency.latency(u, v)
-                + fanout_transfer_time(
-                    size_mb,
-                    float(bandwidth.upload_mbps[u]),
-                    float(bandwidth.download_mbps[v]),
-                    fanout=fanout,
-                )
-            )
-            stack.append(v)
-    return out

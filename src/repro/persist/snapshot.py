@@ -35,7 +35,6 @@ from repro.net.availability import CumulativeMovingAverage
 from repro.net.growth import JoinEvent
 from repro.sim.trace import TraceRecorder
 from repro.util.atomicio import atomic_write_json
-from repro.util.bitset import int_from_words, words_from_int
 from repro.util.exceptions import PersistError, SnapshotIntegrityError, SnapshotIOError
 from repro.util.rng import generator_state, restore_generator
 
@@ -78,6 +77,19 @@ def graph_fingerprint(graph: SocialGraph) -> str:
 # -- per-component capture ---------------------------------------------------
 
 
+def _words_from_int(bitmap: int, nbits: int) -> "list[int]":
+    """A bitmap int as v1's little-endian ``numpy.uint64`` words (at least one)."""
+    nwords = max(1, (nbits + 63) // 64)
+    if bitmap < 0 or bitmap.bit_length() > 64 * nwords:
+        raise PersistError(f"bitmap does not fit in {nbits} bits")
+    return [(bitmap >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(nwords)]
+
+
+def _int_from_words(words) -> int:
+    """Inverse of :func:`_words_from_int`: word ``i`` holds bits ``64i ..``."""
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
 def _capture_peer(peer) -> dict:
     table = peer.table
     pair = peer.last_anchor_pair
@@ -99,7 +111,7 @@ def _capture_peer(peer) -> dict:
         # packed-word wire format so existing snapshots stay readable
         # byte-for-byte in both directions.
         "known_bitmap": [
-            [int(f), [int(w) for w in words_from_int(bm, peer.codec.nbits)]]
+            [int(f), _words_from_int(bm, peer.codec.nbits)]
             for f, bm in peer.known_bitmap.items()
         ],
         # Both derived from the bitmaps (the format predates that).
@@ -147,7 +159,7 @@ def _restore_peer(peer, data: dict) -> None:
     for friend in peer.known_bitmap:
         peer._cache_edge(friend, None)
     peer.known_bitmap = {
-        int(f): int_from_words(np.asarray(words, dtype=np.uint64))
+        int(f): _int_from_words(words)
         for f, words in data["known_bitmap"]
     }
     buckets = {int(f): int(b) for f, b in data["known_bucket"]}

@@ -5,13 +5,15 @@ is a ``|C_p|``-bit vector whose bit for friend ``v`` is set when ``u``'s
 routing table already links to ``v``. Friends with near-identical bitmaps
 cover the same part of ``p``'s neighborhood, so linking to more than one of
 them is redundant — which is exactly what the LSH bucketing exploits.
+
+A bitmap is a Python int whose bit ``i`` stands for ``neighborhood[i]``:
+at a few words per bitmap, ``int.bit_count``, ``|`` and ``^`` beat numpy's
+per-call overhead on the gossip hot path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.util.bitset import bitset_from_indices, words_for_bits
 
 __all__ = ["BitmapCodec"]
 
@@ -26,13 +28,12 @@ class BitmapCodec:
         corresponds to ``neighborhood[i]``.
     """
 
-    __slots__ = ("_neighborhood", "_position", "nbits", "nwords")
+    __slots__ = ("_neighborhood", "_position", "nbits")
 
     def __init__(self, neighborhood):
         self._neighborhood = np.asarray(neighborhood, dtype=np.int64)
         self._position = {int(v): i for i, v in enumerate(self._neighborhood)}
         self.nbits = len(self._neighborhood)
-        self.nwords = words_for_bits(max(self.nbits, 1))
 
     @property
     def neighborhood(self) -> np.ndarray:
@@ -44,19 +45,12 @@ class BitmapCodec:
         """Friend id -> bit position map (read-only; do not mutate)."""
         return self._position
 
-    def encode(self, linked_nodes) -> np.ndarray:
+    def encode(self, linked_nodes) -> int:
         """Bitmap marking which of the neighborhood the given nodes cover.
 
         Nodes outside the neighborhood are ignored — a friend's routing
         table usually contains peers we do not share.
         """
-        positions = [self._position[int(v)] for v in linked_nodes if int(v) in self._position]
-        if self.nbits == 0:
-            return np.zeros(self.nwords, dtype=np.uint64)
-        return bitset_from_indices(positions, self.nbits)
-
-    def encode_int(self, linked_nodes) -> int:
-        """Same bitmap as :meth:`encode`, as a Python int (hot-path form)."""
         acc = 0
         pos = self._position
         for v in linked_nodes:
@@ -65,18 +59,13 @@ class BitmapCodec:
                 acc |= 1 << i
         return acc
 
-    def decode(self, bitmap) -> np.ndarray:
-        """Node ids whose bits are set in ``bitmap`` (packed array or int)."""
-        from repro.util.bitset import bitset_to_indices
-
-        idx = bitset_to_indices(bitmap)
-        idx = idx[idx < self.nbits]
+    def decode(self, bitmap: int) -> np.ndarray:
+        """Node ids whose bits are set in ``bitmap``."""
+        idx = [i for i in range(min(bitmap.bit_length(), self.nbits)) if bitmap >> i & 1]
         return self._neighborhood[idx]
 
-    def coverage(self, bitmap) -> float:
+    def coverage(self, bitmap: int) -> float:
         """Fraction of the neighborhood covered by ``bitmap``."""
-        from repro.util.bitset import popcount
-
         if self.nbits == 0:
             return 0.0
-        return popcount(bitmap) / self.nbits
+        return bitmap.bit_count() / self.nbits

@@ -1,4 +1,5 @@
-"""Shared utilities: seeded randomness, bitsets, statistics, text tables.
+"""Shared utilities: seeded randomness, atomic writes, exceptions, statistics,
+text tables.
 
 These helpers are deliberately dependency-light; everything in
 :mod:`repro` builds on top of them.
@@ -26,13 +27,6 @@ from repro.util.exceptions import (
     TransientError,
 )
 from repro.util.rng import RngStream, as_generator, spawn_generators
-from repro.util.bitset import (
-    bitset_from_indices,
-    bitset_intersection_count,
-    bitset_union_count,
-    hamming_distance,
-    popcount,
-)
 from repro.util.stats import (
     StatSummary,
     confidence_interval,
@@ -62,11 +56,6 @@ __all__ = [
     "RngStream",
     "as_generator",
     "spawn_generators",
-    "bitset_from_indices",
-    "bitset_intersection_count",
-    "bitset_union_count",
-    "hamming_distance",
-    "popcount",
     "StatSummary",
     "confidence_interval",
     "gini_coefficient",

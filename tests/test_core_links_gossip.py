@@ -189,8 +189,8 @@ class TestCreateLinks:
         peer = make_peer(0, list(range(1, 7)), k=2)
         cap = Cap()
         same = peer.codec.encode([1, 2])
-        peer.learn_exchange(1, 5, same.copy(), [1, 2])
-        peer.learn_exchange(2, 4, same.copy(), [1, 2])
+        peer.learn_exchange(1, 5, same, [1, 2])
+        peer.learn_exchange(2, 4, same, [1, 2])
         peer.learn_exchange(3, 3, peer.codec.encode([4, 5]), [4, 5])
         peer.table.long_links.update({1, 2})  # start with the redundant pair
         cap.try_connect(0, 1)

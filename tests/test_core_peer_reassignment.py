@@ -6,8 +6,7 @@ import pytest
 from repro.core.peer import PeerState
 from repro.core.picker import packed_key
 from repro.core.reassignment import apply_reassignment, evaluate_position
-from repro.idspace.space import ring_distance, ring_midpoint
-from repro.util.bitset import bitset_from_indices
+from repro.idspace.space import ring_midpoint
 from tests.conftest import edge_block
 
 

@@ -132,8 +132,8 @@ class TestFaultPlan:
     def test_null_transmit_is_lossless_without_rng(self):
         plan = FaultPlan.none()
         for _ in range(50):
-            ok, retries = plan.transmit(0, 1)
-            assert ok and retries == 0
+            outcome = plan.transmit_path([0, 1])
+            assert outcome.delivered and outcome.retries == 0
         assert plan.stats.retransmissions == 0
 
     def test_link_loss_overrides_baseline(self):
@@ -141,21 +141,20 @@ class TestFaultPlan:
         assert plan.hop_loss(0, 1) == 1.0  # unordered key
         assert plan.hop_loss(1, 0) == 1.0
         assert plan.hop_loss(0, 2) == 0.0
-        ok, _ = plan.transmit(0, 1)
-        assert not ok
+        assert not plan.transmit_path([0, 1]).delivered
 
     def test_seeded_plans_reproduce(self):
         a = FaultPlan(loss_rate=0.4, seed=9)
         b = FaultPlan(loss_rate=0.4, seed=9)
-        outcomes_a = [a.transmit(0, 1) for _ in range(40)]
-        outcomes_b = [b.transmit(0, 1) for _ in range(40)]
+        outcomes_a = [a.transmit_path([0, 1]) for _ in range(40)]
+        outcomes_b = [b.transmit_path([0, 1]) for _ in range(40)]
         assert outcomes_a == outcomes_b
 
     def test_retry_budget_bounds_retransmissions(self):
         plan = FaultPlan(loss_rate=1.0, retry_budget=3, seed=2)
-        ok, retries = plan.transmit(0, 1)
-        assert not ok
-        assert retries == 3
+        outcome = plan.transmit_path([0, 1])
+        assert not outcome.delivered
+        assert outcome.retries == 3
         assert plan.stats.retransmissions == 3
 
     def test_transmit_path_counts_and_drops(self):
@@ -191,6 +190,15 @@ class TestFaultPlan:
         assert outcome.partition_blocked
         assert outcome.retries == 0
         assert plan.stats.partition_blocks == 1
+
+    def test_cuts_reads_ids_only_under_partitions(self):
+        ids = np.array([0.1, 0.9, 0.2])
+        assert not FaultPlan(loss_rate=0.5).cuts(0, 1, None, 0.0)
+        plan = FaultPlan(partitions=(RingPartition(cut=(0.0, 0.5), start=10.0, end=20.0),))
+        assert plan.cuts(0, 1, ids, 15.0) and plan.cuts(1, 0, ids, 15.0)
+        assert not plan.cuts(0, 2, ids, 15.0)
+        assert not plan.cuts(0, 1, ids, 25.0)
+        assert plan.stats.partition_blocks == 0
 
     def test_transmit_path_requires_ids_under_partitions(self):
         plan = FaultPlan(partitions=(RingPartition(cut=(0.0, 0.5)),))

@@ -6,7 +6,6 @@ import pytest
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.transfer import (
-    arrival_times,
     fanout_transfer_time,
     path_transfer_time,
     tree_dissemination_time,
@@ -127,12 +126,6 @@ class TestTreeDissemination:
         t1 = tree_dissemination_time({0: [1]}, 0, bw, lat)
         t3 = tree_dissemination_time({0: [1, 2, 3]}, 0, bw, lat)
         assert t3 > t1
-
-    def test_completion_is_max_over_leaves(self):
-        bw, lat = self.make_env()
-        tree = {0: [1, 2], 2: [3]}
-        arrivals = arrival_times(tree, 0, bw, lat)
-        assert tree_dissemination_time(tree, 0, bw, lat) == pytest.approx(max(arrivals.values()))
 
     def test_non_tree_rejected(self):
         bw, lat = self.make_env()

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 from dataclasses import asdict
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.persist import (
     restore_into,
     save,
 )
+from repro.persist.snapshot import _int_from_words, _words_from_int
 from repro.validate import main as validate_main
 from repro.validate import validate_snapshot as validate_dir
 from repro.sim.runner import NotificationSimulator
@@ -38,6 +40,10 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 GOLDEN_ID = "fface5de2c7c5b13"
 #: sha256 of the records of ``_stack(small_graph, faulty=True).run(600.0)``.
 REPLAY_DIGEST = "eeba6f1e5c67fdf5e535abf609ffde62c5ac0b969d66c2e65f42f0d306355cf2"
+#: sha256[:16] of the ``[nbits, words]`` list that
+#: :meth:`TestDiskFormat.test_bitmap_words_are_pinned` draws: v1 stores a
+#: bitmap int as little-endian 64-bit words, at least one per bitmap.
+BITMAP_WORDS_DIGEST = "c0cace6b78f9947e"
 
 
 def fresh_overlay(graph, seed=9):
@@ -130,6 +136,22 @@ class TestDiskFormat:
         loaded = load(out)
         assert loaded["manifest"] == snap["manifest"]
         assert loaded["state"] == snap["state"]
+
+    def test_bitmap_words_are_pinned(self):
+        rng = random.Random(30)
+        rows = []
+        for nbits in (0, 1, 63, 64, 65, 200):
+            for _ in range(50):
+                bitmap = rng.getrandbits(nbits) if nbits else 0
+                words = _words_from_int(bitmap, nbits)
+                assert _int_from_words(words) == bitmap
+                rows.append([nbits, words])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert digest == BITMAP_WORDS_DIGEST
+
+    def test_oversized_bitmap_rejected(self):
+        with pytest.raises(PersistError):
+            _words_from_int(1 << 64, 64)
 
     def test_load_detects_tampered_state(self, built_select, tmp_path):
         out = str(tmp_path / "snap")

@@ -169,8 +169,9 @@ class TestFaultScripts:
     def test_compile_is_seeded(self):
         script = regional_outage(center=0.5, width=0.2, loss_rate=0.3)
         a, b = script.compile(seed=5), script.compile(seed=5)
-        outcomes_a = [a.transmit(0, 1) for _ in range(30)]
-        outcomes_b = [b.transmit(0, 1) for _ in range(30)]
+        ids = [0.0, 0.0]
+        outcomes_a = [a.transmit_path([0, 1], ids) for _ in range(30)]
+        outcomes_b = [b.transmit_path([0, 1], ids) for _ in range(30)]
         assert outcomes_a == outcomes_b
 
 

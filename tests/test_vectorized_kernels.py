@@ -536,7 +536,7 @@ class TestExchangeOracle:
                 for t, s in zip(fp.tolist() + fq.tolist(), fq.tolist() + fp.tolist()):
                     links = self._fresh_links(batch.tables[s])
                     assert batch.peers[t].lookahead[s] == links
-                    assert batch.peers[t].known_bitmap[s] == batch.peers[t].codec.encode_int(links)
+                    assert batch.peers[t].known_bitmap[s] == batch.peers[t].codec.encode(links)
                 for v in range(n):
                     assert _state(batch.peers[v]) == _state(paired.peers[v])
         counters = registry.counters()
