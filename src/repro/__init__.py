@@ -22,7 +22,7 @@ Packages:
   (datasets, network models, simulation engine).
 * :mod:`repro.metrics`, :mod:`repro.experiments` — the paper's
   measurements and the per-figure harness.
-* :mod:`repro.telemetry` — metrics registry, per-message route tracing,
+* :mod:`repro.telemetry` — metrics registry, causal span tracing,
   Prometheus/JSON exporters and run reports (opt-in; the default
   :class:`~repro.telemetry.NullRegistry` is zero-overhead).
 * :mod:`repro.persist` — versioned checkpoint/restore of live overlay
@@ -67,7 +67,7 @@ from repro.scenarios import (
 from repro.telemetry import (
     MetricsRegistry,
     NullRegistry,
-    RouteTracer,
+    Tracer,
     set_registry,
     set_tracer,
     use_registry,
@@ -136,7 +136,7 @@ __all__ = [
     "scenario_names",
     "MetricsRegistry",
     "NullRegistry",
-    "RouteTracer",
+    "Tracer",
     "set_registry",
     "set_tracer",
     "use_registry",

@@ -2,7 +2,7 @@
 
 Regenerates any of the paper's tables/figures as text reports. ``all``
 runs every experiment in paper order. ``--telemetry DIR`` installs a
-process-wide metrics registry and route tracer for the run and writes
+process-wide metrics registry and span tracer for the run and writes
 ``metrics.prom`` / ``report.json`` / ``traces.jsonl`` into ``DIR``;
 ``select-repro report DIR`` renders that directory back as text.
 
@@ -43,7 +43,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentConfig
 from repro.telemetry.registry import MetricsRegistry, set_registry, use_registry
-from repro.telemetry.tracer import RouteTracer, set_tracer
+from repro.telemetry.tracer import Tracer, set_tracer
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="which artifact to regenerate, 'report' to render a telemetry dir, "
         "'scenario' to run a named chaos scenario to an SLO verdict, 'live' to "
         "run a scripted asyncio cluster with SWIM membership, 'trace' to render "
-        "the causal trees of a traced live run, 'build' to run one overlay "
-        "construction (and save it as a snapshot), or 'validate' to "
-        "schema-check what any of them wrote",
+        "the causal trees in a telemetry dir (a simulator run's or a live "
+        "run's), 'build' to run one overlay construction (and save it as a "
+        "snapshot), or 'validate' to schema-check what any of them wrote",
     )
     parser.add_argument(
         "dir",
@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         default=None,
         metavar="DIR",
-        help="collect metrics + per-message route traces and write them into DIR",
+        help="collect metrics + causal traces (one chain per publish pair and "
+        "lookup) and write them into DIR",
     )
     parser.add_argument(
         "--resume",
@@ -396,8 +397,7 @@ def _run_live(args) -> int:
         t = result["trace"]
         print(
             f"  causal chains      {t['complete_chains']}/{t['traces']} complete "
-            f"({t['complete_chain_ratio']:.2%}), {t['orphan_spans']} orphans, "
-            f"{t['dropped_spans']} spans dropped by retention"
+            f"({t['complete_chain_ratio']:.2%}), {t['orphan_spans']} orphans"
         )
         print(
             f"  chain latency      p50 {t['latency_ms']['p50']:.1f} ms, "
@@ -421,7 +421,7 @@ def _run_live(args) -> int:
         paths = write_telemetry(
             args.telemetry,
             registry,
-            tracer=cluster.route_tracer,
+            tracer=cluster.tracer,
             meta=meta,
             provenance={"root_seed": seed},
         )
@@ -437,7 +437,7 @@ def _run_live(args) -> int:
 
 
 def _run_trace(args) -> int:
-    """Render the causal trees of a traced live run's telemetry dir."""
+    """Render the causal trees in a telemetry dir (either runtime's spans)."""
     from repro.telemetry.report import render_trace_tree
 
     if not args.dir:
@@ -479,7 +479,7 @@ def main(argv=None) -> int:
     # underneath); only --telemetry installs it process-wide so the
     # instrumented layers start feeding it too.
     registry = MetricsRegistry()
-    tracer = RouteTracer() if args.telemetry else None
+    tracer = Tracer() if args.telemetry else None
     prev_registry = set_registry(registry) if args.telemetry else None
     prev_tracer = set_tracer(tracer) if args.telemetry else None
     try:

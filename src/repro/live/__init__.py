@@ -22,8 +22,8 @@ from repro.live.node import PeerNode
 from repro.live.recorder import FLIGHT_SCHEMA, FlightRecorder, dump_flight_recorders
 from repro.live.scenarios import LiveScenario, get_live_scenario, live_scenario_names
 from repro.live.supervisor import NodeSupervisor
-from repro.live.tracing import LiveTracer, TraceContext
 from repro.live.transport import LoopbackTransport
+from repro.telemetry.tracer import TraceContext
 
 __all__ = [
     "ALIVE",
@@ -35,7 +35,6 @@ __all__ = [
     "LiveCluster",
     "LiveConfig",
     "LiveScenario",
-    "LiveTracer",
     "LoopbackTransport",
     "MembershipView",
     "NodeSupervisor",

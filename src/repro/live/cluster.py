@@ -47,14 +47,12 @@ from repro.live.node import PeerNode
 from repro.live.recorder import FlightRecorder, dump_flight_recorders
 from repro.live.scenarios import LiveScenario, get_live_scenario
 from repro.live.supervisor import NodeSupervisor
-from repro.live.tracing import LiveTracer, TraceContext
 from repro.live.transport import LoopbackTransport
 from repro.net.faults import FaultPlan, PingService
 from repro.overlay.doctor import check_overlay
 from repro.scenarios.slo import LIVE_TRACE_SLO, _nearest_rank, evaluate_live_trace
-from repro.telemetry import livetrace
 from repro.telemetry.registry import HOP_BUCKETS, get_registry
-from repro.telemetry.tracer import RouteTracer
+from repro.telemetry.tracer import TraceContext, Tracer, summarize
 from repro.util.exceptions import TransientError
 from repro.util.rng import RngStream
 
@@ -84,7 +82,6 @@ class LiveCluster:
         config: "LiveConfig | None" = None,
         registry=None,
         trace: bool = False,
-        trace_limit: "int | None" = None,
         flight_path: "str | None" = None,
     ):
         if isinstance(scenario, str):
@@ -128,8 +125,7 @@ class LiveCluster:
         # -- observability plane (opt-in; None/{} = the PR 7 zero-overhead
         # path: no spans, no recorders, no extra instruments registered).
         self.flight_path = flight_path
-        self.route_tracer: "RouteTracer | None" = None
-        self.tracer: "LiveTracer | None" = None
+        self.tracer: "Tracer | None" = None
         self.recorders: "dict[int, FlightRecorder]" = {}
         #: supervisor incidents (crash/restart/gave_up/kill), chronologically.
         self.incidents: "list[dict]" = []
@@ -140,8 +136,7 @@ class LiveCluster:
         #: intended pairs whose causal chain has no terminal yet.
         self._trace_open: "set[tuple[int, int]]" = set()
         if trace:
-            self.route_tracer = RouteTracer(limit=trace_limit)
-            self.tracer = LiveTracer(self.route_tracer, clock=self.transport.now)
+            self.tracer = Tracer(clock=self.transport.now)
             self.transport.tracer = self.tracer
             self.recorders = {
                 v: FlightRecorder(
@@ -441,7 +436,7 @@ class LiveCluster:
                     self.dump_flight("crash")
 
     def _pair_state(self, seq: int, sub: int, truth: np.ndarray) -> str:
-        """Where an intended pair stands, as a ``livetrace.TERMINAL_NAMES`` word."""
+        """Where an intended pair stands, as a ``tracer.TERMINAL_NAMES`` word."""
         if (seq, sub) in self.acked:
             return "delivered"
         if seq in self.catchup._seen.get(sub, ()) or seq in self.nodes[sub].delivered:
@@ -518,8 +513,8 @@ class LiveCluster:
 
     def _trace_report(self) -> dict:
         """Chain summary + SLO verdict + per-node live series (traced runs)."""
-        assert self.route_tracer is not None
-        summary = livetrace.summarize(self.route_tracer.spans(livetrace.LIVE_SPAN_TYPE))
+        assert self.tracer is not None
+        summary = summarize(self.tracer.spans())
         for ms in summary["latency_ms"]:
             self._h_trace_latency.observe(ms)
         for h in summary["hops"]:
@@ -555,7 +550,6 @@ class LiveCluster:
             **summary,
             "latency_ms": _distribution(lat),
             "hops": _distribution(hops),
-            "dropped_spans": self.route_tracer.dropped_spans,
             "incidents": len(self.incidents),
             "slo": slo,
         }
@@ -605,7 +599,7 @@ class LiveCluster:
             "stabilize": self.stabilizer.stats.as_dict(),
             "gave_up_nodes": sorted(self.supervisor.gave_up()),
         }
-        if self.route_tracer is not None:
+        if self.tracer is not None:
             result["trace"] = self._trace_report()
         return result
 

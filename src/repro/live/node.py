@@ -98,7 +98,7 @@ class PeerNode:
         self.node_id = int(node_id)
         self.transport = transport
         self.config = config if config is not None else LiveConfig()
-        #: optional :class:`~repro.live.tracing.LiveTracer`; ``None`` =
+        #: optional :class:`~repro.telemetry.tracer.Tracer`; ``None`` =
         #: the zero-overhead untraced path (pinned to PR 7 behaviour).
         self.tracer = tracer
         #: optional :class:`~repro.live.recorder.FlightRecorder`.
@@ -244,7 +244,7 @@ class PeerNode:
         deadline elapsed), or :class:`RetryBudgetExhausted` (every
         attempt within the budget timed out).
 
-        ``trace`` (a :class:`~repro.live.tracing.TraceContext`) opens
+        ``trace`` (a :class:`~repro.telemetry.tracer.TraceContext`) opens
         one ``send`` span per attempt — each stamped as the envelope's
         parent, so downstream relays join the right attempt's branch —
         and closes it with the attempt's outcome (acked / timeout /

@@ -12,8 +12,8 @@ leaves per-node evidence of which suspicion verdict or retry storm
 preceded it.
 
 Timestamps use the same injectable elapsed clock as the span tracer
-(:mod:`repro.live.tracing`), never wall-clock, so a recorder dump lines
-up with ``traces.jsonl`` timestamps line for line.
+(:class:`repro.telemetry.tracer.Tracer`), never wall-clock, so a
+recorder dump lines up with ``traces.jsonl`` timestamps line for line.
 
 :func:`dump_flight_recorders` writes the whole cluster's rings as one
 ``select-repro/flight/v1`` JSON document through

@@ -64,7 +64,7 @@ class LoopbackTransport:
         self._t0: "float | None" = None
         #: ``(lo, hi)`` bounds of the uniform per-send delay; ``None`` = none.
         self._delay: "tuple[float, float] | None" = None
-        #: optional :class:`~repro.live.tracing.LiveTracer`; when set,
+        #: optional :class:`~repro.telemetry.tracer.Tracer`; when set,
         #: every dropped *traced* envelope is annotated with its cause.
         self.tracer = None
         self.stats = TransportStats()

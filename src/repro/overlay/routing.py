@@ -38,7 +38,7 @@ __all__ = ["HopDecision", "RouteResult", "GreedyRouter"]
 
 @dataclass(frozen=True)
 class HopDecision:
-    """One recorded routing decision (telemetry only, see RouteTracer).
+    """One recorded routing decision (telemetry only).
 
     ``link`` classifies the chosen edge on the sender's table: ``short``
     (successor/predecessor ring link), ``long`` (LSH-selected long
@@ -47,7 +47,8 @@ class HopDecision:
     a stabilizer promotion), or ``other``. ``rule`` is which clause of the
     greedy router fired: ``direct``, ``lookahead``, or ``greedy``.
     ``ring_distance`` is the remaining distance from the chosen next hop
-    to the target identifier.
+    to the target identifier. A traced route's spans carry all three as
+    ``attrs`` (``link``, ``rule``, ``distance``).
     """
 
     src: int
@@ -55,15 +56,6 @@ class HopDecision:
     link: str
     rule: str
     ring_distance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "from": self.src,
-            "to": self.dst,
-            "link": self.link,
-            "rule": self.rule,
-            "ring_distance": self.ring_distance,
-        }
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ class GreedyRouter:
         # ring, so cap at n + slack rather than the O(log n) expectation.
         self.max_hops = int(max_hops) if max_hops is not None else n + 16
         #: when True, every hop's decision (link type, rule, remaining ring
-        #: distance) is recorded on the RouteResult for the route tracer.
+        #: distance) is recorded on the RouteResult for the span tracer.
         #: Off by default: the fast path pays only this flag check.
         self.record_decisions = False
         #: the overlay epochs the index below was built under.
@@ -177,7 +169,7 @@ class GreedyRouter:
     # -- telemetry -----------------------------------------------------------
 
     def _decision(self, u: int, w: int, rule: str, dst: int) -> HopDecision:
-        """Classify the chosen ``u -> w`` hop for the route tracer."""
+        """Classify the chosen ``u -> w`` hop for the span tracer."""
         table = self.overlay.tables[u]
         if w == table.successor or w == table.predecessor:
             link = "short"

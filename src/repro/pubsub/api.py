@@ -134,8 +134,8 @@ class PubSubSystem:
         #: metrics registry (process-wide current unless injected); the
         #: default NullRegistry makes every update below a no-op.
         self.registry = registry if registry is not None else get_registry()
-        #: optional route tracer; per-hop decision recording on the router
-        #: is only switched on when a tracer is actually listening.
+        #: optional :class:`~repro.telemetry.tracer.Tracer`; per-hop decision
+        #: recording on the router is only switched on when one is listening.
         self.tracer = tracer if tracer is not None else get_tracer()
         if self.tracer is not None and hasattr(self.router, "record_decisions"):
             self.router.record_decisions = True
@@ -188,10 +188,10 @@ class PubSubSystem:
             # anything: a route that is never admitted is never transmitted.
             routes, overflowed, shed = self.overload.admit(routes, time)
             dropped += overflowed
-        fault_notes: "dict[int, dict] | None" = {} if self.tracer is not None else None
+        drops: "dict[int, dict] | None" = {} if self.tracer is not None else None
         if self.faults is not None and not self.faults.is_null:
             routes, fault_retries, fault_dropped = self._inject_link_faults(
-                routes, time, fault_notes
+                routes, time, drops
             )
             retries += fault_retries
             dropped += fault_dropped
@@ -218,7 +218,15 @@ class PubSubSystem:
         )
         self._observe_publish(out)
         if self.tracer is not None:
-            self._trace_publish(out, time, fault_notes or {})
+            # One chain per (message, online subscriber), closed now: a
+            # missed pair is parked for catch-up (pending) or gone (lost).
+            msg = self.tracer.next_message_id()
+            missed = "pending" if self.catchup is not None else "lost"
+            for s in subscribers:
+                terminal = "delivered" if routes[s].delivered else missed
+                self._trace_chain(
+                    f"{msg}:{s}", "publish", s, routes[s], time, terminal, drops.get(s)
+                )
         return out
 
     # -- telemetry -----------------------------------------------------------
@@ -237,39 +245,46 @@ class PubSubSystem:
                 stats.delivered += 1
                 self._hops.observe(r.hops)
 
-    def _trace_publish(
-        self, result: DisseminationResult, time: float, fault_notes: dict
+    def _trace_chain(
+        self,
+        trace_id: str,
+        root: str,
+        dst: int,
+        route: RouteResult,
+        time: float,
+        terminal: str,
+        drop: "dict | None" = None,
     ) -> None:
-        """Emit one publish span: every route with its hop decisions."""
-        route_rows = []
-        for s in sorted(result.routes):
-            r = result.routes[s]
-            row: dict = {
-                "subscriber": int(s),
-                "delivered": bool(r.delivered),
-                "hops": r.hops,
-                "path": [int(v) for v in r.path],
-            }
-            if r.decisions:
-                row["hops_detail"] = [d.as_dict() for d in r.decisions]
-            note = fault_notes.get(s)
-            if note is not None:
-                row["fault"] = note
-            route_rows.append(row)
-        self.tracer.record(
-            {
-                "type": "publish",
-                "msg": self.tracer.next_message_id(),
-                "time": float(time),
-                "publisher": int(result.publisher),
-                "subscribers": [int(s) for s in result.subscribers],
-                "delivered": len(result.delivered),
-                "dropped": result.dropped,
-                "buffered": result.buffered,
-                "shed": result.shed,
-                "retries": result.retries,
-                "routes": route_rows,
-            }
+        """One causal chain, every span at ``time``: the root at the source,
+        a ``relay`` per node the message reached short of ``dst`` (its
+        ``attrs`` the router's decision for the hop into it), the ``drop``
+        where a link fault killed it, and the one ``terminal`` at ``dst``."""
+        tracer = self.tracer
+        path, decisions = route.path, route.decisions or ()
+
+        def decided(hop: int) -> dict:
+            if not 0 < hop <= len(decisions):
+                return {}
+            d = decisions[hop - 1]
+            return {"link": d.link, "rule": d.rule, "distance": d.ring_distance}
+
+        parent = tracer.event(trace_id, root, path[0], at=time)
+        reached = len(path) - 1 if route.delivered else len(path)
+        for hop in range(1, reached):
+            parent = tracer.event(
+                trace_id, "relay", path[hop], parent=parent, hop=hop, at=time, **decided(hop)
+            )
+        if drop is not None:
+            parent = tracer.event(trace_id, "drop", parent=parent, at=time, **drop)
+        tracer.event(
+            trace_id,
+            terminal,
+            dst,
+            parent=parent,
+            hop=route.hops if route.delivered else None,
+            terminal=True,
+            at=time,
+            **(decided(route.hops) if route.delivered else {}),
         )
 
     def _deposit_missed(
@@ -301,15 +316,15 @@ class PubSubSystem:
         self,
         routes: dict[int, RouteResult],
         time: float,
-        fault_notes: "dict[int, dict] | None" = None,
+        drops: "dict[int, dict] | None" = None,
     ) -> "tuple[dict[int, RouteResult], int, int]":
         """Replay each routed path over the lossy links of the fault plan.
 
         A shared edge cache ensures hops common to several paths (the
         dissemination tree's shared prefixes) are transmitted — and can be
-        lost — exactly once per publish event. When ``fault_notes`` is
-        given (route tracing), each dropped subscriber gets an annotation
-        recording where its path died and why.
+        lost — exactly once per publish event. When ``drops`` is given
+        (tracing), each dropped subscriber gets the ``drop`` span of its
+        chain: the node its path died on the way to, and why.
         """
         edge_cache: dict = {}
         out: dict[int, RouteResult] = {}
@@ -336,10 +351,13 @@ class PubSubSystem:
                     delivered=False,
                     decisions=decisions,
                 )
-                if fault_notes is not None:
-                    fault_notes[s] = {
-                        "lost_at": outcome.lost_at,
-                        "partition": outcome.partition_blocked,
+                if drops is not None:
+                    lost = outcome.lost_at
+                    drops[s] = {
+                        "node": result.path[lost],
+                        "hop": lost,
+                        "status": "partition" if outcome.partition_blocked else "loss",
+                        "src": int(result.path[lost - 1]),
                         "retries": outcome.retries,
                     }
         return out, retries, dropped
@@ -353,16 +371,7 @@ class PubSubSystem:
                 "lookup.hops", HOP_BUCKETS, "hop counts of delivered lookups"
             ).observe(result.hops)
         if self.tracer is not None:
-            span = {
-                "type": "lookup",
-                "msg": self.tracer.next_message_id(),
-                "src": int(src),
-                "dst": int(dst),
-                "delivered": bool(result.delivered),
-                "hops": result.hops,
-                "path": [int(v) for v in result.path],
-            }
-            if result.decisions:
-                span["hops_detail"] = [d.as_dict() for d in result.decisions]
-            self.tracer.record(span)
+            terminal = "delivered" if result.delivered else "lost"
+            msg = self.tracer.next_message_id()
+            self._trace_chain(f"{msg}:{dst}", "lookup", dst, result, 0.0, terminal)
         return result

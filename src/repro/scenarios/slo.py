@@ -113,7 +113,7 @@ class SLOSpec:
 
 
 #: the default objectives a *traced live run* must hold, judged against
-#: trace-derived evidence (:func:`repro.telemetry.livetrace.summarize`)
+#: trace-derived evidence (:func:`repro.telemetry.tracer.summarize`)
 #: rather than the publisher's own counters. ``total_availability`` here
 #: is the complete-causal-chain ratio — a pair only counts if its whole
 #: publish→delivery story is reconstructable from spans — and the hop

@@ -3,7 +3,7 @@
 Overlay construction and churn experiments record scalar series (IDs moved,
 links changed, availability, live peers) per round. Recorders serialize to
 JSONL (:meth:`TraceRecorder.export`) so a run's series land next to the
-metrics and route traces in a telemetry directory; a snapshot carries them
+metrics and causal traces in a telemetry directory; a snapshot carries them
 as :meth:`TraceRecorder.to_rows`.
 """
 

@@ -1,11 +1,13 @@
-"""repro.telemetry — metrics registry, route tracing, and run reports.
+"""repro.telemetry — metrics registry, causal tracing, and run reports.
 
 The measurement substrate the ROADMAP's perf work needs: a
 process-wide but explicitly-injectable :class:`MetricsRegistry`
-(counters, gauges, fixed-bucket histograms, phase timers), a
-:class:`RouteTracer` recording per-message spans down to individual
-greedy/lookahead hop decisions, and exporters (Prometheus text +
-structured JSON run report) rendered back by ``select-repro report``.
+(counters, gauges, fixed-bucket histograms, phase timers), one
+:class:`Tracer` whose ``select-repro/live-trace/v1`` causal chains
+follow a simulator publish or lookup, or a live notification, hop by
+hop (a simulator relay carries the router's greedy/lookahead decision),
+and exporters (Prometheus text + structured JSON run report) rendered
+back by ``select-repro report``; ``select-repro trace`` draws the chains.
 
 The default registry is the zero-overhead :class:`NullRegistry` —
 pinned bit-identical to seed behaviour the same way
@@ -34,7 +36,7 @@ from repro.telemetry.registry import (
     use_registry,
 )
 from repro.telemetry.report import load_report, render_report
-from repro.telemetry.tracer import RouteTracer, get_tracer, set_tracer, use_tracer
+from repro.telemetry.tracer import Tracer, get_tracer, set_tracer, use_tracer
 
 __all__ = [
     "Counter",
@@ -48,7 +50,7 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "RouteTracer",
+    "Tracer",
     "get_tracer",
     "set_tracer",
     "use_tracer",

@@ -4,20 +4,26 @@ A telemetry directory written by :func:`write_telemetry` contains:
 
 * ``metrics.prom``  — Prometheus text exposition of every instrument;
 * ``report.json``   — structured run report: metadata, counters, gauges,
-  histograms (edges + per-bucket counts + sum/count), trace summary;
-* ``traces.jsonl``  — per-message route spans (when a tracer ran);
+  histograms (edges + per-bucket counts + sum/count), and the causal
+  chains' summary (when a tracer ran);
+* ``traces.jsonl``  — every span, one ``select-repro/live-trace/v1``
+  object per line: the simulator's publish and lookup chains or a live
+  run's (when a tracer ran);
 * ``series.jsonl``  — per-round scalar series (when a recorder ran).
 
-``select-repro report DIR`` renders these files back into text
-(:mod:`repro.telemetry.report`) and ``select-repro validate DIR``
+``select-repro report DIR`` renders these files back into text and
+``select-repro trace DIR`` draws the chains as causal trees
+(:mod:`repro.telemetry.report`); ``select-repro validate DIR``
 schema-checks them in CI (:mod:`repro.validate`).
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.tracer import summarize
 from repro.util.atomicio import atomic_write_json, atomic_write_text
 
 __all__ = [
@@ -117,45 +123,16 @@ def prometheus_text(registry: MetricsRegistry, prefix: str = "select_repro") -> 
 
 
 def _trace_summary(tracer) -> dict:
-    """Aggregate view of the spans for the JSON report."""
-    from repro.telemetry import livetrace
-
+    """The report's ``traces`` block: :func:`summarize`'s chain counts, the
+    mean hops of delivered chains and the link mix of every decided hop."""
     spans = tracer.spans()
-    publishes = [s for s in spans if s.get("type") == "publish"]
-    lookups = [s for s in spans if s.get("type") == "lookup"]
-    hops = []
-    link_kinds: dict[str, int] = {}
-    for span in publishes:
-        for route in span.get("routes", ()):
-            if route.get("delivered"):
-                hops.append(route.get("hops", 0))
-            for hop in route.get("hops_detail", ()):
-                kind = hop.get("link", "other")
-                link_kinds[kind] = link_kinds.get(kind, 0) + 1
-    summary = {
-        "spans": len(spans),
-        "publishes": len(publishes),
-        "lookups": len(lookups),
-        "dropped_spans": tracer.dropped_spans,
-        "mean_hops": (sum(hops) / len(hops)) if hops else 0.0,
-        "link_kinds": dict(sorted(link_kinds.items())),
-    }
-    live = livetrace.live_spans(spans)
-    if live:
-        chains = livetrace.summarize(live)
-        summary["live"] = {
-            key: chains[key]
-            for key in (
-                "schema",
-                "traces",
-                "complete_chains",
-                "complete_chain_ratio",
-                "orphan_spans",
-                "chain_errors",
-                "terminals",
-            )
-        }
-        summary["live"]["spans"] = len(live)
+    summary = summarize(spans)
+    hops = summary.pop("hops")
+    del summary["latency_ms"]
+    links = Counter(s["attrs"]["link"] for s in spans if "link" in s.get("attrs", ()))
+    summary["spans"] = len(spans)
+    summary["mean_hops"] = (sum(hops) / len(hops)) if hops else 0.0
+    summary["link_kinds"] = dict(sorted(links.items()))
     return summary
 
 
@@ -169,7 +146,7 @@ def write_telemetry(
 ) -> dict:
     """Write the full telemetry directory; returns ``{kind: path}``.
 
-    ``tracer`` is an optional :class:`~repro.telemetry.tracer.RouteTracer`
+    ``tracer`` is an optional :class:`~repro.telemetry.tracer.Tracer`
     and ``recorder`` an optional :class:`~repro.sim.trace.TraceRecorder`;
     their files are only written when present. ``provenance`` fills the
     report's cross-reference block — root seed, configuration hash, and
@@ -178,16 +155,6 @@ def write_telemetry(
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-
-    if tracer is not None:
-        # Surface the keep-oldest retention loss where dashboards look:
-        # a nonzero value means the tail of the run is *not* in
-        # traces.jsonl (the oldest spans are kept; later ones counted
-        # and dropped), so chain ratios must be read with that caveat.
-        registry.gauge(
-            "tracer.dropped_spans",
-            "spans dropped by the tracer's keep-oldest retention limit",
-        ).set(tracer.dropped_spans)
 
     paths["metrics"] = atomic_write_text(
         os.path.join(out_dir, METRICS_FILE), prometheus_text(registry)

@@ -3,8 +3,9 @@
 ``select-repro report DIR`` calls :func:`render_report` on a directory
 written by :func:`repro.telemetry.export.write_telemetry`: per-phase
 timings (every ``*.seconds`` histogram), counters and gauges grouped by
-subsystem prefix, hop histograms, and a sample of per-message route
-traces with their hop-by-hop decisions.
+subsystem prefix, hop histograms, and one line of causal-chain counts.
+``select-repro trace DIR`` calls :func:`render_trace_tree`, which draws
+the chains themselves — a simulator run's or a live run's — as trees.
 """
 
 from __future__ import annotations
@@ -12,16 +13,13 @@ from __future__ import annotations
 import json
 import os
 
-from repro.telemetry import livetrace
 from repro.telemetry.export import REPORT_FILE, TRACES_FILE
+from repro.telemetry.tracer import SPAN_TYPE, assemble, chain_errors, is_complete, summarize
 from repro.util.atomicio import read_jsonl
 from repro.util.exceptions import ConfigurationError
 from repro.util.tables import format_table
 
 __all__ = ["load_report", "render_report", "render_trace_tree"]
-
-#: per-message traces printed in full before the renderer summarizes.
-MAX_TRACED_MESSAGES = 8
 
 
 def load_report(telemetry_dir: str) -> dict:
@@ -48,58 +46,7 @@ def _scalar_rows(values: dict) -> list[tuple]:
     return [(name, f"{v:.6g}") for name, v in sorted(values.items()) if v]
 
 
-def _hop_chain(route: dict) -> str:
-    """``5 -long-> 9 -short-> 7`` from a route's hop decisions."""
-    detail = route.get("hops_detail") or []
-    if not detail:
-        path = route.get("path", [])
-        return " -> ".join(str(v) for v in path) if path else "(no path)"
-    parts = [str(detail[0]["from"])]
-    for hop in detail:
-        parts.append(f"-{hop.get('link', '?')}-> {hop['to']}")
-    return " ".join(parts)
-
-
-def _render_traces(telemetry_dir: str, lines: list[str]) -> None:
-    path = os.path.join(telemetry_dir, TRACES_FILE)
-    if not os.path.isfile(path):
-        return
-    spans = [span for _, span in read_jsonl(path)]
-    publishes = [s for s in spans if s.get("type") == "publish"]
-    lines.append("")
-    lines.append(f"Per-message route traces ({len(publishes)} publish spans recorded):")
-    for span in publishes[:MAX_TRACED_MESSAGES]:
-        status = (
-            f"{span.get('delivered', 0)}/{len(span.get('subscribers', []))} delivered"
-        )
-        extras = []
-        if span.get("retries"):
-            extras.append(f"{span['retries']} retries")
-        if span.get("dropped"):
-            extras.append(f"{span['dropped']} dropped")
-        if span.get("buffered"):
-            extras.append(f"{span['buffered']} buffered for catch-up")
-        suffix = f" ({', '.join(extras)})" if extras else ""
-        lines.append(
-            f"  msg {span['msg']} t={span.get('time', 0.0):g} "
-            f"publisher {span['publisher']}: {status}{suffix}"
-        )
-        for route in span.get("routes", ()):
-            mark = "ok " if route.get("delivered") else "DROP"
-            note = ""
-            fault = route.get("fault")
-            if fault:
-                why = "partition" if fault.get("partition") else "loss"
-                note = f"  [lost at hop {fault.get('lost_at')}: {why}]"
-            lines.append(
-                f"    {mark} -> {route['subscriber']:>5}  "
-                f"{_hop_chain(route)}{note}"
-            )
-    if len(publishes) > MAX_TRACED_MESSAGES:
-        lines.append(f"  ... {len(publishes) - MAX_TRACED_MESSAGES} more in {TRACES_FILE}")
-
-
-#: live causal trees printed in full before the trace verb summarizes.
+#: causal trees printed in full before the trace verb summarizes.
 MAX_TRACE_TREES = 10
 
 
@@ -116,12 +63,20 @@ def _span_line(span: dict, depth: int) -> str:
         parts.append(f"({span['status']})")
     attrs = span.get("attrs") or {}
     if attrs:
-        parts.append(" ".join(f"{k}={v}" for k, v in sorted(attrs.items())))
+        parts.append(
+            " ".join(
+                f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
+                for k, v in sorted(attrs.items())
+            )
+        )
     return "  ".join(parts)
 
 
-def _render_tree(trace_id: str, spans: "list[dict]", lines: "list[str]") -> None:
-    """Causal tree of one live trace: children indented under parents."""
+def _render_tree(
+    trace_id: str, spans: "list[dict]", errors: "list[str]", lines: "list[str]"
+) -> None:
+    """Causal tree of one trace (``errors`` its chain errors): children
+    indented under parents."""
     spans = sorted(spans, key=lambda s: (float(s.get("t0", 0.0)), int(s.get("span", 0))))
     children: "dict[object, list[dict]]" = {}
     ids = {s.get("span") for s in spans}
@@ -131,7 +86,6 @@ def _render_tree(trace_id: str, spans: "list[dict]", lines: "list[str]") -> None
         children.setdefault(key, []).append(span)
     terminal = next((s for s in spans if s.get("terminal")), None)
     verdict = str(terminal.get("name")) if terminal is not None else "unresolved"
-    errors = livetrace.chain_errors(trace_id, spans)
     mark = "" if not errors else f"  [{len(errors)} chain error(s)]"
     lines.append(f"trace {trace_id}  ({len(spans)} spans, terminal: {verdict}){mark}")
 
@@ -156,50 +110,59 @@ def render_trace_tree(
     trace_id: "str | None" = None,
     limit: int = MAX_TRACE_TREES,
 ) -> str:
-    """Causal tree/timeline view of the live traces in a telemetry dir.
+    """Causal tree/timeline view of the traces in a telemetry dir.
 
-    Renders each chain as an indented tree (children under the span that
-    caused them, rows stamped with the shared elapsed clock). With
-    ``trace_id`` only that chain is shown, in full; otherwise incomplete
-    chains are listed first — the ones a post-mortem cares about — then
-    complete ones up to ``limit``.
+    Renders each chain — a simulator publish or lookup, or a live
+    notification — as an indented tree (children under the span that
+    caused them, rows stamped with the span clock). With ``trace_id``
+    only that chain is shown, in full; otherwise incomplete chains are
+    listed first — the ones a post-mortem cares about — then complete
+    ones up to ``limit``.
     """
     path = os.path.join(telemetry_dir, TRACES_FILE)
     if not os.path.isfile(path):
         raise ConfigurationError(
-            f"no {TRACES_FILE} in {telemetry_dir!r}; run with --telemetry and --trace first"
+            f"no {TRACES_FILE} in {telemetry_dir!r}; run with --telemetry "
+            "(and, for 'live', --trace) first"
         )
-    spans = livetrace.live_spans([span for _, span in read_jsonl(path)])
-    traces = livetrace.assemble(spans)
+    spans = [span for _, span in read_jsonl(path)]
+    traces = assemble(spans)
     if not traces:
-        return f"{TRACES_FILE} has no live spans (type={livetrace.LIVE_SPAN_TYPE!r})"
+        return f"{TRACES_FILE} has no spans (type={SPAN_TYPE!r})"
     lines: "list[str]" = []
     if trace_id is not None:
         if trace_id not in traces:
             raise ConfigurationError(
-                f"trace {trace_id!r} not found; {len(traces)} live traces in {TRACES_FILE}"
+                f"trace {trace_id!r} not found; {len(traces)} traces in {TRACES_FILE}"
             )
-        _render_tree(trace_id, traces[trace_id], lines)
+        trace = traces[trace_id]
+        _render_tree(trace_id, trace, chain_errors(trace_id, trace), lines)
         return "\n".join(lines)
-    summary = livetrace.summarize(spans)
-    lines.append(
-        f"Live causal traces: {summary['traces']} chains, "
-        f"{summary['complete_chains']} complete "
-        f"({summary['complete_chain_ratio']:.1%}), "
-        f"{summary['orphan_spans']} orphan spans, terminals "
-        + ", ".join(f"{k}={v}" for k, v in summary["terminals"].items())
-    )
-    incomplete = [t for t in traces if not livetrace.is_complete(t, traces[t])]
-    complete = [t for t in traces if t not in set(incomplete)]
-    shown = (incomplete + complete)[: max(0, int(limit))]
+    errors = {tid: chain_errors(tid, trace) for tid, trace in traces.items()}
+    summary = summarize(spans, errors)
+    lines.append(f"Causal traces: {_chain_line(summary)}")
+    incomplete = [t for t in traces if not is_complete(traces[t], errors[t])]
+    skip = set(incomplete)
+    shown = (incomplete + [t for t in traces if t not in skip])[: max(0, int(limit))]
     for tid in shown:
         lines.append("")
-        _render_tree(tid, traces[tid], lines)
+        _render_tree(tid, traces[tid], errors[tid], lines)
     rest = len(traces) - len(shown)
     if rest > 0:
         lines.append("")
         lines.append(f"... {rest} more chains in {TRACES_FILE}")
     return "\n".join(lines)
+
+
+def _chain_line(summary: dict) -> str:
+    """One line of chain counts from a :func:`summarize` dict or a report's block."""
+    return (
+        f"{summary['traces']} chains, {summary['complete_chains']} complete "
+        f"({summary['complete_chain_ratio']:.1%}), "
+        f"{summary['orphan_spans']} orphan spans, "
+        f"{summary['chain_errors']} chain errors, terminals "
+        + (", ".join(f"{k}={v}" for k, v in summary["terminals"].items()) or "n/a")
+    )
 
 
 def render_report(telemetry_dir: str) -> str:
@@ -274,26 +237,9 @@ def render_report(telemetry_dir: str) -> str:
     if traces:
         lines.append("")
         lines.append(
-            "Trace summary: "
-            f"{traces['publishes']} publishes, {traces['lookups']} lookups, "
-            f"mean hops {traces['mean_hops']:.3f}, link mix "
-            + (
-                ", ".join(f"{k}={v}" for k, v in traces.get("link_kinds", {}).items())
-                or "n/a"
-            )
+            f"Trace summary: {_chain_line(traces)}; "
+            f"mean delivered hops {traces['mean_hops']:.3f}, link mix "
+            + (", ".join(f"{k}={v}" for k, v in traces["link_kinds"].items()) or "n/a")
+            + f"  (drill down: select-repro trace {telemetry_dir})"
         )
-        live = traces.get("live")
-        if live:
-            lines.append(
-                "Live causal chains: "
-                f"{live['traces']} traces, {live['complete_chains']} complete "
-                f"({live['complete_chain_ratio']:.1%}), "
-                f"{live['orphan_spans']} orphan spans, terminals "
-                + (
-                    ", ".join(f"{k}={v}" for k, v in live.get("terminals", {}).items())
-                    or "n/a"
-                )
-                + f"  (drill down: select-repro trace {telemetry_dir})"
-            )
-    _render_traces(telemetry_dir, lines)
     return "\n".join(lines)

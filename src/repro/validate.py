@@ -6,8 +6,9 @@ otherwise. ``PATH`` is a ``verdict.json`` file or a directory holding any mix of
 
 * a snapshot — ``manifest.json`` + ``state.json`` (``select-repro/snapshot/v1``);
 * telemetry — ``report.json`` + ``metrics.prom``, optionally ``traces.jsonl``
-  and ``series.jsonl`` (``select-repro/telemetry/v1``; ``type: "live"`` spans
-  must also assemble into sound causal chains, ``select-repro/live-trace/v1``);
+  and ``series.jsonl`` (``select-repro/telemetry/v1``; every span, the
+  simulator's or a live run's, is a ``select-repro/live-trace/v1`` span and
+  the spans must assemble into sound causal chains);
 * a scenario verdict — ``verdict.json`` (``select-repro/verdict/v1``).
 
 Every artifact found is checked; a directory holding none is an error.
@@ -31,7 +32,7 @@ import sys
 from repro.persist.snapshot import MANIFEST_FILE, SCHEMA, STATE_FILE, snapshot_id
 from repro.scenarios.slo import VERDICT_FILE, VERDICT_SCHEMA
 from repro.telemetry.export import METRICS_FILE, REPORT_FILE, SERIES_FILE, TRACES_FILE
-from repro.telemetry.livetrace import LIVE_SPAN_TYPE, assemble, chain_errors
+from repro.telemetry.tracer import SPAN_TYPE, assemble, chain_errors
 from repro.util.atomicio import read_jsonl
 
 __all__ = ["validate_snapshot", "validate_telemetry", "validate_verdict", "validate_path", "main"]
@@ -75,15 +76,10 @@ _REPORT = {
     "metrics": {"counters": dict, "gauges": dict, "histograms": dict},
 }
 _HISTOGRAM = {"buckets": [NUM], "counts": [int], "sum": NUM, "count": int}
-_SPANS = {
-    "publish": {"msg": int, "publisher": int, "subscribers": list, "routes": list},
-    "lookup": {"msg": int, "src": int, "dst": int, "delivered": bool, "path": list},
-    # livetrace.LIVE_SPAN_REQUIRED, typed: chain assembly hashes the span
-    # and parent ids and groups by trace_id.
-    LIVE_SPAN_TYPE: {
-        "trace_id": str, "span": int, "parent": (int, NONE), "name": str, "node": int,
-        "t0": NUM, "t1": NUM,
-    },
+# Typed: chain assembly hashes the span and parent ids and groups by trace_id.
+_SPAN = {
+    "type": SPAN_TYPE, "trace_id": str, "span": int, "parent": (int, NONE), "name": str,
+    "node": int, "t0": NUM, "t1": NUM,
 }
 _SERIES_ROW = {"series": str, "round": int, "value": NUM}
 _PROM_LINE = re.compile(
@@ -196,7 +192,7 @@ def validate_snapshot(snapshot_dir: str) -> "list[str]":
 
 
 def _check_traces(path: str, errors: "list[str]") -> None:
-    """Per-line span shapes, then the cross-span causal rules of live traces.
+    """Per-line span shapes, then the cross-span causal rules of every trace.
 
     A line check sees one span at a time; a chain with a missing root,
     an orphan parent reference or zero / duplicate terminals is invisible
@@ -207,9 +203,9 @@ def _check_traces(path: str, errors: "list[str]") -> None:
     spans = []
     for i, span in read_jsonl(path, errors):
         kind = span.get("type")
-        if not isinstance(kind, str) or kind not in _SPANS:
+        if kind != SPAN_TYPE:
             errors.append(f"{TRACES_FILE}:{i}: unknown span type {kind!r}")
-        elif _shape(span, _SPANS[kind], f"{TRACES_FILE}:{i}: {kind} span", errors):
+        elif _shape(span, _SPAN, f"{TRACES_FILE}:{i}: {kind} span", errors):
             spans.append(span)
     for trace_id, trace in assemble(spans).items():
         errors.extend(f"{TRACES_FILE}: {err}" for err in chain_errors(trace_id, trace))

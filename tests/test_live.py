@@ -20,11 +20,11 @@ from repro.live import (
     get_live_scenario,
     live_scenario_names,
 )
-from repro.live import LiveTracer, TraceContext
+from repro.live import TraceContext
 from repro.live.envelope import ACK, PING
 from repro.net.faults import FaultPlan, RingPartition
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.tracer import RouteTracer
+from repro.telemetry.tracer import Tracer
 from repro.util.exceptions import (
     ConfigurationError,
     DeadlineExceeded,
@@ -256,20 +256,19 @@ class TestDropCauseSpans:
         wire = TraceContext("3:1", parent=5, hop=1).wire()
         return Envelope(kind=PING, src=src, dst=dst, seq=1, trace=wire)
 
-    def _drop_span(self, tracer_sink: RouteTracer) -> dict:
-        spans = [s for s in tracer_sink.spans("live") if s["name"] == "drop"]
+    def _drop_span(self, tracer: Tracer) -> dict:
+        spans = [s for s in tracer.spans() if s["name"] == "drop"]
         assert len(spans) == 1
         return spans[0]
 
     def test_loss_annotates_span(self):
         async def main():
-            sink = RouteTracer()
             plan = FaultPlan(loss_rate=1.0, seed=4)
             t = LoopbackTransport(faults=plan, seed=4, registry=MetricsRegistry())
-            t.tracer = LiveTracer(sink, clock=t.now)
+            t.tracer = Tracer(clock=t.now)
             t.register(0), t.register(1)
             assert not t.send(self._traced_env(0, 1))
-            span = self._drop_span(sink)
+            span = self._drop_span(t.tracer)
             assert span["status"] == "loss"
             assert span["trace_id"] == "3:1" and span["parent"] == 5
             assert span["node"] == 1 and span["hop"] == 1
@@ -278,56 +277,52 @@ class TestDropCauseSpans:
 
     def test_partition_annotates_span(self):
         async def main():
-            sink = RouteTracer()
             plan = FaultPlan(
                 partitions=(RingPartition(cut=(0.15, 0.65), start=0.0, end=100.0),),
                 seed=3,
             )
             ids = np.array([0.3, 0.8])
             t = LoopbackTransport(ids=ids, faults=plan, seed=3, registry=MetricsRegistry())
-            t.tracer = LiveTracer(sink, clock=t.now)
+            t.tracer = Tracer(clock=t.now)
             t.register(0), t.register(1)
             t.start_clock()
             assert not t.send(self._traced_env(0, 1))
-            assert self._drop_span(sink)["status"] == "partition"
+            assert self._drop_span(t.tracer)["status"] == "partition"
 
         asyncio.run(main())
 
     def test_crashed_destination_annotates_span(self):
         async def main():
-            sink = RouteTracer()
             t = LoopbackTransport(registry=MetricsRegistry())
-            t.tracer = LiveTracer(sink, clock=t.now)
+            t.tracer = Tracer(clock=t.now)
             t.register(0)
             assert not t.send(self._traced_env(0, 7))
-            span = self._drop_span(sink)
+            span = self._drop_span(t.tracer)
             assert span["status"] == "crashed_dst" and span["node"] == 7
 
         asyncio.run(main())
 
     def test_crash_while_in_flight_annotates_span(self):
         async def main():
-            sink = RouteTracer()
             t = LoopbackTransport(registry=MetricsRegistry())
-            t.tracer = LiveTracer(sink, clock=t.now)
+            t.tracer = Tracer(clock=t.now)
             t.register(0)
             t.register(1)
             t.configure_delay(0.01, 0.0)
             assert t.send(self._traced_env(0, 1))
             t.unregister(1)
             await asyncio.sleep(0.05)
-            assert self._drop_span(sink)["status"] == "inflight_crash"
+            assert self._drop_span(t.tracer)["status"] == "inflight_crash"
 
         asyncio.run(main())
 
     def test_untraced_envelope_emits_no_span(self):
         async def main():
-            sink = RouteTracer()
             t = LoopbackTransport(registry=MetricsRegistry())
-            t.tracer = LiveTracer(sink, clock=t.now)
+            t.tracer = Tracer(clock=t.now)
             t.register(0)
             assert not t.send(Envelope(kind=PING, src=0, dst=7, seq=1))
-            assert sink.spans("live") == []
+            assert t.tracer.spans() == []
 
         asyncio.run(main())
 

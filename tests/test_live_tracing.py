@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 
@@ -13,16 +14,19 @@ from repro.live import (
     Envelope,
     FlightRecorder,
     LiveScenario,
-    LiveTracer,
     TraceContext,
     dump_flight_recorders,
 )
 from repro.live.cluster import LiveCluster
-from repro.telemetry import MetricsRegistry, RouteTracer, livetrace, write_telemetry
-from repro.telemetry.livetrace import (
+from repro.live.envelope import NOTIFY
+from repro.telemetry import MetricsRegistry, Tracer, write_telemetry
+from repro.telemetry.tracer import (
     COMPLETE_TERMINALS,
-    LIVE_TRACE_SCHEMA,
     TERMINAL_NAMES,
+    TRACE_SCHEMA,
+    chain_errors,
+    is_complete,
+    summarize,
 )
 from repro.validate import validate_telemetry as validate_dir
 from repro.validate import main as validate_main
@@ -61,73 +65,81 @@ class TestTraceContext:
 
 class TestLiveTracer:
     def _tracer(self):
-        sink = RouteTracer()
-        return LiveTracer(sink, clock=FakeClock()), sink
+        return Tracer(clock=FakeClock())
 
     def test_two_phase_span_brackets_clock(self):
-        tracer, sink = self._tracer()
+        tracer = self._tracer()
         sid = tracer.start("1:2", "send", node=0, parent=None, hop=0, attempt=0)
         tracer.finish(sid, status="acked")
-        (span,) = sink.spans("live")
+        (span,) = tracer.spans()
         assert span["name"] == "send" and span["status"] == "acked"
         assert span["t1"] > span["t0"] >= 0.0
         assert span["attrs"]["attempt"] == 0
 
     def test_event_is_instantaneous(self):
-        tracer, sink = self._tracer()
+        tracer = self._tracer()
         tracer.event("1:2", "publish", node=3, sub=2)
-        (span,) = sink.spans("live")
+        (span,) = tracer.spans()
         assert span["t0"] == span["t1"]
         assert span["parent"] is None and not span["terminal"]
 
     def test_exactly_one_terminal_per_trace(self):
         # A catch-up recovery racing a live delivery must not leave two
         # terminals: the loser degrades to a post_terminal annotation.
-        tracer, sink = self._tracer()
+        tracer = self._tracer()
         root = tracer.event("5:9", "publish", node=0)
         tracer.event("5:9", "delivered", node=9, parent=root, terminal=True)
         assert tracer.has_terminal("5:9")
         tracer.event("5:9", "recovered", node=9, parent=root, terminal=True)
-        spans = sink.spans("live")
+        spans = tracer.spans()
         terminals = [s for s in spans if s["terminal"]]
         assert len(terminals) == 1 and terminals[0]["name"] == "delivered"
         late = next(s for s in spans if s["name"] == "recovered")
         assert not late["terminal"] and late["attrs"]["post_terminal"] is True
-        assert livetrace.chain_errors("5:9", spans) == []
+        assert chain_errors("5:9", spans) == []
 
     def test_flush_open_closes_leftovers_unfinished(self):
-        tracer, sink = self._tracer()
+        tracer = self._tracer()
         tracer.start("1:1", "send", node=0, parent=None)
         tracer.start("1:1", "send", node=0, parent=None)
         assert tracer.flush_open() == 2
         assert tracer.flush_open() == 0
-        assert all(s["status"] == "unfinished" for s in sink.spans("live"))
+        assert all(s["status"] == "unfinished" for s in tracer.spans())
 
     def test_drop_annotates_only_traced_envelopes(self):
-        from repro.live.envelope import NOTIFY
-
-        tracer, sink = self._tracer()
+        tracer = self._tracer()
         tracer.drop(Envelope(kind=NOTIFY, src=0, dst=1, seq=1), "loss")
-        assert sink.spans("live") == []
+        assert tracer.spans() == []
         wire = TraceContext("4:1", parent=7, hop=3).wire()
         tracer.drop(Envelope(kind=NOTIFY, src=0, dst=1, seq=1, trace=wire), "loss")
-        (span,) = sink.spans("live")
+        (span,) = tracer.spans()
         assert span["name"] == "drop" and span["status"] == "loss"
         assert span["parent"] == 7 and span["hop"] == 3 and span["node"] == 1
 
     def test_injected_clock_makes_spans_deterministic(self):
-        # Satellite: timestamps come from the injectable elapsed clock,
-        # never wall-clock — identical scripts give byte-identical spans.
+        # Timestamps come from the injectable elapsed clock, never
+        # wall-clock — identical scripts give byte-identical spans. The
+        # digest pins those bytes to what the live runtime's span factory
+        # wrote before it became the one Tracer both runtimes share.
         def run():
-            sink = RouteTracer()
-            tracer = LiveTracer(sink, clock=FakeClock(step=0.5))
-            root = tracer.event("0:1", "publish", node=0)
-            sid = tracer.start("0:1", "send", node=0, parent=root, hop=0)
+            tracer = Tracer(clock=FakeClock(step=0.5))
+            root = tracer.event("0:1", "publish", node=0, sub=1)
+            sid = tracer.start("0:1", "send", node=0, parent=root, hop=0, attempt=0, dst=3)
             tracer.finish(sid, status="acked")
-            tracer.event("0:1", "delivered", node=1, parent=sid, hop=2, terminal=True)
-            return [json.dumps(s, sort_keys=True) for s in sink.spans("live")]
+            relay = tracer.event("0:1", "relay", node=3, parent=sid, hop=1)
+            wire = TraceContext("0:1", parent=relay, hop=1).wire()
+            tracer.drop(Envelope(kind=NOTIFY, src=3, dst=1, seq=1, trace=wire), "loss")
+            tracer.event("0:1", "delivered", node=1, parent=relay, hop=2, terminal=True)
+            tracer.event("0:1", "recovered", node=1, parent=root, terminal=True)
+            tracer.start("2:5", "send", node=2, parent=None, attempt=1)
+            tracer.flush_open()
+            return [json.dumps(s, sort_keys=True) for s in tracer.spans()]
 
-        assert run() == run()
+        lines = run()
+        assert lines == run()
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "51eb43ad6b3f86edea52e9e73b7d553cce315f80cf9b8b125b4c8aed103636f0"
+        )
 
 
 class TestChainValidation:
@@ -141,38 +153,38 @@ class TestChainValidation:
 
     def test_sound_chain_has_no_errors(self):
         spans = self._chain()
-        assert livetrace.chain_errors("1:2", spans) == []
-        assert livetrace.is_complete("1:2", spans)
+        assert chain_errors("1:2", spans) == []
+        assert is_complete(spans, [])
 
     def test_orphan_parent_detected(self):
         spans = self._chain()
         spans[2]["parent"] = 999
-        errors = livetrace.chain_errors("1:2", spans)
+        errors = chain_errors("1:2", spans)
         assert any("orphan span" in e and "999" in e for e in errors)
-        assert not livetrace.is_complete("1:2", spans)
+        assert not is_complete(spans, errors)
 
     def test_missing_and_duplicate_terminals_detected(self):
         spans = self._chain()
         spans[3]["terminal"] = False
-        assert any("no terminal" in e for e in livetrace.chain_errors("1:2", spans))
+        assert any("no terminal" in e for e in chain_errors("1:2", spans))
         spans[3]["terminal"] = True
         spans[1]["terminal"] = True
-        assert any(
-            "2 terminal spans" in e for e in livetrace.chain_errors("1:2", spans)
-        )
+        assert any("2 terminal spans" in e for e in chain_errors("1:2", spans))
 
     def test_pending_terminal_closes_but_does_not_complete(self):
-        spans = self._chain()
-        spans[3]["name"] = "pending"
-        assert "pending" in TERMINAL_NAMES and "pending" not in COMPLETE_TERMINALS
-        assert livetrace.chain_errors("1:2", spans) == []
-        assert not livetrace.is_complete("1:2", spans)
-        summary = livetrace.summarize(spans)
-        assert summary["complete_chains"] == 0 and summary["terminals"] == {"pending": 1}
+        # So does the simulator's ``lost``: missed with no catch-up store.
+        for name in ("pending", "lost"):
+            spans = self._chain()
+            spans[3]["name"] = name
+            assert name in TERMINAL_NAMES and name not in COMPLETE_TERMINALS
+            assert chain_errors("1:2", spans) == []
+            assert not is_complete(spans, [])
+            summary = summarize(spans)
+            assert summary["complete_chains"] == 0 and summary["terminals"] == {name: 1}
 
     def test_summarize_latency_and_hops(self):
-        summary = livetrace.summarize(self._chain())
-        assert summary["schema"] == LIVE_TRACE_SCHEMA
+        summary = summarize(self._chain())
+        assert summary["schema"] == TRACE_SCHEMA
         assert summary["complete_chain_ratio"] == 1.0
         assert summary["latency_ms"] == [pytest.approx(300.0)]
         assert summary["hops"] == [2]
@@ -260,11 +272,13 @@ class TestTracedRun:
     def test_small_traced_run_chains_and_report(self, tmp_path):
         cluster, registry, result = _run_traced(tmp_path)
         trace = result["trace"]
-        assert trace["schema"] == LIVE_TRACE_SCHEMA
+        assert trace["schema"] == TRACE_SCHEMA
         assert trace["traces"] == result["intended_pairs"]
         assert trace["orphan_spans"] == 0 and trace["chain_errors"] == 0
         assert trace["complete_chain_ratio"] >= 0.99
-        assert trace["dropped_spans"] == 0
+        # Every span the run made is kept: one root per intended pair.
+        roots = [s for s in cluster.tracer.spans() if s["parent"] is None]
+        assert len(roots) == trace["traces"]
         assert set(trace["terminals"]) <= set(TERMINAL_NAMES)
         # The metrics plane picked up the chain-derived series.
         gauges = registry.gauges()
@@ -289,22 +303,6 @@ class TestTracedRun:
         assert doc["meta"]["reason"] in ("end_of_run", "crash", "gave_up")
         assert any(i["kind"] in ("crash", "kill") for i in doc["incidents"])
 
-    def test_trace_limit_truncation_is_counted(self, tmp_path):
-        cluster, _, result = _run_traced(tmp_path / "lim", num_nodes=15, seed=9)
-        total = len(cluster.route_tracer.spans("live"))
-        limited = LiveCluster(
-            num_nodes=15,
-            scenario=SMALL,
-            seed=9,
-            registry=MetricsRegistry(),
-            trace=True,
-            trace_limit=max(1, total // 4),
-        )
-        result = asyncio.run(limited.run())
-        assert result["trace"]["dropped_spans"] > 0
-        # Keep-oldest: the retained prefix still starts at span id 1.
-        assert limited.route_tracer.spans("live")[0]["span"] == 1
-
     def test_tracing_off_is_the_pr7_code_path(self):
         # Zero-overhead pin: an untraced cluster registers no trace
         # instruments, stamps no envelopes, and carries no recorders.
@@ -312,7 +310,7 @@ class TestTracedRun:
         cluster = LiveCluster(
             num_nodes=10, scenario=SMALL, seed=3, registry=registry
         )
-        assert cluster.tracer is None and cluster.route_tracer is None
+        assert cluster.tracer is None
         assert cluster.recorders == {} and cluster.transport.tracer is None
         assert cluster.supervisor.on_incident is None
         assert all(n.recorder is None and n.tracer is None for n in cluster.nodes.values())
@@ -331,7 +329,7 @@ class TestValidatorRoundTrip:
         write_telemetry(
             out,
             registry,
-            tracer=cluster.route_tracer,
+            tracer=cluster.tracer,
             meta={"experiments": "live"},
         )
         return out
@@ -413,7 +411,7 @@ class TestTraceCli:
         assert validate_dir(out) == []
         assert main(["trace", out, "--limit", "2"]) == 0
         rendered = capsys.readouterr().out
-        assert "Live causal traces:" in rendered
+        assert "Causal traces:" in rendered
         assert "publish" in rendered and "delivered*" in rendered
         # Drill into one specific chain by id.
         tid = next(

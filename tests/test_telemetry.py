@@ -6,6 +6,7 @@ import asyncio
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.core.config import SelectConfig
@@ -18,7 +19,7 @@ from repro.telemetry import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
-    RouteTracer,
+    Tracer,
     get_registry,
     prometheus_text,
     registry_snapshot,
@@ -28,6 +29,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.registry import Histogram
 from repro.telemetry.report import render_report
+from repro.telemetry.tracer import assemble, chain_errors, summarize
 from repro.util.atomicio import read_jsonl
 from repro.validate import validate_telemetry as validate_dir
 from repro.util.exceptions import ConfigurationError
@@ -166,7 +168,7 @@ class TestZeroOverheadPin:
     def test_publish_bit_identical_with_telemetry(self, built_select):
         plain = PubSubSystem(built_select)
         baseline = {p: plain.publish(p) for p in range(0, built_select.graph.num_nodes, 11)}
-        with use_registry(MetricsRegistry()), use_tracer(RouteTracer()):
+        with use_registry(MetricsRegistry()), use_tracer(Tracer()):
             traced = PubSubSystem(built_select)
             for p, a in baseline.items():
                 b = traced.publish(p)
@@ -186,7 +188,7 @@ class TestZeroOverheadPin:
             publishers=4,
         )
         baseline = fig2_hops.run(config, points=1)
-        with use_registry(MetricsRegistry()), use_tracer(RouteTracer()):
+        with use_registry(MetricsRegistry()), use_tracer(Tracer()):
             instrumented = fig2_hops.run(config, points=1)
         assert baseline == instrumented
 
@@ -200,9 +202,11 @@ class TestZeroOverheadPin:
 
 
 class TestRouteTracer:
+    """The simulator's publishes and lookups as causal chains."""
+
     @pytest.fixture()
     def traced_publish(self, built_select):
-        tracer = RouteTracer()
+        tracer = Tracer()
         with use_registry(MetricsRegistry()) as reg, use_tracer(tracer):
             ps = PubSubSystem(built_select)
             result = ps.publish(0)
@@ -211,26 +215,34 @@ class TestRouteTracer:
 
     def test_span_contents(self, traced_publish):
         tracer, reg, result = traced_publish
-        publishes = tracer.spans("publish")
-        lookups = tracer.spans("lookup")
-        assert len(publishes) == 1 and len(lookups) == 1
-        span = publishes[0]
-        assert span["publisher"] == 0
-        assert span["delivered"] == len(result.delivered)
-        for route in span["routes"]:
-            if not route["delivered"]:
-                continue
-            detail = route["hops_detail"]
-            assert len(detail) == route["hops"]
-            # Decisions chain src -> ... -> subscriber along the path.
-            assert [d["from"] for d in detail] == route["path"][:-1]
-            assert [d["to"] for d in detail] == route["path"][1:]
-            for d in detail:
+        traces = assemble(tracer.spans())
+        # One chain per subscriber of message 0, then the lookup's, message 1.
+        sub = result.subscribers[0]
+        assert list(traces) == [f"0:{s}" for s in result.subscribers] + [f"1:{sub}"]
+        assert [s["name"] for s in traces[f"1:{sub}"]][0] == "lookup"
+        for s, route in result.routes.items():
+            chain = traces[f"0:{s}"]
+            assert chain_errors(f"0:{s}", chain) == []
+            assert chain[0]["name"] == "publish" and chain[0]["node"] == 0
+            assert chain[-1]["name"] == "delivered" and chain[-1]["terminal"]
+            assert chain[-1]["node"] == s and chain[-1]["hop"] == route.hops
+            # Each span parents to the one before: a relay per node between
+            # the publisher and the subscriber, in path order.
+            assert [x["parent"] for x in chain[1:]] == [x["span"] for x in chain[:-1]]
+            relays = chain[1:-1]
+            assert [x["name"] for x in relays] == ["relay"] * (route.hops - 1)
+            assert [x["node"] for x in relays] == route.path[1:-1]
+            assert [x["hop"] for x in relays] == list(range(1, route.hops))
+            # The router's decision for the hop into each span rides in attrs.
+            decided = [x["attrs"] for x in chain[1:]]
+            assert [d["link"] for d in decided] == [d.link for d in route.decisions]
+            for d in decided:
                 assert d["link"] in ("short", "long", "incoming", "successor", "other")
                 assert d["rule"] in ("direct", "lookahead", "greedy")
-                assert d["ring_distance"] >= 0.0
+                assert d["distance"] >= 0.0
             # The delivering hop is always the direct rule.
-            assert detail[-1]["rule"] == "direct"
+            assert decided[-1]["rule"] == "direct"
+            assert all(x["t0"] == x["t1"] == 0.0 for x in chain)
 
     def test_metrics_match_result(self, traced_publish):
         tracer, reg, result = traced_publish
@@ -249,18 +261,11 @@ class TestRouteTracer:
             for line in fh:
                 assert isinstance(json.loads(line), dict)
 
-    def test_limit_drops_and_counts(self):
-        tracer = RouteTracer(limit=1)
-        tracer.record({"type": "publish", "msg": 0})
-        tracer.record({"type": "publish", "msg": 1})
-        assert len(tracer) == 1
-        assert tracer.dropped_spans == 1
-
 
 class TestExportAndReport:
     def _populated(self, built_select, tmp_path):
         reg = MetricsRegistry()
-        tracer = RouteTracer()
+        tracer = Tracer()
         with use_registry(reg), use_tracer(tracer):
             ps = PubSubSystem(built_select)
             for p in range(4):
@@ -294,18 +299,6 @@ class TestExportAndReport:
         assert 'select_repro_live_trace_hops_bucket{node="0",le="2"} 1' in text
         assert 'select_repro_live_trace_hops_count{node="0"} 1' in text
 
-    def test_dropped_spans_gauge_exported(self, tmp_path):
-        reg = MetricsRegistry()
-        tracer = RouteTracer(limit=1)
-        tracer.record({"type": "publish", "msg": 0, "publisher": 0, "subscribers": [], "routes": []})
-        tracer.record({"type": "publish", "msg": 1, "publisher": 0, "subscribers": [], "routes": []})
-        out = str(tmp_path / "tel")
-        write_telemetry(out, reg, tracer=tracer)
-        report = json.load(open(f"{out}/report.json", encoding="utf-8"))
-        assert report["metrics"]["gauges"]["tracer.dropped_spans"] == 1
-        prom = open(f"{out}/metrics.prom", encoding="utf-8").read()
-        assert "select_repro_tracer_dropped_spans 1" in prom
-
     def test_schema_validates(self, built_select, tmp_path):
         out, _ = self._populated(built_select, tmp_path)
         assert validate_dir(out) == []
@@ -334,11 +327,83 @@ class TestExportAndReport:
         assert "Per-phase timings" in text
         assert "experiment.demo" in text
         assert "publish.events" in text
-        assert "Per-message route traces" in text
-        assert "msg 0" in text
+        # One line of chain counts: every subscriber of the four publishes
+        # was online and reached, so each chain ended delivered.
+        with open(f"{out}/report.json", encoding="utf-8") as fh:
+            n = int(json.load(fh)["metrics"]["counters"]["publish.delivered"])
+        assert f"Trace summary: {n} chains, {n} complete (100.0%)" in text
+        assert f"terminals delivered={n}; mean delivered hops" in text
+        assert f"(drill down: select-repro trace {out})" in text
 
     def test_validate_missing_dir(self, tmp_path):
         assert validate_dir(str(tmp_path / "nope"))
+
+
+class TestSimulatorChains:
+    """A simulator run writes the causal chains a live run does."""
+
+    def test_fig2_lookups_are_chains_the_report_and_trace_verb_read(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        config = ExperimentConfig(
+            datasets=("facebook",), systems=("select",), num_nodes=48, trials=1
+        )
+        reg, tracer = MetricsRegistry(), Tracer()
+        with use_registry(reg), use_tracer(tracer):
+            fig2_hops.run(config, points=1)
+        out = str(tmp_path / "tel")
+        write_telemetry(out, reg, tracer=tracer)
+        assert validate_dir(out) == []
+        with open(f"{out}/report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        traces, metrics = report["traces"], report["metrics"]
+        hops = metrics["histograms"]["lookup.hops"]
+        assert traces["traces"] == metrics["counters"]["lookup.events"] > 0
+        assert traces["terminals"]["delivered"] == hops["count"]
+        assert traces["mean_hops"] == pytest.approx(hops["sum"] / hops["count"])
+        assert sum(traces["link_kinds"].values()) == hops["sum"]
+        assert main(["trace", out, "--limit", "2"]) == 0
+        rendered = capsys.readouterr().out
+        assert f"Causal traces: {traces['traces']} chains" in rendered
+        assert "lookup" in rendered and "delivered*" in rendered
+
+    @staticmethod
+    def _partitioned(overlay, catchup: bool):
+        """Publishes across an active ring cut; ``(pubsub, results, spans)``."""
+        from repro.core.stabilize import CatchUpStore
+        from repro.net.faults import FaultPlan, RingPartition
+
+        median = float(np.median(overlay.ids))
+        cut = RingPartition(cut=(median, (median + 0.5) % 1.0))
+        plan = FaultPlan(partitions=(cut,), seed=5)
+        tracer = Tracer()
+        with use_registry(MetricsRegistry()), use_tracer(tracer):
+            store = CatchUpStore(overlay, faults=plan) if catchup else None
+            ps = PubSubSystem(overlay, faults=plan, catchup=store)
+            results = [ps.publish(p, time=3.0) for p in range(0, overlay.graph.num_nodes, 7)]
+        return ps, results, tracer.spans()
+
+    def test_partitioned_publish_chains_close_at_publish_time(self, built_select):
+        ps, results, spans = self._partitioned(built_select, catchup=True)
+        traces = assemble(spans)
+        assert all(chain_errors(tid, chain) == [] for tid, chain in traces.items())
+        assert len(traces) == sum(len(r.subscribers) for r in results)
+        drops = [s for s in spans if s["name"] == "drop"]
+        assert drops and all(s["status"] == "partition" for s in drops)
+        summary = summarize(spans)
+        assert summary["terminals"]["delivered"] == ps.stats.delivered
+        # Every missed pair was parked for catch-up, so its chain is pending.
+        missed = {f"{m}:{s}" for m, r in enumerate(results) for s in r.failed}
+        pending = {tid for tid, chain in traces.items() if chain[-1]["name"] == "pending"}
+        assert missed and pending == missed
+        assert summary["terminals"] == {"delivered": ps.stats.delivered, "pending": len(missed)}
+        assert all(s["t0"] == s["t1"] == 3.0 for s in spans)
+
+    def test_missed_pair_without_catchup_is_lost(self, built_select):
+        ps, _, spans = self._partitioned(built_select, catchup=False)
+        terminals = summarize(spans)["terminals"]
+        assert terminals["lost"] == ps.stats.dropped > 0
+        assert terminals["delivered"] == ps.stats.delivered
 
 
 @pytest.fixture(scope="module")

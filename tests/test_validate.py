@@ -17,7 +17,7 @@ import pytest
 from repro.experiments.cli import main
 from repro.persist import load, restore, snapshot_id
 from repro.sim.trace import TraceRecorder
-from repro.telemetry import MetricsRegistry, RouteTracer, write_telemetry
+from repro.telemetry import MetricsRegistry, Tracer, write_telemetry
 from repro.validate import validate_path, validate_verdict
 
 SMALL = ["--num-nodes", "100", "--datasets", "facebook", "--seed", "7"]
@@ -117,11 +117,10 @@ def artifacts(tmp_path_factory, written):
     shutil.copytree(written["build-snapshot"][0], root)
     registry = MetricsRegistry()
     registry.histogram("demo.hops", buckets=(1, 2, 4)).observe(3)
-    tracer = RouteTracer()
-    tracer.record({"type": "publish", "msg": 0, "publisher": 0, "subscribers": [], "routes": []})
-    tracer.record({"type": "lookup", "msg": 1, "src": 0, "dst": 1, "delivered": True, "path": [0, 1]})
-    tracer.record(_live("5:1", 0, None, "publish"))
-    tracer.record(_live("5:1", 1, 0, "delivered", terminal=True))
+    tracer = Tracer()
+    for trace_id, name in (("0:1", "lookup"), ("5:1", "publish")):
+        sid = tracer.event(trace_id, name, 0)
+        tracer.event(trace_id, "delivered", 1, parent=sid, hop=1, terminal=True, link="long")
     recorder = TraceRecorder()
     recorder.record("id_moves", 1, 3.0)
     write_telemetry(root, registry, tracer=tracer, recorder=recorder)
@@ -207,13 +206,14 @@ RULES = {
         lambda d: _append(f"{d}/metrics.prom", "!! not prometheus"),
         "metrics.prom:",
     ),
+    # One span shape: any other "type" (the simulator's former dicts) is rejected.
     "publish span keys": (
         lambda d: _append(f"{d}/traces.jsonl", '{"type": "publish", "msg": 1}'),
-        "publish span missing keys",
+        "traces.jsonl:5: unknown span type 'publish'",
     ),
     "lookup span keys": (
         lambda d: _append(f"{d}/traces.jsonl", '{"type": "lookup", "msg": 1}'),
-        "lookup span missing keys",
+        "traces.jsonl:5: unknown span type 'lookup'",
     ),
     "span lines are JSON objects": (
         lambda d: _append(f"{d}/traces.jsonl", "[1, 2]"),
