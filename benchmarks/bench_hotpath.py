@@ -75,7 +75,7 @@ def run_scale(num_nodes: int, seed: int, dataset: str, max_rounds: int) -> dict:
         "build_seconds": build_seconds,
         "gossip_rounds": overlay.iterations,
         # The build's own quiescence test, as `select-repro build` reports it.
-        "converged": overlay._quiet_rounds >= overlay.config.convergence_rounds,
+        "converged": overlay.converged,
         "peak_rss_kb": peak_rss_kb,
         "kib_per_peer": peak_rss_kb / graph.num_nodes,
     }

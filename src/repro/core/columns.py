@@ -31,8 +31,6 @@ class PeerColumns:
         ``D_p`` per peer, float64. When the owning overlay passes its own
         ``ids`` array, the two alias the same memory — the overlay's id
         vector IS the identifier column.
-    joined:
-        Growth-model join flags (bool).
     moves_done / stable_rounds / link_change_budget:
         The convergence counters of the gossip loop (int64).
     top2:
@@ -51,7 +49,6 @@ class PeerColumns:
     __slots__ = (
         "n",
         "identifier",
-        "joined",
         "moves_done",
         "stable_rounds",
         "link_change_budget",
@@ -63,7 +60,6 @@ class PeerColumns:
     def __init__(self, n: int, identifier: "np.ndarray | None" = None):
         self.n = n
         self.identifier = identifier if identifier is not None else np.zeros(n, dtype=np.float64)
-        self.joined = np.zeros(n, dtype=bool)
         self.moves_done = np.zeros(n, dtype=np.int64)
         self.stable_rounds = np.zeros(n, dtype=np.int64)
         self.link_change_budget = np.full(n, 2**31, dtype=np.int64)

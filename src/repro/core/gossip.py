@@ -56,13 +56,9 @@ def exchange(p: PeerState, q: PeerState) -> None:
     q.learn_exchange(p.node, mutual, bitmap_for_q, p_links)
 
 
-def select_gossip_partner(
-    peer: PeerState,
-    joined_mask: np.ndarray,
-    rng: np.random.Generator,
-) -> "int | None":
-    """Alg. 3 line 2: a random social friend whose peer has joined."""
-    candidates = peer.neighborhood[joined_mask[peer.neighborhood]]
+def select_gossip_partner(peer: PeerState, rng: np.random.Generator) -> "int | None":
+    """Alg. 3 line 2: a random social friend (None for a peer without one)."""
+    candidates = peer.neighborhood
     if candidates.size == 0:
         return None
     return int(candidates[rng.integers(candidates.size)])

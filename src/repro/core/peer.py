@@ -11,8 +11,8 @@ learn order (recovery probes candidates in it). What a bitmap implies —
 Algorithm 6's sort key and Algorithm 5's LSH bucket — is cached once, in the
 peer's block of :class:`~repro.core.columns.EdgeColumns`.
 
-Scalar round state (identifier, join flag, convergence counters, top-2
-anchors) lives in a shared :class:`~repro.core.columns.PeerColumns` block;
+Scalar round state (identifier, convergence counters, top-2 anchors)
+lives in a shared :class:`~repro.core.columns.PeerColumns` block;
 the attributes here are property views over the peer's slot, so the
 vectorized kernels and the object API always see the same values.
 Friendship bitmaps are Python ints, one bit per neighborhood position (see
@@ -58,8 +58,6 @@ class PeerState:
         node: int,
         neighborhood: np.ndarray,
         k_links: int,
-        cma_threshold: float = 0.5,
-        cma_min_observations: int = 3,
         table: "RoutingTable | None" = None,
         columns: "tuple[PeerColumns, int] | None" = None,
         neighborhood_set: "frozenset[int] | None" = None,
@@ -91,9 +89,7 @@ class PeerState:
         #: ``L_p`` — links maintained by each routing-table neighbor.
         self.lookahead: dict[int, frozenset[int]] = {}
         #: CMA availability tracking per contact (recovery, §III-F).
-        self.behavior = OnlineBehavior(
-            threshold=cma_threshold, min_observations=cma_min_observations
-        )
+        self.behavior = OnlineBehavior()
         #: LSH family anchored to this peer's neighborhood (set by the
         #: overlay before gossip starts; None = compute buckets on demand).
         self.lsh_family = None
@@ -120,17 +116,8 @@ class PeerState:
         self._cols.identifier[self._slot] = value
 
     @property
-    def joined(self) -> bool:
-        """Whether this peer has joined the overlay yet (growth model)."""
-        return bool(self._cols.joined[self._slot])
-
-    @joined.setter
-    def joined(self, value: bool) -> None:
-        self._cols.joined[self._slot] = value
-
-    @property
     def moves_done(self) -> int:
-        """Identifier relocations performed so far (bounded by config)."""
+        """Identifier relocations performed so far (bounded by ``MAX_MOVES``)."""
         return int(self._cols.moves_done[self._slot])
 
     @moves_done.setter
@@ -140,7 +127,7 @@ class PeerState:
     @property
     def stable_rounds(self) -> int:
         """Consecutive rounds without a link change; link reassignment
-        pauses once this passes the config's stabilize_after (and resumes
+        pauses once this reaches ``STABILIZE_AFTER`` (and resumes
         when a new friend is learned through gossip)."""
         return int(self._cols.stable_rounds[self._slot])
 
@@ -151,8 +138,8 @@ class PeerState:
     @property
     def link_change_budget(self) -> int:
         """Remaining rounds in which this peer may change links; set by
-        the overlay from config. Guarantees quiescence even for peers
-        locked in mutual-feedback oscillations."""
+        the overlay to ``MAX_LINK_CHANGES``. Guarantees quiescence even for
+        peers locked in mutual-feedback oscillations."""
         return int(self._cols.link_change_budget[self._slot])
 
     @link_change_budget.setter

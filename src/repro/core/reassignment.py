@@ -15,19 +15,14 @@ per-peer reference that kernel is tested against
 
 from __future__ import annotations
 
+from repro.core.config import MERGE_RADIUS, MOVEMENT_TOLERANCE
 from repro.core.peer import PeerState
 from repro.idspace.space import ring_distance, ring_midpoint
 
 __all__ = ["evaluate_position", "apply_reassignment"]
 
 
-def evaluate_position(
-    peer: PeerState,
-    ids,
-    eligible=None,
-    tolerance: float = 1e-3,
-    merge_radius: float = 0.05,
-) -> float:
+def evaluate_position(peer: PeerState, ids, eligible=None) -> float:
     """Algorithm 2's ``evaluatePosition`` — the proposed new identifier.
 
     Uses the strengths the peer has *learned through gossip* (Eq. 2 with
@@ -41,8 +36,8 @@ def evaluate_position(
     the ring — the opposite of Figure 8's clustered-but-spread layout):
 
     * **cluster guard** — with two anchors, relocate only when the anchors
-      are within ``merge_radius`` of each other, i.e. when the midpoint is
-      inside a genuine social cluster rather than in the no-man's land
+      are within ``MERGE_RADIUS`` of each other, i.e. when the midpoint
+      is inside a genuine social cluster rather than in the no-man's land
       between two distant regions;
     * **stale-target gate** — a peer re-evaluates a previously used anchor
       pair only after the pair's midpoint has drifted beyond half the
@@ -54,8 +49,10 @@ def evaluate_position(
       inside an already-tight cluster stays blocked, so the gate cannot
       feed the chase dynamic that contracts dense networks onto a point.)
     * **improvement gate** — relocate only when the move shrinks the worst
-      anchor distance by more than ``tolerance``, so every move is
-      strictly productive.
+      anchor distance by more than ``MOVEMENT_TOLERANCE``, so every move
+      is strictly productive.
+
+    Both constants are :mod:`repro.core.config`'s.
     """
     top = peer.strongest_known(k=2, among=eligible)
     if not top:
@@ -68,28 +65,28 @@ def evaluate_position(
         if len(peer.neighborhood) != 1:
             return peer.identifier
         candidate = ring_midpoint(peer.identifier, anchors[0])
-    elif ring_distance(anchors[0], anchors[1]) > merge_radius:
+    elif ring_distance(anchors[0], anchors[1]) > MERGE_RADIUS:
         # Anchors live in different ID regions; the midpoint is no-man's
         # land and chasing either one lets clusters drift into each other.
         return peer.identifier
     else:
         candidate = ring_midpoint(anchors[0], anchors[1])
-    reopen = max(tolerance, merge_radius / 2.0)
+    reopen = max(MOVEMENT_TOLERANCE, MERGE_RADIUS / 2.0)
     if pair == peer.last_anchor_pair and not (
         ring_distance(candidate, peer.last_anchor_target) > reopen
     ):
         return peer.identifier
     current_obj = max(ring_distance(peer.identifier, a) for a in anchors)
     candidate_obj = max(ring_distance(candidate, a) for a in anchors)
-    if candidate_obj + tolerance < current_obj:
+    if candidate_obj + MOVEMENT_TOLERANCE < current_obj:
         peer.last_anchor_pair = pair
         peer.last_anchor_target = float(candidate)
         return float(candidate)
     return peer.identifier
 
 
-def apply_reassignment(peer: PeerState, new_id: float, tolerance: float) -> bool:
+def apply_reassignment(peer: PeerState, new_id: float) -> bool:
     """Commit a proposed identifier; True when it counts as a move."""
-    moved = ring_distance(peer.identifier, new_id) > tolerance
+    moved = ring_distance(peer.identifier, new_id) > MOVEMENT_TOLERANCE
     peer.identifier = float(new_id)
     return moved

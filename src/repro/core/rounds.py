@@ -41,13 +41,13 @@ from itertools import chain
 
 import numpy as np
 
+from repro.core.config import MAX_MOVES, MOVEMENT_TOLERANCE, REASSIGN_STRIDE, STABILIZE_AFTER
 from repro.core.vectorized import dedup_ids, draw_partners, evaluate_positions
 from repro.telemetry.registry import Stats, get_registry, stat
 
 __all__ = [
     "ExchangeStats",
     "LinkStats",
-    "draw_pairs",
     "exchange_phase",
     "propose_ids",
     "link_gate",
@@ -76,23 +76,13 @@ class LinkStats(Stats):
     changed: int = stat("link steps that changed the peer's link set")
 
 
-def draw_pairs(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
-    """The round's ``(initiator, partner)`` exchange pairs, in draw order.
-
-    During construction this is the only RNG consumer.
-    """
-    per_round = ov.config.exchanges_per_round
-    actives, partners = draw_partners(
-        ov._nbr_indptr, ov._nbr_indices, ov.joined, rng, per_round
-    )
-    return np.repeat(actives, per_round), partners.reshape(-1)
-
-
 def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     """Draw, compute and fold the round's exchanges; returns the full draw.
 
-    Each pair is two directed exchanges — *target* learns about *source* —
-    kept in pair order (p's side, then q's).
+    The draw is the round's ``(initiator, partner)`` pairs in draw order;
+    during construction it is the only RNG consumer. Each pair is two
+    directed exchanges — *target* learns about *source* — kept in pair
+    order (p's side, then q's).
 
     An exchange whose target already holds the source's current link view
     (``lookahead[source] is view``) is dropped before the kernels run: by
@@ -102,7 +92,7 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     answers re-exchanges), and an unchanged bitmap only refreshes the
     lookahead entry.
     """
-    fp, fq = pairs = draw_pairs(ov, rng)
+    fp, fq = pairs = draw_partners(ov._nbr_indptr, ov._nbr_indices, rng)
     targets = np.stack((fp, fq), axis=1).reshape(-1)
     sources = np.stack((fq, fp), axis=1).reshape(-1)
     peers = ov.peers
@@ -140,13 +130,12 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
 
 def propose_ids(ov) -> np.ndarray:
     """Alg. 2 proposals for the whole network (current id when staying)."""
-    cfg = ov.config
     cols = ov.columns
     n = ov.graph.num_nodes
-    if cfg.reassign_ids:
-        eligible = ov.joined & (cols.moves_done < cfg.max_moves)
-        if cfg.reassign_stride > 1:
-            eligible &= (np.arange(n) + ov._round_no) % cfg.reassign_stride == 0
+    if ov.config.reassign_ids:
+        eligible = (cols.moves_done < MAX_MOVES) & (
+            (np.arange(n) + ov._round_no) % REASSIGN_STRIDE == 0
+        )
     else:
         eligible = np.zeros(n, dtype=bool)
     return evaluate_positions(
@@ -156,24 +145,18 @@ def propose_ids(ov) -> np.ndarray:
         cols.anchor_target,
         eligible,
         ov._degs,
-        tolerance=cfg.movement_tolerance,
-        merge_radius=cfg.merge_radius,
     )
 
 
 def link_gate(ov) -> "list[int]":
     """The peers whose link step runs this round, in vertex order.
 
-    Joined, still inside its stability window and with change budget
-    left. Read once from the columns: nothing writes them during the link
-    step of a build (bandwidth evictions wait for the barrier).
+    Still inside its stability window and with change budget left. Read
+    once from the columns: nothing writes them during the link step of a
+    build (bandwidth evictions wait for the barrier).
     """
     cols = ov.columns
-    gate = (
-        ov.joined
-        & (cols.stable_rounds < ov.config.stabilize_after)
-        & (cols.link_change_budget > 0)
-    )
+    gate = (cols.stable_rounds < STABILIZE_AFTER) & (cols.link_change_budget > 0)
     return np.flatnonzero(gate).tolist()
 
 
@@ -183,20 +166,19 @@ def phase_timer(name: str):
 
 
 def settle_counters(ov, changed) -> None:
-    """Book the round's link outcome on the joined peers.
+    """Book the round's link outcome on every peer.
 
     A peer counts as changed only when its link set actually differs from
     the round's start (drop+re-add of the same link is a no-op, not
     churn): that resets its stability streak and spends change budget.
-    Every other joined peer extends its streak, gated-out ones included.
+    Every other peer extends its streak, gated-out ones included.
     """
     cols = ov.columns
     hit = np.zeros(ov.graph.num_nodes, dtype=bool)
     hit[list(changed)] = True
-    hit &= ov.joined
     cols.stable_rounds[hit] = 0
     cols.link_change_budget[hit] -= 1
-    cols.stable_rounds[ov.joined & ~hit] += 1
+    cols.stable_rounds[~hit] += 1
 
 
 def settle_ids(ov, pending: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -234,7 +216,7 @@ def publish_ids(ov, changed_idx: np.ndarray, changed_vals: np.ndarray) -> int:
     ov._eviction_events.clear()
     diff = np.mod(np.abs(ov.ids[changed_idx] - changed_vals), 1.0)
     diff = np.minimum(diff, 1.0 - diff)
-    moved = changed_idx[diff > ov.config.movement_tolerance]
+    moved = changed_idx[diff > MOVEMENT_TOLERANCE]
     ov.columns.moves_done[moved] += 1
     ov.ids[changed_idx] = changed_vals
     ov._refresh_ring()
@@ -261,4 +243,4 @@ def end_round(ov, moves: int) -> bool:
         ov._quiet_rounds += 1
     else:
         ov._quiet_rounds = 0
-    return ov._quiet_rounds >= ov.config.convergence_rounds
+    return ov.converged

@@ -31,7 +31,13 @@ import numpy as np
 
 from repro.core import rounds
 from repro.core.columns import EdgeColumns, PeerColumns
-from repro.core.config import SelectConfig
+from repro.core.config import (
+    CONVERGENCE_ROUNDS,
+    LSH_SAMPLES,
+    MAX_LINK_CHANGES,
+    SUCCESSOR_LIST_LENGTH,
+    SelectConfig,
+)
 from repro.core.links import apply_plan, create_links, random_links
 from repro.core.peer import PeerState
 from repro.core.projection import assign_initial_ids
@@ -63,7 +69,7 @@ class SelectOverlay(OverlayNetwork):
         bandwidth: BandwidthModel | None = None,
     ):
         self.config = config or SelectConfig()
-        super().__init__(graph, k_links if k_links is not None else self.config.k_links)
+        super().__init__(graph, k_links)
         self.bandwidth = bandwidth
         self.upload_mbps = bandwidth.upload_mbps if bandwidth is not None else None
         n = graph.num_nodes
@@ -81,8 +87,6 @@ class SelectOverlay(OverlayNetwork):
                 v,
                 graph.neighbors(v),
                 self.k_links,
-                cma_threshold=self.config.cma_threshold,
-                cma_min_observations=self.config.cma_min_observations,
                 table=self.tables[v],
                 columns=(self.columns, v),
                 neighborhood_set=graph.neighbor_set(v),
@@ -90,7 +94,6 @@ class SelectOverlay(OverlayNetwork):
             )
             for v in range(n)
         ]
-        self.joined = self.columns.joined
         self.pending_ids = np.zeros(n, dtype=np.float64)
         self.round_link_changes = 0
         self._quiet_rounds = 0
@@ -108,7 +111,7 @@ class SelectOverlay(OverlayNetwork):
         # barrier while a build runs (True), immediately otherwise.
         self._defer_evictions = False
         self._eviction_events: list[tuple[int, int]] = []
-        # Round counter driving the relocation rota (reassign_stride).
+        # Round counter driving the relocation rota (REASSIGN_STRIDE).
         self._round_no = 0
         #: what the round phases count; :meth:`build` attaches fresh ones.
         self.exchange_stats, self.link_stats = rounds.ExchangeStats(), rounds.LinkStats()
@@ -242,17 +245,14 @@ class SelectOverlay(OverlayNetwork):
         # In place: self.ids is the columns' identifier storage, shared
         # with every PeerState view.
         self.ids[:] = assign_initial_ids(n, self.join_events, seed=rng)
-        self.columns.joined[:] = True
-        self.columns.link_change_budget[:] = self.config.max_link_changes
+        self.columns.link_change_budget[:] = MAX_LINK_CHANGES
         for peer in self.peers:
             peer.lsh_family = self.lsh_family_for(peer.node)
             peer.k_buckets = self.k_links
         self.pending_ids[:] = self.ids
 
     def _bootstrap(self, rng: np.random.Generator) -> None:
-        """Immediate links to already-joined social friends at join time."""
-        budget = self.config.bootstrap_links
-        budget = self.k_links if budget is None else min(budget, self.k_links)
+        """Immediate links to up to K already-joined social friends at join time."""
         joined_so_far = np.zeros(self.graph.num_nodes, dtype=bool)
         for event in self.join_events:
             peer = self.peers[event.user]
@@ -264,7 +264,7 @@ class SelectOverlay(OverlayNetwork):
                 extras = [int(f) for f in rng.permutation(friends) if f not in candidates]
                 candidates.extend(extras)
             for cand in candidates:
-                if len(peer.table.long_links) >= budget:
+                if len(peer.table.long_links) >= self.k_links:
                     break
                 if self._try_connect(event.user, cand):
                     peer.table.long_links.add(cand)
@@ -277,7 +277,7 @@ class SelectOverlay(OverlayNetwork):
         repair state for routing/stabilization), so the lists are written
         once from the sorted index instead of per round.
         """
-        lists = self._ring_index.successor_matrix(self.config.successor_list_length).tolist()
+        lists = self._ring_index.successor_matrix(SUCCESSOR_LIST_LENGTH).tolist()
         for v, table in enumerate(self.tables):
             table.successors = lists[v]
 
@@ -358,13 +358,23 @@ class SelectOverlay(OverlayNetwork):
             nbits = len(self.peers[vertex].neighborhood)
             family = BitSamplingLsh(
                 nbits,
-                num_samples=self.config.lsh_samples,
+                num_samples=LSH_SAMPLES,
                 seed=self._lsh_seed + vertex,
             )
             self._lsh_families[vertex] = family
         return family
 
     # -- convergence / analysis helpers ------------------------------------------------
+
+    @property
+    def converged(self) -> bool:
+        """Whether the last round ended a run of ``CONVERGENCE_ROUNDS`` quiet rounds.
+
+        The build's own quiescence test, not ``iterations < max_rounds``: a
+        build can go quiet for the last required time on the very round the
+        cap allows.
+        """
+        return self._quiet_rounds >= CONVERGENCE_ROUNDS
 
     def social_link_fraction(self) -> float:
         """Fraction of long links that connect social friends."""

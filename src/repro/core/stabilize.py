@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import CATCHUP_CAPACITY, SUCCESSOR_LIST_LENGTH
 from repro.net.faults import FaultPlan, PingService
 from repro.overlay.base import OverlayNetwork
 from repro.telemetry.registry import Stats, get_registry, stat
@@ -112,15 +113,12 @@ class Stabilizer:
         self,
         overlay: OverlayNetwork,
         ping_service: "PingService | None" = None,
-        list_length: "int | None" = None,
+        list_length: int = SUCCESSOR_LIST_LENGTH,
         registry=None,
     ):
         overlay._check_built()
         self.overlay = overlay
         self.pings = ping_service if ping_service is not None else PingService()
-        if list_length is None:
-            config = getattr(overlay, "config", None)
-            list_length = getattr(config, "successor_list_length", 3)
         if list_length < 1:
             raise ConfigurationError(f"list_length must be >= 1, got {list_length}")
         self.list_length = int(list_length)
@@ -309,15 +307,12 @@ class CatchUpStore:
     def __init__(
         self,
         overlay: OverlayNetwork,
-        capacity: "int | None" = None,
+        capacity: int = CATCHUP_CAPACITY,
         faults: "FaultPlan | None" = None,
         registry=None,
     ):
         overlay._check_built()
         self.overlay = overlay
-        if capacity is None:
-            config = getattr(overlay, "config", None)
-            capacity = getattr(config, "catchup_capacity", 64)
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)

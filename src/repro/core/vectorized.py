@@ -34,6 +34,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from repro.core.config import MERGE_RADIUS, MOVEMENT_TOLERANCE
 from repro.core.links import plan_links
 from repro.core.picker import KEY_FIELD
 from repro.idspace.space import normalize, ring_midpoint
@@ -60,52 +61,24 @@ def _ring_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def draw_partners(
     neighbor_indptr: np.ndarray,
     neighbor_indices: np.ndarray,
-    joined: np.ndarray,
     rng: np.random.Generator,
-    exchanges_per_round: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Alg. 3 line 2 for every joined peer in one batch.
+    """Alg. 3 line 2 for every peer in one batch.
 
-    Returns ``(actives, partners)``: ``actives`` are the peers that drew
-    (joined, with at least one joined friend) in vertex order, and
-    ``partners`` is ``(len(actives), exchanges_per_round)`` of drawn
-    friend ids. The draws consume the generator in exactly the order the
-    per-peer loop would (vertex order, then exchange index), so the
-    per-peer reference (``select_gossip_partner``) sees the same stream.
+    Returns ``(actives, partners)``: ``actives`` are the peers with at
+    least one friend, in vertex order, and ``partners[i]`` is the friend
+    ``actives[i]`` drew. The draws consume the generator in exactly the
+    order the per-peer loop would (vertex order), so the per-peer
+    reference (``select_gossip_partner``) sees the same stream.
 
     ``neighbor_indptr``/``neighbor_indices`` are the CSR adjacency in the
     same order as each peer's ``neighborhood`` array (the candidate order
     ``select_gossip_partner`` indexes into).
     """
-    n = len(neighbor_indptr) - 1
     degs = neighbor_indptr[1:] - neighbor_indptr[:-1]
-    if joined.all():
-        eligible = degs > 0
-        valid_degs = degs
-    else:
-        # Per-peer count of *joined* friends; partial-join rounds (growth
-        # model) fall back to a masked candidate recount.
-        joined_nbr = joined[neighbor_indices]
-        cum = np.concatenate(([0], np.cumsum(joined_nbr)))
-        valid_degs = cum[neighbor_indptr[1:]] - cum[neighbor_indptr[:-1]]
-        eligible = joined & (valid_degs > 0)
-    actives = np.flatnonzero(joined & (degs > 0) if joined.all() else eligible)
-    if actives.size == 0:
-        return actives, np.empty((0, exchanges_per_round), dtype=np.int64)
-    d = valid_degs[actives]
-    if exchanges_per_round == 1:
-        draws = rng.integers(d)[:, None]
-    else:
-        draws = rng.integers(d[:, None], size=(actives.size, exchanges_per_round))
-    if joined.all():
-        partners = neighbor_indices[neighbor_indptr[actives][:, None] + draws]
-    else:
-        partners = np.empty_like(draws)
-        for row, p in enumerate(actives):
-            cands = neighbor_indices[neighbor_indptr[p] : neighbor_indptr[p + 1]]
-            cands = cands[joined[cands]]
-            partners[row] = cands[draws[row]]
-    return actives, partners
+    actives = np.flatnonzero(degs > 0)
+    draws = rng.integers(degs[actives])
+    return actives, neighbor_indices[neighbor_indptr[actives] + draws]
 
 
 def _expand(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +185,6 @@ def evaluate_positions(
     anchor_target: np.ndarray,
     eligible: np.ndarray,
     degs: np.ndarray,
-    tolerance: float = 1e-3,
-    merge_radius: float = 0.05,
 ) -> np.ndarray:
     """Alg. 2 (evaluatePosition) for the whole network in one pass.
 
@@ -248,8 +219,8 @@ def evaluate_positions(
     # friend (anything else would be moving on one friend's say-so).
     one = consider & has1 & (degs == 1)
     # Two-anchor case: the cluster guard skips peers whose anchors sit in
-    # different id clusters (distance beyond merge_radius).
-    two = consider & has2 & (_ring_distances(ida, idb) <= merge_radius)
+    # different id clusters (distance beyond MERGE_RADIUS).
+    two = consider & has2 & (_ring_distances(ida, idb) <= MERGE_RADIUS)
     active = one | two
     if not active.any():
         return pending
@@ -257,7 +228,7 @@ def evaluate_positions(
     # Stale-target gate: a previously used anchor pair is re-evaluated
     # only after its midpoint drifted beyond half the merge radius since
     # the last move (NaN target = never moved = never blocked).
-    reopen = max(tolerance, merge_radius / 2.0)
+    reopen = max(MOVEMENT_TOLERANCE, MERGE_RADIUS / 2.0)
     pa = np.where(has2, np.minimum(a, b), a)
     pb = np.where(has2, np.maximum(a, b), -1)
     same_pair = (pa == anchor_pair[:, 0]) & (pb == anchor_pair[:, 1])
@@ -273,7 +244,7 @@ def evaluate_positions(
     db_new = _ring_distances(cand, idb)
     cur = np.where(has2, np.maximum(cur, db_cur), cur)
     new = np.where(has2, np.maximum(new, db_new), new)
-    move = active & (new + tolerance < cur)
+    move = active & (new + MOVEMENT_TOLERANCE < cur)
     pending[move] = cand[move]
     # The gate memory updates only for peers that moved, matching the
     # scalar path (the gate writes inside the improvement branch).

@@ -196,16 +196,10 @@ def _run_validate(args) -> int:
 
 
 def _build_outcome(overlay) -> "tuple[bool, str]":
-    """Whether a finished build converged, and the sentence that says so.
-
-    Decided by the build's own quiescence test, not by
-    ``iterations < max_rounds``: a build can go quiet for the last
-    required time on the very round the cap allows.
-    """
-    config = overlay.config
-    if overlay._quiet_rounds >= config.convergence_rounds:
+    """Whether a finished build converged, and the sentence that says so."""
+    if overlay.converged:
         return True, f"converged in {overlay.iterations} rounds"
-    return False, f"stopped at the max_rounds={config.max_rounds} cap without converging"
+    return False, f"stopped at the max_rounds={overlay.config.max_rounds} cap without converging"
 
 
 def _run_build(args, config: ExperimentConfig) -> int:

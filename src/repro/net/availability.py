@@ -9,9 +9,15 @@ mostly offline and gets replaced from the same LSH bucket.
 
 from __future__ import annotations
 
-from repro.util.exceptions import ConfigurationError
+__all__ = ["CMA_THRESHOLD", "CMA_MIN_OBSERVATIONS", "CumulativeMovingAverage", "OnlineBehavior"]
 
-__all__ = ["CumulativeMovingAverage", "OnlineBehavior"]
+#: CMA below which an unresponsive contact is deemed mostly-offline
+#: (replace) rather than temporarily failed (keep).
+CMA_THRESHOLD = 0.5
+
+#: Observations of a contact required before a replace verdict: deciding a
+#: user is mostly-offline from one missed ping would thrash links.
+CMA_MIN_OBSERVATIONS = 3
 
 
 class CumulativeMovingAverage:
@@ -44,19 +50,9 @@ class CumulativeMovingAverage:
 
 
 class OnlineBehavior:
-    """Per-contact CMA book-keeping for one observing peer.
+    """Per-contact CMA book-keeping for one observing peer."""
 
-    ``threshold`` is the CMA below which an unresponsive contact is deemed
-    mostly-offline (replace) rather than temporarily failed (keep).
-    """
-
-    def __init__(self, threshold: float = 0.5, min_observations: int = 3):
-        if not (0.0 <= threshold <= 1.0):
-            raise ConfigurationError(f"threshold must be in [0, 1], got {threshold}")
-        if min_observations < 1:
-            raise ConfigurationError(f"min_observations must be >= 1, got {min_observations}")
-        self.threshold = threshold
-        self.min_observations = min_observations
+    def __init__(self):
         self._cma: dict[int, CumulativeMovingAverage] = {}
 
     def observe(self, contact: int, online: bool) -> float:
@@ -74,13 +70,13 @@ class OnlineBehavior:
     def should_replace(self, contact: int) -> bool:
         """Replacement decision for an *unresponsive* contact.
 
-        Before ``min_observations`` pings the verdict is "keep": deciding a
-        user is mostly-offline from one missed ping would thrash links.
+        Before :data:`CMA_MIN_OBSERVATIONS` pings the verdict is "keep";
+        after, a CMA below :data:`CMA_THRESHOLD` replaces.
         """
         cma = self._cma.get(contact)
-        if cma is None or cma.count < self.min_observations:
+        if cma is None or cma.count < CMA_MIN_OBSERVATIONS:
             return False
-        return cma.value < self.threshold
+        return cma.value < CMA_THRESHOLD
 
     def forget(self, contact: int) -> None:
         """Drop history for a contact (after replacing it)."""

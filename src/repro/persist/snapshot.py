@@ -18,6 +18,10 @@ are rebuilt at restore. The snapshot id is a SHA-256 over the
 canonical state encoding — no timestamps — so re-capturing identical
 state yields an identical snapshot (what keeps the committed golden
 fixture stable).
+
+The ``config`` block (overlay and manifest) keeps v1's 18 keys: the
+:class:`SelectConfig` fields plus settings that are now constants, stored
+with the code's values; :func:`v1_config` refuses any other block.
 """
 
 from __future__ import annotations
@@ -25,17 +29,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
+from repro.core import config
 from repro.core.config import SelectConfig
 from repro.graphs.graph import SocialGraph
-from repro.net.availability import CumulativeMovingAverage
+from repro.net.availability import CMA_MIN_OBSERVATIONS, CMA_THRESHOLD, CumulativeMovingAverage
 from repro.net.growth import JoinEvent
 from repro.sim.trace import TraceRecorder
 from repro.util.atomicio import atomic_write_json
-from repro.util.exceptions import PersistError, SnapshotIntegrityError, SnapshotIOError
+from repro.util.exceptions import ConfigurationError, PersistError
+from repro.util.exceptions import SnapshotIntegrityError, SnapshotIOError
 from repro.util.rng import generator_state, restore_generator
 
 __all__ = [
@@ -49,11 +55,34 @@ __all__ = [
     "restore_into",
     "save",
     "snapshot_id",
+    "v1_config",
 ]
 
 SCHEMA = "select-repro/snapshot/v1"
 MANIFEST_FILE = "manifest.json"
 STATE_FILE = "state.json"
+
+#: v1's ``config`` block beyond the :class:`SelectConfig` fields: the keys
+#: the format names for settings that are now fixed, each with the one
+#: value this code builds with (``k_links``/``bootstrap_links`` ``None``
+#: meant "use K", the overlay's own ``k_links``).
+_V1_CONSTANTS = {
+    "k_links": None,
+    "bootstrap_links": None,
+    "exchanges_per_round": 1,
+    "lsh_samples": config.LSH_SAMPLES,
+    "movement_tolerance": config.MOVEMENT_TOLERANCE,
+    "convergence_rounds": config.CONVERGENCE_ROUNDS,
+    "max_moves": config.MAX_MOVES,
+    "merge_radius": config.MERGE_RADIUS,
+    "reassign_stride": config.REASSIGN_STRIDE,
+    "stabilize_after": config.STABILIZE_AFTER,
+    "max_link_changes": config.MAX_LINK_CHANGES,
+    "successor_list_length": config.SUCCESSOR_LIST_LENGTH,
+    "catchup_capacity": config.CATCHUP_CAPACITY,
+    "cma_threshold": CMA_THRESHOLD,
+    "cma_min_observations": CMA_MIN_OBSERVATIONS,
+}
 
 
 def _canonical(state: dict) -> bytes:
@@ -96,7 +125,6 @@ def _capture_peer(peer) -> dict:
     return {
         "node": int(peer.node),
         "identifier": float(peer.identifier),
-        "joined": bool(peer.joined),
         "moves_done": int(peer.moves_done),
         "stable_rounds": int(peer.stable_rounds),
         "link_change_budget": int(peer.link_change_budget),
@@ -144,7 +172,6 @@ def _restore_peer(peer, data: dict) -> None:
     table.successors = [int(w) for w in t["successors"]]
     table.long_links = [int(w) for w in t["long_links"]]
     peer.identifier = float(data["identifier"])
-    peer.joined = bool(data["joined"])
     peer.moves_done = int(data["moves_done"])
     peer.stable_rounds = int(data["stable_rounds"])
     peer.link_change_budget = int(data["link_change_budget"])
@@ -177,17 +204,20 @@ def _restore_peer(peer, data: dict) -> None:
 
 
 def _capture_overlay(overlay) -> dict:
+    built = bool(overlay._built)
     return {
         "k_links": int(overlay.k_links),
-        "config": asdict(overlay.config),
-        "built": bool(overlay._built),
+        "config": {**asdict(overlay.config), **_V1_CONSTANTS},
+        "built": built,
         "iterations": int(overlay.iterations),
         "round_link_changes": int(overlay.round_link_changes),
         "quiet_rounds": int(overlay._quiet_rounds),
         "lsh_seed": int(overlay._lsh_seed),
         "ids": [float(x) for x in overlay.ids],
         "pending_ids": [float(x) for x in overlay.pending_ids],
-        "joined": [bool(x) for x in overlay.joined],
+        # v1 keeps join flags, overlay-wide and per peer: all peers have
+        # joined once built.
+        "joined": [built] * len(overlay.peers),
         "incoming_sources": [
             sorted(int(w) for w in srcs) for srcs in overlay._incoming_sources
         ],
@@ -201,7 +231,7 @@ def _capture_overlay(overlay) -> dict:
             for e in overlay.join_events
         ],
         "trace": overlay.trace.to_rows(),
-        "peers": [_capture_peer(p) for p in overlay.peers],
+        "peers": [{**_capture_peer(p), "joined": built} for p in overlay.peers],
     }
 
 
@@ -386,15 +416,45 @@ def capture(
     return {"manifest": manifest, "state": state}
 
 
-def _config_from(data: dict) -> SelectConfig:
-    """The snapshotted ``SelectConfig``; rejects keys the class lacks."""
-    unknown = sorted(set(data) - {f.name for f in fields(SelectConfig)})
-    if unknown:
-        raise PersistError(
-            f"snapshot config has unknown keys {unknown}: written by a "
-            f"different version of SelectConfig"
-        )
-    return SelectConfig(**data)
+#: every :class:`SelectConfig` field with its default, whose type a v1
+#: value must have.
+_FIELDS = asdict(SelectConfig())
+
+
+def v1_config(data: dict) -> SelectConfig:
+    """The ``SelectConfig`` of a v1 overlay block, or a ``PersistError``
+    naming what this code cannot rebuild.
+
+    The ``config`` block holds the :class:`SelectConfig` fields plus
+    :data:`_V1_CONSTANTS`, each of which must carry the code's value, and
+    every ``joined`` flag (the overlay's and each peer's) must equal
+    ``built``. :func:`restore` and ``select-repro validate`` both call it.
+    """
+    chosen = {}
+    for key, value in data["config"].items():
+        if key in _V1_CONSTANTS:
+            want = _V1_CONSTANTS[key]
+            if value != want or type(value) is not type(want):
+                raise PersistError(
+                    f"snapshot config {key!r} is {value!r}; this code builds with {want!r}"
+                )
+        elif key not in _FIELDS:
+            raise PersistError(f"snapshot config has unknown key {key!r}")
+        elif type(value) is not type(_FIELDS[key]):
+            raise PersistError(
+                f"snapshot config {key!r} must be {type(_FIELDS[key]).__name__}, got {value!r}"
+            )
+        else:
+            chosen[key] = value
+    built = data["built"]
+    if any(flag is not built for flag in data["joined"]) or any(
+        peer["joined"] is not built for peer in data["peers"]
+    ):
+        raise PersistError(f"snapshot 'joined' flags disagree with built={built}")
+    try:
+        return SelectConfig(**chosen)
+    except ConfigurationError as exc:
+        raise PersistError(f"snapshot config: {exc}") from None
 
 
 def _unpack(snapshot: dict) -> "tuple[dict, dict]":
@@ -437,17 +497,16 @@ def restore_into(
         raise PersistError(
             f"k_links mismatch: overlay has {overlay.k_links}, snapshot has {data['k_links']}"
         )
-    overlay.config = _config_from(data["config"])
+    overlay.config = v1_config(data)
     overlay.iterations = int(data["iterations"])
     overlay.round_link_changes = int(data["round_link_changes"])
     overlay._quiet_rounds = int(data["quiet_rounds"])
     overlay._lsh_seed = int(data["lsh_seed"])
-    # In place: ids and joined are the overlay's shared column storage
+    # In place: ids is the overlay's shared column storage
     # (PeerState views alias them); rebinding would silently detach every
     # peer from the restored values.
     overlay.ids[:] = np.asarray(data["ids"], dtype=np.float64)
     overlay.pending_ids[:] = np.asarray(data["pending_ids"], dtype=np.float64)
-    overlay.joined[:] = np.asarray(data["joined"], dtype=bool)
     overlay._ring_index.invalidate()
     overlay._incoming_sources = [set(srcs) for srcs in data["incoming_sources"]]
     overlay.incoming_count = np.array(
@@ -519,7 +578,7 @@ def restore(snapshot: dict, graph: "SocialGraph | None" = None):
     overlay = SelectOverlay(
         graph,
         k_links=int(data["k_links"]),
-        config=_config_from(data["config"]),
+        config=v1_config(data),
     )
     return restore_into(snapshot, overlay)
 

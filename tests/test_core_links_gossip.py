@@ -66,17 +66,12 @@ class TestExchange:
 
 
 class TestGossipPartner:
-    def test_only_joined_friends(self, rng):
+    def test_draws_a_friend(self, rng):
         peer = make_peer(0, [1, 2, 3])
-        joined = np.array([True, False, True, False])
-        for _ in range(20):
-            partner = select_gossip_partner(peer, joined, rng)
-            assert partner == 2
+        assert {select_gossip_partner(peer, rng) for _ in range(40)} == {1, 2, 3}
 
-    def test_none_when_no_friend_joined(self, rng):
-        peer = make_peer(0, [1, 2])
-        joined = np.zeros(3, dtype=bool)
-        assert select_gossip_partner(peer, joined, rng) is None
+    def test_none_without_friends(self, rng):
+        assert select_gossip_partner(make_peer(0, []), rng) is None
 
 
 class TestPicker:

@@ -101,7 +101,7 @@ class TestEvaluatePosition:
         teach(peer, 1, mutual=5)
         teach(peer, 2, mutual=4)
         ids = np.array([0.0, 0.30, 0.32, 0.5])
-        new = evaluate_position(peer, ids, merge_radius=0.05)
+        new = evaluate_position(peer, ids)
         assert new == pytest.approx(float(ring_midpoint(0.30, 0.32)))
 
     def test_stays_when_anchors_far_apart(self):
@@ -110,7 +110,7 @@ class TestEvaluatePosition:
         teach(peer, 1, mutual=5)
         teach(peer, 2, mutual=4)
         ids = np.array([0.0, 0.1, 0.6, 0.5])  # anchors 0.5 apart
-        assert evaluate_position(peer, ids, merge_radius=0.05) == 0.9
+        assert evaluate_position(peer, ids) == 0.9
 
     def test_improvement_gate_blocks_noise_moves(self):
         peer = make_peer()
@@ -143,6 +143,6 @@ class TestApplyReassignment:
     def test_counts_only_real_moves(self):
         peer = make_peer()
         peer.identifier = 0.5
-        assert not apply_reassignment(peer, 0.5 + 1e-9, tolerance=1e-3)
-        assert apply_reassignment(peer, 0.6, tolerance=1e-3)
+        assert not apply_reassignment(peer, 0.5 + 1e-9)
+        assert apply_reassignment(peer, 0.6)
         assert peer.identifier == 0.6

@@ -13,13 +13,13 @@ from repro.net.faults import FaultPlan, PingService
 @pytest.fixture(scope="module")
 def overlay():
     graph = load_dataset("facebook", num_nodes=100, seed=21)
-    cfg = SelectConfig(max_rounds=25, cma_min_observations=2, cma_threshold=0.5)
+    cfg = SelectConfig(max_rounds=25)
     return SelectOverlay(graph, config=cfg).build(seed=21)
 
 
 def fresh_overlay():
     graph = load_dataset("facebook", num_nodes=100, seed=21)
-    cfg = SelectConfig(max_rounds=25, cma_min_observations=2, cma_threshold=0.5)
+    cfg = SelectConfig(max_rounds=25)
     return SelectOverlay(graph, config=cfg).build(seed=21)
 
 
@@ -41,7 +41,7 @@ class TestRecoveryManager:
         )
         online[victim] = False
         manager.tick(online)
-        # One observation < cma_min_observations: kept, not replaced.
+        # One observation < CMA_MIN_OBSERVATIONS: kept, not replaced.
         assert victim in ov.tables[0].long_links or manager.replacements == 0
         assert manager.kept_unresponsive > 0
 

@@ -239,18 +239,18 @@ class TestOnlineBehavior:
         assert not ob.should_replace(42)
 
     def test_replace_after_enough_bad_observations(self):
-        ob = OnlineBehavior(threshold=0.5, min_observations=3)
+        ob = OnlineBehavior()
         for _ in range(3):
             ob.observe(7, False)
         assert ob.should_replace(7)
 
     def test_keep_before_min_observations(self):
-        ob = OnlineBehavior(threshold=0.5, min_observations=3)
+        ob = OnlineBehavior()
         ob.observe(7, False)
         assert not ob.should_replace(7)
 
     def test_keep_high_cma_contact(self):
-        ob = OnlineBehavior(threshold=0.5, min_observations=3)
+        ob = OnlineBehavior()
         for _ in range(10):
             ob.observe(7, True)
         ob.observe(7, False)
@@ -268,9 +268,3 @@ class TestOnlineBehavior:
         ob.observe(9, True)
         ob.observe(2, True)
         assert ob.tracked() == [2, 9]
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigurationError):
-            OnlineBehavior(threshold=1.5)
-        with pytest.raises(ConfigurationError):
-            OnlineBehavior(min_observations=0)

@@ -363,7 +363,7 @@ class TestEdgeColumnsStayInSync:
     @pytest.fixture(scope="class")
     def built(self):
         graph = load_dataset("facebook", num_nodes=100, seed=21)
-        cfg = SelectConfig(max_rounds=25, cma_min_observations=2)
+        cfg = SelectConfig(max_rounds=25)
         return SelectOverlay(graph, config=cfg).build(seed=21)
 
     def test_after_a_build(self, built):

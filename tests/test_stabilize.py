@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SelectConfig
+from repro.core.config import SUCCESSOR_LIST_LENGTH, SelectConfig
 from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
 from repro.core.stabilize import CatchUpStore, Stabilizer, _between, _closer_successor
@@ -64,7 +64,7 @@ class TestSuccessorLists:
             RingIndex(np.array([0.1, 0.2])).successor_matrix(0)
 
     def test_select_build_populates_lists(self, built_select):
-        r = built_select.config.successor_list_length
+        r = SUCCESSOR_LIST_LENGTH
         for table in built_select.tables:
             assert len(table.successors) == r
             assert table.successors[0] == table.successor
@@ -78,11 +78,11 @@ class TestSuccessorLists:
                 if backup not in table.long_links and backup != table.predecessor:
                     assert backup not in links
 
-    def test_config_validation(self):
+    def test_config_validation(self, built_select):
         with pytest.raises(ConfigurationError):
-            SelectConfig(successor_list_length=0)
+            Stabilizer(built_select, list_length=0)
         with pytest.raises(ConfigurationError):
-            SelectConfig(catchup_capacity=0)
+            CatchUpStore(built_select, capacity=0)
 
 
 def _closer_successor_reference(node, successor, candidates, ids, reachable):

@@ -18,6 +18,7 @@ from repro.experiments.cli import main
 from repro.persist import load, restore, snapshot_id
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import MetricsRegistry, Tracer, write_telemetry
+from repro.util.exceptions import PersistError
 from repro.validate import validate_path, validate_verdict
 
 SMALL = ["--num-nodes", "100", "--datasets", "facebook", "--seed", "7"]
@@ -272,15 +273,21 @@ RESTORED_PEER_KEYS = (
 )
 
 
-def _golden_without(key, tmp_path):
-    """A copy of the golden snapshot whose peers lack ``key``, re-signed so
-    only the schema check stands between it and ``restore``."""
+def _golden_edited(tmp_path, edit_state, edit_manifest=lambda m: None):
+    """A copy of the golden snapshot edited by ``edit_state`` (and
+    ``edit_manifest``), re-signed so only the checks behind the digest
+    stand between it and ``restore``."""
     path = shutil.copytree(GOLDEN, str(tmp_path / "snap"))
-    _edit(f"{path}/state.json", lambda s: [p.pop(key) for p in s["overlay"]["peers"]])
+    _edit(f"{path}/state.json", edit_state)
     with open(f"{path}/state.json", encoding="utf-8") as fh:
         digest = snapshot_id(json.load(fh))
-    _edit(f"{path}/manifest.json", lambda m: m.update(snapshot_id=digest))
+    _edit(f"{path}/manifest.json", lambda m: (edit_manifest(m), m.update(snapshot_id=digest)))
     return path
+
+
+def _golden_without(key, tmp_path):
+    """A re-signed golden copy whose peers lack ``key``."""
+    return _golden_edited(tmp_path, lambda s: [p.pop(key) for p in s["overlay"]["peers"]])
 
 
 @pytest.mark.parametrize("key", RESTORED_PEER_KEYS)
@@ -296,6 +303,36 @@ def test_stored_coverage_is_derived_and_not_required(tmp_path):
     path = _golden_without("known_coverage", tmp_path)
     assert validate_path(path) == []
     assert restore(load(path)).snapshot()["manifest"]["snapshot_id"] == "fface5de2c7c5b13"
+
+
+@pytest.mark.parametrize(
+    "changes, needle",
+    [
+        ({"fanout": 3}, "unknown key 'fanout'"),
+        ({"max_moves": 8}, "'max_moves' is 8; this code builds with 12"),
+        ({"reassign_ids": 1}, "'reassign_ids' must be bool"),
+        ({"max_rounds": 0}, "max_rounds must be >= 1"),
+    ],
+    ids=["unknown-key", "moved-constant", "mistyped-field", "invalid-field"],
+)
+def test_a_config_restore_refuses_is_a_schema_error(changes, needle, tmp_path, capsys):
+    path = _golden_edited(
+        tmp_path,
+        lambda s: s["overlay"]["config"].update(changes),
+        lambda m: m["config"].update(changes),
+    )
+    with pytest.raises(PersistError, match=needle):
+        restore(load(path))
+    assert main(["validate", path]) == 1
+    assert needle in capsys.readouterr().err
+
+
+def test_join_flags_must_equal_built(tmp_path, capsys):
+    path = _golden_edited(tmp_path, lambda s: s["overlay"]["peers"][5].update(joined=False))
+    with pytest.raises(PersistError, match="'joined' flags disagree with built=True"):
+        restore(load(path))
+    assert main(["validate", path]) == 1
+    assert "'joined' flags disagree" in capsys.readouterr().err
 
 
 def test_span_failing_its_own_check_is_left_out_of_chain_assembly(artifacts, tmp_path):

@@ -202,7 +202,6 @@ class TestEvaluatePositions:
                     anchor_pair[v, : len(pair)] = pair
                     anchor_target[v] = rng.random() * (0.03 if tight else 1.0)
         eligible = rng.random(n) < 0.8
-        cfg = SelectConfig()
 
         # Scalar reference on standalone PeerState views.
         peers = []
@@ -220,28 +219,14 @@ class TestEvaluatePositions:
             peers.append(p)
         expected = np.array(
             [
-                evaluate_position(
-                    peers[v],
-                    ids,
-                    tolerance=cfg.movement_tolerance,
-                    merge_radius=cfg.merge_radius,
-                )
+                evaluate_position(peers[v], ids)
                 if eligible[v]
                 else ids[v]
                 for v in range(n)
             ]
         )
 
-        pending = evaluate_positions(
-            ids,
-            top2,
-            anchor_pair,
-            anchor_target,
-            eligible,
-            degs,
-            tolerance=cfg.movement_tolerance,
-            merge_radius=cfg.merge_radius,
-        )
+        pending = evaluate_positions(ids, top2, anchor_pair, anchor_target, eligible, degs)
         assert np.array_equal(pending, expected)
         # The gate memory written by the kernel matches the scalar writes.
         for v in range(n):
@@ -278,30 +263,21 @@ class TestDrawPartners:
     @given(
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=0, max_value=2**31 - 1),
-        st.integers(min_value=1, max_value=3),
-        st.booleans(),
     )
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_matches_sequential_draws(self, n, seed, e, partial):
-        setup = np.random.default_rng(seed)
-        indptr, indices, rows = _random_csr(setup, n)
-        joined = setup.random(n) < 0.7 if partial else np.ones(n, dtype=bool)
+    def test_matches_sequential_draws(self, n, seed):
+        indptr, indices, rows = _random_csr(np.random.default_rng(seed), n)
 
         rng_vec = np.random.default_rng(123)
-        actives, partners = draw_partners(indptr, indices, joined, rng_vec, e)
+        actives, partners = draw_partners(indptr, indices, rng_vec)
 
         rng_ref = np.random.default_rng(123)
         exp_actives, exp_partners = [], []
         for v in range(n):
-            if not joined[v]:
-                continue
-            cands = rows[v][joined[rows[v]]] if partial else rows[v]
-            if len(cands) == 0:
+            if len(rows[v]) == 0:
                 continue
             exp_actives.append(v)
-            exp_partners.append(
-                [int(cands[int(rng_ref.integers(len(cands)))]) for _ in range(e)]
-            )
+            exp_partners.append(int(rows[v][int(rng_ref.integers(len(rows[v])))]))
         assert actives.tolist() == exp_actives
         assert partners.tolist() == exp_partners
         # Same stream position afterwards.
@@ -527,7 +503,7 @@ class TestExchangeOracle:
                 for ov in (batch, paired):
                     self._mutate(ov, kind, np.random.default_rng(link_seed + rnd // 2))
                 fp, fq = rounds.exchange_phase(batch, streams[0])
-                rp, rq = rounds.draw_pairs(paired, streams[1])
+                rp, rq = draw_partners(paired._nbr_indptr, paired._nbr_indices, streams[1])
                 assert np.array_equal(fp, rp) and np.array_equal(fq, rq)
                 for p, q in zip(rp.tolist(), rq.tolist()):
                     exchange(paired.peers[p], paired.peers[q])
