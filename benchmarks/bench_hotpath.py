@@ -1,4 +1,4 @@
-"""Scale curve: build-to-quiescence time and peak RSS at each network size.
+"""Scale curve: generation and build-to-quiescence time and peak RSS at each network size.
 
 What ``benchmarks/suite/`` cannot run inside its 30-second workloads (it
 has routing throughput, round time and the 2k build): one construction per
@@ -61,8 +61,10 @@ def _forked(fn, *args):
 
 
 def run_scale(num_nodes: int, seed: int, dataset: str, max_rounds: int) -> dict:
-    """Build the overlay at one scale; one ``scales[]`` entry."""
+    """Generate the graph and build the overlay at one scale; one ``scales[]`` entry."""
+    start = time.perf_counter()
     graph = load_dataset(dataset, num_nodes=num_nodes, seed=seed)
+    generate_seconds = time.perf_counter() - start
     overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=max_rounds))
     start = time.perf_counter()
     overlay.build(seed=seed)
@@ -72,6 +74,7 @@ def run_scale(num_nodes: int, seed: int, dataset: str, max_rounds: int) -> dict:
     return {
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,
+        "generate_seconds": generate_seconds,
         "build_seconds": build_seconds,
         "gossip_rounds": overlay.iterations,
         # The build's own quiescence test, as `select-repro build` reports it.
@@ -82,7 +85,8 @@ def run_scale(num_nodes: int, seed: int, dataset: str, max_rounds: int) -> dict:
 
 
 REQUIRED_SCALE_FIELDS = (
-    "num_nodes", "num_edges", "build_seconds", "gossip_rounds", "peak_rss_kb", "kib_per_peer",
+    "num_nodes", "num_edges", "generate_seconds", "build_seconds", "gossip_rounds", "peak_rss_kb",
+    "kib_per_peer",
 )
 
 
@@ -149,7 +153,8 @@ def main(argv=None) -> int:
         scales.append(entry)
         outcome = "converged in" if entry["converged"] else "CAPPED at"
         print(
-            f"scale {entry['num_nodes']:>7} nodes : {entry['build_seconds']:.3f}s build, {outcome} "
+            f"scale {entry['num_nodes']:>7} nodes : {entry['generate_seconds']:.3f}s generate, "
+            f"{entry['build_seconds']:.3f}s build, {outcome} "
             f"{entry['gossip_rounds']} rounds, {entry['peak_rss_kb'] / 1024:.0f} MiB peak "
             f"({entry['kib_per_peer']:.1f} KiB/peer)"
         )

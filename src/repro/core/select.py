@@ -76,10 +76,10 @@ class SelectOverlay(OverlayNetwork):
         #: shared per-peer scalar state; ``identifier`` aliases ``self.ids``
         #: so the kernels and the object API mutate the same storage.
         self.columns = PeerColumns(n, identifier=self.ids)
-        # CSR of the social neighborhoods in each peer's own candidate
+        # The graph's CSR: each peer's sorted neighborhood is its candidate
         # order (what the per-peer partner draw indexes into).
         self._degs = graph.degrees
-        self._nbr_indptr = np.concatenate(([0], np.cumsum(self._degs)))
+        self._nbr_indptr, self._nbr_indices = graph.csr
         #: Algs. 5-6's per-friend inputs, one slot per CSR edge.
         self.edge_columns = EdgeColumns(int(self._nbr_indptr[-1]))
         self.peers = [
@@ -101,11 +101,6 @@ class SelectOverlay(OverlayNetwork):
         self._lsh_seed = 0
         self.trace = TraceRecorder()
         self.join_events: list[JoinEvent] = []
-        self._nbr_indices = (
-            np.concatenate([p.neighborhood for p in self.peers])
-            if n and self._nbr_indptr[-1]
-            else np.zeros(0, dtype=np.int64)
-        )
         self._xkernel = ExchangeKernel(self._nbr_indptr, self._nbr_indices)
         # Bandwidth evictions found mid-round are applied at the round
         # barrier while a build runs (True), immediately otherwise.

@@ -6,7 +6,10 @@ Two ingredients of the real datasets drive the paper's results:
 * community structure / high clustering (friends of friends are friends),
   which is what lets SELECT pack a user's friends into one ID region.
 
-:func:`powerlaw_cluster_graph` (Holme–Kim) provides both;
+:func:`powerlaw_cluster_graph` (Holme–Kim) provides both. It is grown here
+on the same ``random.Random`` stream, in the same draw order, as networkx
+3.x's ``powerlaw_cluster_graph``: networkx's graph edge for edge, without
+its O(degree) triangle step or networkx itself.
 :func:`community_graph` composes dense planted communities with sparse
 inter-community bridges for workloads where explicit communities are wanted;
 :func:`random_graph` (Erdős–Rényi) is the structure-free control.
@@ -14,7 +17,8 @@ inter-community bridges for workloads where explicit communities are wanted;
 
 from __future__ import annotations
 
-import networkx as nx
+import random
+
 import numpy as np
 
 from repro.graphs.graph import SocialGraph
@@ -25,7 +29,7 @@ __all__ = ["powerlaw_cluster_graph", "community_graph", "random_graph"]
 
 
 def _seed_int(rng: np.random.Generator) -> int:
-    """networkx wants an int seed; derive one from our generator."""
+    """The int seed of the ``random.Random`` stream, from our generator."""
     return int(rng.integers(0, 2**31 - 1))
 
 
@@ -48,9 +52,64 @@ def powerlaw_cluster_graph(
         raise ConfigurationError(f"triangle_prob must be in [0, 1], got {triangle_prob}")
     rng = as_generator(seed)
     m = max(1, min(int(round(avg_degree / 2.0)), num_nodes - 1))
-    g = nx.powerlaw_cluster_graph(num_nodes, m, triangle_prob, seed=_seed_int(rng))
-    graph = SocialGraph.from_networkx(g, name=name)
-    return graph.largest_component()
+    # Connected as grown: every node after the first m links to earlier ones.
+    edges = _holme_kim_edges(num_nodes, m, triangle_prob, random.Random(_seed_int(rng)))
+    return SocialGraph(num_nodes, edges, name=name)
+
+
+class _OpenNeighbors:
+    """``row`` without the positions in ``closed`` (sorted), as a sequence."""
+
+    def __init__(self, row: list, closed: list):
+        self.row, self.closed = row, closed
+
+    def __len__(self) -> int:
+        return len(self.row) - len(self.closed)
+
+    def __getitem__(self, k: int) -> int:
+        for position in self.closed:  # the k-th open slot lies past each closed one <= k
+            k += position <= k
+        return self.row[k]
+
+
+def _holme_kim_edges(n: int, m: int, p: float, rnd: random.Random) -> np.ndarray:
+    """Edges of networkx's ``powerlaw_cluster_graph(n, m, p, seed=rnd)``.
+
+    Draw for draw networkx's: ``_random_subset``'s ``choice`` calls and set
+    pops, the triangle coin, and the ``choice`` among the target's neighbours
+    (insertion order) not linked to the source, which skips the <= m
+    positions the source's links hold instead of listing the row.
+    """
+    rows: list[list[int]] = [[] for _ in range(n)]  # neighbours, insertion order
+    where: list[dict[int, int]] = [{} for _ in range(n)]  # neighbour -> position
+    repeated = list(range(m))
+    flat: list[int] = []
+
+    def link(v: int) -> None:  # source -- v
+        repeated.append(v)
+        if v not in where[source]:
+            where[source][v], where[v][source] = len(rows[source]), len(rows[v])
+            rows[source].append(v)
+            rows[v].append(source)
+            flat.extend((source, v))
+
+    for source in range(m, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rnd.choice(repeated))
+        target = targets.pop()
+        link(target)
+        for _ in range(m - 1):
+            if rnd.random() < p:
+                index = where[target]
+                closed = sorted(index[x] for x in (source, *rows[source]) if x in index)
+                if len(rows[target]) > len(closed):
+                    link(rnd.choice(_OpenNeighbors(rows[target], closed)))
+                    continue
+            target = targets.pop()
+            link(target)
+        repeated.extend([source] * m)
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
 def community_graph(
@@ -74,12 +133,11 @@ def community_graph(
         )
     rng = as_generator(seed)
     membership = rng.integers(0, num_communities, size=num_nodes)
-    # Expected-degree -> edge probability per pair category.
+    # Expected degree -> intra-block edge probability.
     sizes = np.bincount(membership, minlength=num_communities).astype(np.float64)
     edges: set[tuple[int, int]] = set()
     mean_size = max(float(sizes.mean()), 2.0)
     p_intra = min(1.0, intra_degree / mean_size)
-    p_inter = min(1.0, inter_degree / max(num_nodes - mean_size, 1.0))
     # Sample intra-community edges block by block (blocks are small).
     order = np.argsort(membership, kind="stable")
     boundaries = np.searchsorted(membership[order], np.arange(num_communities))
@@ -103,7 +161,6 @@ def community_graph(
         v = int(rng.integers(num_nodes))
         if u != v and membership[u] != membership[v]:
             edges.add((min(u, v), max(u, v)))
-    _ = p_inter  # probability retained for documentation; sampling is count-based
     graph = SocialGraph(num_nodes, edges, name=name)
     return graph.largest_component()
 
@@ -112,6 +169,8 @@ def random_graph(num_nodes: int, avg_degree: float, seed=None, name: str = "rand
     """Erdős–Rényi G(n, p) control with expected degree ``avg_degree``."""
     if num_nodes < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {num_nodes}")
+    import networkx as nx
+
     rng = as_generator(seed)
     p = min(1.0, avg_degree / max(num_nodes - 1, 1))
     g = nx.fast_gnp_random_graph(num_nodes, p, seed=_seed_int(rng))

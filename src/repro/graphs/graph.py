@@ -1,9 +1,9 @@
 """The :class:`SocialGraph` container.
 
-A compact, immutable undirected graph over integer node ids ``0..n-1``.
-Both set-based and array-based neighbor views are precomputed because the
-two consumers differ: social-strength computation wants set intersections,
-while vectorized metrics want numpy arrays.
+A compact, immutable undirected graph over integer node ids ``0..n-1``,
+stored as CSR arrays with each row sorted. Vectorized metrics and the
+overlay's kernels read the arrays; social-strength computation wants set
+intersections, so each node's friend set is made on first use and kept.
 """
 
 from __future__ import annotations
@@ -25,39 +25,34 @@ class SocialGraph:
     num_nodes:
         Number of social users. Node ids are dense integers.
     edges:
-        Iterable of ``(u, v)`` pairs. Self-loops and duplicates are
-        rejected so that degree counts stay meaningful.
+        ``(u, v)`` pairs, as an iterable or an ``(E, 2)`` integer array.
+        Self-loops and out-of-range ids are rejected; duplicate listings
+        of an edge, in either direction, count once.
     name:
         Optional human-readable label (dataset name).
     """
 
-    __slots__ = ("_n", "_adj_sets", "_adj_arrays", "_degrees", "_num_edges", "name")
+    __slots__ = ("_n", "_indptr", "_indices", "_degrees", "_sets", "name")
 
-    def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]], name: str = "graph"):
+    def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]] | np.ndarray, name: str = "graph"):
         if num_nodes <= 0:
             raise DatasetError(f"graph needs at least one node, got {num_nodes}")
-        self._n = int(num_nodes)
+        n = self._n = int(num_nodes)
         self.name = name
-        adj: list[set[int]] = [set() for _ in range(self._n)]
-        count = 0
-        for u, v in edges:
-            u = int(u)
-            v = int(v)
-            if u == v:
-                raise DatasetError(f"self-loop on node {u} is not a social connection")
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise DatasetError(f"edge ({u}, {v}) out of range for n={self._n}")
-            if v in adj[u]:
-                continue  # tolerate duplicate listings of the same edge
-            adj[u].add(v)
-            adj[v].add(u)
-            count += 1
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._adj_arrays: tuple[np.ndarray, ...] = tuple(
-            np.fromiter(sorted(s), dtype=np.int64, count=len(s)) for s in adj
-        )
-        self._degrees = np.array([len(s) for s in adj], dtype=np.int64)
-        self._num_edges = count
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        u, v = pairs.reshape(-1, 2).T
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+        for a, b in zip(u[bad][:1].tolist(), v[bad][:1].tolist()):  # the first bad edge
+            if a == b:
+                raise DatasetError(f"self-loop on node {a} is not a social connection")
+            raise DatasetError(f"edge ({a}, {b}) out of range for n={n}")
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        rows, self._indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        self._degrees = np.bincount(rows, minlength=n)
+        self._indptr = np.concatenate(([0], np.cumsum(self._degrees)))
+        for array in (self._indptr, self._indices, self._degrees):
+            array.setflags(write=False)
+        self._sets: list[frozenset[int] | None] = [None] * n
 
     # -- basic accessors ---------------------------------------------------
 
@@ -69,28 +64,37 @@ class SocialGraph:
     @property
     def num_edges(self) -> int:
         """Number of undirected friendship edges."""
-        return self._num_edges
+        return len(self._indices) // 2
 
     @property
     def degrees(self) -> np.ndarray:
-        """Read-only degree vector (do not mutate)."""
+        """Read-only degree vector."""
         return self._degrees
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(indptr, indices)``; row ``u`` holds ``u``'s sorted friends."""
+        return self._indptr, self._indices
 
     def degree(self, u: int) -> int:
         """Degree of node ``u``."""
         return int(self._degrees[u])
 
     def neighbors(self, u: int) -> np.ndarray:
-        """Sorted array of ``u``'s friends."""
-        return self._adj_arrays[u]
+        """Sorted array of ``u``'s friends (a read-only view)."""
+        return self._indices[self._indptr[u] : self._indptr[u + 1]]
 
     def neighbor_set(self, u: int) -> frozenset[int]:
         """Frozen set of ``u``'s friends (for O(1) membership tests)."""
-        return self._adj_sets[u]
+        friends = self._sets[u]
+        if friends is None:
+            # Filled in sorted order, then frozen: the order it always iterated in.
+            friends = self._sets[u] = frozenset(set(self.neighbors(u).tolist()))
+        return friends
 
     def has_edge(self, u: int, v: int) -> bool:
         """True when ``u`` and ``v`` are friends."""
-        return v in self._adj_sets[u]
+        return v in self.neighbor_set(u)
 
     def average_degree(self) -> float:
         """Mean friend count."""
@@ -98,20 +102,19 @@ class SocialGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate each undirected edge once, as ``(u, v)`` with ``u < v``."""
-        for u in range(self._n):
-            for v in self._adj_arrays[u]:
-                if u < v:
-                    yield (u, int(v))
+        rows = np.repeat(np.arange(self._n), self._degrees)
+        upper = rows < self._indices
+        return zip(rows[upper].tolist(), self._indices[upper].tolist())
 
     def mutual_friends(self, u: int, v: int) -> int:
         """Number of common friends of ``u`` and ``v``."""
-        return len(self._adj_sets[u] & self._adj_sets[v])
+        return len(self.neighbor_set(u) & self.neighbor_set(v))
 
     def __len__(self) -> int:
         return self._n
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SocialGraph(name={self.name!r}, nodes={self._n}, edges={self._num_edges})"
+        return f"SocialGraph(name={self.name!r}, nodes={self._n}, edges={self.num_edges})"
 
     # -- constructors ------------------------------------------------------
 
@@ -133,30 +136,33 @@ class SocialGraph:
         return g
 
     def largest_component(self) -> "SocialGraph":
-        """Restrict to the largest connected component (relabelled)."""
-        seen = np.zeros(self._n, dtype=bool)
-        best: list[int] = []
+        """Restrict to the largest connected component (relabelled).
+
+        ``self`` when connected. Of equal-size components, the one holding
+        the smallest node id is kept.
+        """
+        label = np.full(self._n, -1, dtype=np.int64)
+        sizes: list[int] = []
         for start in range(self._n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            component = [start]
-            while stack:
-                u = stack.pop()
-                for v in self._adj_arrays[u]:
-                    v = int(v)
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-                        component.append(v)
-            if len(component) > len(best):
-                best = component
-        index = {node: i for i, node in enumerate(sorted(best))}
-        keep = set(best)
-        edges = (
-            (index[u], index[v])
-            for u, v in self.edges()
-            if u in keep and v in keep
-        )
-        return SocialGraph(len(best), edges, name=self.name)
+            if label[start] < 0:
+                sizes.append(self._flood(label, start, len(sizes)))
+                if sizes[0] == self._n:
+                    return self
+        keep = label == int(np.argmax(sizes))
+        new_id, inside = np.cumsum(keep) - 1, np.repeat(keep, self._degrees)
+        rows = np.repeat(new_id, self._degrees)[inside]
+        pairs = np.stack((rows, new_id[self._indices[inside]]), axis=1)
+        return SocialGraph(int(keep.sum()), pairs, name=self.name)
+
+    def _flood(self, label: np.ndarray, start: int, mark: int) -> int:
+        """Label ``start``'s component ``mark`` by frontier BFS; its size."""
+        label[start] = mark
+        frontier, size = np.array([start]), 1
+        while frontier.size:
+            counts = self._degrees[frontier]
+            starts = np.repeat(self._indptr[frontier] - np.cumsum(counts) + counts, counts)
+            reached = self._indices[starts + np.arange(int(counts.sum()))]
+            frontier = np.unique(reached[label[reached] < 0])
+            label[frontier] = mark
+            size += frontier.size
+        return size

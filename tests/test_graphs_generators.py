@@ -1,10 +1,68 @@
 """Synthetic graph generators."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
+import networkx as nx
+import numpy as np
 import pytest
 
+import repro
+from repro.graphs.datasets import DATASETS, load_dataset
 from repro.graphs.generators import community_graph, powerlaw_cluster_graph, random_graph
+from repro.graphs.graph import SocialGraph
 from repro.graphs.stats import graph_stats
+from repro.persist.snapshot import graph_fingerprint
 from repro.util.exceptions import ConfigurationError
+
+
+def networkx_reference(n: int, m: int, p: float, seed: int) -> SocialGraph:
+    """networkx's Holme–Kim graph, seeded as ``powerlaw_cluster_graph`` seeds its stream."""
+    nx_seed = int(np.random.default_rng(seed).integers(0, 2**31 - 1))
+    return SocialGraph.from_networkx(nx.powerlaw_cluster_graph(n, m, p, seed=nx_seed)).largest_component()
+
+
+#: (n, m, p): every profile's m and triangle probability, m = 1, p = 0 and p = 1.
+GRID = [
+    (400, max(1, round(profile.synthetic_avg_degree / 2)), profile.triangle_prob)
+    for profile in DATASETS.values()
+] + [(300, 1, 0.7), (300, 5, 0.0), (300, 5, 1.0)]
+
+
+class TestSameGraphAsNetworkx:
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    @pytest.mark.parametrize("n,m,p", GRID)
+    def test_edge_for_edge(self, n, m, p, seed):
+        expected = networkx_reference(n, m, p, seed)
+        graph = powerlaw_cluster_graph(n, 2 * m, triangle_prob=p, seed=seed)
+        assert graph.num_nodes == expected.num_nodes
+        for v in range(n):
+            assert graph.neighbors(v).tolist() == expected.neighbors(v).tolist(), v
+            # Set iteration order feeds the build, so it is part of the graph.
+            assert list(graph.neighbor_set(v)) == list(expected.neighbor_set(v)), v
+        assert graph_fingerprint(graph) == graph_fingerprint(expected)
+
+    @pytest.mark.parametrize("num_nodes,fingerprint", [(2000, "a8433afd4c05e1d2"), (64, "bc7df6acf4db5613")])
+    def test_facebook_fingerprints_pinned(self, num_nodes, fingerprint):
+        assert graph_fingerprint(load_dataset("facebook", num_nodes, seed=7)) == fingerprint
+
+    def test_neighbor_set_order_pinned(self):
+        # The order the build iterates friend sets in, as networkx-era graphs had it.
+        graph = load_dataset("facebook", 2000, seed=7)
+        orders = repr([list(graph.neighbor_set(v)) for v in range(graph.num_nodes)])
+        assert hashlib.sha256(orders.encode()).hexdigest()[:12] == "478c9f4d85f1"
+
+
+def test_import_leaves_networkx_and_csgraph_out():
+    code = (
+        "import sys, repro; repro.load_dataset('facebook', 500, seed=1); "
+        "print([m for m in ('networkx', 'scipy.sparse.csgraph') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestPowerlawCluster:

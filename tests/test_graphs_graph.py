@@ -89,8 +89,26 @@ class TestLargestComponent:
         lcc = g.largest_component()
         assert set(range(lcc.num_nodes)) == {0, 1, 2}
 
+    def test_connected_graph_is_returned_as_is(self, tiny_graph):
+        assert tiny_graph.largest_component() is tiny_graph
+
+    def test_tie_keeps_component_of_smallest_node(self):
+        # {1, 4, 5} and {0, 2, 3}: three nodes each; node 0 decides.
+        lcc = SocialGraph(6, [(1, 4), (4, 5), (2, 3), (0, 3)]).largest_component()
+        assert list(lcc.edges()) == [(0, 2), (1, 2)]
+
+    def test_isolated_nodes_dropped(self):
+        lcc = SocialGraph(6, [(5, 4), (1, 3), (3, 4)]).largest_component()
+        assert lcc.num_nodes == 4
+        assert list(lcc.edges()) == [(0, 1), (1, 2), (2, 3)]
+
 
 class TestImmutability:
+    def test_arrays_are_read_only(self, tiny_graph):
+        for array in (tiny_graph.degrees, tiny_graph.neighbors(2), *tiny_graph.csr):
+            with pytest.raises(ValueError):
+                array[0] = 9
+
     def test_degrees_is_view_of_internal_state(self, tiny_graph):
         degrees = tiny_graph.degrees
         assert isinstance(degrees, np.ndarray)

@@ -48,6 +48,16 @@ class TestLoadEdgeList:
         g = load_edge_list(write(tmp_path, text), max_nodes=10)
         assert g.num_nodes <= 10
 
+    def test_max_nodes_graph_pinned(self, tmp_path):
+        # Ids in first-seen order 10..100 (90's self-loop never counts);
+        # 110 and 120 fall past max_nodes, {40, 50, 60} and {100} are smaller.
+        text = "10 20\n20 30\n30 10\n40 50\n50 60\n20 70\n70 80\n90 90\n10 20\n60 40\n100 110\n80 10\n110 120\n"
+        g = load_edge_list(write(tmp_path, text), max_nodes=9)
+        assert list(g.edges()) == [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (3, 4)]
+        assert [list(g.neighbor_set(v)) for v in range(g.num_nodes)] == [
+            [1, 2, 4], [0, 2, 3], [0, 1], [1, 4], [0, 3]
+        ]
+
     def test_name_from_filename(self, tmp_path):
         g = load_edge_list(write(tmp_path, "0 1\n", name="facebook_combined.txt"))
         assert g.name == "facebook_combined"
