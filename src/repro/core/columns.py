@@ -12,7 +12,7 @@ columns wholesale.
 A standalone ``PeerState`` (tests, scratch construction) owns a private
 one-slot block — identical code path, no branching on "bound or not".
 
-:class:`EdgeColumns` holds Algs. 5–6's per-friend inputs the same way.
+:class:`EdgeColumns` holds what each peer knows of each friend the same way.
 """
 
 from __future__ import annotations
@@ -69,22 +69,39 @@ class PeerColumns:
 
 
 class EdgeColumns:
-    """Algs. 5–6's inputs per known friend, aligned with the social CSR.
+    """What each peer knows about each friend, aligned with the social CSR.
 
     Peer ``p``'s knowledge of ``neighborhood[i]`` sits at ``offset_p + i``
-    (in an overlay ``_nbr_indptr[p] + i``, the edge's slot in the
-    :class:`~repro.core.vectorized.ExchangeKernel` key table): ``key`` is
-    :func:`~repro.core.picker.packed_key` of the friend's bitmap coverage,
-    ``bucket`` the bitmap's LSH bucket, ``-1`` = not learned yet. Both are
-    pure functions of ``PeerState.known_bitmap[friend]`` and this is the
-    only place they are cached: :meth:`PeerState._cache_edge` writes a slot
-    when the bitmap is learned, forgotten or restored, the per-peer planner
-    reads it through ``bucket_of`` and :func:`~repro.core.vectorized.plan_round`
-    reads the columns whole.
-    """
+    (``_nbr_indptr[p] + i`` in an overlay): the mutual count, the bitmap, the
+    link view it came from and that view's ``view_version`` (``seen``), a
+    learn stamp for the count and one for the bitmap (``forget_peer`` drops
+    only the bitmap), and the bitmap's Alg. 6 ``key`` and LSH ``bucket``;
+    ``-1`` / ``None`` = not learned."""
 
-    __slots__ = ("key", "bucket")
+    __slots__ = (
+        "key", "bucket", "mutual", "bitmap", "view",
+        "mutual_stamp", "bitmap_stamp", "seen", "clock",
+    )
 
     def __init__(self, size: int):
         self.key = np.full(size, -1, dtype=np.int64)
         self.bucket = np.full(size, -1, dtype=np.int16)
+        self.mutual = np.full(size, -1, dtype=np.int32)
+        self.bitmap = np.full(size, None, dtype=object)
+        self.view = np.full(size, None, dtype=object)
+        self.mutual_stamp = np.full(size, -1, dtype=np.int64)
+        self.bitmap_stamp = np.full(size, -1, dtype=np.int64)
+        self.seen = np.full(size, -1, dtype=np.int64)
+        self.clock = 0
+
+    def stamps(self, count: int) -> np.ndarray:
+        """``count`` fresh learn stamps, ascending."""
+        self.clock += count
+        return np.arange(self.clock - count, self.clock, dtype=np.int64)
+
+    def clear(self, lo: int, hi: int) -> None:
+        """Forget everything in slots ``lo:hi``."""
+        for col in (self.key, self.bucket, self.mutual, self.mutual_stamp, self.bitmap_stamp):
+            col[lo:hi] = -1
+        self.seen[lo:hi] = -1
+        self.bitmap[lo:hi] = self.view[lo:hi] = None

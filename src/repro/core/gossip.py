@@ -38,12 +38,7 @@ def exchange(p: PeerState, q: PeerState) -> None:
       friend ``i``,
     * both peers' lookahead sets record the other's current links.
     """
-    # Mutual-friend counts are static for a fixed social graph, so a
-    # re-exchange (the common case once gossip warms up) reuses the count
-    # learned the first time instead of re-intersecting the neighborhoods.
-    mutual = p.known_mutual.get(q.node)
-    if mutual is None:
-        mutual = len(p.neighborhood_set & q.neighborhood_set)
+    mutual = len(np.intersect1d(p.neighborhood, q.neighborhood, assume_unique=True))
     # Cached views: exchanges only read the link sets, and every round
     # runs one per peer, so the fresh-copy allocation was pure overhead.
     q_links = q.table.link_view()
@@ -52,8 +47,8 @@ def exchange(p: PeerState, q: PeerState) -> None:
     # and symmetric bitmap of p's links over q's neighborhood (M').
     bitmap_for_p = p.codec.encode(q_links)
     bitmap_for_q = q.codec.encode(p_links)
-    p.learn_exchange(q.node, mutual, bitmap_for_p, q_links)
-    q.learn_exchange(p.node, mutual, bitmap_for_q, p_links)
+    p.learn_exchange(q.node, mutual, bitmap_for_p, q_links, q.table.view_version)
+    q.learn_exchange(p.node, mutual, bitmap_for_q, p_links, p.table.view_version)
 
 
 def select_gossip_partner(peer: PeerState, rng: np.random.Generator) -> "int | None":

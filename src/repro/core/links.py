@@ -7,35 +7,25 @@ drops already-established links that landed in the same bucket as the
 chosen peer — they cover the same zone of the neighborhood and are
 therefore redundant.
 
-A bucket is hashed once, when :class:`~repro.core.peer.PeerState` learns
-the bitmap, and cached in the peer's edge-column slot, so one round of
-``createLinks`` is a grouping pass with no hashing. These per-peer passes
-are the reference :func:`repro.core.vectorized.plan_round` is tested
-against and a build's re-plan for the few peers the live ledger outdated.
+A bucket is hashed once, when the peer learns the bitmap, and cached in
+the peer's edge-column slot, so one round of ``createLinks`` is a
+grouping pass with no hashing. These per-peer passes are the reference
+:func:`repro.core.vectorized.plan_round` is tested against and a build's
+re-plan for the few peers the live ledger outdated.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from repro.core.peer import PeerState
-from repro.core.picker import KEY_FIELD, packed_key, picker
+from repro.core.picker import KEY_FIELD, picker
 
 __all__ = ["create_links", "plan_links", "apply_plan", "random_links"]
-
-
-def _bucket_groups(peer: PeerState) -> dict:
-    """The LSH grouping Algorithm 5 iterates: known friends by bucket."""
-    buckets: dict = defaultdict(list)
-    bucket_of = peer.bucket_of
-    for friend in peer.known_bitmap:
-        if friend != peer.node:
-            buckets[bucket_of(friend)].append(friend)
-    return buckets
 
 
 def create_links(
@@ -80,12 +70,11 @@ def create_links(
             return False
         return apply_plan(peer.table.long_links, peer.node, *plan, try_connect, disconnect)
 
-    if not peer.known_bitmap:
+    rows, coverage, buckets = peer.known_rows()
+    if not rows:
         return False
-    buckets = _bucket_groups(peer)
     changed = False
     table = peer.table
-    coverage = peer.known_coverage
     for _, members in sorted(buckets.items()):
         chosen = picker(members, coverage, upload_mbps)
         chosen = _stability_bias(table.long_links, members, chosen, hysteresis, coverage)
@@ -104,7 +93,7 @@ def create_links(
             table.long_links.discard(other)
             disconnect(peer.node, other)
             changed = True
-    if _fill_remaining_budget(peer, k_links, try_connect, coverage):
+    if _fill_remaining_budget(peer, k_links, try_connect, rows):
         changed = True
     return changed
 
@@ -131,13 +120,13 @@ def plan_links(
     whose batch plan the live ledger outdated. Only valid without a
     bandwidth model (admission must be a pure predicate over the ledger).
     """
-    if not peer.known_bitmap:
+    rows, coverage, buckets = peer.known_rows()
+    if not rows:
         return None
     table = peer.table
-    coverage = peer.known_coverage
     current = table.long_links
     virtual = set(current)
-    for _, members in sorted(_bucket_groups(peer).items()):
+    for _, members in sorted(buckets.items()):
         chosen = picker(members, coverage)
         if chosen not in virtual and len(members) > 1:
             chosen = _stability_bias(virtual, members, chosen, hysteresis, coverage)
@@ -157,12 +146,11 @@ def plan_links(
         # Budget fill, planned: every pre-filtered candidate is
         # admissible, so the pops of the mutating pass's heap reduce to
         # the ``need`` smallest keys (unique ints: a sorted slice).
-        known = np.fromiter(peer.known_bitmap, dtype=np.int64, count=len(peer.known_bitmap))
-        cands = known[incoming_count[known] < k_links].tolist()
         # Links virtually dropped above stay admissible even when the
         # target reads full: the ledger still charges our slot there.
-        cands += [w for w in current if w not in virtual and incoming_count[w] >= k_links]
-        for key in sorted(_fill_keys(peer, cands, virtual, coverage))[:need]:
+        full = (incoming_count[list(coverage)] >= k_links).tolist()
+        wanted = [not f_full or f in current for f, f_full in zip(coverage, full)]
+        for key in sorted(_fill_keys(rows, virtual, wanted))[:need]:
             virtual.add(key & KEY_FIELD)
     if virtual == current:
         return None
@@ -209,7 +197,7 @@ def _stability_bias(long_links, members, chosen: int, hysteresis: int, coverage)
     return chosen if gain >= hysteresis else best_existing
 
 
-def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect, coverage) -> bool:
+def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect, rows) -> bool:
     """Spend leftover link budget on friends not yet covered in <= 2 hops.
 
     Early in construction most friendship bitmaps are near-empty and
@@ -220,12 +208,12 @@ def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect, coverage)
     coverage the most: uncovered friends first, richer bitmaps first.
     """
     table = peer.table
-    if len(table.long_links) >= k_links or not peer.known_bitmap:
+    if len(table.long_links) >= k_links:
         return False
     # Heap instead of a full sort: the remaining budget is usually a
     # handful of slots, so only the best few candidates are ever popped.
     node = peer.node
-    heap = _fill_keys(peer, peer.known_bitmap, table.long_links, coverage)
+    heap = _fill_keys(rows, table.long_links)
     heapq.heapify(heap)
     changed = False
     while heap and len(table.long_links) < k_links:
@@ -236,29 +224,23 @@ def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect, coverage)
     return changed
 
 
-def _fill_keys(peer: PeerState, candidates, links, coverage) -> "list[int]":
-    """Budget-fill sort keys of the ``candidates`` outside ``links``.
+def _fill_keys(rows, links, wanted=None) -> "list[int]":
+    """Budget-fill sort keys of the ``known_rows`` outside ``links`` (and ``wanted``).
 
     The 2-hop cover is one int bitset — the OR of the links' friendship
     bitmaps — tested by bit position instead of decoding friend sets.
-    Keys are Algorithm 6's packed ``(coverage desc, id asc)`` ints with a
-    *covered* flag above both fields, so uncovered friends sort first and
-    richer bitmaps first among them.
+    Keys are the slots' Algorithm 6 packed ``(coverage desc, id asc)``
+    ints with a *covered* flag above both fields, so uncovered friends
+    sort first and richer bitmaps first among them.
     """
-    known_bitmap = peer.known_bitmap
     cover = 0
-    for w in links:
-        bitmap = known_bitmap.get(w)
-        if bitmap is not None:
+    for _, f, _, bitmap in rows:
+        if f in links:
             cover |= bitmap
-    pos_get = peer.codec.position.get
-    node = peer.node
-    # A candidate outside the neighbourhood (no position) is never covered.
     return [
-        packed_key(f, coverage[f])
-        | (1 << 62 if (i := pos_get(f)) is not None and (cover >> i) & 1 else 0)
-        for f in candidates
-        if f != node and f not in links
+        key | (cover >> i & 1) << 62
+        for (key, f, i, _), want in zip(rows, wanted or repeat(True))
+        if want and f not in links
     ]
 
 
@@ -273,7 +255,8 @@ def random_links(
     Replaces the LSH bucketing so experiments can isolate its effect; the
     incoming cap and budget still apply.
     """
-    known = [f for f in peer.known_bitmap if f != peer.node]
+    # Learn order: the permutation below is drawn over it.
+    known = list(peer.known_bitmap)
     if not known:
         return False
     changed = False

@@ -5,11 +5,11 @@ Table I lists four variables: the identifier ``D_p``, the routing table
 On top of those, the gossip protocol (Algorithms 3–4) accumulates what the
 peer has *learned* about each friend — mutual-friend counts (for Eq. 2
 strength) and friendship bitmaps (for LSH link selection) — and the
-recovery mechanism tracks each contact's online behaviour. ``known_mutual``,
-``known_bitmap`` and ``lookahead`` are the only per-friend dicts, each in
-learn order (recovery probes candidates in it). What a bitmap implies —
-Algorithm 6's sort key and Algorithm 5's LSH bucket — is cached once, in the
-peer's block of :class:`~repro.core.columns.EdgeColumns`.
+recovery mechanism tracks each contact's online behaviour. What a peer
+knows about ``neighborhood[i]`` lives in slot ``i`` of its block of
+:class:`~repro.core.columns.EdgeColumns`, the one store of that knowledge;
+``known_mutual``, ``known_bitmap`` and ``lookahead`` are read-only dicts
+built off the slots in learn order (recovery probes candidates in it).
 
 Scalar round state (identifier, convergence counters, top-2 anchors)
 lives in a shared :class:`~repro.core.columns.PeerColumns` block;
@@ -21,10 +21,13 @@ Friendship bitmaps are Python ints, one bit per neighborhood position (see
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
+
 import numpy as np
 
 from repro.core.columns import EdgeColumns, PeerColumns
-from repro.core.picker import packed_key
+from repro.core.picker import KEY_FIELD, packed_key
 from repro.net.availability import OnlineBehavior
 from repro.overlay.base import RoutingTable
 from repro.social.bitmaps import BitmapCodec
@@ -40,12 +43,8 @@ class PeerState:
         "_cols",
         "_slot",
         "neighborhood",
-        "neighborhood_set",
         "table",
         "codec",
-        "known_mutual",
-        "known_bitmap",
-        "lookahead",
         "behavior",
         "lsh_family",
         "k_buckets",
@@ -60,7 +59,6 @@ class PeerState:
         k_links: int,
         table: "RoutingTable | None" = None,
         columns: "tuple[PeerColumns, int] | None" = None,
-        neighborhood_set: "frozenset[int] | None" = None,
         edge_columns: "tuple[EdgeColumns, int] | None" = None,
     ):
         self.node = node
@@ -69,25 +67,12 @@ class PeerState:
             self._slot = 0
         else:
             self._cols, self._slot = columns
-        #: ``C_p`` — identifiers of the peers hosting this user's friends.
+        #: ``C_p`` — identifiers of the peers hosting this user's friends, sorted.
         self.neighborhood = np.asarray(neighborhood, dtype=np.int64)
-        #: the same friends as a set; an overlay hands in the graph's own
-        #: frozenset rather than keeping a second copy per peer.
-        self.neighborhood_set = (
-            neighborhood_set
-            if neighborhood_set is not None
-            else frozenset(int(v) for v in self.neighborhood)
-        )
         #: ``R_p`` — routing table (2 short-range + up to K long-range).
         self.table = table if table is not None else RoutingTable(node, k_links)
         #: bitmap codec anchored to ``C_p`` (bit i == neighborhood[i]).
         self.codec = BitmapCodec(self.neighborhood)
-        #: gossip-learned ``|C_p ∩ C_u|`` per friend u.
-        self.known_mutual: dict[int, int] = {}
-        #: gossip-learned friendship bitmap per friend u (Python int).
-        self.known_bitmap: dict[int, int] = {}
-        #: ``L_p`` — links maintained by each routing-table neighbor.
-        self.lookahead: dict[int, frozenset[int]] = {}
         #: CMA availability tracking per contact (recovery, §III-F).
         self.behavior = OnlineBehavior()
         #: LSH family anchored to this peer's neighborhood (set by the
@@ -95,9 +80,8 @@ class PeerState:
         self.lsh_family = None
         #: bucket count used for cached bucket assignments.
         self.k_buckets = k_links
-        #: this peer's :class:`EdgeColumns` block, the only cache of what
-        #: ``known_bitmap`` implies: Alg. 6's key and the LSH bucket of
-        #: ``neighborhood[i]`` at ``_edge_at + i`` (:meth:`_cache_edge`).
+        #: this peer's :class:`EdgeColumns` block: everything it knows about
+        #: ``neighborhood[i]`` sits at ``_edge_at + i``.
         self._edges, self._edge_at = edge_columns or (EdgeColumns(len(self.neighborhood)), 0)
         if columns is None:
             # A private column block starts with the overlay defaults the
@@ -197,93 +181,39 @@ class PeerState:
     def last_anchor_target(self, value: float) -> None:
         self._cols.anchor_target[self._slot] = value
 
-    # -- strength (Eq. 2) from gossip-learned mutual counts ------------------
+    # -- the edge slots and the learn-ordered dicts read off them --------------
 
-    def strength(self, friend: int) -> float:
-        """``s(p, u) = |C_p ∩ C_u| / |C_p|`` using learned mutual counts."""
-        size = len(self.neighborhood)
-        if size == 0:
-            return 0.0
-        return self.known_mutual.get(friend, 0) / size
+    def _edge(self, friend: int) -> int:
+        """``friend``'s slot in the edge columns; ``ValueError`` outside ``C_p``."""
+        at = bisect_left(self.neighborhood, friend)
+        if at == len(self.neighborhood) or self.neighborhood[at] != friend:
+            raise ValueError(f"peer {self.node} has no slot for {friend}: not one of its friends")
+        return self._edge_at + at
 
-    def strongest_known(self, k: int = 2, among=None) -> list[int]:
-        """Top-``k`` known friends by strength (deterministic tie-break)."""
-        if among is None and k <= 2:
-            return self._top2[:k]
-        candidates = self.known_mutual.keys() if among is None else among
-        ranked = sorted(
-            (f for f in candidates if f in self.known_mutual),
-            key=lambda f: (-self.known_mutual[f], f),
-        )
-        return ranked[:k]
+    def _learned(self, stamp: np.ndarray) -> np.ndarray:
+        """Positions in ``C_p`` of the friends ``stamp`` marks learned, in learn order."""
+        row = stamp[self._edge_at : self._edge_at + len(self.neighborhood)]
+        at = np.flatnonzero(row >= 0)
+        return at[np.lexsort((row[at],))]
 
-    # -- knowledge updates -----------------------------------------------------
+    def _dict(self, stamp: np.ndarray, column: np.ndarray) -> dict:
+        at = self._learned(stamp)
+        return dict(zip(self.neighborhood[at].tolist(), column[self._edge_at + at].tolist()))
 
-    def learn_exchange(self, friend: int, mutual: int, bitmap: int, friend_links) -> None:
-        """Fold in the result of one gossip exchange with ``friend``.
+    @property
+    def known_mutual(self) -> dict:
+        """Gossip-learned ``|C_p ∩ C_u|`` per friend u."""
+        return self._dict(self._edges.mutual_stamp, self._edges.mutual)
 
-        Contract: ``friend_links`` is the link set ``bitmap`` was computed
-        from (:func:`repro.core.gossip.exchange` and
-        :func:`repro.core.rounds.exchange_phase` both pass the partner's
-        ``link_view()``). The bitmap is a pure function of that set and the
-        static neighbourhood, and the mutual count is static, so
-        ``lookahead[friend] is view`` afterwards means "this view is
-        folded": folding the same view object again changes nothing, which
-        is what lets a round drop such exchanges unseen.
-        """
-        is_new = friend not in self.known_mutual
-        self.known_mutual[friend] = int(mutual)
-        if is_new:
-            # New information about an unseen friend re-opens link selection.
-            self.stable_rounds = 0
-            self._insert_top2(friend)
-        if self.known_bitmap.get(friend) != bitmap:
-            # Bitmap actually changed (or first sighting): refresh what the
-            # edge columns cache of it. Re-gossiped unchanged bitmaps — the
-            # common case once the network settles — skip the LSH re-hash.
-            self.known_bitmap[friend] = bitmap
-            self._cache_edge(friend, bitmap)
-        if type(friend_links) is frozenset:
-            # Cached link views are immutable snapshots; store the
-            # reference instead of copying element-by-element.
-            self.lookahead[friend] = friend_links
-        else:
-            self.lookahead[friend] = frozenset(int(w) for w in friend_links)
+    @property
+    def known_bitmap(self) -> dict:
+        """Gossip-learned friendship bitmap per friend u (Python int)."""
+        return self._dict(self._edges.bitmap_stamp, self._edges.bitmap)
 
-    def _insert_top2(self, friend: int) -> None:
-        """Maintain the two strongest known friends incrementally.
-
-        Valid because mutual-friend counts are static for a fixed social
-        graph: a friend's rank never changes after it is first learned.
-        Only called for a friend not seen before, so never one of the two.
-        """
-        row = self._cols.top2[self._slot]
-        mutual = self.known_mutual
-        key = packed_key(friend, mutual[friend])
-        first, second = row.tolist()
-        if first < 0 or key < packed_key(first, mutual[first]):
-            row[0], row[1] = friend, first
-        elif second < 0 or key < packed_key(second, mutual[second]):
-            row[1] = friend
-
-    def _cache_edge(self, friend: int, bitmap: "int | None", bucket: int = -1) -> None:
-        """Write ``friend``'s slot of both edge columns — the one place a
-        peer writes them. The key is Algorithm 6's :func:`packed_key` of the
-        bitmap's popcount; the bucket is ``bucket`` when given (a restored
-        one), else the family's hash, else ``-1`` until :meth:`bucket_of`
-        fills it. ``bitmap=None`` clears the slot. A contact outside ``C_p``
-        has no slot; gossip only ever pairs friends."""
-        at = self.codec.position.get(friend)
-        if at is None:
-            return
-        at += self._edge_at
-        if bitmap is None:
-            self._edges.key[at] = self._edges.bucket[at] = -1
-            return
-        if bucket < 0 and self.lsh_family is not None:
-            bucket = self.lsh_family.bucket(bitmap, self.k_buckets)
-        self._edges.key[at] = packed_key(friend, bitmap.bit_count())
-        self._edges.bucket[at] = bucket
+    @property
+    def lookahead(self) -> dict:
+        """``L_p`` — the links each friend had when its bitmap was last folded."""
+        return self._dict(self._edges.bitmap_stamp, self._edges.view)
 
     @property
     def known_coverage(self) -> dict:
@@ -293,33 +223,103 @@ class PeerState:
     @property
     def known_bucket(self) -> dict:
         """The cached LSH bucket per learned friend, read off the columns."""
-        block = self._edges.bucket[self._edge_at : self._edge_at + len(self.neighborhood)].tolist()
-        position = self.codec.position
-        return {
-            friend: block[at]
-            for friend in self.known_bitmap
-            if (at := position.get(friend)) is not None and block[at] >= 0
-        }
+        buckets = self._dict(self._edges.bitmap_stamp, self._edges.bucket)
+        return {f: b for f, b in buckets.items() if b >= 0}
+
+    def known_rows(self) -> "tuple[list, dict, dict]":
+        """What Algorithm 5 reads of the known friends, off this peer's row:
+        ``(key, friend, position, bitmap)`` rows, popcount per friend and the
+        friends per LSH bucket."""
+        edges, positions = self._edges, self._learned(self._edges.bitmap_stamp)
+        at = self._edge_at + positions
+        friends, keys = self.neighborhood[positions].tolist(), edges.key[at]
+        buckets: dict = defaultdict(list)
+        for f, bucket in zip(friends, edges.bucket[at].tolist()):
+            buckets[bucket if bucket >= 0 else self.bucket_of(f)].append(f)
+        rows = list(zip(keys.tolist(), friends, positions.tolist(), edges.bitmap[at].tolist()))
+        return rows, dict(zip(friends, (KEY_FIELD - (keys >> 31)).tolist())), buckets
+
+    def strongest_known(self, k: int = 2, among=None) -> list[int]:
+        """Top-``k`` known friends by strength (deterministic tie-break)."""
+        if among is None and k <= 2:
+            return self._top2[:k]
+        mutual = self.known_mutual
+        candidates = mutual.keys() if among is None else among
+        return sorted((f for f in candidates if f in mutual), key=lambda f: (-mutual[f], f))[:k]
+
+    # -- knowledge updates -----------------------------------------------------
+
+    def learn_exchange(
+        self, friend: int, mutual: int, bitmap: int, friend_links, version: int = -1
+    ) -> None:
+        """Fold in one gossip exchange with ``friend``, as
+        :func:`repro.core.rounds.exchange_phase` does for a whole round.
+
+        ``friend_links`` is the link set ``bitmap`` was computed from and
+        ``version`` its ``view_version`` when it is the friend's link view
+        (``-1`` = not one). Bitmap and mutual count are pure functions of
+        that set and the static graph, so a slot whose ``seen`` is still the
+        friend's version changes nothing when folded again."""
+        at = self._edge(friend)
+        edges = self._edges
+        is_new = edges.mutual[at] < 0
+        edges.mutual[at] = mutual
+        if is_new:
+            edges.mutual_stamp[at] = edges.stamps(1)[0]
+            # New information about an unseen friend re-opens link selection.
+            self.stable_rounds = 0
+            self._insert_top2(friend)
+        if edges.bitmap[at] != bitmap:
+            # Bitmap actually changed (or first sighting): refresh what the
+            # edge columns cache of it. Re-gossiped unchanged bitmaps — the
+            # common case once the network settles — skip the LSH re-hash.
+            if edges.bitmap_stamp[at] < 0:
+                edges.bitmap_stamp[at] = edges.stamps(1)[0]
+            edges.bitmap[at] = bitmap
+            self._cache_edge(friend, bitmap)
+        if type(friend_links) is not frozenset:
+            friend_links = frozenset(int(w) for w in friend_links)
+        edges.view[at], edges.seen[at] = friend_links, version
+
+    def _insert_top2(self, friend: int) -> None:
+        """Keep the two strongest known friends: mutual counts are static, so
+        they are the two smallest packed keys learned so far."""
+        row = self._cols.top2[self._slot]
+        known = [f for f in row.tolist() if f >= 0] + [friend]
+        known.sort(key=lambda f: packed_key(f, int(self._edges.mutual[self._edge(f)])))
+        row[:] = (known + [-1])[:2]
+
+    def _cache_edge(self, friend: int, bitmap: int, bucket: int = -1) -> None:
+        """Write what ``bitmap`` implies into ``friend``'s slot — the per-peer
+        writer of ``key`` and ``bucket`` (a round's fold scatters them). The
+        key is Algorithm 6's :func:`packed_key` of the bitmap's popcount; the
+        bucket is ``bucket`` when given (a restored one), else the family's
+        hash, else ``-1`` until :meth:`bucket_of` fills it."""
+        at = self._edge(friend)
+        if bucket < 0 and self.lsh_family is not None:
+            bucket = self.lsh_family.bucket(bitmap, self.k_buckets)
+        self._edges.key[at] = packed_key(friend, bitmap.bit_count())
+        self._edges.bucket[at] = bucket
 
     def bucket_of(self, friend: int) -> int:
         """LSH bucket of a learned friend (0 when no family set): its
-        column slot, hashed into it on first use. A contact outside ``C_p``
-        has no slot and is hashed on every call."""
-        at = self.codec.position.get(friend)
-        if at is not None and (bucket := int(self._edges.bucket[self._edge_at + at])) >= 0:
+        column slot, hashed into it on first use."""
+        at = self._edge(friend)
+        if (bucket := int(self._edges.bucket[at])) >= 0:
             return bucket
         if self.lsh_family is None:
             return 0
-        bitmap = self.known_bitmap[friend]
-        bucket = self.lsh_family.bucket(bitmap, self.k_buckets)
-        self._cache_edge(friend, bitmap, bucket)
+        bucket = self.lsh_family.bucket(self._edges.bitmap[at], self.k_buckets)
+        self._edges.bucket[at] = bucket
         return bucket
 
     def forget_peer(self, peer: int) -> None:
-        """Drop all knowledge about a departed/replaced contact."""
-        self.known_bitmap.pop(peer, None)
-        self._cache_edge(peer, None)
-        self.lookahead.pop(peer, None)
+        """Drop what a departed/replaced contact's links told us; its mutual
+        count is static and stays."""
+        if peer in self.neighborhood:
+            at, edges = self._edge(peer), self._edges
+            edges.bitmap[at] = edges.view[at] = None
+            edges.bitmap_stamp[at] = edges.seen[at] = edges.key[at] = edges.bucket[at] = -1
         self.behavior.forget(peer)
 
     def merge_candidates(self) -> set[int]:
@@ -334,27 +334,10 @@ class PeerState:
         """
         out: set[int] = set(self.table.long_links)
         out.update(self.known_mutual)
-        out.update(self.lookahead)
         for links in self.lookahead.values():
             out.update(links)
         out.discard(self.node)
         return out
-
-    # -- convenience -------------------------------------------------------------
-
-    def covered_friends(self) -> set[int]:
-        """Friends reachable in <= 2 hops via ``R_p`` and ``L_p``."""
-        reach: set[int] = set()
-        direct = self.table.link_view()
-        for f in self.neighborhood_set:
-            if f in direct:
-                reach.add(f)
-                continue
-            for w, wlinks in self.lookahead.items():
-                if w in direct and f in wlinks:
-                    reach.add(f)
-                    break
-        return reach
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

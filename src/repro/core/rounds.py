@@ -7,8 +7,8 @@ order:
 1. :func:`exchange_phase` — the whole network's gossip partner draws
    (Alg. 3 line 2), the passive-thread quantities of Algs. 3–4 as
    vectorized kernels (:mod:`repro.core.vectorized`), and the fold of
-   each result into the two peers' knowledge. It costs what changed:
-   link views are version tokens
+   each result into the two peers' edge slots as scatters. It costs what
+   changed: a slot records the ``view_version`` it folded
    (:meth:`~repro.overlay.base.RoutingTable.link_view`), so an exchange
    whose target already folded the source's current view never reaches
    the kernels.
@@ -42,6 +42,7 @@ from itertools import chain
 import numpy as np
 
 from repro.core.config import MAX_MOVES, MOVEMENT_TOLERANCE, REASSIGN_STRIDE, STABILIZE_AFTER
+from repro.core.picker import packed_key
 from repro.core.vectorized import dedup_ids, draw_partners, evaluate_positions
 from repro.telemetry.registry import Stats, get_registry, stat
 
@@ -81,51 +82,70 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
 
     The draw is the round's ``(initiator, partner)`` pairs in draw order;
     during construction it is the only RNG consumer. Each pair is two
-    directed exchanges — *target* learns about *source* — kept in pair
-    order (p's side, then q's).
-
-    An exchange whose target already holds the source's current link view
-    (``lookahead[source] is view``) is dropped before the kernels run: by
-    :meth:`~repro.core.peer.PeerState.learn_exchange`'s contract that view
-    is folded, and folding it again would change nothing. Of the rest,
-    only first contacts need a mutual count (it is static; ``known_mutual``
-    answers re-exchanges), and an unchanged bitmap only refreshes the
-    lookahead entry.
+    directed exchanges — *target* learns about *source* — in pair order,
+    folded as :meth:`~repro.core.peer.PeerState.learn_exchange` would into
+    the target's edge slot for the source, by array passes: a slot that
+    already folded the source's view (``seen == view_version``) is skipped
+    before the kernels run, a pair drawn twice keeps its first occurrence,
+    and a changed bitmap's bucket is ``_bucket_table[signature]``.
     """
     fp, fq = pairs = draw_partners(ov._nbr_indptr, ov._nbr_indices, rng)
     targets = np.stack((fp, fq), axis=1).reshape(-1)
     sources = np.stack((fq, fp), axis=1).reshape(-1)
-    peers = ov.peers
+    edges, kern, n = ov.edge_columns, ov._xkernel, ov.graph.num_nodes
     views = [t.link_view() for t in ov.tables]
-    lt, ls = targets.tolist(), sources.tolist()
-    fresh = np.fromiter(
-        (peers[t].lookahead.get(s) is not views[s] for t, s in zip(lt, ls)),
-        dtype=bool,
-        count=len(lt),
-    )
-    folded = int(fresh.sum())
-    ov.exchange_stats.folded += folded
-    ov.exchange_stats.skipped += len(lt) - folded
-    targets, sources = targets[fresh], sources[fresh]
-    lt, ls = targets.tolist(), sources.tolist()
+    version = np.array([t.view_version for t in ov.tables], dtype=np.int64)
+    slots, _ = kern._slots(targets, sources)
+    fresh = np.flatnonzero(edges.seen[slots] != version[sources])
+    ov.exchange_stats.folded += len(fresh)
+    ov.exchange_stats.skipped += len(slots) - len(fresh)
+    fresh = np.sort(fresh[np.unique(slots[fresh], return_index=True)[1]])
+    targets, sources, slots = targets[fresh], sources[fresh], slots[fresh]
     # The round's link table in CSR form, straight from the views.
     link_indptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, views), dtype=np.int64))))
     link_targets = np.fromiter(chain.from_iterable(views), dtype=np.int64, count=link_indptr[-1])
-    kern = ov._xkernel
-    bitmaps = kern.bitmap_ints(targets, sources, link_indptr, link_targets)
-    first = np.fromiter(
-        (s not in peers[t].known_mutual for t, s in zip(lt, ls)), dtype=bool, count=len(lt)
-    )
-    mutual = np.zeros(len(lt), dtype=np.int64)
-    mutual[first] = kern.mutual_counts(targets[first], sources[first])
-    for t, s, bitmap, m in zip(lt, ls, bitmaps, mutual.tolist()):
-        peer = peers[t]
-        if peer.known_bitmap.get(s) == bitmap:
-            peer.lookahead[s] = views[s]
-        else:
-            # A pair drawn twice in one round is a first contact only once.
-            peer.learn_exchange(s, peer.known_mutual.get(s, m), bitmap, views[s])
+    sample = ov._lsh_sample[targets]
+    bitmaps, popcount, bits = kern.bitmap_ints(targets, sources, link_indptr, link_targets, sample)
+    bitmaps = np.fromiter(bitmaps, dtype=object, count=len(slots))
+    stamp = edges.stamps(len(slots))
+
+    first = edges.mutual[slots] < 0
+    if first.any():
+        mutual = kern.mutual_counts(targets[first], sources[first])
+        edges.mutual[slots[first]] = mutual
+        edges.mutual_stamp[slots[first]] = stamp[first]
+        ov.columns.stable_rounds[targets[first]] = 0
+        _merge_top2(ov, targets[first], sources[first], mutual)
+
+    changed = edges.bitmap[slots] != bitmaps
+    at = slots[changed]
+    unseen = edges.bitmap_stamp[at] < 0
+    edges.bitmap_stamp[at[unseen]] = stamp[changed][unseen]
+    edges.bitmap[at] = bitmaps[changed]
+    edges.key[at] = packed_key(sources[changed], popcount[changed])
+    signature = bits[changed] @ (1 << np.arange(bits.shape[1])[::-1])
+    edges.bucket[at] = np.where(sample[changed, -1] >= 0, ov._bucket_table[signature], -1)
+    edges.view[slots] = np.fromiter(views, dtype=object, count=n)[sources]
+    edges.seen[slots] = version[sources]
     return pairs
+
+
+def _merge_top2(ov, targets: np.ndarray, friends: np.ndarray, mutual: np.ndarray) -> None:
+    """Merge first contacts into their targets' top two: the two smallest
+    packed keys of the old pair and the contacts, as ``_insert_top2`` keeps."""
+    top2 = ov.columns.top2
+    peers = np.flatnonzero(np.bincount(targets, minlength=len(top2)))
+    old = top2[peers].reshape(-1)
+    owner, old = np.repeat(peers, 2)[old >= 0], old[old >= 0]
+    old_mutual = ov.edge_columns.mutual[ov._xkernel._slots(owner, old)[0]]
+    owner, friend = np.concatenate((owner, targets)), np.concatenate((old, friends))
+    key = packed_key(friend, np.concatenate((old_mutual, mutual)).astype(np.int64))
+    order = np.lexsort((key, owner))
+    owner, friend = owner[order], friend[order]
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    top2[peers] = -1
+    for r in (0, 1):
+        top2[owner[rank == r], r] = friend[rank == r]
 
 
 def propose_ids(ov) -> np.ndarray:

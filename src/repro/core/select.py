@@ -27,6 +27,8 @@ same storage.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.core import rounds
@@ -44,7 +46,7 @@ from repro.core.projection import assign_initial_ids
 from repro.core.vectorized import ExchangeKernel, plan_round
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
-from repro.lsh.bitsampling import BitSamplingLsh
+from repro.lsh.bitsampling import BitSamplingLsh, bucket_table
 from repro.net.bandwidth import BandwidthModel
 from repro.net.growth import GrowthModel, JoinEvent
 from repro.overlay.base import OverlayNetwork
@@ -80,7 +82,7 @@ class SelectOverlay(OverlayNetwork):
         # order (what the per-peer partner draw indexes into).
         self._degs = graph.degrees
         self._nbr_indptr, self._nbr_indices = graph.csr
-        #: Algs. 5-6's per-friend inputs, one slot per CSR edge.
+        #: what every peer knows about every friend, one slot per CSR edge.
         self.edge_columns = EdgeColumns(int(self._nbr_indptr[-1]))
         self.peers = [
             PeerState(
@@ -89,7 +91,6 @@ class SelectOverlay(OverlayNetwork):
                 self.k_links,
                 table=self.tables[v],
                 columns=(self.columns, v),
-                neighborhood_set=graph.neighbor_set(v),
                 edge_columns=(self.edge_columns, int(self._nbr_indptr[v])),
             )
             for v in range(n)
@@ -99,6 +100,9 @@ class SelectOverlay(OverlayNetwork):
         self._quiet_rounds = 0
         self._lsh_families: dict[int, BitSamplingLsh] = {}
         self._lsh_seed = 0
+        # Each family's sampled bits, right-aligned (-1 = none), and the bucket per signature.
+        self._lsh_sample = np.full((n, LSH_SAMPLES), -1, dtype=np.int64)
+        self._bucket_table = bucket_table(LSH_SAMPLES, self.k_links)
         self.trace = TraceRecorder()
         self.join_events: list[JoinEvent] = []
         self._xkernel = ExchangeKernel(self._nbr_indptr, self._nbr_indices)
@@ -188,6 +192,7 @@ class SelectOverlay(OverlayNetwork):
         candidate the plan passed over changes nothing by leaving.
         """
         k, incoming, sources = self.k_links, self.incoming_count, self._incoming_sources
+        indptr, nbrs, key = self._nbr_indptr, self._nbr_indices, self.edge_columns.key
         plans = plan_round(self, gate)
         was_full = (incoming >= k).tolist()
         noted: "dict[int, list[int]]" = {}
@@ -196,10 +201,10 @@ class SelectOverlay(OverlayNetwork):
         for v in gate:
             links = self.tables[v].long_links
             plan = plans.get(v)
-            known, adds = self.peers[v].known_bitmap, plan[1] if plan else ()
+            adds = plan[1] if plan else ()
             if v in noted and any(
                 (len(sources[t]) >= k) != was_full[t]
-                and t in known
+                and key[bisect_left(nbrs, t, indptr[v], indptr[v + 1])] >= 0  # t is known
                 and t not in links
                 and (was_full[t] or t in adds)
                 for t in noted[v]
@@ -357,6 +362,7 @@ class SelectOverlay(OverlayNetwork):
                 seed=self._lsh_seed + vertex,
             )
             self._lsh_families[vertex] = family
+            self._lsh_sample[vertex, LSH_SAMPLES - len(family.positions) :] = family.positions
         return family
 
     # -- convergence / analysis helpers ------------------------------------------------

@@ -148,7 +148,8 @@ class ExchangeKernel:
         partners: np.ndarray,
         link_indptr: np.ndarray,
         link_targets: np.ndarray,
-    ) -> list[int]:
+        sample: "np.ndarray | None" = None,
+    ):
         """Friendship bitmap of each pair's partner over ``C_p``, as ints.
 
         ``link_indptr`` / ``link_targets`` are the round's outgoing links
@@ -160,9 +161,10 @@ class ExchangeKernel:
         key table, and a hit's slot is its bit. The bits are packed with
         one ``np.packbits`` over a byte-padded layout, then sliced into
         ints — no per-pair numpy calls.
+
+        With ``sample`` (``(m, s)`` bit positions per pair; ``-1`` reads a 0
+        padding bit) it returns ``(ints, popcounts, sampled bits)`` too.
         """
-        if len(pairs_p) == 0:
-            return []
         indptr = self.indptr
         nbytes = (indptr[pairs_p + 1] - indptr[pairs_p] + 7) // 8
         byte_off = np.concatenate(([0], np.cumsum(nbytes)))
@@ -171,11 +173,15 @@ class ExchangeKernel:
         slots, hits = self._slots(owners, link_targets[at])
         # Per-pair bits at byte-aligned offsets so one packbits call
         # yields each pair's little-endian bytes contiguously.
-        padded = np.zeros(int(byte_off[-1]) * 8, dtype=np.uint8)
+        padded = np.zeros(int(byte_off[-1]) * 8 + 1, dtype=np.uint8)
         padded[byte_off[rep[hits]] * 8 + slots[hits] - indptr[owners[hits]]] = 1
-        packed = np.packbits(padded, bitorder="little").tobytes()
+        packed = np.packbits(padded[:-1], bitorder="little").tobytes()
         cuts = byte_off.tolist()
-        return [int.from_bytes(packed[lo:hi], "little") for lo, hi in zip(cuts, cuts[1:])]
+        ints = [int.from_bytes(packed[lo:hi], "little") for lo, hi in zip(cuts, cuts[1:])]
+        if sample is None:
+            return ints
+        where = np.where(sample >= 0, byte_off[:-1, None] * 8 + sample, len(padded) - 1)
+        return ints, np.bincount(rep[hits], minlength=len(ints)), padded[where]
 
 
 def evaluate_positions(
@@ -425,12 +431,12 @@ def plan_round(ov, gated, hysteresis: int = 2) -> "dict[int, tuple[tuple, tuple]
         sel = virtual & tight[owner]
         sizes = np.bincount(owner[sel], minlength=width)[tight_at].tolist()
         nbytes = (degree[tight_at] + 7) // 8
-        links_of = iter(friend[sel].tolist())
+        bitmaps = iter(ov.edge_columns.bitmap[at[sel]].tolist())
         blob = []
-        for v, size, length in zip(gated[tight_at].tolist(), sizes, nbytes.tolist()):
-            cover, bitmap_of = 0, ov.peers[v].known_bitmap
-            for w in islice(links_of, size):
-                cover |= bitmap_of[w]
+        for size, length in zip(sizes, nbytes.tolist()):
+            cover = 0
+            for bitmap in islice(bitmaps, size):
+                cover |= bitmap
             blob.append(cover.to_bytes(length, "little"))
         bits = np.unpackbits(np.frombuffer(b"".join(blob), dtype=np.uint8), bitorder="little")
         bit_at = np.zeros(width, dtype=np.int64)

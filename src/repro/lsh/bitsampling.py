@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.util.rng import as_generator
 
-__all__ = ["BitSamplingLsh"]
+__all__ = ["BitSamplingLsh", "bucket_table"]
 
 # Knuth's multiplicative constant; spreads signatures over buckets.
 _MIX = 0x9E3779B97F4A7C15
@@ -68,5 +68,13 @@ class BitSamplingLsh:
         """Deterministic bucket in ``[0, num_buckets)`` for ``item``."""
         if num_buckets <= 0:
             raise ValueError(f"num_buckets must be positive, got {num_buckets}")
-        sig = self.signature(item) & _MASK
-        return ((sig * _MIX) & _MASK) % num_buckets
+        return _mix(self.signature(item)) % num_buckets
+
+
+def _mix(signature: int) -> int:
+    return ((signature & _MASK) * _MIX) & _MASK
+
+
+def bucket_table(num_samples: int, num_buckets: int) -> np.ndarray:
+    """``bucket`` of every signature of up to ``num_samples`` bits, indexed by it."""
+    return np.array([_mix(sig) % num_buckets for sig in range(1 << num_samples)], dtype=np.int16)

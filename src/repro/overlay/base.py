@@ -131,6 +131,7 @@ class RoutingTable:
         "_dirty",
         "_view",
         "_ring",
+        "view_version",
     )
 
     def __init__(self, owner: int, max_long: int, columns=None):
@@ -155,6 +156,8 @@ class RoutingTable:
         self.max_long = max_long
         self._dirty = True
         self._view: frozenset[int] = frozenset()
+        #: bumped whenever :meth:`link_view` replaces the view object.
+        self.view_version = 0
         #: the ``(pred, succ)`` pair ``_view`` was built from.
         self._ring: tuple[int, int] = (-1, -1)
 
@@ -203,8 +206,8 @@ class RoutingTable:
         token: it is replaced only when the contents may have changed — a
         long-link mutation, or a ring epoch bump after which this table's
         own ``(pred, succ)`` differ from the pair the view was built from
-        — so ``view is earlier_view`` proves equal contents. Callers must
-        treat it as immutable (it is shared between calls).
+        — so an unchanged ``view_version`` proves equal contents. Callers
+        must treat it as immutable (it is shared between calls).
         """
         epoch = self._epochs[0]
         if self._dirty or self._seen_epoch != epoch:
@@ -214,6 +217,7 @@ class RoutingTable:
                 out.update(w for w in ring if w >= 0)
                 out.discard(self.owner)
                 self._view = frozenset(out)
+                self.view_version += 1
                 self._ring = ring
                 self._dirty = False
             self._seen_epoch = epoch

@@ -49,6 +49,7 @@ __all__ = [
     "MANIFEST_FILE",
     "STATE_FILE",
     "capture",
+    "embedded_graph",
     "graph_fingerprint",
     "load",
     "restore",
@@ -56,6 +57,7 @@ __all__ = [
     "save",
     "snapshot_id",
     "v1_config",
+    "v1_knowledge",
 ]
 
 SCHEMA = "select-repro/snapshot/v1"
@@ -122,6 +124,14 @@ def _int_from_words(words) -> int:
 def _capture_peer(peer) -> dict:
     table = peer.table
     pair = peer.last_anchor_pair
+    # The edge slots in learn order: candidate scans iterate in it, and
+    # under an active fault plan each probe consumes RNG — a re-ordered
+    # restore would desynchronize replay.
+    edges, lo, friends = peer._edges, peer._edge_at, peer.neighborhood
+    known, at = (peer._learned(stamp) for stamp in (edges.mutual_stamp, edges.bitmap_stamp))
+    mutual = zip(friends[known].tolist(), edges.mutual[lo + known].tolist())
+    learned, at = friends[at].tolist(), lo + at
+    bitmaps = edges.bitmap[at].tolist()
     return {
         "node": int(peer.node),
         "identifier": float(peer.identifier),
@@ -131,24 +141,15 @@ def _capture_peer(peer) -> dict:
         "last_anchor_pair": None if pair is None else [int(a) for a in pair],
         "last_anchor_target": None if pair is None else float(peer.last_anchor_target),
         "top2": [int(f) for f in peer._top2],
-        # Dicts keep their live insertion order (pair lists): candidate
-        # scans iterate them, and under an active fault plan each probe
-        # consumes RNG — a re-ordered restore would desynchronize replay.
-        "known_mutual": [[int(f), int(m)] for f, m in peer.known_mutual.items()],
+        "known_mutual": [list(entry) for entry in mutual],
         # Bitmaps live as Python ints; the snapshot keeps the original
         # packed-word wire format so existing snapshots stay readable
         # byte-for-byte in both directions.
-        "known_bitmap": [
-            [int(f), _words_from_int(bm, peer.codec.nbits)]
-            for f, bm in peer.known_bitmap.items()
-        ],
+        "known_bitmap": [[f, _words_from_int(b, len(friends))] for f, b in zip(learned, bitmaps)],
         # Both derived from the bitmaps (the format predates that).
-        "known_bucket": [[int(f), int(b)] for f, b in peer.known_bucket.items()],
-        "known_coverage": [[int(f), int(c)] for f, c in peer.known_coverage.items()],
-        "lookahead": [
-            [int(f), sorted(int(w) for w in links)]
-            for f, links in peer.lookahead.items()
-        ],
+        "known_bucket": [[f, b] for f, b in zip(learned, edges.bucket[at].tolist()) if b >= 0],
+        "known_coverage": [[f, bm.bit_count()] for f, bm in zip(learned, bitmaps)],
+        "lookahead": [[f, sorted(links)] for f, links in zip(learned, edges.view[at].tolist())],
         "behavior": [
             [int(c), int(cma.count), float(cma.value)]
             for c, cma in peer.behavior._cma.items()
@@ -160,6 +161,25 @@ def _capture_peer(peer) -> dict:
             "long_links": sorted(int(w) for w in table.long_links),
         },
     }
+
+
+def v1_knowledge(data: dict, graph: "SocialGraph | None") -> None:
+    """Refuse a v1 peer the edge columns cannot hold — ``lookahead`` friends
+    other than its ``known_bitmap`` friends in order, a bitmap friend without
+    a mutual count, a contact outside ``C_p`` — for restore and validate."""
+    for v, peer in enumerate(data["peers"]):
+        bitmap = [e[0] for e in peer["known_bitmap"]]
+        mutual = {e[0] for e in peer["known_mutual"]}
+        friends = mutual if graph is None else set(graph.neighbors(v).tolist())
+        if [e[0] for e in peer["lookahead"]] != bitmap:
+            problem = "lookahead friends differ from known_bitmap friends"
+        elif missing := sorted(set(bitmap) - mutual):
+            problem = f"bitmap friends {missing} have no known_mutual entry"
+        elif outside := sorted(mutual - friends):
+            problem = f"contacts {outside} are not its friends"
+        else:
+            continue
+        raise PersistError(f"peer {v}: {problem}")
 
 
 def _restore_peer(peer, data: dict) -> None:
@@ -180,21 +200,20 @@ def _restore_peer(peer, data: dict) -> None:
     target = data.get("last_anchor_target")
     peer.last_anchor_target = float("nan") if target is None else float(target)
     peer._top2 = [int(f) for f in data["top2"]]
-    peer.known_mutual = {int(f): int(m) for f, m in data["known_mutual"]}
-    # The edge columns are refilled from the bitmaps and the stored buckets
-    # (a missing one is hashed); the stored coverage is a popcount, not read.
-    for friend in peer.known_bitmap:
-        peer._cache_edge(friend, None)
-    peer.known_bitmap = {
-        int(f): _int_from_words(words)
-        for f, words in data["known_bitmap"]
-    }
+    # The slots refill in stored (learn) order, a missing bucket is hashed, the
+    # stored coverage is a popcount and not read; a restored view never folded.
+    edges, lo, friends = peer._edges, peer._edge_at, peer.neighborhood
+    edges.clear(lo, lo + len(friends))
+    at = lo + np.searchsorted(friends, [int(f) for f, _ in data["known_mutual"]])
+    edges.mutual[at] = [int(m) for _, m in data["known_mutual"]]
+    edges.mutual_stamp[at] = edges.stamps(len(at))
     buckets = {int(f): int(b) for f, b in data["known_bucket"]}
-    for friend, bitmap in peer.known_bitmap.items():
-        peer._cache_edge(friend, bitmap, buckets.get(friend, -1))
-    peer.lookahead = {
-        int(f): frozenset(int(w) for w in links) for f, links in data["lookahead"]
-    }
+    at = lo + np.searchsorted(friends, [int(f) for f, _ in data["known_bitmap"]])
+    edges.bitmap_stamp[at] = edges.stamps(len(at))
+    for slot, (f, words), (_, links) in zip(at.tolist(), data["known_bitmap"], data["lookahead"]):
+        edges.bitmap[slot] = bitmap = _int_from_words(words)
+        edges.view[slot] = frozenset(int(w) for w in links)
+        peer._cache_edge(int(f), bitmap, buckets.get(int(f), -1))
     peer.behavior._cma = {}
     for contact, count, mean in data["behavior"]:
         cma = CumulativeMovingAverage()
@@ -498,6 +517,7 @@ def restore_into(
             f"k_links mismatch: overlay has {overlay.k_links}, snapshot has {data['k_links']}"
         )
     overlay.config = v1_config(data)
+    v1_knowledge(data, overlay.graph)
     overlay.iterations = int(data["iterations"])
     overlay.round_link_changes = int(data["round_link_changes"])
     overlay._quiet_rounds = int(data["quiet_rounds"])
@@ -551,6 +571,14 @@ def restore_into(
     return overlay
 
 
+def embedded_graph(state: dict) -> "SocialGraph | None":
+    """The social graph a snapshot state embeds (None when captured without)."""
+    if (gdata := state.get("graph")) is None:
+        return None
+    edges = [(int(u), int(v)) for u, v in gdata["edges"]]
+    return SocialGraph(int(gdata["num_nodes"]), edges, name=gdata["name"])
+
+
 def restore(snapshot: dict, graph: "SocialGraph | None" = None):
     """Rebuild a fresh, fully restored overlay from a snapshot.
 
@@ -562,17 +590,11 @@ def restore(snapshot: dict, graph: "SocialGraph | None" = None):
     from repro.core.select import SelectOverlay
 
     manifest, state = _unpack(snapshot)
+    graph = embedded_graph(state) if graph is None else graph
     if graph is None:
-        gdata = state.get("graph")
-        if gdata is None:
-            raise PersistError(
-                "snapshot has no embedded graph (captured with include_graph=False); "
-                "pass graph= explicitly"
-            )
-        graph = SocialGraph(
-            int(gdata["num_nodes"]),
-            [(int(u), int(v)) for u, v in gdata["edges"]],
-            name=gdata["name"],
+        raise PersistError(
+            "snapshot has no embedded graph (captured with include_graph=False); "
+            "pass graph= explicitly"
         )
     data = state["overlay"]
     overlay = SelectOverlay(

@@ -2,8 +2,8 @@
 
 A friendship bitmap (which of my friends does peer ``u`` already link to)
 is the vector the LSH link-selection step buckets. Eq. 2's social strength
-is computed where it is used, from gossip-learned mutual counts
-(:meth:`repro.core.peer.PeerState.strength`).
+is ranked where it is used, by the gossip-learned mutual counts (Alg. 2's
+two strongest known friends, ``PeerColumns.top2``).
 """
 
 from repro.social.bitmaps import BitmapCodec

@@ -28,34 +28,23 @@ class BitmapCodec:
         corresponds to ``neighborhood[i]``.
     """
 
-    __slots__ = ("_neighborhood", "_position", "nbits")
+    __slots__ = ("_neighborhood", "nbits")
 
     def __init__(self, neighborhood):
         self._neighborhood = np.asarray(neighborhood, dtype=np.int64)
-        self._position = {int(v): i for i, v in enumerate(self._neighborhood)}
         self.nbits = len(self._neighborhood)
-
-    @property
-    def neighborhood(self) -> np.ndarray:
-        """The friend array that defines the bit positions."""
-        return self._neighborhood
-
-    @property
-    def position(self) -> dict[int, int]:
-        """Friend id -> bit position map (read-only; do not mutate)."""
-        return self._position
 
     def encode(self, linked_nodes) -> int:
         """Bitmap marking which of the neighborhood the given nodes cover.
 
         Nodes outside the neighborhood are ignored — a friend's routing
-        table usually contains peers we do not share.
+        table usually contains peers we do not share. A node's bit is its
+        ``searchsorted`` position in the sorted neighborhood.
         """
+        nodes = np.fromiter(linked_nodes, dtype=np.int64)
         acc = 0
-        pos = self._position
-        for v in linked_nodes:
-            i = pos.get(int(v))
-            if i is not None:
+        for i, v in zip(np.searchsorted(self._neighborhood, nodes).tolist(), nodes.tolist()):
+            if i < self.nbits and self._neighborhood[i] == v:
                 acc |= 1 << i
         return acc
 

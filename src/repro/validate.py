@@ -30,11 +30,12 @@ import re
 import sys
 
 from repro.persist.snapshot import MANIFEST_FILE, SCHEMA, STATE_FILE, snapshot_id, v1_config
+from repro.persist.snapshot import embedded_graph, v1_knowledge
 from repro.scenarios.slo import VERDICT_FILE, VERDICT_SCHEMA
 from repro.telemetry.export import METRICS_FILE, REPORT_FILE, SERIES_FILE, TRACES_FILE
 from repro.telemetry.tracer import SPAN_TYPE, assemble, chain_errors
 from repro.util.atomicio import read_jsonl
-from repro.util.exceptions import PersistError
+from repro.util.exceptions import PersistError, ReproError
 
 __all__ = ["validate_snapshot", "validate_telemetry", "validate_verdict", "validate_path", "main"]
 
@@ -165,11 +166,17 @@ def validate_snapshot(snapshot_dir: str) -> "list[str]":
     if manifest is not _UNREAD:
         _shape(manifest, _MANIFEST, f"{MANIFEST_FILE}: manifest", errors)
     if state is not _UNREAD and _shape(state, {"overlay": _OVERLAY}, f"{STATE_FILE}: state", errors):
-        # What restore refuses beyond the shapes: the config block and join flags.
+        # What restore refuses beyond the shapes: config, join flags, knowledge.
         try:
             v1_config(state["overlay"])
         except PersistError as exc:
             errors.append(f"{STATE_FILE}: {exc}")
+        try:
+            v1_knowledge(state["overlay"], embedded_graph(state))
+        except PersistError as exc:
+            errors.append(f"{STATE_FILE}: {exc}")
+        except (TypeError, IndexError, KeyError, ValueError, ReproError):
+            errors.append(f"{STATE_FILE}: malformed graph or knowledge entries")
     if isinstance(manifest, dict) and isinstance(state, dict):
         want_id, got_id = manifest.get("snapshot_id"), snapshot_id(state)
         if want_id != got_id:

@@ -117,10 +117,8 @@ class TestPackedKeys:
     @pytest.mark.parametrize("seed", range(8))
     def test_fill_slice_is_nsmallest_on_tuple_order(self, seed):
         rng = np.random.default_rng(100 + seed)
-        # Friends 1..30 plus learned contacts 40..44 outside the
-        # neighbourhood (no bit position: never counted as covered).
         peer = PeerState(0, np.arange(1, 31), k_links=6)
-        known = list(range(1, 31, 2)) + list(range(40, 45))
+        known = list(range(1, 31, 2))
         for f in known:
             linked = rng.choice(np.arange(1, 31), size=int(rng.integers(0, 4)), replace=False)
             peer.learn_exchange(f, 1, peer.codec.encode(linked), linked.tolist())
@@ -128,18 +126,22 @@ class TestPackedKeys:
         cover = 0
         for w in links:
             cover |= peer.known_bitmap[w]
-        position, coverage = peer.codec.position, peer.known_coverage
+        coverage = peer.known_coverage
         reference = heapq.nsmallest(
             5,
-            (
-                (f in position and bool(cover >> position[f] & 1), -coverage[f], f)
-                for f in known
-                if f not in links
-            ),
+            ((bool(cover >> (f - 1) & 1), -coverage[f], f) for f in known if f not in links),
         )
-        keys = sorted(_fill_keys(peer, known, links, coverage))[:5]
+        keys = sorted(_fill_keys(peer.known_rows()[0], links))[:5]
         assert [key & KEY_FIELD for key in keys] == [f for _, _, f in reference]
         assert len(set(keys)) == len(keys)
+
+    def test_a_contact_outside_the_neighbourhood_is_refused(self):
+        # Friends 1..30: a contact 40..44 has no bit position and no slot.
+        peer = PeerState(0, np.arange(1, 31), k_links=6)
+        for stranger in range(40, 45):
+            with pytest.raises(ValueError, match="no slot"):
+                peer.learn_exchange(stranger, 1, 0, [])
+        assert peer.known_bitmap == {} and peer.known_mutual == {}
 
 
 class TestCreateLinks:

@@ -20,12 +20,6 @@ def teach(peer, friend, mutual, linked=()):
 
 
 class TestPeerState:
-    def test_strength_eq2(self):
-        peer = make_peer(neighborhood=(1, 2, 3, 4))
-        teach(peer, 1, mutual=2)
-        assert peer.strength(1) == pytest.approx(0.5)
-        assert peer.strength(99) == 0.0
-
     def test_strongest_known_incremental(self):
         peer = make_peer()
         teach(peer, 3, mutual=1)
@@ -54,12 +48,6 @@ class TestPeerState:
         assert peer.lookahead[1] == frozenset({2, 3})
         assert edge_block(peer)[0] == [packed_key(1, 2), -1, -1]
 
-    def test_neighborhood_set_handed_in_is_kept(self):
-        shared = frozenset({1, 2, 3})
-        peer = PeerState(0, np.array([1, 2, 3]), k_links=2, neighborhood_set=shared)
-        assert peer.neighborhood_set is shared
-        assert PeerState(0, np.array([1, 2, 3]), k_links=2).neighborhood_set == shared
-
     def test_new_friend_resets_stability(self):
         peer = make_peer()
         peer.stable_rounds = 10
@@ -78,15 +66,6 @@ class TestPeerState:
         assert 1 not in peer.known_bucket
         assert 1 not in peer.lookahead
         assert edge_block(peer) == ([-1, -1, -1], [-1, -1, -1])
-
-    def test_covered_friends_direct_and_lookahead(self):
-        peer = make_peer(neighborhood=(1, 2, 3))
-        peer.table.long_links.add(1)
-        teach(peer, 1, mutual=1, linked=(2,))  # 1 links to friend 2
-        covered = peer.covered_friends()
-        assert 1 in covered  # direct
-        assert 2 in covered  # via lookahead through 1
-        assert 3 not in covered
 
     def test_bucket_of_without_family_is_zero(self):
         peer = make_peer()

@@ -331,33 +331,39 @@ class TestEdgeColumnsStayInSync:
     @settings(max_examples=200, deadline=None)
     def test_after_any_sequence_of_writes_to_one_peer(self, steps):
         """Learn, re-learn with another bitmap, forget, capture and roll back
-        to the capture: ``known_bitmap`` follows a plain dict in learn order
-        and every slot is what that dict recomputes."""
-        peer, model, saved = lone_peer(), {}, None
+        to the capture: ``known_bitmap`` follows a plain dict in learn order,
+        ``known_mutual`` one that forgetting leaves alone, and every slot is
+        what the bitmaps recompute. Learning about the stranger is refused."""
+        peer, model, mutual, saved = lone_peer(), {}, {}, None
         family, k = peer.lsh_family, peer.k_buckets
         for step in steps:
-            if step[0] == "learn":
+            if step[0] == "learn" and step[1] == STRANGER:
+                with pytest.raises(ValueError, match="no slot"):
+                    peer.learn_exchange(step[1], 1, step[2], frozenset())
+            elif step[0] == "learn":
                 peer.learn_exchange(step[1], 1, step[2], frozenset())
                 model[step[1]] = step[2]
+                mutual.setdefault(step[1], 1)
             elif step[0] == "forget":
                 peer.forget_peer(step[1])
                 model.pop(step[1], None)
             elif step[0] == "capture":
-                saved, saved_model = json.loads(json.dumps(_capture_peer(peer))), dict(model)
+                saved = json.loads(json.dumps(_capture_peer(peer)))
+                saved_models = dict(model), dict(mutual)
                 fresh = lone_peer()
                 _restore_peer(fresh, saved)
                 assert _capture_peer(fresh) == saved
                 assert_edge_columns_recompute([fresh])
             elif saved is not None:
                 _restore_peer(peer, saved)
-                model = dict(saved_model)
+                model, mutual = (dict(m) for m in saved_models)
             assert list(peer.known_bitmap.items()) == list(model.items())
+            assert list(peer.known_mutual.items()) == list(mutual.items())
+            assert list(peer.lookahead) == list(model)
             assert_edge_columns_recompute([peer])
             assert peer.known_coverage == {f: b.bit_count() for f, b in model.items()}
             buckets = {f: family.bucket(b, k) for f, b in model.items()}
             assert {f: peer.bucket_of(f) for f in model} == buckets
-            # The stranger has no slot, so no cached bucket to list.
-            buckets.pop(STRANGER, None)
             assert peer.known_bucket == buckets
 
     @pytest.fixture(scope="class")

@@ -10,6 +10,7 @@ was lost on the way.
 
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -333,6 +334,33 @@ def test_join_flags_must_equal_built(tmp_path, capsys):
         restore(load(path))
     assert main(["validate", path]) == 1
     assert "'joined' flags disagree" in capsys.readouterr().err
+
+
+def _peer0(edit):
+    return lambda s: edit(s["overlay"]["peers"][0])
+
+
+def _swap_first_two(entries):
+    entries[0], entries[1] = entries[1], entries[0]
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (_peer0(lambda p: _swap_first_two(p["lookahead"])), "lookahead friends differ"),
+        (_peer0(lambda p: p["lookahead"].pop()), "lookahead friends differ"),
+        (_peer0(lambda p: p["known_mutual"].pop(0)), "bitmap friends [36] have no known_mutual"),
+        (_peer0(lambda p: p["known_mutual"].append([1, 3])), "contacts [1] are not its friends"),
+    ],
+    ids=["lookahead-order", "lookahead-set", "bitmap-without-count", "stranger"],
+)
+def test_knowledge_the_edge_columns_cannot_hold_is_refused(edit, needle, tmp_path, capsys):
+    # Peer 0 of the golden snapshot learned 36 first and is no friend of 1.
+    path = _golden_edited(tmp_path, edit)
+    with pytest.raises(PersistError, match=re.escape(needle)):
+        restore(load(path))
+    assert main(["validate", path]) == 1
+    assert f"peer 0: {needle}" in capsys.readouterr().err
 
 
 def test_span_failing_its_own_check_is_left_out_of_chain_assembly(artifacts, tmp_path):

@@ -31,7 +31,7 @@ from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
 from repro.telemetry.registry import MetricsRegistry
 from repro.util.rng import as_generator
-from tests.conftest import edge_block
+from tests.conftest import assert_edge_columns_recompute, edge_block
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -432,7 +432,7 @@ class TestEvictionBarrier:
 
 def _state(peer):
     return (
-        peer.known_mutual,
+        list(peer.known_mutual.items()),
         list(peer.known_bitmap.items()),
         peer.known_coverage,
         edge_block(peer),
@@ -449,9 +449,14 @@ class TestExchangeOracle:
 
     #: what happens to the link tables before each round: every long-link
     #: set rebound (no view object survives), nothing but a ring refresh
-    #: (every view survives), a few tables edited, or a few identifiers
-    #: moved so ``(pred, succ)`` change without any long-link write.
-    SCHEDULE = ("rebind", "ring", "few", "ring", "move", "ring", "rebind", "rebind", "ring")
+    #: (every view survives), a few tables edited, a few identifiers
+    #: moved so ``(pred, succ)`` change without any long-link write, or a
+    #: few peers forgetting the friend they learned first (recovery's
+    #: ``forget_peer``: the bitmap goes, the mutual count stays).
+    SCHEDULE = (
+        "rebind", "ring", "few", "forget", "ring", "move", "ring", "rebind", "forget", "rebind",
+        "ring", "ring",
+    )
 
     @staticmethod
     def _overlay(graph, seed):
@@ -466,7 +471,9 @@ class TestExchangeOracle:
 
     @staticmethod
     def _mutate(ov, kind, rng):
-        n = ov.graph.num_nodes
+        """Apply ``kind``; returns each forgotten ``(peer, friend, (friends
+        in known_bitmap order, in known_mutual order))`` before the forget."""
+        n, forgotten = ov.graph.num_nodes, []
         if kind == "rebind":
             for v, table in enumerate(ov.tables):
                 size = int(rng.integers(0, 4))
@@ -481,12 +488,22 @@ class TestExchangeOracle:
                     links.add(w)
         elif kind == "move":
             ov.ids[rng.choice(n, size=2, replace=False)] = rng.random(2)
+        elif kind == "forget":
+            for v in rng.choice(n, size=3, replace=False).tolist():
+                peer = ov.peers[v]
+                known = list(peer.known_bitmap)
+                if known:
+                    before = known, list(peer.known_mutual)
+                    peer.forget_peer(known[0])
+                    forgotten.append((v, known[0], before))
         ov._refresh_ring()
+        return forgotten
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_kernel_fold_matches_pairwise_exchange(self, seed):
         rng = np.random.default_rng(seed)
         registry = MetricsRegistry()
+        relearned = twice = 0
         for _ in range(6):
             n = int(rng.integers(4, 30))
             _, _, rows = _random_csr(rng, n)
@@ -497,12 +514,16 @@ class TestExchangeOracle:
             registry.attach("build.exchange", batch.exchange_stats)
             streams = [as_generator(link_seed + 1) for _ in range(2)]
             # First sightings, re-exchanges with changed bitmaps, unchanged
-            # re-gossip over new view objects, and re-gossip of the very
-            # view the target already folded (the skipped exchanges).
+            # re-gossip over new view objects, re-gossip of the very view
+            # the target already folded (the skipped exchanges), re-learning
+            # a forgotten friend, and pairs drawn twice in one round.
+            forgotten = []
             for rnd, kind in enumerate(self.SCHEDULE):
-                for ov in (batch, paired):
-                    self._mutate(ov, kind, np.random.default_rng(link_seed + rnd // 2))
+                self._mutate(paired, kind, np.random.default_rng(link_seed + rnd // 2))
+                forgotten += self._mutate(batch, kind, np.random.default_rng(link_seed + rnd // 2))
                 fp, fq = rounds.exchange_phase(batch, streams[0])
+                drawn = list(zip(fp.tolist(), fq.tolist()))
+                twice += len(set(drawn) & {(q, p) for p, q in drawn})
                 rp, rq = draw_partners(paired._nbr_indptr, paired._nbr_indices, streams[1])
                 assert np.array_equal(fp, rp) and np.array_equal(fq, rq)
                 for p, q in zip(rp.tolist(), rq.tolist()):
@@ -515,6 +536,55 @@ class TestExchangeOracle:
                     assert batch.peers[t].known_bitmap[s] == batch.peers[t].codec.encode(links)
                 for v in range(n):
                     assert _state(batch.peers[v]) == _state(paired.peers[v])
+                # A re-learned bitmap goes behind every bitmap learned before
+                # it was forgotten; its mutual count keeps its place.
+                for v, f, (bitmaps, mutual) in list(forgotten):
+                    peer = batch.peers[v]
+                    order = list(peer.known_bitmap)
+                    if f in order:
+                        earlier = [order.index(w) for w in bitmaps[1:] if w in order]
+                        assert max(earlier, default=-1) < order.index(f)
+                        assert list(peer.known_mutual)[: len(mutual)] == mutual
+                        forgotten.remove((v, f, (bitmaps, mutual)))
+                        relearned += 1
+        assert relearned > 0 and twice > 0
         counters = registry.counters()
         assert counters["build.exchange.skipped"].value > 0
         assert counters["build.exchange.folded"].value > 0
+
+    @given(
+        degree=st.one_of(st.integers(1, 8), st.integers(1, 64)),
+        k=st.integers(2, 9),
+        seed=st.integers(0, 2**31 - 2),
+        links=st.lists(st.sets(st.integers(0, 63), max_size=8), min_size=64, max_size=64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_bucket_is_the_family_hash(self, degree, k, seed, links):
+        """A hub with ``degree`` friends (and friends of degree 1: families
+        of fewer bits than ``LSH_SAMPLES``) learns its friends' bitmaps in
+        the fold; every bucket the signature table gave is the family's
+        ``BitSamplingLsh.bucket``."""
+        graph = SocialGraph(degree + 1, [(0, f) for f in range(1, degree + 1)])
+        ov = SelectOverlay(graph, k_links=k, config=SelectConfig())
+        ov._project(as_generator(seed))
+        for f in range(1, degree + 1):
+            ov.tables[f].long_links = {w % degree + 1 for w in links[f - 1]} - {f}
+        rng = as_generator(seed + 1)
+        for _ in range(3):
+            rounds.exchange_phase(ov, rng)
+        assert (ov.edge_columns.bucket >= 0).sum() > 1
+        assert_edge_columns_recompute(ov.peers)
+
+    def test_a_build_calls_no_per_peer_learn(self, monkeypatch):
+        """The fold is array passes: ``learn_exchange`` is only its reference."""
+        calls = []
+        learn = PeerState.learn_exchange
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return learn(*args, **kwargs)
+
+        monkeypatch.setattr(PeerState, "learn_exchange", counted)
+        graph = load_dataset("facebook", num_nodes=300, seed=7)
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+        assert overlay.iterations == 58 and calls == []
