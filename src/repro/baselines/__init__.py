@@ -20,7 +20,6 @@ from repro.baselines.bayeux import BayeuxOverlay
 from repro.baselines.random_overlay import RandomOverlay
 from repro.baselines.vitis import VitisOverlay
 from repro.baselines.omen import OmenOverlay
-from repro.baselines.greedy_merge import greedy_merge_edges, topic_components
 from repro.baselines.tco import build_tco
 from repro.baselines.registry import SYSTEMS, build_overlay, system_names
 
@@ -30,8 +29,6 @@ __all__ = [
     "RandomOverlay",
     "VitisOverlay",
     "OmenOverlay",
-    "greedy_merge_edges",
-    "topic_components",
     "build_tco",
     "SYSTEMS",
     "build_overlay",

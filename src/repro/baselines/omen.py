@@ -3,8 +3,9 @@
 OMen maintains a Topic-Connected Overlay per topic — computed with the
 divide-and-conquer Greedy-Merge approximation of
 :mod:`repro.baselines.tco` — over a small-world substrate, plus *shadow
-sets*: per-peer backup candidates that step in when a TCO neighbor
-departs (churn mending).
+sets*: per-peer backup candidates that, in the OMen paper, step in when a
+TCO neighbor departs. Here they only attract links: no experiment runs
+OMen under churn.
 
 The TCO tells each peer which partners it *should* connect to; peers
 still have to find them through the overlay's sampling service, so
@@ -28,11 +29,11 @@ __all__ = ["OmenOverlay"]
 
 
 class OmenOverlay(RankedGossipOverlay):
-    """Topic-connected overlay with shadow-set mending."""
+    """Topic-connected overlay with shadow sets as weak attractors."""
 
     name = "OMen"
     samples_per_round = 2  # candidate exchange accelerates discovery
-    #: shadow set size per TCO partner (backups kept for churn mending)
+    #: shadow set size per TCO partner (backup candidates)
     shadow_size = 2
 
     def __init__(self, graph: SocialGraph, k_links: int | None = None):
@@ -79,30 +80,3 @@ class OmenOverlay(RankedGossipOverlay):
         if u in self._shadow[v]:
             return 1.0
         return 0.0
-
-    # -- churn mending ---------------------------------------------------------------
-
-    def mend(self, online: np.ndarray) -> int:
-        """Replace offline TCO partners with live shadow candidates.
-
-        Returns the number of replacements (the shadow-set repair the
-        OMen paper contributes). No experiment calls it: the churn
-        experiments (Fig. 6, the fault sweep) do not run OMen.
-        """
-        self._check_built()
-        repairs = 0
-        for v in range(self.graph.num_nodes):
-            if not online[v]:
-                continue
-            table = self.tables[v]
-            dead = [u for u in table.long_links if not online[u]]
-            for u in dead:
-                replacement = next(
-                    (w for w in sorted(self._shadow[v]) if online[w] and w not in table.long_links),
-                    None,
-                )
-                table.long_links.discard(u)
-                if replacement is not None:
-                    table.long_links.add(replacement)
-                    repairs += 1
-        return repairs

@@ -1,9 +1,10 @@
 """Divide-and-conquer topic-connected overlay construction (Chen,
 Jacobsen, Vitenberg; ToN 2014) — the algorithm OMen builds on.
 
-Exact Greedy Merge re-scores every candidate edge per iteration, which is
-quadratic-ish in the co-subscription pairs and unusable beyond toy sizes.
-The divide-and-conquer approximation processes topics independently
+Exact Greedy Merge (Chockler, Melamed, Tock, Vitenberg; PODC 2007)
+re-scores every candidate edge per iteration, which is quadratic-ish in
+the co-subscription pairs and unusable beyond toy sizes. The
+divide-and-conquer approximation processes topics independently
 (smallest first, so cheap topics are satisfied before degree budget runs
 out) and, within a topic, connects the subscriber components with edges
 chosen to keep degrees low — reusing edges contributed by earlier topics
@@ -14,9 +15,29 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.baselines.greedy_merge import _UnionFind
-
 __all__ = ["build_tco"]
+
+
+class _UnionFind:
+    """Plain union-find with path compression."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
 
 def build_tco(topics: dict, max_degree: "int | None" = None) -> set:

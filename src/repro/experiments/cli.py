@@ -44,6 +44,7 @@ from repro.experiments import (
 from repro.experiments.common import ExperimentConfig
 from repro.telemetry.registry import MetricsRegistry, set_registry, use_registry
 from repro.telemetry.tracer import Tracer, set_tracer
+from repro.util.exceptions import ConfigurationError
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -454,7 +455,8 @@ def _resume_snapshot_id(config: ExperimentConfig) -> "str | None":
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "report":
         return _run_report(args)
     if args.experiment == "scenario":
@@ -465,7 +467,10 @@ def main(argv=None) -> int:
         return _run_trace(args)
     if args.experiment == "validate":
         return _run_validate(args)
-    config = config_from_args(args)
+    try:
+        config = config_from_args(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if args.experiment == "build":
         return _run_build(args, config)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

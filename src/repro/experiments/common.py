@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.baselines.registry import build_overlay, display_name, system_names
-from repro.graphs.datasets import load_dataset
+from repro.graphs.datasets import available_datasets, dataset_key, load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.util.exceptions import ConfigurationError
 from repro.util.rng import RngStream
@@ -49,6 +49,9 @@ class ExperimentConfig:
         unknown = [s for s in self.systems if s not in system_names() + ["random"]]
         if unknown:
             raise ConfigurationError(f"unknown systems: {unknown}")
+        unknown = [d for d in self.datasets if dataset_key(d) is None]
+        if unknown:
+            raise ConfigurationError(f"unknown datasets: {unknown}; available: {available_datasets()}")
 
     # -- presets ------------------------------------------------------------
 

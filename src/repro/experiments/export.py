@@ -1,7 +1,7 @@
-"""Export experiment rows to CSV/JSON for plotting.
+"""Export experiment rows to CSV for plotting.
 
-Every experiment's ``run()`` returns a list of flat-ish dicts; these
-helpers serialize them so the figures can be re-plotted with any tool
+Every experiment's ``run()`` returns a list of flat-ish dicts; this
+helper serializes them so the figures can be re-plotted with any tool
 (the paper's figures are line/bar charts over exactly these series).
 List-valued fields (histograms, per-bin series) are JSON-encoded inside
 the CSV cell so nothing is lost.
@@ -15,7 +15,7 @@ import os
 
 from repro.util.exceptions import ConfigurationError
 
-__all__ = ["rows_to_csv", "rows_to_json"]
+__all__ = ["rows_to_csv"]
 
 
 def _flatten(value):
@@ -39,16 +39,5 @@ def rows_to_csv(rows: list[dict], path: str) -> str:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _flatten(v) for k, v in row.items()})
-    return path
-
-
-def rows_to_json(rows: list[dict], path: str) -> str:
-    """Write experiment rows to ``path`` as a JSON array; returns the path."""
-    if not rows:
-        raise ConfigurationError("no rows to export")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2, default=float)
-        fh.write("\n")
     return path
 

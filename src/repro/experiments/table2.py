@@ -8,7 +8,7 @@ published full-scale numbers, so the substitution is auditable.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentConfig, dataset_graph
-from repro.graphs.datasets import DATASETS
+from repro.graphs.datasets import DATASETS, dataset_key
 from repro.graphs.stats import graph_stats
 from repro.util.tables import format_table
 
@@ -21,7 +21,7 @@ def run(config: ExperimentConfig) -> list[dict]:
     for name in config.datasets:
         graph = dataset_graph(config, name, trial=0)
         stats = graph_stats(graph)
-        profile = DATASETS[name if name != "googleplus" else "gplus"]
+        profile = DATASETS[dataset_key(name)]
         rows.append(
             {
                 "dataset": name,

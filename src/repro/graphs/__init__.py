@@ -9,11 +9,7 @@ loader is included for users who have the real files.
 """
 
 from repro.graphs.graph import SocialGraph
-from repro.graphs.generators import (
-    powerlaw_cluster_graph,
-    community_graph,
-    random_graph,
-)
+from repro.graphs.generators import powerlaw_cluster_graph, community_graph
 from repro.graphs.datasets import (
     DATASETS,
     DatasetProfile,
@@ -27,7 +23,6 @@ __all__ = [
     "SocialGraph",
     "powerlaw_cluster_graph",
     "community_graph",
-    "random_graph",
     "DATASETS",
     "DatasetProfile",
     "available_datasets",

@@ -17,7 +17,7 @@ from repro.graphs.graph import SocialGraph
 from repro.graphs.loader import load_edge_list
 from repro.util.exceptions import DatasetError
 
-__all__ = ["DatasetProfile", "DATASETS", "available_datasets", "load_dataset"]
+__all__ = ["DatasetProfile", "DATASETS", "available_datasets", "dataset_key", "load_dataset"]
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,18 @@ def available_datasets() -> list[str]:
     return ["facebook", "twitter", "gplus", "slashdot"]
 
 
+def dataset_key(name: str) -> "str | None":
+    """The :data:`DATASETS` key ``name`` means, or None for no dataset.
+
+    Case and spaces are ignored and ``+`` reads as ``plus``, so
+    ``Google+`` and ``googleplus`` both name ``gplus``.
+    """
+    key = name.lower().replace("+", "plus").replace(" ", "")
+    if key == "googleplus":
+        key = "gplus"
+    return key if key in DATASETS else None
+
+
 def load_dataset(
     name: str,
     num_nodes: int | None = None,
@@ -116,13 +128,9 @@ def load_dataset(
     subsampled to ``num_nodes`` by the loader); otherwise a seeded synthetic
     stand-in with matched statistics is generated.
     """
-    key = name.lower().replace("+", "plus").replace(" ", "")
-    if key == "googleplus":
-        key = "gplus"
-    if key not in DATASETS:
-        raise DatasetError(
-            f"unknown dataset {name!r}; available: {sorted(DATASETS)}"
-        )
+    key = dataset_key(name)
+    if key is None:
+        raise DatasetError(f"unknown dataset {name!r}; available: {available_datasets()}")
     profile = DATASETS[key]
     if edge_list is not None:
         return load_edge_list(edge_list, name=profile.name, max_nodes=num_nodes)

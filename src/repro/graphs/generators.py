@@ -11,8 +11,7 @@ on the same ``random.Random`` stream, in the same draw order, as networkx
 3.x's ``powerlaw_cluster_graph``: networkx's graph edge for edge, without
 its O(degree) triangle step or networkx itself.
 :func:`community_graph` composes dense planted communities with sparse
-inter-community bridges for workloads where explicit communities are wanted;
-:func:`random_graph` (Erdős–Rényi) is the structure-free control.
+inter-community bridges for workloads where explicit communities are wanted.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.graphs.graph import SocialGraph
 from repro.util.exceptions import ConfigurationError
 from repro.util.rng import as_generator
 
-__all__ = ["powerlaw_cluster_graph", "community_graph", "random_graph"]
+__all__ = ["powerlaw_cluster_graph", "community_graph"]
 
 
 def _seed_int(rng: np.random.Generator) -> int:
@@ -162,17 +161,4 @@ def community_graph(
         if u != v and membership[u] != membership[v]:
             edges.add((min(u, v), max(u, v)))
     graph = SocialGraph(num_nodes, edges, name=name)
-    return graph.largest_component()
-
-
-def random_graph(num_nodes: int, avg_degree: float, seed=None, name: str = "random") -> SocialGraph:
-    """Erdős–Rényi G(n, p) control with expected degree ``avg_degree``."""
-    if num_nodes < 2:
-        raise ConfigurationError(f"need at least 2 nodes, got {num_nodes}")
-    import networkx as nx
-
-    rng = as_generator(seed)
-    p = min(1.0, avg_degree / max(num_nodes - 1, 1))
-    g = nx.fast_gnp_random_graph(num_nodes, p, seed=_seed_int(rng))
-    graph = SocialGraph.from_networkx(g, name=name)
     return graph.largest_component()

@@ -118,23 +118,6 @@ class SocialGraph:
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def from_networkx(cls, nx_graph, name: str = "graph") -> "SocialGraph":
-        """Build from an (undirected) networkx graph, relabelling to 0..n-1."""
-        nodes = list(nx_graph.nodes())
-        index = {node: i for i, node in enumerate(nodes)}
-        edges = ((index[u], index[v]) for u, v in nx_graph.edges())
-        return cls(len(nodes), edges, name=name)
-
-    def to_networkx(self):
-        """Export to a networkx :class:`~networkx.Graph` (for analysis)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self._n))
-        g.add_edges_from(self.edges())
-        return g
-
     def largest_component(self) -> "SocialGraph":
         """Restrict to the largest connected component (relabelled).
 

@@ -14,11 +14,7 @@ and time-windowed ring partitions.
 
 from repro.net.bandwidth import BandwidthModel, PeerBandwidth
 from repro.net.latency import LatencyModel
-from repro.net.transfer import (
-    fanout_transfer_time,
-    path_transfer_time,
-    tree_dissemination_time,
-)
+from repro.net.transfer import fanout_transfer_time, tree_dissemination_time
 from repro.net.churn import ChurnModel, ChurnTimeline
 from repro.net.growth import GrowthModel, JoinEvent
 from repro.net.workload import PublishEvent, PublishWorkload
@@ -38,7 +34,6 @@ __all__ = [
     "PeerBandwidth",
     "LatencyModel",
     "fanout_transfer_time",
-    "path_transfer_time",
     "tree_dissemination_time",
     "ChurnModel",
     "ChurnTimeline",

@@ -69,11 +69,3 @@ class BandwidthModel:
     def peer(self, index: int) -> PeerBandwidth:
         """Bandwidth of one peer."""
         return PeerBandwidth(float(self.upload_mbps[index]), float(self.download_mbps[index]))
-
-    def upload_rank(self) -> np.ndarray:
-        """Peers ordered by upload capacity, best first.
-
-        The picker (Algorithm 6) and the incoming-link admission rule both
-        prefer better-provisioned peers.
-        """
-        return np.argsort(-self.upload_mbps, kind="stable")

@@ -9,8 +9,8 @@ structure (multi-source BFS partition), so a user's friends mostly live in
 the same region.
 
 :class:`GeoLatencyModel` is interface-compatible with
-:class:`repro.net.latency.LatencyModel` (``latency``/``path_latency``), so
-every transfer/dissemination function accepts it unchanged.
+:class:`repro.net.latency.LatencyModel` (``latency``), so every
+transfer/dissemination function accepts it unchanged.
 """
 
 from __future__ import annotations
@@ -139,11 +139,6 @@ class GeoLatencyModel:
             return 0.0
         base = float(self.region_latency_ms[self.region_of[u], self.region_of[v]])
         return base + float(self._peer_jitter[u] + self._peer_jitter[v]) / 2.0
-
-    def path_latency(self, path) -> float:
-        """Sum of link latencies along a node path."""
-        nodes = list(path)
-        return float(sum(self.latency(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)))
 
     def intra_region_fraction(self, edges) -> float:
         """Fraction of the given (u, v) links that stay within one region."""

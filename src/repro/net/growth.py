@@ -172,8 +172,3 @@ class GrowthModel:
                     register(user, None, step)
                     unjoined -= 1
         return events
-
-    def inviter_map(self, events: "list[JoinEvent] | None" = None) -> dict[int, "int | None"]:
-        """Convenience: ``user -> inviter`` dict from a join sequence."""
-        events = events if events is not None else self.join_order()
-        return {e.user: e.inviter for e in events}

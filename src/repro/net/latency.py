@@ -49,19 +49,3 @@ class LatencyModel:
             return 0.0
         dist = float(np.linalg.norm(self.coords[u] - self.coords[v]))
         return self.base_ms + self.propagation_ms * dist + float(self._peer_jitter[u] + self._peer_jitter[v]) / 2.0
-
-    def path_latency(self, path) -> float:
-        """Sum of link latencies along a node path (paper: l(p,u) = Σ l_i)."""
-        nodes = list(path)
-        return float(sum(self.latency(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)))
-
-    def latency_matrix(self, nodes) -> np.ndarray:
-        """Dense latency matrix for a subset of peers (analysis helper)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        pts = self.coords[nodes]
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        jit = (self._peer_jitter[nodes][:, None] + self._peer_jitter[nodes][None, :]) / 2.0
-        out = self.base_ms + self.propagation_ms * dist + jit
-        np.fill_diagonal(out, 0.0)
-        return out

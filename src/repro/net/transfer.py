@@ -4,7 +4,7 @@ The paper's probe experiment found that the cost driver is not the number
 of connections but *simultaneous* transfers: a peer pushing the same 1.2 MB
 fragment to ``f`` neighbors at once shares its upload capacity ``f`` ways,
 so total time grows linearly in ``f``. These functions reproduce that
-model and extend it along dissemination paths and trees.
+model and extend it along dissemination trees.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.util.exceptions import ConfigurationError
 
-__all__ = ["fanout_transfer_time", "path_transfer_time", "tree_dissemination_time"]
+__all__ = ["fanout_transfer_time", "tree_dissemination_time"]
 
 DEFAULT_PAYLOAD_MB = 1.2
 
@@ -34,24 +34,6 @@ def fanout_transfer_time(size_mb: float, upload_mbps: float, download_mbps: floa
     effective_up = upload_mbps / fanout
     rate = min(effective_up, download_mbps)  # Mbps
     return (size_mb * 8.0) / rate * 1000.0  # ms
-
-
-def path_transfer_time(
-    path,
-    bandwidth: BandwidthModel,
-    latency: LatencyModel,
-    size_mb: float = DEFAULT_PAYLOAD_MB,
-) -> float:
-    """End-to-end time along a relay path: per-hop latency + store-and-forward."""
-    nodes = list(path)
-    total = 0.0
-    for i in range(len(nodes) - 1):
-        u, v = nodes[i], nodes[i + 1]
-        total += latency.latency(u, v)
-        total += fanout_transfer_time(
-            size_mb, float(bandwidth.upload_mbps[u]), float(bandwidth.download_mbps[v]), fanout=1
-        )
-    return total
 
 
 def tree_dissemination_time(

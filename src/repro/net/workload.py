@@ -98,10 +98,6 @@ class PublishWorkload:
         events.sort(key=lambda e: (e.time, e.message_id))
         return events
 
-    def per_publisher_rates(self) -> np.ndarray:
-        """Copy of the per-user posting rates (posts per second)."""
-        return self.rates.copy()
-
     @property
     def total_rate(self) -> float:
         """Population-wide posting rate (posts per second)."""
@@ -136,10 +132,3 @@ class PublishWorkload:
         if renormalize:
             self.rates *= before / total
         self.publishers = np.flatnonzero(self.rates > 0)
-
-    def sample_publishers(self, count: int) -> np.ndarray:
-        """Sample ``count`` publishers weighted by their posting rate."""
-        if count <= 0:
-            raise ConfigurationError(f"count must be positive, got {count}")
-        probs = self.rates / self.rates.sum()
-        return self._rng.choice(self.num_users, size=count, replace=True, p=probs)

@@ -403,16 +403,3 @@ class OverlayNetwork(ABC):
         view, admitted = self.tables[u].link_view(), self._incoming_sources[u]
         return view | admitted if admitted else view
 
-    def degree_vector(self) -> np.ndarray:
-        """Outgoing link counts per peer."""
-        self._check_built()
-        return np.array([len(self.tables[v].link_view()) for v in range(self.graph.num_nodes)])
-
-    def edge_count(self) -> int:
-        """Number of distinct undirected overlay edges."""
-        self._check_built()
-        seen = set()
-        for v in range(self.graph.num_nodes):
-            for w in self.tables[v].link_view():
-                seen.add((v, w) if v < w else (w, v))
-        return len(seen)

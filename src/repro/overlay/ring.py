@@ -105,12 +105,3 @@ class RingIndex:
         if np.ndim(point) == 0:
             return int(order[int(pos) % n])
         return order[pos % n]
-
-    def predecessor_of(self, point) -> int | np.ndarray:
-        """Last node counter-clockwise from ``point`` (scalar or array)."""
-        order, sorted_ids = self._ensure()
-        n = len(order)
-        pos = np.searchsorted(sorted_ids, point, side="left") - 1
-        if np.ndim(point) == 0:
-            return int(order[int(pos) % n])
-        return order[pos % n]

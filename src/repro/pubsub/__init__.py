@@ -10,17 +10,9 @@ nodes are the *relay nodes* the paper sets out to minimize.
 
 from repro.pubsub.tree import RoutingTree
 from repro.pubsub.api import DisseminationResult, PubSubSystem
-from repro.pubsub.topics import (
-    TopicDissemination,
-    TopicPubSub,
-    zipf_topic_subscriptions,
-)
 
 __all__ = [
     "RoutingTree",
     "DisseminationResult",
     "PubSubSystem",
-    "TopicDissemination",
-    "TopicPubSub",
-    "zipf_topic_subscriptions",
 ]

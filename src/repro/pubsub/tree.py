@@ -50,10 +50,6 @@ class RoutingTree:
         """Tree edges as ``(parent, child)`` pairs."""
         return [(p, c) for c, p in self.parent.items()]
 
-    def forwarders(self) -> dict[int, int]:
-        """Per-node forward counts (number of children each node pushes to)."""
-        return {node: len(kids) for node, kids in self.children.items() if kids}
-
     def relay_nodes(self, subscribers) -> set[int]:
         """Interior nodes that are neither the publisher nor subscribed.
 

@@ -6,7 +6,7 @@ The scenario engine turns the simulator into a chaos-benchmark harness:
   (diurnal curve, flash crowd, celebrity publisher) over
   :class:`~repro.net.workload.PublishWorkload`;
 * :mod:`repro.scenarios.scripts` — correlated failure scripts (regional
-  outage, cascading churn, partition storm) compiled down to the
+  outage, partition storm) compiled down to the
   existing :class:`~repro.net.faults.FaultPlan` machinery;
 * :mod:`repro.scenarios.overload` — bounded per-peer forwarding queues
   with optional protection: priority admission for direct-subscriber
@@ -24,12 +24,7 @@ through the persist layer's snapshot path.
 from repro.scenarios.catalog import SCENARIOS, Scenario, get_scenario, register, scenario_names
 from repro.scenarios.overload import OverloadConfig, OverloadGuard, OverloadStats
 from repro.scenarios.runner import ScenarioResult, run_scenario
-from repro.scenarios.scripts import (
-    FaultScript,
-    cascading_churn,
-    partition_storm,
-    regional_outage,
-)
+from repro.scenarios.scripts import FaultScript, partition_storm, regional_outage
 from repro.scenarios.shapers import (
     CelebrityShaper,
     DiurnalShaper,
@@ -52,7 +47,6 @@ __all__ = [
     "OverloadStats",
     "FaultScript",
     "regional_outage",
-    "cascading_churn",
     "partition_storm",
     "LoadShaper",
     "DiurnalShaper",

@@ -1,8 +1,8 @@
 """Correlated failure scripts compiled down to :class:`FaultPlan`.
 
 A scenario describes *what happens to the network* as a small script of
-time-windowed events — "this region goes dark for ten minutes", "churn
-cascades around the ring in waves" — and compiles it onto the existing
+time-windowed events — "this region goes dark for ten minutes",
+"partitions sweep the ring" — and compiles it onto the existing
 fault machinery: each window is a :class:`~repro.net.faults.RingPartition`
 (a contiguous identifier-ring arc cut off from the rest; SELECT ids are
 socially clustered, so an arc is the overlay analogue of a regional
@@ -28,7 +28,6 @@ from repro.util.exceptions import ConfigurationError
 __all__ = [
     "FaultScript",
     "regional_outage",
-    "cascading_churn",
     "partition_storm",
 ]
 
@@ -104,31 +103,6 @@ def regional_outage(
         windows=(RingPartition(cut=_arc(center, width), start=start, end=start + duration),),
         **noise,
     )
-
-
-def cascading_churn(
-    start: float,
-    waves: int = 3,
-    wave_duration: float = 120.0,
-    overlap: float = 0.5,
-    first_center: float = 0.1,
-    width: float = 0.12,
-    spread: float = 0.2,
-    **noise,
-) -> FaultScript:
-    """Failure waves marching around the ring, each igniting before the
-    last one finishes (the compiler serializes the overlap)."""
-    if waves < 1:
-        raise ConfigurationError(f"waves must be >= 1, got {waves}")
-    if not (0.0 <= overlap < 1.0):
-        raise ConfigurationError(f"overlap must be in [0, 1), got {overlap}")
-    windows = []
-    t = start
-    for i in range(waves):
-        cut = _arc((first_center + i * spread) % 1.0, width)
-        windows.append(RingPartition(cut=cut, start=t, end=t + wave_duration))
-        t += wave_duration * (1.0 - overlap)
-    return FaultScript(windows=tuple(windows), **noise)
 
 
 def partition_storm(

@@ -2,7 +2,7 @@
 
 Ties the substrates together into one clock: the posting workload emits
 publish events, the churn model flips peers on/off, maintenance runs
-periodically (SELECT's recovery, OMen's mending, ...), and every publish
+periodically (SELECT's recovery), and every publish
 is disseminated over the overlay *as the network looks at that instant*.
 An optional :class:`~repro.net.faults.FaultPlan` makes delivery lossy and
 the report then doubles as a graceful-degradation readout: drops,

@@ -26,7 +26,7 @@ from repro.util.exceptions import (
     SnapshotIOError,
     TransientError,
 )
-from repro.util.rng import RngStream, as_generator, spawn_generators
+from repro.util.rng import RngStream, as_generator
 from repro.util.stats import (
     StatSummary,
     confidence_interval,
@@ -55,7 +55,6 @@ __all__ = [
     "fsync_dir",
     "RngStream",
     "as_generator",
-    "spawn_generators",
     "StatSummary",
     "confidence_interval",
     "gini_coefficient",

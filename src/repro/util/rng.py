@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
     "generator_state",
     "restore_generator",
     "RngStream",
@@ -85,17 +84,6 @@ def restore_generator(state: dict) -> np.random.Generator:
     bit_gen = cls()
     bit_gen.state = _from_jsonable(state)
     return np.random.Generator(bit_gen)
-
-
-def spawn_generators(seed: "int | np.random.SeedSequence | None", count: int) -> list[np.random.Generator]:
-    """Spawn ``count`` statistically independent generators from one seed."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
 
 
 @dataclass

@@ -84,25 +84,6 @@ class TestOmen:
         values = [omen.topic_connectivity(t) for t in range(0, 60, 7)]
         assert np.mean(values) > 0.5
 
-    def test_mend_replaces_dead_links(self, small_graph):
-        overlay = OmenOverlay(small_graph).build(seed=23)
-        n = small_graph.num_nodes
-        online = np.ones(n, dtype=bool)
-        # Kill a third of the network.
-        online[np.arange(0, n, 3)] = False
-        repairs = overlay.mend(online)
-        assert repairs > 0
-        for v in range(n):
-            if online[v]:
-                assert not any(not online[w] for w in overlay.tables[v].long_links)
-
-    def test_mend_before_build_rejected(self, small_graph):
-        from repro.util.exceptions import ConfigurationError
-
-        overlay = OmenOverlay(small_graph)
-        with pytest.raises(ConfigurationError):
-            overlay.mend(np.ones(small_graph.num_nodes, dtype=bool))
-
 
 class TestFigure5Ordering:
     def test_select_converges_faster_than_gossip_baselines(

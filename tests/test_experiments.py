@@ -61,6 +61,13 @@ class TestConfig:
             ExperimentConfig(trials=0)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(systems=("selectron",))
+        with pytest.raises(ConfigurationError, match=r"'facebok'.*available"):
+            ExperimentConfig(datasets=("facebook", "facebok"))
+
+    def test_dataset_aliases_accepted(self):
+        # The spellings load_dataset accepts name the same profile everywhere.
+        rows = table2.run(MICRO.with_(datasets=("Google+", "googleplus")))
+        assert [row["paper_users"] for row in rows] == [107_614, 107_614]
 
 
 class TestTable2:
@@ -256,6 +263,22 @@ class TestCli:
         assert cfg.trials == 2
         assert cfg.datasets == ("facebook",)
         assert cfg.seed == 7
+
+    @pytest.mark.parametrize(
+        "flag,value,error",
+        [
+            ("--datasets", "facebook,facebok", "unknown datasets: ['facebok']"),
+            ("--systems", "select,selekt", "unknown systems: ['selekt']"),
+        ],
+        ids=["dataset", "system"],
+    )
+    def test_unknown_name_fails_before_any_work(self, flag, value, error, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["all", flag, value, "--num-nodes", "64", "--trials", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"select-repro: error: {error}")
 
     def test_main_runs_table2(self, capsys):
         rc = main(["table2", "--preset", "quick", "--num-nodes", "80",

@@ -1,4 +1,4 @@
-"""Experiment row export (CSV/JSON)."""
+"""Experiment row export (CSV)."""
 
 import csv
 import json
@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.experiments.cli import main
-from repro.experiments.export import rows_to_csv, rows_to_json
+from repro.experiments.export import rows_to_csv
 from repro.util.exceptions import ConfigurationError
 
 
@@ -30,18 +30,6 @@ class TestCsv:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             rows_to_csv([], str(tmp_path / "x.csv"))
-
-
-class TestJson:
-    def test_roundtrip(self, tmp_path):
-        rows = [{"a": 1, "nested": {"x": [1, 2]}}]
-        path = rows_to_json(rows, str(tmp_path / "out.json"))
-        with open(path) as fh:
-            assert json.load(fh) == rows
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            rows_to_json([], str(tmp_path / "x.json"))
 
 
 class TestExportExperiment:

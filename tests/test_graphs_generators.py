@@ -1,7 +1,9 @@
 """Synthetic graph generators."""
 
+import ast
 import hashlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 
 import repro
 from repro.graphs.datasets import DATASETS, load_dataset
-from repro.graphs.generators import community_graph, powerlaw_cluster_graph, random_graph
+from repro.graphs.generators import community_graph, powerlaw_cluster_graph
 from repro.graphs.graph import SocialGraph
 from repro.graphs.stats import graph_stats
 from repro.persist.snapshot import graph_fingerprint
@@ -19,9 +21,14 @@ from repro.util.exceptions import ConfigurationError
 
 
 def networkx_reference(n: int, m: int, p: float, seed: int) -> SocialGraph:
-    """networkx's Holme–Kim graph, seeded as ``powerlaw_cluster_graph`` seeds its stream."""
+    """networkx's Holme–Kim graph, seeded as ``powerlaw_cluster_graph`` seeds its stream.
+
+    networkx's generator labels its nodes 0..n-1 in insertion order, so its
+    edges index a ``SocialGraph`` directly.
+    """
     nx_seed = int(np.random.default_rng(seed).integers(0, 2**31 - 1))
-    return SocialGraph.from_networkx(nx.powerlaw_cluster_graph(n, m, p, seed=nx_seed)).largest_component()
+    g = nx.powerlaw_cluster_graph(n, m, p, seed=nx_seed)
+    return SocialGraph(g.number_of_nodes(), g.edges()).largest_component()
 
 
 #: (n, m, p): every profile's m and triangle probability, m = 1, p = 0 and p = 1.
@@ -63,6 +70,19 @@ def test_import_leaves_networkx_and_csgraph_out():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    # A lazy import inside a function body never runs above; read the source.
+    importers = []
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "networkx" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 class TestPowerlawCluster:
@@ -120,18 +140,3 @@ class TestCommunityGraph:
     def test_more_communities_than_nodes_rejected(self):
         with pytest.raises(ConfigurationError):
             community_graph(5, num_communities=10)
-
-
-class TestRandomGraph:
-    def test_expected_degree(self):
-        g = random_graph(400, avg_degree=10, seed=7)
-        assert 7 <= g.average_degree() <= 13
-
-    def test_deterministic(self):
-        a = random_graph(100, 6, seed=8)
-        b = random_graph(100, 6, seed=8)
-        assert sorted(a.edges()) == sorted(b.edges())
-
-    def test_too_small_rejected(self):
-        with pytest.raises(ConfigurationError):
-            random_graph(1, 2)

@@ -63,14 +63,6 @@ class TestMutualFriends:
         assert tiny_graph.mutual_friends(0, 4) == 0
 
 
-class TestNetworkxRoundtrip:
-    def test_roundtrip(self, tiny_graph):
-        nx_graph = tiny_graph.to_networkx()
-        back = SocialGraph.from_networkx(nx_graph, name="rt")
-        assert back.num_nodes == tiny_graph.num_nodes
-        assert sorted(back.edges()) == sorted(tiny_graph.edges())
-
-
 class TestLargestComponent:
     def test_connected_graph_unchanged(self, tiny_graph):
         lcc = tiny_graph.largest_component()

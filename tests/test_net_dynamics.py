@@ -115,12 +115,6 @@ class TestGrowth:
         invited = sum(1 for e in events if e.inviter is not None)
         assert invited >= graph.num_nodes - 1 - 5  # all but seeds of components
 
-    def test_inviter_map(self, graph):
-        model = GrowthModel(graph, seed=6)
-        events = model.join_order()
-        mapping = model.inviter_map(events)
-        assert len(mapping) == graph.num_nodes
-
     def test_invalid_params(self, graph):
         with pytest.raises(ConfigurationError):
             GrowthModel(graph, initial_rate=0.5)
@@ -152,13 +146,6 @@ class TestWorkload:
         positive = w.rates[w.rates > 0]
         assert positive.max() > 5 * np.median(positive)
 
-    def test_sample_publishers_weighted(self):
-        w = PublishWorkload(50, rate_sigma=2.0, seed=5)
-        sample = w.sample_publishers(2000)
-        top = int(np.argmax(w.rates))
-        # The highest-rate user should appear much more often than average.
-        assert (sample == top).sum() > 2000 / 50
-
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             PublishWorkload(0)
@@ -167,8 +154,6 @@ class TestWorkload:
         w = PublishWorkload(10, seed=6)
         with pytest.raises(ConfigurationError):
             w.events_until(0)
-        with pytest.raises(ConfigurationError):
-            w.sample_publishers(0)
 
     def test_negative_rate_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -180,13 +165,6 @@ class TestWorkload:
     def test_aggregate_rate_overflow_rejected(self):
         with pytest.raises(ConfigurationError):
             PublishWorkload(10**9, mean_rate=1e300)
-
-    def test_per_publisher_rates_is_a_copy(self):
-        w = PublishWorkload(20, seed=8)
-        rates = w.per_publisher_rates()
-        rates[:] = 0.0
-        assert w.rates.sum() > 0
-        assert w.total_rate == pytest.approx(float(w.rates.sum()))
 
     def test_reweight_boosts_named_user(self):
         w = PublishWorkload(50, rate_sigma=1.0, publisher_fraction=1.0, seed=9)

@@ -56,13 +56,6 @@ class TestGeoLatencyModel:
         geo = GeoLatencyModel(10, seed=3)
         assert geo.latency(2, 7) == pytest.approx(geo.latency(7, 2))
 
-    def test_path_latency(self):
-        region_of = np.array([0, 1, 2])
-        geo = GeoLatencyModel(3, region_of=region_of, jitter_ms=0.0, seed=4)
-        assert geo.path_latency([0, 1, 2]) == pytest.approx(
-            geo.latency(0, 1) + geo.latency(1, 2)
-        )
-
     def test_intra_region_fraction(self):
         region_of = np.array([0, 0, 1, 1])
         geo = GeoLatencyModel(4, region_of=region_of, seed=5)

@@ -1,15 +1,10 @@
 """Network environment models: bandwidth, latency, transfers."""
 
-import numpy as np
 import pytest
 
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
-from repro.net.transfer import (
-    fanout_transfer_time,
-    path_transfer_time,
-    tree_dissemination_time,
-)
+from repro.net.transfer import fanout_transfer_time, tree_dissemination_time
 from repro.util.exceptions import ConfigurationError
 
 
@@ -34,12 +29,6 @@ class TestBandwidth:
         peer = bw.peer(3)
         assert peer.upload_mbps == pytest.approx(float(bw.upload_mbps[3]))
 
-    def test_upload_rank_sorted(self):
-        bw = BandwidthModel(50, seed=5)
-        rank = bw.upload_rank()
-        uploads = bw.upload_mbps[rank]
-        assert all(uploads[i] >= uploads[i + 1] for i in range(len(uploads) - 1))
-
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             BandwidthModel(0)
@@ -60,23 +49,6 @@ class TestLatency:
         lat = LatencyModel(50, base_ms=10.0, jitter_ms=0.0, seed=3)
         for u, v in [(0, 1), (5, 9), (20, 40)]:
             assert lat.latency(u, v) >= 10.0
-
-    def test_path_latency_additive(self):
-        lat = LatencyModel(10, seed=4)
-        total = lat.path_latency([0, 1, 2])
-        assert total == pytest.approx(lat.latency(0, 1) + lat.latency(1, 2))
-
-    def test_single_node_path_zero(self):
-        lat = LatencyModel(10, seed=4)
-        assert lat.path_latency([3]) == 0.0
-
-    def test_matrix_matches_pairwise(self):
-        lat = LatencyModel(20, seed=5)
-        nodes = [2, 7, 11]
-        m = lat.latency_matrix(nodes)
-        assert m[0, 1] == pytest.approx(lat.latency(2, 7))
-        assert m[1, 2] == pytest.approx(lat.latency(7, 11))
-        assert np.allclose(np.diag(m), 0.0)
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
@@ -135,10 +107,3 @@ class TestTreeDissemination:
     def test_empty_tree_zero(self):
         bw, lat = self.make_env()
         assert tree_dissemination_time({}, 0, bw, lat) == 0.0
-
-    def test_path_transfer_time_additive(self):
-        bw, lat = self.make_env()
-        t01 = path_transfer_time([0, 1], bw, lat)
-        t12 = path_transfer_time([1, 2], bw, lat)
-        t012 = path_transfer_time([0, 1, 2], bw, lat)
-        assert t012 == pytest.approx(t01 + t12)

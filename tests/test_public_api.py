@@ -1,7 +1,11 @@
-"""Public API surface: exports exist, are documented, and compose."""
+"""Public API surface: exports exist, are documented, compose, and are called."""
 
+import ast
 import importlib
 import inspect
+import pathlib
+import re
+from collections import Counter
 
 import pytest
 
@@ -63,7 +67,6 @@ class TestPublicClassesDocumented:
             "repro.baselines.vitis.VitisOverlay",
             "repro.baselines.omen.OmenOverlay",
             "repro.pubsub.api.PubSubSystem",
-            "repro.pubsub.topics.TopicPubSub",
             "repro.overlay.routing.GreedyRouter",
             "repro.sim.engine.SuperstepEngine",
             "repro.sim.runner.NotificationSimulator",
@@ -99,3 +102,83 @@ class TestComposition:
         for name in system_names():
             overlay = build_overlay(name, graph, seed=7)
             assert overlay.graph is graph
+
+
+SRC = pathlib.Path(repro.__file__).parent
+ROOT = SRC.parent.parent
+
+#: Definitions in ``src/`` that nothing outside ``tests/`` calls, each with
+#: the reason it stays.
+KEPT = {
+    "sort_candidates": "reference test_packed_min_is_sort_candidates_leader checks packed keys against",
+    "evaluate_position": "per-peer reference for vectorized.evaluate_positions",
+    "apply_reassignment": "per-peer reference for the kernel's move rule",
+    "select_gossip_partner": "per-peer reference for the kernel's partner draw",
+    "BitmapCodec.decode": "inverse tests check BitmapCodec.encode against",
+    "RankedGossipOverlay.topic_connectivity": "how tests see whether Vitis and OMen organise",
+    "RoutingTree.depth_of": "how tests see a dissemination tree's shape",
+    "SocialGraph.mutual_friends": "how tests see a graph's common-friend counts",
+    "OnlineBehavior.tracked": "how tests see which contacts the CMA follows",
+    "NodeSupervisor.restart_count": "how tests see the live supervisor restart a node",
+    "NodeSupervisor.is_killed": "how tests see the live supervisor kill a node",
+    "RoutingTable.add_long": "test_hotpath's link-view cache model writes through it",
+    "RoutingTable.drop_long": "test_hotpath's link-view cache model writes through it",
+    "use_tracer": "lets a test swap in its own tracer",
+    "community_graph": "to be replaced by a community stand-in, not deleted",
+    "VertexContext.vote_to_halt": "SuperstepEngine stays while the benchmark traces its run",
+    "SuperstepEngine.active_count": "SuperstepEngine stays while the benchmark traces its run",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _definitions(body, prefix=""):
+    """``(qualname, name)`` of every function, method and class in ``body``."""
+    for node in body:
+        if isinstance(node, _DEFS):
+            yield prefix + node.name, node.name
+            yield from _definitions(node.body, f"{prefix}{node.name}.")
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _definitions(getattr(node, field, ()), prefix)
+
+
+def _count_uses(tree, uses: Counter) -> None:
+    """Names, attributes and words of string constants, less docstrings,
+    ``__all__`` and imports (an import binds a name; it does not use it)."""
+    skip = set()
+    for node in ast.walk(tree):  # breadth first: a parent comes before its children
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skip.add(id(node.value))
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            skip.update(id(n) for n in ast.walk(node))
+        elif isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses.update(_WORD.findall(node.value))
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    """Dispatch tables and trace points name code in strings, so string words count."""
+    uses: Counter = Counter()
+    defined = {}
+    for directory in (SRC, ROOT / "examples", ROOT / "benchmarks"):
+        for path in sorted(directory.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            _count_uses(tree, uses)
+            if directory == SRC:
+                defined.update(_definitions(tree.body))
+    uncalled = {
+        qualname
+        for qualname, name in defined.items()
+        if uses[name] == 0 and not (name.startswith("__") and name.endswith("__"))
+    }
+    dead = sorted(uncalled - set(KEPT))
+    assert not dead, f"defined in src/ but called only from tests: {dead}"
+    stale = sorted(set(KEPT) - uncalled)
+    assert not stale, f"KEPT names that gained a caller or lost their definition: {stale}"

@@ -47,14 +47,6 @@ class TestRoutingTree:
         tree.add_path([0, 2])
         assert tree.relay_nodes(subscribers=[1, 2]) == {9}
 
-    def test_forwarders(self):
-        tree = RoutingTree(0)
-        tree.add_path([0, 1, 2])
-        tree.add_path([0, 3])
-        fw = tree.forwarders()
-        assert fw[0] == 2 and fw[1] == 1
-        assert 2 not in fw  # leaves forward nothing
-
     def test_edges_and_children_map(self):
         tree = RoutingTree(0)
         tree.add_path([0, 1])

@@ -21,7 +21,6 @@ from repro.scenarios import (
     Scenario,
     ShapedWorkload,
     SLOSpec,
-    cascading_churn,
     get_scenario,
     partition_storm,
     regional_outage,
@@ -136,9 +135,12 @@ class TestFaultScripts:
     def test_overlapping_windows_compile_to_valid_plan(self):
         # Overlapping waves would be rejected by FaultPlan outright; the
         # script compiler serializes them instead.
-        script = cascading_churn(
-            start=0.0, waves=3, wave_duration=100.0, overlap=0.5,
-            first_center=0.1, width=0.1, spread=0.3,
+        script = FaultScript(
+            windows=(
+                RingPartition(cut=(0.05, 0.15), start=0.0, end=100.0),
+                RingPartition(cut=(0.35, 0.45), start=50.0, end=150.0),
+                RingPartition(cut=(0.65, 0.75), start=100.0, end=200.0),
+            )
         )
         starts = [w.start for w in script.windows]
         assert starts == [0.0, 50.0, 100.0]  # raw script overlaps

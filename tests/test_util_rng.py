@@ -12,7 +12,6 @@ from repro.util.rng import (
     as_generator,
     generator_state,
     restore_generator,
-    spawn_generators,
 )
 
 
@@ -36,24 +35,6 @@ class TestAsGenerator:
         a = as_generator(None).random(8)
         b = as_generator(None).random(8)
         assert not np.array_equal(a, b)
-
-
-class TestSpawnGenerators:
-    def test_count(self):
-        assert len(spawn_generators(1, 5)) == 5
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_generators(1, -1)
-
-    def test_children_independent(self):
-        a, b = spawn_generators(3, 2)
-        assert not np.array_equal(a.random(10), b.random(10))
-
-    def test_reproducible_across_calls(self):
-        a1, _ = spawn_generators(9, 2)
-        a2, _ = spawn_generators(9, 2)
-        assert np.array_equal(a1.random(10), a2.random(10))
 
 
 class TestGeneratorState:
