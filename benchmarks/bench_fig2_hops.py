@@ -4,9 +4,7 @@ from repro.experiments import fig2_hops
 
 
 def test_bench_fig2_hops(benchmark, quick_config, save_report):
-    rows = benchmark.pedantic(
-        fig2_hops.run, args=(quick_config,), kwargs={"points": 2}, rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(fig2_hops.run, args=(quick_config,), rounds=1, iterations=1)
     # Paper shape at the largest size: SELECT needs the fewest hops.
     largest = max(r["size"] for r in rows)
     for dataset in quick_config.datasets:

@@ -4,9 +4,7 @@ from repro.experiments import fig4_load
 
 
 def test_bench_fig4_load(benchmark, quick_config, save_report):
-    rows = benchmark.pedantic(
-        fig4_load.run, args=(quick_config,), kwargs={"num_bins": 5}, rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(fig4_load.run, args=(quick_config,), rounds=1, iterations=1)
     for dataset in quick_config.datasets:
         at = {r["system"]: r for r in rows if r["dataset"] == dataset}
         # Paper shape: SELECT imposes the least total forwarding on peers.

@@ -37,6 +37,7 @@ from repro.experiments import (
     fig7_latency,
     fig8_ids,
     geo,
+    grid,
     stabilize,
     table2,
     warmstart,
@@ -482,17 +483,19 @@ def main(argv=None) -> int:
     prev_registry = set_registry(registry) if args.telemetry else None
     prev_tracer = set_tracer(tracer) if args.telemetry else None
     try:
-        for name in names:
-            module = EXPERIMENTS[name]
-            with registry.timer(f"experiment.{name}") as timing:
-                rows = module.run(config)
-                print(module.report(config, rows=rows))
-            if args.export:
-                from repro.experiments.export import rows_to_csv
+        # Figs. 2-5 measure one grid: the first of them walks it for all.
+        with grid.shared(names):
+            for name in names:
+                module = EXPERIMENTS[name]
+                with registry.timer(f"experiment.{name}") as timing:
+                    rows = module.run(config)
+                    print(module.report(config, rows=rows))
+                if args.export:
+                    from repro.experiments.export import rows_to_csv
 
-                path = rows_to_csv(rows, os.path.join(args.export, f"{name}.csv"))
-                print(f"[rows exported to {path}]", file=sys.stderr)
-            print(f"[{name}: {timing.elapsed:.1f}s]\n", file=sys.stderr)
+                    path = rows_to_csv(rows, os.path.join(args.export, f"{name}.csv"))
+                    print(f"[rows exported to {path}]", file=sys.stderr)
+                print(f"[{name}: {timing.elapsed:.1f}s]\n", file=sys.stderr)
         if args.telemetry:
             from repro.telemetry.export import write_telemetry
 

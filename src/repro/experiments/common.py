@@ -44,8 +44,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.num_nodes < 16:
             raise ConfigurationError(f"num_nodes too small: {self.num_nodes}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        for name in ("trials", "lookups", "publishers"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         unknown = [s for s in self.systems if s not in system_names() + ["random"]]
         if unknown:
             raise ConfigurationError(f"unknown systems: {unknown}")
@@ -131,6 +132,16 @@ def trial_rngs(config: ExperimentConfig, label: str) -> list[np.random.Generator
     """One independent generator per trial for measurement sampling."""
     stream = RngStream(config.seed)
     return [stream.child(f"{label}:{t}") for t in range(config.trials)]
+
+
+def select_margins(config: ExperimentConfig, rows: list[dict], key: str):
+    """``(dataset, SELECT's value, {baseline: value})`` per dataset whose rows hold
+    SELECT and a baseline with a positive ``key``: each "SELECT reduction" line's inputs."""
+    for dataset in config.datasets:
+        at = {r["system"]: r[key] for r in rows if r["dataset"] == dataset}
+        others = {s: v for s, v in at.items() if s != "select" and v > 0}
+        if "select" in at and others:
+            yield dataset, at["select"], others
 
 
 def pretty(system: str) -> str:

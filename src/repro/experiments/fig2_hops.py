@@ -9,62 +9,16 @@ their stretch over the shortest paths the overlay's own links hold.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-    pretty,
-    trial_rngs,
-)
-from repro.metrics.hops import route_stretch, sample_friend_pairs, social_lookup_hops
-from repro.pubsub.api import PubSubSystem
-from repro.util.stats import summarize
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, pretty, select_margins
 from repro.util.tables import format_table
 
-__all__ = ["run", "report", "growth_sizes"]
+__all__ = ["run", "report"]
 
 
-def growth_sizes(config: ExperimentConfig, points: int = 3) -> list[int]:
-    """The growing network sizes on Figure 2's x-axis."""
-    fractions = np.linspace(0.4, 1.0, points)
-    return sorted({max(32, int(round(config.num_nodes * f))) for f in fractions})
-
-
-def run(config: ExperimentConfig, points: int = 3) -> list[dict]:
-    """Measure mean lookup hops for every dataset × system × size."""
-    rows = []
-    sizes = growth_sizes(config, points)
-    rngs = trial_rngs(config, "fig2")
-    for dataset in config.datasets:
-        for size in sizes:
-            for system in config.systems:
-                samples = []
-                stretch = []
-                for trial in range(config.trials):
-                    graph = dataset_graph(config, dataset, trial, num_nodes=size)
-                    overlay = build_system(config, system, graph, trial)
-                    pubsub = PubSubSystem(overlay)
-                    pairs = sample_friend_pairs(graph, config.lookups, seed=rngs[trial])
-                    hops = social_lookup_hops(pubsub, pairs)
-                    if hops.size:
-                        samples.append(float(hops.mean()))
-                        stretch.append(route_stretch(overlay, pairs))
-                stats = summarize(samples)
-                stretch = np.concatenate(stretch)
-                rows.append(
-                    {
-                        "dataset": dataset,
-                        "system": system,
-                        "size": size,
-                        "hops": stats.mean,
-                        "ci95": stats.ci95,
-                        "stretch": float(stretch.mean()),
-                        "stretch_p90": float(np.percentile(stretch, 90)),
-                    }
-                )
-    return rows
+def run(config: ExperimentConfig) -> list[dict]:
+    """Mean lookup hops and their stretch for every dataset × size × system."""
+    return grid.rows(config, "fig2")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:
@@ -80,20 +34,12 @@ def report(config: ExperimentConfig, rows: list[dict]) -> str:
         rows=table_rows,
         title="Figure 2: hops per social lookup",
     )
-    # Reduction summary at the largest size, as the paper quotes it.
-    largest = max(r["size"] for r in rows)
+    # Reduction summary at the largest size, N, as the paper quotes it.
     lines = [out, "", "SELECT hop reduction at largest N:"]
-    for dataset in config.datasets:
-        at = {r["system"]: r["hops"] for r in rows if r["dataset"] == dataset and r["size"] == largest}
-        if "select" not in at:
-            continue
-        sel = at["select"]
-        others = {s: h for s, h in at.items() if s != "select" and h > 0}
-        if not others:
-            continue
-        best_sota = min(others.values())
+    at_largest = [r for r in rows if r["size"] == config.num_nodes]
+    for dataset, sel, others in select_margins(config, at_largest, "hops"):
         sym = others.get("symphony")
-        parts = [f"vs best SOTA {100 * (1 - sel / best_sota):.0f}%"]
+        parts = [f"vs best SOTA {100 * (1 - sel / min(others.values())):.0f}%"]
         if sym:
             parts.insert(0, f"vs Symphony {100 * (1 - sel / sym):.0f}%")
         lines.append(f"  {dataset}: " + ", ".join(parts))

@@ -9,40 +9,16 @@ paper reports SELECT converging in ~75% fewer iterations.
 
 from __future__ import annotations
 
-from repro.baselines.registry import system_names
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-    pretty,
-)
-from repro.util.stats import summarize
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, pretty, select_margins
 from repro.util.tables import format_table
 
 __all__ = ["run", "report"]
 
 
 def run(config: ExperimentConfig) -> list[dict]:
-    """Measure construction iterations for every dataset × iterative system."""
-    rows = []
-    iterative = [s for s in config.systems if s in system_names(iterative_only=True)]
-    for dataset in config.datasets:
-        for system in iterative:
-            iterations = []
-            for trial in range(config.trials):
-                graph = dataset_graph(config, dataset, trial)
-                overlay = build_system(config, system, graph, trial)
-                iterations.append(float(overlay.iterations))
-            stats = summarize(iterations)
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "system": system,
-                    "iterations": stats.mean,
-                    "ci95": stats.ci95,
-                }
-            )
-    return rows
+    """Construction iterations for every dataset × iterative system."""
+    return grid.rows(config, "fig5")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:
@@ -53,14 +29,7 @@ def report(config: ExperimentConfig, rows: list[dict]) -> str:
         title="Figure 5: iterations to construct the overlay (Symphony/Bayeux excluded)",
     )
     lines = [out, "", "SELECT convergence advantage:"]
-    for dataset in config.datasets:
-        at = {r["system"]: r["iterations"] for r in rows if r["dataset"] == dataset}
-        if "select" not in at:
-            continue
-        sel = at["select"]
-        others = {s: v for s, v in at.items() if s != "select" and v > 0}
-        if not others:
-            continue
+    for dataset, sel, others in select_margins(config, rows, "iterations"):
         worst = max(others.values())
         lines.append(f"  {dataset}: {100 * (1 - sel / worst):.0f}% fewer iterations than the slowest baseline")
     return "\n".join(lines)

@@ -18,6 +18,7 @@ from repro.experiments.common import (
     build_system,
     dataset_graph,
     pretty,
+    select_margins,
     trial_rngs,
 )
 from repro.metrics.latency import dissemination_latencies
@@ -88,11 +89,6 @@ def report(config: ExperimentConfig, rows: list[dict]) -> str:
         float_fmt="{:.2f}",
     )
     lines = [out, "", "SELECT latency advantage from geographic locality:"]
-    for dataset in config.datasets:
-        at = {r["system"]: r["latency_ms"] for r in rows if r["dataset"] == dataset}
-        if "select" not in at or len(at) < 2:
-            continue
-        others = {s: v for s, v in at.items() if s != "select" and v > 0}
-        best = min(others.values())
-        lines.append(f"  {dataset}: vs best baseline {100 * (1 - at['select'] / best):.0f}%")
+    for dataset, sel, others in select_margins(config, rows, "latency_ms"):
+        lines.append(f"  {dataset}: vs best baseline {100 * (1 - sel / min(others.values())):.0f}%")
     return "\n".join(lines)

@@ -4,7 +4,9 @@ Uses a micro config so the whole module stays fast; the experiments'
 numbers are validated for *shape* (who wins), not absolute values.
 """
 
+import gc
 import inspect
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.experiments import (
     fig6_churn,
     fig7_latency,
     fig8_ids,
+    grid,
     stabilize,
     table2,
 )
@@ -59,6 +62,10 @@ class TestConfig:
             ExperimentConfig(num_nodes=2)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(trials=0)
+        with pytest.raises(ConfigurationError, match="lookups"):
+            ExperimentConfig(lookups=0)
+        with pytest.raises(ConfigurationError, match="publishers"):
+            ExperimentConfig(publishers=-1)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(systems=("selectron",))
         with pytest.raises(ConfigurationError, match=r"'facebok'.*available"):
@@ -86,18 +93,23 @@ class TestTable2:
 
 class TestFig2:
     def test_rows_and_reduction(self):
-        rows = fig2_hops.run(MICRO, points=2)
+        rows = fig2_hops.run(MICRO)
         systems = {r["system"] for r in rows}
         assert systems == {"select", "symphony"}
         sizes = {r["size"] for r in rows}
-        assert len(sizes) == 2
+        assert len(sizes) == grid.GROWTH_POINTS and max(sizes) == MICRO.num_nodes
         # Paper shape: SELECT needs fewer hops than Symphony.
         at_large = {r["system"]: r["hops"] for r in rows if r["size"] == max(sizes)}
         assert at_large["select"] < at_large["symphony"]
 
     def test_report_mentions_reduction(self):
-        out = fig2_hops.report(MICRO, fig2_hops.run(MICRO, points=2))
+        out = fig2_hops.report(MICRO, fig2_hops.run(MICRO))
         assert "hop reduction" in out
+
+    def test_no_size_above_num_nodes(self):
+        # The 32-node floor stops at N: a 20-node run measures N=20.
+        rows = fig2_hops.run(MICRO.with_(num_nodes=20, systems=("select",)))
+        assert {r["size"] for r in rows} == {20}
 
 
 class TestFig3:
@@ -112,13 +124,13 @@ class TestFig3:
 
 class TestFig4:
     def test_shares_cover_all_bins(self):
-        rows = fig4_load.run(MICRO, num_bins=4)
+        rows = fig4_load.run(MICRO)
         for r in rows:
-            assert len(r["share_percent"]) == 4
+            assert len(r["share_percent"]) == grid.LOAD_BINS
             assert 0 <= r["gini"] <= 1
 
     def test_report_renders(self):
-        out = fig4_load.report(MICRO, fig4_load.run(MICRO, num_bins=4))
+        out = fig4_load.report(MICRO, fig4_load.run(MICRO))
         assert "Figure 4" in out and "Total forwards" in out
 
 
@@ -133,6 +145,45 @@ class TestFig5:
         rows = fig5_iterations.run(cfg)
         at = {r["system"]: r["iterations"] for r in rows}
         assert at["select"] < at["vitis"]
+
+
+class TestGrid:
+    FIGURES = {"fig2": fig2_hops, "fig3": fig3_relays, "fig4": fig4_load, "fig5": fig5_iterations}
+
+    @staticmethod
+    def _counting_builds(monkeypatch):
+        """Count grid builds; each one first checks no earlier overlay is alive."""
+        built = []
+        build = grid.build_system
+
+        def counted(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in built), "an overlay outlived its cell"
+            overlay = build(*args, **kwargs)
+            built.append(weakref.ref(overlay))
+            return overlay
+
+        monkeypatch.setattr(grid, "build_system", counted)
+        return built
+
+    def test_shared_walk_builds_each_cell_once(self, monkeypatch):
+        cfg = MICRO.with_(systems=("select", "symphony", "vitis"))
+        standalone = {name: module.run(cfg) for name, module in self.FIGURES.items()}
+        built = self._counting_builds(monkeypatch)
+        with grid.shared(tuple(self.FIGURES)):
+            shared = {name: module.run(cfg) for name, module in self.FIGURES.items()}
+        cells = len(cfg.datasets) * len(grid.growth_sizes(cfg)) * len(cfg.systems) * cfg.trials
+        assert len(built) == cells == 9
+        assert shared == standalone
+        gc.collect()
+        assert all(ref() is None for ref in built)
+
+    def test_outside_shared_each_call_measures_its_own_cells(self, monkeypatch):
+        built = self._counting_builds(monkeypatch)
+        with grid.shared(("fig2",)):
+            fig3_relays.run(MICRO)
+            fig3_relays.run(MICRO)
+        assert len(built) == 2 * len(MICRO.systems)
 
 
 class TestFig6:

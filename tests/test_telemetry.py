@@ -187,9 +187,9 @@ class TestZeroOverheadPin:
             lookups=20,
             publishers=4,
         )
-        baseline = fig2_hops.run(config, points=1)
+        baseline = fig2_hops.run(config)
         with use_registry(MetricsRegistry()), use_tracer(Tracer()):
-            instrumented = fig2_hops.run(config, points=1)
+            instrumented = fig2_hops.run(config)
         assert baseline == instrumented
 
     def test_null_registry_pins_seed_behavior(self, built_select):
@@ -350,7 +350,7 @@ class TestSimulatorChains:
         )
         reg, tracer = MetricsRegistry(), Tracer()
         with use_registry(reg), use_tracer(tracer):
-            fig2_hops.run(config, points=1)
+            fig2_hops.run(config)
         out = str(tmp_path / "tel")
         write_telemetry(out, reg, tracer=tracer)
         assert validate_dir(out) == []
