@@ -2,17 +2,12 @@
 
 from repro.experiments import faults
 
+#: the loss levels of faults.LOSS_RATES whose rows the asserts read.
 BENCH_LOSS_RATES = (0.0, 0.05, 0.20)
 
 
 def test_bench_faults(benchmark, quick_config, save_report):
-    rows = benchmark.pedantic(
-        faults.run,
-        args=(quick_config,),
-        kwargs={"loss_rates": BENCH_LOSS_RATES, "ticks": 5, "horizon": 1500.0},
-        rounds=1,
-        iterations=1,
-    )
+    rows = benchmark.pedantic(faults.run, args=(quick_config,), rounds=1, iterations=1)
     by = {(r["dataset"], r["system"], r["loss_rate"]): r for r in rows}
     for dataset in quick_config.datasets:
         # Degradation must be graceful: at 5% per-hop loss the retry budget

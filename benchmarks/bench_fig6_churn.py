@@ -4,13 +4,7 @@ from repro.experiments import fig6_churn
 
 
 def test_bench_fig6_churn(benchmark, quick_config, save_report):
-    rows = benchmark.pedantic(
-        fig6_churn.run,
-        args=(quick_config,),
-        kwargs={"ticks": 6, "horizon": 2000.0},
-        rounds=1,
-        iterations=1,
-    )
+    rows = benchmark.pedantic(fig6_churn.run, args=(quick_config,), rounds=1, iterations=1)
     by = {(r["dataset"], r["variant"]): r for r in rows}
     for dataset in quick_config.datasets:
         rec = by[(dataset, "SELECT (recovery)")]

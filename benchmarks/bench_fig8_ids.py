@@ -4,9 +4,7 @@ from repro.experiments import fig8_ids
 
 
 def test_bench_fig8_ids(benchmark, quick_config, save_report):
-    rows = benchmark.pedantic(
-        fig8_ids.run, args=(quick_config,), kwargs={"bins": 10}, rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(fig8_ids.run, args=(quick_config,), rounds=1, iterations=1)
     for r in rows:
         # Paper shape: socially connected peers share compact ID regions...
         assert r["mean_friend_distance"] < r["mean_random_distance"]

@@ -5,7 +5,7 @@ Paper artifact       Module
 ===================  =============================================
 Table II             :mod:`repro.experiments.table2`
 §IV-C link sweep     :mod:`repro.experiments.conn_sweep`
-Figures 2–5 cells    :mod:`repro.experiments.grid`
+Trial grid           :mod:`repro.experiments.grid`
 Figure 2 (hops)      :mod:`repro.experiments.fig2_hops`
 Figure 3 (relays)    :mod:`repro.experiments.fig3_relays`
 Figure 4 (load)      :mod:`repro.experiments.fig4_load`
@@ -23,9 +23,12 @@ Doctor audit (ours)  :mod:`repro.experiments.doctor`
 
 Every experiment module exposes ``run(config) -> list[dict]`` (raw rows)
 and ``report(config, rows) -> str`` (the formatted table the paper's
-artifact corresponds to). Figures 2–5 read their rows from one trial grid,
-:mod:`~repro.experiments.grid`. ``repro.experiments.cli`` wires them to a
-command line: ``select-repro fig3 --preset quick``.
+artifact corresponds to). Figures 2–8, geo, faults, stabilize and doctor
+are each a ``sample`` and a ``row`` over one trial grid,
+:mod:`~repro.experiments.grid`: it builds each overlay once, read-only
+samples share it and samples that write restore its snapshot. The link
+sweep, the ablation and warm start build their own. ``repro.experiments.cli``
+wires them to a command line: ``select-repro fig3 --preset quick``.
 """
 
 from repro.experiments.common import ExperimentConfig

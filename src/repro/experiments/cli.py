@@ -483,7 +483,7 @@ def main(argv=None) -> int:
     prev_registry = set_registry(registry) if args.telemetry else None
     prev_tracer = set_tracer(tracer) if args.telemetry else None
     try:
-        # Figs. 2-5 measure one grid: the first of them walks it for all.
+        # The grid's experiments share one walk: the first of them walks it for all.
         with grid.shared(names):
             for name in names:
                 module = EXPERIMENTS[name]

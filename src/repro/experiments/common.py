@@ -20,6 +20,7 @@ from repro.graphs.datasets import available_datasets, dataset_key, load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.util.exceptions import ConfigurationError
 from repro.util.rng import RngStream
+from repro.util.stats import summarize
 
 __all__ = ["ExperimentConfig", "build_system", "trial_rngs", "dataset_graph"]
 
@@ -132,6 +133,11 @@ def trial_rngs(config: ExperimentConfig, label: str) -> list[np.random.Generator
     """One independent generator per trial for measurement sampling."""
     stream = RngStream(config.seed)
     return [stream.child(f"{label}:{t}") for t in range(config.trials)]
+
+
+def means(samples: "list[dict]") -> dict:
+    """Each key's mean over the trials' ``samples``, dicts with the same keys."""
+    return {key: summarize([s[key] for s in samples]).mean for key in samples[0]}
 
 
 def select_margins(config: ExperimentConfig, rows: list[dict], key: str):

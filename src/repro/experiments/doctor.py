@@ -10,42 +10,40 @@ experiment misbehaves after an overlay-construction change.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-    pretty,
-)
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, pretty
 from repro.overlay.doctor import check_overlay
 from repro.util.tables import format_table
 
 __all__ = ["run", "report"]
 
 
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system in config.systems and trial == 0
+
+
+def sample(config, cell, rng):
+    doc = check_overlay(cell.overlay)
+    return {
+        "peers": doc.live_peers,
+        "ring_cycles": doc.ring_count,
+        "largest_cycle": doc.largest_cycle,
+        "broken_successors": len(doc.broken_successors),
+        "asymmetric_pairs": len(doc.asymmetric_pairs),
+        "leaked_slots": len(doc.leaked_slots),
+        "max_in_degree": doc.max_in_degree,
+        "in_degree_cap": doc.in_degree_cap,
+        "ok": doc.ok,
+    }
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    return [{"dataset": dataset, "system": system, **fields} for fields in samples]
+
+
 def run(config: ExperimentConfig) -> list[dict]:
     """Invariant sweep per dataset × system (trial 0's build)."""
-    rows = []
-    for dataset in config.datasets:
-        for system in config.systems:
-            graph = dataset_graph(config, dataset, 0)
-            overlay = build_system(config, system, graph, 0)
-            doc = check_overlay(overlay)
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "system": system,
-                    "peers": doc.live_peers,
-                    "ring_cycles": doc.ring_count,
-                    "largest_cycle": doc.largest_cycle,
-                    "broken_successors": len(doc.broken_successors),
-                    "asymmetric_pairs": len(doc.asymmetric_pairs),
-                    "leaked_slots": len(doc.leaked_slots),
-                    "max_in_degree": doc.max_in_degree,
-                    "in_degree_cap": doc.in_degree_cap,
-                    "ok": doc.ok,
-                }
-            )
-    return rows
+    return grid.rows(config, "doctor")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:

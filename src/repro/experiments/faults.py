@@ -14,23 +14,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.recovery import RecoveryManager
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-    pretty,
-    trial_rngs,
-)
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, means, pretty
 from repro.metrics.availability import churn_availability
 from repro.net.churn import ChurnModel
 from repro.net.faults import FaultPlan, PingService
-from repro.util.stats import summarize
 from repro.util.tables import format_table
 
-__all__ = ["run", "report", "LOSS_RATES"]
+__all__ = ["run", "report", "LOSS_RATES", "TICKS", "HORIZON"]
 
-#: per-hop loss probabilities swept by default (0% .. 20%).
+#: per-hop loss probabilities swept (0% .. 20%).
 LOSS_RATES = (0.0, 0.02, 0.05, 0.10, 0.20)
+
+#: churn ticks per run, and the simulated seconds they span.
+TICKS = 8
+HORIZON = 2400.0
 
 _SYSTEMS = ("select", "symphony")
 
@@ -40,67 +38,60 @@ _SYSTEMS = ("select", "symphony")
 PING_FALSE_NEGATIVE = 0.10
 
 
-def _fault_plan(loss: float, rng: np.random.Generator) -> FaultPlan:
-    """The sweep's fault plan at one loss level (seeded per trial)."""
-    return FaultPlan(
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system in config.systems and system in _SYSTEMS
+
+
+def _availability(config, overlay, loss: float, rng, repair: bool) -> dict:
+    """One churn run over ``overlay`` at one loss level, with SELECT's repair or none."""
+    churn = ChurnModel(overlay.graph.num_nodes, seed=rng)
+    matrix = churn.online_matrix(HORIZON, TICKS)
+    faults = FaultPlan(
         loss_rate=loss,
         retry_budget=2,
         ping_false_negative=PING_FALSE_NEGATIVE if loss > 0.0 else 0.0,
         seed=int(rng.integers(2**31 - 1)),
     )
+    manager = RecoveryManager(overlay, ping_service=PingService(faults)) if repair else None
+    points = churn_availability(
+        overlay,
+        matrix,
+        lookups_per_tick=max(10, config.lookups // TICKS),
+        repair=manager.tick if manager else None,
+        faults=faults,
+        seed=rng,
+    )
+    return {
+        "availability": float(np.mean([p.availability for p in points])),
+        "mean_retries": faults.stats.mean_retries(),
+        "false_evictions": manager.false_evictions if manager else 0,
+        "drops": faults.stats.drops,
+    }
 
 
-def run(
-    config: ExperimentConfig,
-    loss_rates: "tuple[float, ...]" = LOSS_RATES,
-    ticks: int = 8,
-    horizon: float = 2400.0,
-) -> list[dict]:
+def sample(config, cell, rng):
+    """One trial at every loss level, in order, each on an untouched overlay:
+    Symphony only reads the cell, SELECT's recovery rewrites tables, so each
+    level gets its own copy."""
+    if cell.system != "select":
+        return [_availability(config, cell.overlay, loss, rng, repair=False) for loss in LOSS_RATES]
+    last = len(LOSS_RATES) - 1
+    return [
+        _availability(config, cell.writable(final=i == last), loss, rng, repair=True)
+        for i, loss in enumerate(LOSS_RATES)
+    ]
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    return [
+        {"dataset": dataset, "system": system, "loss_rate": loss, **means(runs)}
+        for loss, runs in zip(LOSS_RATES, zip(*samples))
+    ]
+
+
+def run(config: ExperimentConfig) -> list[dict]:
     """Availability degradation per dataset × system × loss rate."""
-    rows = []
-    rngs = trial_rngs(config, "faults")
-    for dataset in config.datasets:
-        for system in _SYSTEMS:
-            for loss in loss_rates:
-                avail = []
-                mean_retries = []
-                false_evictions = []
-                drops = []
-                for trial in range(config.trials):
-                    graph = dataset_graph(config, dataset, trial)
-                    overlay = build_system(config, system, graph, trial)
-                    churn = ChurnModel(graph.num_nodes, seed=rngs[trial])
-                    matrix = churn.online_matrix(horizon, ticks)
-                    faults = _fault_plan(loss, rngs[trial])
-                    manager = None
-                    repair = None
-                    if system == "select":
-                        manager = RecoveryManager(overlay, ping_service=PingService(faults))
-                        repair = manager.tick
-                    points = churn_availability(
-                        overlay,
-                        matrix,
-                        lookups_per_tick=max(10, config.lookups // ticks),
-                        repair=repair,
-                        faults=faults,
-                        seed=rngs[trial],
-                    )
-                    avail.append(float(np.mean([p.availability for p in points])))
-                    mean_retries.append(faults.stats.mean_retries())
-                    drops.append(faults.stats.drops)
-                    false_evictions.append(manager.false_evictions if manager else 0)
-                rows.append(
-                    {
-                        "dataset": dataset,
-                        "system": system,
-                        "loss_rate": loss,
-                        "availability": summarize(avail).mean,
-                        "mean_retries": summarize(mean_retries).mean,
-                        "false_evictions": summarize(false_evictions).mean,
-                        "drops": summarize(drops).mean,
-                    }
-                )
-    return rows
+    return grid.rows(config, "faults")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:

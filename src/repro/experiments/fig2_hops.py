@@ -9,11 +9,33 @@ their stretch over the shortest paths the overlay's own links hold.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.experiments import grid
 from repro.experiments.common import ExperimentConfig, pretty, select_margins
+from repro.metrics.hops import route_stretch, sample_friend_pairs, social_lookup_hops
+from repro.pubsub.api import PubSubSystem
+from repro.util.stats import summarize
 from repro.util.tables import format_table
 
 __all__ = ["run", "report"]
+
+
+def wants(config, size, system, trial) -> bool:
+    return system in config.systems
+
+
+def sample(config, cell, rng):
+    pairs = sample_friend_pairs(cell.graph, config.lookups, seed=rng)
+    hops = social_lookup_hops(PubSubSystem(cell.overlay), pairs)
+    return (float(hops.mean()), route_stretch(cell.overlay, pairs)) if hops.size else None
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    hops, stretch = zip(*(s for s in samples if s is not None))
+    stats, stretch = summarize(hops), np.concatenate(stretch)
+    return [{"dataset": dataset, "system": system, "size": size, "hops": stats.mean, "ci95": stats.ci95,
+             "stretch": float(stretch.mean()), "stretch_p90": float(np.percentile(stretch, 90))}]
 
 
 def run(config: ExperimentConfig) -> list[dict]:

@@ -11,9 +11,28 @@ from __future__ import annotations
 
 from repro.experiments import grid
 from repro.experiments.common import ExperimentConfig, pretty, select_margins
+from repro.metrics.relays import publish_relays
+from repro.pubsub.api import PubSubSystem
+from repro.util.stats import summarize
 from repro.util.tables import format_table
 
 __all__ = ["run", "report"]
+
+
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system in config.systems
+
+
+def sample(config, cell, rng):
+    publishers = rng.integers(0, cell.graph.num_nodes, size=config.publishers)
+    stats = publish_relays(PubSubSystem(cell.overlay), publishers)
+    return stats.mean_per_path, stats.mean_per_tree
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    per_path, per_tree = (summarize(values) for values in zip(*samples))
+    return [{"dataset": dataset, "system": system, "relays_per_path": per_path.mean,
+             "relays_per_tree": per_tree.mean, "ci95": per_path.ci95}]
 
 
 def run(config: ExperimentConfig) -> list[dict]:

@@ -10,11 +10,38 @@ coefficient per system (0 = perfectly balanced).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.experiments import grid
-from repro.experiments.common import ExperimentConfig, pretty, select_margins
+from repro.experiments.common import ExperimentConfig, means, pretty, select_margins
+from repro.metrics.load import forward_counts, load_gini, load_share_by_degree
+from repro.pubsub.api import PubSubSystem
 from repro.util.tables import format_table
 
-__all__ = ["run", "report"]
+__all__ = ["run", "report", "LOAD_BINS"]
+
+#: Figure 4's equal-population social-degree bins.
+LOAD_BINS = 6
+
+
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system in config.systems
+
+
+def sample(config, cell, rng):
+    publishers = rng.integers(0, cell.graph.num_nodes, size=config.publishers)
+    counts = forward_counts(PubSubSystem(cell.overlay), publishers)
+    total = counts.sum()
+    max_share = 100.0 * counts.max() / total if total else 0.0
+    stats = {"gini": load_gini(counts), "total_forwards": float(total), "max_peer_share": max_share}
+    return stats, load_share_by_degree(cell.graph, counts, num_bins=LOAD_BINS)
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    stats, series = zip(*samples)
+    degree, share = np.array(series).sum(axis=0).T / config.trials
+    return [{"dataset": dataset, "system": system, **means(stats), "degree_bins": [float(d) for d in degree],
+             "share_percent": [float(s) for s in share], "top_bin_share": float(share[-1])}]
 
 
 def run(config: ExperimentConfig) -> list[dict]:

@@ -9,11 +9,26 @@ paper reports SELECT converging in ~75% fewer iterations.
 
 from __future__ import annotations
 
+from repro.baselines.registry import system_names
 from repro.experiments import grid
 from repro.experiments.common import ExperimentConfig, pretty, select_margins
+from repro.util.stats import summarize
 from repro.util.tables import format_table
 
 __all__ = ["run", "report"]
+
+
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system in config.systems and system in system_names(iterative_only=True)
+
+
+def sample(config, cell, rng):
+    return float(cell.overlay.iterations)
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    stats = summarize(samples)
+    return [{"dataset": dataset, "system": system, "iterations": stats.mean, "ci95": stats.ci95}]
 
 
 def run(config: ExperimentConfig) -> list[dict]:

@@ -16,64 +16,62 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.recovery import RecoveryManager
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-    trial_rngs,
-)
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, means
 from repro.metrics.availability import churn_availability
 from repro.net.churn import ChurnModel
-from repro.util.stats import summarize
 from repro.util.tables import format_table
 
-__all__ = ["run", "report"]
+__all__ = ["run", "report", "TICKS", "HORIZON"]
 
-_VARIANTS = (
-    ("SELECT (recovery)", True),
-    ("SELECT (no recovery)", False),
-)
+#: churn ticks in one run: the length of the availability series.
+TICKS = 12
+#: simulated seconds the ticks span.
+HORIZON = 3600.0
+
+#: one row per variant, in the order each trial runs them
+_VARIANTS = ("SELECT (recovery)", "SELECT (no recovery)")
 
 
-def run(config: ExperimentConfig, ticks: int = 12, horizon: float = 3600.0) -> list[dict]:
-    """Per-dataset availability under churn, with and without recovery."""
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system == "select"
+
+
+def _churn(config, overlay, rng, recovery: bool):
+    """One churn run: its availability and churn level, and the per-tick series."""
+    churn = ChurnModel(overlay.graph.num_nodes, seed=rng)
+    matrix = churn.online_matrix(HORIZON, TICKS)
+    points = churn_availability(
+        overlay,
+        matrix,
+        lookups_per_tick=max(10, config.lookups // TICKS),
+        repair=RecoveryManager(overlay).tick if recovery else None,
+        seed=rng,
+    )
+    avail = np.array([p.availability for p in points])
+    stats = {"mean_availability": float(avail.mean()), "min_availability": float(avail.min()),
+             "churn_level": 1.0 - float(np.mean([p.online_fraction for p in points]))}
+    return stats, avail
+
+
+def sample(config, cell, rng):
+    # Recovery rewrites tables, so it runs on a copy; without it the run only reads.
+    with_recovery = _churn(config, cell.writable(final=False), rng, recovery=True)
+    return with_recovery, _churn(config, cell.overlay, rng, recovery=False)
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
     rows = []
-    rngs = trial_rngs(config, "fig6")
-    for dataset in config.datasets:
-        for label, with_recovery in _VARIANTS:
-            mean_avail = []
-            min_avail = []
-            churn_level = []
-            series_acc = np.zeros(ticks, dtype=np.float64)
-            for trial in range(config.trials):
-                graph = dataset_graph(config, dataset, trial)
-                overlay = build_system(config, "select", graph, trial)
-                churn = ChurnModel(graph.num_nodes, seed=rngs[trial])
-                matrix = churn.online_matrix(horizon, ticks)
-                repair = RecoveryManager(overlay).tick if with_recovery else None
-                points = churn_availability(
-                    overlay,
-                    matrix,
-                    lookups_per_tick=max(10, config.lookups // ticks),
-                    repair=repair,
-                    seed=rngs[trial],
-                )
-                avail = np.array([p.availability for p in points])
-                series_acc += avail
-                mean_avail.append(float(avail.mean()))
-                min_avail.append(float(avail.min()))
-                churn_level.append(1.0 - float(np.mean([p.online_fraction for p in points])))
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "variant": label,
-                    "mean_availability": summarize(mean_avail).mean,
-                    "min_availability": summarize(min_avail).mean,
-                    "churn_level": summarize(churn_level).mean,
-                    "availability_series": list(series_acc / config.trials),
-                }
-            )
+    for label, runs in zip(_VARIANTS, zip(*samples)):
+        stats, series = zip(*runs)
+        rows.append({"dataset": dataset, "variant": label, **means(stats),
+                     "availability_series": list(sum(series) / config.trials)})
     return rows
+
+
+def run(config: ExperimentConfig) -> list[dict]:
+    """Per-dataset availability under churn, with and without recovery."""
+    return grid.rows(config, "fig6")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:

@@ -14,13 +14,8 @@ total transfer time that motivates the latency-aware overlay.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-    pretty,
-    trial_rngs,
-)
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, pretty
 from repro.metrics.latency import dissemination_latencies
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
@@ -47,41 +42,31 @@ def simultaneous_transfer_probe(
     return rows
 
 
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and (system in config.systems or system == "random")
+
+
+def sample(config, cell, rng):
+    graph = cell.graph
+    env_rng = RngStream(config.seed).child(f"fig7-env:{cell.dataset}:{cell.trial}")
+    bandwidth = BandwidthModel(graph.num_nodes, seed=env_rng)
+    latency = LatencyModel(graph.num_nodes, seed=env_rng)
+    # SELECT's picker is latency-aware: the bandwidth is a build input, so
+    # this SELECT is an overlay of its own, not the shared cell.
+    overlay = cell.build(bandwidth=bandwidth) if cell.system == "select" else cell.overlay
+    publishers = rng.integers(0, graph.num_nodes, size=config.publishers)
+    times = dissemination_latencies(PubSubSystem(overlay), publishers, bandwidth, latency)
+    return float(times.mean()) if times.size else None
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    stats = summarize([t for t in samples if t is not None])
+    return [{"dataset": dataset, "system": system, "latency_ms": stats.mean, "ci95": stats.ci95}]
+
+
 def run(config: ExperimentConfig) -> list[dict]:
     """Dissemination latency for every dataset × system (plus 'random')."""
-    systems = list(config.systems)
-    if "random" not in systems:
-        systems.append("random")
-    rows = []
-    rngs = trial_rngs(config, "fig7")
-    stream = RngStream(config.seed)
-    for dataset in config.datasets:
-        for system in systems:
-            latencies = []
-            for trial in range(config.trials):
-                graph = dataset_graph(config, dataset, trial)
-                env_rng = stream.child(f"fig7-env:{dataset}:{trial}")
-                bandwidth = BandwidthModel(graph.num_nodes, seed=env_rng)
-                latency = LatencyModel(graph.num_nodes, seed=env_rng)
-                kwargs = {}
-                if system == "select":
-                    kwargs["bandwidth"] = bandwidth  # SELECT's picker is latency-aware
-                overlay = build_system(config, system, graph, trial, **kwargs)
-                pubsub = PubSubSystem(overlay)
-                publishers = rngs[trial].integers(0, graph.num_nodes, size=config.publishers)
-                times = dissemination_latencies(pubsub, publishers, bandwidth, latency)
-                if times.size:
-                    latencies.append(float(times.mean()))
-            stats = summarize(latencies)
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "system": system,
-                    "latency_ms": stats.mean,
-                    "ci95": stats.ci95,
-                }
-            )
-    return rows
+    return grid.rows(config, "fig7")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:

@@ -11,54 +11,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-)
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, means
 from repro.idspace.space import ring_distance
-from repro.util.stats import summarize
 from repro.util.tables import format_table
 
-__all__ = ["run", "report"]
+__all__ = ["run", "report", "BINS"]
+
+#: ring segments of the identifier histogram.
+BINS = 10
 
 
-def run(config: ExperimentConfig, bins: int = 10) -> list[dict]:
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system == "select"
+
+
+def sample(config, cell, rng):
+    graph, ids = cell.graph, cell.overlay.ids
+    u, v = graph.edge_array()
+    friend = float(np.mean(ring_distance(ids[u], ids[v])))
+    pairs = np.random.default_rng(cell.trial).integers(0, graph.num_nodes, size=(len(u), 2))
+    a, b = pairs[pairs[:, 0] != pairs[:, 1]].T
+    random = float(np.mean(ring_distance(ids[a], ids[b])))
+    hist, _ = np.histogram(ids, bins=BINS, range=(0.0, 1.0))
+    stats = {"mean_friend_distance": friend, "mean_random_distance": random, "ring_coverage": float((hist > 0).mean())}
+    return stats, hist / hist.sum()
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    stats, histograms = zip(*samples)
+    return [{"dataset": dataset, **means(stats), "histogram": list(sum(histograms) / config.trials)}]
+
+
+def run(config: ExperimentConfig) -> list[dict]:
     """Identifier-space statistics per dataset (SELECT only)."""
-    rows = []
-    for dataset in config.datasets:
-        friend_dist = []
-        random_dist = []
-        coverage = []
-        histogram = np.zeros(bins, dtype=np.float64)
-        for trial in range(config.trials):
-            graph = dataset_graph(config, dataset, trial)
-            overlay = build_system(config, "select", graph, trial)
-            ids = overlay.ids
-            fd = [ring_distance(float(ids[u]), float(ids[v])) for u, v in graph.edges()]
-            friend_dist.append(float(np.mean(fd)))
-            rng = np.random.default_rng(trial)
-            pairs = rng.integers(0, graph.num_nodes, size=(len(fd), 2))
-            rd = [
-                ring_distance(float(ids[a]), float(ids[b]))
-                for a, b in pairs
-                if a != b
-            ]
-            random_dist.append(float(np.mean(rd)))
-            hist, _ = np.histogram(ids, bins=bins, range=(0.0, 1.0))
-            histogram += hist / hist.sum()
-            occupied = (hist > 0).mean()
-            coverage.append(float(occupied))
-        rows.append(
-            {
-                "dataset": dataset,
-                "mean_friend_distance": summarize(friend_dist).mean,
-                "mean_random_distance": summarize(random_dist).mean,
-                "ring_coverage": summarize(coverage).mean,
-                "histogram": list(histogram / config.trials),
-            }
-        )
-    return rows
+    return grid.rows(config, "fig8")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:

@@ -13,14 +13,8 @@ under the geographic latency model.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-    pretty,
-    select_margins,
-    trial_rngs,
-)
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, pretty, select_margins
 from repro.metrics.latency import dissemination_latencies
 from repro.net.bandwidth import BandwidthModel
 from repro.net.geo import GeoLatencyModel, social_region_assignment
@@ -29,49 +23,42 @@ from repro.util.rng import RngStream
 from repro.util.stats import summarize
 from repro.util.tables import format_table
 
-__all__ = ["run", "report"]
+__all__ = ["run", "report", "NUM_REGIONS"]
+
+#: NA / EU / Asia.
+NUM_REGIONS = 3
 
 
 def _overlay_edges(overlay):
-    seen = set()
-    for v in range(overlay.graph.num_nodes):
-        for w in overlay.tables[v].all_links():
-            seen.add((min(v, w), max(v, w)))
-    return seen
+    tables = overlay.tables
+    return {(min(v, w), max(v, w)) for v in range(overlay.graph.num_nodes) for w in tables[v].all_links()}
 
 
-def run(config: ExperimentConfig, num_regions: int = 3) -> list[dict]:
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system in config.systems
+
+
+def sample(config, cell, rng):
+    graph = cell.graph
+    env_rng = RngStream(config.seed).child(f"geo-env:{cell.dataset}:{cell.trial}")
+    regions = social_region_assignment(graph, NUM_REGIONS, seed=env_rng)
+    geo = GeoLatencyModel(graph.num_nodes, region_of=regions, seed=env_rng)
+    bandwidth = BandwidthModel(graph.num_nodes, seed=env_rng)
+    locality = geo.intra_region_fraction(_overlay_edges(cell.overlay))
+    publishers = rng.integers(0, graph.num_nodes, size=config.publishers)
+    times = dissemination_latencies(PubSubSystem(cell.overlay), publishers, bandwidth, geo)
+    return locality, float(times.mean()) if times.size else None
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    locality, latency_ms = zip(*samples)
+    return [{"dataset": dataset, "system": system, "regions": NUM_REGIONS, "intra_region_links": summarize(locality).mean,
+             "latency_ms": summarize([t for t in latency_ms if t is not None]).mean}]
+
+
+def run(config: ExperimentConfig) -> list[dict]:
     """Geographic locality + latency for every dataset × system."""
-    rows = []
-    rngs = trial_rngs(config, "geo")
-    stream = RngStream(config.seed)
-    for dataset in config.datasets:
-        for system in config.systems:
-            locality = []
-            latency_ms = []
-            for trial in range(config.trials):
-                graph = dataset_graph(config, dataset, trial)
-                env_rng = stream.child(f"geo-env:{dataset}:{trial}")
-                regions = social_region_assignment(graph, num_regions, seed=env_rng)
-                geo = GeoLatencyModel(graph.num_nodes, region_of=regions, seed=env_rng)
-                bandwidth = BandwidthModel(graph.num_nodes, seed=env_rng)
-                overlay = build_system(config, system, graph, trial)
-                locality.append(geo.intra_region_fraction(_overlay_edges(overlay)))
-                pubsub = PubSubSystem(overlay)
-                publishers = rngs[trial].integers(0, graph.num_nodes, size=config.publishers)
-                times = dissemination_latencies(pubsub, publishers, bandwidth, geo)
-                if times.size:
-                    latency_ms.append(float(times.mean()))
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "system": system,
-                    "regions": num_regions,
-                    "intra_region_links": summarize(locality).mean,
-                    "latency_ms": summarize(latency_ms).mean,
-                }
-            )
-    return rows
+    return grid.rows(config, "geo")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:

@@ -28,22 +28,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.stabilize import CatchUpStore, Stabilizer
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_system,
-    dataset_graph,
-    pretty,
-    trial_rngs,
-)
+from repro.experiments import grid
+from repro.experiments.common import ExperimentConfig, means, pretty
 from repro.metrics.healing import stabilize_until_healed
 from repro.net.faults import FaultPlan, PingService, RingPartition
 from repro.pubsub.api import PubSubSystem
-from repro.util.stats import summarize
 from repro.util.tables import format_table
 
 __all__ = ["run", "report", "R_VALUES", "PARTITION_END", "MAX_HEAL_ROUNDS"]
 
-#: successor-list lengths swept by default.
+#: successor-list lengths swept.
 R_VALUES = (1, 2, 3, 5)
 
 _SYSTEMS = ("select", "symphony")
@@ -90,112 +84,84 @@ def _publish_all(pubsub, publishers, time: float, online=None) -> "tuple[int, in
     return wanted, reached
 
 
-def run(
-    config: ExperimentConfig,
-    r_values: "tuple[int, ...]" = R_VALUES,
-) -> list[dict]:
-    """Heal time and availability per dataset × system × successor-list r."""
-    rows = []
-    rngs = trial_rngs(config, "stabilize")
-    for dataset in config.datasets:
-        for system in _SYSTEMS:
-            if system not in config.systems:
-                continue
-            per_r: dict[int, dict[str, list]] = {
-                r: {
-                    "heal_rounds": [],
-                    "converged": [],
-                    "partition_avail": [],
-                    "post_heal_avail": [],
-                    "total_avail": [],
-                    "evictions": [],
-                }
-                for r in r_values
+def wants(config, size, system, trial) -> bool:
+    return size == config.num_nodes and system in config.systems and system in _SYSTEMS
+
+
+def sample(config, cell, rng):
+    """One trial at every r, each from the built ring state."""
+    graph = cell.graph
+    overlay = cell.writable(final=True)
+    baseline = _snapshot(overlay)
+    # Cut at the id median so the partition splits the
+    # population roughly in half.
+    median = float(np.median(overlay.ids))
+    cut = (median, (median + 0.5) % 1.0)
+    publishers = rng.choice(graph.num_nodes, size=min(config.publishers, graph.num_nodes), replace=False)
+    crashed = rng.choice(graph.num_nodes, size=int(CRASH_FRACTION * graph.num_nodes), replace=False)
+    out = []
+    for r in R_VALUES:
+        _restore(overlay, baseline)
+        plan = FaultPlan(
+            partitions=[RingPartition(cut=cut, start=0.0, end=PARTITION_END)],
+            seed=config.seed + cell.trial,
+        )
+        stabilizer = Stabilizer(overlay, PingService(plan), list_length=r)
+        catchup = CatchUpStore(overlay, faults=plan)
+        pubsub = PubSubSystem(overlay, faults=plan, catchup=catchup)
+        # Phase 1 — the cut is active: each side stabilizes
+        # itself, publishes lose their cross-cut subscribers
+        # (the misses land in the catch-up buffers).
+        online = np.ones(graph.num_nodes, dtype=bool)
+        for _ in range(3):
+            stabilizer.round(online, time=100.0)
+        wanted_cut, reached_cut = _publish_all(pubsub, publishers, time=100.0)
+        # Phase 2 — the cut heals and CRASH_FRACTION of the
+        # peers crash at the same instant: merge the two rings
+        # around the fresh holes.
+        surviving = online.copy()
+        surviving[crashed] = False
+        healing = stabilize_until_healed(
+            overlay,
+            stabilizer,
+            surviving,
+            time=PARTITION_END + 10.0,
+            max_rounds=MAX_HEAL_ROUNDS,
+            catchup=catchup,
+        )
+        # Phase 3 — publish the same wave post-heal.
+        wanted_post, reached_post = _publish_all(
+            pubsub, publishers, time=PARTITION_END + 20.0, online=surviving
+        )
+        catchup.deliver(surviving, time=PARTITION_END + 20.0)
+        # Phase 4 — the crashed peers return; the buffers hand
+        # them everything they slept through.
+        catchup.deliver(online, time=PARTITION_END + 120.0)
+        wanted = wanted_cut + wanted_post
+        got = reached_cut + reached_post + catchup.stats.recovered
+        out.append(
+            {
+                "heal_rounds": healing.rounds_to_heal or MAX_HEAL_ROUNDS,
+                "converged": 1.0 if healing.converged else 0.0,
+                "partition_availability": reached_cut / wanted_cut if wanted_cut else 1.0,
+                "post_heal_availability": reached_post / wanted_post if wanted_post else 1.0,
+                "total_availability": min(1.0, got / wanted) if wanted else 1.0,
+                "catchup_evictions": catchup.stats.evictions,
             }
-            for trial in range(config.trials):
-                graph = dataset_graph(config, dataset, trial)
-                overlay = build_system(config, system, graph, trial)
-                baseline = _snapshot(overlay)
-                # Cut at the id median so the partition splits the
-                # population roughly in half.
-                median = float(np.median(overlay.ids))
-                cut = (median, (median + 0.5) % 1.0)
-                publishers = rngs[trial].choice(
-                    graph.num_nodes, size=min(config.publishers, graph.num_nodes),
-                    replace=False,
-                )
-                crashed = rngs[trial].choice(
-                    graph.num_nodes,
-                    size=int(CRASH_FRACTION * graph.num_nodes),
-                    replace=False,
-                )
-                for r in r_values:
-                    _restore(overlay, baseline)
-                    plan = FaultPlan(
-                        partitions=[RingPartition(cut=cut, start=0.0, end=PARTITION_END)],
-                        seed=config.seed + trial,
-                    )
-                    stabilizer = Stabilizer(overlay, PingService(plan), list_length=r)
-                    catchup = CatchUpStore(overlay, faults=plan)
-                    pubsub = PubSubSystem(overlay, faults=plan, catchup=catchup)
-                    # Phase 1 — the cut is active: each side stabilizes
-                    # itself, publishes lose their cross-cut subscribers
-                    # (the misses land in the catch-up buffers).
-                    online = np.ones(graph.num_nodes, dtype=bool)
-                    for _ in range(3):
-                        stabilizer.round(online, time=100.0)
-                    wanted_cut, reached_cut = _publish_all(pubsub, publishers, time=100.0)
-                    # Phase 2 — the cut heals and CRASH_FRACTION of the
-                    # peers crash at the same instant: merge the two rings
-                    # around the fresh holes.
-                    surviving = online.copy()
-                    surviving[crashed] = False
-                    healing = stabilize_until_healed(
-                        overlay,
-                        stabilizer,
-                        surviving,
-                        time=PARTITION_END + 10.0,
-                        max_rounds=MAX_HEAL_ROUNDS,
-                        catchup=catchup,
-                    )
-                    heal_rounds = healing.rounds_to_heal or MAX_HEAL_ROUNDS
-                    # Phase 3 — publish the same wave post-heal.
-                    wanted_post, reached_post = _publish_all(
-                        pubsub, publishers, time=PARTITION_END + 20.0, online=surviving
-                    )
-                    catchup.deliver(surviving, time=PARTITION_END + 20.0)
-                    # Phase 4 — the crashed peers return; the buffers hand
-                    # them everything they slept through.
-                    catchup.deliver(online, time=PARTITION_END + 120.0)
-                    wanted = wanted_cut + wanted_post
-                    got = reached_cut + reached_post + catchup.stats.recovered
-                    bucket = per_r[r]
-                    bucket["heal_rounds"].append(heal_rounds)
-                    bucket["converged"].append(1.0 if healing.converged else 0.0)
-                    bucket["partition_avail"].append(
-                        reached_cut / wanted_cut if wanted_cut else 1.0
-                    )
-                    bucket["post_heal_avail"].append(
-                        reached_post / wanted_post if wanted_post else 1.0
-                    )
-                    bucket["total_avail"].append(min(1.0, got / wanted) if wanted else 1.0)
-                    bucket["evictions"].append(catchup.stats.evictions)
-            for r in r_values:
-                bucket = per_r[r]
-                rows.append(
-                    {
-                        "dataset": dataset,
-                        "system": system,
-                        "r": r,
-                        "heal_rounds": summarize(bucket["heal_rounds"]).mean,
-                        "converged": summarize(bucket["converged"]).mean,
-                        "partition_availability": summarize(bucket["partition_avail"]).mean,
-                        "post_heal_availability": summarize(bucket["post_heal_avail"]).mean,
-                        "total_availability": summarize(bucket["total_avail"]).mean,
-                        "catchup_evictions": summarize(bucket["evictions"]).mean,
-                    }
-                )
-    return rows
+        )
+    return out
+
+
+def row(config, dataset, system, size, samples) -> list[dict]:
+    return [
+        {"dataset": dataset, "system": system, "r": r, **means(runs)}
+        for r, runs in zip(R_VALUES, zip(*samples))
+    ]
+
+
+def run(config: ExperimentConfig) -> list[dict]:
+    """Heal time and availability per dataset × system × successor-list r."""
+    return grid.rows(config, "stabilize")
 
 
 def report(config: ExperimentConfig, rows: list[dict]) -> str:

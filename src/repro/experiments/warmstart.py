@@ -13,7 +13,7 @@ counter continues from the manifest instead of restarting at zero.
 With ``--resume PATH`` (``ExperimentConfig.resume_from``) the snapshot is
 loaded from disk — the workflow ``select-repro build DIR`` +
 ``select-repro warmstart --resume DIR`` skips every re-convergence.
-Without it, the snapshot is captured in memory from trial 0's build.
+Without it, the snapshot is captured in memory from trial 0's cold build.
 """
 
 from __future__ import annotations
@@ -38,17 +38,18 @@ def run(config: ExperimentConfig) -> list[dict]:
     dataset = config.datasets[0]
     if config.resume_from:
         snapshot = load(config.resume_from)
-        graph = None  # embedded in the snapshot
+        cold_graph = restore(snapshot).graph
     else:
-        graph = dataset_graph(config, dataset, 0)
-        snapshot = build_system(config, "select", graph, 0).snapshot()
-    manifest = snapshot["manifest"]
-    cold_graph = graph if graph is not None else restore(snapshot).graph
+        snapshot = None  # trial 0's cold build is the snapshot
+        cold_graph = dataset_graph(config, dataset, 0)
     rows = []
     for trial in range(config.trials):
         t0 = time.perf_counter()
         cold = build_system(config, "select", cold_graph, trial)
         cold_s = time.perf_counter() - t0
+        if snapshot is None:
+            snapshot = cold.snapshot()
+        manifest = snapshot["manifest"]
         t0 = time.perf_counter()
         warm = restore(snapshot)
         warm_s = time.perf_counter() - t0

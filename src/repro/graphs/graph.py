@@ -100,11 +100,16 @@ class SocialGraph:
         """Mean friend count."""
         return float(self._degrees.mean())
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate each undirected edge once, as ``(u, v)`` with ``u < v``."""
+    def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each undirected edge once, as ``(u, v)`` index columns with ``u < v``."""
         rows = np.repeat(np.arange(self._n), self._degrees)
         upper = rows < self._indices
-        return zip(rows[upper].tolist(), self._indices[upper].tolist())
+        return rows[upper], self._indices[upper]
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Iterate each undirected edge once, as ``(u, v)`` with ``u < v``."""
+        u, v = self.edge_array()
+        return zip(u.tolist(), v.tolist())
 
     def mutual_friends(self, u: int, v: int) -> int:
         """Number of common friends of ``u`` and ``v``."""

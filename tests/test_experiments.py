@@ -8,12 +8,14 @@ import gc
 import inspect
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
     ablation,
     conn_sweep,
     doctor,
+    faults,
     fig2_hops,
     fig3_relays,
     fig4_load,
@@ -21,6 +23,7 @@ from repro.experiments import (
     fig6_churn,
     fig7_latency,
     fig8_ids,
+    geo,
     grid,
     stabilize,
     table2,
@@ -126,7 +129,7 @@ class TestFig4:
     def test_shares_cover_all_bins(self):
         rows = fig4_load.run(MICRO)
         for r in rows:
-            assert len(r["share_percent"]) == grid.LOAD_BINS
+            assert len(r["share_percent"]) == fig4_load.LOAD_BINS
             assert 0 <= r["gini"] <= 1
 
     def test_report_renders(self):
@@ -148,53 +151,87 @@ class TestFig5:
 
 
 class TestGrid:
-    FIGURES = {"fig2": fig2_hops, "fig3": fig3_relays, "fig4": fig4_load, "fig5": fig5_iterations}
+    FIGURES = {
+        "fig2": fig2_hops, "fig3": fig3_relays, "fig4": fig4_load, "fig5": fig5_iterations,
+        "geo": geo, "fig6": fig6_churn, "fig7": fig7_latency, "fig8": fig8_ids,
+        "doctor": doctor, "faults": faults, "stabilize": stabilize,
+    }
+
+    def test_every_grid_experiment_is_listed(self):
+        assert set(grid.MEASURES) == set(self.FIGURES)
+        assert {n: EXPERIMENTS[n] for n in grid.MEASURES} == self.FIGURES
 
     @staticmethod
     def _counting_builds(monkeypatch):
-        """Count grid builds; each one first checks no earlier overlay is alive."""
-        built = []
-        build = grid.build_system
+        """Count grid builds; each new cell first checks that no earlier cell,
+        nor an overlay built or restored for one, is alive."""
+        built, alive = [], []
+        build, restore, cell = grid.build_system, grid.restore, grid.Cell
+
+        def check():
+            gc.collect()
+            assert all(ref() is None for ref in alive), "an overlay or snapshot outlived its cell"
 
         def counted(*args, **kwargs):
-            gc.collect()
-            assert all(ref() is None for ref in built), "an overlay outlived its cell"
             overlay = build(*args, **kwargs)
-            built.append(weakref.ref(overlay))
+            built.append((args[1], args[2].num_nodes, args[3], tuple(kwargs)))
+            alive.append(weakref.ref(overlay))
             return overlay
 
+        def restored(*args, **kwargs):
+            overlay = restore(*args, **kwargs)
+            alive.append(weakref.ref(overlay))
+            return overlay
+
+        class Tracked(cell):
+            def __init__(self, *args):
+                check()
+                super().__init__(*args)
+                alive.append(weakref.ref(self))  # and with it the snapshot it holds
+
         monkeypatch.setattr(grid, "build_system", counted)
-        return built
+        monkeypatch.setattr(grid, "restore", restored)
+        monkeypatch.setattr(grid, "Cell", Tracked)
+        return built, check
 
     def test_shared_walk_builds_each_cell_once(self, monkeypatch):
         cfg = MICRO.with_(systems=("select", "symphony", "vitis"))
         standalone = {name: module.run(cfg) for name, module in self.FIGURES.items()}
-        built = self._counting_builds(monkeypatch)
+        built, check = self._counting_builds(monkeypatch)
         with grid.shared(tuple(self.FIGURES)):
             shared = {name: module.run(cfg) for name, module in self.FIGURES.items()}
+        # Fig. 2's cells, then Fig. 7's bandwidth-aware SELECT and random overlay.
         cells = len(cfg.datasets) * len(grid.growth_sizes(cfg)) * len(cfg.systems) * cfg.trials
-        assert len(built) == cells == 9
+        assert len(built) == len(set(built)) == cells + 2 == 11
         assert shared == standalone
-        gc.collect()
-        assert all(ref() is None for ref in built)
+        check()
 
     def test_outside_shared_each_call_measures_its_own_cells(self, monkeypatch):
-        built = self._counting_builds(monkeypatch)
+        built, _ = self._counting_builds(monkeypatch)
         with grid.shared(("fig2",)):
             fig3_relays.run(MICRO)
             fig3_relays.run(MICRO)
         assert len(built) == 2 * len(MICRO.systems)
 
+    @pytest.mark.parametrize("module", [fig6_churn, faults, stabilize], ids=lambda m: m.__name__)
+    def test_writers_match_fresh_builds(self, module, monkeypatch):
+        # Every sample on a fresh build of its own, as if no cell were shared.
+        cfg = MICRO.with_(trials=2)
+        shared = module.run(cfg)
+        monkeypatch.setattr(grid.Cell, "overlay", property(lambda cell: cell.build()))
+        monkeypatch.setattr(grid.Cell, "writable", lambda cell, final: cell.build())
+        assert module.run(cfg) == shared
+
 
 class TestFig6:
     def test_recovery_beats_no_recovery(self):
-        rows = fig6_churn.run(MICRO, ticks=4, horizon=1000.0)
+        rows = fig6_churn.run(MICRO)
         by_variant = {r["variant"]: r for r in rows}
         rec = by_variant["SELECT (recovery)"]
         no_rec = by_variant["SELECT (no recovery)"]
         assert rec["mean_availability"] >= no_rec["mean_availability"]
         assert rec["mean_availability"] > 0.95
-        assert len(rec["availability_series"]) == 4
+        assert len(rec["availability_series"]) == fig6_churn.TICKS
 
 
 class TestFig7:
@@ -213,11 +250,25 @@ class TestFig7:
 
 class TestFig8:
     def test_friends_closer_than_random(self):
-        rows = fig8_ids.run(MICRO, bins=8)
+        rows = fig8_ids.run(MICRO)
         r = rows[0]
         assert r["mean_friend_distance"] < r["mean_random_distance"]
-        assert len(r["histogram"]) == 8
+        assert len(r["histogram"]) == fig8_ids.BINS
         assert sum(r["histogram"]) == pytest.approx(1.0)
+
+    def test_distances_equal_the_per_pair_loop(self):
+        from repro.experiments.common import dataset_graph
+        from repro.idspace.space import ring_distance
+
+        cell = grid.Cell(MICRO, "facebook", "select", 1, dataset_graph(MICRO, "facebook", 1))
+        stats, _ = fig8_ids.sample(MICRO, cell, None)
+        ids, graph = cell.overlay.ids, cell.graph
+        friend = [ring_distance(float(ids[u]), float(ids[v])) for u, v in graph.edges()]
+        pairs = np.random.default_rng(1).integers(0, graph.num_nodes, size=(len(friend), 2))
+        random = [ring_distance(float(ids[a]), float(ids[b])) for a, b in pairs if a != b]
+        assert len(random) < len(friend)  # the a == b filter is exercised
+        assert stats["mean_friend_distance"] == float(np.mean(friend))
+        assert stats["mean_random_distance"] == float(np.mean(random))
 
 
 class TestAblation:
@@ -251,7 +302,7 @@ class TestConnSweep:
 
 class TestStabilize:
     def test_select_meets_acceptance_criteria(self):
-        rows = stabilize.run(MICRO, r_values=(3,))
+        rows = stabilize.run(MICRO)
         by = {(r["system"], r["r"]): r for r in rows}
         select = by[("select", 3)]
         # Acceptance: with r >= 3 the ring re-merges within <= 10 rounds of
@@ -262,13 +313,27 @@ class TestStabilize:
         assert select["total_availability"] > 0.99
 
     def test_select_heals_no_slower_than_symphony(self):
-        rows = stabilize.run(MICRO, r_values=(3,))
-        by = {r["system"]: r["heal_rounds"] for r in rows}
+        rows = stabilize.run(MICRO)
+        by = {r["system"]: r["heal_rounds"] for r in rows if r["r"] == 3}
         assert by["select"] <= by["symphony"]
 
     def test_report_renders(self):
-        out = stabilize.report(MICRO, stabilize.run(MICRO, r_values=(1, 3)))
+        out = stabilize.report(MICRO, stabilize.run(MICRO))
         assert "Self-healing sweep" in out and "SELECT" in out
+
+
+class TestFaults:
+    @pytest.mark.parametrize("systems", [("select",), ("symphony",)])
+    def test_only_configured_systems(self, systems):
+        rows = faults.run(MICRO.with_(systems=systems))
+        assert {r["system"] for r in rows} == set(systems)
+        assert [r["loss_rate"] for r in rows] == list(faults.LOSS_RATES)
+
+    def test_cli_prints_no_unconfigured_system(self, capsys):
+        assert main(["faults", "--systems", "select", "--num-nodes", "64", "--trials", "1",
+                     "--datasets", "facebook"]) == 0
+        out = capsys.readouterr().out
+        assert "SELECT" in out and "Symphony" not in out
 
 
 class TestDoctor:
