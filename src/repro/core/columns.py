@@ -98,10 +98,3 @@ class EdgeColumns:
         """``count`` fresh learn stamps, ascending."""
         self.clock += count
         return np.arange(self.clock - count, self.clock, dtype=np.int64)
-
-    def clear(self, lo: int, hi: int) -> None:
-        """Forget everything in slots ``lo:hi``."""
-        for col in (self.key, self.bucket, self.mutual, self.mutual_stamp, self.bitmap_stamp):
-            col[lo:hi] = -1
-        self.seen[lo:hi] = -1
-        self.bitmap[lo:hi] = self.view[lo:hi] = None

@@ -215,17 +215,6 @@ class PeerState:
         """``L_p`` — the links each friend had when its bitmap was last folded."""
         return self._dict(self._edges.bitmap_stamp, self._edges.view)
 
-    @property
-    def known_coverage(self) -> dict:
-        """Popcount (neighborhood coverage) per learned bitmap, derived."""
-        return {friend: bitmap.bit_count() for friend, bitmap in self.known_bitmap.items()}
-
-    @property
-    def known_bucket(self) -> dict:
-        """The cached LSH bucket per learned friend, read off the columns."""
-        buckets = self._dict(self._edges.bitmap_stamp, self._edges.bucket)
-        return {f: b for f, b in buckets.items() if b >= 0}
-
     def known_rows(self) -> "tuple[list, dict, dict]":
         """What Algorithm 5 reads of the known friends, off this peer's row:
         ``(key, friend, position, bitmap)`` rows, popcount per friend and the
@@ -289,17 +278,14 @@ class PeerState:
         known.sort(key=lambda f: packed_key(f, int(self._edges.mutual[self._edge(f)])))
         row[:] = (known + [-1])[:2]
 
-    def _cache_edge(self, friend: int, bitmap: int, bucket: int = -1) -> None:
+    def _cache_edge(self, friend: int, bitmap: int) -> None:
         """Write what ``bitmap`` implies into ``friend``'s slot — the per-peer
         writer of ``key`` and ``bucket`` (a round's fold scatters them). The
         key is Algorithm 6's :func:`packed_key` of the bitmap's popcount; the
-        bucket is ``bucket`` when given (a restored one), else the family's
-        hash, else ``-1`` until :meth:`bucket_of` fills it."""
-        at = self._edge(friend)
-        if bucket < 0 and self.lsh_family is not None:
-            bucket = self.lsh_family.bucket(bitmap, self.k_buckets)
+        bucket is the family's hash, or ``-1`` until :meth:`bucket_of` fills it."""
+        at, family = self._edge(friend), self.lsh_family
         self._edges.key[at] = packed_key(friend, bitmap.bit_count())
-        self._edges.bucket[at] = bucket
+        self._edges.bucket[at] = -1 if family is None else family.bucket(bitmap, self.k_buckets)
 
     def bucket_of(self, friend: int) -> int:
         """LSH bucket of a learned friend (0 when no family set): its

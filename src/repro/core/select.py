@@ -72,7 +72,6 @@ class SelectOverlay(OverlayNetwork):
     ):
         self.config = config or SelectConfig()
         super().__init__(graph, k_links)
-        self.bandwidth = bandwidth
         self.upload_mbps = bandwidth.upload_mbps if bandwidth is not None else None
         n = graph.num_nodes
         #: shared per-peer scalar state; ``identifier`` aliases ``self.ids``

@@ -8,7 +8,7 @@ process-wide metrics registry and span tracer for the run and writes
 
 ``select-repro build [DIR]`` runs one SELECT construction on its own (its
 phase ledger and per-round series go to ``--telemetry``), saves the
-overlay as a ``select-repro/snapshot/v1`` directory when given ``DIR``,
+overlay's columns as a ``select-repro/snapshot/v2`` directory when given ``DIR``,
 and exits 1 when the build stopped at the ``max_rounds`` cap without
 converging. ``--resume DIR`` hands the saved snapshot to experiments that
 can warm-start from it (``warmstart``) and stamps its id into the

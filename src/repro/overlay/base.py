@@ -303,9 +303,11 @@ class OverlayNetwork(ABC):
     def _refresh_ring(self, live: "np.ndarray | None" = None) -> None:
         """Short-range links from ids: two column stores + one epoch bump.
 
-        The one writer of the whole ring: besides it, only single-pointer
-        moves (the stabilizer, restoring saved tables) go through the
-        table setters. ``live`` (a boolean mask) restricts the
+        The one writer of the whole ring from ids (a snapshot restore
+        stores saved columns, then rewrites every table's long links, which
+        stales every cached view); besides them, only single-pointer moves
+        (the stabilizer, restoring saved tables) go through the table
+        setters. ``live`` (a boolean mask) restricts the
         ring to those peers — the oracle re-stitch under churn — and
         leaves every other slot as it is; fewer than two live peers
         change nothing.

@@ -1,27 +1,24 @@
 """Snapshot capture/restore for live SELECT state.
 
-Format (``select-repro/snapshot/v1``): a snapshot is a plain dict with
+Format (``select-repro/snapshot/v2``): a snapshot is a plain dict with
 two keys — ``manifest`` (schema tag, content-derived snapshot id, config,
 graph fingerprint, round counter, component inventory, RNG stream names)
 and ``state`` (the full JSON-safe payload). :func:`save`/:func:`load`
-persist it as a directory of ``manifest.json`` + ``state.json``; the
-payload is JSON (the container deliberately stays on the standard
-toolchain — no msgpack), compact-encoded so a few-hundred-node snapshot
-stays in the hundreds of kilobytes.
+persist it as a directory of ``manifest.json`` + ``state.json`` holding
+compact JSON (the container stays on the standard toolchain — no msgpack).
 
-Determinism contract: everything order-sensitive is serialized in its
-live iteration order (dicts preserve insertion order and are stored as
-pair lists), and everything consumed through a total order (link sets,
-lookahead members, admission sets) is stored sorted. LSH families are
-*not* serialized: they are pure functions of ``lsh_seed + vertex`` and
-are rebuilt at restore. The snapshot id is a SHA-256 over the
-canonical state encoding — no timestamps — so re-capturing identical
-state yields an identical snapshot (what keeps the committed golden
-fixture stable).
-
-The ``config`` block (overlay and manifest) keeps v1's 18 keys: the
-:class:`SelectConfig` fields plus settings that are now constants, stored
-with the code's values; :func:`v1_config` refuses any other block.
+``state.overlay`` is the overlay's own columns as flat lists — its peer and
+edge columns, ``ring_pred`` / ``ring_succ``, and long links, successor
+lists, admitted sources and behaviour CMAs each as a CSR — so capture is a
+``tolist`` per column and restore an assignment per column plus one write
+per routing table. Learn stamps and behaviour dicts keep their order (it
+is state: recovery probes in it, and under faults each probe draws RNG);
+order-free sets are stored sorted; each distinct link view is stored once.
+Nothing derived is stored (packed keys, ``seen``, LSH families are rebuilt),
+and bitmaps are hex strings, out of reach of Python's int/str digit limit.
+The snapshot id is a SHA-256 over the canonical state encoding, so
+re-capturing identical state yields an identical snapshot (what keeps the
+committed golden fixture stable).
 """
 
 from __future__ import annotations
@@ -30,11 +27,13 @@ import hashlib
 import json
 import os
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
 from repro.core import config
 from repro.core.config import SelectConfig
+from repro.core.picker import packed_key
 from repro.graphs.graph import SocialGraph
 from repro.net.availability import CMA_MIN_OBSERVATIONS, CMA_THRESHOLD, CumulativeMovingAverage
 from repro.net.growth import JoinEvent
@@ -49,6 +48,7 @@ __all__ = [
     "MANIFEST_FILE",
     "STATE_FILE",
     "capture",
+    "decode_overlay",
     "embedded_graph",
     "graph_fingerprint",
     "load",
@@ -56,22 +56,15 @@ __all__ = [
     "restore_into",
     "save",
     "snapshot_id",
-    "v1_config",
-    "v1_knowledge",
 ]
 
-SCHEMA = "select-repro/snapshot/v1"
+SCHEMA = "select-repro/snapshot/v2"
 MANIFEST_FILE = "manifest.json"
 STATE_FILE = "state.json"
 
-#: v1's ``config`` block beyond the :class:`SelectConfig` fields: the keys
-#: the format names for settings that are now fixed, each with the one
-#: value this code builds with (``k_links``/``bootstrap_links`` ``None``
-#: meant "use K", the overlay's own ``k_links``).
-_V1_CONSTANTS = {
-    "k_links": None,
-    "bootstrap_links": None,
-    "exchanges_per_round": 1,
+#: the ``config`` block beyond the :class:`SelectConfig` fields: each
+#: constant under its name, with the one value this code builds with.
+_CONSTANTS = {
     "lsh_samples": config.LSH_SAMPLES,
     "movement_tolerance": config.MOVEMENT_TOLERANCE,
     "convergence_rounds": config.CONVERGENCE_ROUNDS,
@@ -85,6 +78,11 @@ _V1_CONSTANTS = {
     "cma_threshold": CMA_THRESHOLD,
     "cma_min_observations": CMA_MIN_OBSERVATIONS,
 }
+#: the :class:`~repro.core.columns.PeerColumns` stored under ``peers``
+#: (the identifier column is ``ids``) and the
+#: :class:`~repro.core.columns.EdgeColumns` stored under ``edges``.
+_PEER_COLUMNS = ("moves_done", "stable_rounds", "link_change_budget", "top2", "anchor_pair")
+_EDGE_COLUMNS = ("mutual", "mutual_stamp", "bitmap_stamp", "bucket")
 
 
 def _canonical(state: dict) -> bytes:
@@ -98,159 +96,69 @@ def snapshot_id(state: dict) -> str:
 
 def graph_fingerprint(graph: SocialGraph) -> str:
     """Digest of the social graph's exact node/edge structure."""
-    h = hashlib.sha256()
-    h.update(f"n={graph.num_nodes};".encode("utf-8"))
-    for u, v in graph.edges():
-        h.update(f"{u},{v};".encode("utf-8"))
-    return h.hexdigest()[:16]
+    edges = "".join(f"{u},{v};" for u, v in graph.edges())
+    return hashlib.sha256(f"n={graph.num_nodes};{edges}".encode("utf-8")).hexdigest()[:16]
 
 
 # -- per-component capture ---------------------------------------------------
 
 
-def _words_from_int(bitmap: int, nbits: int) -> "list[int]":
-    """A bitmap int as v1's little-endian ``numpy.uint64`` words (at least one)."""
-    nwords = max(1, (nbits + 63) // 64)
-    if bitmap < 0 or bitmap.bit_length() > 64 * nwords:
-        raise PersistError(f"bitmap does not fit in {nbits} bits")
-    return [(bitmap >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(nwords)]
-
-
-def _int_from_words(words) -> int:
-    """Inverse of :func:`_words_from_int`: word ``i`` holds bits ``64i ..``."""
-    return sum(int(w) << (64 * i) for i, w in enumerate(words))
-
-
-def _capture_peer(peer) -> dict:
-    table = peer.table
-    pair = peer.last_anchor_pair
-    # The edge slots in learn order: candidate scans iterate in it, and
-    # under an active fault plan each probe consumes RNG — a re-ordered
-    # restore would desynchronize replay.
-    edges, lo, friends = peer._edges, peer._edge_at, peer.neighborhood
-    known, at = (peer._learned(stamp) for stamp in (edges.mutual_stamp, edges.bitmap_stamp))
-    mutual = zip(friends[known].tolist(), edges.mutual[lo + known].tolist())
-    learned, at = friends[at].tolist(), lo + at
-    bitmaps = edges.bitmap[at].tolist()
-    return {
-        "node": int(peer.node),
-        "identifier": float(peer.identifier),
-        "moves_done": int(peer.moves_done),
-        "stable_rounds": int(peer.stable_rounds),
-        "link_change_budget": int(peer.link_change_budget),
-        "last_anchor_pair": None if pair is None else [int(a) for a in pair],
-        "last_anchor_target": None if pair is None else float(peer.last_anchor_target),
-        "top2": [int(f) for f in peer._top2],
-        "known_mutual": [list(entry) for entry in mutual],
-        # Bitmaps live as Python ints; the snapshot keeps the original
-        # packed-word wire format so existing snapshots stay readable
-        # byte-for-byte in both directions.
-        "known_bitmap": [[f, _words_from_int(b, len(friends))] for f, b in zip(learned, bitmaps)],
-        # Both derived from the bitmaps (the format predates that).
-        "known_bucket": [[f, b] for f, b in zip(learned, edges.bucket[at].tolist()) if b >= 0],
-        "known_coverage": [[f, bm.bit_count()] for f, bm in zip(learned, bitmaps)],
-        "lookahead": [[f, sorted(links)] for f, links in zip(learned, edges.view[at].tolist())],
-        "behavior": [
-            [int(c), int(cma.count), float(cma.value)]
-            for c, cma in peer.behavior._cma.items()
-        ],
-        "table": {
-            "predecessor": table.predecessor,
-            "successor": table.successor,
-            "successors": [int(w) for w in table.successors],
-            "long_links": sorted(int(w) for w in table.long_links),
-        },
-    }
-
-
-def v1_knowledge(data: dict, graph: "SocialGraph | None") -> None:
-    """Refuse a v1 peer the edge columns cannot hold — ``lookahead`` friends
-    other than its ``known_bitmap`` friends in order, a bitmap friend without
-    a mutual count, a contact outside ``C_p`` — for restore and validate."""
-    for v, peer in enumerate(data["peers"]):
-        bitmap = [e[0] for e in peer["known_bitmap"]]
-        mutual = {e[0] for e in peer["known_mutual"]}
-        friends = mutual if graph is None else set(graph.neighbors(v).tolist())
-        if [e[0] for e in peer["lookahead"]] != bitmap:
-            problem = "lookahead friends differ from known_bitmap friends"
-        elif missing := sorted(set(bitmap) - mutual):
-            problem = f"bitmap friends {missing} have no known_mutual entry"
-        elif outside := sorted(mutual - friends):
-            problem = f"contacts {outside} are not its friends"
-        else:
-            continue
-        raise PersistError(f"peer {v}: {problem}")
-
-
-def _restore_peer(peer, data: dict) -> None:
-    t = data["table"]
-    table = peer.table
-    # Going through the property setters / rebinding keeps the cached
-    # link_view dirty-flag machinery valid.
-    table.predecessor = t["predecessor"]
-    table.successor = t["successor"]
-    table.successors = [int(w) for w in t["successors"]]
-    table.long_links = [int(w) for w in t["long_links"]]
-    peer.identifier = float(data["identifier"])
-    peer.moves_done = int(data["moves_done"])
-    peer.stable_rounds = int(data["stable_rounds"])
-    peer.link_change_budget = int(data["link_change_budget"])
-    pair = data["last_anchor_pair"]
-    peer.last_anchor_pair = None if pair is None else tuple(int(a) for a in pair)
-    target = data.get("last_anchor_target")
-    peer.last_anchor_target = float("nan") if target is None else float(target)
-    peer._top2 = [int(f) for f in data["top2"]]
-    # The slots refill in stored (learn) order, a missing bucket is hashed, the
-    # stored coverage is a popcount and not read; a restored view never folded.
-    edges, lo, friends = peer._edges, peer._edge_at, peer.neighborhood
-    edges.clear(lo, lo + len(friends))
-    at = lo + np.searchsorted(friends, [int(f) for f, _ in data["known_mutual"]])
-    edges.mutual[at] = [int(m) for _, m in data["known_mutual"]]
-    edges.mutual_stamp[at] = edges.stamps(len(at))
-    buckets = {int(f): int(b) for f, b in data["known_bucket"]}
-    at = lo + np.searchsorted(friends, [int(f) for f, _ in data["known_bitmap"]])
-    edges.bitmap_stamp[at] = edges.stamps(len(at))
-    for slot, (f, words), (_, links) in zip(at.tolist(), data["known_bitmap"], data["lookahead"]):
-        edges.bitmap[slot] = bitmap = _int_from_words(words)
-        edges.view[slot] = frozenset(int(w) for w in links)
-        peer._cache_edge(int(f), bitmap, buckets.get(int(f), -1))
-    peer.behavior._cma = {}
-    for contact, count, mean in data["behavior"]:
-        cma = CumulativeMovingAverage()
-        cma._count = int(count)
-        cma._mean = float(mean)
-        peer.behavior._cma[int(contact)] = cma
+def _csr(rows, sort: bool = False) -> dict:
+    """Collections of node ids as one CSR: ``indptr`` (a pointer per row plus
+    one) and ``values``, each row sorted when ``sort``."""
+    rows = list(rows)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    if sort:
+        values = values[np.lexsort((values, np.repeat(np.arange(len(rows)), lengths)))]
+    return {"indptr": [0, *np.cumsum(lengths).tolist()], "values": values.tolist()}
 
 
 def _capture_overlay(overlay) -> dict:
-    built = bool(overlay._built)
+    cols, edges, tables = overlay.columns, overlay.edge_columns, overlay.tables
+    # Each distinct view once, numbered in slot order.
+    views: dict = {}
+    view = [-1 if v is None else views.setdefault(v, len(views)) for v in edges.view.tolist()]
+    behavior = [peer.behavior._cma for peer in overlay.peers]
+    cmas = list(chain.from_iterable(c.values() for c in behavior))
     return {
         "k_links": int(overlay.k_links),
-        "config": {**asdict(overlay.config), **_V1_CONSTANTS},
-        "built": built,
+        "config": {**asdict(overlay.config), **_CONSTANTS},
+        "built": bool(overlay._built),
         "iterations": int(overlay.iterations),
         "round_link_changes": int(overlay.round_link_changes),
         "quiet_rounds": int(overlay._quiet_rounds),
         "lsh_seed": int(overlay._lsh_seed),
-        "ids": [float(x) for x in overlay.ids],
-        "pending_ids": [float(x) for x in overlay.pending_ids],
-        # v1 keeps join flags, overlay-wide and per peer: all peers have
-        # joined once built.
-        "joined": [built] * len(overlay.peers),
-        "incoming_sources": [
-            sorted(int(w) for w in srcs) for srcs in overlay._incoming_sources
-        ],
-        "upload_mbps": (
-            None
-            if overlay.upload_mbps is None
-            else [float(x) for x in overlay.upload_mbps]
-        ),
+        "ids": overlay.ids.tolist(),
+        "pending_ids": overlay.pending_ids.tolist(),
+        "upload_mbps": None if overlay.upload_mbps is None else overlay.upload_mbps.tolist(),
         "join_events": [
             [int(e.step), int(e.user), None if e.inviter is None else int(e.inviter)]
             for e in overlay.join_events
         ],
         "trace": overlay.trace.to_rows(),
-        "peers": [{**_capture_peer(p), "joined": built} for p in overlay.peers],
+        "peers": {
+            **{name: getattr(cols, name).tolist() for name in _PEER_COLUMNS},
+            "anchor_target": [None if t != t else t for t in cols.anchor_target.tolist()],
+        },
+        "edges": {
+            **{name: getattr(edges, name).tolist() for name in _EDGE_COLUMNS},
+            "bitmap": [None if b is None else format(b, "x") for b in edges.bitmap.tolist()],
+            "view": view,
+        },
+        "views": _csr(views, sort=True),
+        "tables": {
+            "ring_pred": overlay.ring_pred.tolist(),
+            "ring_succ": overlay.ring_succ.tolist(),
+            "long_links": _csr((t.long_links for t in tables), sort=True),
+            "successors": _csr(t.successors for t in tables),
+        },
+        "incoming_sources": _csr(overlay._incoming_sources, sort=True),
+        "behavior": {
+            **_csr(behavior),
+            "count": [cma._count for cma in cmas],
+            "mean": [cma._mean for cma in cmas],
+        },
     }
 
 
@@ -258,7 +166,7 @@ def _capture_graph(graph: SocialGraph) -> dict:
     return {
         "name": graph.name,
         "num_nodes": int(graph.num_nodes),
-        "edges": [[int(u), int(v)] for u, v in graph.edges()],
+        "edges": np.column_stack(graph.edge_array()).tolist(),
     }
 
 
@@ -435,24 +343,18 @@ def capture(
     return {"manifest": manifest, "state": state}
 
 
-#: every :class:`SelectConfig` field with its default, whose type a v1
+#: every :class:`SelectConfig` field with its default, whose type a stored
 #: value must have.
 _FIELDS = asdict(SelectConfig())
 
 
-def v1_config(data: dict) -> SelectConfig:
-    """The ``SelectConfig`` of a v1 overlay block, or a ``PersistError``
-    naming what this code cannot rebuild.
-
-    The ``config`` block holds the :class:`SelectConfig` fields plus
-    :data:`_V1_CONSTANTS`, each of which must carry the code's value, and
-    every ``joined`` flag (the overlay's and each peer's) must equal
-    ``built``. :func:`restore` and ``select-repro validate`` both call it.
-    """
+def _config(block: dict) -> SelectConfig:
+    """The ``SelectConfig`` of a ``config`` block: every constant must carry
+    the code's value and every other key must be a field of its type."""
     chosen = {}
-    for key, value in data["config"].items():
-        if key in _V1_CONSTANTS:
-            want = _V1_CONSTANTS[key]
+    for key, value in block.items():
+        if key in _CONSTANTS:
+            want = _CONSTANTS[key]
             if value != want or type(value) is not type(want):
                 raise PersistError(
                     f"snapshot config {key!r} is {value!r}; this code builds with {want!r}"
@@ -465,15 +367,112 @@ def v1_config(data: dict) -> SelectConfig:
             )
         else:
             chosen[key] = value
-    built = data["built"]
-    if any(flag is not built for flag in data["joined"]) or any(
-        peer["joined"] is not built for peer in data["peers"]
-    ):
-        raise PersistError(f"snapshot 'joined' flags disagree with built={built}")
     try:
         return SelectConfig(**chosen)
     except ConfigurationError as exc:
         raise PersistError(f"snapshot config: {exc}") from None
+
+
+def _array(value, dtype, shape: tuple, name: str) -> np.ndarray:
+    out = np.asarray(value)
+    if dtype is np.int64 and out.size and out.dtype.kind != "i":
+        raise PersistError(f"{name} must hold integers, got {out.dtype}")
+    out = np.asarray(value, dtype=dtype)
+    if out.shape != shape:
+        raise PersistError(f"{name} has shape {out.shape}, not {shape}")
+    return out
+
+
+def _nodes(ids: np.ndarray, n: int, name: str, unset: bool = False) -> np.ndarray:
+    """``ids`` when every one names a node (or is ``-1`` where ``unset``)."""
+    bad = ids[(ids < (-1 if unset else 0)) | (ids >= n)]
+    if bad.size:
+        raise PersistError(f"{name} names node {int(bad[0])}, outside [0, {n})")
+    return ids
+
+
+def _split(block: dict, n: int, name: str, per_node: bool = True) -> "tuple[np.ndarray, np.ndarray]":
+    """A CSR's ``(indptr, values)``: pointers from 0 to ``len(values)`` that
+    never decrease (one row per node when ``per_node``), over node ids."""
+    values = _nodes(_array(block["values"], np.int64, (len(block["values"]),), name), n, name)
+    rows = n if per_node else len(block["indptr"]) - 1
+    indptr = _array(block["indptr"], np.int64, (rows + 1,), f"{name}.indptr")
+    if indptr[0] != 0 or indptr[-1] != len(values) or (np.diff(indptr) < 0).any():
+        raise PersistError(f"{name}.indptr is not a CSR over its {len(values)} values")
+    return indptr, values
+
+
+def _refuse_slot(bad: np.ndarray, problem: str) -> None:
+    if bad.any():
+        raise PersistError(f"edge slot {int(np.argmax(bad))} holds {problem}")
+
+
+def decode_overlay(data: dict, graph: "SocialGraph | None") -> "tuple[SelectConfig, dict]":
+    """The ``SelectConfig`` and numpy columns of an overlay block, or a
+    ``PersistError`` naming the first thing an overlay cannot hold.
+
+    :func:`restore_into` and ``select-repro validate`` both call it, so they
+    refuse the same blocks (DESIGN §7 lists the rules). Without ``graph`` (a
+    snapshot validated without its graph) the columns give the slot count
+    and bitmap widths go unchecked.
+    """
+    try:
+        return _decode(data, graph)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistError(f"malformed overlay block: {exc!r}") from None
+
+
+def _decode(data: dict, graph: "SocialGraph | None") -> "tuple[SelectConfig, dict]":
+    cfg, n = _config(data["config"]), len(data["ids"])
+    if graph is not None and graph.num_nodes != n:
+        raise PersistError(f"{n} ids for a graph of {graph.num_nodes} nodes")
+    out = {name: _array(data[name], np.float64, (n,), name) for name in ("ids", "pending_ids")}
+    peers, edges, tables, behavior = data["peers"], data["edges"], data["tables"], data["behavior"]
+    out["anchor_target"] = _array(peers["anchor_target"], np.float64, (n,), "peers.anchor_target")
+    for name in _PEER_COLUMNS:
+        pair = name in ("top2", "anchor_pair")  # (n, 2) columns of node ids
+        out[name] = _array(peers[name], np.int64, (n, 2) if pair else (n,), f"peers.{name}")
+        if pair:
+            _nodes(out[name], n, f"peers.{name}", unset=True)
+    for name in ("ring_pred", "ring_succ"):
+        out[name] = _nodes(_array(tables[name], np.int64, (n,), name), n, name, unset=True)
+    for name in ("long_links", "successors"):
+        out[name] = _split(tables[name], n, name)
+    out["incoming_sources"] = _split(data["incoming_sources"], n, "incoming_sources")
+    out["behavior"] = _split(behavior, n, "behavior")
+    size = len(behavior["values"])
+    out["cma"] = (
+        _array(behavior["count"], np.int64, (size,), "behavior.count").tolist(),
+        _array(behavior["mean"], np.float64, (size,), "behavior.mean").tolist(),
+    )
+
+    slots = len(edges["mutual"]) if graph is None else int(graph.csr[0][-1])
+    for name in _EDGE_COLUMNS + ("view",):
+        out[name] = _array(edges[name], np.int64, (slots,), f"edges.{name}")
+    views = out["views"] = _split(data["views"], n, "views", per_node=False)
+    view, count = out["view"], len(views[0]) - 1
+    if ((view < -1) | (view >= count)).any():
+        raise PersistError(f"edges.view indexes past the {count} views")
+    hexes = edges["bitmap"]
+    if len(hexes) != slots:
+        raise PersistError(f"edges.bitmap has {len(hexes)} slots, not {slots}")
+    bitmap = out["bitmap"] = np.fromiter(
+        (None if b is None else int(b, 16) for b in hexes), dtype=object, count=slots
+    )
+    has_bitmap = np.fromiter((b is not None for b in hexes), dtype=bool, count=slots)
+    learned, counted = out["bitmap_stamp"] >= 0, out["mutual_stamp"] >= 0
+    _refuse_slot(
+        ((view >= 0) != learned) | (has_bitmap != learned),
+        "a view, bitmap or bitmap stamp without the other two",
+    )
+    _refuse_slot((out["mutual"] >= 0) != counted, "a mutual count or its stamp without the other")
+    _refuse_slot(learned & ~counted, "a bitmap without a mutual count")
+    if graph is not None:
+        width = np.repeat(graph.degrees, graph.degrees)[learned].tolist()
+        wide = np.zeros(slots, dtype=bool)
+        wide[learned] = [b < 0 or b.bit_length() > w for b, w in zip(bitmap[learned], width)]
+        _refuse_slot(wide, "a bitmap wider than its owner's degree")
+    return cfg, out
 
 
 def _unpack(snapshot: dict) -> "tuple[dict, dict]":
@@ -485,6 +484,14 @@ def _unpack(snapshot: dict) -> "tuple[dict, dict]":
             f"unsupported snapshot schema {manifest.get('schema')!r} (expected {SCHEMA!r})"
         )
     return manifest, snapshot["state"]
+
+
+def _rows(indptr: np.ndarray, values) -> list:
+    """A CSR's rows as Python lists; numpy values come out as Python ints,
+    which the tables, ledger and views hold everywhere else."""
+    indptr = indptr.tolist()
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    return [values[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
 
 
 def restore_into(
@@ -516,27 +523,50 @@ def restore_into(
         raise PersistError(
             f"k_links mismatch: overlay has {overlay.k_links}, snapshot has {data['k_links']}"
         )
-    overlay.config = v1_config(data)
-    v1_knowledge(data, overlay.graph)
+    overlay.config, cols = decode_overlay(data, overlay.graph)
     overlay.iterations = int(data["iterations"])
     overlay.round_link_changes = int(data["round_link_changes"])
     overlay._quiet_rounds = int(data["quiet_rounds"])
-    overlay._lsh_seed = int(data["lsh_seed"])
-    # In place: ids is the overlay's shared column storage
-    # (PeerState views alias them); rebinding would silently detach every
-    # peer from the restored values.
-    overlay.ids[:] = np.asarray(data["ids"], dtype=np.float64)
-    overlay.pending_ids[:] = np.asarray(data["pending_ids"], dtype=np.float64)
+    # In place: ids is the identifier column (PeerColumns and the ring index
+    # hold it); rebinding would silently detach them from the restored values.
+    overlay.ids[:] = cols["ids"]
+    overlay.pending_ids[:] = cols["pending_ids"]
     overlay._ring_index.invalidate()
-    overlay._incoming_sources = [set(srcs) for srcs in data["incoming_sources"]]
-    overlay.incoming_count = np.array(
-        [len(s) for s in overlay._incoming_sources], dtype=np.int64
-    )
-    overlay.upload_mbps = (
-        None
-        if data["upload_mbps"] is None
-        else np.asarray(data["upload_mbps"], dtype=np.float64)
-    )
+    for name in _PEER_COLUMNS + ("anchor_target",):
+        getattr(overlay.columns, name)[:] = cols[name]
+
+    edges = overlay.edge_columns
+    for name in _EDGE_COLUMNS + ("bitmap",):
+        getattr(edges, name)[:] = cols[name]
+    # Slots share one frozenset per distinct view; index -1 picks the None.
+    views = np.fromiter([*map(frozenset, _rows(*cols["views"])), None], dtype=object)
+    edges.view[:] = views[cols["view"]]
+    edges.seen[:] = -1
+    edges.key[:] = -1
+    learned = np.flatnonzero(cols["bitmap_stamp"] >= 0)
+    popcount = np.fromiter((b.bit_count() for b in cols["bitmap"][learned]), dtype=np.int64)
+    edges.key[learned] = packed_key(overlay._nbr_indices[learned], popcount)
+    # Stamps are verbatim; only their order within a peer is state, so the
+    # clock restarts past the largest.
+    last = max(cols["mutual_stamp"].max(initial=-1), cols["bitmap_stamp"].max(initial=-1))
+    edges.clock = int(last) + 1
+
+    overlay.ring_pred[:] = cols["ring_pred"]
+    overlay.ring_succ[:] = cols["ring_succ"]
+    for table, links, successors in zip(
+        overlay.tables, _rows(*cols["long_links"]), _rows(*cols["successors"])
+    ):
+        table.long_links = links
+        table.successors = successors
+    overlay._incoming_sources = [set(srcs) for srcs in _rows(*cols["incoming_sources"])]
+    overlay.incoming_count = np.diff(cols["incoming_sources"][0])
+    indptr, contacts = cols["behavior"]
+    cmas = [_cma(count, mean) for count, mean in zip(*cols["cma"])]
+    for peer, keys, values in zip(overlay.peers, _rows(indptr, contacts), _rows(indptr, cmas)):
+        peer.behavior._cma = dict(zip(keys, values))
+
+    upload = data["upload_mbps"]
+    overlay.upload_mbps = None if upload is None else np.asarray(upload, dtype=np.float64)
     overlay.join_events = [
         JoinEvent(step=int(s), user=int(u), inviter=None if i is None else int(i))
         for s, u, i in data["join_events"]
@@ -547,11 +577,10 @@ def restore_into(
     overlay.trace = trace
     # LSH families are derived state: drop the cache and re-anchor each
     # peer to the family its (restored) lsh_seed defines.
-    overlay._lsh_families = {}
-    for peer, pdata in zip(overlay.peers, data["peers"]):
+    overlay._lsh_seed, overlay._lsh_families = int(data["lsh_seed"]), {}
+    for peer in overlay.peers:
         peer.lsh_family = overlay.lsh_family_for(peer.node)
         peer.k_buckets = overlay.k_links
-        _restore_peer(peer, pdata)
     overlay._built = bool(data["built"])
 
     for name, target, apply in (
@@ -571,12 +600,17 @@ def restore_into(
     return overlay
 
 
+def _cma(count: int, mean: float) -> CumulativeMovingAverage:
+    cma = CumulativeMovingAverage()
+    cma._count, cma._mean = count, mean
+    return cma
+
+
 def embedded_graph(state: dict) -> "SocialGraph | None":
     """The social graph a snapshot state embeds (None when captured without)."""
     if (gdata := state.get("graph")) is None:
         return None
-    edges = [(int(u), int(v)) for u, v in gdata["edges"]]
-    return SocialGraph(int(gdata["num_nodes"]), edges, name=gdata["name"])
+    return SocialGraph(int(gdata["num_nodes"]), gdata["edges"], name=gdata["name"])
 
 
 def restore(snapshot: dict, graph: "SocialGraph | None" = None):
@@ -589,20 +623,14 @@ def restore(snapshot: dict, graph: "SocialGraph | None" = None):
     """
     from repro.core.select import SelectOverlay
 
-    manifest, state = _unpack(snapshot)
+    _, state = _unpack(snapshot)
     graph = embedded_graph(state) if graph is None else graph
     if graph is None:
         raise PersistError(
             "snapshot has no embedded graph (captured with include_graph=False); "
             "pass graph= explicitly"
         )
-    data = state["overlay"]
-    overlay = SelectOverlay(
-        graph,
-        k_links=int(data["k_links"]),
-        config=v1_config(data),
-    )
-    return restore_into(snapshot, overlay)
+    return restore_into(snapshot, SelectOverlay(graph, k_links=int(state["overlay"]["k_links"])))
 
 
 # -- directory persistence ----------------------------------------------------

@@ -4,7 +4,7 @@
 when ``PATH`` violates the contract of what it holds, 2 on a usage error, 0
 otherwise. ``PATH`` is a ``verdict.json`` file or a directory holding any mix of
 
-* a snapshot — ``manifest.json`` + ``state.json`` (``select-repro/snapshot/v1``);
+* a snapshot — ``manifest.json`` + ``state.json`` (``select-repro/snapshot/v2``);
 * telemetry — ``report.json`` + ``metrics.prom``, optionally ``traces.jsonl``
   and ``series.jsonl`` (``select-repro/telemetry/v1``; every span, the
   simulator's or a live run's, is a ``select-repro/live-trace/v1`` span and
@@ -29,8 +29,8 @@ import os
 import re
 import sys
 
-from repro.persist.snapshot import MANIFEST_FILE, SCHEMA, STATE_FILE, snapshot_id, v1_config
-from repro.persist.snapshot import embedded_graph, v1_knowledge
+from repro.persist.snapshot import MANIFEST_FILE, SCHEMA, STATE_FILE, snapshot_id
+from repro.persist.snapshot import decode_overlay, embedded_graph
 from repro.scenarios.slo import VERDICT_FILE, VERDICT_SCHEMA
 from repro.telemetry.export import METRICS_FILE, REPORT_FILE, SERIES_FILE, TRACES_FILE
 from repro.telemetry.tracer import SPAN_TYPE, assemble, chain_errors
@@ -50,23 +50,22 @@ _MANIFEST = {
     "graph": {"name": str, "num_nodes": int, "num_edges": int, "fingerprint": str},
     "components": [str],
 }
-# ``node`` plus every key ``snapshot._restore_peer`` reads unconditionally
-# (the stored ``known_coverage`` is a popcount of the bitmaps and is not).
-_PEER = {
-    "node": int, "identifier": NUM, "joined": bool,
-    "moves_done": int, "stable_rounds": int, "link_change_budget": int,
-    "last_anchor_pair": (list, NONE), "top2": [int],
-    "known_mutual": list, "known_bitmap": list, "known_bucket": list,
-    "lookahead": list, "behavior": list,
-    "table": {
-        "predecessor": (int, NONE), "successor": (int, NONE),
-        "successors": [int], "long_links": [int],
-    },
-}
+_CSR = {"indptr": [int], "values": list}
+# The column lists are typed by ``snapshot.decode_overlay``, as restore reads them.
 _OVERLAY = {
     "k_links": int, "config": dict, "built": bool, "iterations": int,
-    "ids": [NUM], "pending_ids": [NUM], "joined": [bool], "incoming_sources": [[int]],
-    "peers": [_PEER],
+    "ids": [NUM], "pending_ids": [NUM],
+    "peers": dict.fromkeys(
+        ("moves_done", "stable_rounds", "link_change_budget", "top2", "anchor_pair", "anchor_target"),
+        list,
+    ),
+    "edges": dict.fromkeys(
+        ("mutual", "mutual_stamp", "bitmap", "bitmap_stamp", "bucket", "view"), list
+    ),
+    "views": _CSR,
+    "tables": {"ring_pred": list, "ring_succ": list, "long_links": _CSR, "successors": _CSR},
+    "incoming_sources": _CSR,
+    "behavior": {**_CSR, "count": list, "mean": list},
 }
 
 _PROVENANCE = {
@@ -165,18 +164,16 @@ def validate_snapshot(snapshot_dir: str) -> "list[str]":
     state = _read(os.path.join(snapshot_dir, STATE_FILE), errors)
     if manifest is not _UNREAD:
         _shape(manifest, _MANIFEST, f"{MANIFEST_FILE}: manifest", errors)
+        if _get(manifest, "schema") != SCHEMA:
+            return errors  # another format's state is not read as this one's
     if state is not _UNREAD and _shape(state, {"overlay": _OVERLAY}, f"{STATE_FILE}: state", errors):
-        # What restore refuses beyond the shapes: config, join flags, knowledge.
+        # What restore refuses beyond the shapes, by the check restore runs.
         try:
-            v1_config(state["overlay"])
-        except PersistError as exc:
-            errors.append(f"{STATE_FILE}: {exc}")
-        try:
-            v1_knowledge(state["overlay"], embedded_graph(state))
+            decode_overlay(state["overlay"], embedded_graph(state))
         except PersistError as exc:
             errors.append(f"{STATE_FILE}: {exc}")
         except (TypeError, IndexError, KeyError, ValueError, ReproError):
-            errors.append(f"{STATE_FILE}: malformed graph or knowledge entries")
+            errors.append(f"{STATE_FILE}: malformed embedded graph")
     if isinstance(manifest, dict) and isinstance(state, dict):
         want_id, got_id = manifest.get("snapshot_id"), snapshot_id(state)
         if want_id != got_id:
@@ -188,18 +185,9 @@ def validate_snapshot(snapshot_dir: str) -> "list[str]":
             errors.append(
                 f"{MANIFEST_FILE}: components {components} != state sections {sorted(state)}"
             )
-    peers, ids = _get(state, "overlay", "peers"), _get(state, "overlay", "ids")
-    if isinstance(peers, list) and isinstance(ids, list):
-        if len(peers) != len(ids):
-            errors.append(f"{STATE_FILE}: {len(peers)} peer records for {len(ids)} ids")
-        want_n = _get(manifest, "graph", "num_nodes")
-        if isinstance(want_n, int) and want_n != len(ids):
-            errors.append(
-                f"{STATE_FILE}: overlay has {len(ids)} peers, manifest graph says {want_n}"
-            )
-        for i, peer in enumerate(peers):
-            if isinstance(peer, dict) and "node" in peer and peer["node"] != i:
-                errors.append(f"{STATE_FILE}: peers[{i}] has node={peer['node']}")
+    ids, want_n = _get(state, "overlay", "ids"), _get(manifest, "graph", "num_nodes")
+    if isinstance(ids, list) and isinstance(want_n, int) and want_n != len(ids):
+        errors.append(f"{STATE_FILE}: overlay has {len(ids)} peers, manifest graph says {want_n}")
     return errors
 
 

@@ -126,7 +126,7 @@ class TestPackedKeys:
         cover = 0
         for w in links:
             cover |= peer.known_bitmap[w]
-        coverage = peer.known_coverage
+        coverage = {f: b.bit_count() for f, b in peer.known_bitmap.items()}
         reference = heapq.nsmallest(
             5,
             ((bool(cover >> (f - 1) & 1), -coverage[f], f) for f in known if f not in links),

@@ -43,7 +43,7 @@ class TestPeerState:
     def test_learn_exchange_caches(self):
         peer = make_peer()
         teach(peer, 1, mutual=2, linked=(2, 3))
-        assert peer.known_coverage[1] == 2
+        assert peer.known_bitmap[1].bit_count() == 2
         assert 1 in peer.known_bitmap
         assert peer.lookahead[1] == frozenset({2, 3})
         assert edge_block(peer)[0] == [packed_key(1, 2), -1, -1]
@@ -62,8 +62,6 @@ class TestPeerState:
         teach(peer, 1, mutual=2, linked=(2,))
         peer.forget_peer(1)
         assert 1 not in peer.known_bitmap
-        assert 1 not in peer.known_coverage
-        assert 1 not in peer.known_bucket
         assert 1 not in peer.lookahead
         assert edge_block(peer) == ([-1, -1, -1], [-1, -1, -1])
 

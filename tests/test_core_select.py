@@ -16,6 +16,8 @@ from repro.net.bandwidth import BandwidthModel
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.util.exceptions import ConfigurationError
 
+from tests.conftest import edge_block
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -152,8 +154,8 @@ class TestBuildPins:
             blob = [
                 sorted(p.table.long_links),
                 list(p.known_bitmap.items()),
-                sorted(p.known_coverage.items()),
-                sorted(p.known_bucket.items()),
+                sorted((f, b.bit_count()) for f, b in p.known_bitmap.items()),
+                sorted((f, b) for f, b in zip(p.neighborhood.tolist(), edge_block(p)[1]) if b >= 0),
                 sorted((f, sorted(v)) for f, v in p.lookahead.items()),
                 sorted(p.known_mutual.items()),
             ]

@@ -4,7 +4,7 @@ import copy
 import hashlib
 import json
 import os
-import random
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -14,6 +14,7 @@ from repro.core.config import SelectConfig
 from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
 from repro.core.stabilize import CatchUpStore, Stabilizer
+from repro.graphs.graph import SocialGraph
 from repro.net.churn import ChurnModel
 from repro.net.faults import FaultPlan, PingService, RingPartition
 from repro.net.workload import PublishWorkload
@@ -26,24 +27,22 @@ from repro.persist import (
     restore,
     restore_into,
     save,
+    snapshot_id,
 )
-from repro.persist.snapshot import _int_from_words, _words_from_int
 from repro.validate import main as validate_main
 from repro.validate import validate_snapshot as validate_dir
 from repro.sim.runner import NotificationSimulator
 from repro.util.exceptions import ConfigurationError, PersistError
 
+from tests.conftest import assert_edge_columns_recompute
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 #: pinned manifest id of the committed fixture: regenerating the same
 #: graph (facebook, n=100, seed 11) and build (seed 7) must reproduce
 #: this byte-for-byte, or the snapshot format silently drifted.
-GOLDEN_ID = "fface5de2c7c5b13"
+GOLDEN_ID = "fcad37663e80ecd1"
 #: sha256 of the records of ``_stack(small_graph, faulty=True).run(600.0)``.
 REPLAY_DIGEST = "eeba6f1e5c67fdf5e535abf609ffde62c5ac0b969d66c2e65f42f0d306355cf2"
-#: sha256[:16] of the ``[nbits, words]`` list that
-#: :meth:`TestDiskFormat.test_bitmap_words_are_pinned` draws: v1 stores a
-#: bitmap int as little-endian 64-bit words, at least one per bitmap.
-BITMAP_WORDS_DIGEST = "c0cace6b78f9947e"
 
 
 def fresh_overlay(graph, seed=9):
@@ -69,6 +68,18 @@ class TestOverlayRoundTrip:
             assert list(theirs.successors) == list(mine.successors)
             assert set(theirs.long_links) == set(mine.long_links)
             assert theirs.link_view() == mine.link_view()
+
+    def test_restored_node_ids_are_python_ints(self, built_select):
+        # As a build leaves them: numpy scalars would hash and route slower
+        # and make the tables unserialisable.
+        twin = restore(built_select.snapshot())
+        held = [
+            *(w for t in twin.tables for w in (*t.long_links, *t.successors)),
+            *(w for srcs in twin._incoming_sources for w in srcs),
+            *(w for view in twin.edge_columns.view if view is not None for w in view),
+            *(c for peer in twin.peers for c in peer.behavior._cma),
+        ]
+        assert held and {type(w) for w in held} == {int}
 
     def test_restored_overlay_passes_doctor(self, built_select):
         twin = restore(built_select.snapshot())
@@ -137,21 +148,53 @@ class TestDiskFormat:
         assert loaded["manifest"] == snap["manifest"]
         assert loaded["state"] == snap["state"]
 
-    def test_bitmap_words_are_pinned(self):
-        rng = random.Random(30)
-        rows = []
-        for nbits in (0, 1, 63, 64, 65, 200):
-            for _ in range(50):
-                bitmap = rng.getrandbits(nbits) if nbits else 0
-                words = _words_from_int(bitmap, nbits)
-                assert _int_from_words(words) == bitmap
-                rows.append([nbits, words])
-        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
-        assert digest == BITMAP_WORDS_DIGEST
+    def test_wide_bitmap_round_trips(self, tmp_path):
+        # A hub of 20 000 friends: its bitmap is a 6 021-digit decimal, past
+        # the int/str limit Python >= 3.11 enforces, so it is stored as hex.
+        hub = SocialGraph(20_001, [(0, v) for v in range(1, 20_001)], name="star")
+        overlay = SelectOverlay(hub, k_links=4)
+        peer = overlay.peers[0]
+        peer.lsh_family = overlay.lsh_family_for(0)
+        bitmap = (1 << 19_999) | 0b1011
+        peer.learn_exchange(7, 0, bitmap, {0})
+        if hasattr(sys, "get_int_max_str_digits"):
+            with pytest.raises(ValueError):
+                json.dumps(bitmap)
+        out = str(tmp_path / "snap")
+        save(capture(overlay), out)
+        twin = restore(load(out))
+        assert twin.peers[0].known_bitmap == {7: bitmap}
+        assert twin.peers[0].lookahead == {7: frozenset({0})}
+        assert_edge_columns_recompute(twin.peers[:1])
 
-    def test_oversized_bitmap_rejected(self):
-        with pytest.raises(PersistError):
-            _words_from_int(1 << 64, 64)
+    def test_oversized_bitmap_rejected(self, built_select, tmp_path):
+        # A bitmap has one bit per friend of its owner: one bit more is refused.
+        snap = copy.deepcopy(built_select.snapshot())
+        edges = snap["state"]["overlay"]["edges"]
+        slot = next(i for i, b in enumerate(edges["bitmap"]) if b is not None)
+        owner = int(np.searchsorted(built_select._nbr_indptr, slot, side="right")) - 1
+        edges["bitmap"][slot] = format(1 << built_select.graph.degree(owner), "x")
+        with pytest.raises(PersistError, match=f"edge slot {slot} holds a bitmap wider"):
+            restore(snap)
+        snap["manifest"]["snapshot_id"] = snapshot_id(snap["state"])
+        out = str(tmp_path / "snap")
+        save(snap, out)
+        assert any("bitmap wider than its owner's degree" in e for e in validate_dir(out))
+
+    def test_v1_directory_is_refused(self, tmp_path):
+        # No v1 reader is kept: both load and validate name the two schemas.
+        out = str(tmp_path / "snap")
+        save(load(GOLDEN_DIR), out)
+        manifest_path = os.path.join(out, MANIFEST_FILE)
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["schema"] = "select-repro/snapshot/v1"
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(PersistError) as refused:
+            load(out)
+        for said in (str(refused.value), "\n".join(validate_dir(out))):
+            assert "select-repro/snapshot/v1" in said and "select-repro/snapshot/v2" in said
 
     def test_load_detects_tampered_state(self, built_select, tmp_path):
         out = str(tmp_path / "snap")

@@ -13,16 +13,14 @@ from hypothesis import strategies as st
 from repro.core import select as select_module
 from repro.core.config import SelectConfig
 from repro.core.links import create_links, plan_links
-from repro.core.peer import PeerState
 from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
 from repro.core.vectorized import plan_round
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.lsh.bitsampling import BitSamplingLsh
-from repro.persist import restore
-from repro.persist.snapshot import _capture_peer, _restore_peer
-from tests.conftest import assert_edge_columns_recompute
+from repro.persist import capture, restore, restore_into
+from tests.conftest import assert_edge_columns_recompute, edge_block
 
 
 def reference(ov, gate, hysteresis=2):
@@ -44,7 +42,12 @@ def teach(ov, p, friend, bits, bucket=None):
     peer = ov.peers[p]
     peer.learn_exchange(friend, 0, (1 << bits) - 1, frozenset())
     if bucket is not None:
-        peer._cache_edge(friend, peer.known_bitmap[friend], bucket)
+        pin_bucket(peer, friend, bucket)
+
+
+def pin_bucket(peer, friend, bucket):
+    """Put a learned ``friend`` in ``bucket``, whatever the family hashes."""
+    peer._edges.bucket[peer._edge(friend)] = bucket
 
 
 def link(ov, p, *targets):
@@ -129,7 +132,7 @@ class TestNamedCases:
         bitmaps = (0b11000111, 0b00001111, 0b00000111, 0b00000011, 0b00000001, 0b00010000)
         for f, bitmap in enumerate(bitmaps, start=1):
             peer.learn_exchange(f, 0, bitmap, frozenset())
-            peer._cache_edge(f, bitmap, 0)
+            pin_bucket(peer, f, 0)
         self.check(ov, {0: ((), (1, 4, 5))})
         # Fewer candidates than slots: all of them, covered or not.
         ov.incoming_count[[4, 5, 6]] = 3
@@ -150,7 +153,7 @@ class TestNamedCases:
         bucketless = hub(k=2, family=False)
         teach(bucketless, 0, 1, bits=1)
         teach(bucketless, 0, 2, bits=3)
-        assert bucketless.peers[0].known_bucket == {}
+        assert set(edge_block(bucketless.peers[0])[1]) == {-1}
         self.check(bucketless, {0: ((), (1, 2))})
 
     def test_degree_zero_knowledge_less_and_ungated_peers(self):
@@ -202,7 +205,7 @@ def planning_state(recipe, ledger_from_links=False):
     for v, f, bitmap, bucket in recipe["learned"]:
         ov.peers[v].learn_exchange(f, 0, bitmap, frozenset())
         if bucket is not None:
-            ov.peers[v]._cache_edge(f, bitmap, bucket)
+            pin_bucket(ov.peers[v], f, bucket)
     for v, wanted in enumerate(recipe["links"]):
         if ledger_from_links:
             wanted = [w for w in wanted if ov._try_connect(v, w)]
@@ -309,9 +312,11 @@ FRIENDS, STRANGER = (1, 2, 3, 5, 8, 13), 21  # C_p, and a contact outside it
 
 
 def lone_peer():
-    peer = PeerState(0, np.array(FRIENDS), k_links=3)
-    peer.lsh_family = BitSamplingLsh(len(FRIENDS), num_samples=2, seed=1)
-    return peer
+    """Peer 0 of an overlay where it is the only peer with more than one friend."""
+    ov = SelectOverlay(SocialGraph(STRANGER + 1, [(0, f) for f in FRIENDS]), k_links=3)
+    peer = ov.peers[0]
+    peer.lsh_family = ov.lsh_family_for(0)
+    return ov, peer
 
 
 contacts = st.sampled_from(FRIENDS + (STRANGER,))
@@ -334,7 +339,7 @@ class TestEdgeColumnsStayInSync:
         to the capture: ``known_bitmap`` follows a plain dict in learn order,
         ``known_mutual`` one that forgetting leaves alone, and every slot is
         what the bitmaps recompute. Learning about the stranger is refused."""
-        peer, model, mutual, saved = lone_peer(), {}, {}, None
+        (ov, peer), model, mutual, saved = lone_peer(), {}, {}, None
         family, k = peer.lsh_family, peer.k_buckets
         for step in steps:
             if step[0] == "learn" and step[1] == STRANGER:
@@ -348,23 +353,21 @@ class TestEdgeColumnsStayInSync:
                 peer.forget_peer(step[1])
                 model.pop(step[1], None)
             elif step[0] == "capture":
-                saved = json.loads(json.dumps(_capture_peer(peer)))
+                saved = json.loads(json.dumps(capture(ov)))
                 saved_models = dict(model), dict(mutual)
-                fresh = lone_peer()
-                _restore_peer(fresh, saved)
-                assert _capture_peer(fresh) == saved
-                assert_edge_columns_recompute([fresh])
+                fresh = restore_into(saved, lone_peer()[0])
+                assert capture(fresh) == saved
+                assert_edge_columns_recompute(fresh.peers[:1])
             elif saved is not None:
-                _restore_peer(peer, saved)
+                restore_into(saved, ov)
                 model, mutual = (dict(m) for m in saved_models)
             assert list(peer.known_bitmap.items()) == list(model.items())
             assert list(peer.known_mutual.items()) == list(mutual.items())
             assert list(peer.lookahead) == list(model)
             assert_edge_columns_recompute([peer])
-            assert peer.known_coverage == {f: b.bit_count() for f, b in model.items()}
-            buckets = {f: family.bucket(b, k) for f, b in model.items()}
-            assert {f: peer.bucket_of(f) for f in model} == buckets
-            assert peer.known_bucket == buckets
+            assert {f: peer.bucket_of(f) for f in model} == {
+                f: family.bucket(b, k) for f, b in model.items()
+            }
 
     @pytest.fixture(scope="class")
     def built(self):
@@ -384,7 +387,7 @@ class TestEdgeColumnsStayInSync:
         peer = overlay.peers[0]
         gone = next(iter(peer.known_bitmap))
         peer.forget_peer(gone)
-        assert gone not in peer.known_coverage
+        assert gone not in peer.known_bitmap
         assert_edge_columns_recompute(overlay.peers)
         online = np.ones(overlay.graph.num_nodes, dtype=bool)
         online[np.arange(0, overlay.graph.num_nodes, 3)] = False

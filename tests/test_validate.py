@@ -147,8 +147,8 @@ def _verdict(fn):
     return lambda d: _edit(f"{d}/verdict.json", fn)
 
 
-def _peer(i, fn):
-    return _state(lambda s: fn(s["overlay"]["peers"][i]))
+def _peers(fn):
+    return _state(lambda s: fn(s["overlay"]["peers"]))
 
 
 def _hist(fn):
@@ -171,16 +171,18 @@ RULES = {
         "!= state sections",
     ),
     "overlay key set": (_state(lambda s: s["overlay"].pop("pending_ids")), "['pending_ids']"),
-    "one peer record per id": (_state(lambda s: s["overlay"]["peers"].pop()), "peer records for"),
+    "one peer record per id": (
+        _peers(lambda p: p["moves_done"].pop()),
+        "peers.moves_done has shape (99,), not (100,)",
+    ),
     "ids match the manifest graph": (
         _manifest(lambda m: m["graph"].update(num_nodes=m["graph"]["num_nodes"] + 1)),
         "manifest graph says",
     ),
-    "peers are in node order": (_peer(3, lambda p: p.update(node=4)), "peers[3] has node=4"),
-    "per-peer key set": (_peer(2, lambda p: p.pop("lookahead")), "peers[2] missing keys"),
+    "per-peer key set": (_peers(lambda p: p.pop("top2")), "peers missing keys ['top2']"),
     "per-table key set": (
-        _peer(2, lambda p: p["table"].pop("successors")),
-        "peers[2].table missing keys",
+        _state(lambda s: s["overlay"]["tables"].pop("successors")),
+        "tables missing keys ['successors']",
     ),
     "manifest values are typed": (_manifest(lambda m: m.update(round="7")), "manifest.round must be int"),
     "a flag is not a number": (_manifest(lambda m: m.update(round=True)), "manifest.round must be int"),
@@ -266,12 +268,23 @@ def test_each_rule_is_enforced(rule, artifacts, tmp_path):
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 
-#: every per-peer key ``snapshot._restore_peer`` reads unconditionally.
-RESTORED_PEER_KEYS = (
-    "identifier", "joined", "moves_done", "stable_rounds", "link_change_budget",
-    "last_anchor_pair", "top2", "known_mutual", "known_bitmap", "known_bucket",
-    "lookahead", "behavior", "table",
-)
+#: v1's per-peer keys, each with the v2 block that now holds its fact as
+#: a column (``identifier`` is the ``ids`` column, ``table`` the routing
+#: tables).
+RESTORED_PEER_KEYS = {
+    "identifier": ("ids",),
+    "moves_done": ("peers", "moves_done"),
+    "stable_rounds": ("peers", "stable_rounds"),
+    "link_change_budget": ("peers", "link_change_budget"),
+    "last_anchor_pair": ("peers", "anchor_pair"),
+    "top2": ("peers", "top2"),
+    "known_mutual": ("edges", "mutual"),
+    "known_bitmap": ("edges", "bitmap"),
+    "known_bucket": ("edges", "bucket"),
+    "lookahead": ("edges", "view"),
+    "behavior": ("behavior",),
+    "table": ("tables",),
+}
 
 
 def _golden_edited(tmp_path, edit_state, edit_manifest=lambda m: None):
@@ -286,24 +299,30 @@ def _golden_edited(tmp_path, edit_state, edit_manifest=lambda m: None):
     return path
 
 
-def _golden_without(key, tmp_path):
-    """A re-signed golden copy whose peers lack ``key``."""
-    return _golden_edited(tmp_path, lambda s: [p.pop(key) for p in s["overlay"]["peers"]])
+def _refused_alike(path, needle, capsys):
+    """Restore raises a ``PersistError`` naming ``needle``, and ``validate``
+    exits 1 with it on stderr."""
+    with pytest.raises(PersistError, match=re.escape(needle)):
+        restore(load(path))
+    capsys.readouterr()
+    assert main(["validate", path]) == 1
+    assert needle in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", RESTORED_PEER_KEYS)
+def _get(doc, *keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("key", sorted(RESTORED_PEER_KEYS))
 def test_a_peer_key_restore_reads_is_a_schema_error_when_missing(key, tmp_path, capsys):
-    path = _golden_without(key, tmp_path)
-    with pytest.raises(KeyError, match=key):  # what the file does to restore
+    *block, column = RESTORED_PEER_KEYS[key]
+    path = _golden_edited(tmp_path, lambda s: _get(s["overlay"], *block).pop(column))
+    with pytest.raises(PersistError, match=column):
         restore(load(path))
     assert main(["validate", path]) == 1
-    assert f"peers[0] missing keys ['{key}']" in capsys.readouterr().err
-
-
-def test_stored_coverage_is_derived_and_not_required(tmp_path):
-    path = _golden_without("known_coverage", tmp_path)
-    assert validate_path(path) == []
-    assert restore(load(path)).snapshot()["manifest"]["snapshot_id"] == "fface5de2c7c5b13"
+    assert f"missing keys ['{column}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -322,45 +341,89 @@ def test_a_config_restore_refuses_is_a_schema_error(changes, needle, tmp_path, c
         lambda s: s["overlay"]["config"].update(changes),
         lambda m: m["config"].update(changes),
     )
-    with pytest.raises(PersistError, match=needle):
-        restore(load(path))
-    assert main(["validate", path]) == 1
-    assert needle in capsys.readouterr().err
+    _refused_alike(path, needle, capsys)
 
 
-def test_join_flags_must_equal_built(tmp_path, capsys):
-    path = _golden_edited(tmp_path, lambda s: s["overlay"]["peers"][5].update(joined=False))
-    with pytest.raises(PersistError, match="'joined' flags disagree with built=True"):
-        restore(load(path))
-    assert main(["validate", path]) == 1
-    assert "'joined' flags disagree" in capsys.readouterr().err
+def _edges(edit):
+    return lambda s: edit(s["overlay"]["edges"])
 
 
-def _peer0(edit):
-    return lambda s: edit(s["overlay"]["peers"][0])
+def _first_learned(edges):
+    return next(i for i, b in enumerate(edges["bitmap"]) if b is not None)
 
 
-def _swap_first_two(entries):
-    entries[0], entries[1] = entries[1], entries[0]
+def _drop_bitmap(edges):
+    edges["bitmap"][_first_learned(edges)] = None
+
+
+def _drop_count(edges):
+    slot = _first_learned(edges)
+    edges["mutual"][slot] = edges["mutual_stamp"][slot] = -1
 
 
 @pytest.mark.parametrize(
     "edit, needle",
     [
-        (_peer0(lambda p: _swap_first_two(p["lookahead"])), "lookahead friends differ"),
-        (_peer0(lambda p: p["lookahead"].pop()), "lookahead friends differ"),
-        (_peer0(lambda p: p["known_mutual"].pop(0)), "bitmap friends [36] have no known_mutual"),
-        (_peer0(lambda p: p["known_mutual"].append([1, 3])), "contacts [1] are not its friends"),
+        (_edges(_drop_count), "holds a bitmap without a mutual count"),
+        (_edges(_drop_bitmap), "holds a view, bitmap or bitmap stamp without the other two"),
     ],
-    ids=["lookahead-order", "lookahead-set", "bitmap-without-count", "stranger"],
+    ids=["bitmap-without-count", "lookahead-set"],
 )
 def test_knowledge_the_edge_columns_cannot_hold_is_refused(edit, needle, tmp_path, capsys):
-    # Peer 0 of the golden snapshot learned 36 first and is no friend of 1.
-    path = _golden_edited(tmp_path, edit)
-    with pytest.raises(PersistError, match=re.escape(needle)):
-        restore(load(path))
-    assert main(["validate", path]) == 1
-    assert f"peer 0: {needle}" in capsys.readouterr().err
+    # A slot's view, bitmap and bitmap stamp come together (v1: the lookahead
+    # friends were the bitmap friends), and a bitmap comes with a count.
+    _refused_alike(_golden_edited(tmp_path, edit), needle, capsys)
+
+
+def _tables(name, edit):
+    return lambda s: edit(s["overlay"]["tables"][name])
+
+
+def _decrease_a_pointer(csr):
+    csr["indptr"][1] = csr["indptr"][2] + 1
+
+
+def _end_early(csr):
+    csr["indptr"][-1] -= 1
+
+
+def _link_past_n(csr):
+    csr["values"][0] = 100  # the golden overlay has 100 peers
+
+
+def _view_past_table(edges):
+    edges["view"][_first_learned(edges)] = 10**6
+
+
+def _widen_bitmap(edges):
+    edges["bitmap"][_first_learned(edges)] = "f" * 40  # no golden peer has 160 friends
+
+
+#: the rules of ``snapshot.decode_overlay`` beyond the config block and the
+#: knowledge slots above, one re-signed corruption each.
+SHARED_CHECK = {
+    "wrong array length": (_edges(lambda e: e["bucket"].pop()), "edges.bucket has shape"),
+    "CSR pointer decreases": (
+        _tables("long_links", _decrease_a_pointer),
+        "long_links.indptr is not a CSR",
+    ),
+    "CSR ends early": (_tables("successors", _end_early), "successors.indptr is not a CSR"),
+    "long-link target >= n": (
+        _tables("long_links", _link_past_n),
+        "long_links names node 100, outside [0, 100)",
+    ),
+    "view index out of range": (_edges(_view_past_table), "edges.view indexes past the"),
+    "bitmap wider than its owner's degree": (
+        _edges(_widen_bitmap),
+        "holds a bitmap wider than its owner's degree",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SHARED_CHECK))
+def test_restore_and_validate_refuse_the_same_snapshots(rule, tmp_path, capsys):
+    edit, needle = SHARED_CHECK[rule]
+    _refused_alike(_golden_edited(tmp_path, edit), needle, capsys)
 
 
 def test_span_failing_its_own_check_is_left_out_of_chain_assembly(artifacts, tmp_path):

@@ -434,9 +434,7 @@ def _state(peer):
     return (
         list(peer.known_mutual.items()),
         list(peer.known_bitmap.items()),
-        peer.known_coverage,
         edge_block(peer),
-        peer.known_bucket,
         [(friend, sorted(links)) for friend, links in peer.lookahead.items()],
         peer._top2,
         peer.stable_rounds,
