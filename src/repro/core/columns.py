@@ -12,7 +12,8 @@ columns wholesale.
 A standalone ``PeerState`` (tests, scratch construction) owns a private
 one-slot block — identical code path, no branching on "bound or not".
 
-:class:`EdgeColumns` holds what each peer knows of each friend the same way.
+:class:`EdgeColumns` holds what each peer knows of each friend the same way,
+and the link log its lookahead rows live in.
 """
 
 from __future__ import annotations
@@ -73,14 +74,22 @@ class EdgeColumns:
 
     Peer ``p``'s knowledge of ``neighborhood[i]`` sits at ``offset_p + i``
     (``_nbr_indptr[p] + i`` in an overlay): the mutual count, the bitmap, the
-    link view it came from and that view's ``view_version`` (``seen``), a
-    learn stamp for the count and one for the bitmap (``forget_peer`` drops
-    only the bitmap), and the bitmap's Alg. 6 ``key`` and LSH ``bucket``;
-    ``-1`` / ``None`` = not learned."""
+    log row of the link view it came from (``view``), a learn stamp for the
+    count and one for the bitmap (``forget_peer`` drops only the bitmap),
+    and the bitmap's Alg. 6 ``key`` and LSH ``bucket``; ``-1`` / ``None`` =
+    not learned.
+
+    The link log holds every view a slot names: row ``r`` is
+    ``targets[indptr[r]:indptr[r + 1]]``, one link set sorted and without
+    repeats (int32 node ids). Rows are only appended (the arrays grow by
+    doubling) until :meth:`compact` renumbers the ones still named, so a
+    row id is a version token: a slot whose ``view`` is its source's latest
+    row has folded the source's current links.
+    """
 
     __slots__ = (
         "key", "bucket", "mutual", "bitmap", "view",
-        "mutual_stamp", "bitmap_stamp", "seen", "clock",
+        "mutual_stamp", "bitmap_stamp", "clock", "targets", "indptr", "rows",
     )
 
     def __init__(self, size: int):
@@ -88,13 +97,68 @@ class EdgeColumns:
         self.bucket = np.full(size, -1, dtype=np.int16)
         self.mutual = np.full(size, -1, dtype=np.int32)
         self.bitmap = np.full(size, None, dtype=object)
-        self.view = np.full(size, None, dtype=object)
+        self.view = np.full(size, -1, dtype=np.int64)
         self.mutual_stamp = np.full(size, -1, dtype=np.int64)
         self.bitmap_stamp = np.full(size, -1, dtype=np.int64)
-        self.seen = np.full(size, -1, dtype=np.int64)
         self.clock = 0
+        self.targets = np.zeros(0, dtype=np.int32)
+        self.indptr = np.zeros(1, dtype=np.int64)
+        self.rows = 0
 
     def stamps(self, count: int) -> np.ndarray:
         """``count`` fresh learn stamps, ascending."""
         self.clock += count
         return np.arange(self.clock - count, self.clock, dtype=np.int64)
+
+    def append(self, owner: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+        """Append ``count`` rows to the link log; returns their ids.
+
+        ``values[i]`` belongs to new row ``owner[i]`` (``0 <= owner < count``);
+        order and repeats do not matter, each row is stored sorted and unique.
+        """
+        order = np.lexsort((values, owner))
+        owner, values = owner[order], values[order]
+        keep = np.ones(len(values), dtype=bool)
+        keep[1:] = (owner[1:] != owner[:-1]) | (values[1:] != values[:-1])
+        owner, values = owner[keep], values[keep]
+        first, end = self.rows, int(self.indptr[self.rows])
+        self.targets = _room(self.targets, end + len(values))
+        self.indptr = _room(self.indptr, first + count + 1)
+        self.targets[end : end + len(values)] = values
+        self.indptr[first + 1 : first + count + 1] = end + np.cumsum(np.bincount(owner, minlength=count))
+        self.rows += count
+        return np.arange(first, first + count, dtype=np.int64)
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The log rows ``rows``, concatenated in that order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        return self.targets[np.arange(len(shift), dtype=np.int64) + shift]
+
+    def row(self, row: int) -> list:
+        """One log row as Python ints."""
+        return self.targets[self.indptr[row] : self.indptr[row + 1]].tolist()
+
+    def compact(self, heads: np.ndarray) -> None:
+        """Keep only the rows a slot's ``view`` or one of ``heads`` names
+        (``-1`` names none), renumbered in log order; both are rewritten in
+        place and the arrays shrink to fit."""
+        named = np.concatenate((self.view, heads))
+        keep = np.unique(named[named >= 0])
+        lengths = self.indptr[keep + 1] - self.indptr[keep]
+        self.targets = self.gather(keep)
+        self.indptr = np.concatenate(([0], np.cumsum(lengths)))
+        self.rows = len(keep)
+        for column in (self.view, heads):
+            held = column >= 0
+            column[held] = np.searchsorted(keep, column[held])
+
+
+def _room(array: np.ndarray, size: int) -> np.ndarray:
+    """``array``, or a copy at least twice as long when it holds fewer than ``size``."""
+    if size <= len(array):
+        return array
+    grown = np.zeros(max(size, 2 * len(array)), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown

@@ -36,7 +36,8 @@ def exchange(p: PeerState, q: PeerState) -> None:
     * ``p`` holds ``q``'s friendship bitmap relative to ``C_p`` (and vice
       versa) — bit ``i`` set iff the other peer's routing table links to
       friend ``i``,
-    * both peers' lookahead sets record the other's current links.
+    * both peers' lookahead sets record the other's current links, as a
+      new row of their edge columns' link log.
     """
     mutual = len(np.intersect1d(p.neighborhood, q.neighborhood, assume_unique=True))
     # Cached views: exchanges only read the link sets, and every round
@@ -47,8 +48,8 @@ def exchange(p: PeerState, q: PeerState) -> None:
     # and symmetric bitmap of p's links over q's neighborhood (M').
     bitmap_for_p = p.codec.encode(q_links)
     bitmap_for_q = q.codec.encode(p_links)
-    p.learn_exchange(q.node, mutual, bitmap_for_p, q_links, q.table.view_version)
-    q.learn_exchange(p.node, mutual, bitmap_for_q, p_links, p.table.view_version)
+    p.learn_exchange(q.node, mutual, bitmap_for_p, q_links)
+    q.learn_exchange(p.node, mutual, bitmap_for_q, p_links)
 
 
 def select_gossip_partner(peer: PeerState, rng: np.random.Generator) -> "int | None":

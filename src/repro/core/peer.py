@@ -7,9 +7,10 @@ peer has *learned* about each friend — mutual-friend counts (for Eq. 2
 strength) and friendship bitmaps (for LSH link selection) — and the
 recovery mechanism tracks each contact's online behaviour. What a peer
 knows about ``neighborhood[i]`` lives in slot ``i`` of its block of
-:class:`~repro.core.columns.EdgeColumns`, the one store of that knowledge;
-``known_mutual``, ``known_bitmap`` and ``lookahead`` are read-only dicts
-built off the slots in learn order (recovery probes candidates in it).
+:class:`~repro.core.columns.EdgeColumns`, the one store of that knowledge
+(a friend's links as a row of the columns' link log); ``known_mutual``,
+``known_bitmap`` and ``lookahead`` are read-only dicts built off the slots
+in learn order (recovery probes candidates in it).
 
 Scalar round state (identifier, convergence counters, top-2 anchors)
 lives in a shared :class:`~repro.core.columns.PeerColumns` block;
@@ -212,8 +213,11 @@ class PeerState:
 
     @property
     def lookahead(self) -> dict:
-        """``L_p`` — the links each friend had when its bitmap was last folded."""
-        return self._dict(self._edges.bitmap_stamp, self._edges.view)
+        """``L_p`` — the links each friend had when its bitmap was last
+        folded, read off the link log as frozensets."""
+        edges, at = self._edges, self._learned(self._edges.bitmap_stamp)
+        rows = edges.view[self._edge_at + at].tolist()
+        return {f: frozenset(edges.row(r)) for f, r in zip(self.neighborhood[at].tolist(), rows)}
 
     def known_rows(self) -> "tuple[list, dict, dict]":
         """What Algorithm 5 reads of the known friends, off this peer's row:
@@ -238,17 +242,12 @@ class PeerState:
 
     # -- knowledge updates -----------------------------------------------------
 
-    def learn_exchange(
-        self, friend: int, mutual: int, bitmap: int, friend_links, version: int = -1
-    ) -> None:
+    def learn_exchange(self, friend: int, mutual: int, bitmap: int, friend_links) -> None:
         """Fold in one gossip exchange with ``friend``, as
         :func:`repro.core.rounds.exchange_phase` does for a whole round.
 
-        ``friend_links`` is the link set ``bitmap`` was computed from and
-        ``version`` its ``view_version`` when it is the friend's link view
-        (``-1`` = not one). Bitmap and mutual count are pure functions of
-        that set and the static graph, so a slot whose ``seen`` is still the
-        friend's version changes nothing when folded again."""
+        ``friend_links`` is the link set ``bitmap`` was computed from; it
+        becomes a new row of the link log, which the slot then names."""
         at = self._edge(friend)
         edges = self._edges
         is_new = edges.mutual[at] < 0
@@ -266,9 +265,8 @@ class PeerState:
                 edges.bitmap_stamp[at] = edges.stamps(1)[0]
             edges.bitmap[at] = bitmap
             self._cache_edge(friend, bitmap)
-        if type(friend_links) is not frozenset:
-            friend_links = frozenset(int(w) for w in friend_links)
-        edges.view[at], edges.seen[at] = friend_links, version
+        links = np.fromiter(friend_links, dtype=np.int64)
+        edges.view[at] = edges.append(np.zeros(len(links), dtype=np.int64), links, 1)[0]
 
     def _insert_top2(self, friend: int) -> None:
         """Keep the two strongest known friends: mutual counts are static, so
@@ -304,8 +302,8 @@ class PeerState:
         count is static and stays."""
         if peer in self.neighborhood:
             at, edges = self._edge(peer), self._edges
-            edges.bitmap[at] = edges.view[at] = None
-            edges.bitmap_stamp[at] = edges.seen[at] = edges.key[at] = edges.bucket[at] = -1
+            edges.bitmap[at] = None
+            edges.bitmap_stamp[at] = edges.view[at] = edges.key[at] = edges.bucket[at] = -1
         self.behavior.forget(peer)
 
     def merge_candidates(self) -> set[int]:
@@ -318,10 +316,11 @@ class PeerState:
         neighbor through one of these — which is what lets the merge pass
         close the ring in a handful of rounds instead of walking it.
         """
+        edges = self._edges
         out: set[int] = set(self.table.long_links)
         out.update(self.known_mutual)
-        for links in self.lookahead.values():
-            out.update(links)
+        learned = self._edge_at + self._learned(edges.bitmap_stamp)
+        out.update(edges.gather(edges.view[learned]).tolist())
         out.discard(self.node)
         return out
 

@@ -8,10 +8,10 @@ order:
    (Alg. 3 line 2), the passive-thread quantities of Algs. 3–4 as
    vectorized kernels (:mod:`repro.core.vectorized`), and the fold of
    each result into the two peers' edge slots as scatters. It costs what
-   changed: a slot records the ``view_version`` it folded
-   (:meth:`~repro.overlay.base.RoutingTable.link_view`), so an exchange
-   whose target already folded the source's current view never reaches
-   the kernels.
+   changed: a peer's links are logged as a new row of the edge columns'
+   link log only when they moved, and a slot records the row it folded,
+   so an exchange whose target already folded the source's latest row
+   never reaches the kernels.
 2. :func:`propose_ids` — Alg. 2 for every peer allowed to relocate.
 3. Link reassignment (Algs. 5–6) — :func:`link_gate` names the vertices
    whose step runs, one kernel plans them all against the round-start
@@ -85,27 +85,24 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     directed exchanges — *target* learns about *source* — in pair order,
     folded as :meth:`~repro.core.peer.PeerState.learn_exchange` would into
     the target's edge slot for the source, by array passes: a slot that
-    already folded the source's view (``seen == view_version``) is skipped
-    before the kernels run, a pair drawn twice keeps its first occurrence,
-    and a changed bitmap's bucket is ``_bucket_table[signature]``.
+    already folded the source's latest log row (``view == link_head``) is
+    skipped before the kernels run, a pair drawn twice keeps its first
+    occurrence, and a changed bitmap's bucket is ``_bucket_table[signature]``.
     """
     fp, fq = pairs = draw_partners(ov._nbr_indptr, ov._nbr_indices, rng)
     targets = np.stack((fp, fq), axis=1).reshape(-1)
     sources = np.stack((fq, fp), axis=1).reshape(-1)
-    edges, kern, n = ov.edge_columns, ov._xkernel, ov.graph.num_nodes
-    views = [t.link_view() for t in ov.tables]
-    version = np.array([t.view_version for t in ov.tables], dtype=np.int64)
+    edges, kern = ov.edge_columns, ov._xkernel
+    head = _log_links(ov)
     slots, _ = kern._slots(targets, sources)
-    fresh = np.flatnonzero(edges.seen[slots] != version[sources])
+    fresh = np.flatnonzero(edges.view[slots] != head[sources])
     ov.exchange_stats.folded += len(fresh)
     ov.exchange_stats.skipped += len(slots) - len(fresh)
     fresh = np.sort(fresh[np.unique(slots[fresh], return_index=True)[1]])
     targets, sources, slots = targets[fresh], sources[fresh], slots[fresh]
-    # The round's link table in CSR form, straight from the views.
-    link_indptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, views), dtype=np.int64))))
-    link_targets = np.fromiter(chain.from_iterable(views), dtype=np.int64, count=link_indptr[-1])
+    rows = head[sources]
     sample = ov._lsh_sample[targets]
-    bitmaps, popcount, bits = kern.bitmap_ints(targets, sources, link_indptr, link_targets, sample)
+    bitmaps, popcount, bits = kern.bitmap_ints(targets, rows, edges.indptr, edges.targets, sample)
     bitmaps = np.fromiter(bitmaps, dtype=object, count=len(slots))
     stamp = edges.stamps(len(slots))
 
@@ -125,9 +122,38 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     edges.key[at] = packed_key(sources[changed], popcount[changed])
     signature = bits[changed] @ (1 << np.arange(bits.shape[1])[::-1])
     edges.bucket[at] = np.where(sample[changed, -1] >= 0, ov._bucket_table[signature], -1)
-    edges.view[slots] = np.fromiter(views, dtype=object, count=n)[sources]
-    edges.seen[slots] = version[sources]
+    edges.view[slots] = rows
     return pairs
+
+
+def _log_links(ov) -> np.ndarray:
+    """Log the links of every peer whose links moved; returns the heads.
+
+    A peer's links moved when a write went through its table
+    (``links_written``) or its ``(pred, succ)`` differ from the pair its
+    head row was logged with — exactly when
+    :meth:`~repro.overlay.base.RoutingTable.link_view` would rebuild its
+    view. Each such peer gets one new row of the edge columns' link log
+    (its long links and ring neighbours, itself and unset pointers left
+    out), and ``link_head[p]`` is always ``p``'s latest row.
+    """
+    ring = np.stack((ov.ring_pred, ov.ring_succ), axis=1)
+    moved = np.flatnonzero(ov.links_written | (ring != ov._head_ring).any(axis=1))
+    if len(moved):
+        long_links = [ov.tables[v].long_links for v in moved.tolist()]
+        lengths = np.fromiter(map(len, long_links), dtype=np.int64, count=len(moved))
+        rank = np.arange(len(moved))
+        owner = np.concatenate((np.repeat(rank, lengths), rank, rank))
+        links = np.concatenate((
+            np.fromiter(chain.from_iterable(long_links), dtype=np.int64, count=int(lengths.sum())),
+            ring[moved, 0],
+            ring[moved, 1],
+        ))
+        keep = (links >= 0) & (links != moved[owner])
+        ov.link_head[moved] = ov.edge_columns.append(owner[keep], links[keep], len(moved))
+        ov._head_ring[moved] = ring[moved]
+        ov.links_written[moved] = False
+    return ov.link_head
 
 
 def _merge_top2(ov, targets: np.ndarray, friends: np.ndarray, mutual: np.ndarray) -> None:

@@ -52,6 +52,7 @@ from repro.net.growth import GrowthModel, JoinEvent
 from repro.overlay.base import OverlayNetwork
 from repro.sim.trace import TraceRecorder
 from repro.telemetry.registry import get_registry
+from repro.util.exceptions import ConfigurationError
 from repro.util.rng import as_generator
 
 __all__ = ["SelectOverlay"]
@@ -83,6 +84,10 @@ class SelectOverlay(OverlayNetwork):
         self._nbr_indptr, self._nbr_indices = graph.csr
         #: what every peer knows about every friend, one slot per CSR edge.
         self.edge_columns = EdgeColumns(int(self._nbr_indptr[-1]))
+        #: each peer's latest row of the edge columns' link log (-1 = none
+        #: yet) and the ``(pred, succ)`` pair it was logged with.
+        self.link_head = np.full(n, -1, dtype=np.int64)
+        self._head_ring = np.full((n, 2), -1, dtype=np.int64)
         self.peers = [
             PeerState(
                 v,
@@ -111,18 +116,23 @@ class SelectOverlay(OverlayNetwork):
         self._eviction_events: list[tuple[int, int]] = []
         # Round counter driving the relocation rota (REASSIGN_STRIDE).
         self._round_no = 0
-        #: what the round phases count; :meth:`build` attaches fresh ones.
+        #: what the round phases count; :meth:`build` attaches them.
         self.exchange_stats, self.link_stats = rounds.ExchangeStats(), rounds.LinkStats()
 
     # -- construction ----------------------------------------------------------
 
     def build(self, seed=None) -> "SelectOverlay":
-        """Run the full construction pipeline (projection -> gossip rounds)."""
+        """Run the full construction pipeline (projection -> gossip rounds).
+
+        A build is a function of the graph, the config and ``seed`` alone,
+        so an overlay is built once: a second call raises
+        ``ConfigurationError`` (make a new overlay to build again).
+        """
+        if self._built:
+            raise ConfigurationError(f"{self.name}: already built; build a new overlay instead")
         rng = as_generator(seed)
         # Attached here, not at construction: `select-repro build` installs
-        # its registry after making the overlay. Fresh objects per build, so
-        # a second build never attaches (and counts) one object twice.
-        self.exchange_stats, self.link_stats = rounds.ExchangeStats(), rounds.LinkStats()
+        # its registry after making the overlay.
         registry = get_registry()
         registry.attach("build.exchange", self.exchange_stats)
         registry.attach("build.links", self.link_stats)
@@ -148,6 +158,7 @@ class SelectOverlay(OverlayNetwork):
                     break
         finally:
             self._defer_evictions = False
+        self.edge_columns.compact(self.link_head)
         self._materialize_successors()
         self._mark_built()
         return self

@@ -152,15 +152,16 @@ class ExchangeKernel:
     ):
         """Friendship bitmap of each pair's partner over ``C_p``, as ints.
 
-        ``link_indptr`` / ``link_targets`` are the round's outgoing links
-        in CSR form (owner order; targets in any order). For pair i, bit j
-        of the result is set iff ``neighborhood(pairs_p[i])[j]`` appears
-        among ``partners[i]``'s links. The work is per *link*, not per
-        friend — a routing table holds at most K + 2 links, a hub's
-        neighbourhood hundreds of friends: each link is looked up in the
-        key table, and a hit's slot is its bit. The bits are packed with
-        one ``np.packbits`` over a byte-padded layout, then sliced into
-        ints — no per-pair numpy calls.
+        ``link_indptr`` / ``link_targets`` are link sets in CSR form
+        (targets in any order, no repeats) and ``partners[i]`` is the row
+        holding pair i's partner's links (the exchange passes the partner's
+        row of the edge columns' link log). For pair i, bit j of the result
+        is set iff ``neighborhood(pairs_p[i])[j]`` appears in that row. The
+        work is per *link*, not per friend — a routing table holds at most
+        K + 2 links, a hub's neighbourhood hundreds of friends: each link is
+        looked up in the key table, and a hit's slot is its bit. The bits
+        are packed with one ``np.packbits`` over a byte-padded layout, then
+        sliced into ints — no per-pair numpy calls.
 
         With ``sample`` (``(m, s)`` bit positions per pair; ``-1`` reads a 0
         padding bit) it returns ``(ints, popcounts, sampled bits)`` too.

@@ -21,7 +21,8 @@ __all__ = ["RoutingTable", "OverlayNetwork"]
 
 
 class _LinkSet(set):
-    """Long-link set that invalidates the owning table's cached link view.
+    """Long-link set that marks the owning table written: its cached link
+    view goes stale, and so does its latest row of a build's link log.
 
     Every overlay (SELECT's gossip, the baselines, recovery, stabilize)
     mutates ``table.long_links`` directly with plain set operations, so the
@@ -107,15 +108,17 @@ class RoutingTable:
     instead of re-materializing a set per call.
 
     Short-range links live in shared *columns*: the owning overlay passes
-    ``columns=(pred_col, succ_col, epochs)`` and this table becomes a
-    view over its slot, so ring maintenance can rewrite the whole
+    ``columns=(pred_col, succ_col, written_col, epochs)`` and this table
+    becomes a view over its slot, so ring maintenance can rewrite the whole
     network's predecessors/successors as two array stores plus one bump
     of ``epochs[0]`` (after which each table lazily re-checks its cached
     view against its own slot) instead of 2n property writes. Every write
-    to a table bumps ``epochs[1]``, so the pair is a version token for
-    "any link of any table": the router's index is keyed on it. A table
-    constructed without columns owns a private one-slot column block —
-    same code path, no branching.
+    to a table sets its ``written_col`` slot (cleared only by the build's
+    exchange phase when it logs the table's links) and bumps
+    ``epochs[1]``, so the pair is a version token for "any link of any
+    table": the router's index is keyed on it. A table constructed
+    without columns owns a private one-slot column block — same code
+    path, no branching.
     """
 
     __slots__ = (
@@ -123,6 +126,7 @@ class RoutingTable:
         "_slot",
         "_pred_col",
         "_succ_col",
+        "_written_col",
         "_epochs",
         "_seen_epoch",
         "successors",
@@ -131,7 +135,6 @@ class RoutingTable:
         "_dirty",
         "_view",
         "_ring",
-        "view_version",
     )
 
     def __init__(self, owner: int, max_long: int, columns=None):
@@ -141,10 +144,11 @@ class RoutingTable:
         if columns is None:
             self._pred_col = np.full(1, -1, dtype=np.int64)
             self._succ_col = np.full(1, -1, dtype=np.int64)
+            self._written_col = np.ones(1, dtype=bool)
             self._epochs = [0, 0]
             self._slot = 0
         else:
-            self._pred_col, self._succ_col, self._epochs = columns
+            self._pred_col, self._succ_col, self._written_col, self._epochs = columns
             self._slot = owner
         self._seen_epoch = self._epochs[0]
         #: ordered successor list (immediate successor first, then backups).
@@ -156,8 +160,6 @@ class RoutingTable:
         self.max_long = max_long
         self._dirty = True
         self._view: frozenset[int] = frozenset()
-        #: bumped whenever :meth:`link_view` replaces the view object.
-        self.view_version = 0
         #: the ``(pred, succ)`` pair ``_view`` was built from.
         self._ring: tuple[int, int] = (-1, -1)
 
@@ -166,6 +168,7 @@ class RoutingTable:
     def _touch(self) -> None:
         """A link of this table was written: its view and the epoch go stale."""
         self._dirty = True
+        self._written_col[self._slot] = True
         self._epochs[1] += 1
 
     @property
@@ -202,12 +205,13 @@ class RoutingTable:
     def link_view(self) -> frozenset:
         """Cached frozenset of every outgoing link, excluding the owner.
 
-        Identical contents to :meth:`all_links`. The object is a version
-        token: it is replaced only when the contents may have changed — a
-        long-link mutation, or a ring epoch bump after which this table's
-        own ``(pred, succ)`` differ from the pair the view was built from
-        — so an unchanged ``view_version`` proves equal contents. Callers
-        must treat it as immutable (it is shared between calls).
+        Identical contents to :meth:`all_links`. The object is replaced
+        only when the contents may have changed — a long-link mutation, or
+        a ring epoch bump after which this table's own ``(pred, succ)``
+        differ from the pair the view was built from. Callers must treat it
+        as immutable (it is shared between calls). A build never calls it:
+        its exchange phase logs the links it folds as rows of
+        :class:`~repro.core.columns.EdgeColumns`.
         """
         epoch = self._epochs[0]
         if self._dirty or self._seen_epoch != epoch:
@@ -217,7 +221,6 @@ class RoutingTable:
                 out.update(w for w in ring if w >= 0)
                 out.discard(self.owner)
                 self._view = frozenset(out)
-                self.view_version += 1
                 self._ring = ring
                 self._dirty = False
             self._seen_epoch = epoch
@@ -280,8 +283,11 @@ class OverlayNetwork(ABC):
         #: of the shared ``[ring refreshes, table writes]`` epochs.
         self.ring_pred = np.full(n, -1, dtype=np.int64)
         self.ring_succ = np.full(n, -1, dtype=np.int64)
+        #: per table: a link was written since the exchange phase last
+        #: logged its links (:func:`repro.core.rounds.exchange_phase`).
+        self.links_written = np.ones(n, dtype=bool)
         self._epochs = [0, 0]
-        ring_columns = (self.ring_pred, self.ring_succ, self._epochs)
+        ring_columns = (self.ring_pred, self.ring_succ, self.links_written, self._epochs)
         self.tables: list[RoutingTable] = [
             RoutingTable(v, self.k_links, columns=ring_columns) for v in range(n)
         ]

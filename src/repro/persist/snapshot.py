@@ -13,8 +13,9 @@ lists, admitted sources and behaviour CMAs each as a CSR — so capture is a
 ``tolist`` per column and restore an assignment per column plus one write
 per routing table. Learn stamps and behaviour dicts keep their order (it
 is state: recovery probes in it, and under faults each probe draws RNG);
-order-free sets are stored sorted; each distinct link view is stored once.
-Nothing derived is stored (packed keys, ``seen``, LSH families are rebuilt),
+order-free sets are stored sorted; each distinct link view (a row of the
+edge columns' link log) is stored once. Nothing derived is stored (packed
+keys, log row ids, LSH families are rebuilt),
 and bitmaps are hex strings, out of reach of Python's int/str digit limit.
 The snapshot id is a SHA-256 over the canonical state encoding, so
 re-capturing identical state yields an identical snapshot (what keeps the
@@ -38,7 +39,7 @@ from repro.graphs.graph import SocialGraph
 from repro.net.availability import CMA_MIN_OBSERVATIONS, CMA_THRESHOLD, CumulativeMovingAverage
 from repro.net.growth import JoinEvent
 from repro.sim.trace import TraceRecorder
-from repro.util.atomicio import atomic_write_json
+from repro.util.atomicio import atomic_write_json, atomic_write_text
 from repro.util.exceptions import ConfigurationError, PersistError
 from repro.util.exceptions import SnapshotIntegrityError, SnapshotIOError
 from repro.util.rng import generator_state, restore_generator
@@ -85,13 +86,31 @@ _PEER_COLUMNS = ("moves_done", "stable_rounds", "link_change_budget", "top2", "a
 _EDGE_COLUMNS = ("mutual", "mutual_stamp", "bitmap_stamp", "bucket")
 
 
-def _canonical(state: dict) -> bytes:
-    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _canonical(state: dict) -> str:
+    """The state's canonical JSON text: what ``state.json`` holds, less its newline."""
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def snapshot_id(state: dict) -> str:
     """Content-derived id of a state payload (stable across re-captures)."""
-    return hashlib.sha256(_canonical(state)).hexdigest()[:16]
+    return _digest(_canonical(state))
+
+
+class _Snapshot(dict):
+    """A ``{"manifest", "state"}`` snapshot that keeps the canonical text of
+    its state, which its ``snapshot_id`` hashes, so :func:`save` writes that
+    text instead of encoding the state again. A state edited after capture
+    needs a new ``snapshot_id`` (:func:`save` then encodes it afresh)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, manifest: dict, state: dict, text: str):
+        super().__init__(manifest=manifest, state=state)
+        self.text = text
 
 
 def graph_fingerprint(graph: SocialGraph) -> str:
@@ -114,11 +133,30 @@ def _csr(rows, sort: bool = False) -> dict:
     return {"indptr": [0, *np.cumsum(lengths).tolist()], "values": values.tolist()}
 
 
+def _views(edges) -> "tuple[list, dict]":
+    """Each slot's view index and the distinct views as a CSR: log rows equal
+    in content are stored once, numbered in the order slots first name them."""
+    held = edges.view >= 0
+    rows, first, per_slot = np.unique(edges.view[held], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(rows), dtype=np.int64)
+    views: dict = {}
+    targets, indptr = edges.targets, edges.indptr.tolist()
+    for at, row in zip(order.tolist(), rows[order].tolist()):
+        # A row is sorted and unique: equal bytes are equal views.
+        number[at] = views.setdefault(targets[indptr[row] : indptr[row + 1]].tobytes(), len(views))
+    view = np.full(len(held), -1, dtype=np.int64)
+    view[held] = number[per_slot]
+    lengths = [len(row) // targets.itemsize for row in views]
+    return view.tolist(), {
+        "indptr": [0, *np.cumsum(lengths, dtype=np.int64).tolist()],
+        "values": np.frombuffer(b"".join(views), dtype=targets.dtype).tolist(),
+    }
+
+
 def _capture_overlay(overlay) -> dict:
     cols, edges, tables = overlay.columns, overlay.edge_columns, overlay.tables
-    # Each distinct view once, numbered in slot order.
-    views: dict = {}
-    view = [-1 if v is None else views.setdefault(v, len(views)) for v in edges.view.tolist()]
+    view, views = _views(edges)
     behavior = [peer.behavior._cma for peer in overlay.peers]
     cmas = list(chain.from_iterable(c.values() for c in behavior))
     return {
@@ -146,7 +184,7 @@ def _capture_overlay(overlay) -> dict:
             "bitmap": [None if b is None else format(b, "x") for b in edges.bitmap.tolist()],
             "view": view,
         },
-        "views": _csr(views, sort=True),
+        "views": views,
         "tables": {
             "ring_pred": overlay.ring_pred.tolist(),
             "ring_succ": overlay.ring_succ.tolist(),
@@ -326,9 +364,10 @@ def capture(
     if sim is not None:
         state["sim"] = sim
     graph = overlay.graph
+    text = _canonical(state)
     manifest = {
         "schema": SCHEMA,
-        "snapshot_id": snapshot_id(state),
+        "snapshot_id": _digest(text),
         "round": int(overlay.iterations),
         "config": dict(state["overlay"]["config"]),
         "graph": {
@@ -340,7 +379,7 @@ def capture(
         "components": sorted(state),
         "rng_streams": sorted(name for name in state if "rng" in state[name]),
     }
-    return {"manifest": manifest, "state": state}
+    return _Snapshot(manifest, state, text)
 
 
 #: every :class:`SelectConfig` field with its default, whose type a stored
@@ -538,10 +577,13 @@ def restore_into(
     edges = overlay.edge_columns
     for name in _EDGE_COLUMNS + ("bitmap",):
         getattr(edges, name)[:] = cols[name]
-    # Slots share one frozenset per distinct view; index -1 picks the None.
-    views = np.fromiter([*map(frozenset, _rows(*cols["views"])), None], dtype=object)
-    edges.view[:] = views[cols["view"]]
-    edges.seen[:] = -1
+    # The views replace the whole link log, one row each, so a view's index
+    # is its row id; no head names a row until a build logs links again.
+    indptr, values = cols["views"]
+    edges.rows = 0
+    edges.append(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), values, len(indptr) - 1)
+    edges.view[:] = cols["view"]
+    overlay.link_head[:] = -1
     edges.key[:] = -1
     learned = np.flatnonzero(cols["bitmap_stamp"] >= 0)
     popcount = np.fromiter((b.bit_count() for b in cols["bitmap"][learned]), dtype=np.int64)
@@ -646,10 +688,13 @@ def save(snapshot: dict, out_dir: str) -> dict:
     truncated state.
     """
     manifest, state = _unpack(snapshot)
+    text = getattr(snapshot, "text", None)
+    if text is None or _digest(text) != manifest.get("snapshot_id"):
+        text = _canonical(state)
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, MANIFEST_FILE)
     state_path = os.path.join(out_dir, STATE_FILE)
-    atomic_write_json(state_path, state, separators=(",", ":"), sort_keys=True)
+    atomic_write_text(state_path, text + "\n")
     atomic_write_json(manifest_path, manifest, indent=2, sort_keys=True)
     return {"manifest": manifest_path, "state": state_path}
 

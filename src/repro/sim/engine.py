@@ -12,7 +12,7 @@ iterations), so iteration counts measured here are comparable to Figure 5.
 Nothing in ``src/`` runs it since SELECT's build became the loop over
 :mod:`repro.core.rounds`. It stays because ``SuperstepEngine.run`` is a
 public name and a trace point of the benchmark suite
-(``benchmarks/suite/tracing.POINTS``); ROADMAP 5(b) removes it with the
+(``benchmarks/suite/tracing.POINTS``); ROADMAP 7(b) removes it with the
 PR that may edit that suite.
 """
 

@@ -93,6 +93,20 @@ class TestBuild:
             for v in range(small_graph.num_nodes)
         )
 
+    def test_a_second_build_is_refused(self):
+        """A build is a function of (graph, config, seed): an overlay builds
+        once, and the refused second call leaves the first build as it was
+        (it used to reuse the first seed's LSH families)."""
+        graph = load_dataset("facebook", num_nodes=200, seed=7)
+        cfg = SelectConfig(max_rounds=30)
+        overlay = SelectOverlay(graph, config=cfg).build(seed=1)
+        with pytest.raises(ConfigurationError, match="already built"):
+            overlay.build(seed=2)
+        fresh = SelectOverlay(graph, config=cfg).build(seed=1)
+        assert np.array_equal(overlay.ids, fresh.ids)
+        assert [t.long_links for t in overlay.tables] == [t.long_links for t in fresh.tables]
+        assert [p.lookahead for p in overlay.peers] == [p.lookahead for p in fresh.peers]
+
     def test_different_seeds_differ(self, small_graph):
         cfg = SelectConfig(max_rounds=8)
         a = SelectOverlay(small_graph, config=cfg).build(seed=3)

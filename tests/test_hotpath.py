@@ -81,9 +81,11 @@ class TestLinkViewCache:
     def test_view_matches_fresh_after_arbitrary_ops(self, ops):
         # A table over shared ring columns, as an overlay's tables are.
         pred_col, succ_col, epoch = np.full(1, -1), np.full(1, -1), [0, 0]
-        table = RoutingTable(0, max_long=4, columns=(pred_col, succ_col, epoch))
+        written = np.zeros(1, dtype=bool)
+        table = RoutingTable(0, max_long=4, columns=(pred_col, succ_col, written, epoch))
         for op, arg in ops:
             before = table.link_view()
+            written[0] = False
             ring = (table.predecessor, table.successor)
             if op == "add_long":
                 table.add_long(arg)
@@ -106,6 +108,9 @@ class TestLinkViewCache:
                 _SET_OPS[op](table.long_links, arg)
             assert table.link_view() == _fresh_links(table)
             assert table.all_links() == set(table.link_view())
+            if table.link_view() != before and op not in ("bump", "col_pred", "col_succ"):
+                # A write through the table marks it for the exchange's link log.
+                assert written[0]
             if op == "bump" or (op.startswith("col_") and ring == (table.predecessor, table.successor)):
                 # The view object is a version token: an epoch bump over
                 # an unchanged (pred, succ) keeps it.

@@ -29,10 +29,14 @@ from repro.persist import (
     save,
     snapshot_id,
 )
+import repro.persist.snapshot as snapshot_module
+from repro.core.columns import EdgeColumns
 from repro.validate import main as validate_main
 from repro.validate import validate_snapshot as validate_dir
 from repro.sim.runner import NotificationSimulator
 from repro.util.exceptions import ConfigurationError, PersistError
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import assert_edge_columns_recompute
 
@@ -76,7 +80,7 @@ class TestOverlayRoundTrip:
         held = [
             *(w for t in twin.tables for w in (*t.long_links, *t.successors)),
             *(w for srcs in twin._incoming_sources for w in srcs),
-            *(w for view in twin.edge_columns.view if view is not None for w in view),
+            *(w for peer in twin.peers for view in peer.lookahead.values() for w in view),
             *(c for peer in twin.peers for c in peer.behavior._cma),
         ]
         assert held and {type(w) for w in held} == {int}
@@ -138,6 +142,37 @@ class TestOverlayRoundTrip:
 
 
 class TestDiskFormat:
+    def test_capture_and_save_encode_the_state_once(self, built_select, tmp_path, monkeypatch):
+        # The id hashes the canonical text, and save writes that same text.
+        encodings = []
+        canonical = snapshot_module._canonical
+        monkeypatch.setattr(
+            snapshot_module, "_canonical", lambda state: encodings.append(1) or canonical(state)
+        )
+        snap = capture(built_select)
+        save(snap, str(tmp_path / "snap"))
+        assert len(encodings) == 1
+        monkeypatch.undo()
+        assert load(str(tmp_path / "snap")) == snap
+
+    @given(
+        rows=st.lists(st.sets(st.integers(0, 9), max_size=4), min_size=1, max_size=10),
+        picks=st.lists(st.integers(-1, 9), max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_views_are_distinct_contents_in_slot_order(self, rows, picks):
+        # What capture stores of the link log, against one set per slot.
+        edges = EdgeColumns(len(picks))
+        for row in rows:
+            edges.append(np.zeros(len(row), dtype=np.int64), np.array(sorted(row), dtype=np.int64), 1)
+        edges.view[:] = [-1 if p < 0 else p % len(rows) for p in picks]
+        views: dict = {}
+        want = [-1 if r < 0 else views.setdefault(frozenset(edges.row(r)), len(views)) for r in edges.view.tolist()]
+        view, csr = snapshot_module._views(edges)
+        bounds = csr["indptr"]
+        assert view == want
+        assert [csr["values"][lo:hi] for lo, hi in zip(bounds, bounds[1:])] == [sorted(v) for v in views]
+
     def test_save_load_round_trip(self, built_select, tmp_path):
         snap = built_select.snapshot()
         out = str(tmp_path / "snap")

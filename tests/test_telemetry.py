@@ -507,17 +507,18 @@ class TestAttachedStats:
         assert exported(reg, "build.links") == asdict(overlay.link_stats)
         assert overlay.link_stats.planned > 0
 
-    def test_a_second_build_adds_its_own_counts_once(self, small_graph):
-        # Totals of two builds of one overlay under one registry, as the
-        # pushed counters of the previous release read them; one object
-        # attached by both builds would count both builds twice.
+    def test_a_refused_second_build_counts_nothing(self, small_graph):
+        # An overlay builds once: the refused second call attaches nothing,
+        # so the registry still reads the one build's counts.
         reg = MetricsRegistry()
         overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=25))
         with use_registry(reg):
             overlay.build(seed=3)
-            overlay.build(seed=3)
-        assert exported(reg, "build.exchange") == {"folded": 5579, "skipped": 1861}
-        assert exported(reg, "build.links") == {"planned": 2134, "replanned": 195, "changed": 486}
+            first = exported(reg, "build.exchange"), exported(reg, "build.links")
+            with pytest.raises(ConfigurationError, match="already built"):
+                overlay.build(seed=3)
+        assert (exported(reg, "build.exchange"), exported(reg, "build.links")) == first
+        assert first[0]["folded"] > 0 and first[1]["planned"] > 0
 
     def test_gauges_are_read_when_asked(self, churned):
         reg, owners = churned

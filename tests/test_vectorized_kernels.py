@@ -29,6 +29,8 @@ from repro.core.vectorized import (
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
+from repro.overlay.base import RoutingTable
+from repro.persist import capture, restore
 from repro.telemetry.registry import MetricsRegistry
 from repro.util.rng import as_generator
 from tests.conftest import assert_edge_columns_recompute, edge_block
@@ -534,6 +536,13 @@ class TestExchangeOracle:
                     assert batch.peers[t].known_bitmap[s] == batch.peers[t].codec.encode(links)
                 for v in range(n):
                     assert _state(batch.peers[v]) == _state(paired.peers[v])
+                # A snapshot round trip stores each slot's log row as a view
+                # and restores it as a row of a new log: the same links.
+                twin = restore(capture(batch))
+                for t, s in zip(fp.tolist() + fq.tolist(), fq.tolist() + fp.tolist()):
+                    assert twin.peers[t].lookahead[s] == self._fresh_links(batch.tables[s])
+                for v in range(n):
+                    assert twin.peers[v].lookahead == batch.peers[v].lookahead
                 # A re-learned bitmap goes behind every bitmap learned before
                 # it was forgotten; its mutual count keeps its place.
                 for v, f, (bitmaps, mutual) in list(forgotten):
@@ -586,3 +595,38 @@ class TestExchangeOracle:
         graph = load_dataset("facebook", num_nodes=300, seed=7)
         overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
         assert overlay.iterations == 58 and calls == []
+
+    def test_a_build_logs_links_without_link_views(self, monkeypatch):
+        """The fold reads each peer's links off its table into the link log:
+        a build asks no table for its cached view, and every slot names a
+        log row (an int), never a link-set object."""
+        calls = []
+        view = RoutingTable.link_view
+
+        def counted(table):
+            calls.append(table.owner)
+            return view(table)
+
+        monkeypatch.setattr(RoutingTable, "link_view", counted)
+        graph = load_dataset("facebook", num_nodes=300, seed=7)
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+        edges = overlay.edge_columns
+        assert overlay.iterations == 58 and calls == []
+        assert all(getattr(edges, name).dtype != object for name in ("view", "targets", "indptr"))
+        assert (edges.bitmap_stamp >= 0).sum() == (edges.view >= 0).sum() > 0
+
+    def test_a_build_keeps_only_named_log_rows(self):
+        """The build ends by compacting the log: every row is some slot's
+        view or some peer's head, and the head of a peer whose links did not
+        move after the last exchange holds its current links."""
+        graph = load_dataset("facebook", num_nodes=300, seed=7)
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+        edges, head = overlay.edge_columns, overlay.link_head
+        named = np.concatenate((edges.view, head))
+        assert np.array_equal(np.unique(named[named >= 0]), np.arange(edges.rows))
+        assert len(edges.targets) == edges.indptr[edges.rows] and len(edges.indptr) == edges.rows + 1
+        ring = np.stack((overlay.ring_pred, overlay.ring_succ), axis=1)
+        still = ~overlay.links_written & (ring == overlay._head_ring).all(axis=1)
+        assert 0 < still.sum() < len(still)
+        for v in np.flatnonzero(still).tolist():
+            assert set(edges.row(head[v])) == self._fresh_links(overlay.tables[v])
