@@ -63,7 +63,7 @@ class BayeuxOverlay(OverlayNetwork):
                     # incoming side: the finger stays either way, and only
                     # an admitted one is also routable back.
                     self.try_accept_incoming(v, manager)
-                    table.long_links.add(manager)
+                    table.add_long(manager)
 
     # -- rendezvous machinery -------------------------------------------------
 

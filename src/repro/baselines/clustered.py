@@ -105,7 +105,7 @@ class RankedGossipOverlay(OverlayNetwork):
             if learned:
                 # Convergence is about the *materialized* topology: count a
                 # change only when the ranked link set actually moved.
-                before = set(self.tables[v].long_links)
+                before = self.tables[v].long_links
                 self._rerank(v)
                 if self.tables[v].long_links != before:
                     changes += 1

@@ -42,7 +42,7 @@ class RandomOverlay(OverlayNetwork):
                 if u == v or u in table.long_links:
                     continue
                 if self.try_accept_incoming(v, u):
-                    table.long_links.add(u)
+                    table.add_long(u)
         self.iterations = 0
         self._mark_built()
         return self

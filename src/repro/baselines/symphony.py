@@ -68,4 +68,4 @@ class SymphonyOverlay(OverlayNetwork):
                 if manager == v or manager in table.long_links:
                     continue
                 if self.try_accept_incoming(v, manager):
-                    table.long_links.add(manager)
+                    table.add_long(manager)

@@ -82,14 +82,16 @@ class EdgeColumns:
     The link log holds every view a slot names: row ``r`` is
     ``targets[indptr[r]:indptr[r + 1]]``, one link set sorted and without
     repeats (int32 node ids). Rows are only appended (the arrays grow by
-    doubling) until :meth:`compact` renumbers the ones still named, so a
-    row id is a version token: a slot whose ``view`` is its source's latest
-    row has folded the source's current links.
+    doubling) until :meth:`compact` renumbers the ones still named (a build
+    compacts at the round barrier once the log holds twice the ``kept`` rows
+    of the last compaction, and once at its end). Row ids are only compared
+    for equality, so a row id is a version token: a slot whose ``view`` is
+    its source's latest row has folded the source's current links.
     """
 
     __slots__ = (
         "key", "bucket", "mutual", "bitmap", "view",
-        "mutual_stamp", "bitmap_stamp", "clock", "targets", "indptr", "rows",
+        "mutual_stamp", "bitmap_stamp", "clock", "targets", "indptr", "rows", "kept",
     )
 
     def __init__(self, size: int):
@@ -104,6 +106,7 @@ class EdgeColumns:
         self.targets = np.zeros(0, dtype=np.int32)
         self.indptr = np.zeros(1, dtype=np.int64)
         self.rows = 0
+        self.kept = 0
 
     def stamps(self, count: int) -> np.ndarray:
         """``count`` fresh learn stamps, ascending."""
@@ -149,7 +152,7 @@ class EdgeColumns:
         lengths = self.indptr[keep + 1] - self.indptr[keep]
         self.targets = self.gather(keep)
         self.indptr = np.concatenate(([0], np.cumsum(lengths)))
-        self.rows = len(keep)
+        self.rows = self.kept = len(keep)
         for column in (self.view, heads):
             held = column >= 0
             column[held] = np.searchsorted(keep, column[held])

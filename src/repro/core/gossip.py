@@ -40,10 +40,8 @@ def exchange(p: PeerState, q: PeerState) -> None:
       new row of their edge columns' link log.
     """
     mutual = len(np.intersect1d(p.neighborhood, q.neighborhood, assume_unique=True))
-    # Cached views: exchanges only read the link sets, and every round
-    # runs one per peer, so the fresh-copy allocation was pure overhead.
-    q_links = q.table.link_view()
-    p_links = p.table.link_view()
+    q_links = q.table.all_links()
+    p_links = p.table.all_links()
     # Passive side (Alg. 4): bitmap of q's links over p's neighborhood (M),
     # and symmetric bitmap of p's links over q's neighborhood (M').
     bitmap_for_p = p.codec.encode(q_links)

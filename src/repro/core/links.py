@@ -56,8 +56,8 @@ def create_links(
     reassignment can be *planned* against the ledger
     (:func:`plan_links`) and only the net difference applied
     (:func:`apply_plan`). Most rounds net to zero (drop-then-readd
-    churn), so planning turns them into pure reads: no ledger traffic,
-    no routing table dirtying, no link-view rebuilds. Every net add was
+    churn), so planning turns them into pure reads: no ledger traffic
+    and no table write. Every net add was
     judged admissible against untouched ledger state and the net drops
     only free slots, so the applied ``try_connect`` calls cannot be
     refused and the final ledger/table state is bit-identical to what
@@ -68,7 +68,7 @@ def create_links(
         plan = plan_links(peer, k_links, incoming_count, hysteresis)
         if plan is None:
             return False
-        return apply_plan(peer.table.long_links, peer.node, *plan, try_connect, disconnect)
+        return apply_plan(peer.table, peer.node, *plan, try_connect, disconnect)
 
     rows, coverage, buckets = peer.known_rows()
     if not rows:
@@ -82,15 +82,15 @@ def create_links(
             # Make room: the bucket's redundant links go first.
             if len(table.long_links) >= table.max_long:
                 for other in [w for w in table.long_links if w != chosen and w in members]:
-                    table.long_links.discard(other)
+                    table.drop_long(other)
                     disconnect(peer.node, other)
             if len(table.long_links) < table.max_long and try_connect(peer.node, chosen):
-                table.long_links.add(chosen)
+                table.add_long(chosen)
                 changed = True
         # Lines 12-16: drop established links that share the bucket.
         drops = [w for w in table.long_links if w != chosen and w in members]
         for other in drops:
-            table.long_links.discard(other)
+            table.drop_long(other)
             disconnect(peer.node, other)
             changed = True
     if _fill_remaining_budget(peer, k_links, try_connect, rows):
@@ -160,8 +160,8 @@ def plan_links(
     )
 
 
-def apply_plan(links: set, node: int, drops, adds, try_connect, disconnect) -> bool:
-    """Apply one vertex's net link diff; True when ``links`` changed.
+def apply_plan(table, node: int, drops, adds, try_connect, disconnect) -> bool:
+    """Apply one vertex's net link diff to its table; True when it changed.
 
     Slots are freed first, then the planned ones claimed. Adds go
     through ``try_connect`` so the K-incoming cap is re-enforced against
@@ -171,11 +171,11 @@ def apply_plan(links: set, node: int, drops, adds, try_connect, disconnect) -> b
     """
     changed = bool(drops)
     for w in drops:
-        links.discard(w)
+        table.drop_long(w)
         disconnect(node, w)
     for w in adds:
         if try_connect(node, w):
-            links.add(w)
+            table.add_long(w)
             changed = True
     return changed
 
@@ -219,7 +219,7 @@ def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect, rows) -> 
     while heap and len(table.long_links) < k_links:
         cand = heapq.heappop(heap) & KEY_FIELD
         if try_connect(node, cand):
-            table.long_links.add(cand)
+            table.add_long(cand)
             changed = True
     return changed
 
@@ -270,6 +270,6 @@ def random_links(
         if cand in table.long_links:
             continue
         if try_connect(peer.node, cand):
-            table.long_links.add(cand)
+            table.add_long(cand)
             changed = True
     return changed

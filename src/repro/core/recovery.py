@@ -155,11 +155,11 @@ class RecoveryManager:
             struck.add(candidate)
         if self.pings.truth(dead):
             self.stats.false_evictions += 1
-        peer.table.long_links.discard(dead)
+        peer.table.drop_long(dead)
         ov._disconnect(v, dead)
         peer.forget_peer(dead)
         self.pings.forget(v, dead)
-        peer.table.long_links.add(candidate)
+        peer.table.add_long(candidate)
         self.stats.replacements += 1
 
     def _same_bucket_candidate(

@@ -131,11 +131,11 @@ def _log_links(ov) -> np.ndarray:
 
     A peer's links moved when a write went through its table
     (``links_written``) or its ``(pred, succ)`` differ from the pair its
-    head row was logged with — exactly when
-    :meth:`~repro.overlay.base.RoutingTable.link_view` would rebuild its
-    view. Each such peer gets one new row of the edge columns' link log
-    (its long links and ring neighbours, itself and unset pointers left
-    out), and ``link_head[p]`` is always ``p``'s latest row.
+    head row was logged with (a ring refresh stores the ring columns
+    without going through the tables). Each such peer gets one new row of
+    the edge columns' link log (its long links and ring neighbours, itself
+    and unset pointers left out), and ``link_head[p]`` is always ``p``'s
+    latest row.
     """
     ring = np.stack((ov.ring_pred, ov.ring_succ), axis=1)
     moved = np.flatnonzero(ov.links_written | (ring != ov._head_ring).any(axis=1))
@@ -254,9 +254,9 @@ def publish_ids(ov, changed_idx: np.ndarray, changed_vals: np.ndarray) -> int:
     # or quiescence detection undercounts churn and can declare
     # convergence a round early.
     for victim, dst in ov._eviction_events:
-        links = ov.tables[victim].long_links
-        if dst in links:
-            links.discard(dst)
+        table = ov.tables[victim]
+        if dst in table.long_links:
+            table.drop_long(dst)
             ov.peers[victim].stable_rounds = 0
             ov.round_link_changes += 1
     ov._eviction_events.clear()

@@ -154,6 +154,8 @@ class SelectOverlay(OverlayNetwork):
                 self.round_link_changes += len(changed)
                 with rounds.phase_timer("barrier"):
                     moves = rounds.publish_ids(self, *rounds.settle_ids(self, self.pending_ids))
+                    if self.edge_columns.rows >= 2 * self.edge_columns.kept:
+                        self.edge_columns.compact(self.link_head)
                 if rounds.end_round(self, moves):
                     break
         finally:
@@ -175,7 +177,7 @@ class SelectOverlay(OverlayNetwork):
         changed: set[int] = set()
         for v in gate:
             peer = self.peers[v]
-            before = set(peer.table.long_links)
+            before = peer.table.long_links
             if cfg.use_lsh:
                 create_links(
                     peer, self.k_links, self._try_connect, self._disconnect, self.upload_mbps
@@ -209,7 +211,8 @@ class SelectOverlay(OverlayNetwork):
         changed: set[int] = set()
         replanned = 0
         for v in gate:
-            links = self.tables[v].long_links
+            table = self.tables[v]
+            links = table.long_links
             plan = plans.get(v)
             adds = plan[1] if plan else ()
             if v in noted and any(
@@ -220,13 +223,12 @@ class SelectOverlay(OverlayNetwork):
                 for t in noted[v]
             ):
                 replanned += 1
-                before = set(links)
                 hit = create_links(
                     self.peers[v], k, self._try_connect, self._disconnect, incoming_count=incoming
                 )
-                touched = before ^ links
+                touched = links ^ table.long_links
             elif plan:
-                hit = apply_plan(links, v, *plan, self._try_connect, self._disconnect)
+                hit = apply_plan(table, v, *plan, self._try_connect, self._disconnect)
                 touched = plan[0] + plan[1]
             else:
                 continue
@@ -277,7 +279,7 @@ class SelectOverlay(OverlayNetwork):
                 if len(peer.table.long_links) >= self.k_links:
                     break
                 if self._try_connect(event.user, cand):
-                    peer.table.long_links.add(cand)
+                    peer.table.add_long(cand)
             joined_so_far[event.user] = True
 
     def _materialize_successors(self) -> None:
@@ -337,7 +339,7 @@ class SelectOverlay(OverlayNetwork):
                     # mutation waits for the round barrier.
                     self._eviction_events.append((slowest, dst))
                 else:
-                    self.tables[slowest].long_links.discard(dst)
+                    self.tables[slowest].drop_long(dst)
                     self.peers[slowest].stable_rounds = 0
                     self.round_link_changes += 1
                 sources.add(src)

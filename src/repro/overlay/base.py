@@ -20,78 +20,6 @@ from repro.util.exceptions import ConfigurationError
 __all__ = ["RoutingTable", "OverlayNetwork"]
 
 
-class _LinkSet(set):
-    """Long-link set that marks the owning table written: its cached link
-    view goes stale, and so does its latest row of a build's link log.
-
-    Every overlay (SELECT's gossip, the baselines, recovery, stabilize)
-    mutates ``table.long_links`` directly with plain set operations, so the
-    dirty flag has to live on the set itself — routing the invalidation
-    through ``add_long``/``drop_long`` alone would leave the cache stale.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: "RoutingTable", iterable=()):
-        super().__init__(iterable)
-        self._table = table
-
-    def add(self, value):
-        self._table._touch()
-        set.add(self, value)
-
-    def discard(self, value):
-        self._table._touch()
-        set.discard(self, value)
-
-    def remove(self, value):
-        self._table._touch()
-        set.remove(self, value)
-
-    def pop(self):
-        self._table._touch()
-        return set.pop(self)
-
-    def clear(self):
-        self._table._touch()
-        set.clear(self)
-
-    def update(self, *others):
-        self._table._touch()
-        set.update(self, *others)
-
-    def difference_update(self, *others):
-        self._table._touch()
-        set.difference_update(self, *others)
-
-    def intersection_update(self, *others):
-        self._table._touch()
-        set.intersection_update(self, *others)
-
-    def symmetric_difference_update(self, other):
-        self._table._touch()
-        set.symmetric_difference_update(self, other)
-
-    def __ior__(self, other):
-        self._table._touch()
-        return set.__ior__(self, other)
-
-    def __iand__(self, other):
-        self._table._touch()
-        return set.__iand__(self, other)
-
-    def __isub__(self, other):
-        self._table._touch()
-        return set.__isub__(self, other)
-
-    def __ixor__(self, other):
-        self._table._touch()
-        return set.__ixor__(self, other)
-
-    def __reduce__(self):  # pragma: no cover - pickling support
-        return (set, (set(self),))
-
-
 class RoutingTable:
     """Per-peer link state: 2 short-range + up to ``k`` long-range links.
 
@@ -101,24 +29,21 @@ class RoutingTable:
     :meth:`OverlayNetwork.try_accept_incoming`, whose ledger makes an
     admitted link a connection that routes carry both ways.
 
-    The combined link set is cached: :meth:`link_view` returns a frozenset
-    that is rebuilt lazily only after a mutation (long-link add/drop or a
-    short-range reassignment). Routing reads links orders of magnitude
-    more often than gossip changes them, so the hot paths index this view
-    instead of re-materializing a set per call.
+    ``long_links`` is a frozenset that only the table writes:
+    :meth:`add_long`, :meth:`drop_long` and the setter each store a new
+    one. The ``max_long`` budget is the callers' check, made before
+    ``try_connect`` charges a slot on the target.
 
     Short-range links live in shared *columns*: the owning overlay passes
-    ``columns=(pred_col, succ_col, written_col, epochs)`` and this table
+    ``columns=(pred_col, succ_col, written_col, version)`` and this table
     becomes a view over its slot, so ring maintenance can rewrite the whole
     network's predecessors/successors as two array stores plus one bump
-    of ``epochs[0]`` (after which each table lazily re-checks its cached
-    view against its own slot) instead of 2n property writes. Every write
-    to a table sets its ``written_col`` slot (cleared only by the build's
-    exchange phase when it logs the table's links) and bumps
-    ``epochs[1]``, so the pair is a version token for "any link of any
-    table": the router's index is keyed on it. A table constructed
-    without columns owns a private one-slot column block — same code
-    path, no branching.
+    of ``version[0]`` instead of 2n property writes. Every write to a
+    table, changed or not, sets its ``written_col`` slot (cleared only by
+    the build's exchange phase when it logs the table's links) and bumps
+    ``version[0]``, the overlay's one link version: the router's index is
+    keyed on it. A table constructed without columns owns a private
+    one-slot column block — same code path, no branching.
     """
 
     __slots__ = (
@@ -127,14 +52,10 @@ class RoutingTable:
         "_pred_col",
         "_succ_col",
         "_written_col",
-        "_epochs",
-        "_seen_epoch",
+        "_version",
         "successors",
         "_long_links",
         "max_long",
-        "_dirty",
-        "_view",
-        "_ring",
     )
 
     def __init__(self, owner: int, max_long: int, columns=None):
@@ -145,31 +66,23 @@ class RoutingTable:
             self._pred_col = np.full(1, -1, dtype=np.int64)
             self._succ_col = np.full(1, -1, dtype=np.int64)
             self._written_col = np.ones(1, dtype=bool)
-            self._epochs = [0, 0]
+            self._version = [0]
             self._slot = 0
         else:
-            self._pred_col, self._succ_col, self._written_col, self._epochs = columns
+            self._pred_col, self._succ_col, self._written_col, self._version = columns
             self._slot = owner
-        self._seen_epoch = self._epochs[0]
         #: ordered successor list (immediate successor first, then backups).
         #: Maintenance/repair state only: the backups are *not* routing
         #: links, so they are excluded from :meth:`all_links` and change
         #: nothing on the default (fault-free) paths.
         self.successors: list[int] = []
-        self._long_links: _LinkSet = _LinkSet(self)
+        self._long_links: frozenset = frozenset()
         self.max_long = max_long
-        self._dirty = True
-        self._view: frozenset[int] = frozenset()
-        #: the ``(pred, succ)`` pair ``_view`` was built from.
-        self._ring: tuple[int, int] = (-1, -1)
-
-    # -- cached combined view ----------------------------------------------
 
     def _touch(self) -> None:
-        """A link of this table was written: its view and the epoch go stale."""
-        self._dirty = True
+        """A link of this table was written: mark it and move the version."""
         self._written_col[self._slot] = True
-        self._epochs[1] += 1
+        self._version[0] += 1
 
     @property
     def predecessor(self) -> "int | None":
@@ -192,64 +105,33 @@ class RoutingTable:
         self._touch()
 
     @property
-    def long_links(self) -> set:
+    def long_links(self) -> frozenset:
         return self._long_links
 
     @long_links.setter
     def long_links(self, value) -> None:
-        # Wholesale rebinding (``table.long_links = {...}``) re-wraps the
-        # new contents so later in-place mutations keep invalidating.
-        self._long_links = _LinkSet(self, value)
+        self._long_links = frozenset(value)
         self._touch()
 
-    def link_view(self) -> frozenset:
-        """Cached frozenset of every outgoing link, excluding the owner.
-
-        Identical contents to :meth:`all_links`. The object is replaced
-        only when the contents may have changed — a long-link mutation, or
-        a ring epoch bump after which this table's own ``(pred, succ)``
-        differ from the pair the view was built from. Callers must treat it
-        as immutable (it is shared between calls). A build never calls it:
-        its exchange phase logs the links it folds as rows of
-        :class:`~repro.core.columns.EdgeColumns`.
-        """
-        epoch = self._epochs[0]
-        if self._dirty or self._seen_epoch != epoch:
-            ring = (int(self._pred_col[self._slot]), int(self._succ_col[self._slot]))
-            if self._dirty or ring != self._ring:
-                out = set(self._long_links)
-                out.update(w for w in ring if w >= 0)
-                out.discard(self.owner)
-                self._view = frozenset(out)
-                self._ring = ring
-                self._dirty = False
-            self._seen_epoch = epoch
-        return self._view
-
     def all_links(self) -> set:
-        """Every outgoing link (short + long), excluding the owner.
-
-        Returns a fresh mutable copy; hot paths use :meth:`link_view`.
-        """
-        return set(self.link_view())
+        """Every outgoing link (short + long), excluding the owner, as a fresh set."""
+        out = set(self._long_links)
+        out.update(int(w) for w in (self._pred_col[self._slot], self._succ_col[self._slot]) if w >= 0)
+        out.discard(self.owner)
+        return out
 
     def add_long(self, peer: int) -> bool:
-        """Add a long link if budget allows; True on success."""
+        """Link to ``peer``; False, and nothing written, for the owner."""
         if peer == self.owner:
             return False
-        if peer in self._long_links:
-            return True
-        if len(self._long_links) >= self.max_long:
-            return False
-        self._long_links.add(peer)
+        self._long_links = self._long_links | {peer}
+        self._touch()
         return True
 
     def drop_long(self, peer: int) -> None:
         """Remove a long link if present."""
-        self._long_links.discard(peer)
-
-    def __contains__(self, peer: int) -> bool:
-        return peer in self.link_view()
+        self._long_links = self._long_links - {peer}
+        self._touch()
 
 
 class OverlayNetwork(ABC):
@@ -280,21 +162,22 @@ class OverlayNetwork(ABC):
         self._ring_index = RingIndex(self.ids)
         #: ring state as columns (-1 = unset); RoutingTables are views over
         #: their slot, and a ring refresh is two array stores + one bump
-        #: of the shared ``[ring refreshes, table writes]`` epochs.
+        #: of the link version.
         self.ring_pred = np.full(n, -1, dtype=np.int64)
         self.ring_succ = np.full(n, -1, dtype=np.int64)
         #: per table: a link was written since the exchange phase last
         #: logged its links (:func:`repro.core.rounds.exchange_phase`).
         self.links_written = np.ones(n, dtype=bool)
-        self._epochs = [0, 0]
-        ring_columns = (self.ring_pred, self.ring_succ, self.links_written, self._epochs)
+        #: one counter that every ring refresh and table write bumps.
+        self._link_version = [0]
+        ring_columns = (self.ring_pred, self.ring_succ, self.links_written, self._link_version)
         self.tables: list[RoutingTable] = [
             RoutingTable(v, self.k_links, columns=ring_columns) for v in range(n)
         ]
         #: the one admission ledger (the K-incoming cap, §III-D): the
         #: sources whose long link each peer admitted. Every write to it
-        #: comes with a write to the source's table, so ``_epochs`` also
-        #: versions it. ``incoming_count`` is its numpy mirror.
+        #: comes with a write to the source's table, so ``_link_version``
+        #: also versions it. ``incoming_count`` is its numpy mirror.
         self._incoming_sources: list[set[int]] = [set() for _ in range(n)]
         self.incoming_count = np.zeros(n, dtype=np.int64)
         self.iterations = 0
@@ -307,11 +190,11 @@ class OverlayNetwork(ABC):
         """Construct identifiers and links; returns ``self``."""
 
     def _refresh_ring(self, live: "np.ndarray | None" = None) -> None:
-        """Short-range links from ids: two column stores + one epoch bump.
+        """Short-range links from ids: two column stores + one version bump.
 
         The one writer of the whole ring from ids (a snapshot restore
         stores saved columns, then rewrites every table's long links, which
-        stales every cached view); besides them, only single-pointer moves
+        moves the version); besides them, only single-pointer moves
         (the stabilizer, restoring saved tables) go through the table
         setters. ``live`` (a boolean mask) restricts the
         ring to those peers — the oracle re-stitch under churn — and
@@ -330,8 +213,7 @@ class OverlayNetwork(ABC):
             pred, succ = RingIndex(self.ids[nodes]).pred_succ()
             self.ring_pred[nodes] = nodes[pred]
             self.ring_succ[nodes] = nodes[succ]
-        # Every table re-checks its cached link view against its slot.
-        self._epochs[0] += 1
+        self._link_version[0] += 1
 
     def _mark_built(self) -> None:
         self._built = True
@@ -394,20 +276,10 @@ class OverlayNetwork(ABC):
 
     # -- read API used by metrics -------------------------------------------
 
-    def links(self, u: int) -> set[int]:
-        """Outgoing links (short + long) of peer ``u``.
-
-        Returns the cached frozenset view — treat it as immutable. Use
-        ``tables[u].all_links()`` for a mutable copy.
-        """
+    def connections(self, u: int) -> set:
+        """Every peer ``u`` can hand a message to, as a fresh set: its
+        outgoing links plus the sources whose links it admitted."""
         self._check_built()
-        return self.tables[u].link_view()
-
-    def connections(self, u: int) -> frozenset:
-        """Every peer ``u`` can hand a message to: its outgoing links plus
-        the sources whose links it admitted. Treat it as immutable: with
-        nothing admitted it is the cached link view itself."""
-        self._check_built()
-        view, admitted = self.tables[u].link_view(), self._incoming_sources[u]
-        return view | admitted if admitted else view
-
+        links = self.tables[u].all_links()
+        links |= self._incoming_sources[u]
+        return links

@@ -80,13 +80,13 @@ class GreedyRouter:
     The candidates of a peer — ``(x, w)``: identifier owner ``x`` seen
     through connection ``w``, ``x == w`` for the connection itself — are
     kept as two ``int32`` columns sorted by the *ring rank* of ``x``, built
-    the first time a route visits the peer. Rank order is identifier
-    order, so the closest candidate to a target sits next to the target's
-    rank and :meth:`_next_hop` finds it by bisection. The columns are a
-    pure function of the identifiers, link views and admission ledger,
-    which the router reads live; they are dropped when the overlay's
-    epochs say any may have changed (every ledger write comes with a
-    table write), never by age or size.
+    the first time a route visits the peer, beside the peer's connections
+    (the ``direct`` clause's set). Rank order is identifier order, so the
+    closest candidate to a target sits next to the target's rank and
+    :meth:`_next_hop` finds it by bisection. Both are a pure function of
+    the identifiers, tables and admission ledger; they are the one cache
+    of link state, dropped whenever the overlay's link version moves
+    (every ledger write comes with a table write), never by age or size.
     """
 
     def __init__(self, overlay, lookahead: bool = True, max_hops: int | None = None):
@@ -100,11 +100,12 @@ class GreedyRouter:
         #: distance) is recorded on the RouteResult for the span tracer.
         #: Off by default: the fast path pays only this flag check.
         self.record_decisions = False
-        #: the overlay epochs the index below was built under.
-        self._epochs: "list[int] | None" = None
+        #: the overlay link version the index below was built under.
+        self._version = -1
         self._rank: list[int] = []  # node -> position in identifier order
         self._order: list[int] = []  # position -> node
         self._sorted_ids: list[float] = []  # position -> identifier
+        self._connection_sets: "list[set[int] | None]" = []
         self._columns: "list[tuple[array, array] | None]" = []
 
     def route(
@@ -131,9 +132,9 @@ class GreedyRouter:
             return RouteResult(path=[src], delivered=True)
         if online is not None and not (online[src] and online[dst]):
             return RouteResult(path=[src], delivered=False)
-        if self.overlay._epochs != self._epochs:
+        if self.overlay._link_version[0] != self._version:
             self._reset_index()
-        tables, incoming = self.overlay.tables, self.overlay._incoming_sources
+        connections = self._connections_of
         known_live = online if detect_failures else None
         blind = online is not None and not detect_failures
         path = [src]
@@ -142,7 +143,7 @@ class GreedyRouter:
         delivered = False
         decisions: "list[HopDecision] | None" = [] if self.record_decisions else None
         for _ in range(self.max_hops):
-            if dst in tables[current].link_view() or dst in incoming[current]:
+            if dst in connections(current):
                 nxt, rule = dst, "direct"
             else:
                 hop = self._next_hop(current, dst, visited, known_live)
@@ -256,7 +257,7 @@ class GreedyRouter:
         """
         rank = self._rank
         n = len(rank)
-        connections = self.overlay.connections
+        connections = self._connections_of
         mine = connections(u)
         keys = [rank[w] * n + w for w in mine]
         if self.lookahead:
@@ -267,9 +268,16 @@ class GreedyRouter:
         # (ranks, hops): the split and the int32 copy in numpy, not per key.
         return tuple(array("i", col.astype(np.int32).tobytes()) for col in np.divmod(packed, n))
 
+    def _connections_of(self, u: int) -> "set[int]":
+        """``overlay.connections(u)``, kept until the index is dropped."""
+        links = self._connection_sets[u]
+        if links is None:
+            links = self._connection_sets[u] = self.overlay.connections(u)
+        return links
+
     def _reset_index(self) -> None:
-        """Re-rank the identifiers and drop every peer's columns."""
-        self._epochs = list(self.overlay._epochs)
+        """Re-rank the identifiers and drop every peer's connections and columns."""
+        self._version = self.overlay._link_version[0]
         ring = RingIndex(self.overlay.ids)  # the ring's own order: ties by node
         order = ring.order
         rank = np.empty(len(order), dtype=np.int64)
@@ -277,6 +285,7 @@ class GreedyRouter:
         self._rank = rank.tolist()
         self._order = order.tolist()
         self._sorted_ids = ring.sorted_ids.tolist()
+        self._connection_sets = [None] * len(order)
         self._columns = [None] * len(order)
 
     # -- batch helper ----------------------------------------------------------

@@ -52,7 +52,7 @@ class TestExchange:
     def test_bitmap_reflects_partner_links(self, tiny_graph):
         p = make_peer(0, tiny_graph.neighbors(0))  # C_0 = {1, 2}
         q = make_peer(1, tiny_graph.neighbors(1))
-        q.table.long_links.add(2)  # q links to 2, one of p's friends
+        q.table.add_long(2)  # q links to 2, one of p's friends
         exchange(p, q)
         covered = set(p.codec.decode(p.known_bitmap[1]).tolist())
         assert covered == {2}
@@ -60,7 +60,7 @@ class TestExchange:
     def test_lookahead_updated(self, tiny_graph):
         p = make_peer(0, tiny_graph.neighbors(0))
         q = make_peer(1, tiny_graph.neighbors(1))
-        q.table.long_links.update({2, 5})
+        q.table.long_links = {2, 5}
         exchange(p, q)
         assert p.lookahead[1] == frozenset({2, 5})
 
@@ -189,7 +189,7 @@ class TestCreateLinks:
         peer.learn_exchange(1, 5, same, [1, 2])
         peer.learn_exchange(2, 4, same, [1, 2])
         peer.learn_exchange(3, 3, peer.codec.encode([4, 5]), [4, 5])
-        peer.table.long_links.update({1, 2})  # start with the redundant pair
+        peer.table.long_links = {1, 2}  # start with the redundant pair
         cap.try_connect(0, 1)
         cap.try_connect(0, 2)
         create_links(peer, 2, cap.try_connect, cap.disconnect, hysteresis=0)
@@ -204,7 +204,7 @@ class TestCreateLinks:
         peer.learn_exchange(1, 5, a, [1, 2])
         peer.learn_exchange(2, 4, b, [1, 2])
         # 2 established; challenger 1 has equal coverage -> keep 2.
-        peer.table.long_links.add(2)
+        peer.table.add_long(2)
         cap.try_connect(0, 2)
         create_links(peer, 3, cap.try_connect, cap.disconnect, hysteresis=2)
         assert 2 in peer.table.long_links

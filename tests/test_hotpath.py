@@ -1,9 +1,10 @@
-"""Hot-path regression suite: link-view cache, batch routing, bugfix pins.
+"""Hot-path regression suite: table writers, batch routing, bugfix pins.
 
 Covers the PR 4 invariants:
 
-* the cached :meth:`RoutingTable.link_view` equals a fresh ``all_links()``
-  after arbitrary add/drop/rebind/ring-refresh sequences (property test),
+* a table's ``all_links()`` equals a model of what its writers wrote, and
+  every write marks the table and moves the overlay's link version
+  (property test),
 * ``disseminate`` orders subscribers by ring distance across the 0/1 seam,
 * ``route_many`` has full parameter parity with ``route`` (blind
   forwarding, tracing),
@@ -47,28 +48,18 @@ def _fresh_links(table: RoutingTable) -> set:
     return out
 
 
-# -- link-view cache ----------------------------------------------------------
+# -- table writers ----------------------------------------------------------
 
-#: every in-place mutator of ``_LinkSet`` (each must dirty the table).
-_SET_OPS = {
-    "raw_add": lambda links, arg: links.add(arg),
-    "raw_discard": lambda links, arg: links.discard(arg),
-    "remove": lambda links, arg: links.remove(arg) if arg in links else None,
-    "pop": lambda links, arg: links.pop() if links else None,
-    "clear": lambda links, arg: links.clear(),
-    "update": lambda links, arg: links.update({arg, (arg + 3) % 10}),
-    "difference_update": lambda links, arg: links.difference_update({arg, arg + 1}),
-    "intersection_update": lambda links, arg: links.intersection_update({arg, arg + 1, arg + 2}),
-    "symmetric_difference_update": lambda links, arg: links.symmetric_difference_update({arg, 9}),
-    "ior": lambda links, arg: links.__ior__({arg}),
-    "iand": lambda links, arg: links.__iand__({arg, arg + 1, arg + 2}),
-    "isub": lambda links, arg: links.__isub__({arg}),
-    "ixor": lambda links, arg: links.__ixor__({arg, 8}),
-}
+#: every in-place mutator of a set; ``long_links`` is frozen, so writes go
+#: through the table.
+_SET_MUTATORS = (
+    "add", "discard", "remove", "pop", "clear", "update",
+    "difference_update", "intersection_update", "symmetric_difference_update",
+)
 
 _OPS = st.lists(
     st.tuples(st.sampled_from(["add_long", "drop_long", "rebind", "pred", "succ",
-                               "bump", "col_pred", "col_succ", *_SET_OPS]),
+                               "col_pred", "col_succ"]),
               st.integers(min_value=0, max_value=9)),
     min_size=0,
     max_size=40,
@@ -76,76 +67,74 @@ _OPS = st.lists(
 
 
 class TestLinkViewCache:
+    """A table's links are what its writers wrote; nothing is cached."""
+
     @given(ops=_OPS)
     @settings(max_examples=150)
     def test_view_matches_fresh_after_arbitrary_ops(self, ops):
         # A table over shared ring columns, as an overlay's tables are.
-        pred_col, succ_col, epoch = np.full(1, -1), np.full(1, -1), [0, 0]
+        pred_col, succ_col, version = np.full(1, -1), np.full(1, -1), [0]
         written = np.zeros(1, dtype=bool)
-        table = RoutingTable(0, max_long=4, columns=(pred_col, succ_col, written, epoch))
+        table = RoutingTable(0, max_long=4, columns=(pred_col, succ_col, written, version))
+        long_links, ring = set(), [-1, -1]  # the model: what was written
         for op, arg in ops:
-            before = table.link_view()
             written[0] = False
-            ring = (table.predecessor, table.successor)
+            before = version[0]
             if op == "add_long":
                 table.add_long(arg)
+                long_links |= {arg} - {table.owner}
             elif op == "drop_long":
                 table.drop_long(arg)
+                long_links.discard(arg)
             elif op == "rebind":
-                table.long_links = {arg, arg + 1}
-            elif op == "pred":
-                table.predecessor = arg if arg else None
-            elif op == "succ":
-                table.successor = arg if arg else None
-            elif op == "bump":
-                # What a ring refresh that leaves this slot alone looks like.
-                epoch[0] += 1
-            elif op in ("col_pred", "col_succ"):
-                # A ring refresh that rewrites the slot: column store + bump.
+                table.long_links = long_links = {arg, arg + 1}
+            elif op in ("pred", "succ"):
+                setattr(table, "predecessor" if op == "pred" else "successor", arg or None)
+                ring[op == "succ"] = arg or -1
+            else:
+                # A ring refresh: a column store plus a version bump.
                 (pred_col if op == "col_pred" else succ_col)[0] = arg - 1
-                epoch[0] += 1
-            elif op != "raw_add" or len(table.long_links) < 8:
-                _SET_OPS[op](table.long_links, arg)
-            assert table.link_view() == _fresh_links(table)
-            assert table.all_links() == set(table.link_view())
-            if table.link_view() != before and op not in ("bump", "col_pred", "col_succ"):
-                # A write through the table marks it for the exchange's link log.
-                assert written[0]
-            if op == "bump" or (op.startswith("col_") and ring == (table.predecessor, table.successor)):
-                # The view object is a version token: an epoch bump over
-                # an unchanged (pred, succ) keeps it.
-                assert table.link_view() is before
+                version[0] += 1
+                ring[op == "col_succ"] = arg - 1
+            assert table.all_links() == (long_links | {w for w in ring if w >= 0}) - {table.owner}
+            wrote = not (op == "add_long" and arg == table.owner)  # the owner is refused
+            assert (version[0] > before) == wrote
+            # A write through the table marks it for the exchange's link log.
+            assert written[0] == (wrote and not op.startswith("col_"))
+            for name in _SET_MUTATORS:
+                with pytest.raises(AttributeError):
+                    getattr(table.long_links, name)
 
     def test_all_links_returns_mutable_copy(self):
         table = RoutingTable(0, max_long=2)
         table.add_long(1)
         copy = table.all_links()
         copy.add(99)
-        assert 99 not in table.link_view()
+        assert 99 not in table.all_links()
 
     def test_rebound_set_keeps_invalidating(self):
         # clustered/omen baselines assign ``long_links = set(...)`` wholesale;
-        # later in-place mutations of the rebound set must still invalidate.
+        # the table keeps a frozen copy, so later writes go through it too.
         table = RoutingTable(0, max_long=4)
-        table.long_links = {1, 2}
-        assert table.link_view() == {1, 2}
-        table.long_links.add(3)
-        assert table.link_view() == {1, 2, 3}
+        links = {1, 2}
+        table.long_links = links
+        links.add(3)
+        assert table.all_links() == {1, 2}
+        table.add_long(3)
+        assert table.all_links() == {1, 2, 3}
 
     def test_ring_refresh_invalidates_on_built_overlay(self, small_graph):
         overlay = SelectOverlay(small_graph, config=SelectConfig(max_rounds=6)).build(seed=3)
         for v in range(small_graph.num_nodes):
-            assert overlay.tables[v].link_view() == _fresh_links(overlay.tables[v])
-        # A refresh over unchanged identifiers keeps every view object.
-        views = [table.link_view() for table in overlay.tables]
-        overlay._refresh_ring()
-        assert all(table.link_view() is view for table, view in zip(overlay.tables, views))
+            assert overlay.tables[v].all_links() == _fresh_links(overlay.tables[v])
         # Force a ring change and re-check: _refresh_ring rewrites the ring
-        # columns and bumps the epoch, so views must track it.
+        # columns and moves the link version, so the tables track it.
+        version = overlay._link_version[0]
         overlay.ids[:] = np.roll(overlay.ids, 1)
         overlay._refresh_ring()
+        assert overlay._link_version[0] == version + 1
         for v in range(small_graph.num_nodes):
-            assert overlay.tables[v].link_view() == _fresh_links(overlay.tables[v])
+            assert overlay.tables[v].all_links() == _fresh_links(overlay.tables[v])
 
 
 # -- seam-wrap dissemination ordering ----------------------------------------
@@ -199,7 +188,7 @@ def line_overlay():
     n = 10
     graph = SocialGraph(n, [(i, (i + 1) % n) for i in range(n)])
     overlay = _FixedIdOverlay(graph, np.arange(n) / n).build()
-    overlay.tables[0].long_links.add(5)
+    overlay.tables[0].add_long(5)
     return overlay
 
 
@@ -254,7 +243,7 @@ class TestEvictionChurn:
     def test_eviction_resets_stability_and_counts_churn(self, tiny_graph):
         overlay = self._overlay(tiny_graph)
         assert overlay._try_connect(1, 0)  # fills node 0's single slot
-        overlay.tables[1].long_links.add(0)
+        overlay.tables[1].add_long(0)
         overlay.peers[1].stable_rounds = 7
         baseline = overlay.round_link_changes
         assert overlay._try_connect(2, 0)  # 2 is faster -> evicts 1
@@ -266,7 +255,7 @@ class TestEvictionChurn:
     def test_rejected_connect_counts_nothing(self, tiny_graph):
         overlay = self._overlay(tiny_graph)
         assert overlay._try_connect(2, 0)
-        overlay.tables[2].long_links.add(0)
+        overlay.tables[2].add_long(0)
         overlay.peers[2].stable_rounds = 7
         baseline = overlay.round_link_changes
         assert not overlay._try_connect(1, 0)  # 1 is slower -> refused
@@ -282,9 +271,8 @@ class LegacyGreedyRouter(BruteForceRouter):
 
     The scan of ``tests/test_routing_index.py`` over connections whose link
     sets are recomputed from the tables' raw state, the way every read
-    worked before the :meth:`RoutingTable.link_view` cache landed — so
-    neither that cache nor the router's index can be more than a
-    performance layer.
+    worked before the router's index landed — so that index can be no
+    more than a performance layer.
     """
 
     def _connections(self, v):
@@ -293,7 +281,7 @@ class LegacyGreedyRouter(BruteForceRouter):
 
 class TestLegacyRouterParity:
     def test_cached_paths_equal_legacy_paths(self):
-        # The link-view cache must be a pure performance layer.
+        # The router's index must be a pure performance layer.
         graph = load_dataset("facebook", num_nodes=80, seed=5)
         overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=4))
         overlay.build(seed=5)

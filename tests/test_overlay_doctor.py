@@ -89,7 +89,7 @@ class TestViolationsDetected:
         overlay = self._built(tiny_graph)
         # Everyone force-links to node 0, far beyond K + slack.
         for v in range(1, 6):
-            overlay.tables[v].long_links.add(0)
+            overlay.tables[v].add_long(0)
         doc = check_overlay(overlay, in_degree_slack=0)
         assert 0 in doc.in_degree_violations or doc.max_in_degree > doc.in_degree_cap
 
@@ -98,7 +98,7 @@ class TestViolationsDetected:
         src, dst = next(
             (s, v) for v, sources in enumerate(overlay._incoming_sources) for s in sorted(sources)
         )
-        overlay.tables[src].long_links.discard(dst)  # the link goes, the slot stays charged
+        overlay.tables[src].drop_long(dst)  # the link goes, the slot stays charged
         doc = check_overlay(overlay)
         assert doc.leaked_slots == [(src, dst)]
         assert doc.consistent_ring and not doc.ok

@@ -71,7 +71,7 @@ class TestOverlayRoundTrip:
             assert theirs.successor == mine.successor
             assert list(theirs.successors) == list(mine.successors)
             assert set(theirs.long_links) == set(mine.long_links)
-            assert theirs.link_view() == mine.link_view()
+            assert theirs.all_links() == mine.all_links()
 
     def test_restored_node_ids_are_python_ints(self, built_select):
         # As a build leaves them: numpy scalars would hash and route slower

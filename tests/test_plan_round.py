@@ -52,7 +52,8 @@ def pin_bucket(peer, friend, bucket):
 
 def link(ov, p, *targets):
     """Give ``p`` long links without touching the ledger (tests set it)."""
-    ov.tables[p].long_links.update(targets)
+    for t in targets:
+        ov.tables[p].add_long(t)
 
 
 # -- named cases: a hub (peer 0) whose friends are 1..8; 9 is no friend -------

@@ -121,8 +121,6 @@ KEPT = {
     "OnlineBehavior.tracked": "how tests see which contacts the CMA follows",
     "NodeSupervisor.restart_count": "how tests see the live supervisor restart a node",
     "NodeSupervisor.is_killed": "how tests see the live supervisor kill a node",
-    "RoutingTable.add_long": "test_hotpath's link-view cache model writes through it",
-    "RoutingTable.drop_long": "test_hotpath's link-view cache model writes through it",
     "use_tracer": "lets a test swap in its own tracer",
     "community_graph": "to be replaced by a community stand-in, not deleted",
     "VertexContext.vote_to_halt": "SuperstepEngine stays while the benchmark traces its run",

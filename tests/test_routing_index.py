@@ -299,7 +299,7 @@ class TestGeneratedOverlays:
             # Each hop is an outgoing link, or a link of the next hop's
             # that the sender admitted.
             for u, w in zip(route.path, route.path[1:]):
-                assert w in overlay.links(u) or u in admitted[w]
+                assert w in overlay.tables[u].all_links() or u in admitted[w]
 
 
 # -- (iv) staleness ---------------------------------------------------------------
@@ -329,32 +329,46 @@ class TestRouterOutlivesChanges:
         two hops from ``dst`` along routes that do not use that link."""
         router = overlay.make_router()
         for src, dst in pairs:
-            for p in sorted(overlay.links(src)):
-                if src not in overlay.links(p):
+            for p in sorted(overlay.tables[src].all_links()):
+                if src not in overlay.tables[p].all_links():
                     continue
                 from_p = router.route(p, dst)
                 if router.route(src, dst).hops > 2 and from_p.hops > 2 and from_p.path[1] != src:
                     return p, src, dst
         raise AssertionError("no such triple in the sample")
 
-    @pytest.mark.parametrize("write", ["long_links.add", "successor"])
+    @pytest.mark.parametrize("write", ["add_long", "drop_long", "successor", "refresh_ring"])
     def test_link_writes_reach_the_writer_and_its_neighbours_lookahead(
         self, mutable_select, write
     ):
-        pairs = friend_pairs(mutable_select.graph)
-        p, src, dst = self.two_hops_out(mutable_select, pairs)
+        """Each write gives ``src`` the link ``src -> dst`` or takes it away,
+        and the router that outlived it drops the connections it kept."""
+        ov = mutable_select
+        pairs = friend_pairs(ov.graph)
+        p, src, dst = self.two_hops_out(ov, pairs)
         pairs += [(src, dst), (p, dst)]
-        router, before = warmed_router(mutable_select, pairs)
-        if write == "successor":
-            mutable_select.tables[src].successor = dst
+        table = ov.tables[src]
+        if write == "drop_long":
+            table.add_long(dst)
+        router, before = warmed_router(ov, pairs)
+        if write == "add_long":
+            table.add_long(dst)
+        elif write == "drop_long":
+            table.drop_long(dst)
+        elif write == "successor":
+            table.successor = dst
         else:
-            mutable_select.tables[src].long_links.add(dst)
-        assert router.route(src, dst).path == [src, dst]
-        assert router.route(p, dst).path == [p, src, dst]
-        assert_routes_as_fresh(router, mutable_select, pairs, before)
-        if write == "long_links.add":
-            mutable_select.tables[src].long_links.discard(dst)
-            assert [r.path for r in router.route_many(pairs)] == before
+            # dst moves next to src, on the side away from p: a ring
+            # refresh makes it src's ring neighbour and not p's.
+            other = table.predecessor if table.successor == p else table.successor
+            step = (ov.ids[other] - ov.ids[src] + 0.5) % 1.0 - 0.5
+            ov.ids[dst] = (ov.ids[src] + step / 2) % 1.0
+            ov._refresh_ring()
+            assert dst in (table.predecessor, table.successor)
+        linked = write != "drop_long"
+        assert (router.route(src, dst).path == [src, dst]) == linked
+        assert (router.route(p, dst).path == [p, src, dst]) == linked
+        assert_routes_as_fresh(router, ov, pairs, before)
 
     def test_ring_refresh_after_identifiers_move(self, mutable_select):
         pairs = friend_pairs(mutable_select.graph)

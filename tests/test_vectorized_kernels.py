@@ -7,13 +7,15 @@ that historically break ring arithmetic: duplicate identifiers, the 0/1
 seam, empty neighborhoods, and degree-1 peers.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import rounds
-from repro.core.columns import PeerColumns
+from repro.core.columns import EdgeColumns, PeerColumns
 from repro.core.config import SelectConfig
 from repro.core.gossip import exchange
 from repro.core.peer import PeerState
@@ -396,7 +398,7 @@ class TestEvictionBarrier:
         dst, slow, fast = 0, 1, 30  # upload grows with node id
         ov._try_connect(slow, dst)
         ov._try_connect(2, dst)  # cap (k=2) now full
-        ov.tables[slow].long_links.add(dst)
+        ov.tables[slow].add_long(dst)
         ov._defer_evictions = True
         assert ov._try_connect(fast, dst)
         # Slot transferred immediately, link mutation deferred.
@@ -418,7 +420,7 @@ class TestEvictionBarrier:
         dst, slow, fast = 0, 1, 30
         ov._try_connect(slow, dst)
         ov._try_connect(2, dst)
-        ov.tables[slow].long_links.add(dst)
+        ov.tables[slow].add_long(dst)
         assert ov._try_connect(fast, dst)  # _defer_evictions is False
         assert dst not in ov.tables[slow].long_links
         assert ov._eviction_events == []
@@ -481,11 +483,11 @@ class TestExchangeOracle:
                 table.long_links = {w for w in picks if w != v}
         elif kind == "few":
             for v in rng.choice(n, size=2, replace=False).tolist():
-                links, w = ov.tables[v].long_links, int(rng.integers(n))
-                if w in links:
-                    links.discard(w)
+                table, w = ov.tables[v], int(rng.integers(n))
+                if w in table.long_links:
+                    table.drop_long(w)
                 elif w != v:
-                    links.add(w)
+                    table.add_long(w)
         elif kind == "move":
             ov.ids[rng.choice(n, size=2, replace=False)] = rng.random(2)
         elif kind == "forget":
@@ -597,23 +599,48 @@ class TestExchangeOracle:
         assert overlay.iterations == 58 and calls == []
 
     def test_a_build_logs_links_without_link_views(self, monkeypatch):
-        """The fold reads each peer's links off its table into the link log:
-        a build asks no table for its cached view, and every slot names a
-        log row (an int), never a link-set object."""
+        """The fold reads each peer's long links off its table into the link
+        log: a build asks no table for its combined links, and every slot
+        names a log row (an int), never a link-set object."""
         calls = []
-        view = RoutingTable.link_view
+        all_links = RoutingTable.all_links
 
         def counted(table):
             calls.append(table.owner)
-            return view(table)
+            return all_links(table)
 
-        monkeypatch.setattr(RoutingTable, "link_view", counted)
+        monkeypatch.setattr(RoutingTable, "all_links", counted)
         graph = load_dataset("facebook", num_nodes=300, seed=7)
         overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
         edges = overlay.edge_columns
         assert overlay.iterations == 58 and calls == []
         assert all(getattr(edges, name).dtype != object for name in ("view", "targets", "indptr"))
         assert (edges.bitmap_stamp >= 0).sum() == (edges.view >= 0).sum() > 0
+
+    def test_the_barrier_compacts_the_log(self, monkeypatch):
+        """Rows die within the build (a newer head, a refolded slot): the
+        barrier compacts once the log holds twice the rows the last
+        compaction kept, so the 2k build's log peaks at 16 836 rows, not at
+        the 22 557 it logs, and ends as the same log (row ids are only
+        compared for equality)."""
+        peak = []
+        append = EdgeColumns.append
+
+        def counted(edges, *args):
+            rows = append(edges, *args)
+            peak.append(edges.rows)
+            return rows
+
+        monkeypatch.setattr(EdgeColumns, "append", counted)
+        graph = load_dataset("facebook", num_nodes=2000, seed=7)
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+        edges = overlay.edge_columns
+        h = hashlib.sha256()
+        for column in (edges.targets, edges.indptr, edges.view, overlay.link_head):
+            h.update(np.ascontiguousarray(column).tobytes())
+        assert overlay.iterations == 48 and edges.rows == 8978
+        assert h.hexdigest()[:16] == "f7e1240c7fbaa03b"
+        assert max(peak) == 16836 < 22557, max(peak)
 
     def test_a_build_keeps_only_named_log_rows(self):
         """The build ends by compacting the log: every row is some slot's
