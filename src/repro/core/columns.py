@@ -84,9 +84,10 @@ class EdgeColumns:
     repeats (int32 node ids). Rows are only appended (the arrays grow by
     doubling) until :meth:`compact` renumbers the ones still named (a build
     compacts at the round barrier once the log holds twice the ``kept`` rows
-    of the last compaction, and once at its end). Row ids are only compared
-    for equality, so a row id is a version token: a slot whose ``view`` is
-    its source's latest row has folded the source's current links.
+    of the last compaction and twice the peer count, and once at its end).
+    Row ids are only compared for equality, so a row id is a version token:
+    a slot whose ``view`` is its source's latest row has folded the source's
+    current links.
     """
 
     __slots__ = (

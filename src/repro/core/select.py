@@ -154,8 +154,11 @@ class SelectOverlay(OverlayNetwork):
                 self.round_link_changes += len(changed)
                 with rounds.phase_timer("barrier"):
                     moves = rounds.publish_ids(self, *rounds.settle_ids(self, self.pending_ids))
-                    if self.edge_columns.rows >= 2 * self.edge_columns.kept:
-                        self.edge_columns.compact(self.link_head)
+                    # Each peer keeps a head row, so fewer than 2n rows
+                    # would compact to about as many.
+                    edges = self.edge_columns
+                    if edges.rows >= 2 * max(edges.kept, len(self.link_head)):
+                        edges.compact(self.link_head)
                 if rounds.end_round(self, moves):
                     break
         finally:

@@ -3,20 +3,23 @@
 Format (``select-repro/snapshot/v2``): a snapshot is a plain dict with
 two keys — ``manifest`` (schema tag, content-derived snapshot id, config,
 graph fingerprint, round counter, component inventory, RNG stream names)
-and ``state`` (the full JSON-safe payload). :func:`save`/:func:`load`
-persist it as a directory of ``manifest.json`` + ``state.json`` holding
-compact JSON (the container stays on the standard toolchain — no msgpack).
+and ``state`` (the full payload). :func:`save`/:func:`load` persist it as a
+directory of ``manifest.json`` + ``state.json`` holding compact JSON (the
+container stays on the standard toolchain — no msgpack).
 
-``state.overlay`` is the overlay's own columns as flat lists — its peer and
-edge columns, ``ring_pred`` / ``ring_succ``, and long links, successor
-lists, admitted sources and behaviour CMAs each as a CSR — so capture is a
-``tolist`` per column and restore an assignment per column plus one write
-per routing table. Learn stamps and behaviour dicts keep their order (it
-is state: recovery probes in it, and under faults each probe draws RNG);
-order-free sets are stored sorted; each distinct link view (a row of the
-edge columns' link log) is stored once. Nothing derived is stored (packed
-keys, log row ids, LSH families are rebuilt),
-and bitmaps are hex strings, out of reach of Python's int/str digit limit.
+``state.overlay`` is the overlay's own columns — its peer and edge columns,
+``ring_pred`` / ``ring_succ``, and long links, successor lists, admitted
+sources and behaviour CMAs each as a CSR. A captured state holds each
+column as an owned numpy copy, so capture is a copy per column and restore
+an assignment per column plus one write per routing table; JSON exists
+only in the canonical text, which writes an array as its ``tolist()``
+(:func:`load` returns lists, and both forms restore alike). Learn stamps
+and behaviour dicts keep their order (it is state: recovery probes in it,
+and under faults each probe draws RNG); order-free sets are stored sorted;
+each distinct link view (a row of the edge columns' link log) is stored
+once. Nothing derived is stored (packed keys, log row ids, LSH families
+are rebuilt), and bitmaps are hex strings, out of reach of Python's
+int/str digit limit.
 The snapshot id is a SHA-256 over the canonical state encoding, so
 re-capturing identical state yields an identical snapshot (what keeps the
 committed golden fixture stable).
@@ -87,8 +90,10 @@ _EDGE_COLUMNS = ("mutual", "mutual_stamp", "bitmap_stamp", "bucket")
 
 
 def _canonical(state: dict) -> str:
-    """The state's canonical JSON text: what ``state.json`` holds, less its newline."""
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+    """The state's canonical JSON text: what ``state.json`` holds, less its
+    newline. A numpy column is written as its ``tolist()``, so a held array
+    and the list :func:`load` reads back encode alike."""
+    return json.dumps(state, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
 
 def _digest(text: str) -> str:
@@ -130,10 +135,10 @@ def _csr(rows, sort: bool = False) -> dict:
     values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     if sort:
         values = values[np.lexsort((values, np.repeat(np.arange(len(rows)), lengths)))]
-    return {"indptr": [0, *np.cumsum(lengths).tolist()], "values": values.tolist()}
+    return {"indptr": np.concatenate(([0], np.cumsum(lengths))), "values": values}
 
 
-def _views(edges) -> "tuple[list, dict]":
+def _views(edges) -> "tuple[np.ndarray, dict]":
     """Each slot's view index and the distinct views as a CSR: log rows equal
     in content are stored once, numbered in the order slots first name them."""
     held = edges.view >= 0
@@ -148,9 +153,9 @@ def _views(edges) -> "tuple[list, dict]":
     view = np.full(len(held), -1, dtype=np.int64)
     view[held] = number[per_slot]
     lengths = [len(row) // targets.itemsize for row in views]
-    return view.tolist(), {
-        "indptr": [0, *np.cumsum(lengths, dtype=np.int64).tolist()],
-        "values": np.frombuffer(b"".join(views), dtype=targets.dtype).tolist(),
+    return view, {
+        "indptr": np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        "values": np.frombuffer(b"".join(views), dtype=targets.dtype),
     }
 
 
@@ -167,35 +172,35 @@ def _capture_overlay(overlay) -> dict:
         "round_link_changes": int(overlay.round_link_changes),
         "quiet_rounds": int(overlay._quiet_rounds),
         "lsh_seed": int(overlay._lsh_seed),
-        "ids": overlay.ids.tolist(),
-        "pending_ids": overlay.pending_ids.tolist(),
-        "upload_mbps": None if overlay.upload_mbps is None else overlay.upload_mbps.tolist(),
+        "ids": overlay.ids.copy(),
+        "pending_ids": overlay.pending_ids.copy(),
+        "upload_mbps": None if overlay.upload_mbps is None else overlay.upload_mbps.copy(),
         "join_events": [
             [int(e.step), int(e.user), None if e.inviter is None else int(e.inviter)]
             for e in overlay.join_events
         ],
         "trace": overlay.trace.to_rows(),
         "peers": {
-            **{name: getattr(cols, name).tolist() for name in _PEER_COLUMNS},
+            **{name: getattr(cols, name).copy() for name in _PEER_COLUMNS},
             "anchor_target": [None if t != t else t for t in cols.anchor_target.tolist()],
         },
         "edges": {
-            **{name: getattr(edges, name).tolist() for name in _EDGE_COLUMNS},
+            **{name: getattr(edges, name).copy() for name in _EDGE_COLUMNS},
             "bitmap": [None if b is None else format(b, "x") for b in edges.bitmap.tolist()],
             "view": view,
         },
         "views": views,
         "tables": {
-            "ring_pred": overlay.ring_pred.tolist(),
-            "ring_succ": overlay.ring_succ.tolist(),
+            "ring_pred": overlay.ring_pred.copy(),
+            "ring_succ": overlay.ring_succ.copy(),
             "long_links": _csr((t.long_links for t in tables), sort=True),
             "successors": _csr(t.successors for t in tables),
         },
         "incoming_sources": _csr(overlay._incoming_sources, sort=True),
         "behavior": {
             **_csr(behavior),
-            "count": [cma._count for cma in cmas],
-            "mean": [cma._mean for cma in cmas],
+            "count": np.fromiter((cma._count for cma in cmas), dtype=np.int64, count=len(cmas)),
+            "mean": np.fromiter((cma._mean for cma in cmas), dtype=np.float64, count=len(cmas)),
         },
     }
 
@@ -204,7 +209,7 @@ def _capture_graph(graph: SocialGraph) -> dict:
     return {
         "name": graph.name,
         "num_nodes": int(graph.num_nodes),
-        "edges": np.column_stack(graph.edge_array()).tolist(),
+        "edges": np.column_stack(graph.edge_array()),
     }
 
 
@@ -344,9 +349,11 @@ def capture(
 ) -> dict:
     """Snapshot a live :class:`~repro.core.select.SelectOverlay` and friends.
 
-    Returns ``{"manifest": ..., "state": ...}`` — JSON-safe throughout.
-    Optional components are captured when passed; ``sim`` is an opaque
-    pre-built dict (the simulator's own resume payload). With
+    Returns ``{"manifest": ..., "state": ...}``; the state holds the
+    overlay's columns as numpy copies, and its canonical JSON text (what
+    the id hashes and :func:`save` writes) is kept beside it. Optional
+    components are captured when passed; ``sim`` is an opaque pre-built
+    dict (the simulator's own resume payload). With
     ``include_graph`` the social graph's edges are embedded so
     :func:`restore` can rebuild the overlay standalone.
     """
@@ -608,7 +615,7 @@ def restore_into(
         peer.behavior._cma = dict(zip(keys, values))
 
     upload = data["upload_mbps"]
-    overlay.upload_mbps = None if upload is None else np.asarray(upload, dtype=np.float64)
+    overlay.upload_mbps = None if upload is None else np.array(upload, dtype=np.float64)
     overlay.join_events = [
         JoinEvent(step=int(s), user=int(u), inviter=None if i is None else int(i))
         for s, u, i in data["join_events"]

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -14,7 +15,9 @@ from repro.core.config import SelectConfig
 from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
 from repro.core.stabilize import CatchUpStore, Stabilizer
+from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
+from repro.net.bandwidth import BandwidthModel
 from repro.net.churn import ChurnModel
 from repro.net.faults import FaultPlan, PingService, RingPartition
 from repro.net.workload import PublishWorkload
@@ -53,6 +56,12 @@ def fresh_overlay(graph, seed=9):
     return SelectOverlay(graph, config=SelectConfig(max_rounds=25)).build(seed=seed)
 
 
+def _text(snapshot) -> str:
+    """A snapshot's state as its canonical text: held numpy columns and the
+    lists ``load`` returns compare alike, and ``1`` differs from ``1.0``."""
+    return snapshot_module._canonical(snapshot["state"])
+
+
 # -- overlay snapshot / restore -----------------------------------------------
 
 
@@ -60,7 +69,7 @@ class TestOverlayRoundTrip:
     def test_recapture_equals_original(self, built_select):
         snap = built_select.snapshot()
         again = capture(restore(snap))
-        assert again["state"] == snap["state"]
+        assert _text(again) == _text(snap)
         assert again["manifest"]["snapshot_id"] == snap["manifest"]["snapshot_id"]
 
     def test_link_state_matches_exactly(self, built_select):
@@ -95,7 +104,7 @@ class TestOverlayRoundTrip:
     def test_restore_into_existing_overlay(self, small_graph, built_select):
         target = fresh_overlay(small_graph, seed=3)
         restore_into(built_select.snapshot(), target)
-        assert capture(target)["state"] == built_select.snapshot()["state"]
+        assert _text(capture(target)) == _text(built_select.snapshot())
 
     def test_restored_overlay_routes_identically(self, built_select):
         from repro.overlay.routing import GreedyRouter
@@ -153,7 +162,8 @@ class TestDiskFormat:
         save(snap, str(tmp_path / "snap"))
         assert len(encodings) == 1
         monkeypatch.undo()
-        assert load(str(tmp_path / "snap")) == snap
+        loaded = load(str(tmp_path / "snap"))
+        assert loaded["manifest"] == snap["manifest"] and _text(loaded) == _text(snap)
 
     @given(
         rows=st.lists(st.sets(st.integers(0, 9), max_size=4), min_size=1, max_size=10),
@@ -169,9 +179,10 @@ class TestDiskFormat:
         views: dict = {}
         want = [-1 if r < 0 else views.setdefault(frozenset(edges.row(r)), len(views)) for r in edges.view.tolist()]
         view, csr = snapshot_module._views(edges)
-        bounds = csr["indptr"]
-        assert view == want
-        assert [csr["values"][lo:hi] for lo, hi in zip(bounds, bounds[1:])] == [sorted(v) for v in views]
+        rows = [sorted(v) for v in views]
+        want_csr = {"indptr": np.cumsum([0, *map(len, rows)]), "values": sum(rows, [])}
+        canonical = snapshot_module._canonical
+        assert canonical([view, csr]) == canonical([want, want_csr])
 
     def test_save_load_round_trip(self, built_select, tmp_path):
         snap = built_select.snapshot()
@@ -181,7 +192,7 @@ class TestDiskFormat:
         assert os.path.isfile(os.path.join(out, STATE_FILE))
         loaded = load(out)
         assert loaded["manifest"] == snap["manifest"]
-        assert loaded["state"] == snap["state"]
+        assert _text(loaded) == _text(snap)
 
     def test_wide_bitmap_round_trips(self, tmp_path):
         # A hub of 20 000 friends: its bitmap is a 6 021-digit decimal, past
@@ -294,7 +305,7 @@ class TestGoldenSnapshot:
     def test_recapture_reproduces_fixture_exactly(self):
         snap = load(GOLDEN_DIR)
         again = capture(restore(snap))
-        assert again["state"] == snap["state"]
+        assert _text(again) == _text(snap)
         assert again["manifest"]["snapshot_id"] == GOLDEN_ID
 
 
@@ -421,3 +432,75 @@ class TestDeterministicReplay:
         workload = PublishWorkload(built_select.graph.num_nodes, mean_rate=0.002, seed=4)
         with pytest.raises(ConfigurationError):
             NotificationSimulator(built_select, workload, snapshot_every=0)
+
+
+# -- held snapshots -------------------------------------------------------------
+
+
+class TestHeldSnapshot:
+    """A snapshot held in memory is numpy copies of the overlay's columns:
+    nothing the overlay writes after capture, or after a restore, reaches it."""
+
+    def test_a_capture_owns_its_arrays(self, small_graph):
+        bandwidth = BandwidthModel(small_graph.num_nodes, seed=1)
+        overlay = SelectOverlay(
+            small_graph, config=SelectConfig(max_rounds=25), bandwidth=bandwidth
+        ).build(seed=9)
+        snap = capture(overlay)
+        ids, upload = overlay.ids.copy(), overlay.upload_mbps.copy()
+        links = [t.all_links() for t in overlay.tables]
+        cols, edges = overlay.columns, overlay.edge_columns
+        for column in (
+            overlay.ids,
+            overlay.pending_ids,
+            overlay.upload_mbps,
+            overlay.ring_pred,
+            overlay.ring_succ,
+            edges.targets,
+            *(getattr(cols, name) for name in snapshot_module._PEER_COLUMNS + ("anchor_target",)),
+            *(getattr(edges, name) for name in snapshot_module._EDGE_COLUMNS + ("view",)),
+        ):
+            column[...] = 1
+        table = next(t for t in overlay.tables if t.long_links)
+        table.drop_long(min(table.long_links))
+        assert snapshot_id(snap["state"]) == snap["manifest"]["snapshot_id"]
+        restore_into(snap, overlay)
+        assert np.array_equal(overlay.ids, ids) and np.array_equal(overlay.upload_mbps, upload)
+        assert [t.all_links() for t in overlay.tables] == links
+        # The restored columns are the overlay's own, not the snapshot's.
+        overlay.upload_mbps[:] = 2.0
+        assert snapshot_id(snap["state"]) == snap["manifest"]["snapshot_id"]
+
+    def test_one_snapshot_restores_alike_twice(self, small_graph):
+        # The churn benchmark's pattern: restore, run, restore again.
+        first = _stack(small_graph, faulty=True)
+        snap = capture(first.overlay)
+        want = _text(snap)
+        first.run(600.0)  # lossy churn repair writes tables, rings and CMAs
+        assert _text(capture(first.overlay)) != want
+        restore_into(snap, first.overlay)
+        assert _text(capture(first.overlay)) == want
+        second = _stack(small_graph, faulty=True)  # a build between
+        for _ in range(2):
+            restore_into(snap, second.overlay)
+            assert _text(capture(second.overlay)) == want
+            second.overlay.ids[:] = 0.5
+            second.overlay.ring_pred[:] = -1
+        second.run(600.0)
+        restore_into(snap, second.overlay)
+        assert _text(capture(second.overlay)) == want
+        assert snapshot_id(snap["state"]) == snap["manifest"]["snapshot_id"]
+
+    def test_a_held_1k_snapshot_is_small(self):
+        # Numpy columns hold about 3.8 KiB a peer; lists of Python ints held 9.8.
+        graph = load_dataset("facebook", num_nodes=1000, seed=7)
+        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            snap = overlay.snapshot()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert snap["manifest"]["snapshot_id"] == "89dc685e361f1933"
+        assert held / 1024 / graph.num_nodes <= 5.0, held

@@ -399,6 +399,15 @@ def _widen_bitmap(edges):
     edges["bitmap"][_first_learned(edges)] = "f" * 40  # no golden peer has 160 friends
 
 
+def _fractional_count(edges):
+    edges["mutual"][_first_learned(edges)] = 1.5
+
+
+def _integer_bitmap(edges):
+    slot = _first_learned(edges)
+    edges["bitmap"][slot] = int(edges["bitmap"][slot], 16)
+
+
 #: the rules of ``snapshot.decode_overlay`` beyond the config block and the
 #: knowledge slots above, one re-signed corruption each.
 SHARED_CHECK = {
@@ -417,6 +426,11 @@ SHARED_CHECK = {
         _edges(_widen_bitmap),
         "holds a bitmap wider than its owner's degree",
     ),
+    "integer edge column holds 1.5": (
+        _edges(_fractional_count),
+        "edges.mutual must hold integers",
+    ),
+    "bitmap stored as an integer": (_edges(_integer_bitmap), "malformed overlay block"),
 }
 
 

@@ -622,16 +622,22 @@ class TestExchangeOracle:
         barrier compacts once the log holds twice the rows the last
         compaction kept, so the 2k build's log peaks at 16 836 rows, not at
         the 22 557 it logs, and ends as the same log (row ids are only
-        compared for equality)."""
-        peak = []
-        append = EdgeColumns.append
+        compared for equality). Each peer keeps a head row, so no compaction
+        runs before the log holds twice the peer count."""
+        peak, compacted = [], []
+        append, compact = EdgeColumns.append, EdgeColumns.compact
 
         def counted(edges, *args):
             rows = append(edges, *args)
             peak.append(edges.rows)
             return rows
 
+        def logged(edges, heads):
+            compacted.append(edges.rows)
+            compact(edges, heads)
+
         monkeypatch.setattr(EdgeColumns, "append", counted)
+        monkeypatch.setattr(EdgeColumns, "compact", logged)
         graph = load_dataset("facebook", num_nodes=2000, seed=7)
         overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
         edges = overlay.edge_columns
@@ -641,6 +647,7 @@ class TestExchangeOracle:
         assert overlay.iterations == 48 and edges.rows == 8978
         assert h.hexdigest()[:16] == "f7e1240c7fbaa03b"
         assert max(peak) == 16836 < 22557, max(peak)
+        assert min(compacted) >= 2 * graph.num_nodes, compacted
 
     def test_a_build_keeps_only_named_log_rows(self):
         """The build ends by compacting the log: every row is some slot's
