@@ -28,6 +28,13 @@ from repro.util.rng import as_generator
 __all__ = ["RankedGossipOverlay"]
 
 
+def _as_set(ranked) -> frozenset:
+    """A ranked link list as the set it was always stored as: the set's order
+    picks the contact a sample exposes and the order the member flood tries
+    links in, so Vitis's and OMen's overlays and paths hold."""
+    return frozenset(set(ranked))
+
+
 class RankedGossipOverlay(OverlayNetwork):
     """DHT + gossip contact ranking. Subclasses define the ranking score."""
 
@@ -44,6 +51,9 @@ class RankedGossipOverlay(OverlayNetwork):
         super().__init__(graph, k_links)
         # candidate -> score cache per peer (discovered contacts)
         self._scores: list[dict[int, float]] = [dict() for _ in range(graph.num_nodes)]
+        #: the contact each peer shows a sampler (-1 = none yet): the first
+        #: member of its ranked set in the set's order (see :func:`_as_set`).
+        self._exposed = np.full(graph.num_nodes, -1, dtype=np.int64)
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -91,9 +101,9 @@ class RankedGossipOverlay(OverlayNetwork):
             # Gossip also exposes the sampled peer's contacts (exchange of
             # views), doubling effective discovery without extra rounds.
             for u in list(candidates):
-                view = self.tables[u].long_links
-                if view:
-                    candidates.add(next(iter(view)))
+                shown = self._exposed.item(u)
+                if shown >= 0:
+                    candidates.add(shown)
             candidates.discard(v)
             for u in candidates:
                 if u in known:
@@ -102,20 +112,23 @@ class RankedGossipOverlay(OverlayNetwork):
                 if s > 0:
                     known[u] = s
                     learned = True
-            if learned:
-                # Convergence is about the *materialized* topology: count a
-                # change only when the ranked link set actually moved.
-                before = self.tables[v].long_links
-                self._rerank(v)
-                if self.tables[v].long_links != before:
-                    changes += 1
+            # Convergence is about the *materialized* topology: count a
+            # change only when the ranked link set actually moved.
+            if learned and self._rerank(v):
+                changes += 1
         return changes
 
-    def _rerank(self, v: int) -> None:
-        """Long links = the k best-scoring discovered contacts."""
+    def _rerank(self, v: int) -> bool:
+        """Long links = the k best-scoring discovered contacts, in rank
+        order; True when the set moved."""
         known = self._scores[v]
         top = sorted(known, key=lambda u: (-known[u], u))[: self.k_links]
-        self.tables[v].long_links = set(top)
+        # Scores never change once known, so an equal set is an equal ranking.
+        if tuple(top) == self.tables[v].long_links:
+            return False
+        self.tables[v].long_links = top
+        self._exposed[v] = next(iter(_as_set(top)))
+        return True
 
     # -- dissemination ------------------------------------------------------------
 
@@ -165,7 +178,11 @@ class RankedGossipOverlay(OverlayNetwork):
         while frontier:
             nxt = []
             for u in frontier:
-                for w in self.tables[u].all_links():
+                table = self.tables[u]
+                links = set(_as_set(table.long_links))
+                links.update(w for w in (table.predecessor, table.successor) if w is not None)
+                links.discard(u)
+                for w in links:
                     if w in members and w not in paths:
                         paths[w] = paths[u] + [w]
                         nxt.append(w)

@@ -34,15 +34,16 @@ class RandomOverlay(OverlayNetwork):
         self.ids[:] = uniform_hashes(range(n), salt=salt)
         self._refresh_ring()
         for v in range(n):
-            table = self.tables[v]
+            table, links = self.tables[v], list(self.tables[v].long_links)
             attempts = 0
-            while len(table.long_links) < self.k_links and attempts < self.k_links * 8:
+            while len(links) < self.k_links and attempts < self.k_links * 8:
                 attempts += 1
                 u = int(rng.integers(n))
-                if u == v or u in table.long_links:
+                if u == v or u in links:
                     continue
                 if self.try_accept_incoming(v, u):
                     table.add_long(u)
+                    links.append(u)
         self.iterations = 0
         self._mark_built()
         return self

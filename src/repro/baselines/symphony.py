@@ -56,16 +56,17 @@ class SymphonyOverlay(OverlayNetwork):
         n = self.graph.num_nodes
         ln_n = np.log(max(n, 2))
         for v in range(n):
-            table = self.tables[v]
+            table, links = self.tables[v], list(self.tables[v].long_links)
             attempts = 0
-            while len(table.long_links) < self.k_links and attempts < self.k_links * 8:
+            while len(links) < self.k_links and attempts < self.k_links * 8:
                 attempts += 1
                 # Inverse-CDF sampling of p(d) ∝ 1/(d ln N) on [1/N, 1]:
                 # d = exp(ln N * (u - 1)) = N^(u-1), u ~ U[0, 1].
                 distance = float(np.exp(ln_n * (rng.random() - 1.0)))
                 target_point = (self.ids[v] + distance) % 1.0
                 manager = self._ring_index.successor_of(target_point)
-                if manager == v or manager in table.long_links:
+                if manager == v or manager in links:
                     continue
                 if self.try_accept_incoming(v, manager):
                     table.add_long(manager)
+                    links.append(manager)

@@ -124,7 +124,7 @@ def plan_links(
     if not rows:
         return None
     table = peer.table
-    current = table.long_links
+    current = set(table.long_links)
     virtual = set(current)
     for _, members in sorted(buckets.items()):
         chosen = picker(members, coverage)

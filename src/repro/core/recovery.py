@@ -156,7 +156,7 @@ class RecoveryManager:
         if self.pings.truth(dead):
             self.stats.false_evictions += 1
         peer.table.drop_long(dead)
-        ov._disconnect(v, dead)
+        ov.release_incoming(v, dead)
         peer.forget_peer(dead)
         self.pings.forget(v, dead)
         peer.table.add_long(candidate)
@@ -169,9 +169,10 @@ class RecoveryManager:
         if dead not in peer.known_bitmap:
             return None
         dead_bucket = peer.bucket_of(dead)
+        linked = peer.table.long_links
         best = None
         for friend in peer.known_bitmap:
-            if friend == dead or friend in peer.table.long_links:
+            if friend == dead or friend in linked:
                 continue
             if struck and friend in struck:
                 continue
@@ -185,10 +186,11 @@ class RecoveryManager:
     ) -> "int | None":
         """Fallback: live known friend with the closest bitmap (Hamming)."""
         dead_bitmap = peer.known_bitmap.get(dead)
+        linked = peer.table.long_links
         best = None
         best_dist = None
         for friend, bitmap in peer.known_bitmap.items():
-            if friend == dead or friend in peer.table.long_links:
+            if friend == dead or friend in linked:
                 continue
             if struck and friend in struck:
                 continue

@@ -37,7 +37,6 @@ stay as the per-peer references these phases are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -140,15 +139,10 @@ def _log_links(ov) -> np.ndarray:
     ring = np.stack((ov.ring_pred, ov.ring_succ), axis=1)
     moved = np.flatnonzero(ov.links_written | (ring != ov._head_ring).any(axis=1))
     if len(moved):
-        long_links = [ov.tables[v].long_links for v in moved.tolist()]
-        lengths = np.fromiter(map(len, long_links), dtype=np.int64, count=len(moved))
+        rows = ov.long_links[moved]
         rank = np.arange(len(moved))
-        owner = np.concatenate((np.repeat(rank, lengths), rank, rank))
-        links = np.concatenate((
-            np.fromiter(chain.from_iterable(long_links), dtype=np.int64, count=int(lengths.sum())),
-            ring[moved, 0],
-            ring[moved, 1],
-        ))
+        owner = np.concatenate((np.nonzero(rows >= 0)[0], rank, rank))
+        links = np.concatenate((rows[rows >= 0], ring[moved, 0], ring[moved, 1]))
         keep = (links >= 0) & (links != moved[owner])
         ov.link_head[moved] = ov.edge_columns.append(owner[keep], links[keep], len(moved))
         ov._head_ring[moved] = ring[moved]

@@ -49,7 +49,7 @@ from repro.idspace.space import ring_distance
 from repro.lsh.bitsampling import BitSamplingLsh, bucket_table
 from repro.net.bandwidth import BandwidthModel
 from repro.net.growth import GrowthModel, JoinEvent
-from repro.overlay.base import OverlayNetwork
+from repro.overlay.base import INCOMING_SLACK, OverlayNetwork
 from repro.sim.trace import TraceRecorder
 from repro.telemetry.registry import get_registry
 from repro.util.exceptions import ConfigurationError
@@ -180,14 +180,14 @@ class SelectOverlay(OverlayNetwork):
         changed: set[int] = set()
         for v in gate:
             peer = self.peers[v]
-            before = peer.table.long_links
+            before = set(peer.table.long_links)
             if cfg.use_lsh:
                 create_links(
-                    peer, self.k_links, self._try_connect, self._disconnect, self.upload_mbps
+                    peer, self.k_links, self._try_connect, self.release_incoming, self.upload_mbps
                 )
             else:
                 random_links(peer, self.k_links, self._try_connect, rng)
-            if peer.table.long_links != before:
+            if set(peer.table.long_links) != before:
                 changed.add(v)
         return changed
 
@@ -206,7 +206,7 @@ class SelectOverlay(OverlayNetwork):
         target that filled up matters only to a plan that adds it: a
         candidate the plan passed over changes nothing by leaving.
         """
-        k, incoming, sources = self.k_links, self.incoming_count, self._incoming_sources
+        k, incoming, release = self.k_links, self.incoming_count, self.release_incoming
         indptr, nbrs, key = self._nbr_indptr, self._nbr_indices, self.edge_columns.key
         plans = plan_round(self, gate)
         was_full = (incoming >= k).tolist()
@@ -215,30 +215,31 @@ class SelectOverlay(OverlayNetwork):
         replanned = 0
         for v in gate:
             table = self.tables[v]
-            links = table.long_links
             plan = plans.get(v)
             adds = plan[1] if plan else ()
-            if v in noted and any(
-                (len(sources[t]) >= k) != was_full[t]
-                and key[bisect_left(nbrs, t, indptr[v], indptr[v + 1])] >= 0  # t is known
-                and t not in links
-                and (was_full[t] or t in adds)
+            flipped = v in noted and [
+                t
                 for t in noted[v]
-            ):
+                if (incoming.item(t) >= k) != was_full[t]
+                and key[bisect_left(nbrs, t, indptr[v], indptr[v + 1])] >= 0  # t is known
+                and (was_full[t] or t in adds)
+            ]
+            links = table.long_links if flipped else ()
+            if flipped and any(t not in links for t in flipped):
                 replanned += 1
                 hit = create_links(
-                    self.peers[v], k, self._try_connect, self._disconnect, incoming_count=incoming
+                    self.peers[v], k, self._try_connect, release, incoming_count=incoming
                 )
-                touched = links ^ table.long_links
+                touched = set(links).symmetric_difference(table.long_links)
             elif plan:
-                hit = apply_plan(table, v, *plan, self._try_connect, self._disconnect)
+                hit = apply_plan(table, v, *plan, self._try_connect, release)
                 touched = plan[0] + plan[1]
             else:
                 continue
             if hit:
                 changed.add(v)
             for t in touched:
-                if (len(sources[t]) >= k) != was_full[t]:
+                if (incoming.item(t) >= k) != was_full[t]:
                     for u in self.graph.neighbors(t).tolist():
                         noted.setdefault(u, []).append(t)
         stats = self.link_stats
@@ -278,11 +279,13 @@ class SelectOverlay(OverlayNetwork):
             if friends.size:
                 extras = [int(f) for f in rng.permutation(friends) if f not in candidates]
                 candidates.extend(extras)
+            linked = len(peer.table.long_links)
             for cand in candidates:
-                if len(peer.table.long_links) >= self.k_links:
+                if linked >= self.k_links:
                     break
                 if self._try_connect(event.user, cand):
                     peer.table.add_long(cand)
+                    linked += 1
             joined_so_far[event.user] = True
 
     def _materialize_successors(self) -> None:
@@ -292,9 +295,8 @@ class SelectOverlay(OverlayNetwork):
         repair state for routing/stabilization), so the lists are written
         once from the sorted index instead of per round.
         """
-        lists = self._ring_index.successor_matrix(SUCCESSOR_LIST_LENGTH).tolist()
-        for v, table in enumerate(self.tables):
-            table.successors = lists[v]
+        lists = self._ring_index.successor_matrix(SUCCESSOR_LIST_LENGTH)
+        self.link_columns.successors = lists.astype(np.int32)
 
     # -- persistence ------------------------------------------------------------
 
@@ -333,10 +335,11 @@ class SelectOverlay(OverlayNetwork):
         if self.upload_mbps is not None:
             # Paper: accept when the newcomer has better bandwidth than an
             # existing connection; the slowest existing source is evicted.
-            sources = self._incoming_sources[dst]
+            sources = self.admitted(dst)
             slowest = min(sources, key=lambda s: (float(self.upload_mbps[s]), -s))
             if float(self.upload_mbps[src]) > float(self.upload_mbps[slowest]):
-                sources.discard(slowest)
+                # The slot passes from the slowest source to ``src``.
+                self.incoming_sources[dst, sources.index(slowest)] = src
                 if self._defer_evictions:
                     # The slot transfers now; the evicted peer's link-set
                     # mutation waits for the round barrier.
@@ -345,17 +348,10 @@ class SelectOverlay(OverlayNetwork):
                     self.tables[slowest].drop_long(dst)
                     self.peers[slowest].stable_rounds = 0
                     self.round_link_changes += 1
-                sources.add(src)
                 return True
         return False
 
-    def _disconnect(self, src: int, dst: int) -> None:
-        """Release ``src``'s incoming slot on ``dst``."""
-        sources = self._incoming_sources[dst]
-        sources.discard(src)
-        self.incoming_count[dst] = len(sources)
-
-    def _try_connect_recovery(self, src: int, dst: int, slack: int = 2) -> bool:
+    def _try_connect_recovery(self, src: int, dst: int, slack: int = INCOMING_SLACK) -> bool:
         """Admission for recovery replacements: the cap gets some slack.
 
         At steady state every peer's incoming budget is full, so a strict

@@ -236,7 +236,7 @@ class Stabilizer:
         """Adopt the closest known live peer strictly between us and succ."""
         ov = self.overlay
         candidates: set[int] = set(table.successors)
-        candidates |= table.long_links
+        candidates.update(table.long_links)
         if table.predecessor is not None:
             candidates.add(table.predecessor)
         succ_pred = ov.tables[succ].predecessor

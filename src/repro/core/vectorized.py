@@ -30,7 +30,7 @@ per-peer references produce bitwise-identical identifiers.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -354,12 +354,12 @@ def plan_round(ov, gated, hysteresis: int = 2) -> "dict[int, tuple[tuple, tuple]
     k, width = ov.k_links, len(gated)
     indptr, nbrs, incoming = ov._nbr_indptr, ov._nbr_indices, ov.incoming_count
 
-    # Current links as a mask over edge slots. ``count`` is len(long_links):
-    # links to friends not learned about yet hold budget too.
-    link_sets = [ov.tables[v].long_links for v in gated.tolist()]
-    count = np.fromiter(map(len, link_sets), dtype=np.int64, count=width)
-    link_owner = np.repeat(np.arange(width), count)
-    link_to = np.fromiter(chain.from_iterable(link_sets), dtype=np.int64, count=len(link_owner))
+    # Current links as a mask over edge slots. ``count`` is the number of
+    # long links: links to friends not learned about yet hold budget too.
+    rows = ov.long_links[gated]
+    held = rows >= 0
+    count = held.sum(axis=1)
+    link_owner, link_to = np.nonzero(held)[0], rows[held].astype(np.int64)
     slots, inside = ov._xkernel._slots(gated[link_owner], link_to)
     linked = np.zeros(len(nbrs), dtype=bool)
     linked[slots[inside]] = True

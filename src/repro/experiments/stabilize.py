@@ -58,16 +58,14 @@ CRASH_FRACTION = 0.10
 
 def _snapshot(overlay):
     """Ring state of every table (the stabilizer mutates it in place)."""
-    return [
-        (t.predecessor, t.successor, list(t.successors)) for t in overlay.tables
-    ]
+    cols = overlay.link_columns
+    return cols.ring_pred.copy(), cols.ring_succ.copy(), cols.successors.copy()
 
 
 def _restore(overlay, snapshot) -> None:
-    for table, (pred, succ, successors) in zip(overlay.tables, snapshot):
-        table.predecessor = pred
-        table.successor = succ
-        table.successors = list(successors)
+    cols = overlay.link_columns
+    cols.ring_pred[:], cols.ring_succ[:], cols.successors = (a.copy() for a in snapshot)
+    cols.version[0] += 1
 
 
 def _publish_all(pubsub, publishers, time: float, online=None) -> "tuple[int, int]":

@@ -8,8 +8,6 @@ against what the overlay's links allow: route cost over graph distance.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
@@ -62,9 +60,7 @@ def route_stretch(overlay, pairs) -> np.ndarray:
     excess is the routing rule's own.
     """
     n = overlay.graph.num_nodes
-    views = [overlay.connections(v) for v in range(n)]
-    indptr = np.concatenate(([0], np.cumsum(np.fromiter(map(len, views), dtype=np.int64))))
-    indices = np.fromiter(chain.from_iterable(views), dtype=np.int64, count=indptr[-1])
+    indptr, indices = overlay.connections()
     links = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
     routes = overlay.make_router().route_many(pairs)
     routed = [(s, d, r.hops) for (s, d), r in zip(pairs, routes) if r.delivered and s != d]

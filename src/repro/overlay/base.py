@@ -2,8 +2,10 @@
 
 :class:`RoutingTable` is the per-peer state every overlay maintains
 (short-range ring links plus bounded long-range links, with an incoming
-cap). :class:`OverlayNetwork` is the network-wide object the experiment
-harness consumes: identifiers, link sets, and routing.
+cap), a view over its row of the overlay's :class:`LinkColumns`.
+:class:`OverlayNetwork` is the network-wide object the experiment
+harness consumes: identifiers, link columns, the admission ledger, and
+routing.
 """
 
 from __future__ import annotations
@@ -17,11 +19,54 @@ from repro.idspace.space import ring_distance
 from repro.overlay.ring import RingIndex
 from repro.util.exceptions import ConfigurationError
 
-__all__ = ["RoutingTable", "OverlayNetwork"]
+__all__ = ["INCOMING_SLACK", "LinkColumns", "RoutingTable", "OverlayNetwork"]
+
+
+#: admission slots beyond ``k_links`` that a recovery replacement (§III-F)
+#: may take, so the admission ledger is ``k_links + INCOMING_SLACK`` wide.
+INCOMING_SLACK = 2
+
+
+def _entries(row: np.ndarray) -> list:
+    """A padded row's entries: everything before its first ``-1``."""
+    values = row.tolist()
+    padding = values.count(-1)
+    if padding:
+        del values[-padding:]
+    return values
+
+
+def _store(row: np.ndarray, values: list) -> None:
+    """Write ``values`` into ``row`` and pad the rest with ``-1``."""
+    if len(values) > len(row):
+        raise ConfigurationError(f"{len(values)} links do not fit a row of {len(row)}")
+    row[:] = values + [-1] * (len(row) - len(values))
+
+
+class LinkColumns:
+    """The routing tables of ``n`` peers as columns, a row per peer.
+
+    Ring pointers are int64 (``-1`` = unset); ``long_links`` (``max_long``
+    wide) and ``successors`` (as wide as the longest list written) are
+    int32 rows of entries in write order, then ``-1`` padding. ``written``
+    flags the rows written since the build's exchange logged them, and
+    ``version`` is the one-item link version every write and ring refresh
+    bumps.
+    """
+
+    __slots__ = ("ring_pred", "ring_succ", "long_links", "successors", "written", "version")
+
+    def __init__(self, n: int, width: int):
+        self.ring_pred = np.full(n, -1, dtype=np.int64)
+        self.ring_succ = np.full(n, -1, dtype=np.int64)
+        self.long_links = np.full((n, width), -1, dtype=np.int32)
+        self.successors = np.full((n, 0), -1, dtype=np.int32)
+        self.written = np.ones(n, dtype=bool)
+        self.version = [0]
 
 
 class RoutingTable:
-    """Per-peer link state: 2 short-range + up to ``k`` long-range links.
+    """Per-peer link state: 2 short-range + up to ``max_long`` long-range links.
 
     Mirrors the paper's Table I variable ``R_p``. Long links are outgoing;
     the symmetric *incoming* budget (the paper's ``K`` incoming cap) is
@@ -29,94 +74,91 @@ class RoutingTable:
     :meth:`OverlayNetwork.try_accept_incoming`, whose ledger makes an
     admitted link a connection that routes carry both ways.
 
-    ``long_links`` is a frozenset that only the table writes:
-    :meth:`add_long`, :meth:`drop_long` and the setter each store a new
-    one. The ``max_long`` budget is the callers' check, made before
-    ``try_connect`` charges a slot on the target.
-
-    Short-range links live in shared *columns*: the owning overlay passes
-    ``columns=(pred_col, succ_col, written_col, version)`` and this table
-    becomes a view over its slot, so ring maintenance can rewrite the whole
-    network's predecessors/successors as two array stores plus one bump
-    of ``version[0]`` instead of 2n property writes. Every write to a
-    table, changed or not, sets its ``written_col`` slot (cleared only by
-    the build's exchange phase when it logs the table's links) and bumps
-    ``version[0]``, the overlay's one link version: the router's index is
-    keyed on it. A table constructed without columns owns a private
-    one-slot column block — same code path, no branching.
+    A table is a view over row ``owner`` of its overlay's
+    :class:`LinkColumns` (a table made without one owns a one-row block),
+    so whole-network readers take the columns as arrays. ``long_links``
+    reads the row as a tuple; :meth:`add_long`, :meth:`drop_long` and the
+    setter write it. A row holds at most ``max_long`` links: callers check
+    the budget before ``try_connect`` charges a slot, and a write past it
+    raises. Every write, changed or not, flags the row ``written`` and
+    bumps the link version, which the router's index is keyed on.
     """
 
-    __slots__ = (
-        "owner",
-        "_slot",
-        "_pred_col",
-        "_succ_col",
-        "_written_col",
-        "_version",
-        "successors",
-        "_long_links",
-        "max_long",
-    )
+    __slots__ = ("owner", "_slot", "_cols")
 
-    def __init__(self, owner: int, max_long: int, columns=None):
+    def __init__(self, owner: int, max_long: int, columns: "LinkColumns | None" = None):
         if max_long < 0:
             raise ConfigurationError(f"max_long must be non-negative, got {max_long}")
         self.owner = owner
         if columns is None:
-            self._pred_col = np.full(1, -1, dtype=np.int64)
-            self._succ_col = np.full(1, -1, dtype=np.int64)
-            self._written_col = np.ones(1, dtype=bool)
-            self._version = [0]
-            self._slot = 0
+            self._cols, self._slot = LinkColumns(1, max_long), 0
         else:
-            self._pred_col, self._succ_col, self._written_col, self._version = columns
-            self._slot = owner
-        #: ordered successor list (immediate successor first, then backups).
-        #: Maintenance/repair state only: the backups are *not* routing
-        #: links, so they are excluded from :meth:`all_links` and change
-        #: nothing on the default (fault-free) paths.
-        self.successors: list[int] = []
-        self._long_links: frozenset = frozenset()
-        self.max_long = max_long
+            self._cols, self._slot = columns, owner
+
+    @property
+    def max_long(self) -> int:
+        """The long-link budget: the width of the row."""
+        return self._cols.long_links.shape[1]
 
     def _touch(self) -> None:
         """A link of this table was written: mark it and move the version."""
-        self._written_col[self._slot] = True
-        self._version[0] += 1
+        self._cols.written[self._slot] = True
+        self._cols.version[0] += 1
 
     @property
     def predecessor(self) -> "int | None":
-        value = self._pred_col[self._slot]
+        value = self._cols.ring_pred[self._slot]
         return int(value) if value >= 0 else None
 
     @predecessor.setter
     def predecessor(self, value: "int | None") -> None:
-        self._pred_col[self._slot] = -1 if value is None else int(value)
+        self._cols.ring_pred[self._slot] = -1 if value is None else int(value)
         self._touch()
 
     @property
     def successor(self) -> "int | None":
-        value = self._succ_col[self._slot]
+        value = self._cols.ring_succ[self._slot]
         return int(value) if value >= 0 else None
 
     @successor.setter
     def successor(self, value: "int | None") -> None:
-        self._succ_col[self._slot] = -1 if value is None else int(value)
+        self._cols.ring_succ[self._slot] = -1 if value is None else int(value)
         self._touch()
 
     @property
-    def long_links(self) -> frozenset:
-        return self._long_links
+    def successors(self) -> tuple:
+        """Ordered successor list (immediate successor first, then backups).
+
+        Maintenance/repair state only: the backups are *not* routing
+        links, so they are excluded from :meth:`all_links`, and writing
+        the list moves no link version.
+        """
+        return tuple(_entries(self._cols.successors[self._slot]))
+
+    @successors.setter
+    def successors(self, value) -> None:
+        values, cols = [int(w) for w in value], self._cols
+        width = cols.successors.shape[1]
+        if len(values) > width:
+            cols.successors = np.pad(
+                cols.successors, ((0, 0), (0, len(values) - width)), constant_values=-1
+            )
+        _store(cols.successors[self._slot], values)
+
+    @property
+    def long_links(self) -> tuple:
+        return tuple(_entries(self._cols.long_links[self._slot]))
 
     @long_links.setter
     def long_links(self, value) -> None:
-        self._long_links = frozenset(value)
+        _store(self._cols.long_links[self._slot], list(dict.fromkeys(value)))
         self._touch()
 
     def all_links(self) -> set:
         """Every outgoing link (short + long), excluding the owner, as a fresh set."""
-        out = set(self._long_links)
-        out.update(int(w) for w in (self._pred_col[self._slot], self._succ_col[self._slot]) if w >= 0)
+        cols, slot = self._cols, self._slot
+        out = set(_entries(cols.long_links[slot]))
+        out.update(int(w) for w in (cols.ring_pred[slot], cols.ring_succ[slot]) if w >= 0)
         out.discard(self.owner)
         return out
 
@@ -124,13 +166,22 @@ class RoutingTable:
         """Link to ``peer``; False, and nothing written, for the owner."""
         if peer == self.owner:
             return False
-        self._long_links = self._long_links | {peer}
+        row = self._cols.long_links[self._slot]
+        links = _entries(row)
+        if peer not in links:
+            if len(links) == len(row):
+                raise ConfigurationError(f"peer {self.owner} holds its {len(row)} long links")
+            row[len(links)] = peer
         self._touch()
         return True
 
     def drop_long(self, peer: int) -> None:
         """Remove a long link if present."""
-        self._long_links = self._long_links - {peer}
+        row = self._cols.long_links[self._slot]
+        links = _entries(row)
+        if peer in links:
+            links.remove(peer)
+            _store(row, links)
         self._touch()
 
 
@@ -160,25 +211,23 @@ class OverlayNetwork(ABC):
         #: index (and SELECT's peer columns) hold this array.
         self.ids = np.zeros(n, dtype=np.float64)
         self._ring_index = RingIndex(self.ids)
-        #: ring state as columns (-1 = unset); RoutingTables are views over
-        #: their slot, and a ring refresh is two array stores + one bump
-        #: of the link version.
-        self.ring_pred = np.full(n, -1, dtype=np.int64)
-        self.ring_succ = np.full(n, -1, dtype=np.int64)
+        #: every table's links as columns; the tables are views over their
+        #: rows. The fixed-width ones are also attributes here, never
+        #: rebound (``successors`` can widen: read it through the block).
+        self.link_columns = cols = LinkColumns(n, self.k_links)
+        self.ring_pred, self.ring_succ = cols.ring_pred, cols.ring_succ
+        self.long_links = cols.long_links
         #: per table: a link was written since the exchange phase last
         #: logged its links (:func:`repro.core.rounds.exchange_phase`).
-        self.links_written = np.ones(n, dtype=bool)
+        self.links_written = cols.written
         #: one counter that every ring refresh and table write bumps.
-        self._link_version = [0]
-        ring_columns = (self.ring_pred, self.ring_succ, self.links_written, self._link_version)
-        self.tables: list[RoutingTable] = [
-            RoutingTable(v, self.k_links, columns=ring_columns) for v in range(n)
-        ]
-        #: the one admission ledger (the K-incoming cap, §III-D): the
-        #: sources whose long link each peer admitted. Every write to it
-        #: comes with a write to the source's table, so ``_link_version``
-        #: also versions it. ``incoming_count`` is its numpy mirror.
-        self._incoming_sources: list[set[int]] = [set() for _ in range(n)]
+        self._link_version = cols.version
+        self.tables: list[RoutingTable] = [RoutingTable(v, self.k_links, cols) for v in range(n)]
+        #: the one admission ledger (the K-incoming cap, §III-D): row ``v``
+        #: holds the sources ``v`` admitted, then ``-1`` padding, and
+        #: ``incoming_count[v]`` is its fill. Every write to it comes with a
+        #: write to the source's table, so ``_link_version`` versions it.
+        self.incoming_sources = np.full((n, self.k_links + INCOMING_SLACK), -1, dtype=np.int32)
         self.incoming_count = np.zeros(n, dtype=np.int64)
         self.iterations = 0
         self._built = False
@@ -193,8 +242,8 @@ class OverlayNetwork(ABC):
         """Short-range links from ids: two column stores + one version bump.
 
         The one writer of the whole ring from ids (a snapshot restore
-        stores saved columns, then rewrites every table's long links, which
-        moves the version); besides them, only single-pointer moves
+        stores saved link columns whole and moves the version itself);
+        besides them, only single-pointer moves
         (the stabilizer, restoring saved tables) go through the table
         setters. ``live`` (a boolean mask) restricts the
         ring to those peers — the oracle re-stitch under churn — and
@@ -227,21 +276,38 @@ class OverlayNetwork(ABC):
     def try_accept_incoming(self, src: int, target: int, slack: int = 0) -> bool:
         """Admit ``src``'s long link on ``target``; True if it holds a slot.
 
-        Refused once ``target`` holds ``k_links + slack`` sources. An
-        admitted link is a connection ``target`` holds, so routes use it
-        both ways (:class:`~repro.overlay.routing.GreedyRouter`). Symphony,
-        Bayeux and the random overlay admit through this alone; SELECT
-        adds bandwidth eviction on the same ledger. Vitis and OMen never
+        Refused once ``target`` holds ``k_links + slack`` sources (``slack``
+        at most :data:`INCOMING_SLACK`). An admitted link is a connection
+        ``target`` holds, so routes use it both ways
+        (:class:`~repro.overlay.routing.GreedyRouter`). Symphony, Bayeux
+        and the random overlay admit through this alone; SELECT adds
+        bandwidth eviction on the same ledger. Vitis and OMen never
         admit, so their links stay one-way.
         """
-        sources = self._incoming_sources[target]
+        if not 0 <= slack <= INCOMING_SLACK:
+            raise ConfigurationError(f"slack must be in [0, {INCOMING_SLACK}], got {slack}")
+        row = self.incoming_sources[target]
+        sources = _entries(row)
         if src in sources:
             return True
         if len(sources) >= self.k_links + slack:
             return False
-        sources.add(src)
-        self.incoming_count[target] = len(sources)
+        row[len(sources)] = src
+        self.incoming_count[target] = len(sources) + 1
         return True
+
+    def release_incoming(self, src: int, target: int) -> None:
+        """Free ``src``'s slot on ``target``, if it holds one."""
+        row = self.incoming_sources[target]
+        sources = _entries(row)
+        if src in sources:
+            sources.remove(src)
+            _store(row, sources)
+            self.incoming_count[target] = len(sources)
+
+    def admitted(self, target: int) -> tuple:
+        """The sources whose long links ``target`` admitted."""
+        return tuple(_entries(self.incoming_sources[target]))
 
     # -- routing / dissemination --------------------------------------------
 
@@ -276,10 +342,23 @@ class OverlayNetwork(ABC):
 
     # -- read API used by metrics -------------------------------------------
 
-    def connections(self, u: int) -> set:
-        """Every peer ``u`` can hand a message to, as a fresh set: its
-        outgoing links plus the sources whose links it admitted."""
+    def connections(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Every peer's connections as one CSR ``(indptr, indices)``.
+
+        Row ``u`` lists, ascending and once each, the peers ``u`` can hand
+        a message to: its long links, the sources whose links it admitted
+        and its ring neighbours, ``u`` itself left out. ``indices`` is
+        int32, ``indptr`` int64.
+        """
         self._check_built()
-        links = self.tables[u].all_links()
-        links |= self._incoming_sources[u]
-        return links
+        n = len(self.ids)
+        ring = (self.ring_pred[:, None], self.ring_succ[:, None])
+        columns = (self.long_links, self.incoming_sources, *ring)
+        rows = np.concatenate(columns, axis=1, dtype=np.int32, casting="same_kind")
+        rows[rows == np.arange(n, dtype=np.int32)[:, None]] = -1
+        rows.sort(axis=1)
+        rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+        held = rows >= 0
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(held.sum(axis=1), out=indptr[1:])
+        return indptr, rows[held]

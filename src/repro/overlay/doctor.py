@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.overlay.base import OverlayNetwork
+from repro.overlay.base import INCOMING_SLACK, OverlayNetwork
 
 __all__ = ["DoctorReport", "check_overlay"]
 
@@ -95,7 +95,7 @@ class DoctorReport:
 def check_overlay(
     overlay: OverlayNetwork,
     online: "np.ndarray | None" = None,
-    in_degree_slack: int = 2,
+    in_degree_slack: int = INCOMING_SLACK,
 ) -> DoctorReport:
     """Sweep an overlay's invariants; never raises on a violation.
 
@@ -141,18 +141,16 @@ def check_overlay(
         for w in walk:
             state[w] = 2
 
-    in_degree = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        for w in overlay.tables[v].long_links:
-            in_degree[w] += 1
+    long_links = overlay.long_links
+    in_degree = np.bincount(long_links[long_links >= 0], minlength=n)
     cap = overlay.k_links + max(0, in_degree_slack)
     violations = [int(v) for v in np.flatnonzero(in_degree > cap)]
-    leaked = [
-        (s, v)
-        for v, sources in enumerate(overlay._incoming_sources)
-        for s in sorted(sources)
-        if v not in overlay.tables[s].long_links
-    ]
+    # A ledger entry (source s admitted on v) whose source links elsewhere.
+    target, at = np.nonzero(overlay.incoming_sources >= 0)
+    source = overlay.incoming_sources[target, at]
+    loose = ~(long_links[source] == target[:, None]).any(axis=1)
+    order = np.lexsort((source[loose], target[loose]))
+    leaked = list(zip(source[loose][order].tolist(), target[loose][order].tolist()))
 
     return DoctorReport(
         live_peers=len(live),

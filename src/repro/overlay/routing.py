@@ -77,16 +77,19 @@ class RouteResult:
 class GreedyRouter:
     """Routes over an :class:`~repro.overlay.base.OverlayNetwork`.
 
-    The candidates of a peer — ``(x, w)``: identifier owner ``x`` seen
+    Every peer's connections are one int32 CSR
+    (:meth:`~repro.overlay.base.OverlayNetwork.connections`), each row
+    sorted, so the ``direct`` clause bisects the peer's slice. The
+    candidates of a peer — ``(x, w)``: identifier owner ``x`` seen
     through connection ``w``, ``x == w`` for the connection itself — are
     kept as two ``int32`` columns sorted by the *ring rank* of ``x``, built
-    the first time a route visits the peer, beside the peer's connections
-    (the ``direct`` clause's set). Rank order is identifier order, so the
-    closest candidate to a target sits next to the target's rank and
-    :meth:`_next_hop` finds it by bisection. Both are a pure function of
-    the identifiers, tables and admission ledger; they are the one cache
-    of link state, dropped whenever the overlay's link version moves
-    (every ledger write comes with a table write), never by age or size.
+    from the CSR the first time a route visits the peer. Rank order is
+    identifier order, so the closest candidate to a target sits next to
+    the target's rank and :meth:`_next_hop` finds it by bisection. Both
+    are a pure function of the identifiers, tables and admission ledger;
+    they are the one cache of link state, dropped whenever the overlay's
+    link version moves (every ledger write comes with a table write),
+    never by age or size.
     """
 
     def __init__(self, overlay, lookahead: bool = True, max_hops: int | None = None):
@@ -105,7 +108,9 @@ class GreedyRouter:
         self._rank: list[int] = []  # node -> position in identifier order
         self._order: list[int] = []  # position -> node
         self._sorted_ids: list[float] = []  # position -> identifier
-        self._connection_sets: "list[set[int] | None]" = []
+        #: the connections CSR: row pointers and the int32 rows.
+        self._indptr: list[int] = []
+        self._indices = array("i")
         self._columns: "list[tuple[array, array] | None]" = []
 
     def route(
@@ -134,7 +139,7 @@ class GreedyRouter:
             return RouteResult(path=[src], delivered=False)
         if self.overlay._link_version[0] != self._version:
             self._reset_index()
-        connections = self._connections_of
+        indptr, indices = self._indptr, self._indices
         known_live = online if detect_failures else None
         blind = online is not None and not detect_failures
         path = [src]
@@ -143,7 +148,9 @@ class GreedyRouter:
         delivered = False
         decisions: "list[HopDecision] | None" = [] if self.record_decisions else None
         for _ in range(self.max_hops):
-            if dst in connections(current):
+            hi = indptr[current + 1]
+            at = bisect_left(indices, dst, indptr[current], hi)
+            if at < hi and indices[at] == dst:
                 nxt, rule = dst, "direct"
             else:
                 hop = self._next_hop(current, dst, visited, known_live)
@@ -176,7 +183,7 @@ class GreedyRouter:
             link = "short"
         elif w in table.long_links:
             link = "long"
-        elif w in self.overlay._incoming_sources[u]:
+        elif w in self.overlay.admitted(u):
             link = "incoming"
         elif w in table.successors:
             link = "successor"
@@ -257,26 +264,23 @@ class GreedyRouter:
         """
         rank = self._rank
         n = len(rank)
-        connections = self._connections_of
-        mine = connections(u)
+        indptr, indices = self._indptr, self._indices
+        mine = indices[indptr[u] : indptr[u + 1]]
         keys = [rank[w] * n + w for w in mine]
         if self.lookahead:
+            skip = set(mine)
+            skip.add(u)
             for w in mine:
-                keys += [rank[x] * n + w for x in connections(w) if x != u and x not in mine]
+                theirs = indices[indptr[w] : indptr[w + 1]]
+                keys += [rank[x] * n + w for x in theirs if x not in skip]
         packed = np.array(keys, dtype=np.int64)
         packed.sort()
         # (ranks, hops): the split and the int32 copy in numpy, not per key.
         return tuple(array("i", col.astype(np.int32).tobytes()) for col in np.divmod(packed, n))
 
-    def _connections_of(self, u: int) -> "set[int]":
-        """``overlay.connections(u)``, kept until the index is dropped."""
-        links = self._connection_sets[u]
-        if links is None:
-            links = self._connection_sets[u] = self.overlay.connections(u)
-        return links
-
     def _reset_index(self) -> None:
-        """Re-rank the identifiers and drop every peer's connections and columns."""
+        """Re-rank the identifiers, rebuild the connections CSR and drop
+        every peer's columns."""
         self._version = self.overlay._link_version[0]
         ring = RingIndex(self.overlay.ids)  # the ring's own order: ties by node
         order = ring.order
@@ -285,7 +289,8 @@ class GreedyRouter:
         self._rank = rank.tolist()
         self._order = order.tolist()
         self._sorted_ids = ring.sorted_ids.tolist()
-        self._connection_sets = [None] * len(order)
+        indptr, indices = self.overlay.connections()
+        self._indptr, self._indices = indptr.tolist(), array("i", indices.tobytes())
         self._columns = [None] * len(order)
 
     # -- batch helper ----------------------------------------------------------

@@ -41,6 +41,7 @@ from repro.core.picker import packed_key
 from repro.graphs.graph import SocialGraph
 from repro.net.availability import CMA_MIN_OBSERVATIONS, CMA_THRESHOLD, CumulativeMovingAverage
 from repro.net.growth import JoinEvent
+from repro.overlay.base import INCOMING_SLACK
 from repro.sim.trace import TraceRecorder
 from repro.util.atomicio import atomic_write_json, atomic_write_text
 from repro.util.exceptions import ConfigurationError, PersistError
@@ -96,26 +97,9 @@ def _canonical(state: dict) -> str:
     return json.dumps(state, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
 def snapshot_id(state: dict) -> str:
     """Content-derived id of a state payload (stable across re-captures)."""
-    return _digest(_canonical(state))
-
-
-class _Snapshot(dict):
-    """A ``{"manifest", "state"}`` snapshot that keeps the canonical text of
-    its state, which its ``snapshot_id`` hashes, so :func:`save` writes that
-    text instead of encoding the state again. A state edited after capture
-    needs a new ``snapshot_id`` (:func:`save` then encodes it afresh)."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, manifest: dict, state: dict, text: str):
-        super().__init__(manifest=manifest, state=state)
-        self.text = text
+    return hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()[:16]
 
 
 def graph_fingerprint(graph: SocialGraph) -> str:
@@ -127,15 +111,20 @@ def graph_fingerprint(graph: SocialGraph) -> str:
 # -- per-component capture ---------------------------------------------------
 
 
-def _csr(rows, sort: bool = False) -> dict:
+def _csr(rows) -> dict:
     """Collections of node ids as one CSR: ``indptr`` (a pointer per row plus
-    one) and ``values``, each row sorted when ``sort``."""
-    rows = list(rows)
+    one) and ``values``, each row in its own order."""
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-    if sort:
-        values = values[np.lexsort((values, np.repeat(np.arange(len(rows)), lengths)))]
     return {"indptr": np.concatenate(([0], np.cumsum(lengths))), "values": values}
+
+
+def _padded_csr(column: np.ndarray, sort: bool = False) -> dict:
+    """A column of ``-1``-padded rows as one CSR, each row sorted when ``sort``."""
+    if sort:
+        column = np.sort(column, axis=1)
+    held = column >= 0
+    return {"indptr": np.concatenate(([0], np.cumsum(held.sum(axis=1)))), "values": column[held]}
 
 
 def _views(edges) -> "tuple[np.ndarray, dict]":
@@ -160,7 +149,7 @@ def _views(edges) -> "tuple[np.ndarray, dict]":
 
 
 def _capture_overlay(overlay) -> dict:
-    cols, edges, tables = overlay.columns, overlay.edge_columns, overlay.tables
+    cols, edges = overlay.columns, overlay.edge_columns
     view, views = _views(edges)
     behavior = [peer.behavior._cma for peer in overlay.peers]
     cmas = list(chain.from_iterable(c.values() for c in behavior))
@@ -193,10 +182,10 @@ def _capture_overlay(overlay) -> dict:
         "tables": {
             "ring_pred": overlay.ring_pred.copy(),
             "ring_succ": overlay.ring_succ.copy(),
-            "long_links": _csr((t.long_links for t in tables), sort=True),
-            "successors": _csr(t.successors for t in tables),
+            "long_links": _padded_csr(overlay.long_links, sort=True),
+            "successors": _padded_csr(overlay.link_columns.successors),
         },
-        "incoming_sources": _csr(overlay._incoming_sources, sort=True),
+        "incoming_sources": _padded_csr(overlay.incoming_sources, sort=True),
         "behavior": {
             **_csr(behavior),
             "count": np.fromiter((cma._count for cma in cmas), dtype=np.int64, count=len(cmas)),
@@ -350,8 +339,9 @@ def capture(
     """Snapshot a live :class:`~repro.core.select.SelectOverlay` and friends.
 
     Returns ``{"manifest": ..., "state": ...}``; the state holds the
-    overlay's columns as numpy copies, and its canonical JSON text (what
-    the id hashes and :func:`save` writes) is kept beside it. Optional
+    overlay's columns as numpy copies. The id hashes the state's
+    canonical JSON text, which is not kept: :func:`save` encodes the
+    state it is given. Optional
     components are captured when passed; ``sim`` is an opaque pre-built
     dict (the simulator's own resume payload). With
     ``include_graph`` the social graph's edges are embedded so
@@ -371,10 +361,9 @@ def capture(
     if sim is not None:
         state["sim"] = sim
     graph = overlay.graph
-    text = _canonical(state)
     manifest = {
         "schema": SCHEMA,
-        "snapshot_id": _digest(text),
+        "snapshot_id": snapshot_id(state),
         "round": int(overlay.iterations),
         "config": dict(state["overlay"]["config"]),
         "graph": {
@@ -386,7 +375,7 @@ def capture(
         "components": sorted(state),
         "rng_streams": sorted(name for name in state if "rng" in state[name]),
     }
-    return _Snapshot(manifest, state, text)
+    return {"manifest": manifest, "state": state}
 
 
 #: every :class:`SelectConfig` field with its default, whose type a stored
@@ -485,6 +474,16 @@ def _decode(data: dict, graph: "SocialGraph | None") -> "tuple[SelectConfig, dic
     for name in ("long_links", "successors"):
         out[name] = _split(tables[name], n, name)
     out["incoming_sources"] = _split(data["incoming_sources"], n, "incoming_sources")
+    k = int(data["k_links"])
+    for name, width in (("long_links", k), ("incoming_sources", k + INCOMING_SLACK)):
+        indptr, values = out[name]
+        lengths = np.diff(indptr)
+        if lengths.max() > width:
+            raise PersistError(f"{name} has a row of {lengths.max()}; k_links={k} allows {width}")
+        # Rows are sets, stored ascending: a repeat would take a second slot.
+        row = np.repeat(np.arange(n), lengths)
+        if ((row[1:] == row[:-1]) & (values[1:] <= values[:-1])).any():
+            raise PersistError(f"{name} has a row that does not ascend")
     out["behavior"] = _split(behavior, n, "behavior")
     size = len(behavior["values"])
     out["cma"] = (
@@ -532,9 +531,17 @@ def _unpack(snapshot: dict) -> "tuple[dict, dict]":
     return manifest, snapshot["state"]
 
 
+def _padded(indptr: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """A CSR as ``width``-wide int32 rows, each its entries then ``-1``s."""
+    lengths = np.diff(indptr)
+    out = np.full((len(lengths), width), -1, dtype=np.int32)
+    at = np.arange(len(values)) - np.repeat(indptr[:-1], lengths)
+    out[np.repeat(np.arange(len(lengths)), lengths), at] = values
+    return out
+
+
 def _rows(indptr: np.ndarray, values) -> list:
-    """A CSR's rows as Python lists; numpy values come out as Python ints,
-    which the tables, ledger and views hold everywhere else."""
+    """A CSR's rows as Python lists; numpy values come out as Python ints."""
     indptr = indptr.tolist()
     values = values.tolist() if isinstance(values, np.ndarray) else values
     return [values[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
@@ -600,15 +607,17 @@ def restore_into(
     last = max(cols["mutual_stamp"].max(initial=-1), cols["bitmap_stamp"].max(initial=-1))
     edges.clock = int(last) + 1
 
+    # The link columns are stored whole; every table counts as written.
     overlay.ring_pred[:] = cols["ring_pred"]
     overlay.ring_succ[:] = cols["ring_succ"]
-    for table, links, successors in zip(
-        overlay.tables, _rows(*cols["long_links"]), _rows(*cols["successors"])
-    ):
-        table.long_links = links
-        table.successors = successors
-    overlay._incoming_sources = [set(srcs) for srcs in _rows(*cols["incoming_sources"])]
-    overlay.incoming_count = np.diff(cols["incoming_sources"][0])
+    for name in ("long_links", "incoming_sources"):
+        column = getattr(overlay, name)
+        column[:] = _padded(*cols[name], column.shape[1])
+    successors = cols["successors"]
+    overlay.link_columns.successors = _padded(*successors, int(np.diff(successors[0]).max()))
+    overlay.incoming_count[:] = np.diff(cols["incoming_sources"][0])
+    overlay.links_written[:] = True
+    overlay._link_version[0] += 1
     indptr, contacts = cols["behavior"]
     cmas = [_cma(count, mean) for count, mean in zip(*cols["cma"])]
     for peer, keys, values in zip(overlay.peers, _rows(indptr, contacts), _rows(indptr, cmas)):
@@ -695,9 +704,7 @@ def save(snapshot: dict, out_dir: str) -> dict:
     truncated state.
     """
     manifest, state = _unpack(snapshot)
-    text = getattr(snapshot, "text", None)
-    if text is None or _digest(text) != manifest.get("snapshot_id"):
-        text = _canonical(state)
+    text = _canonical(state)
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, MANIFEST_FILE)
     state_path = os.path.join(out_dir, STATE_FILE)

@@ -166,7 +166,7 @@ class TestCreateLinks:
         for friend in (1, 2, 3):
             peer.learn_exchange(friend, 1, peer.codec.encode([friend]), [])
         create_links(peer, 3, cap.try_connect, cap.disconnect)
-        assert peer.table.long_links == set()
+        assert peer.table.long_links == ()
 
     def test_budget_fill_prefers_uncovered_friends(self):
         peer = make_peer(0, [1, 2, 3, 4], k=2)
@@ -193,7 +193,7 @@ class TestCreateLinks:
         cap.try_connect(0, 1)
         cap.try_connect(0, 2)
         create_links(peer, 2, cap.try_connect, cap.disconnect, hysteresis=0)
-        assert len({1, 2} & peer.table.long_links) == 1
+        assert len({1, 2} & set(peer.table.long_links)) == 1
         assert 3 in peer.table.long_links
 
     def test_hysteresis_keeps_established_link(self):

@@ -93,7 +93,7 @@ class TestRecoveryManager:
         online[dead] = False
         for _ in range(4):
             manager.tick(online)
-        added = ov.tables[0].long_links - before[0]
+        added = set(ov.tables[0].long_links) - before[0]
         for w in added:
             assert online[w]
             assert w in ov.peers[0].known_bitmap or w in ov.peers[0].known_mutual

@@ -81,7 +81,7 @@ class TestBuild:
     def test_using_before_build_rejected(self, small_graph):
         overlay = SelectOverlay(small_graph)
         with pytest.raises(ConfigurationError):
-            overlay.connections(0)
+            overlay.connections()
 
     def test_deterministic_given_seed(self, small_graph):
         cfg = SelectConfig(max_rounds=12)

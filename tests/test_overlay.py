@@ -96,7 +96,7 @@ class TestRoutingTable:
         t.add_long(1)
         t.drop_long(1)
         t.drop_long(99)  # absent is fine
-        assert t.long_links == set()
+        assert t.long_links == ()
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -184,7 +184,7 @@ class TestGreedyRouter:
         graph = SocialGraph(4, [(0, 1), (1, 2), (2, 3)])
         overlay = _LineOverlay(graph)
         with pytest.raises(ConfigurationError):
-            overlay.connections(0)
+            overlay.connections()
 
 
 class TestOverlayBase:
@@ -197,7 +197,7 @@ class TestOverlayBase:
         target = 5
         accepted = [src for src in range(10) if line_overlay.try_accept_incoming(src, target)]
         assert accepted == [0, 1]  # k_links == 2
-        assert line_overlay._incoming_sources[target] == {0, 1}
+        assert line_overlay.admitted(target) == (0, 1)
         assert line_overlay.incoming_count[target] == 2
         # A held slot is re-admitted; recovery's slack admits past the cap.
         assert line_overlay.try_accept_incoming(0, target)
@@ -208,8 +208,9 @@ class TestOverlayBase:
         line_overlay.tables[4].add_long(0)
         line_overlay.tables[6].add_long(0)
         assert line_overlay.try_accept_incoming(4, 0)
-        assert line_overlay.connections(0) == {1, 9, 4}
-        assert 6 not in line_overlay.connections(0)  # never admitted: one-way
+        indptr, indices = line_overlay.connections()
+        assert indices[indptr[0] : indptr[1]].tolist() == [1, 4, 9]  # ascending, once each
+        assert 6 not in indices[indptr[0] : indptr[1]]  # never admitted: one-way
 
 
 def _ring_from_index(overlay) -> bool:

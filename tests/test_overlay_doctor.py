@@ -89,14 +89,15 @@ class TestViolationsDetected:
         overlay = self._built(tiny_graph)
         # Everyone force-links to node 0, far beyond K + slack.
         for v in range(1, 6):
-            overlay.tables[v].add_long(0)
+            table = overlay.tables[v]
+            table.long_links = [0, *table.long_links][: table.max_long]
         doc = check_overlay(overlay, in_degree_slack=0)
         assert 0 in doc.in_degree_violations or doc.max_in_degree > doc.in_degree_cap
 
     def test_leaked_slot_detected(self, tiny_graph):
         overlay = self._built(tiny_graph)
         src, dst = next(
-            (s, v) for v, sources in enumerate(overlay._incoming_sources) for s in sorted(sources)
+            (s, v) for v in range(overlay.graph.num_nodes) for s in sorted(overlay.admitted(v))
         )
         overlay.tables[src].drop_long(dst)  # the link goes, the slot stays charged
         doc = check_overlay(overlay)
@@ -133,4 +134,5 @@ class TestLedgerAfterRecovery:
         for v, table in enumerate(overlay.tables):
             for w in table.long_links:
                 reverse[w].add(v)
-        assert overlay._incoming_sources == reverse
+        assert [set(overlay.admitted(v)) for v in range(n)] == reverse
+        assert overlay.incoming_count.tolist() == [len(sources) for sources in reverse]

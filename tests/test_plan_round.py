@@ -282,7 +282,7 @@ class TestOptimisticWalk:
             v
             for v in gate
             if create_links(
-                ov.peers[v], ov.k_links, ov._try_connect, ov._disconnect,
+                ov.peers[v], ov.k_links, ov._try_connect, ov.release_incoming,
                 incoming_count=ov.incoming_count,
             )
         }
@@ -293,7 +293,8 @@ class TestOptimisticWalk:
         walked, live = (planning_state(recipe, ledger_from_links=True) for _ in range(2))
         assert walked._walk_plans(recipe["gate"]) == self._live(live, recipe["gate"])
         assert [set(t.long_links) for t in walked.tables] == [set(t.long_links) for t in live.tables]
-        assert walked._incoming_sources == live._incoming_sources
+        n = walked.graph.num_nodes
+        assert [set(walked.admitted(v)) for v in range(n)] == [set(live.admitted(v)) for v in range(n)]
         assert walked.incoming_count.tolist() == live.incoming_count.tolist()
 
     def test_a_slot_opened_by_an_earlier_vertex_is_seen(self):
@@ -304,7 +305,7 @@ class TestOptimisticWalk:
         live = self._slot_opens_mid_round()
         assert self._live(live, [0, 1]) == {0, 1}
         assert [set(t.long_links) for t in ov.tables] == [set(t.long_links) for t in live.tables]
-        assert ov.tables[1].long_links == {2}
+        assert ov.tables[1].long_links == (2,)
         assert ov.incoming_count.tolist() == live.incoming_count.tolist()
 
 

@@ -29,11 +29,17 @@ from repro.overlay.base import OverlayNetwork
 from repro.overlay.routing import GreedyRouter
 
 
+def connections(overlay, v: int) -> set:
+    """``v``'s connections straight from its table and the ledger: its
+    outgoing links plus the sources whose links it admitted."""
+    return overlay.tables[v].all_links() | set(overlay.admitted(v))
+
+
 class BruteForceRouter(GreedyRouter):
     """The next-hop rule by exhaustive scan: K connections, K² with lookahead."""
 
     def _connections(self, v: int):
-        return self.overlay.connections(v)
+        return connections(self.overlay, v)
 
     def _next_hop(self, u, dst, visited, online):
         ids = self.overlay.ids
@@ -68,10 +74,10 @@ class OneHopGreedyRouter(GreedyRouter):
         ids = overlay.ids
         target = float(ids[dst])
         links = [
-            w for w in overlay.connections(u) if w not in visited and (online is None or online[w])
+            w for w in connections(overlay, u) if w not in visited and (online is None or online[w])
         ]
         if self.lookahead:
-            holders = [w for w in links if dst in overlay.connections(w)]
+            holders = [w for w in links if dst in connections(overlay, w)]
             if holders:
                 return min(holders), dst
         if not links:
@@ -348,6 +354,11 @@ class TestRouterOutlivesChanges:
         p, src, dst = self.two_hops_out(ov, pairs)
         pairs += [(src, dst), (p, dst)]
         table = ov.tables[src]
+        if len(table.long_links) == table.max_long:
+            # A table holds at most max_long links: free one (not p) for dst.
+            freed = max(w for w in table.long_links if w != p)
+            table.drop_long(freed)
+            ov.release_incoming(src, freed)
         if write == "drop_long":
             table.add_long(dst)
         router, before = warmed_router(ov, pairs)

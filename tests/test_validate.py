@@ -391,6 +391,11 @@ def _link_past_n(csr):
     csr["values"][0] = 100  # the golden overlay has 100 peers
 
 
+def _one_row(values):
+    """A CSR whose row 0 holds ``values`` and every other row nothing."""
+    return lambda csr: csr.update(indptr=[0] + [len(values)] * 100, values=list(values))
+
+
 def _view_past_table(edges):
     edges["view"][_first_learned(edges)] = 10**6
 
@@ -420,6 +425,14 @@ SHARED_CHECK = {
     "long-link target >= n": (
         _tables("long_links", _link_past_n),
         "long_links names node 100, outside [0, 100)",
+    ),
+    "long-link row wider than K": (
+        _tables("long_links", _one_row(range(1, 9))),  # the golden overlay has K = 7
+        "long_links has a row of 8; k_links=7 allows 7",
+    ),
+    "admitted source twice in a row": (
+        lambda s: _one_row([3, 3])(s["overlay"]["incoming_sources"]),
+        "incoming_sources has a row that does not ascend",
     ),
     "view index out of range": (_edges(_view_past_table), "edges.view indexes past the"),
     "bitmap wider than its owner's degree": (

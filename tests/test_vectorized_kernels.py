@@ -402,8 +402,8 @@ class TestEvictionBarrier:
         ov._defer_evictions = True
         assert ov._try_connect(fast, dst)
         # Slot transferred immediately, link mutation deferred.
-        assert fast in ov._incoming_sources[dst]
-        assert slow not in ov._incoming_sources[dst]
+        assert fast in ov.admitted(dst)
+        assert slow not in ov.admitted(dst)
         assert dst in ov.tables[slow].long_links
         assert ov._eviction_events == [(slow, dst)]
 
@@ -480,13 +480,14 @@ class TestExchangeOracle:
             for v, table in enumerate(ov.tables):
                 size = int(rng.integers(0, 4))
                 picks = rng.choice(n, size=size, replace=False).tolist()
-                table.long_links = {w for w in picks if w != v}
+                # A table holds at most max_long links.
+                table.long_links = [w for w in picks if w != v][: table.max_long]
         elif kind == "few":
             for v in rng.choice(n, size=2, replace=False).tolist():
                 table, w = ov.tables[v], int(rng.integers(n))
                 if w in table.long_links:
                     table.drop_long(w)
-                elif w != v:
+                elif w != v and len(table.long_links) < table.max_long:
                     table.add_long(w)
         elif kind == "move":
             ov.ids[rng.choice(n, size=2, replace=False)] = rng.random(2)
@@ -577,7 +578,7 @@ class TestExchangeOracle:
         ov = SelectOverlay(graph, k_links=k, config=SelectConfig())
         ov._project(as_generator(seed))
         for f in range(1, degree + 1):
-            ov.tables[f].long_links = {w % degree + 1 for w in links[f - 1]} - {f}
+            ov.tables[f].long_links = sorted({w % degree + 1 for w in links[f - 1]} - {f})[:k]
         rng = as_generator(seed + 1)
         for _ in range(3):
             rounds.exchange_phase(ov, rng)
