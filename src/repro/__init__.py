@@ -81,7 +81,6 @@ from repro.live import (
     live_scenario_names,
 )
 from repro.util.exceptions import (
-    DeadlineExceeded,
     FaultInjectionError,
     PartitionError,
     PeerUnreachable,
@@ -114,7 +113,6 @@ __all__ = [
     "PartitionError",
     "ReproError",
     "TransientError",
-    "DeadlineExceeded",
     "RetryBudgetExhausted",
     "PeerUnreachable",
     "LiveCluster",

@@ -54,6 +54,7 @@ class RankedGossipOverlay(OverlayNetwork):
         #: the contact each peer shows a sampler (-1 = none yet): the first
         #: member of its ranked set in the set's order (see :func:`_as_set`).
         self._exposed = np.full(graph.num_nodes, -1, dtype=np.int64)
+        self._quiet_rounds = 0
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -74,20 +75,24 @@ class RankedGossipOverlay(OverlayNetwork):
         self.ids[:] = uniform_hashes(range(n), salt=salt)
         self._refresh_ring()
         self.prepare(rng)
-        quiet = 0
         rounds = 0
         for _ in range(self.max_rounds):
             rounds += 1
             changes = self._gossip_round(rng)
             if changes <= max(1, n // 50):
-                quiet += 1
-                if quiet >= self.convergence_rounds:
+                self._quiet_rounds += 1
+                if self.converged:
                     break
             else:
-                quiet = 0
+                self._quiet_rounds = 0
         self.iterations = rounds
         self._mark_built()
         return self
+
+    @property
+    def converged(self) -> bool:
+        """Whether the build ended on ``convergence_rounds`` quiet rounds, not on the cap."""
+        return self._quiet_rounds >= self.convergence_rounds
 
     def _gossip_round(self, rng: np.random.Generator) -> int:
         """One sampling round; returns the number of peers that re-ranked."""

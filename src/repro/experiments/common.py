@@ -142,9 +142,10 @@ def means(samples: "list[dict]") -> dict:
 
 def select_margins(config: ExperimentConfig, rows: list[dict], key: str):
     """``(dataset, SELECT's value, {baseline: value})`` per dataset whose rows hold
-    SELECT and a baseline with a positive ``key``: each "SELECT reduction" line's inputs."""
+    SELECT and a baseline with a positive ``key``: each "SELECT reduction" line's inputs.
+    A row with capped trials (Fig. 5) has no value and is skipped."""
     for dataset in config.datasets:
-        at = {r["system"]: r[key] for r in rows if r["dataset"] == dataset}
+        at = {r["system"]: r[key] for r in rows if r["dataset"] == dataset and not r.get("capped")}
         others = {s: v for s, v in at.items() if s != "select" and v > 0}
         if "select" in at and others:
             yield dataset, at["select"], others

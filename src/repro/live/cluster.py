@@ -10,7 +10,7 @@ supervised by a :class:`~repro.live.supervisor.NodeSupervisor`.
 One :meth:`run` executes a scripted :class:`~repro.live.scenarios.LiveScenario`:
 
 * a **publish loop** picks seeded publishers and pushes notifications
-  along overlay routes through the request layer (per-message deadline,
+  along overlay routes through the request layer (per-attempt timeout,
   bounded backoff retries); a publish that exhausts its budget is *shed*
   to the PR 2 :class:`~repro.core.stabilize.CatchUpStore` instead of
   being lost;
@@ -78,7 +78,6 @@ class LiveCluster:
         num_nodes: int = 100,
         scenario: "LiveScenario | str" = "calm",
         seed: int = 2018,
-        dataset: str = "facebook",
         config: "LiveConfig | None" = None,
         registry=None,
         trace: bool = False,
@@ -96,9 +95,9 @@ class LiveCluster:
             return int(stream.child(f"live:{scenario.name}:{label}").integers(2**31 - 1))
 
         self.graph = load_dataset(
-            dataset,
+            "facebook",
             num_nodes=num_nodes,
-            seed=stream.child(f"live:{scenario.name}:graph:{dataset}:{num_nodes}"),
+            seed=stream.child(f"live:{scenario.name}:graph:facebook:{num_nodes}"),
         )
         self.overlay = SelectOverlay(self.graph, config=SelectConfig()).build(
             seed=child_seed("overlay")
@@ -139,12 +138,7 @@ class LiveCluster:
             self.tracer = Tracer(clock=self.transport.now)
             self.transport.tracer = self.tracer
             self.recorders = {
-                v: FlightRecorder(
-                    v,
-                    capacity=self.config.flight_recorder_capacity,
-                    clock=self.transport.now,
-                )
-                for v in range(self.n)
+                v: FlightRecorder(v, clock=self.transport.now) for v in range(self.n)
             }
             self.supervisor.on_incident = self._incident
             self._h_trace_latency = self.registry.histogram(

@@ -1,10 +1,12 @@
 """Configuration for the live asyncio runtime.
 
-One frozen dataclass holds every knob of the live cluster: transport
-delays, SWIM probing/gossip cadence, the request layer's retry/backoff
-discipline (mirroring the :class:`~repro.scenarios.overload.OverloadConfig`
-shape: a bounded budget with exponential doubling), and the supervisor's
-restart policy. Defaults are tuned for CI: a few hundred in-process
+The peers run one fixed protocol, so every setting of it is a constant
+stated once here: the SWIM gossip and probe policy, the request layer's
+backoff (mirroring the :class:`~repro.scenarios.overload.OverloadConfig`
+shape: a bounded budget with exponential doubling), the supervisor's
+restart budget and the flight recorder's size. :class:`LiveConfig`
+keeps the timings that tests turn down to quiet or speed up the
+protocol loops. Defaults are tuned for CI: a few hundred in-process
 nodes converge membership in single-digit seconds.
 
 All durations are **seconds** of wall clock — the live runtime runs on
@@ -20,6 +22,34 @@ from repro.util.exceptions import ConfigurationError
 
 __all__ = ["LiveConfig"]
 
+# -- SWIM membership ----------------------------------------------------------
+#: believed-alive targets each gossip round pushes the digest to.
+GOSSIP_FANOUT = 3
+#: probability a gossip round *also* targets one non-alive member — the
+#: resurrection channel that re-discovers peers across a healed partition
+#: (their own gossip does the rest).
+GOSSIP_RESURRECT_P = 0.25
+#: per-attempt timeout of one direct/indirect probe, in seconds.
+PROBE_TIMEOUT = 0.2
+#: helpers asked to ping-req the target when the direct probe fails.
+INDIRECT_PROBES = 2
+#: consecutive failed probe rounds before SUSPECT hardens into DEAD.
+SUSPICION_THRESHOLD = 3
+
+# -- request layer ------------------------------------------------------------
+#: multiplier applied to the timeout-derived backoff per attempt (the
+#: OverloadGuard discipline: bounded budget, exponential wait).
+REQUEST_BACKOFF = 2.0
+#: hard cap on one backoff sleep, in seconds.
+REQUEST_BACKOFF_MAX = 1.0
+
+# -- supervision and observability ----------------------------------------------
+#: crashes after which the supervisor stops restarting a node.
+MAX_RESTARTS = 5
+#: per-node flight-recorder ring capacity (events retained; oldest evicted
+#: first). Untraced runs allocate no recorders at all.
+FLIGHT_RECORDER_CAPACITY = 512
+
 
 def _positive(name: str, value: float) -> None:
     if not math.isfinite(value) or value <= 0:
@@ -33,7 +63,7 @@ def _non_negative(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class LiveConfig:
-    """Timing and policy knobs of one :class:`~repro.live.cluster.LiveCluster`."""
+    """Timings of one :class:`~repro.live.cluster.LiveCluster`."""
 
     # -- transport (loopback network weather) --------------------------------
     #: mean one-way delivery delay per transport send, in seconds.
@@ -44,86 +74,30 @@ class LiveConfig:
     # -- SWIM membership ------------------------------------------------------
     #: seconds between push-gossip rounds at each node.
     gossip_interval: float = 0.05
-    #: believed-alive targets each gossip round pushes the digest to.
-    gossip_fanout: int = 3
-    #: probability a gossip round *also* targets one non-alive member —
-    #: the resurrection channel that re-discovers peers across a healed
-    #: partition (their own gossip does the rest).
-    gossip_resurrect_p: float = 0.25
     #: seconds between failure-detector probe rounds at each node.
     probe_interval: float = 0.05
-    #: per-attempt timeout of one direct/indirect probe, in seconds.
-    probe_timeout: float = 0.2
-    #: helpers asked to ping-req the target when the direct probe fails.
-    indirect_probes: int = 2
-    #: consecutive failed probe rounds before SUSPECT hardens into DEAD.
-    suspicion_threshold: int = 3
 
     # -- request layer (envelope retry / timeout / backoff) -------------------
     #: per-attempt response timeout, in seconds.
     request_timeout: float = 0.25
     #: retries after the first attempt (total attempts = 1 + retries).
     request_retries: int = 3
-    #: multiplier applied to the timeout-derived backoff per attempt
-    #: (the OverloadGuard discipline: bounded budget, exponential wait).
-    request_backoff: float = 2.0
-    #: hard cap on one backoff sleep, in seconds.
-    request_backoff_max: float = 1.0
-    #: optional end-to-end deadline for one request; ``None`` = budget only.
-    request_deadline: "float | None" = None
 
     # -- supervision -----------------------------------------------------------
     #: first restart backoff after a node task crash, in seconds.
     restart_backoff: float = 0.05
     #: exponential cap on the restart backoff.
     restart_backoff_max: float = 1.0
-    #: crashes after which the supervisor stops restarting a node.
-    max_restarts: int = 5
-
-    # -- observability -----------------------------------------------------------
-    #: per-node flight-recorder ring capacity (events retained; oldest
-    #: evicted first). Only consulted when tracing is enabled — untraced
-    #: runs allocate no recorders at all.
-    flight_recorder_capacity: int = 512
 
     def __post_init__(self):
         _non_negative("delay_mean", self.delay_mean)
         _non_negative("delay_jitter", self.delay_jitter)
         _positive("gossip_interval", self.gossip_interval)
         _positive("probe_interval", self.probe_interval)
-        _positive("probe_timeout", self.probe_timeout)
         _positive("request_timeout", self.request_timeout)
         _positive("restart_backoff", self.restart_backoff)
         _positive("restart_backoff_max", self.restart_backoff_max)
-        _positive("request_backoff_max", self.request_backoff_max)
-        if self.gossip_fanout < 1:
-            raise ConfigurationError(f"gossip_fanout must be >= 1, got {self.gossip_fanout}")
-        if not (0.0 <= self.gossip_resurrect_p <= 1.0):
-            raise ConfigurationError(
-                f"gossip_resurrect_p must be in [0, 1], got {self.gossip_resurrect_p}"
-            )
-        if self.indirect_probes < 0:
-            raise ConfigurationError(
-                f"indirect_probes must be >= 0, got {self.indirect_probes}"
-            )
-        if self.suspicion_threshold < 1:
-            raise ConfigurationError(
-                f"suspicion_threshold must be >= 1, got {self.suspicion_threshold}"
-            )
         if self.request_retries < 0:
             raise ConfigurationError(
                 f"request_retries must be >= 0, got {self.request_retries}"
-            )
-        if not math.isfinite(self.request_backoff) or self.request_backoff < 1.0:
-            raise ConfigurationError(
-                f"request_backoff must be finite and >= 1, got {self.request_backoff}"
-            )
-        if self.request_deadline is not None:
-            _positive("request_deadline", self.request_deadline)
-        if self.max_restarts < 0:
-            raise ConfigurationError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.flight_recorder_capacity < 1:
-            raise ConfigurationError(
-                "flight_recorder_capacity must be >= 1, got "
-                f"{self.flight_recorder_capacity}"
             )

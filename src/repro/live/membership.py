@@ -6,8 +6,8 @@ lattice ``ALIVE < SUSPECT < DEAD``. Information spreads by push gossip
 (each round a node bumps its own heartbeat and pushes its full digest to
 a few believed-alive targets) and hardens through the failure detector
 (direct ping, then indirect ping-req through helpers, then a suspicion
-counter that must reach ``suspicion_threshold`` before SUSPECT becomes
-DEAD — the false-suspicion guard the ISSUE's regression test pins).
+counter that must reach ``SUSPICION_THRESHOLD`` before SUSPECT becomes
+DEAD — the false-suspicion guard ``tests/test_live.py`` pins).
 
 Merge rules (pure functions of ``(heartbeat, status)`` pairs, so the
 state machine is unit-testable without an event loop):
@@ -23,6 +23,8 @@ state machine is unit-testable without an event loop):
 
 from __future__ import annotations
 
+from repro.live.config import SUSPICION_THRESHOLD
+
 __all__ = ["ALIVE", "SUSPECT", "DEAD", "MembershipView"]
 
 ALIVE = 0
@@ -33,9 +35,8 @@ DEAD = 2
 class MembershipView:
     """One node's view of every cluster member."""
 
-    def __init__(self, owner: int, members, suspicion_threshold: int = 3):
+    def __init__(self, owner: int, members):
         self.owner = int(owner)
-        self.suspicion_threshold = int(suspicion_threshold)
         members = [int(m) for m in members]
         #: member -> latest known heartbeat sequence.
         self.heartbeat: dict[int, int] = {m: 0 for m in members}
@@ -123,14 +124,14 @@ class MembershipView:
         """One failed probe round; returns True when DEAD was confirmed.
 
         The first failure only marks SUSPECT; DEAD requires
-        ``suspicion_threshold`` *consecutive* failed rounds, so a flaky
+        ``SUSPICION_THRESHOLD`` *consecutive* failed rounds, so a flaky
         but alive member is never evicted off a single noisy sample.
         """
         if self.status.get(m) == DEAD:
             return False
         count = self.suspicion.get(m, 0) + 1
         self.suspicion[m] = count
-        if count >= self.suspicion_threshold:
+        if count >= SUSPICION_THRESHOLD:
             self._set_status(m, DEAD, "confirmed")
             self.heartbeat[m] = self.heartbeat.get(m, 0)
             self.suspicion.pop(m, None)

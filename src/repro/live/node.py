@@ -11,16 +11,15 @@ A node owns three long-lived tasks —
   ``gossip_interval`` (occasionally also to a believed-dead member —
   the resurrection channel after a healed partition);
 * the **probe loop** runs the SWIM failure detector: direct ping, then
-  ``indirect_probes`` ping-req helpers, then one suspicion increment;
-  ``suspicion_threshold`` consecutive failed rounds confirm DEAD.
+  ``INDIRECT_PROBES`` ping-req helpers, then one suspicion increment;
+  ``SUSPICION_THRESHOLD`` consecutive failed rounds confirm DEAD.
 
 Requests go through :meth:`PeerNode.request`: per-attempt timeouts,
 bounded retries with exponential, jittered backoff (the
 :class:`~repro.scenarios.overload.OverloadGuard` discipline transplanted
 to wall clock), and the structured failure taxonomy —
 :class:`~repro.util.exceptions.PeerUnreachable` when membership already
-confirmed the peer dead, :class:`~repro.util.exceptions.DeadlineExceeded`
-when the end-to-end deadline elapses, and
+confirmed the peer dead, and
 :class:`~repro.util.exceptions.RetryBudgetExhausted` when every attempt
 timed out.
 
@@ -38,7 +37,15 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.live.config import LiveConfig
+from repro.live.config import (
+    GOSSIP_FANOUT,
+    GOSSIP_RESURRECT_P,
+    INDIRECT_PROBES,
+    PROBE_TIMEOUT,
+    REQUEST_BACKOFF,
+    REQUEST_BACKOFF_MAX,
+    LiveConfig,
+)
 from repro.live.envelope import (
     ACK,
     GOSSIP,
@@ -52,12 +59,7 @@ from repro.live.envelope import (
 from repro.live.membership import MembershipView
 from repro.live.transport import LoopbackTransport
 from repro.telemetry.registry import Stats, get_registry, stat
-from repro.util.exceptions import (
-    DeadlineExceeded,
-    PeerUnreachable,
-    RetryBudgetExhausted,
-    TransientError,
-)
+from repro.util.exceptions import PeerUnreachable, RetryBudgetExhausted, TransientError
 from repro.util.rng import as_generator
 
 __all__ = ["NodeStats", "PeerNode"]
@@ -69,7 +71,6 @@ class NodeStats(Stats):
 
     requests: int = stat("request/reply exchanges started")
     request_retries: int = stat("request attempts beyond the first")
-    deadline_exceeded: int = stat("requests that blew their end-to-end deadline")
     retry_exhausted: int = stat("requests whose every attempt timed out")
     peer_unreachable: int = stat("requests refused: membership says peer is dead")
     suspicions: int = stat("probe rounds that raised suspicion on a member")
@@ -103,9 +104,7 @@ class PeerNode:
         self.tracer = tracer
         #: optional :class:`~repro.live.recorder.FlightRecorder`.
         self.recorder = recorder
-        self.view = MembershipView(
-            node_id, members, suspicion_threshold=self.config.suspicion_threshold
-        )
+        self.view = MembershipView(node_id, members)
         if recorder is not None:
             self.view.on_transition = self._membership_transition
         self._rng = as_generator(seed)
@@ -233,15 +232,13 @@ class PeerNode:
         *,
         timeout: "float | None" = None,
         retries: "int | None" = None,
-        deadline: "float | None" = None,
         check_membership: bool = True,
         trace=None,
     ) -> dict:
         """Send ``kind`` to ``dst`` and await the correlated reply payload.
 
         Raises :class:`PeerUnreachable` (membership confirmed the peer
-        dead before any attempt), :class:`DeadlineExceeded` (end-to-end
-        deadline elapsed), or :class:`RetryBudgetExhausted` (every
+        dead before any attempt) or :class:`RetryBudgetExhausted` (every
         attempt within the budget timed out).
 
         ``trace`` (a :class:`~repro.telemetry.tracer.TraceContext`) opens
@@ -253,7 +250,6 @@ class PeerNode:
         cfg = self.config
         timeout = cfg.request_timeout if timeout is None else float(timeout)
         retries = cfg.request_retries if retries is None else int(retries)
-        deadline = cfg.request_deadline if deadline is None else deadline
         if check_membership and not self.view.is_alive(dst):
             self.stats.peer_unreachable += 1
             raise PeerUnreachable(
@@ -264,12 +260,6 @@ class PeerNode:
         started = loop.time()
         backoff = timeout
         for attempt in range(1 + retries):
-            if deadline is not None and loop.time() - started >= deadline:
-                self.stats.deadline_exceeded += 1
-                raise DeadlineExceeded(
-                    f"node {self.node_id}: request {kind}->{dst} blew its "
-                    f"{deadline:.3f}s deadline after {attempt} attempts"
-                )
             if attempt > 0:
                 self.stats.request_retries += 1
                 if self.recorder is not None:
@@ -293,10 +283,7 @@ class PeerNode:
                 wire = trace.wire(parent=span_id)
             try:
                 self._send(kind, dst, payload, corr=corr, trace=wire)
-                wait = timeout
-                if deadline is not None:
-                    wait = min(wait, max(0.0, deadline - (loop.time() - started)))
-                reply = await asyncio.wait_for(future, wait)
+                reply = await asyncio.wait_for(future, timeout)
                 self._h_request_ms.observe((loop.time() - started) * 1000.0)
                 if span_id is not None:
                     self.tracer.finish(span_id, status="acked")
@@ -322,22 +309,14 @@ class PeerNode:
                 # Exponential, jittered backoff before the next attempt
                 # (the OverloadGuard discipline on a real clock). The
                 # jitter desynchronizes retry storms across nodes.
-                sleep = min(backoff * (0.5 + self._rng.random()), cfg.request_backoff_max)
-                backoff *= cfg.request_backoff
-                if deadline is not None:
-                    sleep = min(sleep, max(0.0, deadline - (loop.time() - started)))
+                sleep = min(backoff * (0.5 + self._rng.random()), REQUEST_BACKOFF_MAX)
+                backoff *= REQUEST_BACKOFF
                 if sleep > 0:
                     if self.recorder is not None:
                         self.recorder.record(
                             "backoff", verb=kind, dst=int(dst), sleep=round(sleep, 6)
                         )
                     await asyncio.sleep(sleep)
-        if deadline is not None and loop.time() - started >= deadline:
-            self.stats.deadline_exceeded += 1
-            raise DeadlineExceeded(
-                f"node {self.node_id}: request {kind}->{dst} blew its "
-                f"{deadline:.3f}s deadline"
-            )
         self.stats.retry_exhausted += 1
         raise RetryBudgetExhausted(
             f"node {self.node_id}: request {kind}->{dst} spent "
@@ -398,11 +377,7 @@ class PeerNode:
         alive = False
         try:
             await self.request(
-                target,
-                PING,
-                timeout=self.config.probe_timeout,
-                retries=0,
-                check_membership=False,
+                target, PING, timeout=PROBE_TIMEOUT, retries=0, check_membership=False
             )
             alive = True
             self.view.probe_succeeded(target)
@@ -470,13 +445,13 @@ class PeerNode:
             self.stats.gossip_rounds += 1
             digest = {"digest": self.view.digest()}
             targets = [m for m in self.view.alive_members() if m != self.node_id]
-            fanout = min(cfg.gossip_fanout, len(targets))
+            fanout = min(GOSSIP_FANOUT, len(targets))
             if fanout:
                 picks = self._rng.choice(len(targets), size=fanout, replace=False)
                 for i in picks:
                     self._send(GOSSIP, targets[int(i)], digest)
             dead = self.view.dead_members()
-            if dead and self._rng.random() < cfg.gossip_resurrect_p:
+            if dead and self._rng.random() < GOSSIP_RESURRECT_P:
                 # Resurrection channel: a believed-dead member that is in
                 # fact back (healed partition, supervisor restart) learns
                 # we exist and refutes through its own gossip.
@@ -531,12 +506,11 @@ class PeerNode:
 
     async def _probe_once(self, target: int) -> None:
         """One SWIM probe round: direct ping, then indirect, then suspicion."""
-        cfg = self.config
         loop = asyncio.get_running_loop()
         started = loop.time()
         try:
             await self.request(
-                target, PING, timeout=cfg.probe_timeout, retries=0, check_membership=False
+                target, PING, timeout=PROBE_TIMEOUT, retries=0, check_membership=False
             )
             self._h_probe_ms.observe((loop.time() - started) * 1000.0)
             self.view.probe_succeeded(target)
@@ -544,7 +518,7 @@ class PeerNode:
             if self.recorder is not None:
                 self.recorder.record("probe", target=int(target), outcome="direct_ack")
             return
-        except (RetryBudgetExhausted, DeadlineExceeded):
+        except RetryBudgetExhausted:
             pass
         if await self._indirect_probe(target):
             self.view.probe_succeeded(target)
@@ -570,16 +544,15 @@ class PeerNode:
                 self.stats.false_confirms += 1
 
     async def _indirect_probe(self, target: int) -> bool:
-        """Ask up to ``indirect_probes`` helpers to ping ``target``."""
-        cfg = self.config
+        """Ask up to ``INDIRECT_PROBES`` helpers to ping ``target``."""
         helpers = [
             m
             for m in self.view.alive_members()
             if m != self.node_id and m != target
         ]
-        if not helpers or cfg.indirect_probes == 0:
+        if not helpers:
             return False
-        k = min(cfg.indirect_probes, len(helpers))
+        k = min(INDIRECT_PROBES, len(helpers))
         picks = self._rng.choice(len(helpers), size=k, replace=False)
 
         async def ask(helper: int) -> bool:
@@ -588,13 +561,13 @@ class PeerNode:
                     helper,
                     PING_REQ,
                     {"target": int(target)},
-                    # The helper itself waits probe_timeout for the target.
-                    timeout=cfg.probe_timeout * 2.5,
+                    # The helper itself waits PROBE_TIMEOUT for the target.
+                    timeout=PROBE_TIMEOUT * 2.5,
                     retries=0,
                     check_membership=False,
                 )
                 return bool(reply.get("alive"))
-            except (RetryBudgetExhausted, DeadlineExceeded):
+            except RetryBudgetExhausted:
                 return False
 
         results = await asyncio.gather(*(ask(helpers[int(i)]) for i in picks))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from collections import deque
 
+from repro.live.config import FLIGHT_RECORDER_CAPACITY
 from repro.util.atomicio import atomic_write_json
 
 __all__ = ["FLIGHT_SCHEMA", "FlightRecorder", "dump_flight_recorders"]
@@ -36,7 +37,7 @@ FLIGHT_SCHEMA = "select-repro/flight/v1"
 class FlightRecorder:
     """Fixed-capacity ring of one node's protocol events (oldest evicted)."""
 
-    def __init__(self, node_id: int, capacity: int = 512, clock=None):
+    def __init__(self, node_id: int, capacity: int = FLIGHT_RECORDER_CAPACITY, clock=None):
         self.node_id = int(node_id)
         self.capacity = int(capacity)
         self.clock = clock if clock is not None else (lambda: 0.0)

@@ -7,7 +7,7 @@ jittered exponential backoff — doubling per consecutive crash of the
 same node, so a crash-looping node cannot monopolize the loop — and
 restarts the node's loops. The node object (membership view, delivered
 set, sequence counters) survives the restart, like a process whose state
-lives in mmap'd storage; after ``max_restarts`` consecutive crashes the
+lives in mmap'd storage; after ``MAX_RESTARTS`` consecutive crashes the
 supervisor gives up and leaves the node down for membership to confirm.
 
 Deliberate kills (:meth:`NodeSupervisor.kill`) are the scenario-script
@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
+from repro.live.config import MAX_RESTARTS, LiveConfig
 from repro.live.node import PeerNode
 from repro.telemetry.registry import Stats, get_registry, stat
 from repro.util.rng import as_generator
@@ -33,15 +34,13 @@ class SupervisorStats(Stats):
 
     node_crashes: int = stat("node task crashes observed")
     node_restarts: int = stat("nodes restarted after a crash")
-    node_gave_up: int = stat("nodes abandoned after max_restarts crashes")
+    node_gave_up: int = stat("nodes abandoned after MAX_RESTARTS crashes")
 
 
 class NodeSupervisor:
     """Restart-with-backoff supervision over a set of :class:`PeerNode`s."""
 
     def __init__(self, config=None, seed=None, registry=None):
-        from repro.live.config import LiveConfig
-
         self.config = config if config is not None else LiveConfig()
         self._rng = as_generator(seed)
         self._nodes: dict[int, PeerNode] = {}
@@ -50,7 +49,7 @@ class NodeSupervisor:
         self._crashes: dict[int, int] = {}
         #: nodes deliberately killed; never restarted.
         self._killed: set[int] = set()
-        #: nodes abandoned after ``max_restarts`` consecutive crashes.
+        #: nodes abandoned after ``MAX_RESTARTS`` consecutive crashes.
         self._given_up: set[int] = set()
         #: optional hook ``(node_id, kind, detail)`` fired on crash /
         #: restart / gave_up / kill — the traced cluster's incident tap
@@ -86,7 +85,7 @@ class NodeSupervisor:
         self._incident(node.node_id, "crash", {"count": count})
         # Tear the wreck down fully before deciding whether to restart.
         await node.stop()
-        if count > self.config.max_restarts:
+        if count > MAX_RESTARTS:
             self._given_up.add(node.node_id)
             self.stats.node_gave_up += 1
             self._incident(node.node_id, "gave_up", {"count": count})

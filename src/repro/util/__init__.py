@@ -14,7 +14,6 @@ from repro.util.atomicio import (
 from repro.util.exceptions import (
     ConfigurationError,
     DatasetError,
-    DeadlineExceeded,
     FaultInjectionError,
     PartitionError,
     PeerUnreachable,
@@ -38,7 +37,6 @@ from repro.util.tables import format_table
 __all__ = [
     "ConfigurationError",
     "DatasetError",
-    "DeadlineExceeded",
     "FaultInjectionError",
     "PartitionError",
     "PeerUnreachable",

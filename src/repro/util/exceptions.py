@@ -6,8 +6,9 @@ swallowing genuine programming errors.
 
 The hierarchy encodes one load-bearing distinction: **retryable versus
 fatal**. A failure is *retryable* when the condition that caused it can
-clear on its own — a peer that is momentarily unreachable, a deadline
-that a less-loaded network would have met, an interrupted disk write.
+clear on its own — a peer that is momentarily unreachable, a retry
+budget that a less-loaded network would not have spent, an interrupted
+disk write.
 It is *fatal* when retrying the same operation can only fail the same
 way — a mis-configured component, a corrupted snapshot, an invalid
 fault plan. Callers branch on it either by catching
@@ -84,14 +85,6 @@ class SnapshotIntegrityError(PersistError):
 
 
 # -- live runtime failure taxonomy -------------------------------------------
-
-
-class DeadlineExceeded(TransientError):
-    """A request's end-to-end deadline elapsed before a response arrived.
-
-    Retryable at a higher layer: the peer may answer a fresh request
-    once congestion clears or membership reconverges.
-    """
 
 
 class RetryBudgetExhausted(TransientError):

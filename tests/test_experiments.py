@@ -149,6 +149,23 @@ class TestFig5:
         at = {r["system"]: r["iterations"] for r in rows}
         assert at["select"] < at["vitis"]
 
+    def test_capped_build_reads_as_capped(self):
+        from types import SimpleNamespace
+
+        from repro import SelectConfig, SelectOverlay, load_dataset
+
+        graph = load_dataset("facebook", num_nodes=MICRO.num_nodes, seed=7)
+        capped = SelectOverlay(graph, config=SelectConfig(max_rounds=3)).build(seed=7)
+        done = SelectOverlay(graph).build(seed=7)
+        assert not capped.converged and done.converged
+        sample = lambda overlay: fig5_iterations.sample(MICRO, SimpleNamespace(overlay=overlay), None)
+        rows = fig5_iterations.row(MICRO, "facebook", "select", MICRO.num_nodes, [sample(done), sample(capped)])
+        rows += fig5_iterations.row(MICRO, "facebook", "vitis", MICRO.num_nodes, [(200.0, True)])
+        assert rows[0]["capped"] == 1 and rows[0]["trials"] == 2
+        out = fig5_iterations.report(MICRO, rows)
+        assert "capped at 3 (1/2 trials)" in out
+        assert "fewer iterations" not in out  # no advantage from a capped cell
+
 
 class TestGrid:
     FIGURES = {

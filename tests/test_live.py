@@ -27,7 +27,6 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import Tracer
 from repro.util.exceptions import (
     ConfigurationError,
-    DeadlineExceeded,
     PeerUnreachable,
     RetryBudgetExhausted,
     TransientError,
@@ -65,14 +64,14 @@ class TestLiveConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"request_backoff": 0.5},
-            {"request_backoff": float("nan")},
+            {"delay_mean": -0.001},
+            {"delay_jitter": float("nan")},
             {"request_timeout": 0.0},
             {"probe_interval": -1.0},
-            {"suspicion_threshold": 0},
-            {"gossip_resurrect_p": 1.5},
-            {"max_restarts": -1},
-            {"request_deadline": 0.0},
+            {"gossip_interval": 0.0},
+            {"request_retries": -1},
+            {"restart_backoff": 0.0},
+            {"restart_backoff_max": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -129,8 +128,8 @@ class TestMembershipView:
 
     def test_false_suspicion_regression_threshold_guard(self):
         # A flaky-but-alive member must never be evicted before
-        # suspicion_threshold *consecutive* failed probe rounds.
-        view = MembershipView(owner=0, members=range(2), suspicion_threshold=3)
+        # SUSPICION_THRESHOLD (3) *consecutive* failed probe rounds.
+        view = MembershipView(owner=0, members=range(2))
         assert not view.probe_failed(1)
         assert not view.probe_failed(1)
         assert view.status[1] == SUSPECT and view.is_alive(1)
@@ -358,21 +357,6 @@ class TestRequestTaxonomy:
                 await node.stop()
             assert registry.counters()["live.retry_exhausted"].value == 1
             assert registry.counters()["live.request_retries"].value == 1
-
-        asyncio.run(main())
-
-    def test_deadline_exceeded_preempts_attempts(self):
-        async def main():
-            registry = MetricsRegistry()
-            t, node = self._world(registry)
-            node.start()
-            t.register(1)
-            try:
-                with pytest.raises(DeadlineExceeded):
-                    await node.request(1, PING, retries=50, deadline=0.03)
-            finally:
-                await node.stop()
-            assert registry.counters()["live.deadline_exceeded"].value == 1
 
         asyncio.run(main())
 

@@ -1,6 +1,7 @@
 """Public API surface: exports exist, are documented, compose, and are called."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -180,3 +181,41 @@ def test_every_definition_has_a_caller_outside_tests():
     assert not dead, f"defined in src/ but called only from tests: {dead}"
     stale = sorted(set(KEPT) - uncalled)
     assert not stale, f"KEPT names that gained a caller or lost their definition: {stale}"
+
+
+#: Config fields that no call outside ``tests/`` sets, each with the reason it
+#: stays a field rather than a constant.
+KNOBS_KEPT = {
+    f"LiveConfig.{name}": "tests quiet the protocol loops"
+    for name in (
+        "delay_mean",
+        "delay_jitter",
+        "gossip_interval",
+        "probe_interval",
+        "request_timeout",
+        "request_retries",
+        "restart_backoff",
+        "restart_backoff_max",
+    )
+}
+
+
+def test_every_config_field_is_set_outside_tests():
+    """A setting that only ever takes one value is a constant, not a field."""
+    from repro.live import LiveConfig, LiveScenario
+
+    classes = (repro.SelectConfig, LiveConfig, LiveScenario)
+    names = {cls.__name__ for cls in classes}
+    set_outside = set()
+    for directory in (SRC, ROOT / "examples", ROOT / "benchmarks"):
+        for path in sorted(directory.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if callee in names:
+                        set_outside.update(f"{callee}.{kw.arg}" for kw in node.keywords if kw.arg)
+    fields = {f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)}
+    unset = sorted(fields - set_outside - set(KNOBS_KEPT))
+    assert not unset, f"config fields only tests set (make them constants): {unset}"
+    stale = sorted(set(KNOBS_KEPT) - (fields - set_outside))
+    assert not stale, f"KNOBS_KEPT fields that gained a setter or left their class: {stale}"
