@@ -9,7 +9,9 @@ Two ingredients of the real datasets drive the paper's results:
 :func:`powerlaw_cluster_graph` (Holme–Kim) provides both. It is grown here
 on the same ``random.Random`` stream, in the same draw order, as networkx
 3.x's ``powerlaw_cluster_graph``: networkx's graph edge for edge, without
-its O(degree) triangle step or networkx itself.
+its O(degree) triangle step or networkx itself: the target's row positions
+closed to the source are listed once per target and kept across its
+triangle links.
 :func:`community_graph` composes dense planted communities with sparse
 inter-community bridges for workloads where explicit communities are wanted.
 """
@@ -17,6 +19,8 @@ inter-community bridges for workloads where explicit communities are wanted.
 from __future__ import annotations
 
 import random
+from bisect import insort
+from itertools import chain
 
 import numpy as np
 
@@ -56,59 +60,54 @@ def powerlaw_cluster_graph(
     return SocialGraph(num_nodes, edges, name=name)
 
 
-class _OpenNeighbors:
-    """``row`` without the positions in ``closed`` (sorted), as a sequence."""
-
-    def __init__(self, row: list, closed: list):
-        self.row, self.closed = row, closed
-
-    def __len__(self) -> int:
-        return len(self.row) - len(self.closed)
-
-    def __getitem__(self, k: int) -> int:
-        for position in self.closed:  # the k-th open slot lies past each closed one <= k
-            k += position <= k
-        return self.row[k]
-
-
 def _holme_kim_edges(n: int, m: int, p: float, rnd: random.Random) -> np.ndarray:
-    """Edges of networkx's ``powerlaw_cluster_graph(n, m, p, seed=rnd)``.
+    """Edges of networkx's ``powerlaw_cluster_graph(n, m, p, seed=rnd)``, each once.
 
     Draw for draw networkx's: ``_random_subset``'s ``choice`` calls and set
     pops, the triangle coin, and the ``choice`` among the target's neighbours
-    (insertion order) not linked to the source, which skips the <= m
-    positions the source's links hold instead of listing the row.
+    (insertion order) not linked to the source; each ``choice`` is the
+    ``_randbelow`` it wraps. The triangle pick skips ``closed``, the sorted
+    positions of the source and its links in the target's row. It is listed
+    when a triangle step first needs it after a pop and then only gains the
+    picked position: the target's row is fixed until the next pop, and a
+    picked neighbour was not linked to the source before.
     """
+    randbelow, coin = rnd._randbelow, rnd.random
     rows: list[list[int]] = [[] for _ in range(n)]  # neighbours, insertion order
     where: list[dict[int, int]] = [{} for _ in range(n)]  # neighbour -> position
     repeated = list(range(m))
-    flat: list[int] = []
-
-    def link(v: int) -> None:  # source -- v
-        repeated.append(v)
-        if v not in where[source]:
-            where[source][v], where[v][source] = len(rows[source]), len(rows[v])
-            rows[source].append(v)
-            rows[v].append(source)
-            flat.extend((source, v))
-
     for source in range(m, n):
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(rnd.choice(repeated))
-        target = targets.pop()
-        link(target)
-        for _ in range(m - 1):
-            if rnd.random() < p:
-                index = where[target]
-                closed = sorted(index[x] for x in (source, *rows[source]) if x in index)
-                if len(rows[target]) > len(closed):
-                    link(rnd.choice(_OpenNeighbors(rows[target], closed)))
-                    continue
-            target = targets.pop()
-            link(target)
+            targets.add(repeated[randbelow(len(repeated))])
+        mine, mine_at = rows[source], where[source]
+        for step in range(m):
+            v = None
+            if step and coin() < p:
+                if closed is None:
+                    index = where[target]
+                    closed = sorted(index[x] for x in (source, *mine) if x in index)
+                row = rows[target]
+                if len(row) > len(closed):
+                    k = randbelow(len(row) - len(closed))
+                    for position in closed:  # the k-th open slot lies past each closed one <= k
+                        k += position <= k
+                    insort(closed, k)
+                    v = row[k]
+            if v is None:
+                target = v = targets.pop()
+                closed = None
+            repeated.append(v)
+            if v not in mine_at:  # a popped target may be linked by a triangle step already
+                mine_at[v], where[v][source] = len(mine), len(rows[v])
+                mine.append(v)
+                rows[v].append(source)
         repeated.extend([source] * m)
-    return np.array(flat, dtype=np.int64).reshape(-1, 2)
+    del where, repeated  # two thirds of what is held; the edges are read off the rows
+    heads = np.repeat(np.arange(n), [len(row) for row in rows])
+    tails = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(heads))
+    later = heads > tails  # each edge once, from the node that linked it
+    return np.column_stack((heads[later], tails[later]))
 
 
 def community_graph(

@@ -10,6 +10,8 @@ import sys
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.graphs.datasets import DATASETS, load_dataset
@@ -60,6 +62,26 @@ class TestSameGraphAsNetworkx:
         graph = load_dataset("facebook", 2000, seed=7)
         orders = repr([list(graph.neighbor_set(v)) for v in range(graph.num_nodes)])
         assert hashlib.sha256(orders.encode()).hexdigest()[:12] == "478c9f4d85f1"
+
+
+@given(
+    data=st.data(),
+    n=st.integers(4, 250),
+    p=st.sampled_from([0.0, 0.3, 0.7, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_any_size_matches_networkx(data, n, p, seed):
+    # Large m with p near 1 makes long triangle runs at a hub, where a
+    # stale closed set would pick a wrong neighbour; GRID never does.
+    m = data.draw(st.integers(1, n - 1), label="m")
+    expected = networkx_reference(n, m, p, seed)
+    graph = powerlaw_cluster_graph(n, 2 * m, triangle_prob=p, seed=seed)
+    assert graph.num_nodes == expected.num_nodes
+    for v in range(n):
+        assert graph.neighbors(v).tolist() == expected.neighbors(v).tolist(), v
+        assert list(graph.neighbor_set(v)) == list(expected.neighbor_set(v)), v
+    assert graph_fingerprint(graph) == graph_fingerprint(expected)
 
 
 def test_import_leaves_networkx_and_csgraph_out():
