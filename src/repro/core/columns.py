@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import LSH_SAMPLES
+
 __all__ = ["PeerColumns", "EdgeColumns"]
 
 
@@ -45,6 +47,10 @@ class PeerColumns:
         Together with ``anchor_pair`` this forms the reassignment gate:
         a peer re-evaluates a previously used anchor pair only after the
         pair's midpoint has drifted beyond the movement tolerance.
+    lsh_sample:
+        ``(n, LSH_SAMPLES)`` int32: the bit positions each peer's LSH family
+        samples (:func:`~repro.lsh.bitsampling.sample_rows`), right-aligned;
+        a row of ``-1`` = no family yet, so no bucket.
     """
 
     __slots__ = (
@@ -56,6 +62,7 @@ class PeerColumns:
         "top2",
         "anchor_pair",
         "anchor_target",
+        "lsh_sample",
     )
 
     def __init__(self, n: int, identifier: "np.ndarray | None" = None):
@@ -67,6 +74,7 @@ class PeerColumns:
         self.top2 = np.full((n, 2), -1, dtype=np.int64)
         self.anchor_pair = np.full((n, 2), -1, dtype=np.int64)
         self.anchor_target = np.full(n, np.nan, dtype=np.float64)
+        self.lsh_sample = np.full((n, LSH_SAMPLES), -1, dtype=np.int32)
 
 
 class EdgeColumns:
@@ -87,7 +95,8 @@ class EdgeColumns:
     of the last compaction and twice the peer count, and once at its end).
     Row ids are only compared for equality, so a row id is a version token:
     a slot whose ``view`` is its source's latest row has folded the source's
-    current links.
+    current links. ``view`` and the stamps are int32 (row ids and the learn
+    clock raise past 2**31 - 1); ``key`` is int64, for Alg. 6's packed key.
     """
 
     __slots__ = (
@@ -100,9 +109,9 @@ class EdgeColumns:
         self.bucket = np.full(size, -1, dtype=np.int16)
         self.mutual = np.full(size, -1, dtype=np.int32)
         self.bitmap = np.full(size, None, dtype=object)
-        self.view = np.full(size, -1, dtype=np.int64)
-        self.mutual_stamp = np.full(size, -1, dtype=np.int64)
-        self.bitmap_stamp = np.full(size, -1, dtype=np.int64)
+        self.view = np.full(size, -1, dtype=np.int32)
+        self.mutual_stamp = np.full(size, -1, dtype=np.int32)
+        self.bitmap_stamp = np.full(size, -1, dtype=np.int32)
         self.clock = 0
         self.targets = np.zeros(0, dtype=np.int32)
         self.indptr = np.zeros(1, dtype=np.int64)
@@ -111,6 +120,8 @@ class EdgeColumns:
 
     def stamps(self, count: int) -> np.ndarray:
         """``count`` fresh learn stamps, ascending."""
+        if self.clock + count > 2**31 - 1:
+            raise OverflowError("learn stamps past the int32 stamp columns")
         self.clock += count
         return np.arange(self.clock - count, self.clock, dtype=np.int64)
 
@@ -126,6 +137,8 @@ class EdgeColumns:
         keep[1:] = (owner[1:] != owner[:-1]) | (values[1:] != values[:-1])
         owner, values = owner[keep], values[keep]
         first, end = self.rows, int(self.indptr[self.rows])
+        if first + count > 2**31 - 1:
+            raise OverflowError("link log rows past the int32 view column")
         self.targets = _room(self.targets, end + len(values))
         self.indptr = _room(self.indptr, first + count + 1)
         self.targets[end : end + len(values)] = values
@@ -148,8 +161,10 @@ class EdgeColumns:
         """Keep only the rows a slot's ``view`` or one of ``heads`` names
         (``-1`` names none), renumbered in log order; both are rewritten in
         place and the arrays shrink to fit."""
-        named = np.concatenate((self.view, heads))
-        keep = np.unique(named[named >= 0])
+        mark = np.zeros(self.rows, dtype=bool)
+        mark[self.view[self.view >= 0]] = True
+        mark[heads[heads >= 0]] = True
+        keep = np.flatnonzero(mark)
         lengths = self.indptr[keep + 1] - self.indptr[keep]
         self.targets = self.gather(keep)
         self.indptr = np.concatenate(([0], np.cumsum(lengths)))

@@ -28,12 +28,23 @@ from collections import defaultdict
 import numpy as np
 
 from repro.core.columns import EdgeColumns, PeerColumns
+from repro.core.config import LSH_SAMPLES
 from repro.core.picker import KEY_FIELD, packed_key
+from repro.lsh.bitsampling import bucket_table
 from repro.net.availability import OnlineBehavior
 from repro.overlay.base import RoutingTable
 from repro.social.bitmaps import BitmapCodec
 
 __all__ = ["PeerState"]
+
+
+def _view(name: str, cast, doc: str) -> property:
+    """A property over the peer's slot of the :class:`PeerColumns` column ``name``."""
+    return property(
+        lambda self: cast(getattr(self._cols, name)[self._slot]),
+        lambda self, value: getattr(self._cols, name).__setitem__(self._slot, value),
+        doc=doc,
+    )
 
 
 class PeerState:
@@ -47,8 +58,6 @@ class PeerState:
         "table",
         "codec",
         "behavior",
-        "lsh_family",
-        "k_buckets",
         "_edges",
         "_edge_at",
     )
@@ -63,11 +72,7 @@ class PeerState:
         edge_columns: "tuple[EdgeColumns, int] | None" = None,
     ):
         self.node = node
-        if columns is None:
-            self._cols = PeerColumns(1)
-            self._slot = 0
-        else:
-            self._cols, self._slot = columns
+        self._cols, self._slot = columns or (PeerColumns(1), 0)
         #: ``C_p`` — identifiers of the peers hosting this user's friends, sorted.
         self.neighborhood = np.asarray(neighborhood, dtype=np.int64)
         #: ``R_p`` — routing table (2 short-range + up to K long-range).
@@ -76,79 +81,45 @@ class PeerState:
         self.codec = BitmapCodec(self.neighborhood)
         #: CMA availability tracking per contact (recovery, §III-F).
         self.behavior = OnlineBehavior()
-        #: LSH family anchored to this peer's neighborhood (set by the
-        #: overlay before gossip starts; None = compute buckets on demand).
-        self.lsh_family = None
-        #: bucket count used for cached bucket assignments.
-        self.k_buckets = k_links
         #: this peer's :class:`EdgeColumns` block: everything it knows about
         #: ``neighborhood[i]`` sits at ``_edge_at + i``.
         self._edges, self._edge_at = edge_columns or (EdgeColumns(len(self.neighborhood)), 0)
-        if columns is None:
-            # A private column block starts with the overlay defaults the
-            # shared block is initialised with; nothing to write.
-            self._cols.link_change_budget[0] = 2**31
 
     # -- column views ---------------------------------------------------------
 
-    @property
-    def identifier(self) -> float:
-        """``D_p`` — position on the unit ring (assigned by projection)."""
-        return float(self._cols.identifier[self._slot])
-
-    @identifier.setter
-    def identifier(self, value: float) -> None:
-        self._cols.identifier[self._slot] = value
-
-    @property
-    def moves_done(self) -> int:
-        """Identifier relocations performed so far (bounded by ``MAX_MOVES``)."""
-        return int(self._cols.moves_done[self._slot])
-
-    @moves_done.setter
-    def moves_done(self, value: int) -> None:
-        self._cols.moves_done[self._slot] = value
-
-    @property
-    def stable_rounds(self) -> int:
+    identifier = _view("identifier", float, "``D_p`` — position on the unit ring (assigned by projection).")
+    moves_done = _view(
+        "moves_done", int, "Identifier relocations performed so far (bounded by ``MAX_MOVES``)."
+    )
+    stable_rounds = _view(
+        "stable_rounds",
+        int,
         """Consecutive rounds without a link change; link reassignment
         pauses once this reaches ``STABILIZE_AFTER`` (and resumes
-        when a new friend is learned through gossip)."""
-        return int(self._cols.stable_rounds[self._slot])
-
-    @stable_rounds.setter
-    def stable_rounds(self, value: int) -> None:
-        self._cols.stable_rounds[self._slot] = value
-
-    @property
-    def link_change_budget(self) -> int:
+        when a new friend is learned through gossip).""",
+    )
+    link_change_budget = _view(
+        "link_change_budget",
+        int,
         """Remaining rounds in which this peer may change links; set by
         the overlay to ``MAX_LINK_CHANGES``. Guarantees quiescence even for
-        peers locked in mutual-feedback oscillations."""
-        return int(self._cols.link_change_budget[self._slot])
-
-    @link_change_budget.setter
-    def link_change_budget(self, value: int) -> None:
-        self._cols.link_change_budget[self._slot] = value
+        peers locked in mutual-feedback oscillations.""",
+    )
+    last_anchor_target = _view(
+        "anchor_target", float, "Midpoint the peer last relocated to (NaN before any move)."
+    )
 
     @property
     def _top2(self) -> list[int]:
         """Incrementally maintained two strongest known friends. Mutual
         counts are static for a fixed social graph, so the top-2 never
         needs re-ranking of previously seen friends."""
-        row = self._cols.top2[self._slot]
-        out = []
-        if row[0] >= 0:
-            out.append(int(row[0]))
-            if row[1] >= 0:
-                out.append(int(row[1]))
-        return out
+        row = self._cols.top2[self._slot].tolist()
+        return [f for f in row[: 1 + (row[0] >= 0)] if f >= 0]  # an empty first rank hides the second
 
     @_top2.setter
     def _top2(self, value) -> None:
-        row = self._cols.top2[self._slot]
-        row[0] = value[0] if len(value) > 0 else -1
-        row[1] = value[1] if len(value) > 1 else -1
+        self._cols.top2[self._slot] = (list(value) + [-1, -1])[:2]
 
     @property
     def last_anchor_pair(self) -> "tuple | None":
@@ -156,31 +127,12 @@ class PeerState:
         ``last_anchor_target`` this gates re-relocation: the same pair is
         only re-evaluated after its midpoint drifts beyond the movement
         tolerance (the per-peer move budget bounds the chase dynamic)."""
-        row = self._cols.anchor_pair[self._slot]
-        if row[0] < 0:
-            return None
-        if row[1] < 0:
-            return (int(row[0]),)
-        return (int(row[0]), int(row[1]))
+        row = self._cols.anchor_pair[self._slot].tolist()
+        return None if row[0] < 0 else tuple(f for f in row if f >= 0)
 
     @last_anchor_pair.setter
     def last_anchor_pair(self, value: "tuple | None") -> None:
-        row = self._cols.anchor_pair[self._slot]
-        if value is None:
-            row[0] = -1
-            row[1] = -1
-        else:
-            row[0] = value[0]
-            row[1] = value[1] if len(value) > 1 else -1
-
-    @property
-    def last_anchor_target(self) -> float:
-        """Midpoint the peer last relocated to (NaN before any move)."""
-        return float(self._cols.anchor_target[self._slot])
-
-    @last_anchor_target.setter
-    def last_anchor_target(self, value: float) -> None:
-        self._cols.anchor_target[self._slot] = value
+        self._cols.anchor_pair[self._slot] = (list(value or ()) + [-1, -1])[:2]
 
     # -- the edge slots and the learn-ordered dicts read off them --------------
 
@@ -280,22 +232,31 @@ class PeerState:
         """Write what ``bitmap`` implies into ``friend``'s slot — the per-peer
         writer of ``key`` and ``bucket`` (a round's fold scatters them). The
         key is Algorithm 6's :func:`packed_key` of the bitmap's popcount; the
-        bucket is the family's hash, or ``-1`` until :meth:`bucket_of` fills it."""
-        at, family = self._edge(friend), self.lsh_family
+        bucket is :meth:`_bucket`'s, or ``-1`` until :meth:`bucket_of` fills it."""
+        at = self._edge(friend)
         self._edges.key[at] = packed_key(friend, bitmap.bit_count())
-        self._edges.bucket[at] = -1 if family is None else family.bucket(bitmap, self.k_buckets)
+        self._edges.bucket[at] = self._bucket(bitmap)
+
+    def _bucket(self, bitmap: int) -> int:
+        """The LSH bucket of ``bitmap``: the bits at this peer's sampled
+        positions, the first most significant, as a signature into the
+        bucket table of ``K`` (the table's long-link budget) buckets, as the
+        exchange fold hashes; ``-1`` with no positions."""
+        row = self._cols.lsh_sample[self._slot]
+        if row[-1] < 0:
+            return -1
+        signature = 0
+        for position in row[row >= 0].tolist():
+            signature = signature << 1 | bitmap >> position & 1
+        return int(bucket_table(LSH_SAMPLES, self.table.max_long)[signature])
 
     def bucket_of(self, friend: int) -> int:
-        """LSH bucket of a learned friend (0 when no family set): its
-        column slot, hashed into it on first use."""
+        """LSH bucket of a learned friend (0 when the peer has no sampled
+        positions): its column slot, hashed into it on first use."""
         at = self._edge(friend)
-        if (bucket := int(self._edges.bucket[at])) >= 0:
-            return bucket
-        if self.lsh_family is None:
-            return 0
-        bucket = self.lsh_family.bucket(self._edges.bitmap[at], self.k_buckets)
-        self._edges.bucket[at] = bucket
-        return bucket
+        if (bucket := int(self._edges.bucket[at])) < 0:
+            bucket = self._edges.bucket[at] = self._bucket(self._edges.bitmap[at])
+        return max(bucket, 0)
 
     def forget_peer(self, peer: int) -> None:
         """Drop what a departed/replaced contact's links told us; its mutual

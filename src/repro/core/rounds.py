@@ -40,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import MAX_MOVES, MOVEMENT_TOLERANCE, REASSIGN_STRIDE, STABILIZE_AFTER
+from repro.core.config import LSH_SAMPLES, MAX_MOVES, MOVEMENT_TOLERANCE, REASSIGN_STRIDE, STABILIZE_AFTER
 from repro.core.picker import packed_key
 from repro.core.vectorized import dedup_ids, draw_partners, evaluate_positions
+from repro.lsh.bitsampling import bucket_table
 from repro.telemetry.registry import Stats, get_registry, stat
 
 __all__ = [
@@ -86,7 +87,7 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     the target's edge slot for the source, by array passes: a slot that
     already folded the source's latest log row (``view == link_head``) is
     skipped before the kernels run, a pair drawn twice keeps its first
-    occurrence, and a changed bitmap's bucket is ``_bucket_table[signature]``.
+    occurrence, and a changed bitmap's bucket is ``bucket_table(LSH_SAMPLES, K)[signature]``.
     """
     fp, fq = pairs = draw_partners(ov._nbr_indptr, ov._nbr_indices, rng)
     targets = np.stack((fp, fq), axis=1).reshape(-1)
@@ -100,7 +101,7 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     fresh = np.sort(fresh[np.unique(slots[fresh], return_index=True)[1]])
     targets, sources, slots = targets[fresh], sources[fresh], slots[fresh]
     rows = head[sources]
-    sample = ov._lsh_sample[targets]
+    sample = ov.columns.lsh_sample[targets]
     bitmaps, popcount, bits = kern.bitmap_ints(targets, rows, edges.indptr, edges.targets, sample)
     bitmaps = np.fromiter(bitmaps, dtype=object, count=len(slots))
     stamp = edges.stamps(len(slots))
@@ -120,7 +121,7 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     edges.bitmap[at] = bitmaps[changed]
     edges.key[at] = packed_key(sources[changed], popcount[changed])
     signature = bits[changed] @ (1 << np.arange(bits.shape[1])[::-1])
-    edges.bucket[at] = np.where(sample[changed, -1] >= 0, ov._bucket_table[signature], -1)
+    edges.bucket[at] = np.where(sample[changed, -1] >= 0, bucket_table(LSH_SAMPLES, ov.k_links)[signature], -1)
     edges.view[slots] = rows
     return pairs
 

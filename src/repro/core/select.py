@@ -46,7 +46,7 @@ from repro.core.projection import assign_initial_ids
 from repro.core.vectorized import ExchangeKernel, plan_round
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
-from repro.lsh.bitsampling import BitSamplingLsh, bucket_table
+from repro.lsh.bitsampling import sample_rows
 from repro.net.bandwidth import BandwidthModel
 from repro.net.growth import GrowthModel, JoinEvent
 from repro.overlay.base import INCOMING_SLACK, OverlayNetwork
@@ -102,11 +102,8 @@ class SelectOverlay(OverlayNetwork):
         self.pending_ids = np.zeros(n, dtype=np.float64)
         self.round_link_changes = 0
         self._quiet_rounds = 0
-        self._lsh_families: dict[int, BitSamplingLsh] = {}
+        # Seeds every peer's LSH positions (``columns.lsh_sample``).
         self._lsh_seed = 0
-        # Each family's sampled bits, right-aligned (-1 = none), and the bucket per signature.
-        self._lsh_sample = np.full((n, LSH_SAMPLES), -1, dtype=np.int64)
-        self._bucket_table = bucket_table(LSH_SAMPLES, self.k_links)
         self.trace = TraceRecorder()
         self.join_events: list[JoinEvent] = []
         self._xkernel = ExchangeKernel(self._nbr_indptr, self._nbr_indices)
@@ -262,9 +259,7 @@ class SelectOverlay(OverlayNetwork):
         # with every PeerState view.
         self.ids[:] = assign_initial_ids(n, self.join_events, seed=rng)
         self.columns.link_change_budget[:] = MAX_LINK_CHANGES
-        for peer in self.peers:
-            peer.lsh_family = self.lsh_family_for(peer.node)
-            peer.k_buckets = self.k_links
+        self.columns.lsh_sample[:] = sample_rows(self._degs, LSH_SAMPLES, self._lsh_seed)
         self.pending_ids[:] = self.ids
 
     def _bootstrap(self, rng: np.random.Generator) -> None:
@@ -359,22 +354,6 @@ class SelectOverlay(OverlayNetwork):
         are needed; churn repair is allowed to oversubscribe slightly.
         """
         return src != dst and self.try_accept_incoming(src, dst, slack)
-
-    # -- LSH plumbing ---------------------------------------------------------------
-
-    def lsh_family_for(self, vertex: int) -> BitSamplingLsh:
-        """The bit-sampling family anchored to ``vertex``'s neighborhood."""
-        family = self._lsh_families.get(vertex)
-        if family is None:
-            nbits = len(self.peers[vertex].neighborhood)
-            family = BitSamplingLsh(
-                nbits,
-                num_samples=LSH_SAMPLES,
-                seed=self._lsh_seed + vertex,
-            )
-            self._lsh_families[vertex] = family
-            self._lsh_sample[vertex, LSH_SAMPLES - len(family.positions) :] = family.positions
-        return family
 
     # -- convergence / analysis helpers ------------------------------------------------
 

@@ -321,7 +321,8 @@ def dedup_ids(pending: np.ndarray) -> np.ndarray:
     # on occupied identifiers near 0. Ring order cannot be preserved there
     # (there is literally nowhere to put them); distinctness still must
     # be. Walk each residual collision to the next free double.
-    if len(np.unique(out)) < n:
+    ascending = np.sort(out)
+    if (ascending[1:] == ascending[:-1]).any():
         # Run firsts claim their exact value before any wrapped spread
         # value can squat on it.
         prio = np.ones(n, dtype=np.int64)

@@ -9,11 +9,13 @@ multiplicative hash, so equal signatures always share a bucket.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from repro.util.rng import as_generator
 
-__all__ = ["BitSamplingLsh", "bucket_table"]
+__all__ = ["BitSamplingLsh", "bucket_table", "sample_positions", "sample_rows"]
 
 # Knuth's multiplicative constant; spreads signatures over buckets.
 _MIX = 0x9E3779B97F4A7C15
@@ -36,31 +38,20 @@ class BitSamplingLsh:
         that their local indexes agree.
     """
 
-    __slots__ = ("nbits", "num_samples", "_positions", "_poslist")
+    __slots__ = ("positions",)
 
     def __init__(self, nbits: int, num_samples: int = 8, seed=None):
         if nbits < 0:
             raise ValueError(f"nbits must be non-negative, got {nbits}")
         if num_samples <= 0:
             raise ValueError(f"num_samples must be positive, got {num_samples}")
-        self.nbits = nbits
-        self.num_samples = min(num_samples, max(nbits, 1))
-        rng = as_generator(seed)
-        if nbits == 0:
-            self._positions = np.zeros(0, dtype=np.int64)
-        else:
-            self._positions = rng.choice(nbits, size=self.num_samples, replace=nbits < self.num_samples)
-        self._poslist = [int(p) for p in self._positions]
-
-    @property
-    def positions(self) -> np.ndarray:
-        """The sampled bit positions (read-only)."""
-        return self._positions
+        #: the sampled bit positions, in draw order (:func:`sample_positions`).
+        self.positions = sample_positions(nbits, num_samples, seed)
 
     def signature(self, item: int) -> int:
         """Concatenate the sampled bits of ``item`` into an integer signature."""
         sig = 0
-        for pos in self._poslist:
+        for pos in self.positions.tolist():
             sig = (sig << 1) | ((item >> pos) & 1)
         return sig
 
@@ -71,10 +62,30 @@ class BitSamplingLsh:
         return _mix(self.signature(item)) % num_buckets
 
 
+def sample_positions(nbits: int, num_samples: int, seed=None) -> np.ndarray:
+    """The ``min(num_samples, nbits)`` distinct bit positions a family over
+    ``nbits`` bits samples, in draw order, from ``seed``'s stream."""
+    return as_generator(seed).choice(nbits, size=min(num_samples, nbits), replace=False)
+
+
+def sample_rows(nbits: np.ndarray, num_samples: int, seed: int) -> np.ndarray:
+    """Row ``v``: :func:`sample_positions` over ``nbits[v]`` bits from
+    ``seed + v``, right-aligned in ``num_samples`` int32 slots (``-1`` pads)."""
+    rows = np.full((len(nbits), num_samples), -1, dtype=np.int32)
+    for v, width in enumerate(nbits.tolist()):
+        positions = sample_positions(width, num_samples, seed + v)
+        rows[v, num_samples - len(positions) :] = positions
+    return rows
+
+
 def _mix(signature: int) -> int:
     return ((signature & _MASK) * _MIX) & _MASK
 
 
+@cache
 def bucket_table(num_samples: int, num_buckets: int) -> np.ndarray:
-    """``bucket`` of every signature of up to ``num_samples`` bits, indexed by it."""
-    return np.array([_mix(sig) % num_buckets for sig in range(1 << num_samples)], dtype=np.int16)
+    """``bucket`` of every signature of up to ``num_samples`` bits, indexed by
+    it; one shared array per argument pair, so it is read only."""
+    table = np.array([_mix(sig) % num_buckets for sig in range(1 << num_samples)], dtype=np.int16)
+    table.flags.writeable = False
+    return table

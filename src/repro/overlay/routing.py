@@ -82,10 +82,11 @@ class GreedyRouter:
     sorted, so the ``direct`` clause bisects the peer's slice. The
     candidates of a peer — ``(x, w)``: identifier owner ``x`` seen
     through connection ``w``, ``x == w`` for the connection itself — are
-    kept as two ``int32`` columns sorted by the *ring rank* of ``x``, built
-    from the CSR the first time a route visits the peer. Rank order is
-    identifier order, so the closest candidate to a target sits next to
-    the target's rank and :meth:`_next_hop` finds it by bisection. Both
+    kept as one ``int32`` column of ``rank(x) << shift | i``, ``i`` being
+    ``w``'s position in the peer's row, sorted and built from the CSR the
+    first time a route visits the peer. Rank order is identifier order, so
+    the closest candidate to a target sits next to the target's rank and
+    :meth:`_next_hop` finds it by bisection. Both
     are a pure function of the identifiers, tables and admission ledger;
     they are the one cache of link state, dropped whenever the overlay's
     link version moves (every ledger write comes with a table write),
@@ -111,7 +112,9 @@ class GreedyRouter:
         #: the connections CSR: row pointers and the int32 rows.
         self._indptr: list[int] = []
         self._indices = array("i")
-        self._columns: "list[tuple[array, array] | None]" = []
+        #: bits of a candidate that hold ``i`` (the widest row's bit length).
+        self._shift = 0
+        self._columns: "list[array | None]" = []
 
     def route(
         self,
@@ -213,28 +216,29 @@ class GreedyRouter:
         nearer entry, so distances come in non-decreasing order and the
         walk stops at the first one past the best.
         """
-        columns = self._columns[u]
-        if columns is None:
-            columns = self._columns[u] = self._build_columns(u)
-        ranks, hops = columns
+        packed = self._columns[u]
+        if packed is None:
+            packed = self._columns[u] = self._build_columns(u)
+        shift, row, indices = self._shift, self._indptr[u], self._indices
+        mask = (1 << shift) - 1
         order = self._order
         sorted_ids = self._sorted_ids
         target_rank = self._rank[dst]
         target_id = sorted_ids[target_rank]
-        # Both cursors index ``ranks`` directly: ``up`` starts at the first
+        # Both cursors index ``packed`` directly: ``up`` starts at the first
         # entry at or past the target (as a negative index, so that running
         # off the top wraps to entry 0), ``down`` just below it.
-        down = bisect_left(ranks, target_rank) - 1
-        up = down + 1 - len(ranks)
+        down = bisect_left(packed, target_rank << shift) - 1
+        up = down + 1 - len(packed)
         d_up = d_down = -1.0
         best_d, best_far, best_w, best_x = 1.0, True, -1, -1
         while up <= down:
             if d_up < 0.0:
-                d_up = abs(sorted_ids[ranks[up]] - target_id)
+                d_up = abs(sorted_ids[packed[up] >> shift] - target_id)
                 if d_up > 0.5:
                     d_up = 1.0 - d_up
             if d_down < 0.0:
-                d_down = abs(sorted_ids[ranks[down]] - target_id)
+                d_down = abs(sorted_ids[packed[down] >> shift] - target_id)
                 if d_down > 0.5:
                     d_down = 1.0 - d_down
             if d_up <= d_down:
@@ -243,8 +247,9 @@ class GreedyRouter:
                 k, d, down, d_down = down, d_down, down - 1, -1.0
             if d > best_d:
                 break
-            w = hops[k]
-            x = order[ranks[k]]
+            e = packed[k]
+            w = indices[row + (e & mask)]
+            x = order[e >> shift]
             if w in visited or x in visited:
                 continue
             if online is not None and not (online[w] and online[x]):
@@ -254,29 +259,29 @@ class GreedyRouter:
                 best_d, best_far, best_w, best_x = d, far, w, x
         return None if best_w < 0 else (best_w, best_x)
 
-    def _build_columns(self, u: int) -> "tuple[array, array]":
-        """Candidates of ``u`` as ``(rank of x, first hop w)``, rank-sorted.
+    def _build_columns(self, u: int) -> array:
+        """Candidates of ``u`` as ``rank(x) << shift | i``, ascending, where
+        ``i`` is the first hop ``w``'s position in ``u``'s connections row.
 
         ``w`` ranges over ``u``'s connections and, with lookahead, ``x``
-        over ``w``'s (``L_p``). A connection of ``u`` seen again through
+        over ``w``'s (``L_p``). A row ascends, so ``(rank, i)`` order is
+        ``(rank, w)`` order. A connection of ``u`` seen again through
         another is left out: it ties with its own entry on distance and
         loses on ``x != w``.
         """
-        rank = self._rank
-        n = len(rank)
+        rank, shift = self._rank, self._shift
         indptr, indices = self._indptr, self._indices
         mine = indices[indptr[u] : indptr[u + 1]]
-        keys = [rank[w] * n + w for w in mine]
+        keys = [rank[w] << shift | i for i, w in enumerate(mine)]
         if self.lookahead:
             skip = set(mine)
             skip.add(u)
-            for w in mine:
+            for i, w in enumerate(mine):
                 theirs = indices[indptr[w] : indptr[w + 1]]
-                keys += [rank[x] * n + w for x in theirs if x not in skip]
-        packed = np.array(keys, dtype=np.int64)
+                keys += [rank[x] << shift | i for x in theirs if x not in skip]
+        packed = np.array(keys, dtype=np.int32)
         packed.sort()
-        # (ranks, hops): the split and the int32 copy in numpy, not per key.
-        return tuple(array("i", col.astype(np.int32).tobytes()) for col in np.divmod(packed, n))
+        return array("i", packed.tobytes())
 
     def _reset_index(self) -> None:
         """Re-rank the identifiers, rebuild the connections CSR and drop
@@ -290,6 +295,9 @@ class GreedyRouter:
         self._order = order.tolist()
         self._sorted_ids = ring.sorted_ids.tolist()
         indptr, indices = self.overlay.connections()
+        self._shift = int(np.diff(indptr).max(initial=0)).bit_length()
+        if len(order) << self._shift > 2**31 - 1:
+            raise OverflowError(f"{len(order)} peers and {self._shift}-bit row positions overflow int32")
         self._indptr, self._indices = indptr.tolist(), array("i", indices.tobytes())
         self._columns = [None] * len(order)
 

@@ -17,7 +17,7 @@ only in the canonical text, which writes an array as its ``tolist()``
 and behaviour dicts keep their order (it is state: recovery probes in it,
 and under faults each probe draws RNG); order-free sets are stored sorted;
 each distinct link view (a row of the edge columns' link log) is stored
-once. Nothing derived is stored (packed keys, log row ids, LSH families
+once. Nothing derived is stored (packed keys, log row ids, LSH positions
 are rebuilt), and bitmaps are hex strings, out of reach of Python's
 int/str digit limit.
 The snapshot id is a SHA-256 over the canonical state encoding, so
@@ -39,6 +39,7 @@ from repro.core import config
 from repro.core.config import SelectConfig
 from repro.core.picker import packed_key
 from repro.graphs.graph import SocialGraph
+from repro.lsh.bitsampling import sample_rows
 from repro.net.availability import CMA_MIN_OBSERVATIONS, CMA_THRESHOLD, CumulativeMovingAverage
 from repro.net.growth import JoinEvent
 from repro.overlay.base import INCOMING_SLACK
@@ -98,8 +99,32 @@ def _canonical(state: dict) -> str:
 
 
 def snapshot_id(state: dict) -> str:
-    """Content-derived id of a state payload (stable across re-captures)."""
-    return hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()[:16]
+    """Content-derived id of a state payload (stable across re-captures): the
+    sha256 of :func:`_canonical`'s text, fed in pieces, never built whole."""
+    digest = hashlib.sha256()
+    _feed(state, lambda text: digest.update(text.encode("utf-8")))
+    return digest.hexdigest()[:16]
+
+
+#: items of an array or a long list that :func:`_feed` encodes at once.
+_CHUNK = 1 << 14
+
+
+def _feed(value, write) -> None:
+    """Write ``_canonical(value)`` in pieces: a dict with string keys key by
+    key, an array or a list longer than a chunk a chunk of items at a time,
+    anything else whole."""
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        for i, key in enumerate(sorted(value)):
+            write(("," if i else "{") + json.dumps(key) + ":")
+            _feed(value[key], write)
+        write("}" if value else "{}")
+    elif isinstance(value, np.ndarray) and value.ndim or isinstance(value, (list, tuple)) and len(value) > _CHUNK:
+        for at in range(0, len(value), _CHUNK):
+            write(("," if at else "[") + _canonical(value[at : at + _CHUNK])[1:-1])
+        write("]" if len(value) else "[]")
+    else:
+        write(_canonical(value))
 
 
 def graph_fingerprint(graph: SocialGraph) -> str:
@@ -512,6 +537,8 @@ def _decode(data: dict, graph: "SocialGraph | None") -> "tuple[SelectConfig, dic
     )
     _refuse_slot((out["mutual"] >= 0) != counted, "a mutual count or its stamp without the other")
     _refuse_slot(learned & ~counted, "a bitmap without a mutual count")
+    late = np.maximum(out["mutual_stamp"], out["bitmap_stamp"]) >= 2**31 - 1
+    _refuse_slot(late, "a learn stamp past the int32 stamp columns")
     if graph is not None:
         width = np.repeat(graph.degrees, graph.degrees)[learned].tolist()
         wide = np.zeros(slots, dtype=bool)
@@ -633,12 +660,9 @@ def restore_into(
     for row in data["trace"]:
         trace.record(row["series"], row["round"], row["value"])
     overlay.trace = trace
-    # LSH families are derived state: drop the cache and re-anchor each
-    # peer to the family its (restored) lsh_seed defines.
-    overlay._lsh_seed, overlay._lsh_families = int(data["lsh_seed"]), {}
-    for peer in overlay.peers:
-        peer.lsh_family = overlay.lsh_family_for(peer.node)
-        peer.k_buckets = overlay.k_links
+    # LSH positions are derived state: redrawn from the restored lsh_seed.
+    overlay._lsh_seed = int(data["lsh_seed"])
+    overlay.columns.lsh_sample[:] = sample_rows(overlay._degs, config.LSH_SAMPLES, overlay._lsh_seed)
     overlay._built = bool(data["built"])
 
     for name, target, apply in (

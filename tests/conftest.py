@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SelectConfig
+from repro.core.config import LSH_SAMPLES, SelectConfig
 from repro.core.picker import packed_key
 from repro.core.select import SelectOverlay
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
+from repro.lsh.bitsampling import bucket_table
 
 
 @pytest.fixture(scope="session")
@@ -57,18 +58,35 @@ def edge_block(peer) -> "tuple[list[int], list[int]]":
     return peer._edges.key[block].tolist(), peer._edges.bucket[block].tolist()
 
 
+def give_family(peer, family) -> None:
+    """Hand ``peer`` the bit positions ``family`` (a ``BitSamplingLsh``)
+    samples: its row of the LSH column, right-aligned, as a build draws it."""
+    row = peer._cols.lsh_sample[peer._slot]
+    row[:] = -1
+    row[len(row) - len(family.positions) :] = family.positions
+
+
+def row_bucket(peer, bitmap: int) -> int:
+    """What ``BitSamplingLsh.bucket(bitmap, K)`` gives for the positions in
+    ``peer``'s row (``-1`` for none): the sampled bits written out as a
+    binary numeral, first position first, looked up in the bucket table."""
+    row = peer._cols.lsh_sample[peer._slot]
+    bits = "".join(str(bitmap >> p & 1) for p in row[row >= 0].tolist())
+    return int(bucket_table(LSH_SAMPLES, peer.table.max_long)[int(bits, 2)]) if bits else -1
+
+
 def assert_edge_columns_recompute(peers) -> None:
     """Every slot of every peer's edge-column block equals what the peer's
     own bitmap recomputes — ``packed_key(f, bitmap.bit_count())`` and
-    ``family.bucket(bitmap, K)`` for a known friend, ``-1`` otherwise. The
-    columns are the only cache of either, and a stale slot changes a build
-    silently instead of raising."""
+    :func:`row_bucket` for a known friend, ``-1`` otherwise. The columns
+    are the only cache of either, and a stale slot changes a build silently
+    instead of raising."""
     for peer in peers:
-        known, family, k = peer.known_bitmap, peer.lsh_family, peer.k_buckets
+        known = peer.known_bitmap
         friends = peer.neighborhood.tolist()
         assert edge_block(peer) == (
             [packed_key(f, known[f].bit_count()) if f in known else -1 for f in friends],
-            [family.bucket(known[f], k) if f in known else -1 for f in friends],
+            [row_bucket(peer, known[f]) if f in known else -1 for f in friends],
         ), peer.node
 
 

@@ -10,12 +10,12 @@ from repro.core.links import _fill_keys, create_links, random_links
 from repro.core.peer import PeerState
 from repro.core.picker import KEY_FIELD, packed_key, picker, sort_candidates
 from repro.lsh.bitsampling import BitSamplingLsh
+from tests.conftest import give_family
 
 
 def make_peer(node, neighborhood, k=4, family_seed=1):
     peer = PeerState(node, np.array(sorted(neighborhood), dtype=np.int64), k)
-    peer.lsh_family = BitSamplingLsh(len(neighborhood), num_samples=4, seed=family_seed)
-    peer.k_buckets = k
+    give_family(peer, BitSamplingLsh(len(neighborhood), num_samples=4, seed=family_seed))
     return peer
 
 

@@ -107,6 +107,25 @@ def test_import_leaves_networkx_and_csgraph_out():
     assert importers == []
 
 
+def test_build_publish_and_snapshot_leave_numpy_ma_out():
+    """``np.unique`` without ``return_index`` imports ``numpy.ma`` (1.3 MiB
+    RSS): a build, a calm publish pass and a capture/restore load none of it."""
+    code = (
+        "import sys, repro\n"
+        "from repro.core.select import SelectOverlay\n"
+        "from repro.net.workload import PublishWorkload\n"
+        "from repro.persist import capture, restore\n"
+        "from repro.sim.runner import NotificationSimulator\n"
+        "overlay = SelectOverlay(repro.load_dataset('facebook', 300, seed=7)).build(7)\n"
+        "NotificationSimulator(overlay, PublishWorkload(300, mean_rate=0.01, seed=1)).run(30.0)\n"
+        "restore(capture(overlay))\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestPowerlawCluster:
     def test_degree_target_roughly_met(self):
         g = powerlaw_cluster_graph(400, avg_degree=16, seed=1)

@@ -11,12 +11,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core.config import SelectConfig
+from repro.core.config import LSH_SAMPLES, SelectConfig
 from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
 from repro.core.stabilize import CatchUpStore, Stabilizer
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
+from repro.lsh.bitsampling import BitSamplingLsh
 from repro.net.bandwidth import BandwidthModel
 from repro.net.churn import ChurnModel
 from repro.net.faults import FaultPlan, PingService, RingPartition
@@ -41,7 +42,7 @@ from repro.util.exceptions import ConfigurationError, PersistError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import assert_edge_columns_recompute
+from tests.conftest import assert_edge_columns_recompute, give_family
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 #: pinned manifest id of the committed fixture: regenerating the same
@@ -212,7 +213,7 @@ class TestDiskFormat:
         hub = SocialGraph(20_001, [(0, v) for v in range(1, 20_001)], name="star")
         overlay = SelectOverlay(hub, k_links=4)
         peer = overlay.peers[0]
-        peer.lsh_family = overlay.lsh_family_for(0)
+        give_family(peer, BitSamplingLsh(len(peer.neighborhood), LSH_SAMPLES, seed=overlay._lsh_seed))
         bitmap = (1 << 19_999) | 0b1011
         peer.learn_exchange(7, 0, bitmap, {0})
         if hasattr(sys, "get_int_max_str_digits"):
@@ -319,6 +320,35 @@ class TestGoldenSnapshot:
         again = capture(restore(snap))
         assert _text(again) == _text(snap)
         assert again["manifest"]["snapshot_id"] == GOLDEN_ID
+
+
+class TestSnapshotIdIsTheTextHash:
+    """``snapshot_id`` feeds the canonical text to sha256 in pieces; the
+    sha256 of the whole text is its reference."""
+
+    @staticmethod
+    def reference(state) -> str:
+        return hashlib.sha256(snapshot_module._canonical(state).encode("utf-8")).hexdigest()[:16]
+
+    def test_golden_state_loaded_and_held(self):
+        loaded = load(GOLDEN_DIR)["state"]
+        held = capture(restore(load(GOLDEN_DIR)))["state"]
+        for state in (loaded, held):
+            assert snapshot_id(state) == self.reference(state) == GOLDEN_ID
+
+    def test_two_dimensional_arrays_and_lists_past_a_chunk(self, built_select):
+        chunk = snapshot_module._CHUNK
+        state = capture(built_select)["state"]
+        state["extra"] = {
+            "grid": np.arange(6 * chunk + 3, dtype=np.int32).reshape(-1, 3),
+            "floats": np.linspace(0.0, 1.0, chunk + 5),
+            "empty": np.zeros((0, 2)),
+            "rows": [[i, None, {"b": 1.5, "a": "é"}] for i in range(2 * chunk + 1)],
+            "arrays": tuple(np.arange(i % 3) for i in range(chunk + 1)),
+            "exact": list(range(chunk)),
+            "int keys": {2: [np.arange(2)], 1: "one"},
+        }
+        assert snapshot_id(state) == self.reference(state)
 
 
 # -- deterministic replay -----------------------------------------------------

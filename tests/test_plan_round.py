@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import select as select_module
-from repro.core.config import SelectConfig
+from repro.core.config import LSH_SAMPLES, SelectConfig
 from repro.core.links import create_links, plan_links
 from repro.core.recovery import RecoveryManager
 from repro.core.select import SelectOverlay
@@ -21,7 +21,7 @@ from repro.graphs.graph import SocialGraph
 from repro.lsh.bitsampling import BitSamplingLsh
 from repro.persist import capture, restore, restore_into
 from repro.persist.snapshot import _canonical
-from tests.conftest import assert_edge_columns_recompute, edge_block
+from tests.conftest import assert_edge_columns_recompute, edge_block, give_family
 
 
 def reference(ov, gate, hysteresis=2):
@@ -33,7 +33,7 @@ def overlay_of(n, edges, k, family=True):
     ov = SelectOverlay(SocialGraph(n, edges), k_links=k, config=SelectConfig())
     if family:
         for peer in ov.peers:
-            peer.lsh_family = BitSamplingLsh(max(len(peer.neighborhood), 1), num_samples=2, seed=1)
+            give_family(peer, BitSamplingLsh(max(len(peer.neighborhood), 1), num_samples=2, seed=1))
     return ov
 
 
@@ -312,13 +312,15 @@ class TestOptimisticWalk:
 # -- the columns are the only cache of what the bitmaps imply: no stale slot -----
 
 FRIENDS, STRANGER = (1, 2, 3, 5, 8, 13), 21  # C_p, and a contact outside it
+#: peer 0's family: what a restore draws for it (``lsh_seed`` 0).
+FAMILY = BitSamplingLsh(len(FRIENDS), LSH_SAMPLES, seed=0)
 
 
 def lone_peer():
     """Peer 0 of an overlay where it is the only peer with more than one friend."""
     ov = SelectOverlay(SocialGraph(STRANGER + 1, [(0, f) for f in FRIENDS]), k_links=3)
     peer = ov.peers[0]
-    peer.lsh_family = ov.lsh_family_for(0)
+    give_family(peer, FAMILY)
     return ov, peer
 
 
@@ -343,7 +345,7 @@ class TestEdgeColumnsStayInSync:
         ``known_mutual`` one that forgetting leaves alone, and every slot is
         what the bitmaps recompute. Learning about the stranger is refused."""
         (ov, peer), model, mutual, saved = lone_peer(), {}, {}, None
-        family, k = peer.lsh_family, peer.k_buckets
+        family, k = FAMILY, peer.table.max_long
         for step in steps:
             if step[0] == "learn" and step[1] == STRANGER:
                 with pytest.raises(ValueError, match="no slot"):
@@ -384,6 +386,15 @@ class TestEdgeColumnsStayInSync:
 
     def test_after_a_persist_restore(self, built):
         assert_edge_columns_recompute(restore(built.snapshot()).peers)
+
+    def test_each_row_holds_its_family_positions(self, built):
+        """Peer ``v``'s row holds the positions ``BitSamplingLsh`` over its
+        degree draws from ``lsh_seed + v``, after a build and after a restore."""
+        for overlay in (built, restore(built.snapshot())):
+            for v, peer in enumerate(overlay.peers):
+                family = BitSamplingLsh(len(peer.neighborhood), LSH_SAMPLES, seed=overlay._lsh_seed + v)
+                row = overlay.columns.lsh_sample[v]
+                assert row[row >= 0].tolist() == family.positions.tolist(), v
 
     def test_after_forgetting_and_recovery(self, built):
         overlay = restore(built.snapshot())

@@ -227,6 +227,29 @@ class TestIndexEqualsScan:
             )
 
 
+class TestWideRow:
+    def test_a_hub_past_256_connections_routes_as_the_scan(self):
+        """A candidate packs ``w``'s position in its row into the low bits:
+        a hub with 300 links takes 9 of them, and every route still takes
+        the scan's hops, with lookahead on and off, masked and blind."""
+        n = 320
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 64, size=n) / 64.0  # coarse: equal ids and ties
+        others = [set(rng.choice(n, size=3).tolist()) - {v} for v in range(1, n)]
+        overlay = ManualOverlay(ids, [set(range(1, 301))] + others).build()
+        pairs = [(int(s), int(d)) for s, d in rng.integers(n, size=(200, 2))]
+        pairs += [(0, d) for d in range(1, n, 5)] + [(s, 0) for s in range(1, n, 5)]
+        online = rng.random(n) > 0.2
+        online[0] = True
+        for lookahead in (True, False):
+            shipped = GreedyRouter(overlay, lookahead=lookahead)
+            scan = BruteForceRouter(overlay, lookahead=lookahead)
+            shipped.record_decisions = scan.record_decisions = True
+            for kwargs in ({}, {"online": online}, {"online": online, "detect_failures": False}):
+                assert_same_routes(shipped.route_many(pairs, **kwargs), scan.route_many(pairs, **kwargs))
+            assert shipped._shift == 9
+
+
 # -- (ii) against the one-hop rule ---------------------------------------------
 
 

@@ -361,13 +361,18 @@ def _drop_count(edges):
     edges["mutual"][slot] = edges["mutual_stamp"][slot] = -1
 
 
+def _late_stamp(edges):
+    edges["bitmap_stamp"][_first_learned(edges)] = 2**31 - 1
+
+
 @pytest.mark.parametrize(
     "edit, needle",
     [
         (_edges(_drop_count), "holds a bitmap without a mutual count"),
         (_edges(_drop_bitmap), "holds a view, bitmap or bitmap stamp without the other two"),
+        (_edges(_late_stamp), "holds a learn stamp past the int32 stamp columns"),
     ],
-    ids=["bitmap-without-count", "lookahead-set"],
+    ids=["bitmap-without-count", "lookahead-set", "stamp-past-int32"],
 )
 def test_knowledge_the_edge_columns_cannot_hold_is_refused(edit, needle, tmp_path, capsys):
     # A slot's view, bitmap and bitmap stamp come together (v1: the lookahead

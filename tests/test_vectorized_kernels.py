@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import rounds
 from repro.core.columns import EdgeColumns, PeerColumns
-from repro.core.config import SelectConfig
+from repro.core.config import LSH_SAMPLES, SelectConfig
 from repro.core.gossip import exchange
 from repro.core.peer import PeerState
 from repro.core.reassignment import evaluate_position
@@ -31,6 +31,7 @@ from repro.core.vectorized import (
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
+from repro.lsh.bitsampling import BitSamplingLsh
 from repro.overlay.base import RoutingTable
 from repro.persist import capture, restore
 from repro.telemetry.registry import MetricsRegistry
@@ -584,6 +585,10 @@ class TestExchangeOracle:
             rounds.exchange_phase(ov, rng)
         assert (ov.edge_columns.bucket >= 0).sum() > 1
         assert_edge_columns_recompute(ov.peers)
+        family, hub = BitSamplingLsh(degree, LSH_SAMPLES, seed=ov._lsh_seed), ov.peers[0]
+        assert {f: hub.bucket_of(f) for f in hub.known_bitmap} == {
+            f: family.bucket(b, k) for f, b in hub.known_bitmap.items()
+        }
 
     def test_a_build_calls_no_per_peer_learn(self, monkeypatch):
         """The fold is array passes: ``learn_exchange`` is only its reference."""
@@ -643,7 +648,8 @@ class TestExchangeOracle:
         overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
         edges = overlay.edge_columns
         h = hashlib.sha256()
-        for column in (edges.targets, edges.indptr, edges.view, overlay.link_head):
+        # ``view`` is int32; the pin hashes it widened to the int64 it was.
+        for column in (edges.targets, edges.indptr, edges.view.astype(np.int64), overlay.link_head):
             h.update(np.ascontiguousarray(column).tobytes())
         assert overlay.iterations == 48 and edges.rows == 8978
         assert h.hexdigest()[:16] == "f7e1240c7fbaa03b"
