@@ -8,17 +8,18 @@ chosen peer — they cover the same zone of the neighborhood and are
 therefore redundant.
 
 A bucket is hashed once, when the peer learns the bitmap, and cached in
-the peer's edge-column slot, so one round of ``createLinks`` is a
-grouping pass with no hashing. These per-peer passes are the reference
-:func:`repro.core.vectorized.plan_round` is tested against and a build's
-re-plan for the few peers the live ledger outdated.
+the peer's edge-column slot, so a plan is a grouping pass over the peer's
+row with no hashing. Every caller runs Algorithm 5 the same way:
+:func:`plan_links` computes the net link diff against the admission
+ledger without side effects, and :func:`apply_plan` applies it.
+:func:`repro.core.vectorized.plan_round` is the same plan for a round's
+whole gate and is tested against :func:`plan_links`.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import repeat
-from typing import Callable
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,130 +29,87 @@ from repro.core.picker import KEY_FIELD, picker
 __all__ = ["create_links", "plan_links", "apply_plan", "random_links"]
 
 
-def create_links(
-    peer: PeerState,
-    k_links: int,
-    try_connect: Callable[[int, int], bool],
-    disconnect: Callable[[int, int], None],
-    upload_mbps: "np.ndarray | None" = None,
-    hysteresis: int = 2,
-    incoming_count: "np.ndarray | None" = None,
-) -> bool:
+def create_links(peer: PeerState, ledger, hysteresis: int = 2) -> bool:
     """Run Algorithm 5 for one peer; True when the link set changed.
 
-    ``try_connect(p, u)`` must enforce the K-incoming cap on ``u`` and
-    return whether the connection was accepted; ``disconnect(p, u)``
-    releases one.
+    It plans against the live ledger (:func:`plan_links`), then applies
+    the plan (:func:`apply_plan`). ``ledger`` is the
+    :class:`~repro.core.select.SelectOverlay` whose admission ledger caps
+    incoming links. A plan never drops and re-takes a link it keeps, so a
+    bandwidth eviction queued against that link for the round barrier
+    cannot strand a slot the peer took back.
+    """
+    plan = plan_links(peer, ledger, hysteresis)
+    return plan is not None and apply_plan(ledger, peer.node, *plan)
+
+
+def plan_links(peer: PeerState, ledger, hysteresis: int = 2) -> "tuple[tuple, tuple] | None":
+    """Algorithm 5's net link diff for one peer, computed without
+    touching any shared state.
+
+    Returns ``(drops, adds)`` — sorted tuples taking the current long
+    links to the planned set — or ``None`` when the peer has no gossip
+    knowledge yet or the plan equals the current set. The pass reads the
+    peer's edge-column row, whose packed keys are Algorithm 6's order
+    (coverage desc, id asc). With ``ledger.upload_mbps`` set, each bucket
+    is picked by the picker's bandwidth rule. A friend is added only when
+    ``ledger.admits`` it. A current link stays admissible after the pass
+    drops it: taking it back only keeps it, and nothing is charged.
 
     ``hysteresis`` biases the bucket choice toward an *already
     established* link: a challenger replaces it only when its bitmap
     covers at least that many more of the neighborhood. Without it the
     bucket argmax flips whenever gossip refreshes a bitmap and the
     network never quiesces.
-
-    ``incoming_count`` (optional) exposes the admission ledger behind
-    ``try_connect`` as its per-target occupancy array. Without a
-    bandwidth model an admission succeeds iff the target has a free
-    incoming slot (or already holds one for us), so the whole
-    reassignment can be *planned* against the ledger
-    (:func:`plan_links`) and only the net difference applied
-    (:func:`apply_plan`). Most rounds net to zero (drop-then-readd
-    churn), so planning turns them into pure reads: no ledger traffic
-    and no table write. Every net add was
-    judged admissible against untouched ledger state and the net drops
-    only free slots, so the applied ``try_connect`` calls cannot be
-    refused and the final ledger/table state is bit-identical to what
-    the mutating pass would leave. With a bandwidth model admissions can
-    evict third parties mid-pass, so the mutating pass runs instead.
     """
-    if upload_mbps is None and incoming_count is not None:
-        plan = plan_links(peer, k_links, incoming_count, hysteresis)
-        if plan is None:
-            return False
-        return apply_plan(peer.table, peer.node, *plan, try_connect, disconnect)
-
-    rows, coverage, buckets = peer.known_rows()
-    if not rows:
-        return False
-    changed = False
-    table = peer.table
-    for _, members in sorted(buckets.items()):
-        chosen = picker(members, coverage, upload_mbps)
-        chosen = _stability_bias(table.long_links, members, chosen, hysteresis, coverage)
-        if chosen not in table.long_links:
-            # Make room: the bucket's redundant links go first.
-            if len(table.long_links) >= table.max_long:
-                for other in [w for w in table.long_links if w != chosen and w in members]:
-                    table.drop_long(other)
-                    disconnect(peer.node, other)
-            if len(table.long_links) < table.max_long and try_connect(peer.node, chosen):
-                table.add_long(chosen)
-                changed = True
-        # Lines 12-16: drop established links that share the bucket.
-        drops = [w for w in table.long_links if w != chosen and w in members]
-        for other in drops:
-            table.drop_long(other)
-            disconnect(peer.node, other)
-            changed = True
-    if _fill_remaining_budget(peer, k_links, try_connect, rows):
-        changed = True
-    return changed
-
-
-def plan_links(
-    peer: PeerState,
-    k_links: int,
-    incoming_count: np.ndarray,
-    hysteresis: int = 2,
-) -> "tuple[tuple, tuple] | None":
-    """Algorithm 5's net link diff for one peer, computed without
-    touching any shared state.
-
-    Returns ``(drops, adds)`` — sorted tuples taking the current long
-    links to the planned set — or ``None`` when the peer has no gossip
-    knowledge yet or the plan equals the current set. The pass simulates
-    the mutating loop against a scratch copy of the link set (a link we
-    virtually dropped stays admissible: our slot on it is still charged
-    in the real ledger). This is the read-only half of the
-    plan-then-apply split; :func:`apply_plan` is the other. A build plans
-    a whole round in one batch (:func:`repro.core.vectorized.plan_round`):
-    this is that kernel's per-peer reference, its scalar hand-off, and —
-    through :func:`create_links` — the build's re-plan for a peer
-    whose batch plan the live ledger outdated. Only valid without a
-    bandwidth model (admission must be a pure predicate over the ledger).
-    """
-    rows, coverage, buckets = peer.known_rows()
-    if not rows:
+    edges, row = peer.edge_row()
+    keys = edges.key[row]
+    at = np.flatnonzero(keys >= 0)
+    if not len(at):
         return None
-    table = peer.table
+    keys, friends, buckets = keys[at], peer.neighborhood[at], edges.bucket[row][at]
+    for i in np.flatnonzero(buckets < 0).tolist():
+        buckets[i] = peer.bucket_of(int(friends[i]))
+    table, upload = peer.table, ledger.upload_mbps
     current = set(table.long_links)
+    admissible = current.union(friends[ledger.admits(peer.node, friends)].tolist())
     virtual = set(current)
-    for _, members in sorted(buckets.items()):
-        chosen = picker(members, coverage)
-        if chosen not in virtual and len(members) > 1:
-            chosen = _stability_bias(virtual, members, chosen, hysteresis, coverage)
+    order = np.lexsort((keys, buckets))
+    coverage = (KEY_FIELD - (keys[order] >> 31)).tolist()
+    for _, cell in groupby(zip(buckets[order].tolist(), friends[order].tolist(), coverage), itemgetter(0)):
+        cov = {f: c for _, f, c in cell}
+        members = list(cov)
+        chosen = members[0] if upload is None else picker(members, cov, upload)
+        if chosen not in virtual and hysteresis > 0:
+            # Keep the bucket's best established link unless clearly beaten.
+            held = next((m for m in members if m in virtual), chosen)
+            if cov[chosen] - cov[held] < hysteresis:
+                chosen = held
         if chosen not in virtual:
             if len(virtual) >= table.max_long:
-                for w in [w for w in virtual if w != chosen and w in members]:
-                    virtual.discard(w)
-            if len(virtual) < table.max_long and (
-                incoming_count[chosen] < k_links or chosen in current
-            ):
+                virtual.difference_update(members)  # make room: the bucket's links go first
+            if len(virtual) < table.max_long and chosen in admissible:
                 virtual.add(chosen)
-        # The link set holds at most K + 1 entries; a bucket can hold many.
-        for w in [w for w in virtual if w != chosen and w in members]:
-            virtual.discard(w)
-    need = k_links - len(virtual)
+        # Lines 12-16: drop established links that share the bucket.
+        virtual.difference_update([m for m in members if m != chosen])
+    need = ledger.k_links - len(virtual)
     if need > 0:
-        # Budget fill, planned: every pre-filtered candidate is
-        # admissible, so the pops of the mutating pass's heap reduce to
-        # the ``need`` smallest keys (unique ints: a sorted slice).
-        # Links virtually dropped above stay admissible even when the
-        # target reads full: the ledger still charges our slot there.
-        full = (incoming_count[list(coverage)] >= k_links).tolist()
-        wanted = [not f_full or f in current for f, f_full in zip(coverage, full)]
-        for key in sorted(_fill_keys(rows, virtual, wanted))[:need]:
-            virtual.add(key & KEY_FIELD)
+        # Budget fill. Early bitmaps are near-empty and collide into one
+        # bucket, so leftover budget goes to the friends that extend 2-hop
+        # coverage (§III-A): the cover is the OR of the planned links'
+        # bitmaps, and a covered flag above the packed key ranks uncovered
+        # friends first, richer bitmaps first among them.
+        friends = friends.tolist()
+        cover = 0
+        for f, bitmap in zip(friends, edges.bitmap[row][at].tolist()):
+            if f in virtual:
+                cover |= bitmap
+        fill = sorted(
+            key | (cover >> i & 1) << 62
+            for key, f, i in zip(keys.tolist(), friends, at.tolist())
+            if f in admissible and f not in virtual
+        )
+        virtual.update(key & KEY_FIELD for key in fill[:need])
     if virtual == current:
         return None
     return (
@@ -160,116 +118,40 @@ def plan_links(
     )
 
 
-def apply_plan(table, node: int, drops, adds, try_connect, disconnect) -> bool:
+def apply_plan(ledger, node: int, drops, adds) -> bool:
     """Apply one vertex's net link diff to its table; True when it changed.
 
-    Slots are freed first, then the planned ones claimed. Adds go
-    through ``try_connect`` so the K-incoming cap is re-enforced against
+    Slots are freed first, then the planned ones claimed. Adds go through
+    ``ledger._try_connect`` so the K-incoming cap is re-enforced against
     the live ledger: a plan made against round-start state can lose a
     slot to an earlier vertex, and a vertex whose drops are empty and
     whose adds are all refused did not change.
     """
+    table = ledger.tables[node]
     changed = bool(drops)
     for w in drops:
         table.drop_long(w)
-        disconnect(node, w)
+        ledger.release_incoming(node, w)
     for w in adds:
-        if try_connect(node, w):
+        if ledger._try_connect(node, w):
             table.add_long(w)
             changed = True
     return changed
 
 
-def _stability_bias(long_links, members, chosen: int, hysteresis: int, coverage) -> int:
-    """Prefer an established same-bucket link unless clearly beaten."""
-    if chosen in long_links or hysteresis <= 0:
-        return chosen
-    best_existing = -1
-    best_key = None
-    for m in long_links:
-        if m in members:
-            key = (-coverage.get(m, 0), m)
-            if best_key is None or key < best_key:
-                best_existing, best_key = m, key
-    if best_existing < 0:
-        return chosen
-    gain = coverage.get(chosen, 0) - coverage.get(best_existing, 0)
-    return chosen if gain >= hysteresis else best_existing
-
-
-def _fill_remaining_budget(peer: PeerState, k_links: int, try_connect, rows) -> bool:
-    """Spend leftover link budget on friends not yet covered in <= 2 hops.
-
-    Early in construction most friendship bitmaps are near-empty and
-    collide into one LSH bucket, so the one-per-bucket rule alone would
-    leave peers badly under-linked. SELECT's stated goal is to reach the
-    *maximum number of the social neighborhood* with minimum hops
-    (§III-A), so remaining budget goes to the friends that extend 2-hop
-    coverage the most: uncovered friends first, richer bitmaps first.
-    """
-    table = peer.table
-    if len(table.long_links) >= k_links:
-        return False
-    # Heap instead of a full sort: the remaining budget is usually a
-    # handful of slots, so only the best few candidates are ever popped.
-    node = peer.node
-    heap = _fill_keys(rows, table.long_links)
-    heapq.heapify(heap)
-    changed = False
-    while heap and len(table.long_links) < k_links:
-        cand = heapq.heappop(heap) & KEY_FIELD
-        if try_connect(node, cand):
-            table.add_long(cand)
-            changed = True
-    return changed
-
-
-def _fill_keys(rows, links, wanted=None) -> "list[int]":
-    """Budget-fill sort keys of the ``known_rows`` outside ``links`` (and ``wanted``).
-
-    The 2-hop cover is one int bitset — the OR of the links' friendship
-    bitmaps — tested by bit position instead of decoding friend sets.
-    Keys are the slots' Algorithm 6 packed ``(coverage desc, id asc)``
-    ints with a *covered* flag above both fields, so uncovered friends
-    sort first and richer bitmaps first among them.
-    """
-    cover = 0
-    for _, f, _, bitmap in rows:
-        if f in links:
-            cover |= bitmap
-    return [
-        key | (cover >> i & 1) << 62
-        for (key, f, i, _), want in zip(rows, wanted or repeat(True))
-        if want and f not in links
-    ]
-
-
-def random_links(
-    peer: PeerState,
-    k_links: int,
-    try_connect: Callable[[int, int], bool],
-    rng: np.random.Generator,
-) -> bool:
+def random_links(peer: PeerState, ledger, rng: np.random.Generator) -> bool:
     """Ablation variant: long links sampled uniformly from known friends.
 
-    Replaces the LSH bucketing so experiments can isolate its effect; the
-    incoming cap and budget still apply.
+    Replaces the LSH bucketing so experiments can isolate its effect. The
+    plan is the admissible prefix of one permutation of the known friends
+    (in learn order) that fills the budget, applied by :func:`apply_plan`.
     """
-    # Learn order: the permutation below is drawn over it.
     known = list(peer.known_bitmap)
     if not known:
         return False
-    changed = False
-    table = peer.table
-    want = min(k_links, len(known))
-    candidates = list(rng.permutation(known))
-    for cand in candidates:
-        if len(table.long_links) >= want:
-            break
-        cand = int(cand)
-        if cand in table.long_links:
-            continue
-        if try_connect(peer.node, cand):
-            table.add_long(cand)
-            changed = True
-    return changed
+    links = peer.table.long_links
+    candidates = rng.permutation(known)
+    room = max(min(ledger.k_links, len(known)) - len(links), 0)
+    admitted = ledger.admits(peer.node, candidates).tolist()
+    adds = [c for c, ok in zip(candidates.tolist(), admitted) if ok and c not in links]
+    return apply_plan(ledger, peer.node, (), adds[:room])

@@ -23,13 +23,12 @@ Friendship bitmaps are Python ints, one bit per neighborhood position (see
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 
 import numpy as np
 
 from repro.core.columns import EdgeColumns, PeerColumns
 from repro.core.config import LSH_SAMPLES
-from repro.core.picker import KEY_FIELD, packed_key
+from repro.core.picker import packed_key
 from repro.lsh.bitsampling import bucket_table
 from repro.net.availability import OnlineBehavior
 from repro.overlay.base import RoutingTable
@@ -171,18 +170,10 @@ class PeerState:
         rows = edges.view[self._edge_at + at].tolist()
         return {f: frozenset(edges.row(r)) for f, r in zip(self.neighborhood[at].tolist(), rows)}
 
-    def known_rows(self) -> "tuple[list, dict, dict]":
-        """What Algorithm 5 reads of the known friends, off this peer's row:
-        ``(key, friend, position, bitmap)`` rows, popcount per friend and the
-        friends per LSH bucket."""
-        edges, positions = self._edges, self._learned(self._edges.bitmap_stamp)
-        at = self._edge_at + positions
-        friends, keys = self.neighborhood[positions].tolist(), edges.key[at]
-        buckets: dict = defaultdict(list)
-        for f, bucket in zip(friends, edges.bucket[at].tolist()):
-            buckets[bucket if bucket >= 0 else self.bucket_of(f)].append(f)
-        rows = list(zip(keys.tolist(), friends, positions.tolist(), edges.bitmap[at].tolist()))
-        return rows, dict(zip(friends, (KEY_FIELD - (keys >> 31)).tolist())), buckets
+    def edge_row(self) -> "tuple[EdgeColumns, slice]":
+        """This peer's block of the edge columns: slot ``i`` of the slice
+        is what it knows about ``neighborhood[i]`` (Algorithm 5 reads it)."""
+        return self._edges, slice(self._edge_at, self._edge_at + len(self.neighborhood))
 
     def strongest_known(self, k: int = 2, among=None) -> list[int]:
         """Top-``k`` known friends by strength (deterministic tie-break)."""

@@ -14,7 +14,9 @@ Construction pipeline:
    kernels over the shared column block, then link selection (Algs. 5–6)
    planned for the whole round in one kernel and applied in vertex order:
    the K-incoming cap makes admission sequential, so a peer whose plan an
-   earlier peer's diff outdated re-plans against the live ledger.
+   earlier peer's diff outdated re-plans against the live ledger. A
+   bandwidth-aware (Fig. 7) or ``use_lsh=False`` build plans and applies
+   peer by peer instead.
 4. **Round barrier** — pending identifiers are deduplicated and published,
    deferred bandwidth evictions applied, and the ring refreshed, all as
    array operations; convergence is judged on the round's movement/churn.
@@ -168,25 +170,15 @@ class SelectOverlay(OverlayNetwork):
     def _reassign_links(self, rng: np.random.Generator) -> "set[int]":
         """Algs. 5-6 for every gated-in peer, with live-ledger semantics;
         returns the peers whose link set differs from the round's start."""
-        cfg = self.config
         gate = rounds.link_gate(self)
-        if cfg.use_lsh and self.upload_mbps is None:
+        if self.config.use_lsh and self.upload_mbps is None:
             return self._walk_plans(gate)
-        # Ablation and bandwidth paths: the mutating pass, peer by peer (it
-        # can drop and re-add, so the outcome is the before/after diff).
-        changed: set[int] = set()
-        for v in gate:
-            peer = self.peers[v]
-            before = set(peer.table.long_links)
-            if cfg.use_lsh:
-                create_links(
-                    peer, self.k_links, self._try_connect, self.release_incoming, self.upload_mbps
-                )
-            else:
-                random_links(peer, self.k_links, self._try_connect, rng)
-            if set(peer.table.long_links) != before:
-                changed.add(v)
-        return changed
+        # Bandwidth and ablation builds plan each peer against the live
+        # ledger at its turn (an admission there can evict a third party)
+        # and apply the plan at once.
+        if self.config.use_lsh:
+            return {v for v in gate if create_links(self.peers[v], self)}
+        return {v for v in gate if random_links(self.peers[v], self, rng)}
 
     def _walk_plans(self, gate: "list[int]") -> "set[int]":
         """One batch plan for the gate, applied in vertex order.
@@ -203,7 +195,7 @@ class SelectOverlay(OverlayNetwork):
         target that filled up matters only to a plan that adds it: a
         candidate the plan passed over changes nothing by leaving.
         """
-        k, incoming, release = self.k_links, self.incoming_count, self.release_incoming
+        k, incoming = self.k_links, self.incoming_count
         indptr, nbrs, key = self._nbr_indptr, self._nbr_indices, self.edge_columns.key
         plans = plan_round(self, gate)
         was_full = (incoming >= k).tolist()
@@ -224,12 +216,10 @@ class SelectOverlay(OverlayNetwork):
             links = table.long_links if flipped else ()
             if flipped and any(t not in links for t in flipped):
                 replanned += 1
-                hit = create_links(
-                    self.peers[v], k, self._try_connect, release, incoming_count=incoming
-                )
+                hit = create_links(self.peers[v], self)
                 touched = set(links).symmetric_difference(table.long_links)
             elif plan:
-                hit = apply_plan(table, v, *plan, self._try_connect, release)
+                hit = apply_plan(self, v, *plan)
                 touched = plan[0] + plan[1]
             else:
                 continue
@@ -321,30 +311,45 @@ class SelectOverlay(OverlayNetwork):
 
     # -- connection admission (K incoming cap, §III-D) ---------------------------
 
+    def admits(self, src: int, targets) -> np.ndarray:
+        """Which of ``targets`` (one id or an array) would admit a long link
+        from ``src``: the K-incoming cap as one predicate of the ledger, with
+        no side effects. A target admits when ``src`` already holds a slot
+        there, when it has a free slot, or, with a bandwidth model (paper
+        §III-D, Fig. 7), when ``src`` is faster than its slowest source."""
+        rows = self.incoming_sources[targets]
+        ok = (self.incoming_count[targets] < self.k_links) | (rows == src).any(axis=-1)
+        if self.upload_mbps is not None:
+            speeds = np.where(rows >= 0, self.upload_mbps[rows], np.inf)
+            ok |= self.upload_mbps[src] > speeds.min(axis=-1)
+        return ok
+
     def _try_connect(self, src: int, dst: int) -> bool:
-        """Charge an incoming slot on ``dst``; evict a slower source if full."""
+        """Charge ``src`` a slot on ``dst`` when :meth:`admits` allows it.
+
+        A held or free slot is ``try_accept_incoming``'s own test, the
+        common case, which it answers without numpy calls; only a refused
+        request asks :meth:`admits`. Admitted then, ``src`` takes the slot
+        of ``dst``'s slowest source (paper §III-D).
+        """
         if src == dst:
             return False
         if self.try_accept_incoming(src, dst):
             return True
-        if self.upload_mbps is not None:
-            # Paper: accept when the newcomer has better bandwidth than an
-            # existing connection; the slowest existing source is evicted.
-            sources = self.admitted(dst)
-            slowest = min(sources, key=lambda s: (float(self.upload_mbps[s]), -s))
-            if float(self.upload_mbps[src]) > float(self.upload_mbps[slowest]):
-                # The slot passes from the slowest source to ``src``.
-                self.incoming_sources[dst, sources.index(slowest)] = src
-                if self._defer_evictions:
-                    # The slot transfers now; the evicted peer's link-set
-                    # mutation waits for the round barrier.
-                    self._eviction_events.append((slowest, dst))
-                else:
-                    self.tables[slowest].drop_long(dst)
-                    self.peers[slowest].stable_rounds = 0
-                    self.round_link_changes += 1
-                return True
-        return False
+        if not self.admits(src, dst):
+            return False
+        sources = self.admitted(dst)
+        slowest = min(sources, key=lambda s: (float(self.upload_mbps[s]), -s))
+        self.incoming_sources[dst, sources.index(slowest)] = src
+        if self._defer_evictions:
+            # The slot transfers now; the evicted peer's link-set
+            # mutation waits for the round barrier.
+            self._eviction_events.append((slowest, dst))
+        else:
+            self.tables[slowest].drop_long(dst)
+            self.peers[slowest].stable_rounds = 0
+            self.round_link_changes += 1
+        return True
 
     def _try_connect_recovery(self, src: int, dst: int, slack: int = INCOMING_SLACK) -> bool:
         """Admission for recovery replacements: the cap gets some slack.

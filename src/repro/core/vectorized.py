@@ -375,7 +375,7 @@ def plan_round(ov, gated, hysteresis: int = 2) -> "dict[int, tuple[tuple, tuple]
     scalar[owner[bucket < 0]] = True
     if scalar.any():
         for v in gated[scalar].tolist():
-            plan = plan_links(ov.peers[v], k, incoming, hysteresis)
+            plan = plan_links(ov.peers[v], ov, hysteresis)
             if plan is not None:
                 plans[v] = plan
         keep = ~scalar[owner]

@@ -1,14 +1,16 @@
 """Algorithms 3-6: gossip exchange, link creation, picker."""
 
+import heapq
+
 import numpy as np
 import pytest
 
 from repro.core.gossip import exchange, select_gossip_partner
-import heapq
-
-from repro.core.links import _fill_keys, create_links, random_links
+from repro.core.links import create_links, random_links
 from repro.core.peer import PeerState
 from repro.core.picker import KEY_FIELD, packed_key, picker, sort_candidates
+from repro.core.select import SelectOverlay
+from repro.graphs.graph import SocialGraph
 from repro.lsh.bitsampling import BitSamplingLsh
 from tests.conftest import give_family
 
@@ -19,24 +21,22 @@ def make_peer(node, neighborhood, k=4, family_seed=1):
     return peer
 
 
-class Cap:
-    """Incoming-cap bookkeeping stub."""
+def star(friends, k=4, others=0):
+    """Peer 0 of an overlay whose social graph is the star 0 - ``friends``,
+    plus ``others`` isolated peers after them; the overlay is the explicit
+    admission ledger its links are planned against and charged to."""
+    n = max(friends, default=0) + 1 + others
+    ov = SelectOverlay(SocialGraph(n, [(0, f) for f in friends]), k_links=k)
+    peer = ov.peers[0]
+    give_family(peer, BitSamplingLsh(max(len(friends), 1), num_samples=4, seed=1))
+    return ov, peer
 
-    def __init__(self, k=4):
-        self.k = k
-        self.incoming = {}
 
-    def try_connect(self, src, dst):
-        got = self.incoming.setdefault(dst, set())
-        if src in got:
-            return True
-        if len(got) >= self.k:
-            return False
-        got.add(src)
-        return True
-
-    def disconnect(self, src, dst):
-        self.incoming.get(dst, set()).discard(src)
+def hold(ov, src, *targets):
+    """Give ``src`` long links to ``targets``, each charged on the ledger."""
+    for t in targets:
+        assert ov._try_connect(src, t)
+        ov.tables[src].add_long(t)
 
 
 class TestExchange:
@@ -116,24 +116,31 @@ class TestPackedKeys:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fill_slice_is_nsmallest_on_tuple_order(self, seed):
+        """Three held links alone in their buckets and every other known
+        friend in bucket 0: the plan adds bucket 0's leader, then fills the
+        four slots left with the smallest (covered, -coverage, id) tuples."""
         rng = np.random.default_rng(100 + seed)
-        peer = PeerState(0, np.arange(1, 31), k_links=6)
+        ov, peer = star(range(1, 31), k=8)
         known = list(range(1, 31, 2))
         for f in known:
             linked = rng.choice(np.arange(1, 31), size=int(rng.integers(0, 4)), replace=False)
             peer.learn_exchange(f, 1, peer.codec.encode(linked), linked.tolist())
-        links = set(rng.choice(known, size=3, replace=False).tolist())
-        cover = 0
-        for w in links:
-            cover |= peer.known_bitmap[w]
+        links = rng.choice(known, size=3, replace=False).tolist()
+        hold(ov, 0, *links)
         coverage = {f: b.bit_count() for f, b in peer.known_bitmap.items()}
+        for f in known:
+            peer._edges.bucket[peer._edge(f)] = links.index(f) + 1 if f in links else 0
+        leader = min((f for f in known if f not in links), key=lambda f: (-coverage[f], f))
+        cover = 0
+        for w in links + [leader]:
+            cover |= peer.known_bitmap[w]
         reference = heapq.nsmallest(
-            5,
-            ((bool(cover >> (f - 1) & 1), -coverage[f], f) for f in known if f not in links),
+            4,
+            ((bool(cover >> (f - 1) & 1), -coverage[f], f) for f in known if f not in links + [leader]),
         )
-        keys = sorted(_fill_keys(peer.known_rows()[0], links))[:5]
-        assert [key & KEY_FIELD for key in keys] == [f for _, _, f in reference]
-        assert len(set(keys)) == len(keys)
+        assert create_links(peer, ov)
+        added = set(peer.table.long_links) - set(links)
+        assert added == {leader} | {f for _, _, f in reference}
 
     def test_a_contact_outside_the_neighbourhood_is_refused(self):
         # Friends 1..30: a contact 40..44 has no bit position and no slot.
@@ -146,36 +153,35 @@ class TestPackedKeys:
 
 class TestCreateLinks:
     def test_no_knowledge_no_change(self):
-        peer = make_peer(0, [1, 2, 3])
-        cap = Cap()
-        assert not create_links(peer, 4, cap.try_connect, cap.disconnect)
+        ov, peer = star([1, 2, 3])
+        assert not create_links(peer, ov)
 
     def test_links_established_from_knowledge(self):
-        peer = make_peer(0, list(range(1, 9)), k=4)
-        cap = Cap()
+        ov, peer = star(range(1, 9), k=4)
         for friend in range(1, 9):
             bitmap = peer.codec.encode([friend % 8 + 1, (friend + 2) % 8 + 1])
             peer.learn_exchange(friend, mutual=friend, bitmap=bitmap, friend_links=[])
-        changed = create_links(peer, 4, cap.try_connect, cap.disconnect)
+        changed = create_links(peer, ov)
         assert changed
         assert 0 < len(peer.table.long_links) <= 4
+        assert all(0 in ov.admitted(w) for w in peer.table.long_links)
 
     def test_incoming_cap_respected(self):
-        peer = make_peer(0, [1, 2, 3], k=3)
-        cap = Cap(k=0)  # nobody accepts incoming links
+        ov, peer = star([1, 2, 3], k=3, others=3)
         for friend in (1, 2, 3):
             peer.learn_exchange(friend, 1, peer.codec.encode([friend]), [])
-        create_links(peer, 3, cap.try_connect, cap.disconnect)
+            for src in (4, 5, 6):  # every friend's three slots are taken
+                assert ov.try_accept_incoming(src, friend)
+        assert not create_links(peer, ov)
         assert peer.table.long_links == ()
 
     def test_budget_fill_prefers_uncovered_friends(self):
-        peer = make_peer(0, [1, 2, 3, 4], k=2)
-        cap = Cap()
+        ov, peer = star([1, 2, 3, 4], k=2)
         # friend 1 covers friends {2}; friend 3 covers nothing; friend 4 covers nothing.
         peer.learn_exchange(1, 4, peer.codec.encode([2]), [2])
         peer.learn_exchange(3, 1, peer.codec.encode([]), [])
         peer.learn_exchange(4, 1, peer.codec.encode([]), [])
-        create_links(peer, 2, cap.try_connect, cap.disconnect)
+        create_links(peer, ov)
         assert len(peer.table.long_links) == 2
 
     def test_same_bucket_redundant_link_swapped_for_diverse_one(self):
@@ -183,44 +189,40 @@ class TestCreateLinks:
         # bitmaps -> same LSH bucket), 3 is distinct. Algorithm 5 must
         # end with one of the redundant pair plus the diverse friend, not
         # both redundant ones.
-        peer = make_peer(0, list(range(1, 7)), k=2)
-        cap = Cap()
+        ov, peer = star(range(1, 7), k=2)
         same = peer.codec.encode([1, 2])
         peer.learn_exchange(1, 5, same, [1, 2])
         peer.learn_exchange(2, 4, same, [1, 2])
         peer.learn_exchange(3, 3, peer.codec.encode([4, 5]), [4, 5])
-        peer.table.long_links = {1, 2}  # start with the redundant pair
-        cap.try_connect(0, 1)
-        cap.try_connect(0, 2)
-        create_links(peer, 2, cap.try_connect, cap.disconnect, hysteresis=0)
+        hold(ov, 0, 1, 2)  # start with the redundant pair
+        create_links(peer, ov, hysteresis=0)
         assert len({1, 2} & set(peer.table.long_links)) == 1
         assert 3 in peer.table.long_links
+        # The dropped link's slot is released with it.
+        assert [0 in ov.admitted(w) for w in (1, 2, 3)] == [w in peer.table.long_links for w in (1, 2, 3)]
 
     def test_hysteresis_keeps_established_link(self):
-        peer = make_peer(0, list(range(1, 7)), k=3)
-        cap = Cap()
+        ov, peer = star(range(1, 7), k=3)
         a = peer.codec.encode([1, 2])
         b = peer.codec.encode([1, 2])
         peer.learn_exchange(1, 5, a, [1, 2])
         peer.learn_exchange(2, 4, b, [1, 2])
         # 2 established; challenger 1 has equal coverage -> keep 2.
-        peer.table.add_long(2)
-        cap.try_connect(0, 2)
-        create_links(peer, 3, cap.try_connect, cap.disconnect, hysteresis=2)
+        hold(ov, 0, 2)
+        create_links(peer, ov, hysteresis=2)
         assert 2 in peer.table.long_links
 
 
 class TestRandomLinks:
     def test_fills_budget_from_known(self, rng):
-        peer = make_peer(0, list(range(1, 10)), k=4)
-        cap = Cap()
+        ov, peer = star(range(1, 10), k=4)
         for friend in range(1, 10):
             peer.learn_exchange(friend, 1, peer.codec.encode([]), [])
-        changed = random_links(peer, 4, cap.try_connect, rng)
+        changed = random_links(peer, ov, rng)
         assert changed
         assert len(peer.table.long_links) == 4
+        assert all(0 in ov.admitted(w) for w in peer.table.long_links)
 
     def test_no_known_no_change(self, rng):
-        peer = make_peer(0, [1, 2])
-        cap = Cap()
-        assert not random_links(peer, 2, cap.try_connect, rng)
+        ov, peer = star([1, 2])
+        assert not random_links(peer, ov, rng)

@@ -13,6 +13,7 @@ from repro.core.select import SelectOverlay
 from repro.graphs.datasets import load_dataset
 from repro.idspace.space import ring_distance
 from repro.net.bandwidth import BandwidthModel
+from repro.overlay.doctor import check_overlay
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.util.exceptions import ConfigurationError
 
@@ -136,7 +137,7 @@ class TestBuildPins:
         [
             (2000, {}, False, 48, "c8e502ef80e1753e"),
             (300, {}, False, 58, "6f6f6da66cced028"),
-            (300, {}, True, 75, "f3e96a7f657ef0a0"),
+            (300, {}, True, 69, "0878bdad10e616c5"),
             (300, {"use_lsh": False}, False, 21, "d84076a7a70e1c66"),
             (300, {"reassign_ids": False}, False, 44, "43cf2f0f9c40030c"),
         ],
@@ -154,6 +155,22 @@ class TestBuildPins:
         assert overlay.iterations == iterations
         assert h.hexdigest()[:16] == digest
 
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bandwidth_build_leaks_no_slot(self, seed):
+        """Fig. 7's build path ends doctor-clean: every long link holds its
+        admission slot and every slot backs a link. A pass that dropped a
+        link whose eviction was queued and took the slot back by evicting
+        another source left (264, 199) at seed 1 and (51, 23) at seed 2."""
+        overlay = SelectOverlay(
+            load_dataset("facebook", 300, seed=7), bandwidth=BandwidthModel(300, seed=seed)
+        ).build(7)
+        report = check_overlay(overlay)
+        assert report.leaked_slots == []
+        assert report.ok
+        links = {(v, t) for v, table in enumerate(overlay.tables) for t in table.long_links}
+        slots = {(s, t) for t in range(300) for s in overlay.admitted(t)}
+        assert links == slots
 
     def test_full_knowledge_is_bit_identical(self):
         """Everything a peer knows after a build, not only ids and links:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import rounds
 from repro.core import select as select_module
 from repro.core.config import LSH_SAMPLES, SelectConfig
 from repro.core.links import create_links, plan_links
@@ -25,7 +26,7 @@ from tests.conftest import assert_edge_columns_recompute, edge_block, give_famil
 
 
 def reference(ov, gate, hysteresis=2):
-    plans = {v: plan_links(ov.peers[v], ov.k_links, ov.incoming_count, hysteresis) for v in gate}
+    plans = {v: plan_links(ov.peers[v], ov, hysteresis) for v in gate}
     return {v: plan for v, plan in plans.items() if plan is not None}
 
 
@@ -281,10 +282,7 @@ class TestOptimisticWalk:
         return {
             v
             for v in gate
-            if create_links(
-                ov.peers[v], ov.k_links, ov._try_connect, ov.release_incoming,
-                incoming_count=ov.incoming_count,
-            )
+            if create_links(ov.peers[v], ov)
         }
 
     @given(planning_recipes())
@@ -307,6 +305,69 @@ class TestOptimisticWalk:
         assert [set(t.long_links) for t in ov.tables] == [set(t.long_links) for t in live.tables]
         assert ov.tables[1].long_links == (2,)
         assert ov.incoming_count.tolist() == live.incoming_count.tolist()
+
+
+# -- bandwidth builds: a pending eviction never strands a slot -------------------
+
+
+@st.composite
+def eviction_recipes(draw):
+    """A planning recipe with upload speeds (ties allowed) and a choice of
+    the held link that a faster newcomer evicts before the link step."""
+    recipe = draw(planning_recipes())
+    speeds = st.lists(st.integers(1, 6), min_size=recipe["n"], max_size=recipe["n"])
+    recipe["upload"] = [float(u) for u in draw(speeds)]
+    recipe["evict"] = draw(st.integers(0, 10**6))
+    return recipe
+
+
+def eviction_state(recipe):
+    """The recipe's overlay with ``k + 2`` isolated peers appended: ``k``
+    fillers, a newcomer and a slow joiner. The chosen link goes to a friend
+    its owner knows. The fillers fill the link's target, whose slowest
+    source the owner is made; the
+    newcomer, faster than every source there, takes the owner's slot, so
+    the owner's eviction waits for the round barrier. Then the newcomer
+    leaves the target and the joiner, slower than the owner, takes the
+    slot it freed. Returns the overlay and the evicted ``(owner, target)``."""
+    n, k = recipe["n"], recipe["k"]
+    ov = planning_state(dict(recipe, n=n + k + 2), ledger_from_links=True)
+    newcomer, joiner = n + k, n + k + 1
+    upload = np.array(recipe["upload"] + [100.0] * k + [1000.0, 0.0])
+    ov.upload_mbps = upload
+    held = [(v, t) for v in range(n) for t in ov.tables[v].long_links if t in ov.peers[v].known_bitmap]
+    if not held:
+        return ov, None
+    owner, target = held[recipe["evict"] % len(held)]
+    upload[owner] = min(upload[s] for s in ov.admitted(target)) - 0.5
+    for filler in range(n, n + k - int(ov.incoming_count[target])):
+        assert ov._try_connect(filler, target)
+        link(ov, filler, target)
+    ov._defer_evictions = True  # as a build sets it
+    assert ov._try_connect(newcomer, target)
+    assert ov._eviction_events == [(owner, target)]
+    ov.release_incoming(newcomer, target)
+    upload[joiner] = upload[owner] - 1.0
+    assert ov._try_connect(joiner, target)
+    link(ov, joiner, target)
+    return ov, (owner, target)
+
+
+class TestBandwidthLedger:
+    @given(eviction_recipes())
+    @settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_links_and_slots_match_after_a_round(self, recipe):
+        """One link step of a bandwidth build, then the barrier: every long
+        link holds its slot and every slot backs a link."""
+        ov, evicted = eviction_state(recipe)
+        ov._reassign_links(np.random.default_rng(0))
+        rounds.publish_ids(ov, np.zeros(0, dtype=np.int64), np.zeros(0))
+        n = ov.graph.num_nodes
+        links = {(v, t) for v in range(n) for t in ov.tables[v].long_links}
+        slots = {(s, t) for t in range(n) for s in ov.admitted(t)}
+        assert links == slots
+        if evicted is not None:
+            assert evicted not in slots
 
 
 # -- the columns are the only cache of what the bitmaps imply: no stale slot -----
