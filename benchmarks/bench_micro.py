@@ -14,7 +14,7 @@ from repro.core.select import SelectOverlay
 from repro.graphs.datasets import load_dataset
 from repro.lsh.bitsampling import BitSamplingLsh
 from repro.pubsub.api import PubSubSystem
-from repro.social.bitmaps import BitmapCodec
+from repro.social.bitmaps import encode
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +29,9 @@ def overlay(graph):
 
 def test_bench_bitmap_encode(benchmark, graph):
     hub = int(np.argmax(graph.degrees))
-    codec = BitmapCodec(graph.neighbors(hub))
-    links = graph.neighbors(hub)[::3].tolist()
-    bitmap = benchmark(codec.encode, links)
+    neighborhood = graph.neighbors(hub)
+    links = neighborhood[::3].tolist()
+    bitmap = benchmark(encode, neighborhood, links)
     assert bitmap.bit_count() == len(links)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.peer import PeerState
+from repro.social.bitmaps import encode
 
 __all__ = ["exchange", "select_gossip_partner"]
 
@@ -44,8 +45,8 @@ def exchange(p: PeerState, q: PeerState) -> None:
     p_links = p.table.all_links()
     # Passive side (Alg. 4): bitmap of q's links over p's neighborhood (M),
     # and symmetric bitmap of p's links over q's neighborhood (M').
-    bitmap_for_p = p.codec.encode(q_links)
-    bitmap_for_q = q.codec.encode(p_links)
+    bitmap_for_p = encode(p.neighborhood, q_links)
+    bitmap_for_q = encode(q.neighborhood, p_links)
     p.learn_exchange(q.node, mutual, bitmap_for_p, q_links)
     q.learn_exchange(p.node, mutual, bitmap_for_q, p_links)
 

@@ -4,8 +4,9 @@ Table I lists four variables: the identifier ``D_p``, the routing table
 ``R_p``, the social neighborhood ``C_p``, and the lookahead set ``L_p``.
 On top of those, the gossip protocol (Algorithms 3–4) accumulates what the
 peer has *learned* about each friend — mutual-friend counts (for Eq. 2
-strength) and friendship bitmaps (for LSH link selection) — and the
-recovery mechanism tracks each contact's online behaviour. What a peer
+strength) and friendship bitmaps (for LSH link selection); the CMA of
+each contact's online behaviour is the overlay's one
+:class:`~repro.net.availability.CmaBook`. What a peer
 knows about ``neighborhood[i]`` lives in slot ``i`` of its block of
 :class:`~repro.core.columns.EdgeColumns`, the one store of that knowledge
 (a friend's links as a row of the columns' link log); ``known_mutual``,
@@ -17,7 +18,7 @@ lives in a shared :class:`~repro.core.columns.PeerColumns` block;
 the attributes here are property views over the peer's slot, so the
 vectorized kernels and the object API always see the same values.
 Friendship bitmaps are Python ints, one bit per neighborhood position (see
-:class:`~repro.social.bitmaps.BitmapCodec`).
+:func:`~repro.social.bitmaps.encode`).
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from repro.core.columns import EdgeColumns, PeerColumns
 from repro.core.config import LSH_SAMPLES
 from repro.core.picker import packed_key
 from repro.lsh.bitsampling import bucket_table
-from repro.net.availability import OnlineBehavior
 from repro.overlay.base import RoutingTable
-from repro.social.bitmaps import BitmapCodec
 
 __all__ = ["PeerState"]
 
@@ -55,8 +54,6 @@ class PeerState:
         "_slot",
         "neighborhood",
         "table",
-        "codec",
-        "behavior",
         "_edges",
         "_edge_at",
     )
@@ -76,10 +73,6 @@ class PeerState:
         self.neighborhood = np.asarray(neighborhood, dtype=np.int64)
         #: ``R_p`` — routing table (2 short-range + up to K long-range).
         self.table = table if table is not None else RoutingTable(node, k_links)
-        #: bitmap codec anchored to ``C_p`` (bit i == neighborhood[i]).
-        self.codec = BitmapCodec(self.neighborhood)
-        #: CMA availability tracking per contact (recovery, §III-F).
-        self.behavior = OnlineBehavior()
         #: this peer's :class:`EdgeColumns` block: everything it knows about
         #: ``neighborhood[i]`` sits at ``_edge_at + i``.
         self._edges, self._edge_at = edge_columns or (EdgeColumns(len(self.neighborhood)), 0)
@@ -256,7 +249,6 @@ class PeerState:
             at, edges = self._edge(peer), self._edges
             edges.bitmap[at] = None
             edges.bitmap_stamp[at] = edges.view[at] = edges.key[at] = edges.bucket[at] = -1
-        self.behavior.forget(peer)
 
     def merge_candidates(self) -> set[int]:
         """Peers this node can propose as rectify candidates.

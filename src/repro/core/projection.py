@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.idspace.hashing import uniform_hash
 from repro.idspace.space import normalize
-from repro.net.growth import JoinEvent
 from repro.util.exceptions import ConfigurationError
 from repro.util.rng import as_generator
 
@@ -33,9 +32,8 @@ __all__ = ["IdAllocator", "assign_initial_ids"]
 class IdAllocator:
     """Incremental Algorithm 1: allocates ids as users join the overlay."""
 
-    def __init__(self, rng: np.random.Generator, salt: int = 0):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._salt = salt
         self._occupied: list[float] = []  # sorted ids currently in use
         self._taken: set[float] = set()
 
@@ -51,7 +49,7 @@ class IdAllocator:
 
     def _fresh_uniform(self, user: int) -> float:
         """Uniform hash, re-salted on (astronomically unlikely) collision."""
-        salt = self._salt
+        salt = 0
         while True:
             candidate = uniform_hash(user, salt=salt)
             if candidate not in self._taken:
@@ -87,34 +85,27 @@ class IdAllocator:
                 return candidate
 
 
-def assign_initial_ids(
-    num_nodes: int,
-    join_events: "list[JoinEvent]",
-    seed=None,
-    salt: int = 0,
-) -> np.ndarray:
-    """Project a whole join sequence into the ID space.
+def assign_initial_ids(num_nodes: int, join_log: np.ndarray, seed=None) -> np.ndarray:
+    """Project a whole join log — the ``(user, inviter, step)`` columns of
+    :meth:`~repro.net.growth.GrowthModel.join_order`, ``-1`` for no inviter —
+    into the ID space.
 
-    Events must cover every node exactly once and an inviter must have
+    The log must cover every node exactly once and an inviter must have
     joined before the users it invites.
     """
-    if len(join_events) != num_nodes:
-        raise ConfigurationError(
-            f"join sequence covers {len(join_events)} users, expected {num_nodes}"
-        )
-    rng = as_generator(seed)
-    allocator = IdAllocator(rng, salt=salt)
+    users, inviters = join_log[0].tolist(), join_log[1].tolist()
+    if len(users) != num_nodes:
+        raise ConfigurationError(f"join sequence covers {len(users)} users, expected {num_nodes}")
+    allocator = IdAllocator(as_generator(seed))
     ids = np.full(num_nodes, -1.0, dtype=np.float64)
-    for event in join_events:
-        if ids[event.user] >= 0:
-            raise ConfigurationError(f"user {event.user} joins twice")
-        if event.inviter is None:
+    for user, inviter in zip(users, inviters):
+        if ids[user] >= 0:
+            raise ConfigurationError(f"user {user} joins twice")
+        if inviter < 0:
             inviter_id = None
         else:
-            if ids[event.inviter] < 0:
-                raise ConfigurationError(
-                    f"user {event.user} invited by {event.inviter} before it joined"
-                )
-            inviter_id = float(ids[event.inviter])
-        ids[event.user] = allocator.allocate(event.user, inviter_id)
+            if ids[inviter] < 0:
+                raise ConfigurationError(f"user {user} invited by {inviter} before it joined")
+            inviter_id = float(ids[inviter])
+        ids[user] = allocator.allocate(user, inviter_id)
     return ids

@@ -98,7 +98,7 @@ class RecoveryManager:
             # reproduce. A total order keeps resumed runs bit-identical.
             for contact in sorted(peer.table.long_links):
                 result = self.pings.probe(v, contact)
-                peer.behavior.observe(contact, result.responded)
+                ov.cma.observe(v, contact, result.responded)
                 if result.responded:
                     continue
                 if not result.confirmed_down:
@@ -106,7 +106,7 @@ class RecoveryManager:
                     # single noisy sample.
                     self.stats.kept_unresponsive += 1
                     continue
-                if peer.behavior.should_replace(contact):
+                if ov.cma.should_replace(v, contact):
                     self._replace(v, contact)
                 else:
                     # Temporary failure: keep the link (avoids reassignment
@@ -158,6 +158,7 @@ class RecoveryManager:
         peer.table.drop_long(dead)
         ov.release_incoming(v, dead)
         peer.forget_peer(dead)
+        ov.cma.pop((v, dead), None)
         self.pings.forget(v, dead)
         peer.table.add_long(candidate)
         self.stats.replacements += 1

@@ -70,10 +70,12 @@ class ExchangeStats(Stats):
 
 @dataclass
 class LinkStats(Stats):
-    """Link steps of one build's batch-planned walk (``build.links.*``)."""
+    """Link steps of one build (``build.links.*``): every gated-in peer's
+    plan, on the batch walk, bandwidth-aware and ``use_lsh=False`` paths
+    alike; only the walk re-plans."""
 
-    planned: int = stat("link steps planned by the round kernel")
-    replanned: int = stat("planned link steps re-run against the live ledger")
+    planned: int = stat("link steps planned (gated-in peers)")
+    replanned: int = stat("walk plans re-run against the live ledger")
     changed: int = stat("link steps that changed the peer's link set")
 
 

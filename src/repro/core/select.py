@@ -50,7 +50,8 @@ from repro.graphs.graph import SocialGraph
 from repro.idspace.space import ring_distance
 from repro.lsh.bitsampling import sample_rows
 from repro.net.bandwidth import BandwidthModel
-from repro.net.growth import GrowthModel, JoinEvent
+from repro.net.availability import CmaBook
+from repro.net.growth import GrowthModel
 from repro.overlay.base import INCOMING_SLACK, OverlayNetwork
 from repro.sim.trace import TraceRecorder
 from repro.telemetry.registry import get_registry
@@ -107,7 +108,10 @@ class SelectOverlay(OverlayNetwork):
         # Seeds every peer's LSH positions (``columns.lsh_sample``).
         self._lsh_seed = 0
         self.trace = TraceRecorder()
-        self.join_events: list[JoinEvent] = []
+        #: the growth model's ``(user, inviter, step)`` columns, in join order.
+        self.join_log = np.empty((3, 0), dtype=np.int64)
+        #: every peer's CMA of each contact it pinged (recovery, §III-F).
+        self.cma = CmaBook()
         self._xkernel = ExchangeKernel(self._nbr_indptr, self._nbr_indices)
         # Bandwidth evictions found mid-round are applied at the round
         # barrier while a build runs (True), immediately otherwise.
@@ -172,13 +176,17 @@ class SelectOverlay(OverlayNetwork):
         returns the peers whose link set differs from the round's start."""
         gate = rounds.link_gate(self)
         if self.config.use_lsh and self.upload_mbps is None:
-            return self._walk_plans(gate)
+            changed = self._walk_plans(gate)
         # Bandwidth and ablation builds plan each peer against the live
         # ledger at its turn (an admission there can evict a third party)
         # and apply the plan at once.
-        if self.config.use_lsh:
-            return {v for v in gate if create_links(self.peers[v], self)}
-        return {v for v in gate if random_links(self.peers[v], self, rng)}
+        elif self.config.use_lsh:
+            changed = {v for v in gate if create_links(self.peers[v], self)}
+        else:
+            changed = {v for v in gate if random_links(self.peers[v], self, rng)}
+        self.link_stats.planned += len(gate)
+        self.link_stats.changed += len(changed)
+        return changed
 
     def _walk_plans(self, gate: "list[int]") -> "set[int]":
         """One batch plan for the gate, applied in vertex order.
@@ -229,25 +237,16 @@ class SelectOverlay(OverlayNetwork):
                 if (incoming.item(t) >= k) != was_full[t]:
                     for u in self.graph.neighbors(t).tolist():
                         noted.setdefault(u, []).append(t)
-        stats = self.link_stats
-        stats.planned += len(gate)
-        stats.replanned += replanned
-        stats.changed += len(changed)
+        self.link_stats.replanned += replanned
         return changed
 
     def _project(self, rng: np.random.Generator) -> None:
         """Growth model -> join order -> Algorithm 1 identifiers."""
         n = self.graph.num_nodes
-        growth = GrowthModel(
-            self.graph,
-            initial_rate=max(8.0, n / 25.0),
-            decay=0.92,
-            seed=rng,
-        )
-        self.join_events = growth.join_order()
+        self.join_log = GrowthModel(self.graph, seed=rng).join_order()
         # In place: self.ids is the columns' identifier storage, shared
         # with every PeerState view.
-        self.ids[:] = assign_initial_ids(n, self.join_events, seed=rng)
+        self.ids[:] = assign_initial_ids(n, self.join_log, seed=rng)
         self.columns.link_change_budget[:] = MAX_LINK_CHANGES
         self.columns.lsh_sample[:] = sample_rows(self._degs, LSH_SAMPLES, self._lsh_seed)
         self.pending_ids[:] = self.ids
@@ -255,23 +254,21 @@ class SelectOverlay(OverlayNetwork):
     def _bootstrap(self, rng: np.random.Generator) -> None:
         """Immediate links to up to K already-joined social friends at join time."""
         joined_so_far = np.zeros(self.graph.num_nodes, dtype=bool)
-        for event in self.join_events:
-            peer = self.peers[event.user]
-            candidates: list[int] = []
-            if event.inviter is not None:
-                candidates.append(event.inviter)
+        users, inviters, _ = self.join_log.tolist()
+        for user, inviter in zip(users, inviters):
+            peer = self.peers[user]
+            candidates = [inviter] if inviter >= 0 else []
             friends = peer.neighborhood[joined_so_far[peer.neighborhood]]
             if friends.size:
-                extras = [int(f) for f in rng.permutation(friends) if f not in candidates]
-                candidates.extend(extras)
+                candidates += [int(f) for f in rng.permutation(friends) if f != inviter]
             linked = len(peer.table.long_links)
             for cand in candidates:
                 if linked >= self.k_links:
                     break
-                if self._try_connect(event.user, cand):
+                if self._try_connect(user, cand):
                     peer.table.add_long(cand)
                     linked += 1
-            joined_so_far[event.user] = True
+            joined_so_far[user] = True
 
     def _materialize_successors(self) -> None:
         """Populate the per-table successor backup lists from the final ring.

@@ -105,7 +105,7 @@ class ExchangeKernel:
     :class:`~repro.graphs.graph.SocialGraph` row is): the key table is
     then the CSR itself in key form, so a key's slot in the table minus
     its owner's ``indptr`` is the friend's position in ``C_owner`` — the
-    bit :class:`~repro.social.bitmaps.BitmapCodec` assigns it.
+    bit :func:`~repro.social.bitmaps.encode` assigns it.
     """
 
     __slots__ = ("n", "indptr", "indices", "_adj_keys")

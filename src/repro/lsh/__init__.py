@@ -6,7 +6,7 @@ friends with similar bitmaps (covering the same part of the neighborhood)
 collide, so picking one peer per bucket avoids redundant links while
 spanning distinct zones of the overlay. The one family is bit sampling
 (:class:`BitSamplingLsh`), which hashes the int friendship bitmaps that
-:class:`repro.social.BitmapCodec` builds.
+:func:`repro.social.encode` builds.
 """
 
 from repro.lsh.bitsampling import BitSamplingLsh

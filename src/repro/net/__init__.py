@@ -3,9 +3,10 @@
 Everything the paper's testbed provided physically is modelled here:
 heterogeneous per-peer bandwidth, per-link latency, serialized simultaneous
 transfers (the §IV-D probe), log-normal churn sessions [20], the social
-network growth process [19], the exponential posting workload [21], and the
-Cumulative Moving Average online-behaviour tracker that SELECT's recovery
-mechanism consumes. :mod:`repro.net.faults` adds what the testbed did
+network growth process [19] (a join log as int columns), the exponential
+posting workload [21], and the book of Cumulative Moving Averages — one
+``(observer, contact) -> (count, mean)`` entry per pinged contact — that
+SELECT's recovery mechanism consumes. :mod:`repro.net.faults` adds what the testbed did
 *not* provide: seeded fault injection — lossy links with bounded
 retransmission, noisy liveness probes behind a timeout/backoff/suspicion
 :class:`~repro.net.faults.PingService`, crash vs. graceful departures,
@@ -16,9 +17,9 @@ from repro.net.bandwidth import BandwidthModel, PeerBandwidth
 from repro.net.latency import LatencyModel
 from repro.net.transfer import fanout_transfer_time, tree_dissemination_time
 from repro.net.churn import ChurnModel, ChurnTimeline
-from repro.net.growth import GrowthModel, JoinEvent
+from repro.net.growth import GrowthModel
 from repro.net.workload import PublishEvent, PublishWorkload
-from repro.net.availability import CumulativeMovingAverage, OnlineBehavior
+from repro.net.availability import CmaBook
 from repro.net.faults import (
     FaultPlan,
     FaultStats,
@@ -38,11 +39,9 @@ __all__ = [
     "ChurnModel",
     "ChurnTimeline",
     "GrowthModel",
-    "JoinEvent",
     "PublishEvent",
     "PublishWorkload",
-    "CumulativeMovingAverage",
-    "OnlineBehavior",
+    "CmaBook",
     "FaultPlan",
     "FaultStats",
     "PathOutcome",

@@ -9,7 +9,7 @@ mostly offline and gets replaced from the same LSH bucket.
 
 from __future__ import annotations
 
-__all__ = ["CMA_THRESHOLD", "CMA_MIN_OBSERVATIONS", "CumulativeMovingAverage", "OnlineBehavior"]
+__all__ = ["CMA_THRESHOLD", "CMA_MIN_OBSERVATIONS", "CmaBook"]
 
 #: CMA below which an unresponsive contact is deemed mostly-offline
 #: (replace) rather than temporarily failed (keep).
@@ -20,68 +20,20 @@ CMA_THRESHOLD = 0.5
 CMA_MIN_OBSERVATIONS = 3
 
 
-class CumulativeMovingAverage:
-    """Streaming CMA over {0, 1} availability observations."""
+class CmaBook(dict):
+    """Every observer's CMA of each contact it pinged, one book per overlay:
+    ``(observer, contact) -> (count, mean)`` in first-observation order (a
+    forgotten contact observed again goes to the end)."""
 
-    __slots__ = ("_count", "_mean")
+    def observe(self, observer: int, contact: int, online: bool) -> None:
+        """Fold one ping result of ``observer`` for ``contact`` in."""
+        count, mean = self.get((observer, contact), (0, 0.0))
+        count += 1
+        self[observer, contact] = (count, mean + (float(online) - mean) / count)
 
-    def __init__(self):
-        self._count = 0
-        self._mean = 0.0
-
-    def update(self, online: bool) -> float:
-        """Fold one observation in; returns the new average."""
-        self._count += 1
-        self._mean += (float(online) - self._mean) / self._count
-        return self._mean
-
-    @property
-    def value(self) -> float:
-        """Current average (0.0 before any observation)."""
-        return self._mean
-
-    @property
-    def count(self) -> int:
-        """Number of observations folded in."""
-        return self._count
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CMA(value={self._mean:.3f}, n={self._count})"
-
-
-class OnlineBehavior:
-    """Per-contact CMA book-keeping for one observing peer."""
-
-    def __init__(self):
-        self._cma: dict[int, CumulativeMovingAverage] = {}
-
-    def observe(self, contact: int, online: bool) -> float:
-        """Record a ping result for ``contact``."""
-        cma = self._cma.get(contact)
-        if cma is None:
-            cma = self._cma[contact] = CumulativeMovingAverage()
-        return cma.update(online)
-
-    def availability(self, contact: int) -> float:
-        """Estimated availability (optimistic 1.0 for unknown contacts)."""
-        cma = self._cma.get(contact)
-        return cma.value if cma is not None else 1.0
-
-    def should_replace(self, contact: int) -> bool:
-        """Replacement decision for an *unresponsive* contact.
-
-        Before :data:`CMA_MIN_OBSERVATIONS` pings the verdict is "keep";
-        after, a CMA below :data:`CMA_THRESHOLD` replaces.
-        """
-        cma = self._cma.get(contact)
-        if cma is None or cma.count < CMA_MIN_OBSERVATIONS:
-            return False
-        return cma.value < CMA_THRESHOLD
-
-    def forget(self, contact: int) -> None:
-        """Drop history for a contact (after replacing it)."""
-        self._cma.pop(contact, None)
-
-    def tracked(self) -> list[int]:
-        """Contacts with at least one observation."""
-        return sorted(self._cma)
+    def should_replace(self, observer: int, contact: int) -> bool:
+        """Replacement verdict for an *unresponsive* contact: "keep" before
+        :data:`CMA_MIN_OBSERVATIONS` pings, then replace when the CMA is
+        below :data:`CMA_THRESHOLD`."""
+        count, mean = self.get((observer, contact), (0, 0.0))
+        return count >= CMA_MIN_OBSERVATIONS and mean < CMA_THRESHOLD

@@ -11,69 +11,36 @@ joiners get uniform hashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.graphs.graph import SocialGraph
-from repro.util.exceptions import ConfigurationError
 from repro.util.rng import as_generator
 
-__all__ = ["JoinEvent", "GrowthModel"]
+__all__ = ["GrowthModel"]
 
+#: Per-step multiplicative decay of the invitation rate; the rate floors at
+#: 1 so growth always completes.
+DECAY = 0.92
 
-@dataclass(frozen=True)
-class JoinEvent:
-    """One user joining the network.
-
-    ``inviter`` is the already-registered friend that pulled the user in,
-    or ``None`` for an independent (seed) joiner.
-    """
-
-    step: int
-    user: int
-    inviter: "int | None"
+#: Fraction of users that join independently (uniform-hash ids) even when a
+#: registered friend exists — new users are not always invited.
+SEED_FRACTION = 0.1
 
 
 class GrowthModel:
-    """Generates a join order over a social graph.
+    """Generates a join order over ``graph``, the final social graph the
+    network grows into. The expected number of friends invited per step
+    starts at ``max(8, n / 25)`` and decays by :data:`DECAY` a step."""
 
-    Parameters
-    ----------
-    graph:
-        The final social graph the network grows into.
-    initial_rate:
-        Expected number of friends invited per step at the beginning.
-    decay:
-        Per-step multiplicative decay of the invitation rate (< 1.0);
-        the rate floors at 1 so growth always completes.
-    seed_fraction:
-        Fraction of users that join independently (uniform-hash ids) even
-        when a registered friend exists — new users are not always invited.
-    """
-
-    def __init__(
-        self,
-        graph: SocialGraph,
-        initial_rate: float = 8.0,
-        decay: float = 0.95,
-        seed_fraction: float = 0.1,
-        seed=None,
-    ):
-        if initial_rate < 1.0:
-            raise ConfigurationError(f"initial_rate must be >= 1, got {initial_rate}")
-        if not (0.0 < decay <= 1.0):
-            raise ConfigurationError(f"decay must be in (0, 1], got {decay}")
-        if not (0.0 <= seed_fraction <= 1.0):
-            raise ConfigurationError(f"seed_fraction must be in [0, 1], got {seed_fraction}")
+    def __init__(self, graph: SocialGraph, seed=None):
         self.graph = graph
-        self.initial_rate = initial_rate
-        self.decay = decay
-        self.seed_fraction = seed_fraction
         self._rng = as_generator(seed)
 
-    def join_order(self) -> list[JoinEvent]:
-        """Produce a full join sequence covering every user of the graph.
+    def join_order(self) -> np.ndarray:
+        """The join log covering every user of the graph once, as int
+        columns ``(user, inviter, step)`` in join order: ``inviter`` is the
+        already-registered friend that pulled the user in, ``-1`` for an
+        independent (seed) joiner.
 
         Independent joins draw the k-th not-yet-joined user through a
         Fenwick tree (O(log n) select) instead of materialising the
@@ -87,7 +54,9 @@ class GrowthModel:
         n = g.num_nodes
         rng = self._rng
         joined = np.zeros(n, dtype=bool)
-        events: list[JoinEvent] = []
+        users: list[int] = []
+        inviters: list[int] = []
+        steps: list[int] = []
         # Frontier: not-yet-joined friends of members, in insertion order;
         # each user appears at most once, with its inviter kept aside.
         frontier: list[int] = []
@@ -125,10 +94,12 @@ class GrowthModel:
                 bit >>= 1
             return pos  # 0-based user id
 
-        def register(user: int, inviter: "int | None", step: int) -> None:
+        def register(user: int, inviter: int, step: int) -> None:
             joined[user] = True
             mark_joined(user)
-            events.append(JoinEvent(step=step, user=user, inviter=inviter))
+            users.append(user)
+            inviters.append(inviter)
+            steps.append(step)
             for friend in g.neighbors(user):
                 friend = int(friend)
                 if not joined[friend] and not in_frontier[friend]:
@@ -138,17 +109,17 @@ class GrowthModel:
 
         step = 0
         seed_user = int(rng.integers(n))
-        register(seed_user, None, step)
+        register(seed_user, -1, step)
         unjoined -= 1
-        rate = self.initial_rate
-        while len(events) < n:
+        rate = max(8.0, n / 25.0)
+        while len(users) < n:
             step += 1
             batch = max(1, int(rng.poisson(max(rate, 1.0))))
-            rate *= self.decay
+            rate *= DECAY
             for _ in range(batch):
-                if len(events) >= n:
+                if len(users) >= n:
                     break
-                use_frontier = frontier and rng.random() >= self.seed_fraction
+                use_frontier = frontier and rng.random() >= SEED_FRACTION
                 if use_frontier:
                     # Invitation join: pull a random frontier member in.
                     idx = int(rng.integers(len(frontier)))
@@ -169,6 +140,6 @@ class GrowthModel:
                         in_frontier[user] = False
                         del frontier[frontier.index(user)]
                         del inviter_of[user]
-                    register(user, None, step)
+                    register(user, -1, step)
                     unjoined -= 1
-        return events
+        return np.array([users, inviters, steps], dtype=np.int64)

@@ -14,8 +14,9 @@ column as an owned numpy copy, so capture is a copy per column and restore
 an assignment per column plus one write per routing table; JSON exists
 only in the canonical text, which writes an array as its ``tolist()``
 (:func:`load` returns lists, and both forms restore alike). Learn stamps
-and behaviour dicts keep their order (it is state: recovery probes in it,
-and under faults each probe draws RNG); order-free sets are stored sorted;
+and each observer's row of the CMA book keep their order (it is state:
+recovery probes in it, and under faults each probe draws RNG); order-free
+sets are stored sorted;
 each distinct link view (a row of the edge columns' link log) is stored
 once. Nothing derived is stored (packed keys, log row ids, LSH positions
 are rebuilt), and bitmaps are hex strings, out of reach of Python's
@@ -31,7 +32,6 @@ import hashlib
 import json
 import os
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from repro.core.config import SelectConfig
 from repro.core.picker import packed_key
 from repro.graphs.graph import SocialGraph
 from repro.lsh.bitsampling import sample_rows
-from repro.net.availability import CMA_MIN_OBSERVATIONS, CMA_THRESHOLD, CumulativeMovingAverage
-from repro.net.growth import JoinEvent
+from repro.net.availability import CMA_MIN_OBSERVATIONS, CMA_THRESHOLD
 from repro.overlay.base import INCOMING_SLACK
 from repro.sim.trace import TraceRecorder
 from repro.util.atomicio import atomic_write_json, atomic_write_text
@@ -136,14 +135,6 @@ def graph_fingerprint(graph: SocialGraph) -> str:
 # -- per-component capture ---------------------------------------------------
 
 
-def _csr(rows) -> dict:
-    """Collections of node ids as one CSR: ``indptr`` (a pointer per row plus
-    one) and ``values``, each row in its own order."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-    return {"indptr": np.concatenate(([0], np.cumsum(lengths))), "values": values}
-
-
 def _padded_csr(column: np.ndarray, sort: bool = False) -> dict:
     """A column of ``-1``-padded rows as one CSR, each row sorted when ``sort``."""
     if sort:
@@ -176,8 +167,11 @@ def _views(edges) -> "tuple[np.ndarray, dict]":
 def _capture_overlay(overlay) -> dict:
     cols, edges = overlay.columns, overlay.edge_columns
     view, views = _views(edges)
-    behavior = [peer.behavior._cma for peer in overlay.peers]
-    cmas = list(chain.from_iterable(c.values() for c in behavior))
+    # The CMA book as one CSR by observer, each row in first-observation order.
+    pairs = np.array(list(overlay.cma), dtype=np.int64).reshape(-1, 2)
+    cmas = np.array(list(overlay.cma.values()), dtype=np.float64).reshape(-1, 2)
+    order = np.argsort(pairs[:, 0], kind="stable")
+    per_observer = np.bincount(pairs[:, 0], minlength=len(overlay.ids))
     return {
         "k_links": int(overlay.k_links),
         "config": {**asdict(overlay.config), **_CONSTANTS},
@@ -189,10 +183,7 @@ def _capture_overlay(overlay) -> dict:
         "ids": overlay.ids.copy(),
         "pending_ids": overlay.pending_ids.copy(),
         "upload_mbps": None if overlay.upload_mbps is None else overlay.upload_mbps.copy(),
-        "join_events": [
-            [int(e.step), int(e.user), None if e.inviter is None else int(e.inviter)]
-            for e in overlay.join_events
-        ],
+        "join_events": [[s, u, None if i < 0 else i] for u, i, s in overlay.join_log.T.tolist()],
         "trace": overlay.trace.to_rows(),
         "peers": {
             **{name: getattr(cols, name).copy() for name in _PEER_COLUMNS},
@@ -212,9 +203,10 @@ def _capture_overlay(overlay) -> dict:
         },
         "incoming_sources": _padded_csr(overlay.incoming_sources, sort=True),
         "behavior": {
-            **_csr(behavior),
-            "count": np.fromiter((cma._count for cma in cmas), dtype=np.int64, count=len(cmas)),
-            "mean": np.fromiter((cma._mean for cma in cmas), dtype=np.float64, count=len(cmas)),
+            "indptr": np.concatenate(([0], np.cumsum(per_observer))),
+            "values": pairs[order, 1],
+            "count": cmas[order, 0].astype(np.int64),
+            "mean": cmas[order, 1],
         },
     }
 
@@ -567,13 +559,6 @@ def _padded(indptr: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _rows(indptr: np.ndarray, values) -> list:
-    """A CSR's rows as Python lists; numpy values come out as Python ints."""
-    indptr = indptr.tolist()
-    values = values.tolist() if isinstance(values, np.ndarray) else values
-    return [values[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
-
-
 def restore_into(
     snapshot: dict,
     overlay,
@@ -646,16 +631,14 @@ def restore_into(
     overlay.links_written[:] = True
     overlay._link_version[0] += 1
     indptr, contacts = cols["behavior"]
-    cmas = [_cma(count, mean) for count, mean in zip(*cols["cma"])]
-    for peer, keys, values in zip(overlay.peers, _rows(indptr, contacts), _rows(indptr, cmas)):
-        peer.behavior._cma = dict(zip(keys, values))
+    observers = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    overlay.cma.clear()
+    overlay.cma.update(zip(zip(observers.tolist(), contacts.tolist()), zip(*cols["cma"])))
 
     upload = data["upload_mbps"]
     overlay.upload_mbps = None if upload is None else np.array(upload, dtype=np.float64)
-    overlay.join_events = [
-        JoinEvent(step=int(s), user=int(u), inviter=None if i is None else int(i))
-        for s, u, i in data["join_events"]
-    ]
+    log = [[u, -1 if i is None else i, s] for s, u, i in data["join_events"]]
+    overlay.join_log = np.array(log, dtype=np.int64).reshape(-1, 3).T
     trace = TraceRecorder()
     for row in data["trace"]:
         trace.record(row["series"], row["round"], row["value"])
@@ -680,12 +663,6 @@ def restore_into(
             )
         apply(target, state[name])
     return overlay
-
-
-def _cma(count: int, mean: float) -> CumulativeMovingAverage:
-    cma = CumulativeMovingAverage()
-    cma._count, cma._mean = count, mean
-    return cma
 
 
 def embedded_graph(state: dict) -> "SocialGraph | None":

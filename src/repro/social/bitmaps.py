@@ -15,46 +15,25 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BitmapCodec"]
+__all__ = ["decode", "encode"]
 
 
-class BitmapCodec:
-    """Encodes friendship bitmaps relative to one peer's neighborhood.
+def encode(neighborhood: np.ndarray, nodes) -> int:
+    """Bitmap marking which of the sorted ``neighborhood`` the given nodes cover.
 
-    Parameters
-    ----------
-    neighborhood:
-        Sorted array of the peer's friends ``C_p``; bit position ``i``
-        corresponds to ``neighborhood[i]``.
+    Nodes outside the neighborhood are ignored — a friend's routing table
+    usually contains peers we do not share. A node's bit is its
+    ``searchsorted`` position in the neighborhood.
     """
+    nodes = np.fromiter(nodes, dtype=np.int64)
+    acc = 0
+    for i, v in zip(np.searchsorted(neighborhood, nodes).tolist(), nodes.tolist()):
+        if i < len(neighborhood) and neighborhood[i] == v:
+            acc |= 1 << i
+    return acc
 
-    __slots__ = ("_neighborhood", "nbits")
 
-    def __init__(self, neighborhood):
-        self._neighborhood = np.asarray(neighborhood, dtype=np.int64)
-        self.nbits = len(self._neighborhood)
-
-    def encode(self, linked_nodes) -> int:
-        """Bitmap marking which of the neighborhood the given nodes cover.
-
-        Nodes outside the neighborhood are ignored — a friend's routing
-        table usually contains peers we do not share. A node's bit is its
-        ``searchsorted`` position in the sorted neighborhood.
-        """
-        nodes = np.fromiter(linked_nodes, dtype=np.int64)
-        acc = 0
-        for i, v in zip(np.searchsorted(self._neighborhood, nodes).tolist(), nodes.tolist()):
-            if i < self.nbits and self._neighborhood[i] == v:
-                acc |= 1 << i
-        return acc
-
-    def decode(self, bitmap: int) -> np.ndarray:
-        """Node ids whose bits are set in ``bitmap``."""
-        idx = [i for i in range(min(bitmap.bit_length(), self.nbits)) if bitmap >> i & 1]
-        return self._neighborhood[idx]
-
-    def coverage(self, bitmap: int) -> float:
-        """Fraction of the neighborhood covered by ``bitmap``."""
-        if self.nbits == 0:
-            return 0.0
-        return bitmap.bit_count() / self.nbits
+def decode(neighborhood: np.ndarray, bitmap: int) -> np.ndarray:
+    """Node ids of the sorted ``neighborhood`` whose bits are set in ``bitmap``."""
+    idx = [i for i in range(min(bitmap.bit_length(), len(neighborhood))) if bitmap >> i & 1]
+    return np.asarray(neighborhood, dtype=np.int64)[idx]

@@ -12,6 +12,7 @@ from repro.core.picker import KEY_FIELD, packed_key, picker, sort_candidates
 from repro.core.select import SelectOverlay
 from repro.graphs.graph import SocialGraph
 from repro.lsh.bitsampling import BitSamplingLsh
+from repro.social.bitmaps import decode, encode
 from tests.conftest import give_family
 
 
@@ -54,7 +55,7 @@ class TestExchange:
         q = make_peer(1, tiny_graph.neighbors(1))
         q.table.add_long(2)  # q links to 2, one of p's friends
         exchange(p, q)
-        covered = set(p.codec.decode(p.known_bitmap[1]).tolist())
+        covered = set(decode(p.neighborhood, p.known_bitmap[1]).tolist())
         assert covered == {2}
 
     def test_lookahead_updated(self, tiny_graph):
@@ -124,7 +125,7 @@ class TestPackedKeys:
         known = list(range(1, 31, 2))
         for f in known:
             linked = rng.choice(np.arange(1, 31), size=int(rng.integers(0, 4)), replace=False)
-            peer.learn_exchange(f, 1, peer.codec.encode(linked), linked.tolist())
+            peer.learn_exchange(f, 1, encode(peer.neighborhood, linked), linked.tolist())
         links = rng.choice(known, size=3, replace=False).tolist()
         hold(ov, 0, *links)
         coverage = {f: b.bit_count() for f, b in peer.known_bitmap.items()}
@@ -159,7 +160,7 @@ class TestCreateLinks:
     def test_links_established_from_knowledge(self):
         ov, peer = star(range(1, 9), k=4)
         for friend in range(1, 9):
-            bitmap = peer.codec.encode([friend % 8 + 1, (friend + 2) % 8 + 1])
+            bitmap = encode(peer.neighborhood, [friend % 8 + 1, (friend + 2) % 8 + 1])
             peer.learn_exchange(friend, mutual=friend, bitmap=bitmap, friend_links=[])
         changed = create_links(peer, ov)
         assert changed
@@ -169,7 +170,7 @@ class TestCreateLinks:
     def test_incoming_cap_respected(self):
         ov, peer = star([1, 2, 3], k=3, others=3)
         for friend in (1, 2, 3):
-            peer.learn_exchange(friend, 1, peer.codec.encode([friend]), [])
+            peer.learn_exchange(friend, 1, encode(peer.neighborhood, [friend]), [])
             for src in (4, 5, 6):  # every friend's three slots are taken
                 assert ov.try_accept_incoming(src, friend)
         assert not create_links(peer, ov)
@@ -178,9 +179,9 @@ class TestCreateLinks:
     def test_budget_fill_prefers_uncovered_friends(self):
         ov, peer = star([1, 2, 3, 4], k=2)
         # friend 1 covers friends {2}; friend 3 covers nothing; friend 4 covers nothing.
-        peer.learn_exchange(1, 4, peer.codec.encode([2]), [2])
-        peer.learn_exchange(3, 1, peer.codec.encode([]), [])
-        peer.learn_exchange(4, 1, peer.codec.encode([]), [])
+        peer.learn_exchange(1, 4, encode(peer.neighborhood, [2]), [2])
+        peer.learn_exchange(3, 1, encode(peer.neighborhood, []), [])
+        peer.learn_exchange(4, 1, encode(peer.neighborhood, []), [])
         create_links(peer, ov)
         assert len(peer.table.long_links) == 2
 
@@ -190,10 +191,10 @@ class TestCreateLinks:
         # end with one of the redundant pair plus the diverse friend, not
         # both redundant ones.
         ov, peer = star(range(1, 7), k=2)
-        same = peer.codec.encode([1, 2])
+        same = encode(peer.neighborhood, [1, 2])
         peer.learn_exchange(1, 5, same, [1, 2])
         peer.learn_exchange(2, 4, same, [1, 2])
-        peer.learn_exchange(3, 3, peer.codec.encode([4, 5]), [4, 5])
+        peer.learn_exchange(3, 3, encode(peer.neighborhood, [4, 5]), [4, 5])
         hold(ov, 0, 1, 2)  # start with the redundant pair
         create_links(peer, ov, hysteresis=0)
         assert len({1, 2} & set(peer.table.long_links)) == 1
@@ -203,8 +204,8 @@ class TestCreateLinks:
 
     def test_hysteresis_keeps_established_link(self):
         ov, peer = star(range(1, 7), k=3)
-        a = peer.codec.encode([1, 2])
-        b = peer.codec.encode([1, 2])
+        a = encode(peer.neighborhood, [1, 2])
+        b = encode(peer.neighborhood, [1, 2])
         peer.learn_exchange(1, 5, a, [1, 2])
         peer.learn_exchange(2, 4, b, [1, 2])
         # 2 established; challenger 1 has equal coverage -> keep 2.
@@ -217,7 +218,7 @@ class TestRandomLinks:
     def test_fills_budget_from_known(self, rng):
         ov, peer = star(range(1, 10), k=4)
         for friend in range(1, 10):
-            peer.learn_exchange(friend, 1, peer.codec.encode([]), [])
+            peer.learn_exchange(friend, 1, encode(peer.neighborhood, []), [])
         changed = random_links(peer, ov, rng)
         assert changed
         assert len(peer.table.long_links) == 4

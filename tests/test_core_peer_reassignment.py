@@ -7,6 +7,7 @@ from repro.core.peer import PeerState
 from repro.core.picker import packed_key
 from repro.core.reassignment import apply_reassignment, evaluate_position
 from repro.idspace.space import ring_midpoint
+from repro.social.bitmaps import encode
 from tests.conftest import edge_block
 
 
@@ -15,7 +16,7 @@ def make_peer(node=0, neighborhood=(1, 2, 3), k=4):
 
 
 def teach(peer, friend, mutual, linked=()):
-    bitmap = peer.codec.encode(linked)
+    bitmap = encode(peer.neighborhood, linked)
     peer.learn_exchange(friend, mutual, bitmap, linked)
 
 

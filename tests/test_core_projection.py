@@ -5,12 +5,13 @@ import pytest
 
 from repro.core.projection import IdAllocator, assign_initial_ids
 from repro.idspace.space import ring_distance
-from repro.net.growth import JoinEvent
 from repro.util.exceptions import ConfigurationError
 
 
 def events_from(pairs):
-    return [JoinEvent(step=i, user=u, inviter=inv) for i, (u, inv) in enumerate(pairs)]
+    """A join log's ``(user, inviter, step)`` columns, ``None`` inviters as ``-1``."""
+    rows = [(u, -1 if inv is None else inv, i) for i, (u, inv) in enumerate(pairs)]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
 
 
 class TestIdAllocator:

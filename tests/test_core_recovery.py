@@ -51,10 +51,17 @@ class TestRecoveryManager:
         online = np.ones(ov.graph.num_nodes, dtype=bool)
         victims = sorted(ov.tables[0].long_links)[:1]
         online[victims[0]] = False
-        for _ in range(4):
+        for _ in range(2):
+            manager.tick(online)
+        # Two missed pings, below CMA_MIN_OBSERVATIONS: kept, with a mean of 0.
+        assert ov.cma[0, victims[0]] == (2, 0.0)
+        assert victims[0] in ov.tables[0].long_links
+        for _ in range(2):
             manager.tick(online)
         assert victims[0] not in ov.tables[0].long_links
         assert manager.replacements > 0
+        # The replaced contact's history is forgotten with it.
+        assert (0, victims[0]) not in ov.cma
 
     def test_high_cma_peer_survives_transient_failure(self):
         ov = fresh_overlay()
@@ -186,7 +193,7 @@ class TestNoisyPings:
             peer = ov.peers[v]
             for contact in peer.table.long_links:
                 for _ in range(10):
-                    peer.behavior.observe(contact, True)
+                    ov.cma.observe(v, contact, True)
         plan = FaultPlan(
             ping_false_negative=0.4, ping_attempts=2, suspicion_threshold=2, seed=31
         )

@@ -229,6 +229,36 @@ class TestPhaseLedger:
         assert planned == sum(gated) and 0 < changed < planned
         assert 0 < replanned < planned
 
+    @pytest.mark.parametrize("path", ["bandwidth", "no_lsh"])
+    def test_every_link_path_books_its_steps(self, monkeypatch, path):
+        # Bandwidth-aware and use_lsh=False builds plan peer by peer, not on
+        # the batch walk; they book planned and changed all the same, and
+        # only the walk re-plans.
+        gated, changed = [], []
+        link_gate, settle_counters = rounds.link_gate, rounds.settle_counters
+
+        def counted_gate(*args):
+            gated.append(len(gate := link_gate(*args)))
+            return gate
+
+        def counted_settle(ov, peers):
+            changed.append(len(peers))
+            settle_counters(ov, peers)
+
+        monkeypatch.setattr(rounds, "link_gate", counted_gate)
+        monkeypatch.setattr(rounds, "settle_counters", counted_settle)
+        overlay = SelectOverlay(
+            load_dataset("facebook", num_nodes=300, seed=7),
+            config=SelectConfig(use_lsh=path != "no_lsh"),
+            bandwidth=BandwidthModel(300, seed=1) if path == "bandwidth" else None,
+        )
+        with use_registry(MetricsRegistry()):
+            overlay.build(7)
+        stats = overlay.link_stats
+        assert stats.planned == sum(gated) > 0
+        assert 0 < stats.changed == sum(changed) < stats.planned
+        assert stats.replanned == 0
+
 
 class TestAblations:
     def test_reassignment_off_keeps_projection_ids(self, small_graph):

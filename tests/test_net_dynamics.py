@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.datasets import load_dataset
-from repro.net.availability import CumulativeMovingAverage, OnlineBehavior
+from repro.net.availability import CmaBook
 from repro.net.churn import ChurnModel, ChurnTimeline
 from repro.net.growth import GrowthModel
 from repro.net.workload import PublishWorkload
@@ -88,40 +88,21 @@ class TestGrowth:
         return load_dataset("facebook", num_nodes=120, seed=9)
 
     def test_covers_every_user_once(self, graph):
-        events = GrowthModel(graph, seed=1).join_order()
-        users = [e.user for e in events]
-        assert sorted(users) == list(range(graph.num_nodes))
+        users, _, _ = GrowthModel(graph, seed=1).join_order()
+        assert sorted(users.tolist()) == list(range(graph.num_nodes))
 
     def test_inviter_joined_earlier_and_is_friend(self, graph):
-        events = GrowthModel(graph, seed=2).join_order()
+        users, inviters, _ = GrowthModel(graph, seed=2).join_order().tolist()
         joined = set()
-        for e in events:
-            if e.inviter is not None:
-                assert e.inviter in joined
-                assert graph.has_edge(e.user, e.inviter)
-            joined.add(e.user)
+        for user, inviter in zip(users, inviters):
+            if inviter >= 0:
+                assert inviter in joined
+                assert graph.has_edge(user, inviter)
+            joined.add(user)
 
     def test_steps_nondecreasing(self, graph):
-        events = GrowthModel(graph, seed=3).join_order()
-        steps = [e.step for e in events]
+        steps = GrowthModel(graph, seed=3).join_order()[2].tolist()
         assert steps == sorted(steps)
-
-    def test_all_independent_when_seed_fraction_one(self, graph):
-        events = GrowthModel(graph, seed_fraction=1.0, seed=4).join_order()
-        assert all(e.inviter is None for e in events)
-
-    def test_mostly_invited_when_seed_fraction_zero(self, graph):
-        events = GrowthModel(graph, seed_fraction=0.0, seed=5).join_order()
-        invited = sum(1 for e in events if e.inviter is not None)
-        assert invited >= graph.num_nodes - 1 - 5  # all but seeds of components
-
-    def test_invalid_params(self, graph):
-        with pytest.raises(ConfigurationError):
-            GrowthModel(graph, initial_rate=0.5)
-        with pytest.raises(ConfigurationError):
-            GrowthModel(graph, decay=0.0)
-        with pytest.raises(ConfigurationError):
-            GrowthModel(graph, seed_fraction=1.5)
 
 
 class TestWorkload:
@@ -199,50 +180,50 @@ class TestWorkload:
 
 class TestCma:
     def test_streaming_mean(self):
-        cma = CumulativeMovingAverage()
+        book = CmaBook()
         for obs in (True, False, True, True):
-            cma.update(obs)
-        assert cma.value == pytest.approx(0.75)
-        assert cma.count == 4
+            book.observe(0, 7, obs)
+        count, mean = book[0, 7]
+        assert mean == pytest.approx(0.75)
+        assert count == 4
 
     def test_initial_state(self):
-        cma = CumulativeMovingAverage()
-        assert cma.value == 0.0 and cma.count == 0
+        book = CmaBook()
+        assert (0, 7) not in book and not book.should_replace(0, 7)
 
 
 class TestOnlineBehavior:
     def test_unknown_contact_optimistic(self):
-        ob = OnlineBehavior()
-        assert ob.availability(42) == 1.0
-        assert not ob.should_replace(42)
+        assert not CmaBook().should_replace(0, 42)
 
     def test_replace_after_enough_bad_observations(self):
-        ob = OnlineBehavior()
+        book = CmaBook()
         for _ in range(3):
-            ob.observe(7, False)
-        assert ob.should_replace(7)
+            book.observe(0, 7, False)
+        assert book.should_replace(0, 7)
+        assert not book.should_replace(1, 7)  # the verdict is the observer's own
 
     def test_keep_before_min_observations(self):
-        ob = OnlineBehavior()
-        ob.observe(7, False)
-        assert not ob.should_replace(7)
+        book = CmaBook()
+        book.observe(0, 7, False)
+        assert not book.should_replace(0, 7)
 
     def test_keep_high_cma_contact(self):
-        ob = OnlineBehavior()
+        book = CmaBook()
         for _ in range(10):
-            ob.observe(7, True)
-        ob.observe(7, False)
-        assert not ob.should_replace(7)
+            book.observe(0, 7, True)
+        book.observe(0, 7, False)
+        assert not book.should_replace(0, 7)
 
     def test_forget(self):
-        ob = OnlineBehavior()
-        ob.observe(7, False)
-        ob.forget(7)
-        assert ob.availability(7) == 1.0
-        assert ob.tracked() == []
+        book = CmaBook()
+        book.observe(0, 7, False)
+        book.pop((0, 7), None)
+        assert (0, 7) not in book and not book.should_replace(0, 7)
 
     def test_tracked_sorted(self):
-        ob = OnlineBehavior()
-        ob.observe(9, True)
-        ob.observe(2, True)
-        assert ob.tracked() == [2, 9]
+        book = CmaBook()
+        book.observe(0, 9, True)
+        book.observe(1, 5, True)
+        book.observe(0, 2, True)
+        assert sorted(c for o, c in book if o == 0) == [2, 9]

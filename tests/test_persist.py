@@ -91,9 +91,23 @@ class TestOverlayRoundTrip:
             *(w for t in twin.tables for w in (*t.long_links, *t.successors)),
             *(w for v in range(twin.graph.num_nodes) for w in twin.admitted(v)),
             *(w for peer in twin.peers for view in peer.lookahead.values() for w in view),
-            *(c for peer in twin.peers for c in peer.behavior._cma),
+            *(w for pair in twin.cma for w in pair),
         ]
         assert held and {type(w) for w in held} == {int}
+
+    def test_cma_book_rows_keep_first_observation_order(self, built_select):
+        twin = restore(built_select.snapshot())
+        for observer, contact, online in ((5, 9, True), (2, 7, False), (5, 1, False), (5, 9, False)):
+            twin.cma.observe(observer, contact, online)
+        snap = capture(twin)
+        behavior = snap["state"]["overlay"]["behavior"]
+        row = slice(*behavior["indptr"][5:7].tolist())
+        assert behavior["values"][row].tolist() == [9, 1]
+        assert behavior["count"][row].tolist() == [2, 1]
+        assert behavior["mean"][row].tolist() == [0.5, 0.0]
+        again = restore(snap)
+        assert dict(again.cma) == dict(twin.cma)
+        assert _text(capture(again)) == _text(snap)
 
     def test_restored_overlay_passes_doctor(self, built_select):
         twin = restore(built_select.snapshot())

@@ -115,11 +115,10 @@ KEPT = {
     "evaluate_position": "per-peer reference for vectorized.evaluate_positions",
     "apply_reassignment": "per-peer reference for the kernel's move rule",
     "select_gossip_partner": "per-peer reference for the kernel's partner draw",
-    "BitmapCodec.decode": "inverse tests check BitmapCodec.encode against",
+    "decode": "inverse tests check bitmaps.encode against",
     "RankedGossipOverlay.topic_connectivity": "how tests see whether Vitis and OMen organise",
     "RoutingTree.depth_of": "how tests see a dissemination tree's shape",
     "SocialGraph.mutual_friends": "how tests see a graph's common-friend counts",
-    "OnlineBehavior.tracked": "how tests see which contacts the CMA follows",
     "NodeSupervisor.restart_count": "how tests see the live supervisor restart a node",
     "NodeSupervisor.is_killed": "how tests see the live supervisor kill a node",
     "use_tracer": "lets a test swap in its own tracer",

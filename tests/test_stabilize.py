@@ -340,7 +340,7 @@ class TestReprieve:
         online[dead] = False
         manager.pings.set_ground_truth(online)
         for _ in range(6):
-            overlay.peers[v].behavior.observe(dead, False)
+            overlay.cma.observe(v, dead, False)
         manager._replace(v, dead)
         assert manager.reprieves == 1
         assert dead in overlay.tables[v].long_links

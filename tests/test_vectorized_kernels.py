@@ -34,6 +34,7 @@ from repro.idspace.space import ring_distance
 from repro.lsh.bitsampling import BitSamplingLsh
 from repro.overlay.base import RoutingTable
 from repro.persist import capture, restore
+from repro.social.bitmaps import encode
 from repro.telemetry.registry import MetricsRegistry
 from repro.util.rng import as_generator
 from tests.conftest import assert_edge_columns_recompute, edge_block
@@ -537,7 +538,7 @@ class TestExchangeOracle:
                 for t, s in zip(fp.tolist() + fq.tolist(), fq.tolist() + fp.tolist()):
                     links = self._fresh_links(batch.tables[s])
                     assert batch.peers[t].lookahead[s] == links
-                    assert batch.peers[t].known_bitmap[s] == batch.peers[t].codec.encode(links)
+                    assert batch.peers[t].known_bitmap[s] == encode(batch.peers[t].neighborhood, links)
                 for v in range(n):
                     assert _state(batch.peers[v]) == _state(paired.peers[v])
                 # A snapshot round trip stores each slot's log row as a view
