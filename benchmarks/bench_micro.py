@@ -3,7 +3,8 @@
 Classic pytest-benchmark targets (many rounds) so that performance
 regressions in the primitives that dominate overlay construction and
 routing are visible: friendship bitmaps, LSH bucketing,
-greedy routing, and a full small SELECT build.
+greedy routing, a full small SELECT build, and the snapshot round trip
+the churn benchmark restores from.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.config import SelectConfig
 from repro.core.select import SelectOverlay
 from repro.graphs.datasets import load_dataset
 from repro.lsh.bitsampling import BitSamplingLsh
+from repro.persist import capture, restore_into
 from repro.pubsub.api import PubSubSystem
 from repro.social.bitmaps import encode
 
@@ -95,3 +97,22 @@ def test_bench_select_build(benchmark, graph):
 
     overlay = benchmark.pedantic(build, rounds=1, iterations=1)
     assert overlay.iterations > 0
+
+
+@pytest.fixture(scope="module")
+def built_1k():
+    """The churn benchmark's overlay, which it restores before every unit."""
+    graph = load_dataset("facebook", num_nodes=1000, seed=7)
+    return SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+
+
+def test_bench_snapshot_capture(benchmark, built_1k):
+    snap = benchmark(capture, built_1k)
+    assert snap["manifest"]["snapshot_id"] == "89dc685e361f1933"
+
+
+def test_bench_snapshot_restore(benchmark, built_1k):
+    snap = capture(built_1k)
+    target = SelectOverlay(built_1k.graph)
+    assert benchmark(restore_into, snap, target) is target
+    assert capture(target)["manifest"]["snapshot_id"] == snap["manifest"]["snapshot_id"]

@@ -19,8 +19,9 @@ recovery probes in it, and under faults each probe draws RNG); order-free
 sets are stored sorted;
 each distinct link view (a row of the edge columns' link log) is stored
 once. Nothing derived is stored (packed keys, log row ids, LSH positions
-are rebuilt), and bitmaps are hex strings, out of reach of Python's
-int/str digit limit.
+are rebuilt). Bitmaps are hex strings in the text, out of reach of Python's
+int/str digit limit, and in memory the overlay's own column of ints; the
+hash and :func:`save` take the text in pieces, never whole.
 The snapshot id is a SHA-256 over the canonical state encoding, so
 re-capturing identical state yields an identical snapshot (what keeps the
 committed golden fixture stable).
@@ -43,7 +44,7 @@ from repro.lsh.bitsampling import sample_rows
 from repro.net.availability import CMA_MIN_OBSERVATIONS, CMA_THRESHOLD
 from repro.overlay.base import INCOMING_SLACK
 from repro.sim.trace import TraceRecorder
-from repro.util.atomicio import atomic_write_json, atomic_write_text
+from repro.util.atomicio import atomic_write_json, atomic_write_pieces
 from repro.util.exceptions import ConfigurationError, PersistError
 from repro.util.exceptions import SnapshotIntegrityError, SnapshotIOError
 from repro.util.rng import generator_state, restore_generator
@@ -90,11 +91,16 @@ _PEER_COLUMNS = ("moves_done", "stable_rounds", "link_change_budget", "top2", "a
 _EDGE_COLUMNS = ("mutual", "mutual_stamp", "bitmap_stamp", "bucket")
 
 
+def _listed(column: np.ndarray) -> list:
+    """A held column as the text's list: bitmaps (an object column) in hex."""
+    return [None if b is None else format(b, "x") for b in column.tolist()] if column.dtype == object else column.tolist()
+
+
 def _canonical(state: dict) -> str:
     """The state's canonical JSON text: what ``state.json`` holds, less its
-    newline. A numpy column is written as its ``tolist()``, so a held array
+    newline. A numpy column is written as :func:`_listed`, so a held array
     and the list :func:`load` reads back encode alike."""
-    return json.dumps(state, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+    return json.dumps(state, sort_keys=True, separators=(",", ":"), default=_listed)
 
 
 def snapshot_id(state: dict) -> str:
@@ -106,7 +112,7 @@ def snapshot_id(state: dict) -> str:
 
 
 #: items of an array or a long list that :func:`_feed` encodes at once.
-_CHUNK = 1 << 14
+_CHUNK = 1 << 10
 
 
 def _feed(value, write) -> None:
@@ -127,9 +133,14 @@ def _feed(value, write) -> None:
 
 
 def graph_fingerprint(graph: SocialGraph) -> str:
-    """Digest of the social graph's exact node/edge structure."""
-    edges = "".join(f"{u},{v};" for u, v in graph.edges())
-    return hashlib.sha256(f"n={graph.num_nodes};{edges}".encode("utf-8")).hexdigest()[:16]
+    """Digest of the social graph's exact node/edge structure, fed in pieces."""
+    digest = hashlib.sha256(f"n={graph.num_nodes};".encode("utf-8"))
+    indptr, indices = graph.csr
+    for at in range(0, len(indices), _CHUNK):
+        vs = indices[at : at + _CHUNK]
+        us = np.searchsorted(indptr, np.arange(at, at + len(vs)), side="right") - 1
+        digest.update("".join(map("{},{};".format, us[us < vs].tolist(), vs[us < vs].tolist())).encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 # -- per-component capture ---------------------------------------------------
@@ -149,13 +160,13 @@ def _views(edges) -> "tuple[np.ndarray, dict]":
     held = edges.view >= 0
     rows, first, per_slot = np.unique(edges.view[held], return_index=True, return_inverse=True)
     order = np.argsort(first)
-    number = np.empty(len(rows), dtype=np.int64)
+    number = np.empty(len(rows), dtype=np.int32)
     views: dict = {}
     targets, indptr = edges.targets, edges.indptr.tolist()
     for at, row in zip(order.tolist(), rows[order].tolist()):
         # A row is sorted and unique: equal bytes are equal views.
         number[at] = views.setdefault(targets[indptr[row] : indptr[row + 1]].tobytes(), len(views))
-    view = np.full(len(held), -1, dtype=np.int64)
+    view = np.full(len(held), -1, dtype=np.int32)
     view[held] = number[per_slot]
     lengths = [len(row) // targets.itemsize for row in views]
     return view, {
@@ -191,7 +202,7 @@ def _capture_overlay(overlay) -> dict:
         },
         "edges": {
             **{name: getattr(edges, name).copy() for name in _EDGE_COLUMNS},
-            "bitmap": [None if b is None else format(b, "x") for b in edges.bitmap.tolist()],
+            "bitmap": edges.bitmap.copy(),
             "view": view,
         },
         "views": views,
@@ -426,10 +437,10 @@ def _config(block: dict) -> SelectConfig:
 
 
 def _array(value, dtype, shape: tuple, name: str) -> np.ndarray:
-    out = np.asarray(value)
-    if dtype is np.int64 and out.size and out.dtype.kind != "i":
+    """``value`` as an array of ``shape``; integers keep the dtype they arrive in."""
+    out = np.asarray(value, dtype=None if dtype is np.int64 and len(value) else dtype)
+    if dtype is np.int64 and out.dtype.kind != "i":
         raise PersistError(f"{name} must hold integers, got {out.dtype}")
-    out = np.asarray(value, dtype=dtype)
     if out.shape != shape:
         raise PersistError(f"{name} has shape {out.shape}, not {shape}")
     return out
@@ -443,14 +454,20 @@ def _nodes(ids: np.ndarray, n: int, name: str, unset: bool = False) -> np.ndarra
     return ids
 
 
-def _split(block: dict, n: int, name: str, per_node: bool = True) -> "tuple[np.ndarray, np.ndarray]":
+def _split(block: dict, n: int, name: str, per_node: bool = True, sets: bool = False) -> "tuple[np.ndarray, np.ndarray]":
     """A CSR's ``(indptr, values)``: pointers from 0 to ``len(values)`` that
-    never decrease (one row per node when ``per_node``), over node ids."""
+    never decrease (one row per node when ``per_node``), over node ids, and
+    rows that ascend when they are ``sets``."""
     values = _nodes(_array(block["values"], np.int64, (len(block["values"]),), name), n, name)
     rows = n if per_node else len(block["indptr"]) - 1
     indptr = _array(block["indptr"], np.int64, (rows + 1,), f"{name}.indptr")
     if indptr[0] != 0 or indptr[-1] != len(values) or (np.diff(indptr) < 0).any():
         raise PersistError(f"{name}.indptr is not a CSR over its {len(values)} values")
+    if sets:
+        starts = np.zeros(len(values) + 1, dtype=bool)
+        starts[indptr] = True
+        if (~starts[1:-1] & (values[1:] <= values[:-1])).any():
+            raise PersistError(f"{name} has a row that does not ascend")
     return indptr, values
 
 
@@ -488,19 +505,14 @@ def _decode(data: dict, graph: "SocialGraph | None") -> "tuple[SelectConfig, dic
             _nodes(out[name], n, f"peers.{name}", unset=True)
     for name in ("ring_pred", "ring_succ"):
         out[name] = _nodes(_array(tables[name], np.int64, (n,), name), n, name, unset=True)
-    for name in ("long_links", "successors"):
-        out[name] = _split(tables[name], n, name)
-    out["incoming_sources"] = _split(data["incoming_sources"], n, "incoming_sources")
+    out["long_links"] = _split(tables["long_links"], n, "long_links", sets=True)
+    out["successors"] = _split(tables["successors"], n, "successors")
+    out["incoming_sources"] = _split(data["incoming_sources"], n, "incoming_sources", sets=True)
     k = int(data["k_links"])
     for name, width in (("long_links", k), ("incoming_sources", k + INCOMING_SLACK)):
-        indptr, values = out[name]
-        lengths = np.diff(indptr)
-        if lengths.max() > width:
-            raise PersistError(f"{name} has a row of {lengths.max()}; k_links={k} allows {width}")
-        # Rows are sets, stored ascending: a repeat would take a second slot.
-        row = np.repeat(np.arange(n), lengths)
-        if ((row[1:] == row[:-1]) & (values[1:] <= values[:-1])).any():
-            raise PersistError(f"{name} has a row that does not ascend")
+        longest = np.diff(out[name][0]).max()
+        if longest > width:
+            raise PersistError(f"{name} has a row of {longest}; k_links={k} allows {width}")
     out["behavior"] = _split(behavior, n, "behavior")
     size = len(behavior["values"])
     out["cma"] = (
@@ -511,30 +523,31 @@ def _decode(data: dict, graph: "SocialGraph | None") -> "tuple[SelectConfig, dic
     slots = len(edges["mutual"]) if graph is None else int(graph.csr[0][-1])
     for name in _EDGE_COLUMNS + ("view",):
         out[name] = _array(edges[name], np.int64, (slots,), f"edges.{name}")
-    views = out["views"] = _split(data["views"], n, "views", per_node=False)
+    views = out["views"] = _split(data["views"], n, "views", per_node=False, sets=True)
     view, count = out["view"], len(views[0]) - 1
     if ((view < -1) | (view >= count)).any():
         raise PersistError(f"edges.view indexes past the {count} views")
-    hexes = edges["bitmap"]
-    if len(hexes) != slots:
-        raise PersistError(f"edges.bitmap has {len(hexes)} slots, not {slots}")
-    bitmap = out["bitmap"] = np.fromiter(
-        (None if b is None else int(b, 16) for b in hexes), dtype=object, count=slots
-    )
-    has_bitmap = np.fromiter((b is not None for b in hexes), dtype=bool, count=slots)
+    bitmap = edges["bitmap"]
+    if len(bitmap) != slots:
+        raise PersistError(f"edges.bitmap has {len(bitmap)} slots, not {slots}")
+    # A held column's ints, or the text's hex strings (int() refuses an int).
+    if not isinstance(bitmap, np.ndarray):
+        bitmap = np.fromiter((None if b is None else int(b, 16) for b in bitmap), dtype=object, count=slots)
+    out["bitmap"] = bitmap
     learned, counted = out["bitmap_stamp"] >= 0, out["mutual_stamp"] >= 0
     _refuse_slot(
-        ((view >= 0) != learned) | (has_bitmap != learned),
+        ((view >= 0) != learned) | (np.not_equal(bitmap, None) != learned),
         "a view, bitmap or bitmap stamp without the other two",
     )
     _refuse_slot((out["mutual"] >= 0) != counted, "a mutual count or its stamp without the other")
     _refuse_slot(learned & ~counted, "a bitmap without a mutual count")
     late = np.maximum(out["mutual_stamp"], out["bitmap_stamp"]) >= 2**31 - 1
     _refuse_slot(late, "a learn stamp past the int32 stamp columns")
+    # int.bit_length refuses anything but an int (a hex string in a held column).
+    bits = np.frompyfunc(int.bit_length, 1, 1)(bitmap[learned]).astype(np.int64)
     if graph is not None:
-        width = np.repeat(graph.degrees, graph.degrees)[learned].tolist()
         wide = np.zeros(slots, dtype=bool)
-        wide[learned] = [b < 0 or b.bit_length() > w for b, w in zip(bitmap[learned], width)]
+        wide[learned] = (bitmap[learned] < 0) | (bits > np.repeat(graph.degrees, graph.degrees)[learned])
         _refuse_slot(wide, "a bitmap wider than its owner's degree")
     return cfg, out
 
@@ -603,11 +616,12 @@ def restore_into(
     edges = overlay.edge_columns
     for name in _EDGE_COLUMNS + ("bitmap",):
         getattr(edges, name)[:] = cols[name]
-    # The views replace the whole link log, one row each, so a view's index
-    # is its row id; no head names a row until a build logs links again.
+    # The views (rows sorted and unique, as decode checked) are the whole link
+    # log, so a view's index is its row id; no head names a row until a build
+    # logs links again.
     indptr, values = cols["views"]
-    edges.rows = 0
-    edges.append(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), values, len(indptr) - 1)
+    edges.indptr, edges.targets = indptr.astype(np.int64), values.astype(np.int32)
+    edges.rows = len(indptr) - 1
     edges.view[:] = cols["view"]
     overlay.link_head[:] = -1
     edges.key[:] = -1
@@ -702,14 +716,13 @@ def save(snapshot: dict, out_dir: str) -> dict:
     the state payload lands first, then the manifest that vouches for
     it, so a crash at any instant leaves either the previous snapshot
     intact or a fully consistent new one — never a manifest pointing at
-    truncated state.
+    truncated state. The state text is written in :func:`_feed`'s pieces.
     """
     manifest, state = _unpack(snapshot)
-    text = _canonical(state)
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, MANIFEST_FILE)
     state_path = os.path.join(out_dir, STATE_FILE)
-    atomic_write_text(state_path, text + "\n")
+    atomic_write_pieces(state_path, lambda write: (_feed(state, write), write("\n")))
     atomic_write_json(manifest_path, manifest, indent=2, sort_keys=True)
     return {"manifest": manifest_path, "state": state_path}
 

@@ -37,6 +37,7 @@ from repro.util.exceptions import SnapshotIOError
 
 __all__ = [
     "atomic_write_text",
+    "atomic_write_pieces",
     "atomic_write_lines",
     "atomic_write_json",
     "read_jsonl",
@@ -64,6 +65,11 @@ def atomic_write_text(path: str, data: str, encoding: str = "utf-8") -> str:
     The destination either keeps its previous content or holds all of
     ``data`` — a crash at any instant cannot produce a truncated file.
     """
+    return atomic_write_pieces(path, lambda write: write(data), encoding=encoding)
+
+
+def atomic_write_pieces(path: str, fill, encoding: str = "utf-8") -> str:
+    """:func:`atomic_write_text` of what ``fill(write)`` writes, piece by piece."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_fd = tmp_path = None
     try:
@@ -72,7 +78,7 @@ def atomic_write_text(path: str, data: str, encoding: str = "utf-8") -> str:
         )
         with os.fdopen(tmp_fd, "w", encoding=encoding) as fh:
             tmp_fd = None  # fdopen now owns the descriptor
-            fh.write(data)
+            fill(fh.write)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, path)

@@ -1,6 +1,7 @@
 """Checkpoint/restore + deterministic replay (:mod:`repro.persist`)."""
 
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -51,6 +52,13 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 GOLDEN_ID = "fcad37663e80ecd1"
 #: sha256 of the records of ``_stack(small_graph, faulty=True).run(600.0)``.
 REPLAY_DIGEST = "eeba6f1e5c67fdf5e535abf609ffde62c5ac0b969d66c2e65f42f0d306355cf2"
+
+
+@pytest.fixture(scope="module")
+def built_1k():
+    """The churn benchmark's overlay: facebook 1k, built with seed 7."""
+    graph = load_dataset("facebook", num_nodes=1000, seed=7)
+    return SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
 
 
 def fresh_overlay(graph, seed=9):
@@ -242,17 +250,35 @@ class TestDiskFormat:
 
     def test_oversized_bitmap_rejected(self, built_select, tmp_path):
         # A bitmap has one bit per friend of its owner: one bit more is refused.
+        # A held snapshot's bitmaps are the overlay's ints, so the edit is one.
         snap = copy.deepcopy(built_select.snapshot())
         edges = snap["state"]["overlay"]["edges"]
         slot = next(i for i, b in enumerate(edges["bitmap"]) if b is not None)
         owner = int(np.searchsorted(built_select._nbr_indptr, slot, side="right")) - 1
-        edges["bitmap"][slot] = format(1 << built_select.graph.degree(owner), "x")
+        edges["bitmap"][slot] = 1 << built_select.graph.degree(owner)
         with pytest.raises(PersistError, match=f"edge slot {slot} holds a bitmap wider"):
             restore(snap)
         snap["manifest"]["snapshot_id"] = snapshot_id(snap["state"])
         out = str(tmp_path / "snap")
         save(snap, out)
         assert any("bitmap wider than its owner's degree" in e for e in validate_dir(out))
+
+    def test_held_and_loaded_bitmaps_restore_alike(self):
+        # Decode reads a held column of ints and the text's hex strings.
+        loaded = load(GOLDEN_DIR)
+        held = capture(restore(loaded))
+        assert isinstance(held["state"]["overlay"]["edges"]["bitmap"], np.ndarray)
+        assert isinstance(loaded["state"]["overlay"]["edges"]["bitmap"], list)
+        assert _text(capture(restore(held))) == _text(capture(restore(loaded))) == _text(loaded)
+
+    def test_a_hex_string_in_a_held_column_is_refused(self):
+        # As an int in the text's list is (test_validate.py's _integer_bitmap).
+        held = capture(restore(load(GOLDEN_DIR)))
+        bitmaps = held["state"]["overlay"]["edges"]["bitmap"]
+        slot = next(i for i, b in enumerate(bitmaps) if b is not None)
+        bitmaps[slot] = format(bitmaps[slot], "x")
+        with pytest.raises(PersistError, match="malformed overlay block"):
+            restore(held)
 
     def test_v1_directory_is_refused(self, tmp_path):
         # No v1 reader is kept: both load and validate name the two schemas.
@@ -547,17 +573,51 @@ class TestHeldSnapshot:
         assert _text(capture(second.overlay)) == want
         assert snapshot_id(snap["state"]) == snap["manifest"]["snapshot_id"]
 
-    def test_a_held_1k_snapshot_is_small(self):
-        # Numpy columns and no canonical text hold about 2.5 KiB a peer; with
+    def test_a_held_1k_snapshot_is_small(self, built_1k):
+        # Numpy columns, the overlay's own bitmap ints and no canonical text
+        # hold about 1.5 KiB a peer; with a hex string per slot 2.4, with
         # the text kept beside them 3.8, as lists of Python ints 9.8.
-        graph = load_dataset("facebook", num_nodes=1000, seed=7)
-        overlay = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            snap = overlay.snapshot()
+            snap = built_1k.snapshot()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert snap["manifest"]["snapshot_id"] == "89dc685e361f1933"
-        assert held / 1024 / graph.num_nodes <= 2.9, held
+        assert held / 1024 / built_1k.graph.num_nodes <= 1.85, held
+
+    def test_a_capture_holds_the_overlays_own_bitmaps(self, built_1k):
+        snap = capture(built_1k)
+        held = snap["state"]["overlay"]["edges"]["bitmap"]
+        bitmaps = built_1k.edge_columns.bitmap
+        assert held is not bitmaps and any(b is not None for b in held)
+        assert all(h is b for h, b in zip(held.tolist(), bitmaps.tolist()))
+
+    def test_a_restore_allocates_little_beyond_what_it_installs(self, built_1k):
+        # Integer columns are checked in their own dtype, bitmap widths
+        # without per-slot lists, the views installed as the link log and
+        # the graph hashed in pieces: 1.2 MiB above the start at 1k/7, where
+        # int64 copies, a re-sort of the views and the whole edge text
+        # took 4.1.
+        snap = capture(built_1k)
+        target = SelectOverlay(built_1k.graph)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            restore_into(snap, target)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert _text(capture(target)) == _text(snap)
+        assert peak / 2**20 <= 1.5, peak
+
+    def test_save_writes_the_canonical_text_in_pieces(self, tmp_path):
+        graph = load_dataset("facebook", num_nodes=2000, seed=7)
+        built = capture(SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7))
+        assert built["manifest"]["snapshot_id"] == "cda44202667c0e8a"
+        for name, snap in (("golden", load(GOLDEN_DIR)), ("2k", built)):
+            save(snap, str(tmp_path / name))
+            with open(tmp_path / name / STATE_FILE, encoding="utf-8") as fh:
+                assert fh.read() == snapshot_module._canonical(snap["state"]) + "\n", name
