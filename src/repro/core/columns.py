@@ -22,7 +22,22 @@ import numpy as np
 
 from repro.core.config import LSH_SAMPLES
 
-__all__ = ["PeerColumns", "EdgeColumns"]
+__all__ = ["CHUNK", "chunks", "PeerColumns", "EdgeColumns"]
+
+#: The element budget of one run of a round kernel's per-edge or per-pair
+#: temporaries (the round kernels, the exchange fold and the link log).
+CHUNK = 1 << 14
+
+
+def chunks(lengths: np.ndarray):
+    """Cut consecutive segments of ``lengths`` elements (a peer's edges, a
+    pair's links) into runs of at most :data:`CHUNK` elements; yields each
+    run's segment range ``(lo, hi)``. A longer segment is a run of its own."""
+    ends, lo = np.cumsum(lengths), 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, CHUNK + (ends[lo - 1] if lo else 0), "right")))
+        yield lo, hi
+        lo = hi
 
 
 class PeerColumns:
@@ -146,13 +161,6 @@ class EdgeColumns:
         self.rows += count
         return np.arange(first, first + count, dtype=np.int64)
 
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        """The log rows ``rows``, concatenated in that order."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        return self.targets[np.arange(len(shift), dtype=np.int64) + shift]
-
     def row(self, row: int) -> list:
         """One log row as Python ints."""
         return self.targets[self.indptr[row] : self.indptr[row + 1]].tolist()
@@ -165,9 +173,9 @@ class EdgeColumns:
         mark[self.view[self.view >= 0]] = True
         mark[heads[heads >= 0]] = True
         keep = np.flatnonzero(mark)
-        lengths = self.indptr[keep + 1] - self.indptr[keep]
-        self.targets = self.gather(keep)
-        self.indptr = np.concatenate(([0], np.cumsum(lengths)))
+        lengths = np.diff(self.indptr[: self.rows + 1])
+        self.targets = self.targets[: self.indptr[self.rows]][np.repeat(mark, lengths)]
+        self.indptr = np.concatenate(([0], np.cumsum(lengths[keep])))
         self.rows = self.kept = len(keep)
         for column in (self.view, heads):
             held = column >= 0

@@ -264,7 +264,8 @@ class PeerState:
         out: set[int] = set(self.table.long_links)
         out.update(self.known_mutual)
         learned = self._edge_at + self._learned(edges.bitmap_stamp)
-        out.update(edges.gather(edges.view[learned]).tolist())
+        for row in edges.view[learned].tolist():
+            out.update(edges.row(row))
         out.discard(self.node)
         return out
 

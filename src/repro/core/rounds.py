@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.columns import chunks
 from repro.core.config import LSH_SAMPLES, MAX_MOVES, MOVEMENT_TOLERANCE, REASSIGN_STRIDE, STABILIZE_AFTER
 from repro.core.picker import packed_key
 from repro.core.vectorized import dedup_ids, draw_partners, evaluate_positions
@@ -101,30 +102,34 @@ def exchange_phase(ov, rng) -> "tuple[np.ndarray, np.ndarray]":
     ov.exchange_stats.folded += len(fresh)
     ov.exchange_stats.skipped += len(slots) - len(fresh)
     fresh = np.sort(fresh[np.unique(slots[fresh], return_index=True)[1]])
-    targets, sources, slots = targets[fresh], sources[fresh], slots[fresh]
-    rows = head[sources]
-    sample = ov.columns.lsh_sample[targets]
-    bitmaps, popcount, bits = kern.bitmap_ints(targets, rows, edges.indptr, edges.targets, sample)
-    bitmaps = np.fromiter(bitmaps, dtype=object, count=len(slots))
-    stamp = edges.stamps(len(slots))
+    # Runs fold in draw order: each writes only its own slots, and the
+    # top-two merge keeps the smallest two of any grouping.
+    drawn = targets, sources, slots
+    for lo, hi in chunks(np.full(len(fresh), LSH_SAMPLES)):
+        targets, sources, slots = (column[fresh[lo:hi]] for column in drawn)
+        rows = head[sources]
+        sample = ov.columns.lsh_sample[targets]
+        bitmaps, popcount, bits = kern.bitmap_ints(targets, rows, edges.indptr, edges.targets, sample)
+        bitmaps = np.fromiter(bitmaps, dtype=object, count=len(slots))
+        stamp = edges.stamps(len(slots))
 
-    first = edges.mutual[slots] < 0
-    if first.any():
-        mutual = kern.mutual_counts(targets[first], sources[first])
-        edges.mutual[slots[first]] = mutual
-        edges.mutual_stamp[slots[first]] = stamp[first]
-        ov.columns.stable_rounds[targets[first]] = 0
-        _merge_top2(ov, targets[first], sources[first], mutual)
+        first = edges.mutual[slots] < 0
+        if first.any():
+            mutual = kern.mutual_counts(targets[first], sources[first])
+            edges.mutual[slots[first]] = mutual
+            edges.mutual_stamp[slots[first]] = stamp[first]
+            ov.columns.stable_rounds[targets[first]] = 0
+            _merge_top2(ov, targets[first], sources[first], mutual)
 
-    changed = edges.bitmap[slots] != bitmaps
-    at = slots[changed]
-    unseen = edges.bitmap_stamp[at] < 0
-    edges.bitmap_stamp[at[unseen]] = stamp[changed][unseen]
-    edges.bitmap[at] = bitmaps[changed]
-    edges.key[at] = packed_key(sources[changed], popcount[changed])
-    signature = bits[changed] @ (1 << np.arange(bits.shape[1])[::-1])
-    edges.bucket[at] = np.where(sample[changed, -1] >= 0, bucket_table(LSH_SAMPLES, ov.k_links)[signature], -1)
-    edges.view[slots] = rows
+        changed = edges.bitmap[slots] != bitmaps
+        at = slots[changed]
+        unseen = edges.bitmap_stamp[at] < 0
+        edges.bitmap_stamp[at[unseen]] = stamp[changed][unseen]
+        edges.bitmap[at] = bitmaps[changed]
+        edges.key[at] = packed_key(sources[changed], popcount[changed])
+        signature = bits[changed] @ (1 << np.arange(bits.shape[1])[::-1])
+        edges.bucket[at] = np.where(sample[changed, -1] >= 0, bucket_table(LSH_SAMPLES, ov.k_links)[signature], -1)
+        edges.view[slots] = rows
     return pairs
 
 
@@ -141,15 +146,16 @@ def _log_links(ov) -> np.ndarray:
     """
     ring = np.stack((ov.ring_pred, ov.ring_succ), axis=1)
     moved = np.flatnonzero(ov.links_written | (ring != ov._head_ring).any(axis=1))
-    if len(moved):
-        rows = ov.long_links[moved]
-        rank = np.arange(len(moved))
+    for lo, hi in chunks(np.full(len(moved), ov.long_links.shape[1] + 2)):
+        part = moved[lo:hi]
+        rows = ov.long_links[part]
+        rank = np.arange(len(part))
         owner = np.concatenate((np.nonzero(rows >= 0)[0], rank, rank))
-        links = np.concatenate((rows[rows >= 0], ring[moved, 0], ring[moved, 1]))
-        keep = (links >= 0) & (links != moved[owner])
-        ov.link_head[moved] = ov.edge_columns.append(owner[keep], links[keep], len(moved))
-        ov._head_ring[moved] = ring[moved]
-        ov.links_written[moved] = False
+        links = np.concatenate((rows[rows >= 0], ring[part, 0], ring[part, 1]))
+        keep = (links >= 0) & (links != part[owner])
+        ov.link_head[part] = ov.edge_columns.append(owner[keep], links[keep], len(part))
+    ov._head_ring[moved] = ring[moved]
+    ov.links_written[moved] = False
     return ov.link_head
 
 

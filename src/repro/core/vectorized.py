@@ -21,6 +21,9 @@ of the social graph:
   link diff :func:`repro.core.links.plan_links` would return for each,
   read off the edge-aligned knowledge columns.
 
+Per-edge and per-pair arrays are made a run of :func:`~repro.core.columns.chunks`
+at a time; each kernel is independent per pair or peer, so no cut moves an output.
+
 Every kernel has a brute-force reference implementation in the property
 tests (``tests/test_vectorized_kernels.py``) pinning elementwise equality,
 including the float semantics: ring distances and midpoints reuse the
@@ -34,6 +37,7 @@ from itertools import islice
 
 import numpy as np
 
+from repro.core.columns import chunks
 from repro.core.config import MERGE_RADIUS, MOVEMENT_TOLERANCE
 from repro.core.links import plan_links
 from repro.core.picker import KEY_FIELD
@@ -138,9 +142,13 @@ class ExchangeKernel:
         deg_q = indptr[pairs_q + 1] - indptr[pairs_q]
         swap = deg_p > deg_q
         few, many = np.where(swap, pairs_q, pairs_p), np.where(swap, pairs_p, pairs_q)
-        rep, at = _expand(indptr[few], np.minimum(deg_p, deg_q))
-        _, hits = self._slots(many[rep], self.indices[at])
-        return np.bincount(rep[hits], minlength=len(pairs_p))
+        reach = np.minimum(deg_p, deg_q)
+        counts = np.zeros(len(pairs_p), dtype=np.int64)
+        for lo, hi in chunks(reach):
+            rep, at = _expand(indptr[few[lo:hi]], reach[lo:hi])
+            _, hits = self._slots(many[lo:hi][rep], self.indices[at])
+            counts[lo:hi] = np.bincount(rep[hits], minlength=hi - lo)
+        return counts
 
     def bitmap_ints(
         self,
@@ -159,8 +167,8 @@ class ExchangeKernel:
         is set iff ``neighborhood(pairs_p[i])[j]`` appears in that row. The
         work is per *link*, not per friend — a routing table holds at most
         K + 2 links, a hub's neighbourhood hundreds of friends: each link is
-        looked up in the key table, and a hit's slot is its bit. The bits
-        are packed with one ``np.packbits`` over a byte-padded layout, then
+        looked up in the key table, and a hit's slot is its bit. The bytes
+        of a run of pairs are written by one weighted ``np.bincount``, then
         sliced into ints — no per-pair numpy calls.
 
         With ``sample`` (``(m, s)`` bit positions per pair; ``-1`` reads a 0
@@ -168,21 +176,24 @@ class ExchangeKernel:
         """
         indptr = self.indptr
         nbytes = (indptr[pairs_p + 1] - indptr[pairs_p] + 7) // 8
-        byte_off = np.concatenate(([0], np.cumsum(nbytes)))
-        rep, at = _expand(link_indptr[partners], link_indptr[partners + 1] - link_indptr[partners])
-        owners = pairs_p[rep]
-        slots, hits = self._slots(owners, link_targets[at])
-        # Per-pair bits at byte-aligned offsets so one packbits call
-        # yields each pair's little-endian bytes contiguously.
-        padded = np.zeros(int(byte_off[-1]) * 8 + 1, dtype=np.uint8)
-        padded[byte_off[rep[hits]] * 8 + slots[hits] - indptr[owners[hits]]] = 1
-        packed = np.packbits(padded[:-1], bitorder="little").tobytes()
-        cuts = byte_off.tolist()
-        ints = [int.from_bytes(packed[lo:hi], "little") for lo, hi in zip(cuts, cuts[1:])]
-        if sample is None:
-            return ints
-        where = np.where(sample >= 0, byte_off[:-1, None] * 8 + sample, len(padded) - 1)
-        return ints, np.bincount(rep[hits], minlength=len(ints)), padded[where]
+        width = link_indptr[partners + 1] - link_indptr[partners]
+        bare, sample = sample is None, np.zeros((len(pairs_p), 0), dtype=np.int64) if sample is None else sample
+        ints, popcounts, bits = [], np.zeros(len(pairs_p), dtype=np.int64), np.zeros(sample.shape, dtype=np.uint8)
+        for lo, hi in chunks(width + nbytes + sample.shape[1]):
+            byte_off = np.concatenate(([0], np.cumsum(nbytes[lo:hi])))
+            rep, at = _expand(link_indptr[partners[lo:hi]], width[lo:hi])
+            owners = pairs_p[lo:hi][rep]
+            slots, hits = self._slots(owners, link_targets[at])
+            # Pair i's bytes start at byte_off[i]; its bits are distinct, so a
+            # weighted count ORs them in. A -1 sample reads the pad byte.
+            bit = byte_off[rep[hits]] * 8 + slots[hits] - indptr[owners[hits]]
+            packed = np.bincount(bit >> 3, 1 << (bit & 7), int(byte_off[-1]) + 1).astype(np.uint8)
+            raw, cuts = packed.tobytes(), byte_off.tolist()
+            ints += [int.from_bytes(raw[a:b], "little") for a, b in zip(cuts, cuts[1:])]
+            popcounts[lo:hi] = np.bincount(rep[hits], minlength=hi - lo)
+            at = np.where(sample[lo:hi] >= 0, byte_off[:-1, None] * 8 + sample[lo:hi], byte_off[-1] * 8)
+            bits[lo:hi] = packed[at >> 3] >> (at & 7) & 1
+        return ints if bare else (ints, popcounts, bits)
 
 
 def evaluate_positions(
@@ -352,25 +363,35 @@ def plan_round(ov, gated, hysteresis: int = 2) -> "dict[int, tuple[tuple, tuple]
     demand) is handed to ``plan_links`` itself.
     """
     plans, gated = {}, np.asarray(gated, dtype=np.int64)
+    degree = ov._nbr_indptr[gated + 1] - ov._nbr_indptr[gated]
+    for lo, hi in chunks(degree + ov.k_links):
+        _plan_peers(ov, gated[lo:hi], hysteresis, plans)
+    return plans
+
+
+def _plan_peers(ov, gated: np.ndarray, hysteresis: int, plans: dict) -> None:
+    """:func:`plan_round` for one run of peers, into ``plans``."""
     k, width = ov.k_links, len(gated)
     indptr, nbrs, incoming = ov._nbr_indptr, ov._nbr_indices, ov.incoming_count
+    lo, degree = indptr[gated], indptr[gated + 1] - indptr[gated]
+    owner, at = _expand(lo, degree)
 
-    # Current links as a mask over edge slots. ``count`` is the number of
-    # long links: links to friends not learned about yet hold budget too.
-    rows = ov.long_links[gated]
+    # Current links as a mask over the run's edge slots, searched in the run's
+    # keys ``owner * n + friend`` (ascending, then a sentinel). ``count`` is the
+    # number of long links: links to friends not learned about yet hold budget too.
+    rows, n = ov.long_links[gated], len(indptr)
     held = rows >= 0
-    count = held.sum(axis=1)
-    link_owner, link_to = np.nonzero(held)[0], rows[held].astype(np.int64)
-    slots, inside = ov._xkernel._slots(gated[link_owner], link_to)
-    linked = np.zeros(len(nbrs), dtype=bool)
-    linked[slots[inside]] = True
+    count, link_owner = held.sum(axis=1), np.nonzero(held)[0]
+    keys, wanted = np.append(owner * n + nbrs[at], width * n), link_owner * n + rows[held]
+    slots = np.searchsorted(keys, wanted)
+    inside = keys[slots] == wanted
+    is_link = np.zeros(len(at), dtype=bool)
+    is_link[slots[inside]] = True
     scalar = np.zeros(width, dtype=bool)
     scalar[link_owner[~inside]] = True
 
-    lo, degree = indptr[gated], indptr[gated + 1] - indptr[gated]
-    owner, at = _expand(lo, degree)
     known = ov.edge_columns.key[at] >= 0
-    owner, at = owner[known], at[known]
+    owner, at, is_link = owner[known], at[known], is_link[known]
     bucket = ov.edge_columns.bucket[at].astype(np.int64)
     scalar[owner[bucket < 0]] = True
     if scalar.any():
@@ -379,11 +400,11 @@ def plan_round(ov, gated, hysteresis: int = 2) -> "dict[int, tuple[tuple, tuple]
             if plan is not None:
                 plans[v] = plan
         keep = ~scalar[owner]
-        owner, at, bucket = owner[keep], at[keep], bucket[keep]
+        owner, at, bucket, is_link = owner[keep], at[keep], bucket[keep], is_link[keep]
     if len(at) == 0:
-        return plans
+        return
     coverage = KEY_FIELD - (ov.edge_columns.key[at] >> 31)
-    friend, is_link = nbrs[at], linked[at]
+    friend = nbrs[at]
     position = at - lo[owner]
 
     # Algorithm 6's order as one number per edge, larger = better: coverage,
@@ -463,4 +484,3 @@ def plan_round(ov, gated, hysteresis: int = 2) -> "dict[int, tuple[tuple, tuple]
     hit = np.flatnonzero(n_drop + n_add)
     for v, d, a in zip(gated[hit].tolist(), n_drop[hit].tolist(), n_add[hit].tolist()):
         plans[v] = (tuple(islice(drops, d)), tuple(islice(adds, a)))
-    return plans

@@ -281,7 +281,8 @@ class GreedyRouter:
                 keys += [rank[x] << shift | i for x in theirs if x not in skip]
         packed = np.array(keys, dtype=np.int32)
         packed.sort()
-        return array("i", packed.tobytes())
+        # An array made from bytes is over-allocated; its copy is exact.
+        return array("i", array("i", packed.tobytes()))
 
     def _reset_index(self) -> None:
         """Re-rank the identifiers, rebuild the connections CSR and drop
@@ -298,7 +299,7 @@ class GreedyRouter:
         self._shift = int(np.diff(indptr).max(initial=0)).bit_length()
         if len(order) << self._shift > 2**31 - 1:
             raise OverflowError(f"{len(order)} peers and {self._shift}-bit row positions overflow int32")
-        self._indptr, self._indices = indptr.tolist(), array("i", indices.tobytes())
+        self._indptr, self._indices = indptr.tolist(), array("i", array("i", indices.tobytes()))
         self._columns = [None] * len(order)
 
     # -- batch helper ----------------------------------------------------------

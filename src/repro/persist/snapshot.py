@@ -37,6 +37,7 @@ from dataclasses import asdict
 import numpy as np
 
 from repro.core import config
+from repro.core.columns import CHUNK
 from repro.core.config import SelectConfig
 from repro.core.picker import packed_key
 from repro.graphs.graph import SocialGraph
@@ -156,18 +157,21 @@ def _padded_csr(column: np.ndarray, sort: bool = False) -> dict:
 
 def _views(edges) -> "tuple[np.ndarray, dict]":
     """Each slot's view index and the distinct views as a CSR: log rows equal
-    in content are stored once, numbered in the order slots first name them."""
-    held = edges.view >= 0
-    rows, first, per_slot = np.unique(edges.view[held], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(len(rows), dtype=np.int32)
+    in content are stored once, numbered in the order slots first name them.
+    Slots are read ``CHUNK`` at a time; only the rows they name are read."""
+    targets, indptr = edges.targets, edges.indptr
+    number = np.full(edges.rows, -1, dtype=np.int32)
+    view = np.full(len(edges.view), -1, dtype=np.int32)
     views: dict = {}
-    targets, indptr = edges.targets, edges.indptr.tolist()
-    for at, row in zip(order.tolist(), rows[order].tolist()):
-        # A row is sorted and unique: equal bytes are equal views.
-        number[at] = views.setdefault(targets[indptr[row] : indptr[row + 1]].tobytes(), len(views))
-    view = np.full(len(held), -1, dtype=np.int32)
-    view[held] = number[per_slot]
+    for lo in range(0, len(view), CHUNK):
+        named = edges.view[lo : lo + CHUNK]
+        held = named >= 0
+        rows, first = np.unique(named[held], return_index=True)
+        fresh = number[rows] < 0
+        for row in rows[fresh][np.argsort(first[fresh])].tolist():
+            # A row is sorted and unique: equal bytes are equal views.
+            number[row] = views.setdefault(targets[indptr[row] : indptr[row + 1]].tobytes(), len(views))
+        view[lo : lo + CHUNK][held] = number[named[held]]
     lengths = [len(row) // targets.itemsize for row in views]
     return view, {
         "indptr": np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),

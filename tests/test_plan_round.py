@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import rounds
+from repro.core import columns, rounds
 from repro.core import select as select_module
 from repro.core.config import LSH_SAMPLES, SelectConfig
 from repro.core.links import create_links, plan_links
@@ -224,6 +224,17 @@ class TestAgainstReference:
     def test_generated_states(self, recipe, hysteresis):
         ov, gate = planning_state(recipe), recipe["gate"]
         assert plan_round(ov, gate, hysteresis) == reference(ov, gate, hysteresis)
+
+    @given(planning_recipes(), st.integers(0, 3), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_states_in_small_runs(self, recipe, hysteresis, budget):
+        """Peers planned a few at a time (one alone when its edges exceed the
+        budget) get the plans of one pass over the gate."""
+        ov, gate = planning_state(recipe), recipe["gate"]
+        whole = plan_round(ov, gate, hysteresis)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(columns, "CHUNK", budget)
+            assert plan_round(ov, gate, hysteresis) == whole == reference(ov, gate, hysteresis)
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_every_round_of_a_build(self, seed, monkeypatch):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import rounds
-from repro.core.columns import EdgeColumns, PeerColumns
+from repro.core import columns, rounds
+from repro.core.columns import EdgeColumns, PeerColumns, chunks
 from repro.core.config import LSH_SAMPLES, SelectConfig
 from repro.core.gossip import exchange
 from repro.core.peer import PeerState
@@ -356,6 +356,73 @@ class TestExchangeKernel:
             ExchangeKernel(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
 
 
+class TestChunkSeams:
+    """Every round kernel cut into runs of a few elements computes what it
+    computes whole (``columns.CHUNK`` is the one budget)."""
+
+    @given(st.lists(st.integers(0, 20), max_size=40), st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_runs_cover_the_segments_in_order_within_the_budget(self, lengths, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(columns, "CHUNK", budget)
+            runs = list(chunks(np.array(lengths, dtype=np.int64)))
+        assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(len(lengths)))
+        for lo, hi in runs:
+            # Within the budget, unless one oversized segment stands alone,
+            # and as long as it can be: the next segment would not fit.
+            assert sum(lengths[lo:hi]) <= budget or hi - lo == 1
+            assert hi == len(lengths) or sum(lengths[lo : hi + 1]) > budget
+
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_kernels_in_small_runs(self, n, seed, budget):
+        rng = np.random.default_rng(seed)
+        indptr, indices, rows = _random_csr(rng, n)
+        kern = ExchangeKernel(indptr, indices)
+        npairs = int(rng.integers(1, 3 * n))
+        pairs_p = rng.integers(0, n, size=npairs)
+        pairs_q = rng.integers(0, n, size=npairs)
+        links = [set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist()) for _ in range(n)]
+        degree = (indptr[1:] - indptr[:-1])[pairs_p]
+        sample = rng.integers(0, np.maximum(degree, 1)[:, None], size=(npairs, LSH_SAMPLES))
+        sample[rng.random(sample.shape) < 0.2] = -1
+        sample[degree == 0] = -1
+
+        def run():
+            bitmaps, popcounts, bits = kern.bitmap_ints(pairs_p, pairs_q, *_link_csr(links), sample)
+            return kern.mutual_counts(pairs_p, pairs_q).tolist(), bitmaps, popcounts.tolist(), bits.tolist()
+
+        whole = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(columns, "CHUNK", budget)
+            assert run() == whole
+        assert whole[1] == _bitmap_reference(rows, links, pairs_p, pairs_q)
+        assert whole[2] == [b.bit_count() for b in whole[1]]
+        for i, positions in enumerate(sample.tolist()):
+            assert whole[3][i] == [(whole[1][i] >> j) & 1 if j >= 0 else 0 for j in positions]
+
+    def test_a_1k_build_in_small_runs_is_the_same_overlay(self, monkeypatch):
+        """Seams in every kernel, fold and link log of every round, and in
+        the snapshot's view dedup: the overlay, its counters and its
+        snapshot id are the default budget's."""
+        graph = load_dataset("facebook", num_nodes=1000, seed=7)
+
+        def build():
+            ov = SelectOverlay(graph, config=SelectConfig(max_rounds=200)).build(7)
+            digest = hashlib.sha256(ov.ids.tobytes() + ov.long_links.tobytes()).hexdigest()
+            stats = (ov.exchange_stats, ov.link_stats, ov.iterations)
+            return digest, stats, capture(ov)["manifest"]["snapshot_id"]
+
+        whole = build()
+        monkeypatch.setattr(columns, "CHUNK", 200)
+        assert build() == whole
+        assert whole[2] == "89dc685e361f1933"
+
+
 class TestColumnsBinding:
     def test_overlay_ids_alias_identifier_column(self):
         graph = load_dataset("facebook", num_nodes=60, seed=3)
@@ -506,6 +573,15 @@ class TestExchangeOracle:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_kernel_fold_matches_pairwise_exchange(self, seed):
+        self._check_against_pairwise_exchange(seed)
+
+    def test_kernel_fold_in_small_runs_matches_pairwise_exchange(self, monkeypatch):
+        """With a budget of 3 elements every kernel and the fold run a few
+        pairs at a time, so seams fall inside each round."""
+        monkeypatch.setattr(columns, "CHUNK", 3)
+        self._check_against_pairwise_exchange(5)
+
+    def _check_against_pairwise_exchange(self, seed):
         rng = np.random.default_rng(seed)
         registry = MetricsRegistry()
         relearned = twice = 0
