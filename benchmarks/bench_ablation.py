@@ -1,4 +1,8 @@
-"""Ablation benchmark: each SELECT mechanism disabled in turn."""
+"""Ablation benchmark: each SELECT mechanism disabled in turn.
+
+``no-lookahead`` routes without ``L_p``, which also turns off the source's
+``advertised`` clause (it reaches a friend through a peer of ``L_p``).
+"""
 
 from repro.experiments import ablation
 

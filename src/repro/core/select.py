@@ -357,6 +357,28 @@ class SelectOverlay(OverlayNetwork):
         """
         return src != dst and self.try_accept_incoming(src, dst, slack)
 
+    # -- routing ---------------------------------------------------------------
+
+    def advertised(self, u: int, v: int) -> "list[int] | None":
+        """``v``'s long links and ring neighbours when ``v`` is ``u``'s friend.
+
+        Friends exchange ``R_p`` (Alg. 3), so ``u`` knows its friend's
+        table; read live from the link columns, as the router reads
+        ``L_p``. None for a non-friend.
+        """
+        nbrs, indptr = self._nbr_indices, self._nbr_indptr
+        hi = indptr.item(u + 1)
+        at = bisect_left(nbrs, v, indptr.item(u), hi)
+        if at == hi or nbrs.item(at) != v:
+            return None
+        links = self.long_links[v].tolist()
+        if -1 in links:
+            del links[links.index(-1) :]
+        for w in (self.ring_pred.item(v), self.ring_succ.item(v)):
+            if w >= 0:
+                links.append(w)
+        return links
+
     # -- convergence / analysis helpers ------------------------------------------------
 
     @property

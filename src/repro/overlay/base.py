@@ -340,6 +340,16 @@ class OverlayNetwork(ABC):
         )
         return {s: router.route(publisher, s, online=online) for s in ordered}
 
+    def advertised(self, u: int, v: int) -> "list[int] | None":
+        """The links ``v`` advertised to ``u``: the peers ``u`` knows ``v``
+        links to, or None when ``u`` holds no copy of ``v``'s table.
+
+        The router's ``advertised`` clause reads it at a route's source.
+        None here: these overlays exchange no tables, so they route by
+        ``direct``, ``lookahead`` and ``greedy`` alone.
+        """
+        return None
+
     # -- read API used by metrics -------------------------------------------
 
     def connections(self) -> "tuple[np.ndarray, np.ndarray]":

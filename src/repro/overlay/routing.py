@@ -15,7 +15,15 @@ A message at peer ``u`` headed for peer ``t``:
    identifiers of that connection's connections (``lookahead``) —
    Symphony's 1-lookahead, greedy over the neighbours' neighbours. ``t``
    among ``w``'s connections is the distance-0 case, which is the 2-hop
-   delivery SELECT's §III-E relies on.
+   delivery SELECT's §III-E relies on;
+3. but at the route's source, when neither clause above reaches ``t``
+   within two hops and ``u`` holds ``t``'s table
+   (:meth:`~repro.overlay.base.OverlayNetwork.advertised`: SELECT friends
+   exchange ``R_p``, the baselines advertise nothing), to the ``w`` of a
+   lookahead candidate ``(x, w)`` with ``x`` in that table
+   (``advertised``), preferring ``w`` and ``x`` that are ``u``'s friends,
+   then ``x`` nearest ``t``. ``w``'s lookahead then sees ``t`` through
+   ``x``, so the route takes three hops and carries no state.
 
 Because short-range ring links always exist, greedy progress is guaranteed
 on a fully online network; with churn, routing detours around offline
@@ -36,6 +44,12 @@ from repro.overlay.ring import RingIndex
 __all__ = ["HopDecision", "RouteResult", "GreedyRouter"]
 
 
+def _holds(ascending: list, value: int) -> bool:
+    """Whether the ascending list holds ``value`` (one bisection)."""
+    at = bisect_left(ascending, value)
+    return at < len(ascending) and ascending[at] == value
+
+
 @dataclass(frozen=True)
 class HopDecision:
     """One recorded routing decision (telemetry only).
@@ -45,7 +59,8 @@ class HopDecision:
     link), ``incoming`` (a long link of the next hop's that the sender
     admitted), ``successor`` (successor-list backup — only routable after
     a stabilizer promotion), or ``other``. ``rule`` is which clause of the
-    greedy router fired: ``direct``, ``lookahead``, or ``greedy``.
+    greedy router fired: ``direct``, ``lookahead``, ``greedy``, or
+    ``advertised`` (the source steering by its friend's table).
     ``ring_distance`` is the remaining distance from the chosen next hop
     to the target identifier. A traced route's spans carry all three as
     ``attrs`` (``link``, ``rule``, ``distance``).
@@ -90,7 +105,9 @@ class GreedyRouter:
     are a pure function of the identifiers, tables and admission ledger;
     they are the one cache of link state, dropped whenever the overlay's
     link version moves (every ledger write comes with a table write),
-    never by age or size.
+    never by age or size. :meth:`_advertised_hop` keeps one slot beside
+    them, for the last source it ran for: that peer's friends and a byte
+    per rank marking its candidates, dropped with the columns.
     """
 
     def __init__(self, overlay, lookahead: bool = True, max_hops: int | None = None):
@@ -115,6 +132,11 @@ class GreedyRouter:
         #: bits of a candidate that hold ``i`` (the widest row's bit length).
         self._shift = 0
         self._columns: "list[array | None]" = []
+        #: the ``advertised`` clause's last source and its friends, ascending,
+        #: and ``sight[r]`` = 1 iff the source's candidates hold rank ``r``:
+        #: a publish routes from one source to each of its subscribers.
+        self._source: "tuple[int, list[int]]" = (-1, [])
+        self._sight = bytearray()
 
     def route(
         self,
@@ -157,10 +179,18 @@ class GreedyRouter:
                 nxt, rule = dst, "direct"
             else:
                 hop = self._next_hop(current, dst, visited, known_live)
+                rule = None
+                if current == src and self.lookahead and (hop is None or hop[1] != dst):
+                    table = self.overlay.advertised(src, dst)
+                    if table is not None:
+                        via = self._advertised_hop(src, dst, table, known_live)
+                        if via is not None:
+                            hop, rule = via, "advertised"
                 if hop is None:
                     break
                 nxt, seen = hop
-                rule = "greedy" if seen == nxt else "lookahead"
+                if rule is None:
+                    rule = "greedy" if seen == nxt else "lookahead"
             if decisions is not None:
                 decisions.append(self._decision(current, nxt, rule, dst))
             path.append(nxt)
@@ -259,6 +289,58 @@ class GreedyRouter:
                 best_d, best_far, best_w, best_x = d, far, w, x
         return None if best_w < 0 else (best_w, best_x)
 
+    def _advertised_hop(self, u: int, dst: int, table, online) -> "tuple[int, int] | None":
+        """``(w, x)``: from the source ``u``, forward to ``w`` to reach ``dst``
+        through ``x``, a peer in ``dst``'s advertised ``table``.
+
+        None when a live connection of ``u`` holds ``dst`` (the lookahead
+        reaches it in two hops) or no candidate qualifies. Otherwise the
+        minimum of ``(how many of w, x are not u's friends,
+        ring_distance(id[x], id[dst]), w)`` over the candidates ``(x, w)``
+        of ``u`` with ``x`` in ``table``, ``x != w`` and, when ``online``
+        is given, both live. ``w``'s own lookahead then sees ``dst``
+        through ``x``: three hops, with no state carried along.
+        """
+        packed = self._columns[u]  # _next_hop built it for this hop
+        shift, row, indices = self._shift, self._indptr[u], self._indices
+        mask, end = (1 << shift) - 1, len(packed)
+        rank, sorted_ids = self._rank, self._sorted_ids
+        target = rank[dst]
+        k = bisect_left(packed, target << shift)
+        while k < end and packed[k] >> shift == target:
+            if online is None or online[indices[row + (packed[k] & mask)]]:
+                return None
+            k += 1
+        source, friends = self._source
+        sight = self._sight
+        if source != u:
+            graph_indptr, graph_indices = self.overlay.graph.csr
+            friends = graph_indices[graph_indptr[u] : graph_indptr[u + 1]].tolist()
+            marks = np.frombuffer(sight, dtype=np.uint8)
+            marks[:] = 0
+            marks[np.frombuffer(packed, dtype=np.int32) >> shift] = 1
+            self._source = (u, friends)
+        target_id = sorted_ids[target]
+        best, best_x = None, -1
+        for x in table:
+            at = rank[x]
+            if not sight[at] or (online is not None and not online[x]):
+                continue
+            k = bisect_left(packed, at << shift)
+            d = abs(sorted_ids[at] - target_id)
+            if d > 0.5:
+                d = 1.0 - d
+            stranger_x = not _holds(friends, x)
+            while k < end and packed[k] >> shift == at:
+                w = indices[row + (packed[k] & mask)]
+                k += 1
+                if w == x or (online is not None and not online[w]):
+                    continue
+                key = (stranger_x + (not _holds(friends, w)), d, w)
+                if best is None or key < best:
+                    best, best_x = key, x
+        return None if best is None else (best[2], best_x)
+
     def _build_columns(self, u: int) -> array:
         """Candidates of ``u`` as ``rank(x) << shift | i``, ascending, where
         ``i`` is the first hop ``w``'s position in ``u``'s connections row.
@@ -301,6 +383,7 @@ class GreedyRouter:
             raise OverflowError(f"{len(order)} peers and {self._shift}-bit row positions overflow int32")
         self._indptr, self._indices = indptr.tolist(), array("i", array("i", indices.tobytes()))
         self._columns = [None] * len(order)
+        self._source, self._sight = (-1, []), bytearray(len(order))
 
     # -- batch helper ----------------------------------------------------------
 

@@ -272,8 +272,9 @@ class TestAblations:
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP 2(c): Alg. 2 costs rounds and does not buy hops on the no-community "
-        "stand-in (2.08 hops with it, 2.05 without, on this sample, since admitted links carry "
-        "routes both ways; 3.00 / 2.97 over outgoing links, 4.77 / 4.68 before L_p steered); "
+        "stand-in (1.821 hops with it, 1.815 without, on this sample, since the source reads "
+        "its friend's table; 2.08 / 2.05 before it did, 3.00 / 2.97 over outgoing links, "
+        "4.77 / 4.68 before L_p steered); "
         "the community graph must flip this",
     )
     def test_reassignment_buys_friend_hops_at_2k(self):

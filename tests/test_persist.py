@@ -51,7 +51,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_snapshot")
 #: this byte-for-byte, or the snapshot format silently drifted.
 GOLDEN_ID = "fcad37663e80ecd1"
 #: sha256 of the records of ``_stack(small_graph, faulty=True).run(600.0)``.
-REPLAY_DIGEST = "eeba6f1e5c67fdf5e535abf609ffde62c5ac0b969d66c2e65f42f0d306355cf2"
+REPLAY_DIGEST = "8180b41f78ffc3b319903b1f155b2e35bfd3d79d881542b289dd160351a100fd"
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,9 @@
   must beat it.
 * The index is derived state: a router that outlives a change to the
   links or identifiers routes as a freshly made one.
+* The ``advertised`` clause fires only at the source of a friend route
+  that the lookahead cannot finish in two hops; every other route takes
+  the two-clause rule's hops (:class:`TwoClauseRouter`).
 """
 
 import numpy as np
@@ -63,8 +66,36 @@ class BruteForceRouter(GreedyRouter):
                         best = (key, x)
         return None if best is None else (best[0][2], best[1])
 
+    def _advertised_hop(self, u, dst, table, online):
+        ids = self.overlay.ids
+        target = float(ids[dst])
+        friends = self.overlay.graph.neighbor_set(u)
+        connections = self._connections
+        mine = connections(u)
+        live = [w for w in mine if online is None or online[w]]
+        if any(dst in connections(w) for w in live):
+            return None  # the lookahead reaches dst
+        best = None
+        for w in live:
+            for x in connections(w):
+                if x == u or x in mine or x not in table or not (online is None or online[x]):
+                    continue
+                strangers = (w not in friends) + (x not in friends)
+                key = (strangers, ring_distance(float(ids[x]), target), w)
+                if best is None or key < best[0]:
+                    best = (key, x)
+        return None if best is None else (best[0][2], best[1])
 
-class OneHopGreedyRouter(GreedyRouter):
+
+class TwoClauseRouter(GreedyRouter):
+    """The rule before the source read its friend's table: ``direct``,
+    ``lookahead`` and ``greedy`` alone, as every baseline routes."""
+
+    def _advertised_hop(self, u, dst, table, online):
+        return None
+
+
+class OneHopGreedyRouter(TwoClauseRouter):
     """The rule before ``L_p`` steered: ``dst`` among ``w``'s connections
     if any connection has it, else the connection whose own identifier is
     closest."""
@@ -95,13 +126,21 @@ class ManualOverlay(OverlayNetwork):
 
     name = "manual"
 
-    def __init__(self, ids, long_links, ring=True, admitted=None):
+    def __init__(self, ids, long_links, ring=True, admitted=None, advertise=False):
         n = len(ids)
         super().__init__(SocialGraph(n, [(i, (i + 1) % n) for i in range(n)]), k_links=n)
         self._fixed = np.asarray(ids, dtype=np.float64)
         self._long = long_links
         self._admitted = long_links if admitted is None else admitted
         self._ring = ring
+        self._advertise = advertise
+
+    def advertised(self, u, v):
+        """With ``advertise``, friends know each other's tables, as in SELECT."""
+        if not (self._advertise and self.graph.has_edge(u, v)):
+            return None
+        table = self.tables[v]
+        return [*table.long_links, *(w for w in (table.predecessor, table.successor) if w is not None)]
 
     def build(self, seed=None):
         self.ids[:] = self._fixed
@@ -293,6 +332,70 @@ class TestStretchOracle:
         assert max(r.hops for r in routes) <= 20
 
 
+class TestAdvertisedClause:
+    def test_only_friend_routes_change(self, select_2k):
+        """Routes between non-friends and ``lookahead=False`` routes are the
+        two-clause rule's, hop for hop; friend routes only get shorter."""
+        graph = select_2k.graph
+        rng = np.random.default_rng(3)
+        strangers = [
+            (int(s), int(d))
+            for s, d in rng.integers(graph.num_nodes, size=(3000, 2))
+            if s != d and not graph.has_edge(int(s), int(d))
+        ]
+        online = rng.random(graph.num_nodes) > 0.2
+        for lookahead, pairs in ((True, strangers), (False, strangers + friend_pairs(graph))):
+            shipped = GreedyRouter(select_2k, lookahead=lookahead)
+            before = TwoClauseRouter(select_2k, lookahead=lookahead)
+            shipped.record_decisions = before.record_decisions = True
+            for kwargs in ({}, {"online": online}):
+                assert_same_routes(shipped.route_many(pairs, **kwargs), before.route_many(pairs, **kwargs))
+        pairs = friend_pairs(graph)
+        now = GreedyRouter(select_2k).route_many(pairs)
+        then = TwoClauseRouter(select_2k).route_many(pairs)
+        assert all(r.delivered for r in now)
+        assert all(a.hops <= b.hops for a, b in zip(now, then))
+        assert sum(r.hops for r in now) < sum(r.hops for r in then)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_fired_clause_takes_three_hops(self, select_400, data):
+        """When the source steers by ``x`` in its friend's table and ``x``
+        still links to the friend, ``w``'s lookahead finishes the route:
+        exactly three hops."""
+        src, dst = data.draw(st.sampled_from(friend_pairs(select_400.graph, count=400)))
+        if data.draw(st.booleans()):
+            src, dst = dst, src
+        online = None
+        mask_seed = data.draw(st.none() | st.integers(0, 2**16))
+        if mask_seed is not None:
+            online = np.random.default_rng(mask_seed).random(400) > 0.3
+            online[[src, dst]] = True
+        router = GreedyRouter(select_400)
+        router.record_decisions = True
+        route = router.route(src, dst, online=online)
+        if route.decisions[0].rule != "advertised":
+            return
+        w, x = router._advertised_hop(src, dst, select_400.advertised(src, dst), online)
+        assert route.path[1] == w
+        if dst in connections(select_400, x):
+            assert route.delivered and route.hops == 3
+
+    def test_a_restored_overlay_routes_as_the_original(self, select_2k, tmp_path):
+        """The clause reads tables and ring columns: a 2k overlay captured,
+        saved and restored takes the original's hops on every friend route."""
+        from repro.persist import load, restore, save
+
+        save(select_2k.snapshot(), str(tmp_path / "snap"))
+        restored = restore(load(str(tmp_path / "snap")))
+        pairs = friend_pairs(select_2k.graph, count=12000)
+        router, again = select_2k.make_router(), restored.make_router()
+        router.record_decisions = again.record_decisions = True
+        routes = router.route_many(pairs)
+        assert any(r.decisions[0].rule == "advertised" for r in routes)
+        assert_same_routes(again.route_many(pairs), routes)
+
+
 # -- (iii) generated overlays ---------------------------------------------------
 
 
@@ -307,16 +410,18 @@ def small_overlays(draw):
         draw(st.sets(st.sampled_from(sorted(links)))) if links else set() for links in long_links
     ]
     online = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
-    pairs = draw(st.lists(st.tuples(peers, peers), min_size=1, max_size=8))
+    # The graph is the ring 0-1-...-(n-1): half the pairs are friends.
+    friends = peers.map(lambda v: (v, (v + 1) % n)) | peers.map(lambda v: ((v + 1) % n, v))
+    pairs = draw(st.lists(st.tuples(peers, peers) | friends, min_size=1, max_size=8))
     return np.array(ids) / 32.0, long_links, admitted, online, pairs
 
 
 class TestGeneratedOverlays:
-    @given(case=small_overlays(), lookahead=st.booleans(), detect=st.booleans())
+    @given(case=small_overlays(), lookahead=st.booleans(), detect=st.booleans(), advertise=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_index_equals_scan_and_paths_are_walks(self, case, lookahead, detect):
+    def test_index_equals_scan_and_paths_are_walks(self, case, lookahead, detect, advertise):
         ids, long_links, admitted, online, pairs = case
-        overlay = ManualOverlay(ids, long_links, admitted=admitted).build()
+        overlay = ManualOverlay(ids, long_links, admitted=admitted, advertise=advertise).build()
         mask = None if online is None else np.array(online)
         shipped = GreedyRouter(overlay, lookahead=lookahead)
         scan = BruteForceRouter(overlay, lookahead=lookahead)

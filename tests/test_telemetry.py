@@ -238,11 +238,30 @@ class TestRouteTracer:
             assert [d["link"] for d in decided] == [d.link for d in route.decisions]
             for d in decided:
                 assert d["link"] in ("short", "long", "incoming", "successor", "other")
-                assert d["rule"] in ("direct", "lookahead", "greedy")
+                assert d["rule"] in ("direct", "lookahead", "greedy", "advertised")
                 assert d["distance"] >= 0.0
             # The delivering hop is always the direct rule.
             assert decided[-1]["rule"] == "direct"
             assert all(x["t0"] == x["t1"] == 0.0 for x in chain)
+
+    def test_a_subscriber_three_hops_away_records_the_advertised_clause(self, built_select):
+        """The publisher reaches a friend past its lookahead through the
+        friend's own table: the first relay's span says ``advertised``."""
+        router = built_select.make_router()
+        router.record_decisions = True
+        publisher, subscriber = next(
+            (u, v)
+            for u, v in built_select.graph.edges()
+            if router.route(u, v).decisions[0].rule == "advertised"
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = PubSubSystem(built_select).publish(publisher)
+        assert subscriber in result.subscribers
+        chain = assemble(tracer.spans())[f"0:{subscriber}"]
+        assert chain_errors(f"0:{subscriber}", chain) == []
+        assert [x["name"] for x in chain] == ["publish", "relay", "relay", "delivered"]
+        assert [x["attrs"]["rule"] for x in chain[1:]] == ["advertised", "lookahead", "direct"]
 
     def test_metrics_match_result(self, traced_publish):
         tracer, reg, result = traced_publish
